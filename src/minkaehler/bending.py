@@ -27,19 +27,18 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import FD_STEP_D1, ImmersionChart, Jet2
+from .charts import ImmersionChart, Jet2
 from .errors import DomainError, PreconditionError
 from .geometry import (
+    TINY,
     PointFrame,
     christoffel,
     codazzi_residual,
-    covariant_field_derivative,
     gnorm_op,
+    metric_of,
     point_frame,
 )
 from .weierstrass import SeriesChart, associated, chart_complex_structure
-
-TINY = 1e-300
 
 
 # -- variation fields ---------------------------------------------------------
@@ -293,11 +292,6 @@ def second_variation_metric_residual(
     return float(np.linalg.norm(gt - g0 - t * t * quad) / max(np.linalg.norm(g0), TINY))
 
 
-def metric_of(chart: ImmersionChart, p) -> np.ndarray:
-    d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
-    return d1 @ d1.T
-
-
 def gauss_tangency_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
     """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at p,
     the first-order criterion for the variation to preserve the normal."""
@@ -355,8 +349,8 @@ def B_by_fd(chart: ImmersionChart, fld: BendingField, p, eps: float = 1e-4) -> B
 
 def B_by_formula(chart: ImmersionChart, fld: BendingField, p) -> BTensor:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
-    with the normal.  Exact modulo the finite-difference Christoffels, and
-    identically zero on trivial fields."""
+    with the normal.  Exact from the 2-jets of f and T, and identically
+    zero on trivial fields."""
     p = np.asarray(p, dtype=np.float64)
     frame = point_frame(chart.jet(p))
     gam = christoffel(chart, p)
@@ -405,18 +399,33 @@ def bat_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
     return gnorm_op(frame.chol, b_op - at) / max(den, 1e-14)
 
 
-def parallel_tangential_residual(chart: ImmersionChart, fld: BendingField, p, h=None) -> float:
+def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, gam: np.ndarray) -> np.ndarray:
+    """nabla T_* from the 2-jets of f and T and the Christoffels ``gam``;
+    returns [i, k, j] like :func:`~minkaehler.geometry.covariant_field_derivative`.
+
+    With P_ij = <f_i, T_j> and T_* = G^{-1} P, the coordinate derivative is
+    d_i T_* = G^{-1} (d_i P - d_i G T_*), and the connection adds the
+    commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
+    """
+    jb = frame.jet
+    tstar = tangential_derivative(frame, field_jet)
+    # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>;  d_i G_kj = <f_ik, f_j> + <f_k, f_ij>
+    dP = jb.d2 @ field_jet.d1.T + np.einsum("kc,ijc->ikj", jb.d1, field_jet.d2)
+    dG = jb.d2 @ jb.d1.T
+    dG = dG + dG.transpose(0, 2, 1)
+    dT = np.linalg.solve(frame.metric[None], dP - dG @ tstar)
+    gam_i = gam.transpose(1, 0, 2)  # [i, k, l] = Gamma^k_il
+    return dT + gam_i @ tstar - tstar @ gam_i
+
+
+def parallel_tangential_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
     """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
     the tangential part of dT in the induced connection."""
     p = np.asarray(p, dtype=np.float64)
-
-    def field(q):
-        fr = point_frame(chart.jet(q))
-        return tangential_derivative(fr, fld.jet(q))
-
-    nab = covariant_field_derivative(chart, field, p, h=h)
     frame = point_frame(chart.jet(p))
-    den = gnorm_op(frame.chol, field(p))
+    jf = fld.jet(p)
+    nab = tangential_covariant_derivative(frame, jf, christoffel(chart, p))
+    den = gnorm_op(frame.chol, tangential_derivative(frame, jf))
     worst = 0.0
     for i in range(chart.d):
         for j in range(chart.d):

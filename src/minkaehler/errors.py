@@ -2,7 +2,7 @@
 
 
 class DomainError(ValueError):
-    """Raised when an evaluation point, stencil, or basepoint leaves the
+    """Raised when an evaluation point or basepoint leaves the
     declared domain of a series, chart, or seed, or when two series with
     incompatible basepoints are combined."""
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charts import Jet2
 from .errors import DomainError
 from .geometry import anticommutation_residual, gnorm_op, point_frame
 from .weierstrass import (
@@ -202,12 +203,12 @@ def export_slice(
     """
     chart = slice_chart(seed, spec, chain)
     pts = slice_points(chart, spec)
-    values = chart.values(pts)
+    values, d1, d2 = chart.jet_batch(pts)
     J = chart_complex_structure(chart.d)
     minim = np.empty(len(pts))
     antic = np.empty(len(pts))
     for k, p in enumerate(pts):
-        fr = point_frame(chart.jet(p))
+        fr = point_frame(Jet2(coords=p, value=values[k], d1=d1[k], d2=d2[k]))
         scale = max(gnorm_op(fr.chol, fr.shape_operator), 1e-14)
         minim[k] = abs(float(np.trace(fr.shape_operator))) / scale
         antic[k] = anticommutation_residual(fr, J)

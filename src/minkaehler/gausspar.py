@@ -24,7 +24,7 @@ round trip lands each rebuilt point back on the original leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,12 +39,11 @@ from .charts import (
 )
 from .errors import DomainError, PreconditionError
 from .geometry import (
+    TINY,
     laplace_beltrami,
     point_frame,
     rank_and_nullity,
 )
-
-TINY = 1e-300
 
 
 # -- sphere surfaces -----------------------------------------------------------

@@ -3,7 +3,7 @@
 Everything here is frame data at a single point: induced metric, unit
 normal from the generalized cross product (in coordinate index order),
 scalar second fundamental form, shape operator with its eigen-data, rank
-and relative nullity, finite-difference Christoffel symbols, the
+and relative nullity, Christoffel symbols read off the same 2-jet, the
 Laplace-Beltrami operator on scalar fields, and residuals for the Kaehler
 compatibility checks (anticommutation with J, parallelism of J).
 
@@ -30,11 +30,13 @@ from .errors import (
     NonImmersionPointError,
 )
 
-# Step used when differentiating fields that are themselves FD-computed
-# (their evaluations carry ~1e-10 noise, so eps^(1/3) would amplify it;
-# eps^(1/5) balances noise/h against the h^2 truncation term).
+# Step used when differentiating fields whose evaluations carry noise well
+# above roundoff (eps^(1/5) balances noise/h against the h^2 truncation
+# term).  The Codazzi check keeps it until charts carry 3-jets; the Gauss
+# round trip differences its rebuilt, FD-noisy value map with it.
 FD_STEP_NOISY = EPS ** 0.2
 
+# Floor for norms used as divisors.
 TINY = 1e-300
 
 
@@ -172,46 +174,22 @@ def _steps(p: np.ndarray, h) -> np.ndarray:
     return np.broadcast_to(h, p.shape).copy()
 
 
-def _check_stencil(chart: ImmersionChart, pts) -> None:
-    contains = getattr(chart, "domain_contains", None)
-    if contains is None:
-        return
-    for q in pts:
-        if not contains(q):
-            raise DomainError(f"finite-difference stencil leaves the chart domain at {q}")
-
-
-def metric_at(chart: ImmersionChart, p) -> np.ndarray:
+def metric_of(chart: ImmersionChart, p) -> np.ndarray:
+    """Induced metric G_ij = <f_i, f_j> at p."""
     d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
     return d1 @ d1.T
 
 
-def christoffel(chart: ImmersionChart, p, h=None) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] from central differences of G.
+def christoffel(chart: ImmersionChart, p) -> np.ndarray:
+    """Christoffel symbols Gamma[k, i, j] from the 2-jet at p.
 
-    Gamma^k_ij = (1/2) G^{kl} (d_i G_jl + d_j G_il - d_l G_ij); symmetric
-    in (i, j) by construction.  Steps default to eps^(1/3) per coordinate
-    scale; a stencil point outside the chart domain raises DomainError.
+    Gamma^k_ij = G^{kl} <f_ij, f_l>, the tangential part of the second
+    partials; symmetric in (i, j) because the jet's second partials are.
     """
-    p = np.asarray(p, dtype=np.float64)
-    hs = _steps(p, h)
-    d = chart.d
-    stencil = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = hs[i]
-        stencil.extend([p + e, p - e])
-    _check_stencil(chart, stencil)
-    G0 = metric_at(chart, p)
-    dG = np.empty((d, d, d))
-    for i in range(d):
-        Gp = metric_at(chart, stencil[2 * i])
-        Gm = metric_at(chart, stencil[2 * i + 1])
-        dG[i] = (Gp - Gm) / (2 * hs[i])
-    ginv = np.linalg.inv(G0)
-    # term[l, i, j] = d_i G_jl + d_j G_il - d_l G_ij
-    term = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+    jet = chart.jet(np.asarray(p, dtype=np.float64))
+    d = jet.d
+    proj = np.einsum("ijc,lc->lij", jet.d2, jet.d1).reshape(d, d * d)
+    return np.linalg.solve(jet.d1 @ jet.d1.T, proj).reshape(d, d, d)
 
 
 def scalar_fd_jet(fn, p, h1=None, h2=None):
@@ -250,13 +228,12 @@ def laplace_beltrami(chart: ImmersionChart, gamma, p, h=None) -> float:
     """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) with FD jets of gamma.
 
     ``h`` scales the second-difference step (default eps^(1/4) per
-    coordinate); the Christoffel symbols use their own first-difference
-    default.
+    coordinate); the Christoffel symbols come from the chart's 2-jet.
     """
     p = np.asarray(p, dtype=np.float64)
     _, grad, hess = scalar_fd_jet(gamma, p, h2=h)
     gam = christoffel(chart, p)
-    ginv = np.linalg.inv(metric_at(chart, p))
+    ginv = np.linalg.inv(metric_of(chart, p))
     corr = hess - np.einsum("kij,k->ij", gam, grad)
     return float(np.einsum("ij,ij->", ginv, corr))
 
@@ -325,8 +302,10 @@ def parallel_J_residual(chart: ImmersionChart, J, p, h=None) -> float:
 def codazzi_residual(chart: ImmersionChart, field, p, h=None) -> float:
     """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G.
 
-    Defaults to the eps^(1/5) step because the interesting fields (shape
-    operators, bending tensors) are themselves FD-computed and noisy.
+    d_i S comes from central differences of the field, by default with the
+    eps^(1/5) step.  The fields checked here (shape operators, bending
+    tensors) are exact functions of the 2-jets; the step stays as it is
+    until charts carry 3-jets, which make d_i S exact as well.
     """
     p = np.asarray(p, dtype=np.float64)
     if h is None:

@@ -11,8 +11,8 @@ implementations:
 
 ``BACKEND`` records which path is active.  Both paths are importable under
 explicit names (``horner_many_numpy`` / ``horner_many_numba`` and the
-``cross_columns_*`` pair) so the benchmark in ``benchmarks/`` can time them
-against each other regardless of the flag.
+``cross_columns_*`` pair) so they can be compared against each other
+regardless of the flag.
 """
 
 from __future__ import annotations

@@ -91,10 +91,10 @@ _COMMON_EXPECTED = {
     "family_normal": 1e-12,
     "family_shape": 1e-12,
     "anticommutation": 1e-12,
-    "kaehler_parallel": 1e-8,
+    "kaehler_parallel": 1e-12,
     "bending_condition": 1e-12,
     "gauss_preservation": 1e-9,
-    "bending_tpar": 1e-8,
+    "bending_tpar": 1e-12,
     "bending_bat": 1e-12,
     "fundamental_wedge": 1e-12,
     "codazzi_b": 1e-5,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .series import (
     DEFAULT_ORDER,
     SeriesVector,
     TruncatedSeries,
-    series_diff,
-    series_int,
     series_mul,
     truncate,
     vdot,
@@ -249,18 +247,6 @@ class HolomorphicRep:
         w = self._split(w)
         out = self.base_part.eval(z)
         for wj, part in zip(w, self.w_parts):
-            out = out + wj * part.eval(z)
-        return out
-
-    def z_derivative(self, z: complex, w=(), order: int = 1) -> np.ndarray:
-        w = self._split(w)
-        base = self.base_part
-        parts = list(self.w_parts)
-        for _ in range(order):
-            base = base.diff()
-            parts = [p.diff() for p in parts]
-        out = base.eval(z)
-        for wj, part in zip(w, parts):
             out = out + wj * part.eval(z)
         return out
 

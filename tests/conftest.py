@@ -7,7 +7,7 @@ import pytest
 import minkaehler
 from minkaehler import kernels
 from minkaehler.seeds import builtin_seed
-from minkaehler.weierstrass import conjugate_fbar, immersion_f
+from minkaehler.weierstrass import conjugate_fbar, immersion_f, seed_from_json
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -74,6 +74,30 @@ def m4r5_chart(m4r5_seed):
 @pytest.fixture(scope="session")
 def m4r5_fbar(m4r5_seed):
     return conjugate_fbar(m4r5_seed)
+
+
+@pytest.fixture(scope="session")
+def n3_chart():
+    """An inline n = 3 seed (M^6 in R^7) with quadratic coefficients."""
+    seed = seed_from_json(
+        {
+            "n": 3,
+            "name": "inline-n3",
+            "alpha0": [[1.0, 0.0], [0.3, -0.4], [0.2, 0.5]],
+            "mu": [
+                [[0.0, 1.0], [0.5, 0.1], [-0.3, 0.2]],
+                [[0.8, 0.6], [-0.2, 0.4], [0.1, -0.3]],
+                [[-1.0, 0.0], [0.1, 0.6], [0.4, 0.2]],
+            ],
+            "b": [
+                [[0.6, -0.8], [0.3, 0.3], [-0.5, 0.1]],
+                [[1.0, 0.0], [-0.4, -0.2], [0.2, 0.3]],
+                [[0.0, -1.0], [0.2, -0.5], [0.3, 0.4]],
+            ],
+            "domain": {"radius": 0.6, "w_halfwidth": [0.5, 0.5]},
+        }
+    )
+    return immersion_f(seed)
 
 
 @pytest.fixture()

@@ -14,6 +14,11 @@ evidence rather than tautology.
 * closed-form catenoid of neck radius sqrt(2), matching the exported
   vertex positions of the builtin seed.
 * polar-coordinate Christoffel symbols on the flat plane.
+* finite-difference references for the connection: Christoffel symbols
+  from central differences of the metric, and the covariant derivative of
+  the tangential part T_* of a variation field from central differences
+  of T_* itself.  Both read only first partials, so they share nothing
+  with the package's jet route, which reads the second partials.
 * the support function of the ellipse (a cos t, b sin t) with outward
   normal: h = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t).
 """
@@ -71,6 +76,54 @@ def polar_christoffel(r: float) -> np.ndarray:
     gam[0, 1, 1] = -r
     gam[1, 0, 1] = gam[1, 1, 0] = 1.0 / r
     return gam
+
+
+def _fd_steps(p: np.ndarray) -> np.ndarray:
+    return np.finfo(np.float64).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(p))
+
+
+def _fd_metric(chart, p) -> np.ndarray:
+    d1 = chart.jet(p).d1
+    return d1 @ d1.T
+
+
+def fd_christoffel(chart, p) -> np.ndarray:
+    """Gamma[k, i, j] = (1/2) G^{kl} (d_i G_jl + d_j G_il - d_l G_ij), with
+    d_i G by central differences at steps eps^(1/3) max(1, |p_i|)."""
+    p = np.asarray(p, dtype=np.float64)
+    hs = _fd_steps(p)
+    d = p.size
+    dG = np.empty((d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = hs[i]
+        dG[i] = (_fd_metric(chart, p + e) - _fd_metric(chart, p - e)) / (2 * hs[i])
+    # term[l, i, j] = d_i G_jl + d_j G_il - d_l G_ij
+    term = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
+    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(_fd_metric(chart, p)), term)
+
+
+def fd_tangential_covariant_derivative(chart, fld, p) -> np.ndarray:
+    """(nabla_i T_*)^k_j as [i, k, j]: T_* = G^{-1} <f_i, T_j> differenced
+    at steps eps^(1/3) max(1, |p_i|), plus Gamma^k_il T^l_j - Gamma^l_ij T^k_l
+    from :func:`fd_christoffel`."""
+    p = np.asarray(p, dtype=np.float64)
+
+    def tstar(q):
+        d1 = chart.jet(q).d1
+        return np.linalg.solve(d1 @ d1.T, d1 @ fld.jet(q).d1.T)
+
+    hs = _fd_steps(p)
+    d = p.size
+    gam = fd_christoffel(chart, p)
+    S = tstar(p)
+    out = np.empty((d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = hs[i]
+        dS = (tstar(p + e) - tstar(p - e)) / (2 * hs[i])
+        out[i] = dS + gam[:, i, :] @ S - S @ gam[:, i, :]
+    return out
 
 
 def ellipse_support(a: float, b: float, t: float) -> float:

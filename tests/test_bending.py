@@ -25,11 +25,13 @@ from minkaehler.bending import (
     recover_bending_decomposition,
     rotation_coefficient,
     second_variation_metric_residual,
+    tangential_covariant_derivative,
 )
 from minkaehler.charts import ProductChart, ellipse_chart, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
-from minkaehler.geometry import frame_at, rank_and_nullity
-from minkaehler.weierstrass import conjugate_fbar
+from minkaehler.geometry import christoffel, frame_at, rank_and_nullity
+
+from oracles import fd_tangential_covariant_derivative
 
 
 def sample(chart, rng, count=4):
@@ -156,6 +158,19 @@ class TestStructuralIdentities:
         fld = conjugate_field(catenoid_chart)
         for p in sample(catenoid_chart, rng, 2):
             assert parallel_tangential_residual(catenoid_chart, fld, p) < 1e-7
+
+    @pytest.mark.parametrize("name", ["m4r5", "n3"])
+    def test_tangential_derivative_matches_fd_reference(self, name, request, rng):
+        # the conjugate's T_* is parallel; a trivial field's is not
+        chart = request.getfixturevalue(f"{name}_chart")
+        for fld in (conjugate_field(chart), make_trivial(chart, rng=rng)):
+            for p in sample(chart, rng, 2):
+                got = tangential_covariant_derivative(
+                    frame_at(chart, p), fld.jet(p), christoffel(chart, p)
+                )
+                ref = fd_tangential_covariant_derivative(chart, fld, p)
+                scale = max(1.0, float(np.abs(ref).max()))
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)
 
     def test_codazzi_for_b(self, enneper_chart, rng):
         fld = conjugate_field(enneper_chart)
