@@ -50,17 +50,15 @@ from .geometry import (
     codazzi_residual,
     generalized_cross,
     laplace_beltrami,
+    minimality_residual,
     parallel_J_residual,
     point_frame,
     rank_and_nullity,
 )
 from .seeds import BUILTIN_NAMES, builtin_seed
 from .bending import (
-    BendingField,
     BTensor,
-    ChartField,
     CombinationField,
-    PerturbedChart,
     TrivialField,
     bending_residual,
     classify_triviality,

@@ -15,19 +15,21 @@ T_* of dT.  Three independent routes to B are implemented (t-derivative of
 the shape operator, the covariant-Hessian formula, and the composition
 A T_*) so they can cross-check each other.
 
-Fields mirror the chart protocol: ``jet(p)`` returns value, first and
-second partials of T in the chart coordinates.
+A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
+over the same coordinates: ``jet(p)`` returns the value, first and second
+partials of T.  A chart is its own position field, the conjugate field is
+the mate chart of the associated family, and f + tT is a
+:class:`CombinationField`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .charts import ImmersionChart, Jet2
+from .charts import CallableChart, ImmersionChart, Jet2
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -43,40 +45,8 @@ from .weierstrass import SeriesChart, associated, chart_complex_structure
 
 # -- variation fields ---------------------------------------------------------
 
-class BendingField:
-    """A variation field along a chart, with 2-jets in chart coordinates."""
-
-    d: int
-    ambient: int
-
-    def jet(self, p) -> Jet2:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def value(self, p) -> np.ndarray:
-        return self.jet(p).value
-
-
 @dataclass
-class ChartField(BendingField):
-    """Field given by the jets of another chart over the same coordinates."""
-
-    chart: ImmersionChart
-    scale: float = 1.0
-
-    def __post_init__(self):
-        self.d = self.chart.d
-        self.ambient = self.chart.ambient
-
-    def jet(self, p) -> Jet2:
-        j = self.chart.jet(p)
-        s = self.scale
-        if s == 1.0:
-            return j
-        return Jet2(coords=j.coords, value=s * j.value, d1=s * j.d1, d2=s * j.d2)
-
-
-@dataclass
-class TrivialField(BendingField):
+class TrivialField(ImmersionChart):
     """T = D f + w for a skew ambient matrix D and a constant vector w."""
 
     chart: ImmersionChart
@@ -86,6 +56,7 @@ class TrivialField(BendingField):
     def __post_init__(self):
         self.d = self.chart.d
         self.ambient = self.chart.ambient
+        self.box = self.chart.box
         self.skew = np.asarray(self.skew, dtype=np.float64)
         self.offset = np.asarray(self.offset, dtype=np.float64)
         if self.skew.shape != (self.ambient, self.ambient):
@@ -106,8 +77,10 @@ class TrivialField(BendingField):
 
 
 @dataclass
-class CombinationField(BendingField):
-    """Linear combination sum_k coeffs[k] * fields[k]."""
+class CombinationField(ImmersionChart):
+    """Linear combination sum_k coeffs[k] * fields[k] over the box of the
+    first member; f + tT is ``CombinationField((f, T), (1.0, t))``, exact
+    in t since the deformation is affine."""
 
     fields: tuple
     coeffs: tuple
@@ -115,8 +88,8 @@ class CombinationField(BendingField):
     def __post_init__(self):
         if len(self.fields) != len(self.coeffs) or not self.fields:
             raise DomainError("need one coefficient per field")
-        self.d = self.fields[0].d
-        self.ambient = self.fields[0].ambient
+        first = self.fields[0]
+        self.d, self.ambient, self.box = first.d, first.ambient, first.box
         for f in self.fields:
             if (f.d, f.ambient) != (self.d, self.ambient):
                 raise DomainError("combined fields must share dimensions")
@@ -129,27 +102,7 @@ class CombinationField(BendingField):
         return Jet2(coords=jets[0].coords, value=value, d1=d1, d2=d2)
 
 
-@dataclass
-class CallableField(BendingField):
-    """Field from closed-form jet closures."""
-
-    d: int
-    ambient: int
-    value_fn: Callable
-    d1_fn: Callable
-    d2_fn: Callable
-
-    def jet(self, p) -> Jet2:
-        p = np.asarray(p, dtype=np.float64)
-        return Jet2(
-            coords=p,
-            value=np.asarray(self.value_fn(p), dtype=np.float64),
-            d1=np.asarray(self.d1_fn(p), dtype=np.float64),
-            d2=np.asarray(self.d2_fn(p), dtype=np.float64),
-        )
-
-
-def conjugate_field(chart: SeriesChart) -> ChartField:
+def conjugate_field(chart: SeriesChart) -> ImmersionChart:
     """The conjugate of a family member, as a bending field along it.
 
     For the member at phase theta this is the member at theta + pi/2; when
@@ -157,12 +110,10 @@ def conjugate_field(chart: SeriesChart) -> ChartField:
     sign flip (the two differ by a global sign).
     """
     theta = chart.theta + math.pi / 2
-    scale = 1.0
-    if theta >= math.pi:
-        theta -= math.pi
-        scale = -1.0
-    mate = associated(chart.seed, theta, chart.chain, box=chart.box)
-    return ChartField(mate, scale)
+    if theta < math.pi:
+        return associated(chart.seed, theta, chart.chain, box=chart.box)
+    mate = associated(chart.seed, theta - math.pi, chart.chain, box=chart.box)
+    return CombinationField((mate,), (-1.0,))
 
 
 def make_trivial(chart: ImmersionChart, skew=None, offset=None, rng=None, scale: float = 1.0) -> TrivialField:
@@ -181,7 +132,7 @@ def make_trivial(chart: ImmersionChart, skew=None, offset=None, rng=None, scale:
     return TrivialField(chart, skew, offset)
 
 
-def make_cylinder_bending(cylinder, a: float, b: float) -> CallableField:
+def make_cylinder_bending(cylinder, a: float, b: float) -> CallableChart:
     """Nontrivial bending of the cylinder over the ellipse (a cos t, b sin t).
 
     The field lies in the profile plane and is constant along the straight
@@ -215,45 +166,14 @@ def make_cylinder_bending(cylinder, a: float, b: float) -> CallableField:
         out[0, 0, 1] = -a * (t * np.cos(t) + np.sin(t))
         return out
 
-    return CallableField(d=d, ambient=m1, value_fn=value, d1_fn=d1, d2_fn=d2)
-
-
-# -- the deformed chart -------------------------------------------------------
-
-class PerturbedChart(ImmersionChart):
-    """The chart f + t T with exact jets (the deformation is affine in t)."""
-
-    def __init__(self, chart: ImmersionChart, fld: BendingField, t: float):
-        if (chart.d, chart.ambient) != (fld.d, fld.ambient):
-            raise DomainError("field dimensions must match the chart")
-        self.base = chart
-        self.fld = fld
-        self.t = float(t)
-        self.d = chart.d
-        self.ambient = chart.ambient
-        self.box = chart.box
-
-    def domain_contains(self, p, margin: float = 0.0) -> bool:
-        inner = getattr(self.base, "domain_contains", None)
-        if inner is not None:
-            return inner(p, margin)
-        return self.base.contains(p, margin)
-
-    def jet(self, p) -> Jet2:
-        jb = self.base.jet(p)
-        jf = self.fld.jet(p)
-        t = self.t
-        return Jet2(
-            coords=jb.coords,
-            value=jb.value + t * jf.value,
-            d1=jb.d1 + t * jf.d1,
-            d2=jb.d2 + t * jf.d2,
-        )
+    return CallableChart(
+        d=d, ambient=m1, box=cylinder.box, value_fn=value, d1_fn=d1, d2_fn=d2
+    )
 
 
 # -- bending / preservation residuals -----------------------------------------
 
-def bending_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
+def bending_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
     """max_ij |<T_i, f_j> + <T_j, f_i>| over the normalizing scale.
 
     Zero exactly when T is an infinitesimal bending at p.
@@ -267,7 +187,7 @@ def bending_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
 
 
 def first_variation_metric_residual(
-    chart: ImmersionChart, fld: BendingField, p, eps: float = 1e-4
+    chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4
 ) -> float:
     """||(G(eps) - G(-eps)) / 2 eps||_F / ||G(0)||_F along f + tT.
 
@@ -275,24 +195,24 @@ def first_variation_metric_residual(
     central difference isolates the first-order term with no truncation
     error; for a bending this is roundoff-sized.
     """
-    gp = metric_of(PerturbedChart(chart, fld, eps), p)
-    gm = metric_of(PerturbedChart(chart, fld, -eps), p)
+    gp = metric_of(CombinationField((chart, fld), (1.0, eps)), p)
+    gm = metric_of(CombinationField((chart, fld), (1.0, -eps)), p)
     g0 = metric_of(chart, p)
     return float(np.linalg.norm((gp - gm) / (2 * eps)) / max(np.linalg.norm(g0), TINY))
 
 
 def second_variation_metric_residual(
-    chart: ImmersionChart, fld: BendingField, p, t: float = 0.1
+    chart: ImmersionChart, fld: ImmersionChart, p, t: float = 0.1
 ) -> float:
     """||G(t) - G(0) - t^2 <T_i, T_j>||_F / ||G(0)||_F (exact identity)."""
     g0 = metric_of(chart, p)
-    gt = metric_of(PerturbedChart(chart, fld, t), p)
+    gt = metric_of(CombinationField((chart, fld), (1.0, t)), p)
     td1 = fld.jet(p).d1
     quad = td1 @ td1.T
     return float(np.linalg.norm(gt - g0 - t * t * quad) / max(np.linalg.norm(g0), TINY))
 
 
-def gauss_tangency_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
+def gauss_tangency_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
     """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at p,
     the first-order criterion for the variation to preserve the normal."""
     frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
@@ -306,12 +226,12 @@ def gauss_tangency_residual(chart: ImmersionChart, fld: BendingField, p) -> floa
 
 
 def normal_variation_residual(
-    chart: ImmersionChart, fld: BendingField, p, eps: float = 1e-4
+    chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4
 ) -> float:
     """||N(eps) - N(-eps)|| / (2 eps): the t-derivative of the unit normal
     along f + tT, which vanishes for Gauss-map-preserving variations."""
-    np_ = point_frame(PerturbedChart(chart, fld, eps).jet(p)).normal
-    nm = point_frame(PerturbedChart(chart, fld, -eps).jet(p)).normal
+    np_ = point_frame(CombinationField((chart, fld), (1.0, eps)).jet(p)).normal
+    nm = point_frame(CombinationField((chart, fld), (1.0, -eps)).jet(p)).normal
     return float(np.linalg.norm(np_ - nm) / (2 * eps))
 
 
@@ -339,15 +259,15 @@ class BTensor:
         return BTensor(op=np.linalg.solve(metric, form.T), form=form, metric=metric)
 
 
-def B_by_fd(chart: ImmersionChart, fld: BendingField, p, eps: float = 1e-4) -> BTensor:
+def B_by_fd(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> BTensor:
     """B as the symmetric t-derivative of the shape operator of f + tT."""
-    ap = point_frame(PerturbedChart(chart, fld, eps).jet(p)).shape_operator
-    am = point_frame(PerturbedChart(chart, fld, -eps).jet(p)).shape_operator
+    ap = point_frame(CombinationField((chart, fld), (1.0, eps)).jet(p)).shape_operator
+    am = point_frame(CombinationField((chart, fld), (1.0, -eps)).jet(p)).shape_operator
     g0 = metric_of(chart, p)
     return BTensor.from_op((ap - am) / (2 * eps), g0)
 
 
-def B_by_formula(chart: ImmersionChart, fld: BendingField, p) -> BTensor:
+def B_by_formula(chart: ImmersionChart, fld: ImmersionChart, p) -> BTensor:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
     with the normal.  Exact from the 2-jets of f and T, and identically
     zero on trivial fields."""
@@ -367,14 +287,14 @@ def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     return np.linalg.solve(frame.metric, rhs)
 
 
-def B_by_BAT(chart: ImmersionChart, fld: BendingField, p) -> BTensor:
+def B_by_BAT(chart: ImmersionChart, fld: ImmersionChart, p) -> BTensor:
     """B as the composition A T_* (valid for Gauss-map-preserving fields)."""
     frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
     tstar = tangential_derivative(frame, fld.jet(p))
     return BTensor.from_op(frame.shape_operator @ tstar, frame.metric)
 
 
-def b_route_agreement(chart: ImmersionChart, fld: BendingField, p, eps: float = 1e-4) -> float:
+def b_route_agreement(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> float:
     """Largest pairwise deviation of the three B routes, G-relative."""
     frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
     ops = [
@@ -390,7 +310,7 @@ def b_route_agreement(chart: ImmersionChart, fld: BendingField, p, eps: float = 
     return worst / scale
 
 
-def bat_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
+def bat_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
     frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
     b_op = B_by_formula(chart, fld, p).op
@@ -418,7 +338,7 @@ def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, gam: np.
     return dT + gam_i @ tstar - tstar @ gam_i
 
 
-def parallel_tangential_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
+def parallel_tangential_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
     """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
     the tangential part of dT in the induced connection."""
     p = np.asarray(p, dtype=np.float64)
@@ -434,7 +354,7 @@ def parallel_tangential_residual(chart: ImmersionChart, fld: BendingField, p) ->
     return worst / (math.sqrt(chart.d) * max(den, 1e-14))
 
 
-def codazzi_b_residual(chart: ImmersionChart, fld: BendingField, p, h=None) -> float:
+def codazzi_b_residual(chart: ImmersionChart, fld: ImmersionChart, p, h=None) -> float:
     """Codazzi-type symmetry of the covariant derivative of B."""
 
     def field(q):
@@ -448,7 +368,7 @@ def _wedge(u: np.ndarray, v: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.outer(u, G @ v) - np.outer(v, G @ u)
 
 
-def fundamental_equation_residual(chart: ImmersionChart, fld: BendingField, p) -> float:
+def fundamental_equation_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
     """Linearized curvature identity: A X ^ B Y + B X ^ A Y = 0.
 
     Differentiating the curvature of the isometric family f + tT in t must
@@ -489,7 +409,7 @@ class RotationData:
     basis: np.ndarray  # (d, 2) oriented G-orthonormal top-curvature pair
 
 
-def rotation_coefficient(chart: ImmersionChart, fld: BendingField, p, J=None) -> RotationData:
+def rotation_coefficient(chart: ImmersionChart, fld: ImmersionChart, p, J=None) -> RotationData:
     """The rotation coefficient of T_* on the top-curvature plane.
 
     The two G-orthonormal eigenvectors of largest |curvature| span the
@@ -524,7 +444,7 @@ class TrivialityResult:
 
 def classify_triviality(
     chart: ImmersionChart,
-    fld: BendingField,
+    fld: ImmersionChart,
     pts,
     threshold: float = 1e-6,
     bending_tol: float = 1e-6,
@@ -569,7 +489,7 @@ class BendingDecomposition:
 
 
 def recover_bending_decomposition(
-    chart: SeriesChart, fld: BendingField, pts
+    chart: SeriesChart, fld: ImmersionChart, pts
 ) -> BendingDecomposition:
     """Split T = c * conjugate + D f + w and recover (c, D, w).
 

@@ -66,9 +66,6 @@ class ImmersionChart:
     def value(self, p) -> np.ndarray:
         return self.jet(p).value
 
-    def jets(self, pts) -> list:
-        return [self.jet(p) for p in np.atleast_2d(pts)]
-
     def contains(self, p, margin: float = 0.0) -> bool:
         p = np.asarray(p, dtype=np.float64)
         return bool(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .charts import Jet2
 from .errors import DomainError
-from .geometry import anticommutation_residual, gnorm_op, point_frame
+from .geometry import anticommutation_residual, minimality_residual, point_frame
 from .weierstrass import (
     SeriesChart,
     WeierstrassChain,
@@ -209,8 +209,7 @@ def export_slice(
     antic = np.empty(len(pts))
     for k, p in enumerate(pts):
         fr = point_frame(Jet2(coords=p, value=values[k], d1=d1[k], d2=d2[k]))
-        scale = max(gnorm_op(fr.chol, fr.shape_operator), 1e-14)
-        minim[k] = abs(float(np.trace(fr.shape_operator))) / scale
+        minim[k] = minimality_residual(fr)
         antic[k] = anticommutation_residual(fr, J)
     export_obj(obj_path, values, spec.counts, name=name)
     export_csv(csv_path, pts, values, {"minimality": minim, "anticommutation": antic})

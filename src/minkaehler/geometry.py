@@ -263,6 +263,12 @@ def covariant_field_derivative(chart: ImmersionChart, field, p, h=None) -> np.nd
     return out
 
 
+def minimality_residual(frame: PointFrame) -> float:
+    """|trace A| / ||A||_G, with the norm floored at 1e-14."""
+    scale = max(gnorm_op(frame.chol, frame.shape_operator), 1e-14)
+    return abs(float(np.trace(frame.shape_operator))) / scale
+
+
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> float:
     """||A J + J A||_G / ||A||_G (zero shape operator gives zero)."""
     A = frame.shape_operator

@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 
 import minkaehler
-from minkaehler import kernels
 from minkaehler.seeds import builtin_seed
 from minkaehler.weierstrass import conjugate_fbar, immersion_f, seed_from_json
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compile outside of any timed assertion
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,7 @@
 
 Each test covers one acceptance criterion, measures everything it claims,
 and prints a single PASS/FAIL line with the observed numbers (visible in
-any pytest run).  Timed criteria measure wall time after the session-wide
-kernel warmup, so JIT compilation never lands inside a budget.
+any pytest run).  Timed criteria measure wall time.
 """
 
 import math

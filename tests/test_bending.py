@@ -6,7 +6,6 @@ from minkaehler.bending import (
     B_by_fd,
     B_by_formula,
     CombinationField,
-    PerturbedChart,
     TrivialField,
     b_route_agreement,
     bat_residual,
@@ -80,10 +79,7 @@ class TestConjugateIsBending:
 
     def test_scaling_field_is_not_a_bending(self, enneper_chart):
         # T = f itself stretches the metric: the condition must fail
-        from minkaehler.bending import ChartField
-
-        fld = ChartField(enneper_chart, 1.0)
-        assert bending_residual(enneper_chart, fld, [0.2, 0.1]) > 1e-2
+        assert bending_residual(enneper_chart, enneper_chart, [0.2, 0.1]) > 1e-2
 
 
 class TestTrivialFields:
@@ -180,12 +176,10 @@ class TestStructuralIdentities:
     def test_curvature_identity_fails_for_sphere_pair(self):
         # sanity: the identity is not vacuous - feeding a non-bending pair
         # (sphere with its own position field) must not pass
-        from minkaehler.bending import ChartField
         from minkaehler.charts import sphere_chart
 
         chart = sphere_chart()
-        fld = ChartField(chart, 1.0)
-        assert fundamental_equation_residual(chart, fld, [0.6, 1.2]) > 1e-3
+        assert fundamental_equation_residual(chart, chart, [0.6, 1.2]) > 1e-3
 
 
 class TestRotation:
@@ -239,11 +233,9 @@ class TestClassification:
         assert not res.trivial
 
     def test_non_bending_is_rejected(self, enneper_chart, rng):
-        from minkaehler.bending import ChartField
-
-        fld = ChartField(enneper_chart, 1.0)  # T = f scales the metric
+        # T = f scales the metric
         with pytest.raises(PreconditionError):
-            classify_triviality(enneper_chart, fld, sample(enneper_chart, rng, 3))
+            classify_triviality(enneper_chart, enneper_chart, sample(enneper_chart, rng, 3))
 
 
 class TestDecomposition:
@@ -308,19 +300,42 @@ class TestCylinder:
         assert np.abs(b.form[0, 0]) > 1e-3
 
 
-class TestPerturbedChart:
+class TestCombinationField:
     def test_dimension_mismatch_rejected(self, catenoid_chart, m4r5_chart):
         fld = conjugate_field(m4r5_chart)
         with pytest.raises(DomainError):
-            PerturbedChart(catenoid_chart, fld, 0.1)
+            CombinationField((catenoid_chart, fld), (1.0, 0.1))
 
     def test_zero_deformation_reproduces_chart(self, catenoid_chart):
         fld = conjugate_field(catenoid_chart)
-        pert = PerturbedChart(catenoid_chart, fld, 0.0)
+        pert = CombinationField((catenoid_chart, fld), (1.0, 0.0))
         p = np.array([0.1, 0.2])
         np.testing.assert_array_equal(pert.jet(p).value, catenoid_chart.jet(p).value)
 
-    def test_domain_passthrough(self, catenoid_chart):
-        pert = PerturbedChart(catenoid_chart, conjugate_field(catenoid_chart), 0.1)
-        assert pert.domain_contains([0.1, 0.1])
-        assert not pert.domain_contains([5.0, 0.0])
+    def test_deformed_chart_is_affine_in_t(self, m4r5_chart):
+        # f + tT carries exactly the jets f + t T, with the box of f
+        fld = conjugate_field(m4r5_chart)
+        t = 0.37
+        pert = CombinationField((m4r5_chart, fld), (1.0, t))
+        assert pert.box is m4r5_chart.box
+        p = np.array([0.1, -0.05, 0.2, 0.1])
+        jp, jf, jt = pert.jet(p), m4r5_chart.jet(p), fld.jet(p)
+        for name in ("value", "d1", "d2"):
+            np.testing.assert_array_equal(
+                getattr(jp, name), getattr(jf, name) + t * getattr(jt, name)
+            )
+
+    def test_fields_carry_the_box_of_their_chart(self, catenoid_chart, cylinder, rng):
+        assert make_trivial(catenoid_chart, rng=rng).box is catenoid_chart.box
+        assert make_cylinder_bending(cylinder, 1.5, 0.8).box is cylinder.box
+        mix = CombinationField((make_trivial(catenoid_chart, rng=rng), catenoid_chart), (1.0, 2.0))
+        assert mix.box is catenoid_chart.box
+
+    def test_conjugate_is_the_mate_chart(self, catenoid_chart, catenoid_fbar):
+        # f's conjugate is fbar itself; fbar's is -f, a sign-flipped combination
+        fld = conjugate_field(catenoid_chart)
+        assert fld.theta == catenoid_fbar.theta
+        np.testing.assert_array_equal(fld.box, catenoid_chart.box)
+        back = conjugate_field(catenoid_fbar)
+        assert isinstance(back, CombinationField) and back.coeffs == (-1.0,)
+        assert back.fields[0].theta == catenoid_chart.theta

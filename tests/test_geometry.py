@@ -29,6 +29,7 @@ from minkaehler.geometry import (
     gnorm_vec,
     laplace_beltrami,
     metric_of,
+    minimality_residual,
     point_frame,
     rank_and_nullity,
     scalar_fd_jet,
@@ -273,6 +274,19 @@ class TestCurvatureIdentities:
         chart = polar_plane_chart()
         nab = covariant_field_derivative(chart, lambda p: np.eye(2), [1.2, 0.5])
         np.testing.assert_allclose(nab, 0.0, atol=1e-9)
+
+
+class TestMinimalityResidual:
+    def test_trace_over_operator_norm(self):
+        # the graph of (x^2 + lam y^2) / 2 has A = diag(1, lam) at the origin
+        assert minimality_residual(point_frame(graph_jet(-1.0))) == 0.0
+        assert minimality_residual(point_frame(graph_jet(0.5))) == pytest.approx(1.5, rel=1e-14)
+        sphere = frame_at(sphere_chart(), [0.5, 1.2])  # A = +Identity
+        assert minimality_residual(sphere) == pytest.approx(2.0, rel=1e-12)
+
+    def test_zero_shape_operator_gives_zero(self, enneper_chart):
+        assert minimality_residual(frame_at(plane_chart(), [0.0, 0.0])) == 0.0
+        assert minimality_residual(frame_at(enneper_chart, [0.2, 0.1])) < 1e-12
 
 
 class TestKaehlerResiduals:

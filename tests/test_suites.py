@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from minkaehler import builtin_seed
+from minkaehler.errors import DomainWarning
 from minkaehler.report import (
     ResidualReport,
     all_passed,
@@ -106,6 +108,22 @@ class TestSelectionAndErrors:
     def test_named_subset_runs_in_given_order(self, enneper_bundle):
         reports = run_suites(enneper_bundle, names=["rotation", "minimality"])
         assert [r.identity for r in reports] == ["rotation", "minimality"]
+
+    def test_rank_verdict_does_not_depend_on_suite_order(self):
+        # margin 1.5 samples outside the seed's domain, where the chart warns;
+        # that warning is no rank miss, whichever suite framed the point first
+        rows, seen = [], []
+        for names in (["rank"], ["minimality", "rank"]):
+            bundle = build_bundle(builtin_seed("enneper"), margin=1.5)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports = run_suites(bundle, names=names)
+            rows.append(report_to_dict(reports[-1]))
+            seen.append({type(w.message) for w in caught})
+        assert rows[0] == rows[1]
+        assert rows[0]["max_residual"] == 0.0 and rows[0]["pass"]
+        # the domain warning still reaches the caller
+        assert seen == [{DomainWarning}, {DomainWarning}]
 
     def test_tolerance_override_is_recorded(self, enneper_bundle):
         reports = run_suites(
