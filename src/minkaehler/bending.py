@@ -354,13 +354,35 @@ def parallel_tangential_residual(chart: ImmersionChart, fld: ImmersionChart, p) 
     return worst / (math.sqrt(chart.d) * max(den, 1e-14))
 
 
-def codazzi_b_residual(chart: ImmersionChart, fld: ImmersionChart, p, h=None) -> float:
+def B_with_derivative(chart: SeriesChart, fld: SeriesChart, p) -> tuple:
+    """(op, dop): B as an operator at p and dop[l] = d_l op, exact from the
+    3-jets (``jet_batch(pts, order=3)``) of f and T.  Differentiates
+    B_ij = <T_ij - Gamma^k_ij T_k, N> with P_qij = <f_ij, f_q>, Gamma =
+    G^{-1} P, d_l Gamma = G^{-1} (d_l P - d_l G Gamma), d_l N = -f_*(A e_l).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    value, f1, f2, f3 = (a[0] for a in chart.jet_batch(p, order=3))
+    _, t1, t2, t3 = (a[0] for a in fld.jet_batch(p, order=3))
+    frame = point_frame(Jet2(coords=p, value=value, d1=f1, d2=f2))
+    G, N, d = frame.metric, frame.normal, chart.d
+    gam = np.linalg.solve(G, np.einsum("ijc,qc->qij", f2, f1).reshape(d, d * d))
+    # d_l P_qij = <f_ijl, f_q> + <f_ij, f_ql>;  d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
+    dP = np.einsum("ijlc,qc->lqij", f3, f1) + np.einsum("ijc,qlc->lqij", f2, f2)
+    dG = np.einsum("klc,qc->lkq", f2, f1)
+    dG = dG + dG.transpose(0, 2, 1)
+    dgam = np.linalg.solve(G[None], dP.reshape(d, d, d * d) - dG @ gam).reshape((d,) * 4)
+    gam = gam.reshape(d, d, d)
+    corrected = t2 - np.einsum("kij,kc->ijc", gam, t1)
+    dcorrected = t3 - np.einsum("lkij,kc->lijc", dgam, t1) - np.einsum("kij,klc->lijc", gam, t2)
+    dN = -(frame.shape_operator.T @ f1)  # row l = d_l N
+    dform = dcorrected @ N + np.einsum("ijc,lc->lij", corrected, dN)
+    op = np.linalg.solve(G, (corrected @ N).T)
+    return op, np.linalg.solve(G[None], dform.transpose(0, 2, 1) - dG @ op)
+
+
+def codazzi_b_residual(chart: SeriesChart, fld: SeriesChart, p) -> float:
     """Codazzi-type symmetry of the covariant derivative of B."""
-
-    def field(q):
-        return B_by_formula(chart, fld, q).op
-
-    return codazzi_residual(chart, field, p, h=h)
+    return codazzi_residual(chart, *B_with_derivative(chart, fld, p), p)
 
 
 def _wedge(u: np.ndarray, v: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .charts import (
+    EPS,
     FD_STEP_D1,
     FD_STEP_D2,
     CallableChart,
@@ -44,6 +45,10 @@ from .geometry import (
     point_frame,
     rank_and_nullity,
 )
+
+# Step for differencing the round trip's rebuilt, FD-noisy value map:
+# eps^(1/5) balances noise/h against the h^2 truncation term.
+FD_STEP_NOISY = EPS ** 0.2
 
 
 # -- sphere surfaces -----------------------------------------------------------
@@ -586,8 +591,6 @@ def gauss_round_trip(chart: ImmersionChart, qpts, quotient_dim: int = 2) -> Roun
     normal and g.  The last uses wider differencing steps because the
     rebuilt value map carries finite-difference noise of its own.
     """
-    from .geometry import FD_STEP_NOISY
-
     surface = rebuild_surface(chart, quotient_dim)
     fiber_dim = chart.d - quotient_dim
 

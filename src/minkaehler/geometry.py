@@ -1,11 +1,13 @@
-"""Pointwise hypersurface geometry from chart 2-jets.
+"""Pointwise hypersurface geometry from chart jets.
 
 Everything here is frame data at a single point: induced metric, unit
 normal from the generalized cross product (in coordinate index order),
 scalar second fundamental form, shape operator with its eigen-data, rank
 and relative nullity, Christoffel symbols read off the same 2-jet, the
-Laplace-Beltrami operator on scalar fields, and residuals for the Kaehler
-compatibility checks (anticommutation with J, parallelism of J).
+covariant derivative of a (1,1)-field given its exact coordinate
+derivative, the Laplace-Beltrami operator on scalar fields, and residuals
+for the Kaehler checks (anticommutation with J, parallelism of J) and the
+Codazzi symmetry.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
@@ -23,18 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .charts import EPS, FD_STEP_D1, FD_STEP_D2, ImmersionChart, Jet2
+from .charts import FD_STEP_D1, FD_STEP_D2, ImmersionChart, Jet2
 from .errors import (
     DomainError,
     IndeterminateRankWarning,
     NonImmersionPointError,
 )
-
-# Step used when differentiating fields whose evaluations carry noise well
-# above roundoff (eps^(1/5) balances noise/h against the h^2 truncation
-# term).  The Codazzi check keeps it until charts carry 3-jets; the Gauss
-# round trip differences its rebuilt, FD-noisy value map with it.
-FD_STEP_NOISY = EPS ** 0.2
 
 # Floor for norms used as divisors.
 TINY = 1e-300
@@ -166,14 +162,6 @@ def rank_and_nullity(frame: PointFrame, rel_tol: float = 1e-7) -> RankResult:
     return RankResult(rank, frame.d - rank, basis, indeterminate)
 
 
-def _steps(p: np.ndarray, h) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if h is None:
-        return FD_STEP_D1 * np.maximum(1.0, np.abs(p))
-    h = np.asarray(h, dtype=np.float64)
-    return np.broadcast_to(h, p.shape).copy()
-
-
 def metric_of(chart: ImmersionChart, p) -> np.ndarray:
     """Induced metric G_ij = <f_i, f_j> at p."""
     d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
@@ -238,29 +226,15 @@ def laplace_beltrami(chart: ImmersionChart, gamma, p, h=None) -> float:
     return float(np.einsum("ij,ij->", ginv, corr))
 
 
-def covariant_field_derivative(chart: ImmersionChart, field, p, h=None) -> np.ndarray:
-    """Covariant derivative of a (1,1)-tensor field; returns [i, k, j].
+def covariant_field_derivative(chart: ImmersionChart, S, dS, p) -> np.ndarray:
+    """Covariant derivative of a (1,1)-tensor field at p; returns [i, k, j].
 
-    ``field`` maps a point to the operator matrix S[k, j] (column j = image
-    of basis vector j).  (nabla_i S)^k_j = d_i S^k_j + Gamma^k_il S^l_j
-    - Gamma^l_ij S^k_l, with d_i by central differences of the field.
+    ``S`` is the operator matrix S[k, j] at p (column j = image of basis
+    vector j) and ``dS[i]`` its exact coordinate derivative d_i S there:
+    (nabla_i S)^k_j = d_i S^k_j + Gamma^k_il S^l_j - Gamma^l_ij S^k_l.
     """
-    p = np.asarray(p, dtype=np.float64)
-    d = chart.d
-    hs = _steps(p, h)
-    gam = christoffel(chart, p)
-    S0 = np.asarray(field(p), dtype=np.float64)
-    out = np.empty((d, d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = hs[i]
-        dS = (np.asarray(field(p + e)) - np.asarray(field(p - e))) / (2 * hs[i])
-        out[i] = (
-            dS
-            + np.einsum("kl,lj->kj", gam[:, i, :], S0)
-            - np.einsum("lj,kl->kj", gam[:, i, :], S0)
-        )
-    return out
+    gam_i = christoffel(chart, p).transpose(1, 0, 2)  # [i, k, l] = Gamma^k_il
+    return dS + gam_i @ S - S @ gam_i
 
 
 def minimality_residual(frame: PointFrame) -> float:
@@ -279,24 +253,13 @@ def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> float:
     return num / den
 
 
-def parallel_J_residual(chart: ImmersionChart, J, p, h=None) -> float:
-    """max_{i,j} ||(nabla_i J) e_j||_G / sqrt(d) for a (1,1)-field J.
-
-    ``J`` may be a constant matrix (coordinate complex structure) or a
-    callable field; constant matrices have zero coordinate derivative and
-    only the Christoffel commutator contributes.
-    """
+def parallel_J_residual(chart: ImmersionChart, J, p) -> float:
+    """max_{i,j} ||(nabla_i J) e_j||_G / sqrt(d) for a constant matrix J
+    (a coordinate complex structure): only the Christoffel commutator
+    contributes."""
     p = np.asarray(p, dtype=np.float64)
     d = chart.d
-    if callable(J):
-        field = J
-    else:
-        Jmat = np.asarray(J, dtype=np.float64)
-
-        def field(q, _J=Jmat):
-            return _J
-
-    nab = covariant_field_derivative(chart, field, p, h=h)
+    nab = covariant_field_derivative(chart, np.asarray(J, dtype=np.float64), np.zeros((d, d, d)), p)
     frame = point_frame(chart.jet(p))
     worst = 0.0
     for i in range(d):
@@ -305,20 +268,13 @@ def parallel_J_residual(chart: ImmersionChart, J, p, h=None) -> float:
     return worst / np.sqrt(d)
 
 
-def codazzi_residual(chart: ImmersionChart, field, p, h=None) -> float:
-    """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G.
-
-    d_i S comes from central differences of the field, by default with the
-    eps^(1/5) step.  The fields checked here (shape operators, bending
-    tensors) are exact functions of the 2-jets; the step stays as it is
-    until charts carry 3-jets, which make d_i S exact as well.
-    """
+def codazzi_residual(chart: ImmersionChart, S, dS, p) -> float:
+    """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G for the
+    operator S at p and its exact coordinate derivatives dS[i] = d_i S."""
     p = np.asarray(p, dtype=np.float64)
-    if h is None:
-        h = FD_STEP_NOISY * np.maximum(1.0, np.abs(p))
-    nab = covariant_field_derivative(chart, field, p, h=h)
+    nab = covariant_field_derivative(chart, S, dS, p)
     frame = point_frame(chart.jet(p))
-    den = gnorm_op(frame.chol, np.asarray(field(p), dtype=np.float64))
+    den = gnorm_op(frame.chol, S)
     worst = 0.0
     for i in range(chart.d):
         for j in range(i + 1, chart.d):
@@ -326,10 +282,10 @@ def codazzi_residual(chart: ImmersionChart, field, p, h=None) -> float:
     return worst / max(den, 1e-14)
 
 
-def weingarten_residual(chart: ImmersionChart, p, h=None) -> float:
+def weingarten_residual(chart: ImmersionChart, p) -> float:
     """FD cross-check of dN(e_i) = -f_*(A e_i); relative to |A e_i|."""
     p = np.asarray(p, dtype=np.float64)
-    hs = _steps(p, h)
+    hs = FD_STEP_D1 * np.maximum(1.0, np.abs(p))
     fr = point_frame(chart.jet(p))
     worst = 0.0
     for i in range(chart.d):

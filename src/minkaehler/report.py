@@ -29,6 +29,8 @@ class ResidualReport:
 
     ``tolerance`` is an upper bound for ordinary reports and a lower floor
     for control reports; ``passed`` already accounts for the inversion.
+    ``nonfinite`` counts NaN or infinite residuals; any fails the row, and
+    max and mean cover the finite values (0.0 when there are none).
     """
 
     identity: str
@@ -38,14 +40,16 @@ class ResidualReport:
     tolerance: float
     passed: bool
     control: bool = False
+    nonfinite: int = 0
 
     @staticmethod
     def from_residuals(identity, residuals, tolerance, control=False) -> "ResidualReport":
         vals = [float(r) for r in residuals]
         if not vals:
             raise ValueError(f"suite {identity!r} produced no residuals")
-        worst = max(vals)
-        mean = sum(vals) / len(vals)
+        finite = [v for v in vals if math.isfinite(v)]
+        worst = max(finite, default=0.0)
+        mean = sum(finite) / len(finite) if finite else 0.0
         passed = (worst > tolerance) if control else (worst < tolerance)
         return ResidualReport(
             identity=str(identity),
@@ -53,8 +57,9 @@ class ResidualReport:
             max_residual=worst,
             mean_residual=mean,
             tolerance=float(tolerance),
-            passed=bool(passed),
+            passed=bool(passed) and len(finite) == len(vals),
             control=bool(control),
+            nonfinite=len(vals) - len(finite),
         )
 
     @property
@@ -73,6 +78,7 @@ def report_to_dict(report: ResidualReport) -> dict:
         "tolerance": report.tolerance,
         "pass": report.passed,
         "control": report.control,
+        "nonfinite": report.nonfinite,
     }
 
 

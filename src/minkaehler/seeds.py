@@ -97,7 +97,7 @@ _COMMON_EXPECTED = {
     "bending_tpar": 1e-12,
     "bending_bat": 1e-12,
     "fundamental_wedge": 1e-12,
-    "codazzi_b": 1e-5,
+    "codazzi_b": 1e-12,
     "b_three_route": 1e-6,
     "rotation": 1e-12,
 }

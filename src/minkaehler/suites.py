@@ -60,7 +60,6 @@ from .charts import (
 )
 from .errors import IndeterminateRankWarning
 from .geometry import (
-    FD_STEP_NOISY,
     anticommutation_residual,
     codazzi_residual,
     minimality_residual,
@@ -98,11 +97,10 @@ DEFAULT_RNG_SEED = 20260816
 # Floor every negative control must exceed to prove the residual has teeth.
 CONTROL_FLOOR = 1e-2
 
-# Per-identity default tolerances.  Analytic routes (2-jets and exact
-# linear algebra only, the Christoffels included) get 1e-7 or better;
-# codazzi_b differences the jet-exact B with the eps^(1/5) step and gets
-# 10 h^2 for it until charts carry 3-jets; agreement across independent
-# routes (one of them the FD t-derivative) gets 100 max(eps^2, h^2).
+# Per-identity default tolerances.  Analytic routes (jets to order 3 and
+# exact linear algebra only, the Christoffels and d_l B included) get 1e-7
+# or better; agreement across independent routes (one of them the FD
+# t-derivative) gets 100 max(eps^2, h^2).
 DEFAULT_TOLERANCES = {
     "minimality": 1e-8,
     "rank": 0.5,
@@ -116,7 +114,7 @@ DEFAULT_TOLERANCES = {
     "bending_tpar": 1e-7,
     "bending_bat": 1e-7,
     "fundamental_wedge": 1e-7,
-    "codazzi_b": 10 * FD_STEP_NOISY**2,
+    "codazzi_b": 1e-7,
     "b_three_route": 100 * max(1e-4**2, FD_STEP_D1**2),
     "rotation": 1e-6,
     "nullity_in_bending_kernel": 1e-6,
@@ -377,10 +375,9 @@ def _suite_codazzi_b(b: ChartBundle, tol: float):
     S0 = raw0 + raw0.T
     S1 = raw1 + raw1.T
 
-    def bad_field(q):
-        return S0 + q[0] * S1
-
-    ctrl = [codazzi_residual(b.chart, bad_field, p) for p in b.points]
+    dS = np.zeros((b.d, b.d, b.d))
+    dS[0] = S1  # d_0 (S0 + x0 S1)
+    ctrl = [codazzi_residual(b.chart, S0 + p[0] * S1, dS, p) for p in b.points]
     return [
         ResidualReport.from_residuals("codazzi_b", res, tol),
         ResidualReport.from_residuals("codazzi_b_control", ctrl, CONTROL_FLOOR, control=True),

@@ -17,13 +17,14 @@ delta^(j), the holomorphic representative on U x W, W in C^{n-1}, is
 valued in C^{2n+1}.  The hypersurface chart is f = sqrt(2) Re F in the real
 coordinates (x, y, u_1, v_1, ...), its conjugate is fbar = sqrt(2) Im F,
 and the associated family is f_theta = cos(theta) f + sin(theta) fbar.
-Because F is affine in w and holomorphic in z, every 2-jet reduces to
-Horner evaluations of stored coefficient rows; those go through the
-kernels module.
+Because F is affine in w and holomorphic in z, every jet to order 3
+reduces to Horner evaluations of stored coefficient rows; those go through
+the kernels module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -266,12 +267,38 @@ def _snap_phase(theta: float) -> complex:
     return math.cos(theta) - 1.0j * math.sin(theta)
 
 
+def _jet_table(n: int, order: int) -> tuple:
+    """Where each partial of f = Re(phase F) up to ``order`` comes from.
+
+    A partial along x or u_j keeps the complex factor, one along y or v_j
+    multiplies it by i; one w_j index turns d^a F / dz^a into delta^(j-1+a)
+    and two give zero (F is affine in w).  Entry k indexes, per partial of
+    order k, the rows Re(phase S), Im(phase S) and a zero row that jet_batch
+    stacks for S = (d^a F / dz^a, a = 0..order; delta^(0..n-2+order)), with
+    the signs of Re(i^p c) = Re c, -Im c, -Re c, Im c.
+    """
+    d, nsrc = 2 * n, 2 * order + n
+    table = []
+    for k in range(order + 1):
+        rows = np.full((d,) * k, 2 * nsrc, dtype=np.intp)
+        signs = np.ones((d,) * k + (1,))
+        for idx in itertools.product(range(d), repeat=k):
+            ws = [c // 2 for c in idx if c >= 2]
+            power = sum(c % 2 for c in idx)
+            if len(ws) <= 1:
+                rows[idx] = (order + ws[0] + k - 1 if ws else k) + nsrc * (power % 2)
+                signs[idx] = -1.0 if power % 4 in (1, 2) else 1.0
+        table.append((rows, signs))
+    return tuple(table)
+
+
 class SeriesChart(ImmersionChart):
-    """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) as a 2-jet chart.
+    """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) with 3-jets.
 
     Real coordinates (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}) with
     z = basepoint + x + i y and w_j = u_j + i v_j.  All jets come from
-    Horner evaluation of stored coefficient rows.
+    Horner evaluation of stored coefficient rows; delta^(n+1), read only
+    by third partials, is differentiated here rather than in the chain.
     """
 
     def __init__(self, seed: WeierstrassSeed, theta: float = 0.0, chain: WeierstrassChain | None = None, box=None):
@@ -289,14 +316,14 @@ class SeriesChart(ImmersionChart):
             rep.base_part.order + 1,
             max((d.order + 1 for d in rep.chain.delta_derivs), default=1),
         )
-        rows = [
-            rep.base_part.coeff_matrix(width),
-            rep.base_part.diff().coeff_matrix(width),
-            rep.base_part.diff().diff().coeff_matrix(width),
-        ]
-        for dd in rep.chain.delta_derivs:
-            rows.append(dd.coeff_matrix(width))
-        self._coef = np.ascontiguousarray(np.vstack(rows))
+        base1 = rep.base_part.diff()
+        base2 = base1.diff()
+        deltas = rep.chain.delta_derivs
+        # rows base^(0..2), delta^(0..n), then base''' and delta^(n+1) for order 3
+        series = (rep.base_part, base1, base2, *deltas, base2.diff(), deltas[-1].diff())
+        rows = [s.coeff_matrix(width) for s in series]
+        self._coef = {2: np.vstack(rows[: n + 4]), 3: np.vstack(rows)}
+        self._table = {k: _jet_table(n, k) for k in (2, 3)}
         self._phase = SQRT2 * _snap_phase(self.theta)
         if box is None:
             zhalf = seed.domain.radius / math.sqrt(2.0)
@@ -316,52 +343,41 @@ class SeriesChart(ImmersionChart):
                 return False
         return True
 
-    def jet_batch(self, pts) -> tuple:
-        """Vectorized 2-jets: (value (P,m+1), d1 (P,d,m+1), d2 (P,d,d,m+1))."""
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        """Vectorized jets: (value (P,m+1), d1 (P,d,m+1), d2 (P,d,d,m+1)),
+        and with ``order=3`` also d3 (P,d,d,d,m+1)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if pts.shape[1] != self.d:
             raise DomainError(f"points must have {self.d} coordinates, got {pts.shape[1]}")
+        if order not in self._table:
+            raise DomainError(f"jet order must be 2 or 3, got {order}")
         n = self.seed.n
         m1 = self.ambient
         npts = pts.shape[0]
         dz = pts[:, 0] + 1j * pts[:, 1]
-        blocks = kernels.horner_many(self._coef, dz.astype(np.complex128))
-        blocks = blocks.reshape(n + 4, m1, npts)
-        base_v, base_z, base_zz = blocks[0], blocks[1], blocks[2]
-        deriv = blocks[3:]  # delta^(0) .. delta^(n)
+        blocks = kernels.horner_many(self._coef[order], dz.astype(np.complex128))
+        blocks = blocks.reshape(-1, m1, npts)
+        Fz = [b.copy() for b in (*blocks[:3], *blocks[n + 4 : n + 5])]  # d^a F / dz^a
+        delta = [*blocks[3 : n + 4], *blocks[n + 5 :]]  # delta^(0) .. delta^(n-2+order)
         wmat = pts[:, 2::2] + 1j * pts[:, 3::2] if n > 1 else np.zeros((npts, 0), complex)
-        F = base_v.copy()
-        Fz = base_z.copy()
-        Fzz = base_zz.copy()
         for j in range(1, n):
             wj = wmat[:, j - 1]
-            F += wj[None, :] * deriv[j - 1]
-            Fz += wj[None, :] * deriv[j]
-            Fzz += wj[None, :] * deriv[j + 1]
-        ph = self._phase
-        value = (ph * F).real.T.copy()
-        d1 = np.empty((npts, self.d, m1))
-        d1[:, 0, :] = (ph * Fz).real.T
-        d1[:, 1, :] = -(ph * Fz).imag.T
-        d2 = np.zeros((npts, self.d, self.d, m1))
-        re_zz = (ph * Fzz).real.T
-        im_zz = (ph * Fzz).imag.T
-        d2[:, 0, 0, :] = re_zz
-        d2[:, 0, 1, :] = d2[:, 1, 0, :] = -im_zz
-        d2[:, 1, 1, :] = -re_zz
-        for j in range(1, n):
-            gj = deriv[j - 1]
-            gjp = deriv[j]
-            iu, iv = 2 * j, 2 * j + 1
-            d1[:, iu, :] = (ph * gj).real.T
-            d1[:, iv, :] = -(ph * gj).imag.T
-            re_p = (ph * gjp).real.T
-            im_p = (ph * gjp).imag.T
-            d2[:, 0, iu, :] = d2[:, iu, 0, :] = re_p
-            d2[:, 0, iv, :] = d2[:, iv, 0, :] = -im_p
-            d2[:, 1, iu, :] = d2[:, iu, 1, :] = -im_p
-            d2[:, 1, iv, :] = d2[:, iv, 1, :] = -re_p
-        return value, d1, d2
+            for a in range(order + 1):
+                Fz[a] += wj[None, :] * delta[j - 1 + a]
+        sources = Fz + delta
+        parts = np.zeros((npts, 2 * len(sources) + 1, m1))  # Re, Im, a zero row
+        for i, s in enumerate(sources):
+            # one product per source: numpy's complex product can round a
+            # value differently at another offset in a longer array
+            c = self._phase * s
+            parts[:, i, :] = c.real.T
+            parts[:, len(sources) + i, :] = c.imag.T
+        out = []
+        for rows, signs in self._table[order]:
+            dk = np.take(parts, rows, axis=1)
+            dk *= signs
+            out.append(dk)
+        return tuple(out)
 
     def jet(self, p) -> Jet2:
         p = np.asarray(p, dtype=np.float64)

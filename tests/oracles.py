@@ -19,6 +19,9 @@ evidence rather than tautology.
   the tangential part T_* of a variation field from central differences
   of T_* itself.  Both read only first partials, so they share nothing
   with the package's jet route, which reads the second partials.
+* the covariant derivative of a (1,1)-field S, the input of the Codazzi
+  check, from central differences of S's values; the package takes d_l S
+  exactly from jets to order 3.
 * the support function of the ellipse (a cos t, b sin t) with outward
   normal: h = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t).
 """
@@ -122,6 +125,25 @@ def fd_tangential_covariant_derivative(chart, fld, p) -> np.ndarray:
         e = np.zeros(d)
         e[i] = hs[i]
         dS = (tstar(p + e) - tstar(p - e)) / (2 * hs[i])
+        out[i] = dS + gam[:, i, :] @ S - S @ gam[:, i, :]
+    return out
+
+
+def fd_codazzi(chart, field, p) -> np.ndarray:
+    """(nabla_i S)^k_j as [i, k, j] for the operator field ``field``:
+    d_i S by central differences of its values at steps eps^(1/3)
+    max(1, |p_i|), plus Gamma^k_il S^l_j - Gamma^l_ij S^k_l from
+    :func:`fd_christoffel`."""
+    p = np.asarray(p, dtype=np.float64)
+    hs = _fd_steps(p)
+    d = p.size
+    gam = fd_christoffel(chart, p)
+    S = field(p)
+    out = np.empty((d, d, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = hs[i]
+        dS = (field(p + e) - field(p - e)) / (2 * hs[i])
         out[i] = dS + gam[:, i, :] @ S - S @ gam[:, i, :]
     return out
 

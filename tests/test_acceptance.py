@@ -32,6 +32,7 @@ from minkaehler.charts import (
     shrink_box,
 )
 from minkaehler.gausspar import (
+    FD_STEP_NOISY,
     SupportFunction,
     extract_from_hypersurface,
     gauss_round_trip,
@@ -39,7 +40,6 @@ from minkaehler.gausspar import (
     rebuild_surface,
 )
 from minkaehler.geometry import (
-    FD_STEP_NOISY,
     gnorm_op,
     point_frame,
     rank_and_nullity,

@@ -16,6 +16,7 @@ REPORT_KEYS = {
     "tolerance",
     "pass",
     "control",
+    "nonfinite",
 }
 
 

@@ -10,6 +10,7 @@ from minkaehler.charts import (
 )
 from minkaehler.errors import DomainError, NonImmersionPointError, PreconditionError
 from minkaehler.gausspar import (
+    FD_STEP_NOISY,
     SphereSurface,
     SupportFunction,
     clifford_torus_surface,
@@ -25,7 +26,7 @@ from minkaehler.gausspar import (
     rebuild_surface,
     second_legendre_support,
 )
-from minkaehler.geometry import FD_STEP_NOISY, frame_at
+from minkaehler.geometry import frame_at
 
 from oracles import ellipse_support
 

@@ -24,6 +24,7 @@ from minkaehler.suites import (
     default_suites,
     run_suites,
 )
+from minkaehler.weierstrass import seed_from_json
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
 
@@ -206,6 +207,18 @@ class TestReportPlumbing:
         # controls never gate the aggregate verdict
         assert all_passed([quiet])
 
+    def test_nonfinite_residuals_fail_and_still_render(self):
+        nan = float("nan")
+        row = ResidualReport.from_residuals("x", [1e-12, nan, 3e-12], 1e-7)
+        assert not row.passed and row.verdict == "FAIL"
+        assert (row.nonfinite, row.max_residual, row.mean_residual) == (1, 3e-12, 2e-12)
+        ctrl = ResidualReport.from_residuals("x_control", [5.0, float("inf")], 1e-2, control=True)
+        assert ctrl.verdict == "CONTROL-TOO-SMALL" and ctrl.nonfinite == 1
+        none = ResidualReport.from_residuals("y", [nan, nan], 1e-7)
+        assert (none.passed, none.nonfinite, none.max_residual) == (False, 2, 0.0)
+        rendered = render_json({"reports": [report_to_dict(r) for r in (row, ctrl, none)]})
+        assert '"nonfinite": 1' in rendered and "nan" not in rendered
+
     def test_report_dict_fields(self):
         r = ResidualReport.from_residuals("x", [0.25], 0.5)
         d = report_to_dict(r)
@@ -217,6 +230,7 @@ class TestReportPlumbing:
             "tolerance": 0.5,
             "pass": True,
             "control": False,
+            "nonfinite": 0,
         }
 
     def test_json_is_deterministic_and_sorted(self):
@@ -247,3 +261,39 @@ class TestReportPlumbing:
         bad = ResidualReport.from_residuals("beta", [1.0], 1e-7)
         txt2 = render_text_table([ok, bad])
         assert txt2.endswith("FAILURES PRESENT")
+
+
+# inline seeds with quadratic coefficients, the n = 3 one is the n3_chart fixture's
+INLINE_SEEDS = {
+    1: {
+        "n": 1,
+        "name": "inline-n1",
+        "alpha0": [[0.71, -0.71], [0.68, 0.15], [0.55, -0.67]],
+        "mu": [[[0.13, -0.99], [0.83, 0.1], [0.49, -0.1]]],
+        "b": [[[0.68, -0.74], [0.48, 0.72], [0.46, 0.42]]],
+        "domain": {"radius": 0.6},
+    },
+    2: {
+        "n": 2,
+        "name": "inline-n2",
+        "alpha0": [[0.19, -0.98], [0.4, 0.78], [0.21, -0.47]],
+        "mu": [
+            [[0.66, 0.75], [0.39, 0.36], [-0.48, 0.31]],
+            [[0.59, -0.81], [0.4, -0.63], [0.62, 0.09]],
+        ],
+        "b": [
+            [[-0.27, -0.96], [-0.53, 0.03], [-0.58, -0.51]],
+            [[-0.55, -0.83], [0.53, -0.61], [0.06, -0.75]],
+        ],
+        "domain": {"radius": 0.6, "w_halfwidth": [0.5]},
+    },
+}
+
+
+class TestInlineSeeds:
+    @pytest.mark.parametrize("n, counts", [(1, [5, 5]), (2, [3, 3, 2, 2]), (3, [2] * 6)])
+    def test_default_suites_all_pass(self, n, counts, n3_chart):
+        seed = n3_chart.seed if n == 3 else seed_from_json(INLINE_SEEDS[n])
+        reports = run_suites(build_bundle(seed, counts=counts))
+        assert [r.identity for r in reports if not r.passed] == []
+        assert all(r.max_residual > CONTROL_FLOOR for r in reports if r.control)

@@ -228,6 +228,33 @@ class TestJets:
                 ) / (4 * h * h)
                 np.testing.assert_allclose(jet.d2[i, j], fd2, atol=1e-6)
 
+    @pytest.mark.parametrize("name", ["enneper", "catenoid", "m4r5", "n3"])
+    def test_third_order_jets(self, name, request):
+        chart = request.getfixturevalue(f"{name}_chart")
+        rng = np.random.default_rng(11)
+        box = chart.box * 0.8
+        pts = rng.uniform(box[:, 0], box[:, 1], size=(3, chart.d))
+        jets = chart.jet_batch(pts, order=3)
+        # orders 0-2 keep their bits, in a large batch too
+        for batch in (pts, rng.uniform(box[:, 0], box[:, 1], size=(1001, chart.d))):
+            for lower, exact in zip(chart.jet_batch(batch, order=3)[:3], chart.jet_batch(batch)):
+                assert lower.tobytes() == exact.tobytes()
+        d3 = jets[3]
+        for axes in ((0, 2, 1, 3, 4), (0, 1, 3, 2, 4), (0, 3, 2, 1, 4)):
+            assert np.array_equal(d3, d3.transpose(axes))
+        h = np.finfo(np.float64).eps ** (1.0 / 3.0)
+        scale = max(1.0, float(np.abs(d3).max()))
+        for k, p in enumerate(pts):
+            for l in range(chart.d):
+                e = np.zeros(chart.d)
+                e[l] = h
+                fd = (chart.jet_batch(p + e)[2] - chart.jet_batch(p - e)[2])[0] / (2 * h)
+                np.testing.assert_allclose(d3[k, :, :, l], fd, rtol=0.0, atol=1e-9 * scale)
+
+    def test_jet_order_is_checked(self, enneper_chart):
+        with pytest.raises(DomainError):
+            enneper_chart.jet_batch(np.zeros((1, 2)), order=4)
+
     def test_batch_matches_single(self, catenoid_chart):
         pts = np.array([[0.1, 0.2], [-0.15, 0.0], [0.0, -0.3]])
         value, d1, d2 = catenoid_chart.jet_batch(pts)
