@@ -16,10 +16,11 @@ the shape operator, the covariant-Hessian formula, and the composition
 A T_*) so they can cross-check each other.
 
 A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
-over the same coordinates: ``jet(p)`` returns the value, first and second
-partials of T.  A chart is its own position field, the conjugate field is
-the mate chart of the associated family, and f + tT is a
-:class:`CombinationField`.
+over the same coordinates: ``jet_batch(pts, order)`` returns the value and
+partials of T on a point stack.  A chart is its own position field, the
+conjugate field is the mate chart of the associated family, and f + tT is
+a :class:`CombinationField`.  Every residual below takes points of shape
+(..., d) and returns one value per point.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
     PointFrame,
+    _t,
     christoffel,
     codazzi_residual,
+    covariant_field_derivative,
+    gnorm_columns,
     gnorm_op,
     metric_of,
     point_frame,
@@ -66,14 +70,9 @@ class TrivialField(ImmersionChart):
         if self.offset.shape != (self.ambient,):
             raise DomainError(f"offset must have {self.ambient} components")
 
-    def jet(self, p) -> Jet2:
-        j = self.chart.jet(p)
-        return Jet2(
-            coords=j.coords,
-            value=self.skew @ j.value + self.offset,
-            d1=j.d1 @ self.skew.T,
-            d2=j.d2 @ self.skew.T,
-        )
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        value, *partials = self.chart.jet_batch(pts, order)
+        return (value @ self.skew.T + self.offset, *(a @ self.skew.T for a in partials))
 
 
 @dataclass
@@ -94,12 +93,9 @@ class CombinationField(ImmersionChart):
             if (f.d, f.ambient) != (self.d, self.ambient):
                 raise DomainError("combined fields must share dimensions")
 
-    def jet(self, p) -> Jet2:
-        jets = [f.jet(p) for f in self.fields]
-        value = sum(c * j.value for c, j in zip(self.coeffs, jets))
-        d1 = sum(c * j.d1 for c, j in zip(self.coeffs, jets))
-        d2 = sum(c * j.d2 for c, j in zip(self.coeffs, jets))
-        return Jet2(coords=jets[0].coords, value=value, d1=d1, d2=d2)
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        jets = [f.jet_batch(pts, order) for f in self.fields]
+        return tuple(sum(c * j[k] for c, j in zip(self.coeffs, jets)) for k in range(order + 1))
 
 
 def conjugate_field(chart: SeriesChart) -> ImmersionChart:
@@ -173,17 +169,17 @@ def make_cylinder_bending(cylinder, a: float, b: float) -> CallableChart:
 
 # -- bending / preservation residuals -----------------------------------------
 
-def bending_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
+def bending_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
     """max_ij |<T_i, f_j> + <T_j, f_i>| over the normalizing scale.
 
     Zero exactly when T is an infinitesimal bending at p.
     """
-    jb = chart.jet(np.asarray(p, dtype=np.float64))
-    jf = fld.jet(p)
-    sym = jf.d1 @ jb.d1.T
-    sym = sym + sym.T
-    scale = np.linalg.norm(jb.d1) * np.linalg.norm(jf.d1)
-    return float(np.abs(sym).max() / max(scale, TINY))
+    f1 = chart.jet(p).d1
+    t1 = fld.jet(p).d1
+    sym = t1 @ _t(f1)
+    sym = sym + _t(sym)
+    scale = np.linalg.norm(f1, axis=(-2, -1)) * np.linalg.norm(t1, axis=(-2, -1))
+    return np.abs(sym).max(axis=(-2, -1)) / np.maximum(scale, TINY)
 
 
 def first_variation_metric_residual(
@@ -212,34 +208,31 @@ def second_variation_metric_residual(
     return float(np.linalg.norm(gt - g0 - t * t * quad) / max(np.linalg.norm(g0), TINY))
 
 
-def gauss_tangency_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
+def gauss_tangency_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
     """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at p,
     the first-order criterion for the variation to preserve the normal."""
-    frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
-    td1 = fld.jet(p).d1
-    worst = 0.0
-    for row in td1:
-        nrm = np.linalg.norm(row)
-        if nrm > 1e-14:
-            worst = max(worst, abs(float(row @ frame.normal)) / nrm)
-    return worst
+    normal = point_frame(chart.jet(p)).normal
+    t1 = fld.jet(p).d1
+    nrm = np.linalg.norm(t1, axis=-1)
+    tilt = np.abs((t1 @ normal[..., None])[..., 0])
+    return np.where(nrm > 1e-14, tilt / np.maximum(nrm, TINY), 0.0).max(axis=-1)
 
 
 def normal_variation_residual(
     chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4
-) -> float:
+) -> np.ndarray:
     """||N(eps) - N(-eps)|| / (2 eps): the t-derivative of the unit normal
     along f + tT, which vanishes for Gauss-map-preserving variations."""
     np_ = point_frame(CombinationField((chart, fld), (1.0, eps)).jet(p)).normal
     nm = point_frame(CombinationField((chart, fld), (1.0, -eps)).jet(p)).normal
-    return float(np.linalg.norm(np_ - nm) / (2 * eps))
+    return np.linalg.norm(np_ - nm, axis=-1) / (2 * eps)
 
 
 # -- the B tensor --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BTensor:
-    """The bending tensor at a point, as operator and lowered form.
+    """The bending tensor on a point stack, as operator and lowered form.
 
     ``op`` maps tangent vectors (columns are images of basis vectors);
     ``form`` is the bilinear form with form = (G op)^T; ``metric`` is the
@@ -252,11 +245,11 @@ class BTensor:
 
     @staticmethod
     def from_op(op: np.ndarray, metric: np.ndarray) -> "BTensor":
-        return BTensor(op=op, form=(metric @ op).T, metric=metric)
+        return BTensor(op=op, form=_t(metric @ op), metric=metric)
 
     @staticmethod
     def from_form(form: np.ndarray, metric: np.ndarray) -> "BTensor":
-        return BTensor(op=np.linalg.solve(metric, form.T), form=form, metric=metric)
+        return BTensor(op=np.linalg.solve(metric, _t(form)), form=form, metric=metric)
 
 
 def B_by_fd(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> BTensor:
@@ -267,61 +260,61 @@ def B_by_fd(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) ->
     return BTensor.from_op((ap - am) / (2 * eps), g0)
 
 
+def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+    """B_ij = <T_ij - Gamma^k_ij T_k, N> from the frame's jet and T's."""
+    gam = christoffel(frame.jet)
+    corrected = field_jet.d2 - np.einsum("...kij,...kc->...ijc", gam, field_jet.d1)
+    return (corrected @ frame.normal[..., None, :, None])[..., 0]
+
+
 def B_by_formula(chart: ImmersionChart, fld: ImmersionChart, p) -> BTensor:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
     with the normal.  Exact from the 2-jets of f and T, and identically
     zero on trivial fields."""
-    p = np.asarray(p, dtype=np.float64)
     frame = point_frame(chart.jet(p))
-    gam = christoffel(chart, p)
-    jf = fld.jet(p)
-    corrected = jf.d2 - np.einsum("kij,kc->ijc", gam, jf.d1)
-    form = corrected @ frame.normal
-    return BTensor.from_form(form, frame.metric)
+    return BTensor.from_form(_b_form(frame, fld.jet(p)), frame.metric)
 
 
 def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """T_* as a matrix: column j solves G c = <f_i, T_j> (the tangential
     part of dT(e_j) in the coordinate basis)."""
-    rhs = frame.jet.d1 @ field_jet.d1.T  # [i, j] = <f_i, T_j>
+    rhs = frame.jet.d1 @ _t(field_jet.d1)  # [..., i, j] = <f_i, T_j>
     return np.linalg.solve(frame.metric, rhs)
 
 
 def B_by_BAT(chart: ImmersionChart, fld: ImmersionChart, p) -> BTensor:
     """B as the composition A T_* (valid for Gauss-map-preserving fields)."""
-    frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
+    frame = point_frame(chart.jet(p))
     tstar = tangential_derivative(frame, fld.jet(p))
     return BTensor.from_op(frame.shape_operator @ tstar, frame.metric)
 
 
-def b_route_agreement(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> float:
+def b_route_agreement(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
-    frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
+    frame = point_frame(chart.jet(p))
     ops = [
         B_by_fd(chart, fld, p, eps=eps).op,
         B_by_formula(chart, fld, p).op,
         B_by_BAT(chart, fld, p).op,
     ]
-    scale = max(max(gnorm_op(frame.chol, op) for op in ops), 1.0)
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            worst = max(worst, gnorm_op(frame.chol, ops[i] - ops[j]))
+    scale = np.maximum(np.max([gnorm_op(frame.chol, op) for op in ops], axis=0), 1.0)
+    worst = np.max([gnorm_op(frame.chol, ops[i] - ops[j]) for i, j in ((0, 1), (0, 2), (1, 2))], axis=0)
     return worst / scale
 
 
-def bat_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
+def bat_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
-    b_op = B_by_formula(chart, fld, p).op
-    at = frame.shape_operator @ tangential_derivative(frame, fld.jet(p))
+    frame = point_frame(chart.jet(p))
+    jf = fld.jet(p)
+    b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, jf)))
+    at = frame.shape_operator @ tangential_derivative(frame, jf)
     den = gnorm_op(frame.chol, at)
-    return gnorm_op(frame.chol, b_op - at) / max(den, 1e-14)
+    return gnorm_op(frame.chol, b_op - at) / np.maximum(den, 1e-14)
 
 
-def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, gam: np.ndarray) -> np.ndarray:
-    """nabla T_* from the 2-jets of f and T and the Christoffels ``gam``;
-    returns [i, k, j] like :func:`~minkaehler.geometry.covariant_field_derivative`.
+def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+    """nabla T_* from the 2-jets of f and T; returns [..., i, k, j] like
+    :func:`~minkaehler.geometry.covariant_field_derivative`.
 
     With P_ij = <f_i, T_j> and T_* = G^{-1} P, the coordinate derivative is
     d_i T_* = G^{-1} (d_i P - d_i G T_*), and the connection adds the
@@ -330,105 +323,110 @@ def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, gam: np.
     jb = frame.jet
     tstar = tangential_derivative(frame, field_jet)
     # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>;  d_i G_kj = <f_ik, f_j> + <f_k, f_ij>
-    dP = jb.d2 @ field_jet.d1.T + np.einsum("kc,ijc->ikj", jb.d1, field_jet.d2)
-    dG = jb.d2 @ jb.d1.T
-    dG = dG + dG.transpose(0, 2, 1)
-    dT = np.linalg.solve(frame.metric[None], dP - dG @ tstar)
-    gam_i = gam.transpose(1, 0, 2)  # [i, k, l] = Gamma^k_il
-    return dT + gam_i @ tstar - tstar @ gam_i
+    dP = jb.d2 @ _t(field_jet.d1)[..., None, :, :] + np.einsum(
+        "...kc,...ijc->...ikj", jb.d1, field_jet.d2
+    )
+    dG = jb.d2 @ _t(jb.d1)[..., None, :, :]
+    dG = dG + _t(dG)
+    dT = np.linalg.solve(frame.metric[..., None, :, :], dP - dG @ tstar[..., None, :, :])
+    return covariant_field_derivative(christoffel(jb), tstar, dT)
 
 
-def parallel_tangential_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
+def parallel_tangential_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
     """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
     the tangential part of dT in the induced connection."""
-    p = np.asarray(p, dtype=np.float64)
     frame = point_frame(chart.jet(p))
     jf = fld.jet(p)
-    nab = tangential_covariant_derivative(frame, jf, christoffel(chart, p))
+    nab = tangential_covariant_derivative(frame, jf)
     den = gnorm_op(frame.chol, tangential_derivative(frame, jf))
-    worst = 0.0
-    for i in range(chart.d):
-        for j in range(chart.d):
-            v = nab[i, :, j]
-            worst = max(worst, float(np.linalg.norm(frame.chol.T @ v)))
-    return worst / (math.sqrt(chart.d) * max(den, 1e-14))
+    worst = gnorm_columns(frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
+    return worst / (math.sqrt(chart.d) * np.maximum(den, 1e-14))
 
 
 def B_with_derivative(chart: SeriesChart, fld: SeriesChart, p) -> tuple:
-    """(op, dop): B as an operator at p and dop[l] = d_l op, exact from the
-    3-jets (``jet_batch(pts, order=3)``) of f and T.  Differentiates
-    B_ij = <T_ij - Gamma^k_ij T_k, N> with P_qij = <f_ij, f_q>, Gamma =
-    G^{-1} P, d_l Gamma = G^{-1} (d_l P - d_l G Gamma), d_l N = -f_*(A e_l).
+    """(frame, op, dop): the frame of f, B as an operator and dop[..., l] =
+    d_l op, exact from the 3-jets (``jet(p, order=3)``) of f and T.
+
+    With tau_k = <T_k, N> and s = f_*(sigma), sigma = G^{-1} tau, the
+    tangent vector with <s, f_k> = tau_k, the Christoffel term of B is
+    Gamma^k_ij tau_k = <f_ij, s>.  So B_ij = <T_ij, N> - <f_ij, s>, and
+
+        d_l B_ij = <T_ijl, N> + <T_ij, d_l N> - <f_ijl, s> - <f_ij, d_l s>
+
+    with d_l N = -f_*(A e_l), d_l sigma = G^{-1} (d_l tau - d_l G sigma) and
+    d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
+    a d^4 array per point, is formed.
     """
-    p = np.asarray(p, dtype=np.float64)
-    value, f1, f2, f3 = (a[0] for a in chart.jet_batch(p, order=3))
-    _, t1, t2, t3 = (a[0] for a in fld.jet_batch(p, order=3))
-    frame = point_frame(Jet2(coords=p, value=value, d1=f1, d2=f2))
-    G, N, d = frame.metric, frame.normal, chart.d
-    gam = np.linalg.solve(G, np.einsum("ijc,qc->qij", f2, f1).reshape(d, d * d))
-    # d_l P_qij = <f_ijl, f_q> + <f_ij, f_ql>;  d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
-    dP = np.einsum("ijlc,qc->lqij", f3, f1) + np.einsum("ijc,qlc->lqij", f2, f2)
-    dG = np.einsum("klc,qc->lkq", f2, f1)
-    dG = dG + dG.transpose(0, 2, 1)
-    dgam = np.linalg.solve(G[None], dP.reshape(d, d, d * d) - dG @ gam).reshape((d,) * 4)
-    gam = gam.reshape(d, d, d)
-    corrected = t2 - np.einsum("kij,kc->ijc", gam, t1)
-    dcorrected = t3 - np.einsum("lkij,kc->lijc", dgam, t1) - np.einsum("kij,klc->lijc", gam, t2)
-    dN = -(frame.shape_operator.T @ f1)  # row l = d_l N
-    dform = dcorrected @ N + np.einsum("ijc,lc->lij", corrected, dN)
-    op = np.linalg.solve(G, (corrected @ N).T)
-    return op, np.linalg.solve(G[None], dform.transpose(0, 2, 1) - dG @ op)
+    jet, tj = chart.jet(p, order=3), fld.jet(p, order=3)
+    frame = point_frame(jet)
+    G, N, f1, f2 = frame.metric, frame.normal, jet.d1, jet.d2
+    dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
+    # d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
+    dG = np.einsum("...klc,...qc->...lkq", f2, f1)
+    dG = dG + _t(dG)
+    sigma = np.linalg.solve(G, np.einsum("...kc,...c->...k", tj.d1, N)[..., None])[..., 0]
+    s = np.einsum("...q,...qc->...c", sigma, f1)
+    dtau = np.einsum("...klc,...c->...lk", tj.d2, N) + np.einsum("...kc,...lc->...lk", tj.d1, dN)
+    dsigma = np.linalg.solve(G, _t(dtau - (dG @ sigma[..., None, :, None])[..., 0]))  # [q, l]
+    ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
+    form = np.einsum("...ijc,...c->...ij", tj.d2, N) - np.einsum("...ijc,...c->...ij", f2, s)
+    dform = np.einsum("...ijlc,...c->...lij", tj.d3, N)
+    dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
+    dform += np.einsum("...ijc,...lc->...lij", tj.d2, dN)
+    dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
+    op = np.linalg.solve(G, _t(form))
+    return frame, op, np.linalg.solve(G[..., None, :, :], _t(dform) - dG @ op[..., None, :, :])
 
 
-def codazzi_b_residual(chart: SeriesChart, fld: SeriesChart, p) -> float:
+def codazzi_b_residual(chart: SeriesChart, fld: SeriesChart, p) -> np.ndarray:
     """Codazzi-type symmetry of the covariant derivative of B."""
-    return codazzi_residual(chart, *B_with_derivative(chart, fld, p), p)
+    return codazzi_residual(*B_with_derivative(chart, fld, p))
 
 
-def _wedge(u: np.ndarray, v: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """(u ^ v) Z = <v, Z>_G u - <u, Z>_G v, as a matrix."""
-    return np.outer(u, G @ v) - np.outer(v, G @ u)
-
-
-def fundamental_equation_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> float:
+def fundamental_equation_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
     """Linearized curvature identity: A X ^ B Y + B X ^ A Y = 0.
 
     Differentiating the curvature of the isometric family f + tT in t must
     give zero; the residual is the worst basis pair, normalized by the
-    sizes of the lowered operators.
+    sizes of the lowered operators.  The wedge (u ^ v) Z = <v, Z>_G u -
+    <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.
     """
-    frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
+    frame = point_frame(chart.jet(p))
     A = frame.shape_operator
-    B = B_by_formula(chart, fld, p).op
-    G = frame.metric
-    den = np.linalg.norm(G @ A) * np.linalg.norm(G @ B)
-    worst = 0.0
-    for i in range(chart.d):
-        for j in range(i + 1, chart.d):
-            mix = _wedge(A[:, i], B[:, j], G) + _wedge(B[:, i], A[:, j], G)
-            worst = max(worst, float(np.linalg.norm(mix)))
-    return worst / max(den, 1e-14)
+    B = np.linalg.solve(frame.metric, _t(_b_form(frame, fld.jet(p))))
+    GA = frame.metric @ A
+    GB = frame.metric @ B
+    iu, ju = np.triu_indices(chart.d, 1)
+
+    def outer(U, i, V, j):  # [..., pair, a, b] = (U e_i)_a (V e_j)_b
+        return np.einsum("...ap,...bp->...pab", U[..., :, i], V[..., :, j])
+
+    # (A e_i ^ B e_j) + (B e_i ^ A e_j), built in place to hold two pair stacks
+    mix = outer(A, iu, GB, ju)
+    mix -= outer(B, ju, GA, iu)
+    second = outer(B, iu, GA, ju)
+    second -= outer(A, ju, GB, iu)
+    mix += second
+    den = np.linalg.norm(GA, axis=(-2, -1)) * np.linalg.norm(GB, axis=(-2, -1))
+    worst = np.linalg.norm(mix, axis=(-2, -1)).max(axis=-1, initial=0.0)
+    return worst / np.maximum(den, 1e-14)
 
 
-def nullity_annihilation_residual(frame: PointFrame, b_op: np.ndarray, basis: np.ndarray) -> float:
-    """||B v||_G over relative-nullity directions v, relative to ||B||_G."""
-    if basis.size == 0:
-        return 0.0
-    den = gnorm_op(frame.chol, b_op)
-    worst = 0.0
-    for k in range(basis.shape[1]):
-        v = basis[:, k]
-        worst = max(worst, float(np.linalg.norm(frame.chol.T @ (b_op @ v))))
-    return worst / max(den, 1e-14)
+def nullity_annihilation_residual(frame: PointFrame, b_op: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """max ||B v||_G over the relative-nullity directions v, the columns of
+    ``basis`` (..., d, k), relative to ||B||_G.  Zeroed columns, such as the
+    eigenvectors a rank mask leaves out, count for nothing."""
+    worst = gnorm_columns(frame.chol, b_op @ basis).max(axis=-1, initial=0.0)
+    return worst / np.maximum(gnorm_op(frame.chol, b_op), 1e-14)
 
 
 # -- rotation coefficient and classification ----------------------------------
 
 @dataclass(frozen=True)
 class RotationData:
-    coefficient: float
-    fit_residual: float
-    basis: np.ndarray  # (d, 2) oriented G-orthonormal top-curvature pair
+    coefficient: np.ndarray   # (...)
+    fit_residual: np.ndarray  # (...)
+    basis: np.ndarray         # (..., d, 2) oriented G-orthonormal top-curvature pair
 
 
 def rotation_coefficient(chart: ImmersionChart, fld: ImmersionChart, p, J=None) -> RotationData:
@@ -440,20 +438,19 @@ def rotation_coefficient(chart: ImmersionChart, fld: ImmersionChart, p, J=None) 
     T_* must be c times the quarter-turn rotation; the fit residual is the
     Frobenius distance to the best such multiple.
     """
-    frame = point_frame(chart.jet(np.asarray(p, dtype=np.float64)))
+    frame = point_frame(chart.jet(p))
     if J is None:
         J = chart_complex_structure(chart.d)
-    v1 = frame.eigenvectors[:, 0]
-    v2 = frame.eigenvectors[:, 1]
-    if float(J @ v1 @ frame.metric @ v2) < 0:
-        v2 = -v2
-    basis = np.stack([v1, v2], axis=1)
+    basis = frame.eigenvectors[..., :, :2].copy()
+    v1, v2 = basis[..., 0], basis[..., 1]
+    flip = np.sum((v1 @ _t(J)) * (frame.metric @ v2[..., None])[..., 0], axis=-1) < 0
+    basis[..., 1] = np.where(flip[..., None], -v2, v2)
     tstar = tangential_derivative(frame, fld.jet(p))
-    M = basis.T @ frame.metric @ (tstar @ basis)
-    c = 0.5 * (M[1, 0] - M[0, 1])
+    M = _t(basis) @ frame.metric @ (tstar @ basis)
+    c = 0.5 * (M[..., 1, 0] - M[..., 0, 1])
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    fit = float(np.linalg.norm(M - c * R))
-    return RotationData(coefficient=float(c), fit_residual=fit, basis=basis)
+    fit = np.linalg.norm(M - c[..., None, None] * R, axis=(-2, -1))
+    return RotationData(coefficient=c, fit_residual=fit, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -478,28 +475,25 @@ def classify_triviality(
     ||B||_G / (||A||_G * sigma) with sigma the relative field size.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    worst_bend = max(bending_residual(chart, fld, p) for p in pts)
+    worst_bend = float(bending_residual(chart, fld, pts).max())
     if worst_bend > bending_tol:
         raise PreconditionError(
             f"field is not an infinitesimal bending on the sample "
             f"(worst symmetrized residual {worst_bend:.3g} > {bending_tol:g})"
         )
-    sigma = 0.0
-    score = 0.0
-    rows = []
-    for p in pts:
-        frame = point_frame(chart.jet(p))
-        jf = fld.jet(p)
-        sigma = max(sigma, np.linalg.norm(jf.d1) / max(np.linalg.norm(frame.jet.d1), TINY))
-        rows.append((frame, p))
+    frame = point_frame(chart.jet(pts))
+    jf = fld.jet(pts)
+    sizes = np.linalg.norm(jf.d1, axis=(-2, -1)) / np.maximum(
+        np.linalg.norm(frame.jet.d1, axis=(-2, -1)), TINY
+    )
+    sigma = float(sizes.max())
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
         return TrivialityResult(True, 0.0, threshold, worst_bend)
-    for frame, p in rows:
-        b_op = B_by_formula(chart, fld, p).op
-        a_norm = gnorm_op(frame.chol, frame.shape_operator)
-        score = max(score, gnorm_op(frame.chol, b_op) / max(a_norm * sigma, 1e-14))
-    return TrivialityResult(bool(score < threshold), float(score), threshold, worst_bend)
+    b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, jf)))
+    a_norm = gnorm_op(frame.chol, frame.shape_operator)
+    score = float((gnorm_op(frame.chol, b_op) / np.maximum(a_norm * sigma, 1e-14)).max())
+    return TrivialityResult(bool(score < threshold), score, threshold, worst_bend)
 
 
 @dataclass(frozen=True)
@@ -522,47 +516,30 @@ def recover_bending_decomposition(
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     ref = conjugate_field(chart)
-    num = 0.0
-    den = 0.0
-    for p in pts:
-        bt = B_by_formula(chart, fld, p).form
-        br = B_by_formula(chart, ref, p).form
-        num += float(np.sum(bt * br))
-        den += float(np.sum(br * br))
-    c = num / max(den, TINY)
+    bt = B_by_formula(chart, fld, pts).form
+    br = B_by_formula(chart, ref, pts).form
+    c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)
     m1 = chart.ambient
     pairs = [(a, b) for a in range(m1) for b in range(a + 1, m1)]
-    ncol = len(pairs) + m1
-    rows = []
-    rhs = []
-    scale = 0.0
-    for p in pts:
-        base = chart.jet(p).value
-        resid = fld.value(p) - c * ref.value(p)
-        scale = max(scale, float(np.linalg.norm(fld.value(p))), 1.0)
-        for i in range(m1):
-            row = np.zeros(ncol)
-            for col, (a, b) in enumerate(pairs):
-                # entry D[a, b] = x contributes x * f[b] to component a and
-                # -x * f[a] to component b
-                if i == a:
-                    row[col] = base[b]
-                elif i == b:
-                    row[col] = -base[a]
-            row[len(pairs) + i] = 1.0
-            rows.append(row)
-            rhs.append(resid[i])
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
+    base = chart.jet(pts).value
+    field = fld.jet(pts).value
+    resid = field - c * ref.jet(pts).value
+    # rows [point, component]: entry D[a, b] = x contributes x * f[b] to
+    # component a and -x * f[a] to component b; w adds to its own component
+    design = np.zeros((len(pts), m1, len(pairs) + m1))
+    for col, (a, b) in enumerate(pairs):
+        design[:, a, col] = base[:, b]
+        design[:, b, col] = -base[:, a]
+    design[:, :, len(pairs):] = np.eye(m1)
+    sol, *_ = np.linalg.lstsq(design.reshape(-1, design.shape[-1]), resid.ravel(), rcond=None)
     skew = np.zeros((m1, m1))
     for col, (a, b) in enumerate(pairs):
         skew[a, b] = sol[col]
         skew[b, a] = -sol[col]
     offset = sol[len(pairs):]
-    worst = 0.0
-    for p in pts:
-        base = chart.jet(p).value
-        misfit = fld.value(p) - c * ref.value(p) - skew @ base - offset
-        worst = max(worst, float(np.linalg.norm(misfit)))
+    scale = max(float(np.linalg.norm(field, axis=-1).max()), 1.0)
+    misfit = resid - base @ skew.T - offset
+    worst = float(np.linalg.norm(misfit, axis=-1).max())
     return BendingDecomposition(
         coefficient=float(c), skew=skew, offset=offset, residual=worst / scale
     )

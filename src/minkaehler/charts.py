@@ -1,7 +1,9 @@
-"""Chart infrastructure: 2-jets, sampling boxes, and analytic test charts.
+"""Chart infrastructure: jets, sampling boxes, and analytic test charts.
 
-An immersion chart maps an open box of R^d into R^{m+1} and can report the
-2-jet (value, first partials, second partials) at any point of its box.
+An immersion chart maps an open box of R^d into R^{m+1} and reports the
+jet (value, first partials, second partials) at a stack of points of its
+box through ``jet_batch``; ``jet`` wraps that stack as a :class:`Jet2`
+with the points' leading axes, a single point being the case with none.
 Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`;
 this module holds the shared protocol plus the small closed-form charts the
 test oracles lean on (sphere, plane, polar plane, plane curves, products
@@ -11,7 +13,7 @@ Gauss-parametrization builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,41 +29,58 @@ FD_STEP_D2 = EPS ** 0.25
 
 @dataclass(frozen=True)
 class Jet2:
-    """Second-order jet of a chart at one point.
+    """Jet of a chart over any leading point axes ``...``.
 
-    value : (m+1,) ambient point
-    d1    : (d, m+1) first partials, row i = d(chart)/d(coord i)
-    d2    : (d, d, m+1) second partials, symmetric in the first two axes
-    coords: (d,) the evaluation point
+    value : (..., m+1) ambient points
+    d1    : (..., d, m+1) first partials, row i = d(chart)/d(coord i)
+    d2    : (..., d, d, m+1) second partials, symmetric in the two axes
+    coords: (..., d) the evaluation points
+    d3    : (..., d, d, d, m+1) third partials, when asked for
     """
 
     coords: np.ndarray
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    d3: np.ndarray | None = None
 
     @property
     def d(self) -> int:
-        return self.d1.shape[0]
+        return self.d1.shape[-2]
 
     @property
     def ambient(self) -> int:
-        return self.d1.shape[1]
+        return self.d1.shape[-1]
+
+
+def _check_order_two(order: int) -> None:
+    if order != 2:
+        raise DomainError(f"this chart has jets of order 2 only, got order {order}")
 
 
 class ImmersionChart:
-    """Base class: a parametrized piece of a submanifold with 2-jets.
+    """Base class: a parametrized piece of a submanifold with jets.
 
     Subclasses set ``d`` (domain dimension), ``ambient`` (= m+1), ``box``
-    (d, 2) sampling box, and implement ``jet``.
+    (d, 2) sampling box, and implement ``jet_batch(pts, order=2)``: for a
+    (P, d) stack it returns (value, d1, d2) stacked along a leading P axis,
+    plus d3 with ``order=3`` where the chart supports it.
     """
 
     d: int
     ambient: int
     box: np.ndarray
 
-    def jet(self, p) -> Jet2:  # pragma: no cover - abstract
+    def jet_batch(self, pts, order: int = 2) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def jet(self, p, order: int = 2) -> Jet2:
+        """The jet at points ``p`` of shape (..., d), as one :class:`Jet2`
+        with the same leading axes; one point (d,) gives the one-point slice."""
+        p = np.asarray(p, dtype=np.float64)
+        parts = self.jet_batch(p.reshape(-1, p.shape[-1]), order)
+        lead = p.shape[:-1]
+        return Jet2(p, *(a.reshape(lead + a.shape[1:]) for a in parts))
 
     def value(self, p) -> np.ndarray:
         return self.jet(p).value
@@ -75,7 +94,8 @@ class ImmersionChart:
 
 @dataclass
 class CallableChart(ImmersionChart):
-    """Chart from closed-form jet closures (analytic test geometries)."""
+    """Chart from closed-form jet closures (analytic test geometries); the
+    closures take one point, and ``jet_batch`` stacks their results."""
 
     d: int
     ambient: int
@@ -84,13 +104,14 @@ class CallableChart(ImmersionChart):
     d1_fn: Callable
     d2_fn: Callable
 
-    def jet(self, p) -> Jet2:
-        p = np.asarray(p, dtype=np.float64)
-        return Jet2(
-            coords=p,
-            value=np.asarray(self.value_fn(p), dtype=np.float64),
-            d1=np.asarray(self.d1_fn(p), dtype=np.float64),
-            d2=np.asarray(self.d2_fn(p), dtype=np.float64),
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        _check_order_two(order)
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        return tuple(
+            np.array([fn(p) for p in pts], dtype=np.float64).reshape(
+                (len(pts),) + (self.d,) * k + (self.ambient,)
+            )
+            for k, fn in enumerate((self.value_fn, self.d1_fn, self.d2_fn))
         )
 
 
@@ -113,8 +134,13 @@ class FDJetChart(ImmersionChart):
     def value(self, p) -> np.ndarray:
         return np.asarray(self.value_fn(np.asarray(p, dtype=np.float64)), dtype=np.float64)
 
-    def jet(self, p) -> Jet2:
-        p = np.asarray(p, dtype=np.float64)
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        _check_order_two(order)
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        jets = [self._stencil(p) for p in pts]
+        return tuple(np.array(part) for part in zip(*jets))
+
+    def _stencil(self, p) -> tuple:
         scale = np.maximum(1.0, np.abs(p))
         h1 = self.h1 * scale
         h2 = self.h2 * scale
@@ -143,7 +169,7 @@ class FDJetChart(ImmersionChart):
                 ) / (4 * hij[0] * hij[1])
                 d2[i, j] = val
                 d2[j, i] = val
-        return Jet2(coords=p, value=f0, d1=d1, d2=d2)
+        return f0, d1, d2
 
 
 @dataclass
@@ -164,18 +190,17 @@ class ProductChart(ImmersionChart):
         flat = np.array([[-self.extra_halfwidth, self.extra_halfwidth]] * self.extra)
         self.box = np.vstack([self.profile.box, flat]) if self.extra else self.profile.box.copy()
 
-    def jet(self, p) -> Jet2:
-        p = np.asarray(p, dtype=np.float64)
-        dp = self.profile.d
-        base = self.profile.jet(p[:dp])
-        value = np.concatenate([base.value, p[dp:]])
-        d1 = np.zeros((self.d, self.ambient))
-        d1[:dp, : self.profile.ambient] = base.d1
-        for k in range(self.extra):
-            d1[dp + k, self.profile.ambient + k] = 1.0
-        d2 = np.zeros((self.d, self.d, self.ambient))
-        d2[:dp, :dp, : self.profile.ambient] = base.d2
-        return Jet2(coords=p, value=value, d1=d1, d2=d2)
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        dp, mp = self.profile.d, self.profile.ambient
+        out = []
+        for k, part in enumerate(self.profile.jet_batch(pts[:, :dp], order)):
+            full = np.zeros((len(pts),) + (self.d,) * k + (self.ambient,))
+            full[(slice(None),) + (slice(0, dp),) * k + (slice(0, mp),)] = part
+            out.append(full)
+        out[0][:, mp:] = pts[:, dp:]
+        out[1][:, dp:, mp:] = np.eye(self.extra)
+        return tuple(out)
 
 
 def sphere_chart(box=None) -> CallableChart:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Jet2
 from .errors import DomainError
 from .geometry import anticommutation_residual, minimality_residual, point_frame
 from .weierstrass import (
@@ -126,9 +125,9 @@ def slice_points(chart: SeriesChart, spec: SliceSpec) -> np.ndarray:
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     pts[:, ax_u] = uu.ravel()
     pts[:, ax_v] = vv.ravel()
-    for p in pts:
-        if not chart.domain_contains(p):
-            raise DomainError(f"slice leaves the chart domain at {p}")
+    outside = ~chart.domain_contains(pts)
+    if outside.any():
+        raise DomainError(f"slice leaves the chart domain at {pts[np.argmax(outside)]}")
     return pts
 
 
@@ -203,14 +202,10 @@ def export_slice(
     """
     chart = slice_chart(seed, spec, chain)
     pts = slice_points(chart, spec)
-    values, d1, d2 = chart.jet_batch(pts)
-    J = chart_complex_structure(chart.d)
-    minim = np.empty(len(pts))
-    antic = np.empty(len(pts))
-    for k, p in enumerate(pts):
-        fr = point_frame(Jet2(coords=p, value=values[k], d1=d1[k], d2=d2[k]))
-        minim[k] = minimality_residual(fr)
-        antic[k] = anticommutation_residual(fr, J)
+    frame = point_frame(chart.jet(pts))
+    minim = minimality_residual(frame)
+    antic = anticommutation_residual(frame, chart_complex_structure(chart.d))
+    values = frame.jet.value
     export_obj(obj_path, values, spec.counts, name=name)
     export_csv(csv_path, pts, values, {"minimality": minim, "anticommutation": antic})
     return len(pts)

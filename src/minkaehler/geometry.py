@@ -1,13 +1,14 @@
-"""Pointwise hypersurface geometry from chart jets.
+"""Hypersurface geometry from chart jets, over a stack of points.
 
-Everything here is frame data at a single point: induced metric, unit
-normal from the generalized cross product (in coordinate index order),
-scalar second fundamental form, shape operator with its eigen-data, rank
-and relative nullity, Christoffel symbols read off the same 2-jet, the
-covariant derivative of a (1,1)-field given its exact coordinate
-derivative, the Laplace-Beltrami operator on scalar fields, and residuals
-for the Kaehler checks (anticommutation with J, parallelism of J) and the
-Codazzi symmetry.
+Everything here is frame data computed pointwise but written once over any
+leading point axes ``...``: induced metric, unit normal from the
+generalized cross product (in coordinate index order), scalar second
+fundamental form, shape operator with its eigen-data, rank and relative
+nullity, Christoffel symbols read off the same 2-jet, the covariant
+derivative of a (1,1)-field given its exact coordinate derivative, the
+Laplace-Beltrami operator on scalar fields, and residuals for the Kaehler
+checks (anticommutation with J, parallelism of J) and the Codazzi
+symmetry.  A single point is the stack with no leading axes.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
@@ -36,38 +37,51 @@ from .errors import (
 TINY = 1e-300
 
 
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(M, -1, -2)
+
+
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
-    """Cross product of d vectors in R^{d+1} (rows of ``vectors``).
+    """Cross product of d vectors in R^{d+1} (rows of ``vectors``, over any
+    leading axes).
 
     Defined by <result, u> = det([u | v_1 | ... | v_d]); for (e1, e2) in
     R^3 this gives e3.  Not normalized.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != vectors.shape[0] + 1:
+    if vectors.ndim < 2 or vectors.shape[-1] != vectors.shape[-2] + 1:
         raise DomainError(f"need d vectors of R^(d+1), got shape {vectors.shape}")
-    return kernels.cross_columns(vectors[None])[0]
+    flat = vectors.reshape((-1,) + vectors.shape[-2:])
+    return kernels.cross_columns(flat).reshape(vectors.shape[:-2] + vectors.shape[-1:])
 
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Metric, normal, and shape-operator data at one chart point."""
+    """Metric, normal, and shape-operator data over a stack of chart points."""
 
     jet: Jet2
-    metric: np.ndarray          # (d, d)
+    metric: np.ndarray          # (..., d, d)
     chol: np.ndarray            # lower Cholesky factor of the metric
-    normal: np.ndarray          # (d+1,) unit normal
-    second_form: np.ndarray     # (d, d) H_ij
-    shape_operator: np.ndarray  # (d, d) A = G^{-1} H
-    eigenvalues: np.ndarray     # (d,) real, sorted by descending |.|
-    eigenvectors: np.ndarray    # (d, d) columns, G-orthonormal, matching order
+    normal: np.ndarray          # (..., d+1) unit normal
+    second_form: np.ndarray     # (..., d, d) H_ij
+    shape_operator: np.ndarray  # (..., d, d) A = G^{-1} H
+    eigenvalues: np.ndarray     # (..., d) real, sorted by descending |.|
+    eigenvectors: np.ndarray    # (..., d, d) columns, G-orthonormal, matching order
 
     @property
     def d(self) -> int:
-        return self.metric.shape[0]
+        return self.metric.shape[-1]
+
+
+def _first(bad: np.ndarray):
+    """Index of the first flagged point of a stack, or None."""
+    return tuple(np.argwhere(bad)[0]) if bad.any() else None
 
 
 def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
-    """Assemble the frame at a jet; raises if the point is not an immersion.
+    """Assemble the frames of a jet stack; raises if a point is not an
+    immersion, naming the coordinates of the first such point.
 
     ``regularity_rtol`` is the relative singular-value cutoff below which
     the first partials count as dependent.
@@ -78,27 +92,29 @@ def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
             f"hypersurface frame needs ambient = d+1, got d={jet.d}, ambient={jet.ambient}"
         )
     svals = np.linalg.svd(d1, compute_uv=False)
-    if svals[-1] <= regularity_rtol * svals[0]:
+    k = _first(svals[..., -1] <= regularity_rtol * svals[..., 0])
+    if k is not None:
         raise NonImmersionPointError(
-            f"first partials are dependent at {jet.coords} "
-            f"(singular values {svals[0]:.3g} .. {svals[-1]:.3g})"
+            f"first partials are dependent at {jet.coords[k]} "
+            f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
         )
-    raw = kernels.cross_columns(d1[None].astype(np.float64))[0]
-    nrm = np.linalg.norm(raw)
-    if nrm <= TINY:
-        raise NonImmersionPointError(f"degenerate normal at {jet.coords}")
+    raw = generalized_cross(d1)
+    nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    k = _first(nrm[..., 0] <= TINY)
+    if k is not None:
+        raise NonImmersionPointError(f"degenerate normal at {jet.coords[k]}")
     normal = raw / nrm
-    metric = d1 @ d1.T
-    second = jet.d2 @ normal
+    metric = d1 @ _t(d1)
+    second = (jet.d2 @ normal[..., None, :, None])[..., 0]
     chol = np.linalg.cholesky(metric)
     shape_op = np.linalg.solve(metric, second)
     # eigen-data through the symmetric pencil (H, G): real spectrum,
     # G-orthonormal eigenvectors
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, second).T).T
-    reduced = 0.5 * (reduced + reduced.T)
+    reduced = _t(np.linalg.solve(chol, _t(np.linalg.solve(chol, second))))
+    reduced = 0.5 * (reduced + _t(reduced))
     vals, q = np.linalg.eigh(reduced)
-    vecs = np.linalg.solve(chol.T, q)
-    order = np.argsort(-np.abs(vals), kind="stable")
+    vecs = np.linalg.solve(_t(chol), q)
+    order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
     return PointFrame(
         jet=jet,
         metric=metric,
@@ -106,78 +122,72 @@ def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
         normal=normal,
         second_form=second,
         shape_operator=shape_op,
-        eigenvalues=vals[order],
-        eigenvectors=vecs[:, order],
+        eigenvalues=np.take_along_axis(vals, order, axis=-1),
+        eigenvectors=np.take_along_axis(vecs, order[..., None, :], axis=-1),
     )
 
 
-def frame_at(chart: ImmersionChart, p) -> PointFrame:
-    return point_frame(chart.jet(p))
+def gnorm_op(chol: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Operator norm of an endomorphism in the G-geometry: the spectral
+    norm of L^T M L^{-T}, taken as that of its transpose L^{-1} M^T L."""
+    return np.linalg.norm(np.linalg.solve(chol, _t(M) @ chol), 2, axis=(-2, -1))
 
 
-def gnorm_vec(chol: np.ndarray, v: np.ndarray) -> float:
-    """||v||_G via the Cholesky factor of G."""
-    return float(np.linalg.norm(chol.T @ v))
-
-
-def gnorm_op(chol: np.ndarray, M: np.ndarray) -> float:
-    """Operator norm of an endomorphism in the G-geometry."""
-    conj = chol.T @ M @ np.linalg.solve(chol, np.eye(chol.shape[0])).T
-    return float(np.linalg.norm(conj, 2))
+def gnorm_columns(chol: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """||v||_G of every column v of ``V``, via the Cholesky factor of G."""
+    return np.linalg.norm(_t(chol) @ V, axis=-2)
 
 
 @dataclass(frozen=True)
 class RankResult:
-    rank: int
-    nullity: int
-    nullity_basis: np.ndarray  # (d, nullity) columns, G-orthonormal
-    indeterminate: bool
+    rank: np.ndarray            # (...) ints
+    nullity: np.ndarray         # (...) ints
+    null_mask: np.ndarray       # (..., d) which eigenvector columns span the nullity
+    indeterminate: np.ndarray   # (...) bools
 
 
 def rank_and_nullity(frame: PointFrame, rel_tol: float = 1e-7) -> RankResult:
     """Rank of A = count of its G-singular values above rel_tol * largest.
 
     For the G-self-adjoint shape operator the singular values in the
-    induced geometry are |eigenvalues|.  Values inside the band
-    [cutoff/10, cutoff*10] make the decision unreliable; that emits an
-    :class:`IndeterminateRankWarning` and sets the flag.
+    induced geometry are |eigenvalues|, so the relative nullity is spanned
+    by the eigenvector columns that ``null_mask`` marks.  Values inside the
+    band [cutoff/10, cutoff*10] make the decision unreliable; that sets the
+    flag and emits one :class:`IndeterminateRankWarning` for the stack.
     """
     absvals = np.abs(frame.eigenvalues)
-    scale = float(absvals.max(initial=0.0))
-    if scale == 0.0:
-        return RankResult(0, frame.d, frame.eigenvectors.copy(), False)
+    scale = absvals.max(axis=-1, keepdims=True, initial=0.0)
     cutoff = rel_tol * scale
     in_band = (absvals >= cutoff / 10.0) & (absvals <= cutoff * 10.0)
-    indeterminate = bool(in_band.any())
-    if indeterminate:
+    indeterminate = in_band.any(axis=-1) & (scale[..., 0] > 0.0)
+    if indeterminate.any():
         warnings.warn(
             f"shape-operator spectrum has values inside the rank-decision band "
-            f"around {cutoff:.3g}; rank may be unreliable",
+            f"around {float(cutoff[indeterminate][0, 0]):.3g}; rank may be unreliable",
             IndeterminateRankWarning,
             stacklevel=2,
         )
     keep = absvals > cutoff
-    rank = int(keep.sum())
-    basis = frame.eigenvectors[:, ~keep]
-    return RankResult(rank, frame.d - rank, basis, indeterminate)
+    rank = keep.sum(axis=-1)
+    return RankResult(rank, frame.d - rank, ~keep, indeterminate)
 
 
 def metric_of(chart: ImmersionChart, p) -> np.ndarray:
     """Induced metric G_ij = <f_i, f_j> at p."""
-    d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
-    return d1 @ d1.T
+    d1 = chart.jet(p).d1
+    return d1 @ _t(d1)
 
 
-def christoffel(chart: ImmersionChart, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] from the 2-jet at p.
+def christoffel(jet: Jet2) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] from a 2-jet stack.
 
     Gamma^k_ij = G^{kl} <f_ij, f_l>, the tangential part of the second
     partials; symmetric in (i, j) because the jet's second partials are.
     """
-    jet = chart.jet(np.asarray(p, dtype=np.float64))
     d = jet.d
-    proj = np.einsum("ijc,lc->lij", jet.d2, jet.d1).reshape(d, d * d)
-    return np.linalg.solve(jet.d1 @ jet.d1.T, proj).reshape(d, d, d)
+    lead = jet.d1.shape[:-2]
+    proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(lead + (d, d * d))
+    return np.linalg.solve(jet.d1 @ _t(jet.d1), proj).reshape(lead + (d, d, d))
 
 
 def scalar_fd_jet(fn, p, h1=None, h2=None):
@@ -220,66 +230,60 @@ def laplace_beltrami(chart: ImmersionChart, gamma, p, h=None) -> float:
     """
     p = np.asarray(p, dtype=np.float64)
     _, grad, hess = scalar_fd_jet(gamma, p, h2=h)
-    gam = christoffel(chart, p)
-    ginv = np.linalg.inv(metric_of(chart, p))
-    corr = hess - np.einsum("kij,k->ij", gam, grad)
+    jet = chart.jet(p)
+    ginv = np.linalg.inv(jet.d1 @ jet.d1.T)
+    corr = hess - np.einsum("kij,k->ij", christoffel(jet), grad)
     return float(np.einsum("ij,ij->", ginv, corr))
 
 
-def covariant_field_derivative(chart: ImmersionChart, S, dS, p) -> np.ndarray:
-    """Covariant derivative of a (1,1)-tensor field at p; returns [i, k, j].
+def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
+    """Covariant derivative of a (1,1)-tensor field; returns [..., i, k, j].
 
-    ``S`` is the operator matrix S[k, j] at p (column j = image of basis
-    vector j) and ``dS[i]`` its exact coordinate derivative d_i S there:
+    ``gam`` holds the Christoffels [..., k, i, l], ``S`` the operator matrix
+    S[..., k, j] (column j = image of basis vector j) and ``dS[..., i]`` its
+    exact coordinate derivative d_i S:
     (nabla_i S)^k_j = d_i S^k_j + Gamma^k_il S^l_j - Gamma^l_ij S^k_l.
     """
-    gam_i = christoffel(chart, p).transpose(1, 0, 2)  # [i, k, l] = Gamma^k_il
+    gam_i = np.swapaxes(gam, -3, -2)  # [..., i, k, l] = Gamma^k_il
+    S = S[..., None, :, :]
     return dS + gam_i @ S - S @ gam_i
 
 
-def minimality_residual(frame: PointFrame) -> float:
+def minimality_residual(frame: PointFrame) -> np.ndarray:
     """|trace A| / ||A||_G, with the norm floored at 1e-14."""
-    scale = max(gnorm_op(frame.chol, frame.shape_operator), 1e-14)
-    return abs(float(np.trace(frame.shape_operator))) / scale
+    A = frame.shape_operator
+    scale = np.maximum(gnorm_op(frame.chol, A), 1e-14)
+    return np.abs(np.trace(A, axis1=-2, axis2=-1)) / scale
 
 
-def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> float:
+def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
     """||A J + J A||_G / ||A||_G (zero shape operator gives zero)."""
     A = frame.shape_operator
     num = gnorm_op(frame.chol, A @ J + J @ A)
     den = gnorm_op(frame.chol, A)
-    if den <= 1e-14:
-        return 0.0 if num <= 1e-14 else num / max(den, 1e-14)
-    return num / den
+    quiet = (den <= 1e-14) & (num <= 1e-14)
+    return np.where(quiet, 0.0, num / np.maximum(den, 1e-14))
 
 
-def parallel_J_residual(chart: ImmersionChart, J, p) -> float:
+def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
     """max_{i,j} ||(nabla_i J) e_j||_G / sqrt(d) for a constant matrix J
     (a coordinate complex structure): only the Christoffel commutator
     contributes."""
-    p = np.asarray(p, dtype=np.float64)
-    d = chart.d
-    nab = covariant_field_derivative(chart, np.asarray(J, dtype=np.float64), np.zeros((d, d, d)), p)
-    frame = point_frame(chart.jet(p))
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            worst = max(worst, gnorm_vec(frame.chol, nab[i, :, j]))
-    return worst / np.sqrt(d)
+    J = np.asarray(J, dtype=np.float64)
+    nab = covariant_field_derivative(christoffel(frame.jet), J, 0.0)
+    norms = gnorm_columns(frame.chol[..., None, :, :], nab)
+    return norms.max(axis=(-2, -1)) / np.sqrt(frame.d)
 
 
-def codazzi_residual(chart: ImmersionChart, S, dS, p) -> float:
+def codazzi_residual(frame: PointFrame, S, dS) -> np.ndarray:
     """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G for the
-    operator S at p and its exact coordinate derivatives dS[i] = d_i S."""
-    p = np.asarray(p, dtype=np.float64)
-    nab = covariant_field_derivative(chart, S, dS, p)
-    frame = point_frame(chart.jet(p))
-    den = gnorm_op(frame.chol, S)
-    worst = 0.0
-    for i in range(chart.d):
-        for j in range(i + 1, chart.d):
-            worst = max(worst, gnorm_vec(frame.chol, nab[i, :, j] - nab[j, :, i]))
-    return worst / max(den, 1e-14)
+    operator S on the frame's points and its exact coordinate derivatives
+    dS[..., i] = d_i S."""
+    nab = np.swapaxes(covariant_field_derivative(christoffel(frame.jet), S, dS), -2, -1)
+    iu, ju = np.triu_indices(frame.d, 1)
+    diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
+    norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||L^T v|| = ||v^T L||
+    return norms.max(axis=-1, initial=0.0) / np.maximum(gnorm_op(frame.chol, S), 1e-14)
 
 
 def weingarten_residual(chart: ImmersionChart, p) -> float:

@@ -1,7 +1,8 @@
 """Named verification suites run over a constructed chart.
 
-Each suite measures one identity of the construction on a sample grid and
-returns :class:`~minkaehler.report.ResidualReport` rows; suites that ship a
+Each suite measures one identity of the construction on a sample grid, as
+one array expression over the whole point stack, and returns
+:class:`~minkaehler.report.ResidualReport` rows; suites that ship a
 negative control append a second row (``<name>_control``) built from a
 deliberately broken input, which must land *above* ``CONTROL_FLOOR`` for
 the control to count as behaving.
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .charts import (
 )
 from .errors import IndeterminateRankWarning
 from .geometry import (
+    PointFrame,
     anticommutation_residual,
     codazzi_residual,
     minimality_residual,
@@ -143,7 +146,6 @@ class ChartBundle:
     points: np.ndarray
     rng_seed: int = DEFAULT_RNG_SEED
     expected_rank: int = 2
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def d(self) -> int:
@@ -153,23 +155,38 @@ class ChartBundle:
     def J(self) -> np.ndarray:
         return chart_complex_structure(self.chart.d)
 
-    @property
+    @cached_property
     def conjugate(self) -> ImmersionChart:
-        if "conjugate" not in self._cache:
-            self._cache["conjugate"] = conjugate_field(self.chart)
-        return self._cache["conjugate"]
+        return conjugate_field(self.chart)
 
-    def frame(self, p):
-        key = np.asarray(p, dtype=np.float64).tobytes()
-        if key not in self._cache.setdefault("frames", {}):
-            self._cache["frames"][key] = point_frame(self.chart.jet(p))
-        return self._cache["frames"][key]
+    def frames(self) -> PointFrame:
+        """The frame stack over the sample grid, one jet batch per call."""
+        return point_frame(self.chart.jet(self.points))
 
     def route_points(self, stream: int) -> np.ndarray:
         """Deterministic random interior points for the sampled suites."""
         rng = np.random.default_rng(self.rng_seed + stream)
         box = shrink_box(self.chart.box, 0.9)
         return random_points(box, _ROUTE_POINTS, rng)
+
+    @cached_property
+    def family(self) -> tuple:
+        """Metric/normal/shape deviations across the phase family, per point."""
+        base = self.frames()
+        gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
+        ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
+        metric = normal = shape = np.zeros(len(self.points))
+        for theta in _FAMILY_THETAS:
+            mate = associated(self.seed, theta, self.chain, box=self.chart.box)
+            fr = point_frame(mate.jet(self.points))
+            blend = math.cos(theta) * np.eye(self.d) + math.sin(theta) * self.J
+            expected = base.shape_operator @ blend
+            metric = np.maximum(metric, np.linalg.norm(fr.metric - base.metric, axis=(-2, -1)) / gscale)
+            normal = np.maximum(normal, np.linalg.norm(fr.normal - base.normal, axis=-1))
+            shape = np.maximum(
+                shape, np.linalg.norm(fr.shape_operator - expected, axis=(-2, -1)) / ascale
+            )
+        return metric, normal, shape
 
 
 def build_bundle(
@@ -199,78 +216,46 @@ def build_bundle(
 # -- individual suites ---------------------------------------------------------
 
 def _suite_minimality(b: ChartBundle, tol: float):
-    res = [minimality_residual(b.frame(p)) for p in b.points]
+    res = minimality_residual(b.frames())
     return [ResidualReport.from_residuals("minimality", res, tol)]
 
 
 def _suite_rank(b: ChartBundle, tol: float):
-    res = []
-    for p in b.points:
-        fr = b.frame(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IndeterminateRankWarning)
-            rr = rank_and_nullity(fr)
-        # an indeterminate spectrum counts as a miss
-        res.append(1.0 if rr.indeterminate else abs(rr.rank - b.expected_rank))
+    frame = b.frames()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IndeterminateRankWarning)
+        rr = rank_and_nullity(frame)
+    # an indeterminate spectrum counts as a miss
+    res = np.where(rr.indeterminate, 1.0, np.abs(rr.rank - b.expected_rank))
     return [ResidualReport.from_residuals("rank", res, tol)]
 
 
-def _family_residuals(b: ChartBundle):
-    """Metric/normal/shape deviations across the phase family (cached)."""
-    if "family" in b._cache:
-        return b._cache["family"]
-    metric = np.zeros(len(b.points))
-    normal = np.zeros(len(b.points))
-    shape = np.zeros(len(b.points))
-    J = b.J
-    base = [b.frame(p) for p in b.points]
-    for theta in _FAMILY_THETAS:
-        mate = associated(b.seed, theta, b.chain, box=b.chart.box)
-        blend = math.cos(theta) * np.eye(b.d) + math.sin(theta) * J
-        for k, p in enumerate(b.points):
-            fr0 = base[k]
-            fr = point_frame(mate.jet(p))
-            gscale = max(float(np.linalg.norm(fr0.metric)), 1e-14)
-            ascale = max(float(np.linalg.norm(fr0.shape_operator)), 1e-14)
-            metric[k] = max(metric[k], float(np.linalg.norm(fr.metric - fr0.metric)) / gscale)
-            normal[k] = max(normal[k], float(np.linalg.norm(fr.normal - fr0.normal)))
-            expected = fr0.shape_operator @ blend
-            shape[k] = max(shape[k], float(np.linalg.norm(fr.shape_operator - expected)) / ascale)
-    b._cache["family"] = (metric, normal, shape)
-    return b._cache["family"]
-
-
 def _suite_family_metric(b: ChartBundle, tol: float):
-    metric, _, _ = _family_residuals(b)
-    return [ResidualReport.from_residuals("family_metric", metric, tol)]
+    return [ResidualReport.from_residuals("family_metric", b.family[0], tol)]
 
 
 def _suite_family_normal(b: ChartBundle, tol: float):
-    _, normal, _ = _family_residuals(b)
-    return [ResidualReport.from_residuals("family_normal", normal, tol)]
+    return [ResidualReport.from_residuals("family_normal", b.family[1], tol)]
 
 
 def _suite_family_shape(b: ChartBundle, tol: float):
-    _, _, shape = _family_residuals(b)
-    return [ResidualReport.from_residuals("family_shape", shape, tol)]
+    return [ResidualReport.from_residuals("family_shape", b.family[2], tol)]
 
 
 def _suite_anticommutation(b: ChartBundle, tol: float):
-    res = [anticommutation_residual(b.frame(p), b.J) for p in b.points]
+    res = anticommutation_residual(b.frames(), b.J)
     return [ResidualReport.from_residuals("anticommutation", res, tol)]
 
 
 def _suite_kaehler_parallel(b: ChartBundle, tol: float):
-    res = [parallel_J_residual(b.chart, b.J, p) for p in b.points]
+    res = parallel_J_residual(b.frames(), b.J)
     return [ResidualReport.from_residuals("kaehler_parallel", res, tol)]
 
 
 def _suite_bending_condition(b: ChartBundle, tol: float):
-    T = b.conjugate
-    res = [bending_residual(b.chart, T, p) for p in b.points]
+    res = bending_residual(b.chart, b.conjugate, b.points)
     # control: the chart as its own position field scales the metric, it never bends
-    bad = b.chart
-    ctrl = [bending_residual(b.chart, bad, p) for p in b.points]
+    ctrl = bending_residual(b.chart, b.chart, b.points)
     return [
         ResidualReport.from_residuals("bending_condition", res, tol),
         ResidualReport.from_residuals("bending_condition_control", ctrl, CONTROL_FLOOR, control=True),
@@ -284,16 +269,17 @@ def _deterministic_trivial(b: ChartBundle, stream: int) -> TrivialField:
 
 def _suite_gauss_preservation(b: ChartBundle, tol: float):
     T = b.conjugate
-    res = []
-    for p in b.points:
-        res.append(gauss_tangency_residual(b.chart, T, p))
-        res.append(normal_variation_residual(b.chart, T, p))
+    # both measures of each point, interleaved point by point
+    res = np.stack(
+        [gauss_tangency_residual(b.chart, T, b.points), normal_variation_residual(b.chart, T, b.points)],
+        axis=-1,
+    ).ravel()
     # control: a generic rigid rotation tilts the normal at first order
     bad = _deterministic_trivial(b, stream=101)
-    ctrl = [
-        max(gauss_tangency_residual(b.chart, bad, p), normal_variation_residual(b.chart, bad, p))
-        for p in b.points
-    ]
+    ctrl = np.maximum(
+        gauss_tangency_residual(b.chart, bad, b.points),
+        normal_variation_residual(b.chart, bad, b.points),
+    )
     return [
         ResidualReport.from_residuals("gauss_preservation", res, tol),
         ResidualReport.from_residuals("gauss_preservation_control", ctrl, CONTROL_FLOOR, control=True),
@@ -330,10 +316,8 @@ def _quadratic_control_field(b: ChartBundle) -> CallableChart:
 
 
 def _suite_bending_tpar(b: ChartBundle, tol: float):
-    T = b.conjugate
-    res = [parallel_tangential_residual(b.chart, T, p) for p in b.points]
-    bad = _quadratic_control_field(b)
-    ctrl = [parallel_tangential_residual(b.chart, bad, p) for p in b.points]
+    res = parallel_tangential_residual(b.chart, b.conjugate, b.points)
+    ctrl = parallel_tangential_residual(b.chart, _quadratic_control_field(b), b.points)
     return [
         ResidualReport.from_residuals("bending_tpar", res, tol),
         ResidualReport.from_residuals("bending_tpar_control", ctrl, CONTROL_FLOOR, control=True),
@@ -341,11 +325,9 @@ def _suite_bending_tpar(b: ChartBundle, tol: float):
 
 
 def _suite_bending_bat(b: ChartBundle, tol: float):
-    T = b.conjugate
-    res = [bat_residual(b.chart, T, p) for p in b.points]
+    res = bat_residual(b.chart, b.conjugate, b.points)
     # control: a trivial field has B = 0 but a nonzero tangential part
-    bad = _deterministic_trivial(b, stream=202)
-    ctrl = [bat_residual(b.chart, bad, p) for p in b.points]
+    ctrl = bat_residual(b.chart, _deterministic_trivial(b, stream=202), b.points)
     return [
         ResidualReport.from_residuals("bending_bat", res, tol),
         ResidualReport.from_residuals("bending_bat_control", ctrl, CONTROL_FLOOR, control=True),
@@ -353,12 +335,10 @@ def _suite_bending_bat(b: ChartBundle, tol: float):
 
 
 def _suite_fundamental_wedge(b: ChartBundle, tol: float):
-    T = b.conjugate
-    res = [fundamental_equation_residual(b.chart, T, p) for p in b.points]
+    res = fundamental_equation_residual(b.chart, b.conjugate, b.points)
     # control: the position field's bending tensor is the second fundamental
     # form itself, and the wedge of A with A is the (nonzero) curvature
-    bad = b.chart
-    ctrl = [fundamental_equation_residual(b.chart, bad, p) for p in b.points]
+    ctrl = fundamental_equation_residual(b.chart, b.chart, b.points)
     return [
         ResidualReport.from_residuals("fundamental_wedge", res, tol),
         ResidualReport.from_residuals("fundamental_wedge_control", ctrl, CONTROL_FLOOR, control=True),
@@ -366,8 +346,7 @@ def _suite_fundamental_wedge(b: ChartBundle, tol: float):
 
 
 def _suite_codazzi_b(b: ChartBundle, tol: float):
-    T = b.conjugate
-    res = [codazzi_b_residual(b.chart, T, p) for p in b.points]
+    res = codazzi_b_residual(b.chart, b.conjugate, b.points)
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(b.rng_seed + 303)
     raw0 = rng.standard_normal((b.d, b.d))
@@ -377,7 +356,7 @@ def _suite_codazzi_b(b: ChartBundle, tol: float):
 
     dS = np.zeros((b.d, b.d, b.d))
     dS[0] = S1  # d_0 (S0 + x0 S1)
-    ctrl = [codazzi_residual(b.chart, S0 + p[0] * S1, dS, p) for p in b.points]
+    ctrl = codazzi_residual(b.frames(), S0 + b.points[:, 0, None, None] * S1, dS)
     return [
         ResidualReport.from_residuals("codazzi_b", res, tol),
         ResidualReport.from_residuals("codazzi_b_control", ctrl, CONTROL_FLOOR, control=True),
@@ -385,19 +364,15 @@ def _suite_codazzi_b(b: ChartBundle, tol: float):
 
 
 def _suite_b_three_route(b: ChartBundle, tol: float):
-    T = b.conjugate
-    res = [b_route_agreement(b.chart, T, p) for p in b.route_points(stream=1)]
+    res = b_route_agreement(b.chart, b.conjugate, b.route_points(stream=1))
     return [ResidualReport.from_residuals("b_three_route", res, tol)]
 
 
 def _suite_rotation(b: ChartBundle, tol: float):
-    T = b.conjugate
-    pts = b.route_points(stream=2)
-    data = [rotation_coefficient(b.chart, T, p, J=b.J) for p in pts]
-    cs = [r.coefficient for r in data]
-    res = [abs(c - 1.0) for c in cs]
-    res.append(max(cs) - min(cs))  # point-independence of c
-    res.extend(r.fit_residual for r in data)
+    rot = rotation_coefficient(b.chart, b.conjugate, b.route_points(stream=2), J=b.J)
+    cs = rot.coefficient
+    # point-independence of c sits between the per-point misses and fits
+    res = np.concatenate([np.abs(cs - 1.0), [cs.max() - cs.min()], rot.fit_residual])
     return [ResidualReport.from_residuals("rotation", res, tol)]
 
 
@@ -406,13 +381,11 @@ def _suite_nullity_kernel(b: ChartBundle, tol: float):
         raise ValueError(
             "nullity_in_bending_kernel needs a chart with relative nullity (d > 2)"
         )
-    T = b.conjugate
-    res = []
-    for p in b.points:
-        fr = b.frame(p)
-        rr = rank_and_nullity(fr)
-        b_op = B_by_formula(b.chart, T, p).op
-        res.append(nullity_annihilation_residual(fr, b_op, rr.nullity_basis))
+    frame = b.frames()
+    b_op = B_by_formula(b.chart, b.conjugate, b.points).op
+    null = rank_and_nullity(frame).null_mask
+    basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
+    res = nullity_annihilation_residual(frame, b_op, basis)
     return [ResidualReport.from_residuals("nullity_in_bending_kernel", res, tol)]
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .charts import ImmersionChart, Jet2, shrink_box
+from .charts import ImmersionChart, shrink_box
 from .errors import DomainError, DomainWarning, SeedValidationError
 from .series import (
     DEFAULT_ORDER,
@@ -334,23 +334,29 @@ class SeriesChart(ImmersionChart):
             box = shrink_box(box, 0.7)
         self.box = np.asarray(box, dtype=np.float64)
 
-    def domain_contains(self, p, margin: float = 0.0) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        if math.hypot(p[0], p[1]) > self.seed.domain.radius - margin:
-            return False
-        for j, h in enumerate(self.seed.domain.w_halfwidth):
-            if abs(p[2 + 2 * j]) > h - margin or abs(p[3 + 2 * j]) > h - margin:
-                return False
-        return True
+    def domain_contains(self, pts, margin: float = 0.0) -> np.ndarray:
+        """Whether each point of a (..., d) stack lies in the seed's domain,
+        ``margin`` inside its boundary; shape (...)."""
+        pts = np.asarray(pts, dtype=np.float64)
+        halves = np.repeat(self.seed.domain.w_halfwidth, 2)
+        inside = np.hypot(pts[..., 0], pts[..., 1]) <= self.seed.domain.radius - margin
+        return inside & np.all(np.abs(pts[..., 2:]) <= halves - margin, axis=-1)
 
     def jet_batch(self, pts, order: int = 2) -> tuple:
         """Vectorized jets: (value (P,m+1), d1 (P,d,m+1), d2 (P,d,d,m+1)),
-        and with ``order=3`` also d3 (P,d,d,d,m+1)."""
+        and with ``order=3`` also d3 (P,d,d,d,m+1).  Warns with
+        :class:`DomainWarning` when a point leaves the seed's domain."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if pts.shape[1] != self.d:
             raise DomainError(f"points must have {self.d} coordinates, got {pts.shape[1]}")
         if order not in self._table:
             raise DomainError(f"jet order must be 2 or 3, got {order}")
+        if not self.domain_contains(pts).all():
+            warnings.warn(
+                "chart evaluated outside the seed's declared domain",
+                DomainWarning,
+                stacklevel=2,
+            )
         n = self.seed.n
         m1 = self.ambient
         npts = pts.shape[0]
@@ -378,17 +384,6 @@ class SeriesChart(ImmersionChart):
             dk *= signs
             out.append(dk)
         return tuple(out)
-
-    def jet(self, p) -> Jet2:
-        p = np.asarray(p, dtype=np.float64)
-        if not self.domain_contains(p):
-            warnings.warn(
-                "chart evaluated outside the seed's declared domain",
-                DomainWarning,
-                stacklevel=2,
-            )
-        value, d1, d2 = self.jet_batch(p[None, :])
-        return Jet2(coords=p, value=value[0], d1=d1[0], d2=d2[0])
 
     def values(self, pts) -> np.ndarray:
         return self.jet_batch(pts)[0]

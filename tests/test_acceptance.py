@@ -131,7 +131,7 @@ def test_criterion_2_m4r5_minimal_rank_two(capsys):
         2,
         ok,
         f"m4r5 |trace A|/||A|| {worst_min:.2e} < 1e-08, shape-operator ranks "
-        f"{sorted(ranks)} == [2] at 200 random points, {elapsed:.2f}s < 30s",
+        f"{sorted(int(r) for r in ranks)} == [2] at 200 random points, {elapsed:.2f}s < 30s",
     )
     assert worst_min < 1e-8
     assert ranks == {2}

@@ -1,0 +1,106 @@
+"""One batch axis: a point stack evaluates like each of its points alone.
+
+Every frame quantity and every residual the suites use is written once over
+leading point axes.  Here each is evaluated on a (2, 2, d) stack and on its
+four points one at a time; the two must agree to 1e-14 relative.
+"""
+
+import numpy as np
+import pytest
+
+from minkaehler.bending import (
+    B_by_formula,
+    b_route_agreement,
+    bat_residual,
+    bending_residual,
+    codazzi_b_residual,
+    conjugate_field,
+    fundamental_equation_residual,
+    gauss_tangency_residual,
+    make_trivial,
+    normal_variation_residual,
+    nullity_annihilation_residual,
+    parallel_tangential_residual,
+    rotation_coefficient,
+)
+from minkaehler.charts import random_points, shrink_box
+from minkaehler.geometry import (
+    anticommutation_residual,
+    christoffel,
+    codazzi_residual,
+    minimality_residual,
+    parallel_J_residual,
+    point_frame,
+    rank_and_nullity,
+)
+from minkaehler.weierstrass import chart_complex_structure
+
+
+def _frame(chart, p):
+    return point_frame(chart.jet(p))
+
+
+def _nullity(chart, fld, p):
+    frame = _frame(chart, p)
+    null = rank_and_nullity(frame).null_mask
+    basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
+    return nullity_annihilation_residual(frame, B_by_formula(chart, fld, p).op, basis)
+
+
+def _codazzi_control(chart, fld, p):
+    frame = _frame(chart, p)
+    S1 = np.arange(chart.d * chart.d, dtype=float).reshape(chart.d, chart.d)
+    dS = np.zeros((chart.d,) * 3)
+    dS[0] = S1 + S1.T
+    return codazzi_residual(frame, frame.shape_operator + p[..., 0, None, None] * dS[0], dS)
+
+
+QUANTITIES = {
+    "metric": lambda c, T, p: _frame(c, p).metric,
+    "normal": lambda c, T, p: _frame(c, p).normal,
+    "second_form": lambda c, T, p: _frame(c, p).second_form,
+    "shape_operator": lambda c, T, p: _frame(c, p).shape_operator,
+    "eigenvalues": lambda c, T, p: _frame(c, p).eigenvalues,
+    "christoffel": lambda c, T, p: christoffel(c.jet(p)),
+    "rank": lambda c, T, p: rank_and_nullity(_frame(c, p)).rank,
+    "minimality": lambda c, T, p: minimality_residual(_frame(c, p)),
+    "anticommutation": lambda c, T, p: anticommutation_residual(
+        _frame(c, p), chart_complex_structure(c.d)
+    ),
+    "kaehler_parallel": lambda c, T, p: parallel_J_residual(
+        _frame(c, p), chart_complex_structure(c.d)
+    ),
+    "bending_condition": lambda c, T, p: bending_residual(c, T, p),
+    "bending_control": lambda c, T, p: bending_residual(c, c, p),
+    "gauss_tangency": lambda c, T, p: gauss_tangency_residual(c, T, p),
+    "normal_variation": lambda c, T, p: normal_variation_residual(c, T, p),
+    "bending_tpar": lambda c, T, p: parallel_tangential_residual(c, T, p),
+    "bending_bat": lambda c, T, p: bat_residual(c, T, p),
+    "bending_bat_trivial": lambda c, T, p: bat_residual(
+        c, make_trivial(c, rng=np.random.default_rng(2)), p
+    ),
+    "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(c, T, p),
+    "fundamental_control": lambda c, T, p: fundamental_equation_residual(c, c, p),
+    "codazzi_b": lambda c, T, p: codazzi_b_residual(c, T, p),
+    "codazzi_control": _codazzi_control,
+    "b_three_route": lambda c, T, p: b_route_agreement(c, T, p),
+    "B_by_formula": lambda c, T, p: B_by_formula(c, T, p).op,
+    "rotation": lambda c, T, p: rotation_coefficient(c, T, p).coefficient,
+    "rotation_fit": lambda c, T, p: rotation_coefficient(c, T, p).fit_residual,
+    "nullity_in_bending_kernel": lambda c, T, p: _nullity(c, T, p),
+}
+
+
+@pytest.mark.parametrize("name", ["m4r5", "n3"])
+@pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+def test_stack_matches_points_alone(name, quantity, request):
+    chart = request.getfixturevalue(f"{name}_chart")
+    fld = conjugate_field(chart)
+    rng = np.random.default_rng(20260816)
+    pts = random_points(shrink_box(chart.box, 0.8), 4, rng).reshape(2, 2, chart.d)
+    fn = QUANTITIES[quantity]
+    stacked = fn(chart, fld, pts)
+    alone = np.array([[fn(chart, fld, p) for p in row] for row in pts])
+    assert stacked.shape == alone.shape
+    scale = max(1.0, float(np.abs(alone).max()))
+    np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14 * scale)

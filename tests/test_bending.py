@@ -32,11 +32,11 @@ from minkaehler.errors import DomainError, PreconditionError
 from minkaehler.geometry import (
     christoffel,
     covariant_field_derivative,
-    frame_at,
+    point_frame,
     rank_and_nullity,
 )
 
-from minkaehler.weierstrass import immersion_f, seed_from_json, seed_to_json
+from minkaehler.weierstrass import associated, immersion_f, seed_from_json, seed_to_json
 
 from oracles import fd_codazzi, fd_tangential_covariant_derivative
 
@@ -144,10 +144,10 @@ class TestBTensor:
     def test_nullity_annihilation_on_m4r5(self, m4r5_chart, rng):
         fld = conjugate_field(m4r5_chart)
         for p in sample(m4r5_chart, rng, 3):
-            frame = frame_at(m4r5_chart, p)
+            frame = point_frame(m4r5_chart.jet(p))
             rr = rank_and_nullity(frame)
             b = B_by_formula(m4r5_chart, fld, p)
-            assert nullity_annihilation_residual(frame, b.op, rr.nullity_basis) < 1e-7
+            assert nullity_annihilation_residual(frame, b.op, frame.eigenvectors[:, rr.null_mask]) < 1e-7
 
 
 class TestStructuralIdentities:
@@ -169,9 +169,7 @@ class TestStructuralIdentities:
         chart = request.getfixturevalue(f"{name}_chart")
         for fld in (conjugate_field(chart), make_trivial(chart, rng=rng)):
             for p in sample(chart, rng, 2):
-                got = tangential_covariant_derivative(
-                    frame_at(chart, p), fld.jet(p), christoffel(chart, p)
-                )
+                got = tangential_covariant_derivative(point_frame(chart.jet(p)), fld.jet(p))
                 ref = fd_tangential_covariant_derivative(chart, fld, p)
                 scale = max(1.0, float(np.abs(ref).max()))
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)
@@ -186,7 +184,8 @@ class TestStructuralIdentities:
         data["b"][0] = [[0.5, 0.3], [0.2, -0.1]]
         for fld in (conjugate_field(chart), immersion_f(seed_from_json(data))):
             for p in sample(chart, rng, 2):
-                got = covariant_field_derivative(chart, *B_with_derivative(chart, fld, p), p)
+                frame, op, dop = B_with_derivative(chart, fld, p)
+                got = covariant_field_derivative(christoffel(frame.jet), op, dop)
                 ref = fd_codazzi(chart, lambda q: B_by_formula(chart, fld, q).op, p)
                 scale = float(np.abs(ref).max())
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * scale)
@@ -195,6 +194,14 @@ class TestStructuralIdentities:
         fld = conjugate_field(enneper_chart)
         for p in sample(enneper_chart, rng, 2):
             assert codazzi_b_residual(enneper_chart, fld, p) < 1e-12
+
+    def test_codazzi_for_b_along_a_sign_flipped_conjugate(self, m4r5_seed, rng):
+        # past theta = pi/2 the conjugate is -1 times a family member, a
+        # CombinationField that must pass its jets through at order 3
+        chart = associated(m4r5_seed, 2.0)
+        fld = conjugate_field(chart)
+        assert isinstance(fld, CombinationField)
+        assert codazzi_b_residual(chart, fld, sample(chart, rng, 3)).max() < 1e-12
 
     def test_curvature_identity_fails_for_sphere_pair(self):
         # sanity: the identity is not vacuous - feeding a non-bending pair
@@ -224,7 +231,7 @@ class TestRotation:
     def test_oriented_basis_is_g_orthonormal(self, m4r5_chart):
         fld = conjugate_field(m4r5_chart)
         rot = rotation_coefficient(m4r5_chart, fld, [0.1, 0.05, 0.2, -0.1])
-        frame = frame_at(m4r5_chart, [0.1, 0.05, 0.2, -0.1])
+        frame = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
         v = rot.basis
         np.testing.assert_allclose(v.T @ frame.metric @ v, np.eye(2), atol=1e-10)
 

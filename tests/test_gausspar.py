@@ -26,7 +26,7 @@ from minkaehler.gausspar import (
     rebuild_surface,
     second_legendre_support,
 )
-from minkaehler.geometry import frame_at
+from minkaehler.geometry import point_frame
 
 from oracles import ellipse_support
 
@@ -219,7 +219,7 @@ class TestRoundTrip:
         q = np.array([0.1, -0.05])
         L = leaf_directions(m4r5_chart, q, quotient_dim=2)
         np.testing.assert_allclose(L.T @ L, np.eye(2), atol=1e-12)
-        fr = frame_at(m4r5_chart, np.array([0.1, -0.05, 0.0, 0.0]))
+        fr = point_frame(m4r5_chart.jet(np.array([0.1, -0.05, 0.0, 0.0])))
         np.testing.assert_allclose(L.T @ fr.normal, 0.0, atol=1e-12)
 
     def test_rebuild_needs_fiber_coordinates(self, enneper_chart):

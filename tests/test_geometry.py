@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -23,10 +26,9 @@ from minkaehler.geometry import (
     christoffel,
     codazzi_residual,
     covariant_field_derivative,
-    frame_at,
     generalized_cross,
+    gnorm_columns,
     gnorm_op,
-    gnorm_vec,
     laplace_beltrami,
     metric_of,
     minimality_residual,
@@ -84,13 +86,13 @@ class TestPointFrame:
     def test_sphere_is_totally_umbilic(self):
         chart = sphere_chart()
         for p in ([0.5, 1.2], [1.0, 0.8], [0.3, 2.1]):
-            fr = frame_at(chart, p)
+            fr = point_frame(chart.jet(p))
             np.testing.assert_allclose(fr.shape_operator, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(fr.eigenvalues, [1.0, 1.0], atol=1e-12)
             np.testing.assert_allclose(fr.normal, -fr.jet.value, atol=1e-12)
 
     def test_eigenvectors_are_g_orthonormal(self):
-        fr = frame_at(sphere_chart(), [0.7, 1.1])
+        fr = point_frame(sphere_chart().jet([0.7, 1.1]))
         v = fr.eigenvectors
         np.testing.assert_allclose(v.T @ fr.metric @ v, np.eye(2), atol=1e-12)
 
@@ -109,6 +111,15 @@ class TestPointFrame:
         with pytest.raises(NonImmersionPointError):
             point_frame(bad)
 
+    def test_singular_point_in_a_stack_is_located(self):
+        # the middle jet of three has dependent partials; the error names it
+        good = graph_jet(1.0)
+        stack = [good, dataclasses.replace(good, d1=np.array([[1.0, 0, 0], [2.0, 0, 0]])), good]
+        coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
+        jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
+        with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
+            point_frame(jet)
+
     def test_non_hypersurface_codimension_rejected(self):
         bad = Jet2(
             coords=np.zeros(2),
@@ -123,29 +134,29 @@ class TestPointFrame:
         a, b = 1.5, 0.8
         chart = ellipse_chart(a, b)
         for t in (0.4, 1.3, 2.6):
-            fr = frame_at(chart, [t])
+            fr = point_frame(chart.jet([t]))
             support = float(fr.jet.value @ fr.normal)
             assert support == pytest.approx(ellipse_support(a, b, t), rel=1e-12)
 
 
 class TestRank:
     def test_plane_has_rank_zero(self):
-        fr = frame_at(plane_chart(), [0.2, -0.4])
+        fr = point_frame(plane_chart().jet([0.2, -0.4]))
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (0, 2)
-        assert res.nullity_basis.shape == (2, 2)
+        assert res.null_mask.tolist() == [True, True]
 
     def test_sphere_has_full_rank(self):
-        res = rank_and_nullity(frame_at(sphere_chart(), [0.5, 1.0]))
+        res = rank_and_nullity(point_frame(sphere_chart().jet([0.5, 1.0])))
         assert (res.rank, res.nullity) == (2, 0)
         assert not res.indeterminate
 
     def test_m4r5_has_rank_two(self, m4r5_chart):
-        fr = frame_at(m4r5_chart, [0.1, 0.05, 0.2, -0.1])
+        fr = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (2, 2)
         # the relative-nullity directions are G-orthonormal and killed by A
-        basis = res.nullity_basis
+        basis = fr.eigenvectors[:, res.null_mask]
         np.testing.assert_allclose(basis.T @ fr.metric @ basis, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(fr.shape_operator @ basis, 0.0, atol=1e-10)
 
@@ -155,6 +166,16 @@ class TestRank:
             res = rank_and_nullity(fr, rel_tol=1e-7)
         assert res.indeterminate
 
+    def test_stack_warns_once_and_flags_each_point(self):
+        lams = (1e-7, 1e-7, -1.0, 1e-12)
+        jets = [graph_jet(lam) for lam in lams]
+        stack = Jet2(*(np.stack([getattr(j, k) for j in jets]) for k in ("coords", "value", "d1", "d2")))
+        with pytest.warns(IndeterminateRankWarning) as caught:
+            res = rank_and_nullity(point_frame(stack), rel_tol=1e-7)
+        assert len(caught) == 1
+        assert res.indeterminate.tolist() == [True, True, False, False]
+        assert res.rank[2:].tolist() == [2, 1]
+
     def test_clearly_separated_value_is_silent(self):
         import warnings
 
@@ -163,15 +184,15 @@ class TestRank:
             warnings.simplefilter("error")
             res = rank_and_nullity(fr, rel_tol=1e-7)
         assert (res.rank, res.nullity) == (1, 1)
-        np.testing.assert_allclose(np.abs(res.nullity_basis[:, 0]), [0, 1], atol=1e-9)
+        np.testing.assert_allclose(np.abs(fr.eigenvectors[:, res.null_mask][:, 0]), [0, 1], atol=1e-9)
 
     def test_cylinder_over_ellipse_has_rank_one(self):
         chart = ProductChart(profile=ellipse_chart(), extra=1)
-        fr = frame_at(chart, [1.0, 0.2])
+        fr = point_frame(chart.jet([1.0, 0.2]))
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (1, 1)
         # the flat factor spans the nullity
-        np.testing.assert_allclose(np.abs(res.nullity_basis[:, 0]), [0, 1], atol=1e-12)
+        np.testing.assert_allclose(np.abs(fr.eigenvectors[:, res.null_mask][:, 0]), [0, 1], atol=1e-12)
 
 
 class TestNorms:
@@ -179,7 +200,7 @@ class TestNorms:
         chol = np.eye(3)
         v = rng.standard_normal(3)
         M = rng.standard_normal((3, 3))
-        assert gnorm_vec(chol, v) == pytest.approx(np.linalg.norm(v))
+        assert gnorm_columns(chol, v[:, None])[0] == pytest.approx(np.linalg.norm(v))
         assert gnorm_op(chol, M) == pytest.approx(np.linalg.norm(M, 2))
 
     def test_metric_invariance_of_operator_norm(self):
@@ -193,18 +214,18 @@ class TestChristoffel:
     def test_polar_plane_matches_closed_form(self):
         chart = polar_plane_chart()
         for r, t in ((1.3, 0.7), (0.8, 0.4)):
-            gam = christoffel(chart, [r, t])
+            gam = christoffel(chart.jet([r, t]))
             np.testing.assert_allclose(gam, polar_christoffel(r), atol=1e-12)
 
     def test_flat_chart_is_torsion_free_zero(self):
-        gam = christoffel(plane_chart(), [0.1, 0.3])
+        gam = christoffel(plane_chart().jet([0.1, 0.3]))
         np.testing.assert_allclose(gam, 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["m4r5", "n3"])
     def test_jets_match_fd_reference(self, name, request, rng):
         chart = request.getfixturevalue(f"{name}_chart")
         for p in random_points(shrink_box(chart.box, 0.8), 3, rng):
-            gam = christoffel(chart, p)
+            gam = christoffel(chart.jet(p))
             ref = fd_christoffel(chart, p)
             scale = max(1.0, float(np.abs(ref).max()))
             np.testing.assert_allclose(gam, ref, rtol=0.0, atol=1e-8 * scale)
@@ -265,13 +286,14 @@ class TestCurvatureIdentities:
         # A = I on the unit sphere, so d_i A = 0 and only roundoff remains
         chart = sphere_chart()
         p = [0.7, 1.2]
-        A = frame_at(chart, p).shape_operator
-        assert codazzi_residual(chart, A, np.zeros((2, 2, 2)), p) < 1e-15
+        fr = point_frame(chart.jet(p))
+        assert codazzi_residual(fr, fr.shape_operator, np.zeros((2, 2, 2))) < 1e-15
 
     def test_covariant_derivative_of_metric_vanishes(self):
         # nabla G = 0, checked through the (1,1) field G^{-1}G = identity
         chart = polar_plane_chart()
-        nab = covariant_field_derivative(chart, np.eye(2), np.zeros((2, 2, 2)), [1.2, 0.5])
+        gam = christoffel(chart.jet([1.2, 0.5]))
+        nab = covariant_field_derivative(gam, np.eye(2), np.zeros((2, 2, 2)))
         np.testing.assert_allclose(nab, 0.0, atol=1e-9)
 
 
@@ -280,28 +302,28 @@ class TestMinimalityResidual:
         # the graph of (x^2 + lam y^2) / 2 has A = diag(1, lam) at the origin
         assert minimality_residual(point_frame(graph_jet(-1.0))) == 0.0
         assert minimality_residual(point_frame(graph_jet(0.5))) == pytest.approx(1.5, rel=1e-14)
-        sphere = frame_at(sphere_chart(), [0.5, 1.2])  # A = +Identity
+        sphere = point_frame(sphere_chart().jet([0.5, 1.2]))  # A = +Identity
         assert minimality_residual(sphere) == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_shape_operator_gives_zero(self, enneper_chart):
-        assert minimality_residual(frame_at(plane_chart(), [0.0, 0.0])) == 0.0
-        assert minimality_residual(frame_at(enneper_chart, [0.2, 0.1])) < 1e-12
+        assert minimality_residual(point_frame(plane_chart().jet([0.0, 0.0]))) == 0.0
+        assert minimality_residual(point_frame(enneper_chart.jet([0.2, 0.1]))) < 1e-12
 
 
 class TestKaehlerResiduals:
     def test_minimal_chart_anticommutes(self, enneper_chart, m4r5_chart):
         for chart, p in ((enneper_chart, [0.2, 0.1]), (m4r5_chart, [0.1, 0.05, 0.1, 0.2])):
-            fr = frame_at(chart, p)
+            fr = point_frame(chart.jet(p))
             J = chart_complex_structure(chart.d)
             assert anticommutation_residual(fr, J) < 1e-12
 
     def test_sphere_fails_anticommutation(self):
-        fr = frame_at(sphere_chart(), [0.5, 1.2])
+        fr = point_frame(sphere_chart().jet([0.5, 1.2]))
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert anticommutation_residual(fr, J) > 0.5
 
     def test_zero_shape_operator_gives_zero_residual(self):
-        fr = frame_at(plane_chart(), [0.0, 0.0])
+        fr = point_frame(plane_chart().jet([0.0, 0.0]))
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert anticommutation_residual(fr, J) == 0.0
 
@@ -309,13 +331,13 @@ class TestKaehlerResiduals:
         from minkaehler.geometry import parallel_J_residual
 
         J = chart_complex_structure(2)
-        assert parallel_J_residual(enneper_chart, J, [0.2, -0.1]) < 1e-7
+        assert parallel_J_residual(point_frame(enneper_chart.jet([0.2, -0.1])), J) < 1e-7
 
     def test_constant_matrix_not_parallel_in_polar_coordinates(self):
         from minkaehler.geometry import parallel_J_residual
 
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert parallel_J_residual(polar_plane_chart(), J, [1.2, 0.6]) > 1e-2
+        assert parallel_J_residual(point_frame(polar_plane_chart().jet([1.2, 0.6])), J) > 1e-2
 
 
 class TestSampling:
@@ -362,5 +384,5 @@ class TestFDJetChart:
         fd = FDJetChart(
             d=2, ambient=3, box=analytic.box, value_fn=lambda p: analytic.value(p)
         )
-        fr = frame_at(fd, [0.6, 1.1])
+        fr = point_frame(fd.jet([0.6, 1.1]))
         np.testing.assert_allclose(fr.shape_operator, np.eye(2), atol=1e-5)

@@ -170,10 +170,6 @@ class TestBundle:
         with pytest.raises(ValueError, match="at least 2"):
             build_bundle(builtin_seed("enneper"), counts=[1, 5])
 
-    def test_frames_are_cached(self, enneper_bundle):
-        p = enneper_bundle.points[0]
-        assert enneper_bundle.frame(p) is enneper_bundle.frame(p)
-
     def test_route_points_are_deterministic_per_stream(self, enneper_bundle):
         a = enneper_bundle.route_points(stream=7)
         b = enneper_bundle.route_points(stream=7)

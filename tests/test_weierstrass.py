@@ -120,10 +120,10 @@ class TestClassicalSurfaces:
             )
 
     def test_enneper_curvature_matches_oracle(self, enneper_chart):
-        from minkaehler.geometry import frame_at
+        from minkaehler.geometry import point_frame
 
         for p in ([0.0, 0.0], [0.25, 0.15]):
-            fr = frame_at(enneper_chart, p)
+            fr = point_frame(enneper_chart.jet(p))
             K = float(np.prod(fr.eigenvalues))
             assert K == pytest.approx(enneper_gauss_curvature(complex(*p)), rel=1e-10)
 
