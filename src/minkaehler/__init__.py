@@ -7,7 +7,7 @@ along with the associated-family, Kaehler, and Gauss-parametrization
 identities that characterize these submanifolds.
 """
 
-from .charts import FDJetChart, ImmersionChart, Jet2, ProductChart
+from .charts import ImmersionChart, Jet2, ProductChart, TaylorChart
 from .errors import (
     DomainError,
     DomainWarning,
@@ -16,6 +16,7 @@ from .errors import (
     PreconditionError,
     SeedValidationError,
 )
+from .taylor import Taylor
 from .series import (
     SeriesVector,
     TruncatedSeries,

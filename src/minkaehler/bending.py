@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CallableChart, ImmersionChart, Jet2
+from .charts import ImmersionChart, Jet2, TaylorChart
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -44,6 +44,7 @@ from .geometry import (
     metric_of,
     point_frame,
 )
+from .taylor import Taylor
 from .weierstrass import SeriesChart, associated, chart_complex_structure
 
 
@@ -128,7 +129,7 @@ def make_trivial(chart: ImmersionChart, skew=None, offset=None, rng=None, scale:
     return TrivialField(chart, skew, offset)
 
 
-def make_cylinder_bending(cylinder, a: float, b: float) -> CallableChart:
+def make_cylinder_bending(cylinder, a: float, b: float) -> TaylorChart:
     """Nontrivial bending of the cylinder over the ellipse (a cos t, b sin t).
 
     The field lies in the profile plane and is constant along the straight
@@ -138,33 +139,13 @@ def make_cylinder_bending(cylinder, a: float, b: float) -> CallableChart:
     """
     if cylinder.ambient < 3:
         raise DomainError("cylinder bending needs an ambient dimension of at least 3")
-    m1 = cylinder.ambient
-    d = cylinder.d
 
-    def value(p):
-        t = p[0]
-        out = np.zeros(m1)
-        out[0] = -b * (t * np.sin(t) + np.cos(t))
-        out[1] = a * (t * np.cos(t) - np.sin(t))
-        return out
+    def fn(x):
+        t = x[..., 0]
+        v = [-b * (t * t.sin() + t.cos()), a * (t * t.cos() - t.sin())]
+        return Taylor.stack(v + [0.0] * (cylinder.ambient - 2))
 
-    def d1(p):
-        t = p[0]
-        out = np.zeros((d, m1))
-        out[0, 0] = -b * t * np.cos(t)
-        out[0, 1] = -a * t * np.sin(t)
-        return out
-
-    def d2(p):
-        t = p[0]
-        out = np.zeros((d, d, m1))
-        out[0, 0, 0] = b * (t * np.sin(t) - np.cos(t))
-        out[0, 0, 1] = -a * (t * np.cos(t) + np.sin(t))
-        return out
-
-    return CallableChart(
-        d=d, ambient=m1, box=cylinder.box, value_fn=value, d1_fn=d1, d2_fn=d2
-    )
+    return TaylorChart(cylinder.d, cylinder.ambient, cylinder.box, fn)
 
 
 # -- bending / preservation residuals -----------------------------------------
@@ -180,32 +161,6 @@ def bending_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarra
     sym = sym + _t(sym)
     scale = np.linalg.norm(f1, axis=(-2, -1)) * np.linalg.norm(t1, axis=(-2, -1))
     return np.abs(sym).max(axis=(-2, -1)) / np.maximum(scale, TINY)
-
-
-def first_variation_metric_residual(
-    chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4
-) -> float:
-    """||(G(eps) - G(-eps)) / 2 eps||_F / ||G(0)||_F along f + tT.
-
-    The metric of the deformed chart is exactly quadratic in t, so the
-    central difference isolates the first-order term with no truncation
-    error; for a bending this is roundoff-sized.
-    """
-    gp = metric_of(CombinationField((chart, fld), (1.0, eps)), p)
-    gm = metric_of(CombinationField((chart, fld), (1.0, -eps)), p)
-    g0 = metric_of(chart, p)
-    return float(np.linalg.norm((gp - gm) / (2 * eps)) / max(np.linalg.norm(g0), TINY))
-
-
-def second_variation_metric_residual(
-    chart: ImmersionChart, fld: ImmersionChart, p, t: float = 0.1
-) -> float:
-    """||G(t) - G(0) - t^2 <T_i, T_j>||_F / ||G(0)||_F (exact identity)."""
-    g0 = metric_of(chart, p)
-    gt = metric_of(CombinationField((chart, fld), (1.0, t)), p)
-    td1 = fld.jet(p).d1
-    quad = td1 @ td1.T
-    return float(np.linalg.norm(gt - g0 - t * t * quad) / max(np.linalg.norm(g0), TINY))
 
 
 def gauss_tangency_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:

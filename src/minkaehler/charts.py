@@ -7,8 +7,9 @@ with the points' leading axes, a single point being the case with none.
 Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`;
 this module holds the shared protocol plus the small closed-form charts the
 test oracles lean on (sphere, plane, polar plane, plane curves, products
-with a Euclidean factor) and a generic finite-difference chart used by the
-Gauss-parametrization builder.
+with a Euclidean factor).  A closed-form chart is a :class:`TaylorChart`:
+one value formula in Taylor arithmetic, whose jets of every order are
+exact.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-
-EPS = np.finfo(np.float64).eps
-# Central first differences balance truncation against roundoff near eps^(1/3);
-# second differences near eps^(1/4).  Scales multiply max(1, |coordinate|).
-FD_STEP_D1 = EPS ** (1.0 / 3.0)
-FD_STEP_D2 = EPS ** 0.25
+from .taylor import Taylor
 
 
 @dataclass(frozen=True)
@@ -36,6 +32,8 @@ class Jet2:
     d2    : (..., d, d, m+1) second partials, symmetric in the two axes
     coords: (..., d) the evaluation points
     d3    : (..., d, d, d, m+1) third partials, when asked for
+
+    Higher orders come from ``jet_batch`` alone.
     """
 
     coords: np.ndarray
@@ -53,18 +51,13 @@ class Jet2:
         return self.d1.shape[-1]
 
 
-def _check_order_two(order: int) -> None:
-    if order != 2:
-        raise DomainError(f"this chart has jets of order 2 only, got order {order}")
-
-
 class ImmersionChart:
     """Base class: a parametrized piece of a submanifold with jets.
 
     Subclasses set ``d`` (domain dimension), ``ambient`` (= m+1), ``box``
     (d, 2) sampling box, and implement ``jet_batch(pts, order=2)``: for a
-    (P, d) stack it returns (value, d1, d2) stacked along a leading P axis,
-    plus d3 with ``order=3`` where the chart supports it.
+    (P, d) stack it returns (value, d1, ..., d_order) stacked along a
+    leading P axis, d_k of shape (P, d, ..., d, m+1).
     """
 
     d: int
@@ -85,91 +78,25 @@ class ImmersionChart:
     def value(self, p) -> np.ndarray:
         return self.jet(p).value
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool(
-            np.all(p >= self.box[:, 0] + margin) and np.all(p <= self.box[:, 1] - margin)
-        )
-
 
 @dataclass
-class CallableChart(ImmersionChart):
-    """Chart from closed-form jet closures (analytic test geometries); the
-    closures take one point, and ``jet_batch`` stacks their results."""
+class TaylorChart(ImmersionChart):
+    """Chart from one value formula written in Taylor arithmetic.
 
-    d: int
-    ambient: int
-    box: np.ndarray
-    value_fn: Callable
-    d1_fn: Callable
-    d2_fn: Callable
-
-    def jet_batch(self, pts, order: int = 2) -> tuple:
-        _check_order_two(order)
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return tuple(
-            np.array([fn(p) for p in pts], dtype=np.float64).reshape(
-                (len(pts),) + (self.d,) * k + (self.ambient,)
-            )
-            for k, fn in enumerate((self.value_fn, self.d1_fn, self.d2_fn))
-        )
-
-
-@dataclass
-class FDJetChart(ImmersionChart):
-    """Chart whose jets come from central differences of a value closure.
-
-    First partials use step ``h1`` per coordinate, second partials ``h2``
-    (both scaled by max(1, |coordinate|)).  Central differences of maps that
-    are affine in a coordinate are exact for that coordinate up to roundoff.
+    ``fn`` maps a (P, d) stack of :class:`~minkaehler.taylor.Taylor`
+    variables to the (P, ambient) Taylor values; the jets of any order are
+    that expansion's derivative tensors, exact up to roundoff.
     """
 
     d: int
     ambient: int
     box: np.ndarray
-    value_fn: Callable
-    h1: float = FD_STEP_D1
-    h2: float = FD_STEP_D2
-
-    def value(self, p) -> np.ndarray:
-        return np.asarray(self.value_fn(np.asarray(p, dtype=np.float64)), dtype=np.float64)
+    fn: Callable
 
     def jet_batch(self, pts, order: int = 2) -> tuple:
-        _check_order_two(order)
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        jets = [self._stencil(p) for p in pts]
-        return tuple(np.array(part) for part in zip(*jets))
-
-    def _stencil(self, p) -> tuple:
-        scale = np.maximum(1.0, np.abs(p))
-        h1 = self.h1 * scale
-        h2 = self.h2 * scale
-        f0 = self.value(p)
-        d1 = np.empty((self.d, self.ambient))
-        d2 = np.empty((self.d, self.d, self.ambient))
-        for i in range(self.d):
-            ei = np.zeros(self.d)
-            ei[i] = 1.0
-            d1[i] = (self.value(p + h1[i] * ei) - self.value(p - h1[i] * ei)) / (2 * h1[i])
-            d2[i, i] = (
-                self.value(p + h2[i] * ei) - 2 * f0 + self.value(p - h2[i] * ei)
-            ) / h2[i] ** 2
-        for i in range(self.d):
-            ei = np.zeros(self.d)
-            ei[i] = 1.0
-            for j in range(i + 1, self.d):
-                ej = np.zeros(self.d)
-                ej[j] = 1.0
-                hij = (h2[i], h2[j])
-                val = (
-                    self.value(p + hij[0] * ei + hij[1] * ej)
-                    - self.value(p + hij[0] * ei - hij[1] * ej)
-                    - self.value(p - hij[0] * ei + hij[1] * ej)
-                    + self.value(p - hij[0] * ei - hij[1] * ej)
-                ) / (4 * hij[0] * hij[1])
-                d2[i, j] = val
-                d2[j, i] = val
-        return f0, d1, d2
+        out = self.fn(Taylor.variables(pts, order))
+        return tuple(np.moveaxis(out.derivatives(k), 1, -1) for k in range(order + 1))
 
 
 @dataclass
@@ -203,7 +130,7 @@ class ProductChart(ImmersionChart):
         return tuple(out)
 
 
-def sphere_chart(box=None) -> CallableChart:
+def sphere_chart(box=None) -> TaylorChart:
     """Unit sphere S^2 in R^3, oriented so the frame normal points inward.
 
     Coordinates (s, t) = (azimuth, polar angle); the index-order normal of
@@ -212,50 +139,23 @@ def sphere_chart(box=None) -> CallableChart:
     if box is None:
         box = np.array([[0.2, 1.4], [0.7, 2.3]])
 
-    def val(p):
-        s, t = p
-        return np.array([np.sin(t) * np.cos(s), np.sin(t) * np.sin(s), np.cos(t)])
+    def fn(x):
+        s, t = x[..., 0], x[..., 1]
+        return Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos()])
 
-    def d1(p):
-        s, t = p
-        return np.array(
-            [
-                [-np.sin(t) * np.sin(s), np.sin(t) * np.cos(s), 0.0],
-                [np.cos(t) * np.cos(s), np.cos(t) * np.sin(s), -np.sin(t)],
-            ]
-        )
-
-    def d2(p):
-        s, t = p
-        f = val(p)
-        fss = np.array([-np.sin(t) * np.cos(s), -np.sin(t) * np.sin(s), 0.0])
-        fst = np.array([-np.cos(t) * np.sin(s), np.cos(t) * np.cos(s), 0.0])
-        ftt = -f
-        return np.array([[fss, fst], [fst, ftt]])
-
-    return CallableChart(d=2, ambient=3, box=np.asarray(box, float), value_fn=val, d1_fn=d1, d2_fn=d2)
+    return TaylorChart(2, 3, np.asarray(box, float), fn)
 
 
-def plane_chart(d: int = 2, box=None) -> CallableChart:
+def plane_chart(d: int = 2, box=None) -> TaylorChart:
     """Affine d-plane in R^{d+1}: zero shape operator, rank 0."""
     if box is None:
         box = np.array([[-1.0, 1.0]] * d)
-    frame = np.zeros((d, d + 1))
-    frame[:, :d] = np.eye(d)
-    offset = np.zeros(d + 1)
-    offset[d] = 1.0
-
-    return CallableChart(
-        d=d,
-        ambient=d + 1,
-        box=np.asarray(box, float),
-        value_fn=lambda p: offset + frame.T @ p,
-        d1_fn=lambda p: frame.copy(),
-        d2_fn=lambda p: np.zeros((d, d, d + 1)),
+    return TaylorChart(
+        d, d + 1, np.asarray(box, float), lambda x: Taylor.stack([x[..., i] for i in range(d)] + [1.0])
     )
 
 
-def polar_plane_chart(box=None) -> CallableChart:
+def polar_plane_chart(box=None) -> TaylorChart:
     """Flat plane in R^3 in polar coordinates (r, theta).
 
     Metric diag(1, r^2); the closed-form Christoffel symbols
@@ -264,36 +164,19 @@ def polar_plane_chart(box=None) -> CallableChart:
     if box is None:
         box = np.array([[0.5, 2.0], [0.2, 1.2]])
 
-    def val(p):
-        r, t = p
-        return np.array([r * np.cos(t), r * np.sin(t), 0.0])
+    def fn(x):
+        r, t = x[..., 0], x[..., 1]
+        return Taylor.stack([r * t.cos(), r * t.sin(), 0.0])
 
-    def d1(p):
-        r, t = p
-        return np.array([[np.cos(t), np.sin(t), 0.0], [-r * np.sin(t), r * np.cos(t), 0.0]])
-
-    def d2(p):
-        r, t = p
-        zero = np.zeros(3)
-        frt = np.array([-np.sin(t), np.cos(t), 0.0])
-        ftt = np.array([-r * np.cos(t), -r * np.sin(t), 0.0])
-        return np.array([[zero, frt], [frt, ftt]])
-
-    return CallableChart(d=2, ambient=3, box=np.asarray(box, float), value_fn=val, d1_fn=d1, d2_fn=d2)
+    return TaylorChart(2, 3, np.asarray(box, float), fn)
 
 
-def ellipse_chart(a: float = 1.5, b: float = 0.8, box=None) -> CallableChart:
+def ellipse_chart(a: float = 1.5, b: float = 0.8, box=None) -> TaylorChart:
     """Plane curve (a cos t, b sin t) as a 1-dimensional chart in R^2."""
     if box is None:
         box = np.array([[0.3, 2.8]])
-
-    return CallableChart(
-        d=1,
-        ambient=2,
-        box=np.asarray(box, float),
-        value_fn=lambda p: np.array([a * np.cos(p[0]), b * np.sin(p[0])]),
-        d1_fn=lambda p: np.array([[-a * np.sin(p[0]), b * np.cos(p[0])]]),
-        d2_fn=lambda p: np.array([[[-a * np.cos(p[0]), -b * np.sin(p[0])]]]),
+    return TaylorChart(
+        1, 2, np.asarray(box, float), lambda x: Taylor.stack([a * x[..., 0].cos(), b * x[..., 0].sin()])
     )
 
 

@@ -17,38 +17,43 @@ nullity: the normal is constant along nullity leaves, so clustering sample
 normals identifies leaves, and sections through the leaf space give the
 quotient data.  For charts whose trailing coordinates parametrize the
 leaves (the series charts built here, and cylinders over plane curves),
-closed sections at zero fiber coordinates rebuild the sphere data, and the
+the section at zero fiber coordinates rebuilds the sphere data, and the
 round trip lands each rebuilt point back on the original leaf.
+
+Everything is Taylor arithmetic (:mod:`minkaehler.taylor`) over point
+stacks: g, gamma and the frame are formulas or sections of a chart's jets,
+and Psi's 2-jet takes g and gamma one order deeper, so it is exact.  The
+rebuilt data of a chart read its 4-jets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .charts import (
-    EPS,
-    FD_STEP_D1,
-    FD_STEP_D2,
-    CallableChart,
-    FDJetChart,
-    ImmersionChart,
-    Jet2,
-)
+from .charts import ImmersionChart, TaylorChart
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
+    generalized_cross,
     laplace_beltrami,
     point_frame,
     rank_and_nullity,
 )
+from .taylor import Taylor, dot, solve, unit
 
-# Step for differencing the round trip's rebuilt, FD-noisy value map:
-# eps^(1/5) balances noise/h against the h^2 truncation term.
-FD_STEP_NOISY = EPS ** 0.2
+
+def _values(fn, p) -> np.ndarray:
+    """A Taylor formula's values on a (..., d) point stack."""
+    return fn(Taylor.variables(np.asarray(p, dtype=np.float64), 0)).value
+
+
+def _lift(q, fiber_dim: int) -> np.ndarray:
+    """Points (..., r) of the quotient at zero fiber coordinates."""
+    q = np.asarray(q, dtype=np.float64)
+    return np.concatenate([q, np.zeros(q.shape[:-1] + (fiber_dim,))], axis=-1)
 
 
 # -- sphere surfaces -----------------------------------------------------------
@@ -57,15 +62,15 @@ FD_STEP_NOISY = EPS ** 0.2
 class SphereSurface:
     """A surface inside the unit sphere, with a frame of its sphere-normal
     space.  ``chart`` maps L-coordinates to the ambient Euclidean space (its
-    image must lie on the unit sphere); ``frame_fn`` returns the (k, m+1)
-    matrix of fields spanning the orthogonal complement of the surface
-    tangent inside the sphere tangent.  Frames are *verified*, never
-    constructed: :meth:`verify` checks all defining identities numerically.
+    image must lie on the unit sphere); ``frame_fn`` maps a (..., d) stack of
+    Taylor variables to the (..., k, m+1) fields spanning the orthogonal
+    complement of the surface tangent inside the sphere tangent.  Frames
+    are *verified*, never constructed: :meth:`verify` checks all defining
+    identities numerically.
     """
 
-    chart: ImmersionChart
+    chart: TaylorChart
     frame_fn: Callable
-    frame_d1_fn: Callable | None = None
 
     @property
     def d(self) -> int:
@@ -83,43 +88,27 @@ class SphereSurface:
     def box(self) -> np.ndarray:
         return self.chart.box
 
-    def g_jet(self, p) -> Jet2:
-        return self.chart.jet(p)
-
     def frame(self, p) -> np.ndarray:
-        out = np.asarray(self.frame_fn(np.asarray(p, dtype=np.float64)), dtype=np.float64)
-        if out.shape != (self.fiber_dim, self.ambient):
+        """(..., k, m+1) frame at a (..., d) point stack."""
+        out = _values(self.frame_fn, p)
+        if out.shape[-2:] != (self.fiber_dim, self.ambient):
             raise DomainError(
-                f"frame must have shape {(self.fiber_dim, self.ambient)}, got {out.shape}"
+                f"frame must have shape {(self.fiber_dim, self.ambient)}, got {out.shape[-2:]}"
             )
         return out
 
-    def frame_d1(self, p) -> np.ndarray:
-        """(k, d, m+1) first partials of the frame fields (FD fallback)."""
-        p = np.asarray(p, dtype=np.float64)
-        if self.frame_d1_fn is not None:
-            return np.asarray(self.frame_d1_fn(p), dtype=np.float64)
-        hs = FD_STEP_D1 * np.maximum(1.0, np.abs(p))
-        out = np.empty((self.fiber_dim, self.d, self.ambient))
-        for i in range(self.d):
-            e = np.zeros(self.d)
-            e[i] = hs[i]
-            out[:, i, :] = (self.frame(p + e) - self.frame(p - e)) / (2 * hs[i])
-        return out
-
     def verify(self, pts, tol: float = 1e-8) -> float:
-        """Check |g| = 1, frame orthonormality, and frame tangency/normality;
-        raises :class:`PreconditionError` past ``tol``, returns the worst
-        deviation."""
-        worst = 0.0
-        for p in np.atleast_2d(np.asarray(pts, dtype=np.float64)):
-            jet = self.g_jet(p)
-            worst = max(worst, abs(float(jet.value @ jet.value) - 1.0))
-            xi = self.frame(p)
-            gram = xi @ xi.T
-            worst = max(worst, float(np.abs(gram - np.eye(self.fiber_dim)).max()))
-            worst = max(worst, float(np.abs(xi @ jet.value).max()))
-            worst = max(worst, float(np.abs(xi @ jet.d1.T).max()))
+        """Check |g| = 1, frame orthonormality, and frame tangency/normality
+        on a point stack; raises :class:`PreconditionError` past ``tol``,
+        returns the worst deviation."""
+        jet = self.chart.jet(pts)
+        xi = self.frame(pts)
+        worst = max(
+            float(np.abs(np.einsum("...c,...c->...", jet.value, jet.value) - 1.0).max()),
+            float(np.abs(xi @ np.swapaxes(xi, -1, -2) - np.eye(self.fiber_dim)).max()),
+            float(np.abs(xi @ jet.value[..., None]).max()),
+            float(np.abs(xi @ np.swapaxes(jet.d1, -1, -2)).max()),
+        )
         if worst > tol:
             raise PreconditionError(
                 f"sphere-surface data fails its defining identities "
@@ -128,28 +117,16 @@ class SphereSurface:
         return worst
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupportFunction:
-    """Scalar gamma on the surface's coordinate domain, with a gradient
-    closure (finite differences when no analytic one is supplied)."""
+    """Scalar gamma on the surface's coordinate domain: ``fn`` maps a
+    (..., d) stack of Taylor variables to the (...) Taylor values, so every
+    derivative of gamma is exact."""
 
     fn: Callable
-    grad_fn: Callable | None = None
 
-    def value(self, p) -> float:
-        return float(self.fn(np.asarray(p, dtype=np.float64)))
-
-    def gradient(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(p), dtype=np.float64)
-        hs = FD_STEP_D1 * np.maximum(1.0, np.abs(p))
-        out = np.empty(p.size)
-        for i in range(p.size):
-            e = np.zeros(p.size)
-            e[i] = hs[i]
-            out[i] = (self.fn(p + e) - self.fn(p - e)) / (2 * hs[i])
-        return out
+    def value(self, p) -> np.ndarray:
+        return _values(self.fn, p)
 
 
 def linear_support(surface: SphereSurface, a) -> SupportFunction:
@@ -158,18 +135,11 @@ def linear_support(surface: SphereSurface, a) -> SupportFunction:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (surface.ambient,):
         raise DomainError(f"coefficient vector must have {surface.ambient} entries")
-
-    def fn(p):
-        return float(surface.g_jet(p).value @ a)
-
-    def grad(p):
-        return surface.g_jet(p).d1 @ a
-
-    return SupportFunction(fn=fn, grad_fn=grad)
+    return SupportFunction(lambda x: dot(surface.chart.fn(x), a))
 
 
 def constant_support(c: float) -> SupportFunction:
-    return SupportFunction(fn=lambda p: float(c), grad_fn=lambda p: np.zeros(p.size))
+    return SupportFunction(lambda x: 0.0 * x[..., 0] + c)
 
 
 def second_legendre_support() -> SupportFunction:
@@ -183,99 +153,46 @@ def second_legendre_support() -> SupportFunction:
     regular on the equatorial band.
     """
 
-    def fn(p):
-        x = math.cos(p[1])
-        return 0.5 * x * math.log((1.0 + x) / (1.0 - x)) - 1.0
+    def fn(x):
+        c = x[..., 1].cos()
+        return 0.5 * c * ((1.0 + c) / (1.0 - c)).log() - 1.0
 
-    def grad(p):
-        t = p[1]
-        x = math.cos(t)
-        dq = 0.5 * math.log((1.0 + x) / (1.0 - x)) + x / (1.0 - x * x)
-        return np.array([0.0, -math.sin(t) * dq])
-
-    return SupportFunction(fn=fn, grad_fn=grad)
+    return SupportFunction(fn)
 
 
 # -- builtin sphere surfaces ---------------------------------------------------
 
 def geodesic_sphere_surface(box=None) -> SphereSurface:
     """The equatorial 2-sphere of S^3 in R^4, framed by the constant e_4."""
-    from .charts import CallableChart
-
     if box is None:
         box = np.array([[0.3, 1.3], [0.8, 2.2]])
 
-    def val(p):
-        s, t = p
-        return np.array([np.sin(t) * np.cos(s), np.sin(t) * np.sin(s), np.cos(t), 0.0])
+    def g(x):
+        s, t = x[..., 0], x[..., 1]
+        return Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos(), 0.0])
 
-    def d1(p):
-        s, t = p
-        return np.array(
-            [
-                [-np.sin(t) * np.sin(s), np.sin(t) * np.cos(s), 0.0, 0.0],
-                [np.cos(t) * np.cos(s), np.cos(t) * np.sin(s), -np.sin(t), 0.0],
-            ]
-        )
+    def frame(x):
+        zero = 0.0 * x[..., 0]
+        return Taylor.stack([zero, zero, zero, zero + 1.0])[..., None, :]
 
-    def d2(p):
-        s, t = p
-        fss = np.array([-np.sin(t) * np.cos(s), -np.sin(t) * np.sin(s), 0.0, 0.0])
-        fst = np.array([-np.cos(t) * np.sin(s), np.cos(t) * np.cos(s), 0.0, 0.0])
-        ftt = -val(p)
-        ftt[3] = 0.0
-        return np.array([[fss, fst], [fst, ftt]])
-
-    chart = CallableChart(
-        d=2, ambient=4, box=np.asarray(box, float), value_fn=val, d1_fn=d1, d2_fn=d2
-    )
-    frame = lambda p: np.array([[0.0, 0.0, 0.0, 1.0]])
-    frame_d1 = lambda p: np.zeros((1, 2, 4))
-    return SphereSurface(chart=chart, frame_fn=frame, frame_d1_fn=frame_d1)
+    return SphereSurface(TaylorChart(2, 4, np.asarray(box, float), g), frame)
 
 
 def clifford_torus_surface(box=None) -> SphereSurface:
     """The Clifford torus in S^3 in R^4, framed by its sphere normal."""
-    from .charts import CallableChart
-
     if box is None:
         box = np.array([[0.2, 1.8], [0.4, 2.0]])
-    s2 = math.sqrt(2.0)
+    s2 = np.sqrt(2.0)
 
-    def val(p):
-        u, v = p
-        return np.array([np.cos(u), np.sin(u), np.cos(v), np.sin(v)]) / s2
+    def g(x):
+        u, v = x[..., 0], x[..., 1]
+        return Taylor.stack([u.cos(), u.sin(), v.cos(), v.sin()]) / s2
 
-    def d1(p):
-        u, v = p
-        return np.array(
-            [
-                [-np.sin(u), np.cos(u), 0.0, 0.0],
-                [0.0, 0.0, -np.sin(v), np.cos(v)],
-            ]
-        ) / s2
+    def frame(x):
+        u, v = x[..., 0], x[..., 1]
+        return (Taylor.stack([-u.cos(), -u.sin(), v.cos(), v.sin()]) / s2)[..., None, :]
 
-    def d2(p):
-        u, v = p
-        duu = np.array([-np.cos(u), -np.sin(u), 0.0, 0.0]) / s2
-        dvv = np.array([0.0, 0.0, -np.cos(v), -np.sin(v)]) / s2
-        zero = np.zeros(4)
-        return np.array([[duu, zero], [zero, dvv]])
-
-    def frame(p):
-        u, v = p
-        return np.array([[-np.cos(u), -np.sin(u), np.cos(v), np.sin(v)]]) / s2
-
-    def frame_d1(p):
-        u, v = p
-        return np.array(
-            [[[np.sin(u), -np.cos(u), 0.0, 0.0], [0.0, 0.0, -np.sin(v), np.cos(v)]]]
-        ) / s2
-
-    chart = CallableChart(
-        d=2, ambient=4, box=np.asarray(box, float), value_fn=val, d1_fn=d1, d2_fn=d2
-    )
-    return SphereSurface(chart=chart, frame_fn=frame, frame_d1_fn=frame_d1)
+    return SphereSurface(TaylorChart(2, 4, np.asarray(box, float), g), frame)
 
 
 # -- the parametrization -------------------------------------------------------
@@ -285,17 +202,14 @@ def gauss_param(
     gamma: SupportFunction,
     w_halfwidth: float = 0.4,
     check: bool = True,
-    h1: float | None = None,
-    h2: float | None = None,
-) -> FDJetChart:
+) -> TaylorChart:
     """Build the parametrized hypersurface chart from (g, gamma).
 
-    Coordinates are (x_1..x_d, w_1..w_k) with k the fiber dimension; jets
-    come from central differences of the closed value map, with steps
-    ``h1``/``h2`` (defaults suit value maps accurate to roundoff; widen
-    them when the surface or support data carries noise of its own).  With
-    ``check`` the surface identities are verified at the box center and
-    the center point is probed for regularity.
+    Coordinates are (x_1..x_d, w_1..w_k) with k the fiber dimension.  At
+    jet order K, g and gamma are expanded one order deeper about x, so
+    g_* and grad gamma = G^{-1} d gamma keep order K and the jets are exact.
+    With ``check`` the surface identities are verified at the box center
+    and the center point is probed for regularity.
     """
     d = surface.d
     k = surface.fiber_dim
@@ -305,87 +219,113 @@ def gauss_param(
             "hypersurface would have no fibers"
         )
 
-    def psi(q):
-        q = np.asarray(q, dtype=np.float64)
-        x, w = q[:d], q[d:]
-        jet = surface.g_jet(x)
-        G = jet.d1 @ jet.d1.T
-        grad = np.linalg.solve(G, gamma.gradient(x))
-        out = gamma.value(x) * jet.value + jet.d1.T @ grad
-        if k:
-            out = out + surface.frame(x).T @ w
-        return out
+    def psi(X):
+        x, w = X[..., :d], X[..., d:]
+        deeper = Taylor.variables(x.value, X.order + 1)
+        g, gam = surface.chart.fn(deeper), gamma.fn(deeper)
+        dg = Taylor.stack([g.diff(i) for i in range(d)], axis=-2)
+        dgam = Taylor.stack([gam.diff(i) for i in range(d)])
+        G = dot(dg[..., :, None, :], dg[..., None, :, :])
+        base = gam[..., None] * g + (solve(G, dgam)[..., None] * dg).sum(-2)
+        return base.compose(x) + (w[..., :, None] * surface.frame_fn(x)).sum(-2)
 
     box = np.vstack([surface.box, np.array([[-w_halfwidth, w_halfwidth]] * k)])
-    chart = FDJetChart(
-        d=d + k,
-        ambient=surface.ambient,
-        box=box,
-        value_fn=psi,
-        h1=FD_STEP_D1 if h1 is None else h1,
-        h2=FD_STEP_D2 if h2 is None else h2,
-    )
+    chart = TaylorChart(d + k, surface.ambient, box, psi)
     if check:
         center = box.mean(axis=1)
-        surface.verify([center[:d]])
+        surface.verify(center[:d])
         point_frame(chart.jet(center))  # raises NonImmersionPointError if singular
     return chart
 
 
-def gauss_map_identity_residual(chart: ImmersionChart, surface: SphereSurface, q) -> float:
-    """Component of the chart normal orthogonal to g: ||N - <N, g> g||.
+def gauss_map_identity_residual(chart: ImmersionChart, surface: SphereSurface, q) -> np.ndarray:
+    """Component of the chart normal orthogonal to g: ||N - <N, g> g||, on
+    a (..., d + k) point stack.
 
     Sign-blind, so it measures exactly the Gauss-map identity N = +-g.
     """
     q = np.asarray(q, dtype=np.float64)
-    N = point_frame(chart.jet(q)).normal
-    g = surface.g_jet(q[: surface.d]).value
-    return float(np.linalg.norm(N - (N @ g) * g))
+    return _off_axis(point_frame(chart.jet(q)).normal, surface.chart.value(q[..., : surface.d]))
+
+
+def _off_axis(N: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """||N - <N, g> g|| over the leading axes, for unit g."""
+    return np.linalg.norm(N - np.einsum("...c,...c->...", N, g)[..., None] * g, axis=-1)
 
 
 @dataclass(frozen=True)
 class MinimalityPair:
-    """Pointwise data for the minimality criterion: the relative trace of
-    the shape operator of the parametrized chart against the eigenvalue
-    equation (Laplace + d) gamma on the quotient surface."""
+    """Data for the minimality criterion on a point stack: the relative
+    trace of the shape operator of the parametrized chart against the
+    eigenvalue equation (Laplace + d) gamma on the quotient surface."""
 
-    trace_residual: float
-    eigen_residual: float
+    trace_residual: np.ndarray
+    eigen_residual: np.ndarray
 
 
-def minimality_criterion(
-    surface: SphereSurface,
-    gamma: SupportFunction,
-    qpts,
-    chart: FDJetChart | None = None,
-    h: float | None = None,
-) -> list:
-    """Evaluate both sides of the minimality equivalence at sample points.
-
-    Returns one :class:`MinimalityPair` per point: the chart's |trace A|
-    normalized by its largest |eigenvalue| at the lifted point (zero fiber
-    coordinates), and |(Laplace + d) gamma| on the quotient.  ``h``
-    widens every differencing step involved (the parametrized chart's jets
-    and the scalar Laplacian); use it when (g, gamma) come from a
-    reconstruction rather than from closed-form data, so both residuals
-    stay below a stated multiple of h^2.
-    """
-    if chart is None:
-        chart = gauss_param(surface, gamma, check=False, h1=h, h2=h)
-    k = surface.fiber_dim
-    out = []
-    for q in np.atleast_2d(np.asarray(qpts, dtype=np.float64)):
-        lifted = np.concatenate([q, np.zeros(k)])
-        frame = point_frame(chart.jet(lifted))
-        scale = max(float(np.abs(frame.eigenvalues).max()), 1e-14)
-        trace_res = abs(float(np.trace(frame.shape_operator))) / scale
-        lap = laplace_beltrami(surface.chart, gamma.fn, q, h=h)
-        eigen_res = abs(lap + surface.d * gamma.value(q))
-        out.append(MinimalityPair(trace_residual=trace_res, eigen_residual=eigen_res))
-    return out
+def minimality_criterion(surface: SphereSurface, gamma: SupportFunction, qpts) -> MinimalityPair:
+    """Evaluate both sides of the minimality equivalence on a (..., d)
+    point stack: the chart's |trace A| normalized by its largest
+    |eigenvalue| at the lifted point (zero fiber coordinates), and
+    |(Laplace + d) gamma| on the quotient from gamma's exact 2-jet."""
+    q = np.asarray(qpts, dtype=np.float64)
+    chart = gauss_param(surface, gamma, check=False)
+    frame = point_frame(chart.jet(_lift(q, surface.fiber_dim)))
+    scale = np.maximum(np.abs(frame.eigenvalues).max(axis=-1), 1e-14)
+    trace_res = np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / scale
+    gam = gamma.fn(Taylor.variables(q, 2))
+    lap = laplace_beltrami(surface.chart.jet(q), gam.derivatives(1), gam.derivatives(2))
+    return MinimalityPair(trace_res, np.abs(lap + surface.d * gam.value))
 
 
 # -- extraction from a hypersurface chart ---------------------------------------
+
+def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
+    """(g, gamma, xi) of the section q -> chart(q, 0), composed with the
+    (..., r) Taylor stack ``x``: g the unit normal N, gamma = <f, N>, and
+    xi the orthonormalized fiber partials (Gram-Schmidt in index order).
+
+    One jet order above x's is read, since N takes the first partials.
+    N is the normal at the point, N0, projected off the tangent space of
+    the expansion and normalized, so its orientation is the chart's.
+    """
+    lead = x.shape[:-1]
+    parts = chart.jet_batch(_lift(x.value.reshape(-1, r), chart.d - r), x.order + 1)
+    full = Taylor.from_derivatives([np.moveaxis(a, -1, 1) for a in parts])
+    f = full.restrict(r)
+    df = Taylor.stack([full.diff(i).restrict(r) for i in range(chart.d)], axis=-2)
+    n0 = generalized_cross(df.value)
+    n0 /= np.maximum(np.linalg.norm(n0, axis=-1, keepdims=True), TINY)
+    G = dot(df[..., :, None, :], df[..., None, :, :])
+    normal = unit(n0 - (solve(G, dot(df, n0[:, None, :]))[..., None] * df).sum(-2))
+    xi = []
+    for a in range(r, chart.d):
+        v = df[:, a]
+        for e in xi:
+            v = v - dot(v, e)[..., None] * e
+        xi.append(unit(v))
+    data = (normal, dot(f, normal), Taylor.stack(xi, axis=-2))
+    return tuple(t.reshape(lead + t.shape[1:]).compose(x) for t in data)
+
+
+def rebuild_surface(chart: ImmersionChart, quotient_dim: int = 2, box=None) -> SphereSurface:
+    """Sphere-surface data from a chart whose trailing coordinates run along
+    the nullity leaves: g = chart normal on the zero-fiber section, framed
+    by the orthonormalized leaf directions, both exact from the chart's
+    jets.  The frame identities are what :meth:`SphereSurface.verify`
+    checks downstream."""
+    if chart.d - quotient_dim < 1:
+        raise PreconditionError("chart has no fiber coordinates to rebuild from")
+    if box is None:
+        box = np.asarray(chart.box[:quotient_dim], dtype=np.float64)
+    g = TaylorChart(quotient_dim, chart.ambient, box, lambda x: _section(chart, quotient_dim, x)[0])
+    return SphereSurface(g, lambda x: _section(chart, quotient_dim, x)[2])
+
+
+def rebuild_support(chart: ImmersionChart, quotient_dim: int = 2) -> SupportFunction:
+    """gamma = <f, N> on the zero-fiber section, exact from the chart's jets."""
+    return SupportFunction(lambda x: _section(chart, quotient_dim, x)[1])
+
 
 @dataclass(frozen=True)
 class ExtractionResult:
@@ -393,11 +333,10 @@ class ExtractionResult:
 
     ``clusters`` groups sample indices by leaf (constant normal);
     ``normals`` and ``supports`` are per-cluster representatives with their
-    observed spreads.  ``gauss_section`` / ``support_section`` are closures
+    observed spreads.  ``surface`` and ``support`` are the section data
     over the quotient coordinates (the leading ``rank`` chart coordinates,
-    evaluated at zero fiber coordinates); ``support_gradient`` is the
-    quotient gradient of the support, computed from dN = -f_* A rather
-    than by differencing, so it is as accurate as the chart's own jets.
+    at zero fiber coordinates), from :func:`rebuild_surface` and
+    :func:`rebuild_support`.
     """
 
     rank: int
@@ -407,9 +346,8 @@ class ExtractionResult:
     supports: np.ndarray
     normal_spread: float
     support_spread: float
-    gauss_section: Callable
-    support_section: Callable
-    support_gradient: Callable
+    surface: SphereSurface
+    support: SupportFunction
     indeterminate: bool
 
 
@@ -430,154 +368,53 @@ def extract_from_hypersurface(
     is constant on each leaf and recorded per cluster.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    normals = np.empty((samples.shape[0], chart.ambient))
-    supports = np.empty(samples.shape[0])
-    indeterminate = False
+    fr = point_frame(chart.jet(samples))
+    rr = rank_and_nullity(fr, rel_tol=rank_rtol)
     for i, p in enumerate(samples):
-        fr = point_frame(chart.jet(p))
-        rr = rank_and_nullity(fr, rel_tol=rank_rtol)
-        indeterminate = indeterminate or rr.indeterminate
-        if rr.rank != expected_rank:
+        if rr.rank[i] != expected_rank:
             raise PreconditionError(
-                f"sample at {p} has shape-operator rank {rr.rank}, "
+                f"sample at {p} has shape-operator rank {rr.rank[i]}, "
                 f"expected {expected_rank}"
             )
-        if rr.nullity == 0:
+        if rr.nullity[i] == 0:
             raise PreconditionError(
                 f"sample at {p} has no relative nullity: the chart admits "
                 "no quotient construction"
             )
-        normals[i] = fr.normal
-        supports[i] = float(fr.jet.value @ fr.normal)
-    clusters = []
+    normals = fr.normal
+    supports = np.einsum("...c,...c->...", fr.jet.value, normals)
+    labels = np.empty(len(samples), dtype=np.intp)
     reps = []
-    for i in range(samples.shape[0]):
-        for ci, rep in enumerate(reps):
-            if np.linalg.norm(normals[i] - rep) < cluster_tol:
-                clusters[ci].append(i)
-                break
-        else:
-            reps.append(normals[i])
-            clusters.append([i])
-    normal_spread = 0.0
-    support_spread = 0.0
-    cluster_normals = np.empty((len(clusters), chart.ambient))
-    cluster_supports = np.empty(len(clusters))
-    for ci, idx in enumerate(clusters):
-        group_n = normals[idx]
-        group_s = supports[idx]
-        cluster_normals[ci] = group_n.mean(axis=0)
-        cluster_normals[ci] /= max(np.linalg.norm(cluster_normals[ci]), TINY)
-        cluster_supports[ci] = group_s.mean()
-        normal_spread = max(
-            normal_spread,
-            float(np.linalg.norm(group_n - cluster_normals[ci], axis=1).max()),
-        )
-        support_spread = max(
-            support_spread, float(np.abs(group_s - cluster_supports[ci]).max())
-        )
-
-    fiber_dim = chart.d - expected_rank
-
-    def lift(q):
-        q = np.asarray(q, dtype=np.float64)
-        return np.concatenate([q, np.zeros(fiber_dim)])
-
-    def gauss_section(q):
-        return point_frame(chart.jet(lift(q))).normal
-
-    def support_section(q):
-        fr = point_frame(chart.jet(lift(q)))
-        return float(fr.jet.value @ fr.normal)
-
-    def support_gradient(q):
-        # d_i <f, N> = <f, dN_i> since <f_i, N> = 0, and dN_i = -f_*(A e_i)
-        fr = point_frame(chart.jet(lift(q)))
-        v = fr.jet.d1 @ fr.jet.value
-        return -(fr.shape_operator[:, :expected_rank].T @ v)
+    for i, n in enumerate(normals):
+        near = [ci for ci, rep in enumerate(reps) if np.linalg.norm(n - rep) < cluster_tol]
+        labels[i] = near[0] if near else len(reps)
+        reps += [] if near else [n]
+    clusters = [np.flatnonzero(labels == ci) for ci in range(len(reps))]
+    cluster_normals = np.array([normals[idx].mean(axis=0) for idx in clusters])
+    cluster_normals /= np.maximum(np.linalg.norm(cluster_normals, axis=1, keepdims=True), TINY)
+    cluster_supports = np.array([supports[idx].mean() for idx in clusters])
 
     return ExtractionResult(
         rank=expected_rank,
-        nullity=fiber_dim,
-        clusters=[np.asarray(c) for c in clusters],
+        nullity=chart.d - expected_rank,
+        clusters=clusters,
         normals=cluster_normals,
         supports=cluster_supports,
-        normal_spread=normal_spread,
-        support_spread=support_spread,
-        gauss_section=gauss_section,
-        support_section=support_section,
-        support_gradient=support_gradient,
-        indeterminate=indeterminate,
+        normal_spread=float(np.linalg.norm(normals - cluster_normals[labels], axis=1).max()),
+        support_spread=float(np.abs(supports - cluster_supports[labels]).max()),
+        surface=rebuild_surface(chart, expected_rank),
+        support=rebuild_support(chart, expected_rank),
+        indeterminate=bool(rr.indeterminate.any()),
     )
-
-
-def leaf_directions(chart: ImmersionChart, q, quotient_dim: int = 2) -> np.ndarray:
-    """Orthonormal basis (m+1, k) of the leaf through the zero-fiber point:
-    the spans of the fiber-coordinate partials, orthonormalized."""
-    fiber_dim = chart.d - quotient_dim
-    lifted = np.concatenate([np.asarray(q, dtype=np.float64), np.zeros(fiber_dim)])
-    d1 = chart.jet(lifted).d1
-    basis = d1[quotient_dim:].T  # (m+1, k)
-    Q, _ = np.linalg.qr(basis)
-    return Q
-
-
-def rebuild_surface(chart: ImmersionChart, quotient_dim: int = 2, box=None) -> SphereSurface:
-    """Sphere-surface data from a chart whose trailing coordinates run along
-    the nullity leaves: g = chart normal on the zero-fiber section, framed
-    by the orthonormalized leaf directions.
-
-    The section's first derivatives come from dN = -f_* A, so g carries
-    the accuracy of the chart's own jets instead of stacking differencing
-    noise on top of them; only the (rarely consumed) second derivatives
-    difference those closed rows.  The frame identities are what
-    :meth:`SphereSurface.verify` checks downstream."""
-    fiber_dim = chart.d - quotient_dim
-    if fiber_dim < 1:
-        raise PreconditionError("chart has no fiber coordinates to rebuild from")
-    if box is None:
-        box = np.asarray(chart.box[:quotient_dim], dtype=np.float64)
-
-    def lift(q):
-        return np.concatenate([np.asarray(q, dtype=np.float64), np.zeros(fiber_dim)])
-
-    def gval(q):
-        return point_frame(chart.jet(lift(q))).normal
-
-    def gd1(q):
-        fr = point_frame(chart.jet(lift(q)))
-        return -(fr.shape_operator[:, :quotient_dim].T @ fr.jet.d1)
-
-    def gd2(q):
-        q = np.asarray(q, dtype=np.float64)
-        hs = FD_STEP_D2 * np.maximum(1.0, np.abs(q))
-        out = np.empty((quotient_dim, quotient_dim, chart.ambient))
-        for i in range(quotient_dim):
-            e = np.zeros(quotient_dim)
-            e[i] = hs[i]
-            out[i] = (gd1(q + e) - gd1(q - e)) / (2 * hs[i])
-        return 0.5 * (out + out.transpose(1, 0, 2))
-
-    inner = CallableChart(
-        d=quotient_dim,
-        ambient=chart.ambient,
-        box=box,
-        value_fn=gval,
-        d1_fn=gd1,
-        d2_fn=gd2,
-    )
-
-    def frame(q):
-        return leaf_directions(chart, q, quotient_dim).T
-
-    return SphereSurface(chart=inner, frame_fn=frame)
 
 
 @dataclass(frozen=True)
 class RoundTripResult:
-    plane_distance: float
-    support_mismatch: float
-    gauss_mismatch: float
+    """Per-point round-trip mismatches over the quotient point stack."""
+
+    plane_distance: np.ndarray
+    support_mismatch: np.ndarray
+    gauss_mismatch: np.ndarray
 
 
 def gauss_round_trip(chart: ImmersionChart, qpts, quotient_dim: int = 2) -> RoundTripResult:
@@ -585,61 +422,24 @@ def gauss_round_trip(chart: ImmersionChart, qpts, quotient_dim: int = 2) -> Roun
 
     Each rebuilt point Psi(q, 0) must land on the original leaf: the
     affine leaf plane through the zero-fiber point spanned by the leaf
-    directions.  Reported are the worst point-to-plane distance, the worst
+    directions.  Reported per point are the point-to-plane distance, the
     support mismatch <Psi, N> - gamma against the original chart's normal,
-    and the worst (sign-blind) mismatch between the rebuilt chart's own
-    normal and g.  The last uses wider differencing steps because the
-    rebuilt value map carries finite-difference noise of its own.
+    and the (sign-blind) mismatch between the rebuilt chart's own normal
+    and g.
     """
     surface = rebuild_surface(chart, quotient_dim)
-    fiber_dim = chart.d - quotient_dim
-
-    def lift(q):
-        return np.concatenate([np.asarray(q, dtype=np.float64), np.zeros(fiber_dim)])
-
-    def gamma_fn(q):
-        fr = point_frame(chart.jet(lift(q)))
-        return float(fr.jet.value @ fr.normal)
-
-    def gamma_grad(q):
-        fr = point_frame(chart.jet(lift(q)))
-        v = fr.jet.d1 @ fr.jet.value
-        return -(fr.shape_operator[:, :quotient_dim].T @ v)
-
-    gamma = SupportFunction(fn=gamma_fn, grad_fn=gamma_grad)
+    gamma = rebuild_support(chart, quotient_dim)
     psi = gauss_param(surface, gamma, check=False)
-
-    def wide_normal(p):
-        # first differences with the noise-adapted step, then the cross
-        from .geometry import generalized_cross
-
-        hs = FD_STEP_NOISY * np.maximum(1.0, np.abs(p))
-        d1 = np.empty((psi.d, psi.ambient))
-        for i in range(psi.d):
-            e = np.zeros(psi.d)
-            e[i] = hs[i]
-            d1[i] = (psi.value(p + e) - psi.value(p - e)) / (2 * hs[i])
-        raw = generalized_cross(d1)
-        return raw / max(np.linalg.norm(raw), TINY)
-
-    worst_plane = 0.0
-    worst_support = 0.0
-    worst_gauss = 0.0
-    for q in np.atleast_2d(np.asarray(qpts, dtype=np.float64)):
-        lifted = lift(q)
-        rebuilt = psi.value(lifted)
-        base_frame = point_frame(chart.jet(lifted))
-        L = leaf_directions(chart, q, quotient_dim)
-        r = rebuilt - base_frame.jet.value
-        worst_plane = max(worst_plane, float(np.linalg.norm(r - L @ (L.T @ r))))
-        worst_support = max(
-            worst_support, abs(float(rebuilt @ base_frame.normal) - gamma_fn(q))
-        )
-        N = wide_normal(lifted)
-        g = surface.g_jet(q).value
-        worst_gauss = max(worst_gauss, float(np.linalg.norm(N - (N @ g) * g)))
+    q = np.asarray(qpts, dtype=np.float64)
+    lifted = _lift(q, chart.d - quotient_dim)
+    rebuilt = point_frame(psi.jet(lifted))
+    base = point_frame(chart.jet(lifted))
+    L = surface.frame(q)  # (..., k, m+1), orthonormal rows
+    r = rebuilt.jet.value - base.jet.value
+    off_plane = r - np.einsum("...a,...ac->...c", np.einsum("...ac,...c->...a", L, r), L)
+    support = np.einsum("...c,...c->...", rebuilt.jet.value, base.normal) - gamma.value(q)
     return RoundTripResult(
-        plane_distance=worst_plane,
-        support_mismatch=worst_support,
-        gauss_mismatch=worst_gauss,
+        plane_distance=np.linalg.norm(off_plane, axis=-1),
+        support_mismatch=np.abs(support),
+        gauss_mismatch=_off_axis(rebuilt.normal, surface.chart.value(q)),
     )

@@ -6,9 +6,10 @@ generalized cross product (in coordinate index order), scalar second
 fundamental form, shape operator with its eigen-data, rank and relative
 nullity, Christoffel symbols read off the same 2-jet, the covariant
 derivative of a (1,1)-field given its exact coordinate derivative, the
-Laplace-Beltrami operator on scalar fields, and residuals for the Kaehler
-checks (anticommutation with J, parallelism of J) and the Codazzi
-symmetry.  A single point is the stack with no leading axes.
+Laplace-Beltrami operator of a scalar field given its exact jets, and
+residuals for the Kaehler checks (anticommutation with J, parallelism of
+J) and the Codazzi symmetry.  A single point is the stack with no leading
+axes.  Nothing here differences: every input is a jet.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .charts import FD_STEP_D1, FD_STEP_D2, ImmersionChart, Jet2
+from .charts import ImmersionChart, Jet2
 from .errors import (
     DomainError,
     IndeterminateRankWarning,
@@ -190,50 +191,12 @@ def christoffel(jet: Jet2) -> np.ndarray:
     return np.linalg.solve(jet.d1 @ _t(jet.d1), proj).reshape(lead + (d, d, d))
 
 
-def scalar_fd_jet(fn, p, h1=None, h2=None):
-    """(value, gradient, hessian) of a scalar field by central differences."""
-    p = np.asarray(p, dtype=np.float64)
-    d = p.size
-    scale = np.maximum(1.0, np.abs(p))
-    h1 = scale * (FD_STEP_D1 if h1 is None else h1)
-    h2 = scale * (FD_STEP_D2 if h2 is None else h2)
-    f0 = float(fn(p))
-    grad = np.empty(d)
-    hess = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        grad[i] = (fn(p + h1[i] * e) - fn(p - h1[i] * e)) / (2 * h1[i])
-        hess[i, i] = (fn(p + h2[i] * e) - 2 * f0 + fn(p - h2[i] * e)) / h2[i] ** 2
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = 1.0
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = 1.0
-            v = (
-                fn(p + h2[i] * ei + h2[j] * ej)
-                - fn(p + h2[i] * ei - h2[j] * ej)
-                - fn(p - h2[i] * ei + h2[j] * ej)
-                + fn(p - h2[i] * ei - h2[j] * ej)
-            ) / (4 * h2[i] * h2[j])
-            hess[i, j] = v
-            hess[j, i] = v
-    return f0, grad, hess
-
-
-def laplace_beltrami(chart: ImmersionChart, gamma, p, h=None) -> float:
-    """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) with FD jets of gamma.
-
-    ``h`` scales the second-difference step (default eps^(1/4) per
-    coordinate); the Christoffel symbols come from the chart's 2-jet.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    _, grad, hess = scalar_fd_jet(gamma, p, h2=h)
-    jet = chart.jet(p)
-    ginv = np.linalg.inv(jet.d1 @ jet.d1.T)
-    corr = hess - np.einsum("kij,k->ij", christoffel(jet), grad)
-    return float(np.einsum("ij,ij->", ginv, corr))
+def laplace_beltrami(jet: Jet2, grad, hess) -> np.ndarray:
+    """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) on a 2-jet stack of the
+    chart, from the exact gradient (..., d) and Hessian (..., d, d) of the
+    scalar gamma at the same points."""
+    corr = hess - np.einsum("...kij,...k->...ij", christoffel(jet), grad)
+    return np.trace(np.linalg.solve(jet.d1 @ _t(jet.d1), corr), axis1=-2, axis2=-1)
 
 
 def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
@@ -284,20 +247,3 @@ def codazzi_residual(frame: PointFrame, S, dS) -> np.ndarray:
     diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
     norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||L^T v|| = ||v^T L||
     return norms.max(axis=-1, initial=0.0) / np.maximum(gnorm_op(frame.chol, S), 1e-14)
-
-
-def weingarten_residual(chart: ImmersionChart, p) -> float:
-    """FD cross-check of dN(e_i) = -f_*(A e_i); relative to |A e_i|."""
-    p = np.asarray(p, dtype=np.float64)
-    hs = FD_STEP_D1 * np.maximum(1.0, np.abs(p))
-    fr = point_frame(chart.jet(p))
-    worst = 0.0
-    for i in range(chart.d):
-        e = np.zeros(chart.d)
-        e[i] = hs[i]
-        Np = point_frame(chart.jet(p + e)).normal
-        Nm = point_frame(chart.jet(p - e)).normal
-        dN = (Np - Nm) / (2 * hs[i])
-        push = fr.jet.d1.T @ fr.shape_operator[:, i]
-        worst = max(worst, np.linalg.norm(dN + push) / (1.0 + np.linalg.norm(push)))
-    return worst

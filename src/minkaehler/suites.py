@@ -53,9 +53,8 @@ from .bending import (
     rotation_coefficient,
 )
 from .charts import (
-    FD_STEP_D1,
-    CallableChart,
     ImmersionChart,
+    TaylorChart,
     grid_points,
     random_points,
     shrink_box,
@@ -72,6 +71,7 @@ from .geometry import (
 )
 from .report import ResidualReport
 from .seeds import EXPECTED_RESIDUALS
+from .taylor import Taylor
 from .weierstrass import (
     SeriesChart,
     WeierstrassChain,
@@ -103,7 +103,7 @@ CONTROL_FLOOR = 1e-2
 # Per-identity default tolerances.  Analytic routes (jets to order 3 and
 # exact linear algebra only, the Christoffels and d_l B included) get 1e-7
 # or better; agreement across independent routes (one of them the FD
-# t-derivative) gets 100 max(eps^2, h^2).
+# t-derivative at step 1e-4) gets 100 times the step squared.
 DEFAULT_TOLERANCES = {
     "minimality": 1e-8,
     "rank": 0.5,
@@ -118,7 +118,7 @@ DEFAULT_TOLERANCES = {
     "bending_bat": 1e-7,
     "fundamental_wedge": 1e-7,
     "codazzi_b": 1e-7,
-    "b_three_route": 100 * max(1e-4**2, FD_STEP_D1**2),
+    "b_three_route": 100 * 1e-4**2,
     "rotation": 1e-6,
     "nullity_in_bending_kernel": 1e-6,
 }
@@ -286,33 +286,14 @@ def _suite_gauss_preservation(b: ChartBundle, tol: float):
     ]
 
 
-def _quadratic_control_field(b: ChartBundle) -> CallableChart:
+def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
     """T = x0^2 e0 + x1^2 e1: a smooth field whose tangential part is
     visibly non-parallel (its derivative grows linearly in the coordinates)."""
-    m1 = b.chart.ambient
-    d = b.chart.d
 
-    def value(p):
-        out = np.zeros(m1)
-        out[0] = p[0] ** 2
-        out[1] = p[1] ** 2
-        return out
+    def fn(x):
+        return Taylor.stack([x[..., 0] * x[..., 0], x[..., 1] * x[..., 1]] + [0.0] * (b.chart.ambient - 2))
 
-    def d1(p):
-        out = np.zeros((d, m1))
-        out[0, 0] = 2 * p[0]
-        out[1, 1] = 2 * p[1]
-        return out
-
-    def d2(p):
-        out = np.zeros((d, d, m1))
-        out[0, 0, 0] = 2.0
-        out[1, 1, 1] = 2.0
-        return out
-
-    return CallableChart(
-        d=d, ambient=m1, box=b.chart.box, value_fn=value, d1_fn=d1, d2_fn=d2
-    )
+    return TaylorChart(b.chart.d, b.chart.ambient, b.chart.box, fn)
 
 
 def _suite_bending_tpar(b: ChartBundle, tol: float):

@@ -17,9 +17,10 @@ delta^(j), the holomorphic representative on U x W, W in C^{n-1}, is
 valued in C^{2n+1}.  The hypersurface chart is f = sqrt(2) Re F in the real
 coordinates (x, y, u_1, v_1, ...), its conjugate is fbar = sqrt(2) Im F,
 and the associated family is f_theta = cos(theta) f + sin(theta) fbar.
-Because F is affine in w and holomorphic in z, every jet to order 3
-reduces to Horner evaluations of stored coefficient rows; those go through
-the kernels module.
+Because F is affine in w and holomorphic in z, a jet of any order reduces
+to Horner evaluations of stored coefficient rows; those go through the
+kernels module.  Verification reads jets to order 3; the Gauss
+parametrization of :mod:`minkaehler.gausspar` reads the 4-jets.
 """
 
 from __future__ import annotations
@@ -293,12 +294,14 @@ def _jet_table(n: int, order: int) -> tuple:
 
 
 class SeriesChart(ImmersionChart):
-    """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) with 3-jets.
+    """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) with jets of
+    any order.
 
     Real coordinates (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}) with
     z = basepoint + x + i y and w_j = u_j + i v_j.  All jets come from
-    Horner evaluation of stored coefficient rows; delta^(n+1), read only
-    by third partials, is differentiated here rather than in the chain.
+    Horner evaluation of stored coefficient rows, built per order on first
+    use; delta^(n+1) and beyond, read only by partials of order 3 and up,
+    are differentiated here rather than in the chain.
     """
 
     def __init__(self, seed: WeierstrassSeed, theta: float = 0.0, chain: WeierstrassChain | None = None, box=None):
@@ -312,18 +315,15 @@ class SeriesChart(ImmersionChart):
         n = seed.n
         self.d = 2 * n
         self.ambient = 2 * n + 1
-        width = max(
+        self._width = max(
             rep.base_part.order + 1,
             max((d.order + 1 for d in rep.chain.delta_derivs), default=1),
         )
         base1 = rep.base_part.diff()
-        base2 = base1.diff()
-        deltas = rep.chain.delta_derivs
-        # rows base^(0..2), delta^(0..n), then base''' and delta^(n+1) for order 3
-        series = (rep.base_part, base1, base2, *deltas, base2.diff(), deltas[-1].diff())
-        rows = [s.coeff_matrix(width) for s in series]
-        self._coef = {2: np.vstack(rows[: n + 4]), 3: np.vstack(rows)}
-        self._table = {k: _jet_table(n, k) for k in (2, 3)}
+        # rows base^(0..2), delta^(0..n); each order k > 2 appends base^(k)
+        # and delta^(n+k-2), so a lower order's rows are a prefix
+        self._series = [rep.base_part, base1, base1.diff(), *rep.chain.delta_derivs]
+        self._rows_by_order = {}
         self._phase = SQRT2 * _snap_phase(self.theta)
         if box is None:
             zhalf = seed.domain.radius / math.sqrt(2.0)
@@ -342,33 +342,46 @@ class SeriesChart(ImmersionChart):
         inside = np.hypot(pts[..., 0], pts[..., 1]) <= self.seed.domain.radius - margin
         return inside & np.all(np.abs(pts[..., 2:]) <= halves - margin, axis=-1)
 
+    def _rows(self, order: int) -> tuple:
+        """Coefficient rows and jet table for ``order``, built on first use."""
+        if order not in self._rows_by_order:
+            n, s = self.seed.n, self._series
+            while len(s) < n + 2 * order:
+                s += [s[2 if len(s) == n + 4 else -2].diff(), s[-1].diff()]
+            coef = np.vstack([r.coeff_matrix(self._width) for r in s[: n + 2 * order]])
+            self._rows_by_order[order] = (coef, _jet_table(n, order))
+        return self._rows_by_order[order]
+
     def jet_batch(self, pts, order: int = 2) -> tuple:
-        """Vectorized jets: (value (P,m+1), d1 (P,d,m+1), d2 (P,d,d,m+1)),
-        and with ``order=3`` also d3 (P,d,d,d,m+1).  Warns with
+        """Vectorized jets: (value (P,m+1), d1 (P,d,m+1), d2 (P,d,d,m+1),
+        ...) to any ``order``, d_k of shape (P, d, ..., d, m+1); orders
+        below 2 are sliced from the 2-jet.  Warns with
         :class:`DomainWarning` when a point leaves the seed's domain."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if pts.shape[1] != self.d:
             raise DomainError(f"points must have {self.d} coordinates, got {pts.shape[1]}")
-        if order not in self._table:
-            raise DomainError(f"jet order must be 2 or 3, got {order}")
+        if order < 0:
+            raise DomainError(f"jet order must be nonnegative, got {order}")
         if not self.domain_contains(pts).all():
             warnings.warn(
                 "chart evaluated outside the seed's declared domain",
                 DomainWarning,
                 stacklevel=2,
             )
+        coef, table = self._rows(max(order, 2))
         n = self.seed.n
         m1 = self.ambient
         npts = pts.shape[0]
         dz = pts[:, 0] + 1j * pts[:, 1]
-        blocks = kernels.horner_many(self._coef[order], dz.astype(np.complex128))
+        blocks = kernels.horner_many(coef, dz.astype(np.complex128))
         blocks = blocks.reshape(-1, m1, npts)
-        Fz = [b.copy() for b in (*blocks[:3], *blocks[n + 4 : n + 5])]  # d^a F / dz^a
-        delta = [*blocks[3 : n + 4], *blocks[n + 5 :]]  # delta^(0) .. delta^(n-2+order)
+        # d^a F / dz^a and delta^(0) .. delta^(n-2+order), from the row layout
+        Fz = [b.copy() for b in (*blocks[:3], *blocks[n + 4 :: 2])]
+        delta = [*blocks[3 : n + 4], *blocks[n + 5 :: 2]]
         wmat = pts[:, 2::2] + 1j * pts[:, 3::2] if n > 1 else np.zeros((npts, 0), complex)
         for j in range(1, n):
             wj = wmat[:, j - 1]
-            for a in range(order + 1):
+            for a in range(len(Fz)):
                 Fz[a] += wj[None, :] * delta[j - 1 + a]
         sources = Fz + delta
         parts = np.zeros((npts, 2 * len(sources) + 1, m1))  # Re, Im, a zero row
@@ -379,11 +392,11 @@ class SeriesChart(ImmersionChart):
             parts[:, i, :] = c.real.T
             parts[:, len(sources) + i, :] = c.imag.T
         out = []
-        for rows, signs in self._table[order]:
+        for rows, signs in table:
             dk = np.take(parts, rows, axis=1)
             dk *= signs
             out.append(dk)
-        return tuple(out)
+        return tuple(out[: order + 1])
 
     def values(self, pts) -> np.ndarray:
         return self.jet_batch(pts)[0]

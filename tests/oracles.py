@@ -24,11 +24,19 @@ evidence rather than tautology.
   exactly from jets to order 3.
 * the support function of the ellipse (a cos t, b sin t) with outward
   normal: h = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t).
+* one central-difference jet of any value map (vector or scalar), the
+  reference for every chart and Taylor formula with exact jets.
+* finite-difference routes that only tests call: the Weingarten equation
+  dN = -f_* A, and the first and second t-variations of the metric along
+  f + tT.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from minkaehler.bending import CombinationField
+from minkaehler.geometry import metric_of, point_frame
 
 SQRT2 = np.sqrt(2.0)
 
@@ -81,8 +89,76 @@ def polar_christoffel(r: float) -> np.ndarray:
     return gam
 
 
+EPS = np.finfo(np.float64).eps
+# Central first differences balance truncation against roundoff near eps^(1/3);
+# second differences near eps^(1/4).  Steps scale with max(1, |coordinate|).
+FD_STEP_D1 = EPS ** (1.0 / 3.0)
+FD_STEP_D2 = EPS ** 0.25
+
+
 def _fd_steps(p: np.ndarray) -> np.ndarray:
-    return np.finfo(np.float64).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(p))
+    return FD_STEP_D1 * np.maximum(1.0, np.abs(p))
+
+
+def fd_jet(fn, p, h1: float = FD_STEP_D1, h2: float = FD_STEP_D2) -> tuple:
+    """(value, d1, d2) of the value map ``fn`` at one point by central
+    differences: d1[i] with step h1, d2[i, j] with step h2 (each scaled by
+    max(1, |p_i|)).  Values may be scalars or arrays."""
+    p = np.asarray(p, dtype=np.float64)
+    d = p.size
+    scale = np.maximum(1.0, np.abs(p))
+    s1, s2 = h1 * scale, h2 * scale
+    e = np.eye(d)
+
+    def f(q):
+        return np.asarray(fn(q), dtype=np.float64)
+
+    f0 = f(p)
+    d1 = np.array([(f(p + s1[i] * e[i]) - f(p - s1[i] * e[i])) / (2 * s1[i]) for i in range(d)])
+    d2 = np.empty((d, d) + f0.shape)
+    for i in range(d):
+        d2[i, i] = (f(p + s2[i] * e[i]) - 2 * f0 + f(p - s2[i] * e[i])) / s2[i] ** 2
+        for j in range(i + 1, d):
+            a, b = s2[i] * e[i], s2[j] * e[j]
+            d2[i, j] = d2[j, i] = (
+                f(p + a + b) - f(p + a - b) - f(p - a + b) + f(p - a - b)
+            ) / (4 * s2[i] * s2[j])
+    return f0, d1, d2
+
+
+def weingarten_residual(chart, p) -> float:
+    """FD cross-check of dN(e_i) = -f_*(A e_i); relative to |A e_i|."""
+    p = np.asarray(p, dtype=np.float64)
+    hs = _fd_steps(p)
+    fr = point_frame(chart.jet(p))
+    worst = 0.0
+    for i in range(chart.d):
+        e = np.zeros(chart.d)
+        e[i] = hs[i]
+        dN = (point_frame(chart.jet(p + e)).normal - point_frame(chart.jet(p - e)).normal) / (2 * hs[i])
+        push = fr.jet.d1.T @ fr.shape_operator[:, i]
+        worst = max(worst, np.linalg.norm(dN + push) / (1.0 + np.linalg.norm(push)))
+    return worst
+
+
+def first_variation_metric_residual(chart, fld, p, eps: float = 1e-4) -> float:
+    """||(G(eps) - G(-eps)) / 2 eps||_F / ||G(0)||_F along f + tT.
+
+    The metric of the deformed chart is exactly quadratic in t, so the
+    central difference isolates the first-order term with no truncation
+    error; for a bending this is roundoff-sized.
+    """
+    gp = metric_of(CombinationField((chart, fld), (1.0, eps)), p)
+    gm = metric_of(CombinationField((chart, fld), (1.0, -eps)), p)
+    return float(np.linalg.norm((gp - gm) / (2 * eps)) / np.linalg.norm(metric_of(chart, p)))
+
+
+def second_variation_metric_residual(chart, fld, p, t: float = 0.1) -> float:
+    """||G(t) - G(0) - t^2 <T_i, T_j>||_F / ||G(0)||_F (exact identity)."""
+    g0 = metric_of(chart, p)
+    gt = metric_of(CombinationField((chart, fld), (1.0, t)), p)
+    td1 = fld.jet(p).d1
+    return float(np.linalg.norm(gt - g0 - t * t * (td1 @ td1.T)) / np.linalg.norm(g0))
 
 
 def _fd_metric(chart, p) -> np.ndarray:

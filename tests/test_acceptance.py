@@ -32,12 +32,9 @@ from minkaehler.charts import (
     shrink_box,
 )
 from minkaehler.gausspar import (
-    FD_STEP_NOISY,
-    SupportFunction,
     extract_from_hypersurface,
     gauss_round_trip,
     minimality_criterion,
-    rebuild_surface,
 )
 from minkaehler.geometry import (
     gnorm_op,
@@ -278,32 +275,30 @@ def test_criterion_8_gauss_round_trip_and_minimality(capsys, m4r5_chart):
     chart = m4r5_chart
     qpts = grid_points(shrink_box(chart.box, 0.6)[:2], [4, 4])
     rt = gauss_round_trip(chart, qpts, quotient_dim=2)
-    worst_rt = max(rt.plane_distance, rt.support_mismatch, rt.gauss_mismatch)
+    plane = float(rt.plane_distance.max())
+    support = float(rt.support_mismatch.max())
+    gauss = float(rt.gauss_mismatch.max())
 
     samples = grid_points(shrink_box(chart.box, 0.6), [3, 3, 2, 2])
     ext = extract_from_hypersurface(chart, samples, expected_rank=2)
-    gamma = SupportFunction(fn=ext.support_section, grad_fn=ext.support_gradient)
-    surface = rebuild_surface(chart, quotient_dim=2)
-    h = FD_STEP_NOISY
-    bound = 10 * h * h
-    pairs = minimality_criterion(surface, gamma, qpts, h=h)
-    worst_trace = max(p.trace_residual for p in pairs)
-    worst_eigen = max(p.eigen_residual for p in pairs)
-    ok = worst_rt < 1e-6 and worst_trace < bound and worst_eigen < bound
+    pairs = minimality_criterion(ext.surface, ext.support, qpts)
+    trace = float(pairs.trace_residual.max())
+    eigen = float(pairs.eigen_residual.max())
+    ok = max(plane, support, gauss) < 1e-14 and trace < 1e-13 and eigen < 1e-14
     announce(
         capsys,
         8,
         ok,
-        f"round trip through (g, gamma) lands on the source leaves: worst "
-        f"mismatch {worst_rt:.2e} < 1e-06; reconstructed minimality pair "
-        f"|trace A| {worst_trace:.2e}, |(Laplace + 2) gamma| {worst_eigen:.2e}, "
-        f"both < 10 h^2 = {bound:.2e} at h = {h:.2e}",
+        f"round trip through (g, gamma) lands on the source leaves: plane "
+        f"{plane:.2e}, support {support:.2e}, Gauss {gauss:.2e}, all < 1e-14; "
+        f"reconstructed minimality pair |trace A| {trace:.2e} < 1e-13, "
+        f"|(Laplace + 2) gamma| {eigen:.2e} < 1e-14, from exact jets",
     )
-    assert rt.plane_distance < 1e-6
-    assert rt.support_mismatch < 1e-6
-    assert rt.gauss_mismatch < 1e-6
-    assert worst_trace < bound
-    assert worst_eigen < bound
+    assert plane < 1e-14
+    assert support < 1e-14
+    assert gauss < 1e-14
+    assert trace < 1e-13
+    assert eigen < 1e-14
 
 
 def test_criterion_9_cylinder_bending_nullity(capsys):

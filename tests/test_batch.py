@@ -1,8 +1,9 @@
 """One batch axis: a point stack evaluates like each of its points alone.
 
 Every frame quantity and every residual the suites use is written once over
-leading point axes.  Here each is evaluated on a (2, 2, d) stack and on its
-four points one at a time; the two must agree to 1e-14 relative.
+leading point axes, and so is every Gauss-parametrization quantity.  Here
+each is evaluated on a (2, 2, d) stack and on its four points one at a
+time; the two must agree to 1e-14 relative.
 """
 
 import numpy as np
@@ -24,6 +25,16 @@ from minkaehler.bending import (
     rotation_coefficient,
 )
 from minkaehler.charts import random_points, shrink_box
+from minkaehler.gausspar import (
+    clifford_torus_surface,
+    gauss_map_identity_residual,
+    gauss_param,
+    gauss_round_trip,
+    linear_support,
+    minimality_criterion,
+    rebuild_support,
+    rebuild_surface,
+)
 from minkaehler.geometry import (
     anticommutation_residual,
     christoffel,
@@ -104,3 +115,64 @@ def test_stack_matches_points_alone(name, quantity, request):
     assert stacked.shape == alone.shape
     scale = max(1.0, float(np.abs(alone).max()))
     np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14 * scale)
+
+
+def _gauss_data(source, request):
+    """(surface, support, quotient box) rebuilt from m4r5 or in closed form."""
+    if source == "m4r5":
+        chart = request.getfixturevalue("m4r5_chart")
+        return rebuild_surface(chart), rebuild_support(chart), chart.box[:2]
+    surface = clifford_torus_surface()
+    return surface, linear_support(surface, [0.7, -0.3, 0.4, 0.2]), surface.box
+
+
+def _psi(surface, gamma):
+    return gauss_param(surface, gamma, check=False)
+
+
+def _lifted(q, w=0.1):
+    return np.concatenate([q, np.full(q.shape[:-1] + (1,), w)], axis=-1)
+
+
+GAUSSPAR = {
+    "g_jet_d2": lambda s, gam, q: s.chart.jet(q).d2,
+    "frame": lambda s, gam, q: s.frame(q),
+    "support": lambda s, gam, q: gam.value(q),
+    "psi_d1": lambda s, gam, q: _psi(s, gam).jet(_lifted(q, 0.0)).d1,
+    "psi_d2": lambda s, gam, q: _psi(s, gam).jet(_lifted(q, 0.0)).d2,
+    "trace": lambda s, gam, q: minimality_criterion(s, gam, q).trace_residual,
+    "eigen": lambda s, gam, q: minimality_criterion(s, gam, q).eigen_residual,
+}
+
+
+@pytest.mark.parametrize("source", ["m4r5", "clifford"])
+@pytest.mark.parametrize("quantity", sorted(GAUSSPAR))
+def test_gausspar_stack_matches_points_alone(source, quantity, request):
+    surface, gamma, box = _gauss_data(source, request)
+    rng = np.random.default_rng(20260816)
+    q = random_points(shrink_box(box, 0.6), 4, rng).reshape(2, 2, 2)
+    fn = GAUSSPAR[quantity]
+    stacked = fn(surface, gamma, q)
+    alone = np.array([[fn(surface, gamma, p) for p in row] for row in q])
+    assert stacked.shape == alone.shape
+    scale = max(1.0, float(np.abs(alone).max()))
+    np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14 * scale)
+
+
+def test_gauss_identity_and_round_trip_stack_matches_points_alone(m4r5_chart):
+    rng = np.random.default_rng(20260816)
+    q = random_points(shrink_box(m4r5_chart.box[:2], 0.6), 4, rng).reshape(2, 2, 2)
+    surface = clifford_torus_surface()
+    psi = _psi(surface, linear_support(surface, [0.7, -0.3, 0.4, 0.2]))
+    qc = random_points(shrink_box(surface.box, 0.6), 4, rng).reshape(2, 2, 2)
+    checks = [
+        lambda p: gauss_map_identity_residual(psi, surface, _lifted(p)),
+        lambda p: gauss_round_trip(m4r5_chart, p).plane_distance,
+        lambda p: gauss_round_trip(m4r5_chart, p).support_mismatch,
+        lambda p: gauss_round_trip(m4r5_chart, p).gauss_mismatch,
+    ]
+    for fn, pts in zip(checks, (qc, q, q, q)):
+        stacked = fn(pts)
+        alone = np.array([[fn(p) for p in row] for row in pts])
+        assert stacked.shape == alone.shape == (2, 2)
+        np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14)

@@ -14,7 +14,6 @@ from minkaehler.bending import (
     classify_triviality,
     codazzi_b_residual,
     conjugate_field,
-    first_variation_metric_residual,
     fundamental_equation_residual,
     gauss_tangency_residual,
     make_cylinder_bending,
@@ -24,7 +23,6 @@ from minkaehler.bending import (
     parallel_tangential_residual,
     recover_bending_decomposition,
     rotation_coefficient,
-    second_variation_metric_residual,
     tangential_covariant_derivative,
 )
 from minkaehler.charts import ProductChart, ellipse_chart, random_points, shrink_box
@@ -38,7 +36,12 @@ from minkaehler.geometry import (
 
 from minkaehler.weierstrass import associated, immersion_f, seed_from_json, seed_to_json
 
-from oracles import fd_codazzi, fd_tangential_covariant_derivative
+from oracles import (
+    fd_codazzi,
+    fd_tangential_covariant_derivative,
+    first_variation_metric_residual,
+    second_variation_metric_residual,
+)
 
 
 def sample(chart, rng, count=4):

@@ -10,9 +10,7 @@ from minkaehler.charts import (
 )
 from minkaehler.errors import DomainError, NonImmersionPointError, PreconditionError
 from minkaehler.gausspar import (
-    FD_STEP_NOISY,
     SphereSurface,
-    SupportFunction,
     clifford_torus_surface,
     constant_support,
     extract_from_hypersurface,
@@ -20,15 +18,16 @@ from minkaehler.gausspar import (
     gauss_param,
     gauss_round_trip,
     geodesic_sphere_surface,
-    leaf_directions,
     linear_support,
     minimality_criterion,
+    rebuild_support,
     rebuild_surface,
     second_legendre_support,
 )
 from minkaehler.geometry import point_frame
+from minkaehler.taylor import Taylor
 
-from oracles import ellipse_support
+from oracles import ellipse_support, fd_jet
 
 
 @pytest.fixture(scope="module")
@@ -62,23 +61,21 @@ class TestBuiltinSurfaces:
         assert clifford.fiber_dim == 1
 
     def test_broken_frame_is_rejected(self, geodesic):
-        broken = SphereSurface(
-            chart=geodesic.chart,
-            frame_fn=lambda p: np.array([[0.0, 0.0, 0.0, 2.0]]),
-        )
+        broken = SphereSurface(chart=geodesic.chart, frame_fn=lambda x: 2.0 * geodesic.frame_fn(x))
         with pytest.raises(PreconditionError):
             broken.verify([[0.5, 1.2]])
 
     def test_frame_shape_is_enforced(self, geodesic):
-        bad = SphereSurface(chart=geodesic.chart, frame_fn=lambda p: np.zeros((2, 4)))
+        bad = SphereSurface(chart=geodesic.chart, frame_fn=lambda x: geodesic.frame_fn(x)[..., [0, 0], :])
         with pytest.raises(DomainError):
             bad.frame([0.5, 1.2])
 
     def test_fd_frame_derivative_matches_analytic(self, clifford):
         p = np.array([0.8, 1.1])
-        analytic = clifford.frame_d1(p)
-        fd = SphereSurface(chart=clifford.chart, frame_fn=clifford.frame_fn).frame_d1(p)
-        np.testing.assert_allclose(fd, analytic, atol=1e-9)
+        xi = clifford.frame_fn(Taylor.variables(p, 2))
+        _, d1, d2 = fd_jet(clifford.frame, p)
+        np.testing.assert_allclose(np.moveaxis(xi.derivatives(1), -1, 0), d1, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(np.moveaxis(xi.derivatives(2), (-2, -1), (0, 1)), d2, rtol=0.0, atol=1e-6)
 
 
 class TestParametrization:
@@ -99,19 +96,18 @@ class TestParametrization:
         surface = request.getfixturevalue(maker)
         gamma = self._minimal_support(maker, surface)
         chart = gauss_param(surface, gamma)
-        for q in surface_grid(surface, 2):
-            for w in (-0.2, 0.0, 0.3):
-                res = gauss_map_identity_residual(chart, surface, np.append(q, w))
-                assert res < 1e-7
+        q = surface_grid(surface, 2)
+        for w in (-0.2, 0.0, 0.3):
+            res = gauss_map_identity_residual(chart, surface, np.column_stack([q, np.full(len(q), w)]))
+            assert res.max() < 1e-12
 
     @pytest.mark.parametrize("maker", ["geodesic", "clifford"])
     def test_minimal_support_gives_minimal_chart(self, maker, request):
         surface = request.getfixturevalue(maker)
         gamma = self._minimal_support(maker, surface)
         pairs = minimality_criterion(surface, gamma, surface_grid(surface, 2))
-        for pair in pairs:
-            assert pair.trace_residual < 2e-6
-            assert pair.eigen_residual < 2e-6
+        assert pairs.trace_residual.max() < 5e-13
+        assert pairs.eigen_residual.max() < 5e-14
 
     def test_degenerate_support_is_detected(self, geodesic):
         # On the equatorial sphere grad <a, g> = a - <a, g> g, so the base
@@ -124,16 +120,15 @@ class TestParametrization:
     def test_constant_support_is_not_minimal(self, geodesic):
         gamma = constant_support(1.0)
         pairs = minimality_criterion(geodesic, gamma, surface_grid(geodesic, 2))
-        for pair in pairs:
-            assert pair.trace_residual > 1e-2
-            assert pair.eigen_residual == pytest.approx(2.0, abs=1e-9)
+        assert pairs.trace_residual.min() > 1e-2
+        np.testing.assert_allclose(pairs.eigen_residual, 2.0, rtol=0.0, atol=1e-9)
 
     def test_support_identity_along_fibers(self, clifford):
         # <Psi, g> = gamma for every fiber coordinate
         gamma = linear_support(clifford, [0.5, 0.1, -0.2, 0.3])
         chart = gauss_param(clifford, gamma)
         q = np.array([0.9, 1.3])
-        g = clifford.g_jet(q).value
+        g = clifford.chart.value(q)
         for w in (-0.3, 0.0, 0.25):
             psi = chart.value(np.append(q, w))
             assert float(psi @ g) == pytest.approx(gamma.value(q), abs=1e-12)
@@ -165,9 +160,9 @@ class TestExtraction:
         for ci, idx in enumerate(res.clusters):
             q = samples[idx[0]][:2]
             np.testing.assert_allclose(
-                res.gauss_section(q), res.normals[ci], atol=1e-9
+                res.surface.chart.value(q), res.normals[ci], atol=1e-9
             )
-            assert res.support_section(q) == pytest.approx(res.supports[ci], abs=1e-9)
+            assert res.support.value(q) == pytest.approx(res.supports[ci], abs=1e-9)
 
     def test_full_rank_chart_is_rejected(self):
         chart = sphere_chart()
@@ -196,31 +191,35 @@ class TestRoundTrip:
         qbox = shrink_box(m4r5_chart.box[:2], 0.6)
         qpts = grid_points(qbox, 3)
         res = gauss_round_trip(m4r5_chart, qpts, quotient_dim=2)
-        # plane and support come out at roundoff: the rebuilt point is
-        # gamma g + grad gamma + 0 with every ingredient from closed jets
-        assert res.plane_distance < 1e-10
-        assert res.support_mismatch < 1e-10
-        assert res.gauss_mismatch < 1e-6
+        # all three come out at roundoff: the rebuilt chart's jets are
+        # exact, every ingredient read from the source chart's 4-jets
+        assert res.plane_distance.max() < 1e-14
+        assert res.support_mismatch.max() < 1e-14
+        assert res.gauss_mismatch.max() < 1e-14
 
     def test_cylinder_round_trip(self, cylinder):
         qpts = grid_points(shrink_box(cylinder.box[:1], 0.8), [4])
         res = gauss_round_trip(cylinder, qpts, quotient_dim=1)
-        assert res.plane_distance < 1e-7
-        assert res.support_mismatch < 1e-7
+        assert res.plane_distance.max() < 1e-14
+        assert res.support_mismatch.max() < 1e-14
+        assert res.gauss_mismatch.max() < 1e-14
 
     def test_rebuilt_surface_verifies(self, m4r5_chart):
         surface = rebuild_surface(m4r5_chart, quotient_dim=2)
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 2)
         # the leaf directions are tangent to the sphere at the normal and
         # orthogonal to the Gauss image's derivative: verified, not assumed
-        assert surface.verify(qpts, tol=1e-6) < 1e-7
+        assert surface.verify(qpts, tol=1e-14) < 1e-14
 
     def test_leaf_directions_are_orthonormal_and_tangent(self, m4r5_chart):
         q = np.array([0.1, -0.05])
-        L = leaf_directions(m4r5_chart, q, quotient_dim=2)
-        np.testing.assert_allclose(L.T @ L, np.eye(2), atol=1e-12)
+        L = rebuild_surface(m4r5_chart, quotient_dim=2).frame(q)
+        np.testing.assert_allclose(L @ L.T, np.eye(2), atol=1e-12)
         fr = point_frame(m4r5_chart.jet(np.array([0.1, -0.05, 0.0, 0.0])))
-        np.testing.assert_allclose(L.T @ fr.normal, 0.0, atol=1e-12)
+        np.testing.assert_allclose(L @ fr.normal, 0.0, atol=1e-12)
+        # the rows span the fiber partials, the leaf's tangent directions
+        fiber = fr.jet.d1[2:]
+        np.testing.assert_allclose(fiber - (fiber @ L.T) @ L, 0.0, atol=1e-12)
 
     def test_rebuild_needs_fiber_coordinates(self, enneper_chart):
         with pytest.raises(PreconditionError):
@@ -231,43 +230,49 @@ class TestRoundTrip:
         chart = surface.chart
         for q in grid_points(shrink_box(chart.box, 0.6), 2):
             jet = chart.jet(q)
-            h = 1e-5
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = h
-                fd = (chart.value_fn(q + e) - chart.value_fn(q - e)) / (2 * h)
-                np.testing.assert_allclose(jet.d1[i], fd, atol=1e-8)
+            _, d1, d2 = fd_jet(chart.value, q)
+            np.testing.assert_allclose(jet.d1, d1, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(jet.d2, d2, rtol=0.0, atol=1e-6)
+            # the leaf frame's partials too
+            xi = surface.frame_fn(Taylor.variables(q, 1)).derivatives(1)
+            _, fd, _ = fd_jet(surface.frame, q)
+            np.testing.assert_allclose(np.moveaxis(xi, -1, 0), fd, rtol=0.0, atol=1e-9)
 
     def test_extracted_support_gradient_matches_differences(self, m4r5_chart):
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
         res = extract_from_hypersurface(m4r5_chart, samples, expected_rank=2)
-        fd_gamma = SupportFunction(fn=res.support_section)
         for q in grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 3):
-            np.testing.assert_allclose(
-                res.support_gradient(q), fd_gamma.gradient(q), atol=1e-8
-            )
+            gam = res.support.fn(Taylor.variables(q, 2))
+            _, grad, hess = fd_jet(res.support.value, q)
+            np.testing.assert_allclose(gam.derivatives(1), grad, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(gam.derivatives(2), hess, rtol=0.0, atol=1e-6)
 
     def test_reconstruction_satisfies_minimality_bound(self, m4r5_chart):
         # the full loop: extract (g, gamma), rebuild the sphere surface,
         # re-parametrize, and check both sides of the minimality
-        # equivalence against the stated 10 h^2 differencing bound
+        # equivalence at roundoff, every jet exact
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
         res = extract_from_hypersurface(m4r5_chart, samples, expected_rank=2)
-        gamma = SupportFunction(fn=res.support_section, grad_fn=res.support_gradient)
-        surface = rebuild_surface(m4r5_chart, quotient_dim=2)
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 3)
-        h = FD_STEP_NOISY
-        pairs = minimality_criterion(surface, gamma, qpts, h=h)
-        bound = 10 * h * h
-        assert max(p.trace_residual for p in pairs) < bound
-        assert max(p.eigen_residual for p in pairs) < bound
+        pairs = minimality_criterion(res.surface, res.support, qpts)
+        assert pairs.trace_residual.max() < 1e-13
+        assert pairs.eigen_residual.max() < 1e-14
 
 
 class TestSupportFunction:
     def test_fd_gradient_matches_analytic(self, clifford):
-        gamma_a = linear_support(clifford, [0.7, -0.3, 0.4, 0.2])
-        gamma_fd = SupportFunction(fn=gamma_a.fn)
         p = np.array([0.8, 1.2])
-        np.testing.assert_allclose(
-            gamma_fd.gradient(p), gamma_a.gradient(p), atol=1e-9
-        )
+        for gamma in (linear_support(clifford, [0.7, -0.3, 0.4, 0.2]), second_legendre_support()):
+            exact = gamma.fn(Taylor.variables(p, 2))
+            value, grad, hess = fd_jet(gamma.value, p)
+            assert exact.value == value
+            np.testing.assert_allclose(exact.derivatives(1), grad, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(exact.derivatives(2), hess, rtol=0.0, atol=1e-6)
+
+    def test_rebuilt_support_is_the_chart_support(self, m4r5_chart):
+        # gamma = <f, N> at the zero-fiber point, from the rebuilt section
+        qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 2)
+        fr = point_frame(m4r5_chart.jet(np.column_stack([qpts, np.zeros((len(qpts), 2))])))
+        want = np.einsum("pc,pc->p", fr.jet.value, fr.normal)
+        got = rebuild_support(m4r5_chart, quotient_dim=2).value(qpts)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from minkaehler.bending import make_cylinder_bending
 from minkaehler.charts import (
-    FDJetChart,
     Jet2,
     ProductChart,
     ellipse_chart,
@@ -34,16 +34,19 @@ from minkaehler.geometry import (
     minimality_residual,
     point_frame,
     rank_and_nullity,
-    scalar_fd_jet,
-    weingarten_residual,
 )
+from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
+from minkaehler.suites import _quadratic_control_field
+from minkaehler.taylor import Taylor
 from minkaehler.weierstrass import chart_complex_structure
 
 from oracles import (
     ellipse_support,
     fd_christoffel,
+    fd_jet,
     polar_christoffel,
     sphere_harmonic_eigencheck,
+    weingarten_residual,
 )
 
 
@@ -237,6 +240,12 @@ class TestChristoffel:
         np.testing.assert_array_equal(metric_of(catenoid_chart, p), d1 @ d1.T)
 
 
+def scalar_jets(fn, p) -> tuple:
+    """(value, gradient, Hessian) of a scalar Taylor formula at p."""
+    gam = fn(Taylor.variables(np.asarray(p, dtype=np.float64), 2))
+    return gam.value, gam.derivatives(1), gam.derivatives(2)
+
+
 class TestScalarCalculus:
     def test_fd_jet_on_quadratic(self):
         A = np.array([[2.0, 0.5], [0.5, -1.0]])
@@ -246,33 +255,31 @@ class TestScalarCalculus:
             return 0.5 * p @ A @ p + b @ p + 2.0
 
         p = np.array([0.4, -0.2])
-        val, grad, hess = scalar_fd_jet(fn, p)
+        val, grad, hess = fd_jet(fn, p)
         assert val == pytest.approx(fn(p))
         np.testing.assert_allclose(grad, A @ p + b, atol=1e-9)
         np.testing.assert_allclose(hess, A, atol=1e-6)
 
     def test_laplacian_flat_cartesian(self):
-        chart = plane_chart()
-        val = laplace_beltrami(chart, lambda p: p @ p, [0.2, 0.1])
-        assert val == pytest.approx(4.0, abs=1e-6)
+        p = np.array([0.2, 0.1])
+        _, grad, hess = scalar_jets(lambda x: (x * x).sum(-1), p)
+        val = laplace_beltrami(plane_chart().jet(p), grad, hess)
+        assert val == pytest.approx(4.0, abs=1e-13)
 
     def test_laplacian_flat_polar(self):
         # same function r^2 = x^2 + y^2 expressed in polar coordinates;
         # the Christoffel correction must reproduce Delta = 4
-        chart = polar_plane_chart()
-        val = laplace_beltrami(chart, lambda p: p[0] ** 2, [1.1, 0.6])
-        assert val == pytest.approx(4.0, abs=1e-6)
+        p = np.array([1.1, 0.6])
+        _, grad, hess = scalar_jets(lambda x: x[..., 0] * x[..., 0], p)
+        val = laplace_beltrami(polar_plane_chart().jet(p), grad, hess)
+        assert val == pytest.approx(4.0, abs=1e-13)
 
     def test_sphere_degree_one_harmonic(self):
         chart = sphere_chart()
-
-        def gamma(p):
-            return chart.value(p)[2]
-
-        for p in ([0.5, 1.2], [0.9, 1.7]):
-            got = laplace_beltrami(chart, gamma, p)
-            want = sphere_harmonic_eigencheck(gamma(np.asarray(p)))
-            assert got == pytest.approx(want, abs=2e-6)
+        pts = np.array([[0.5, 1.2], [0.9, 1.7]])
+        val, grad, hess = scalar_jets(lambda x: chart.fn(x)[..., 2], pts)
+        got = laplace_beltrami(chart.jet(pts), grad, hess)
+        np.testing.assert_allclose(got, sphere_harmonic_eigencheck(val), rtol=0.0, atol=1e-13)
 
 
 class TestCurvatureIdentities:
@@ -368,21 +375,58 @@ class TestSampling:
         np.testing.assert_allclose(small, [[1.0, 3.0], [-1.0, 1.0]])
 
 
-class TestFDJetChart:
+class TestFDJetOracle:
     def test_matches_analytic_sphere_jets(self):
-        analytic = sphere_chart()
-        fd = FDJetChart(
-            d=2, ambient=3, box=analytic.box, value_fn=lambda p: analytic.value(p)
-        )
+        chart = sphere_chart()
         p = np.array([0.8, 1.4])
-        ja, jf = analytic.jet(p), fd.jet(p)
-        np.testing.assert_allclose(jf.d1, ja.d1, atol=1e-9)
-        np.testing.assert_allclose(jf.d2, ja.d2, atol=1e-6)
+        exact = chart.jet(p)
+        _, d1, d2 = fd_jet(chart.value, p)
+        np.testing.assert_allclose(d1, exact.d1, atol=1e-9)
+        np.testing.assert_allclose(d2, exact.d2, atol=1e-6)
 
     def test_frames_agree_through_fd_jets(self):
-        analytic = sphere_chart()
-        fd = FDJetChart(
-            d=2, ambient=3, box=analytic.box, value_fn=lambda p: analytic.value(p)
-        )
-        fr = point_frame(fd.jet([0.6, 1.1]))
+        p = np.array([0.6, 1.1])
+        fr = point_frame(Jet2(p, *fd_jet(sphere_chart().value, p)))
         np.testing.assert_allclose(fr.shape_operator, np.eye(2), atol=1e-5)
+
+
+class _Bundle:
+    """The one attribute the control-field builder reads."""
+
+    def __init__(self, chart):
+        self.chart = chart
+
+
+def _closed_form_charts():
+    cylinder = ProductChart(profile=ellipse_chart(), extra=1)
+    return {
+        "sphere": sphere_chart(),
+        "plane": plane_chart(3),
+        "polar_plane": polar_plane_chart(),
+        "ellipse": ellipse_chart(),
+        "cylinder_bending": make_cylinder_bending(cylinder, 1.5, 0.8),
+        "bending_tpar_control": _quadratic_control_field(_Bundle(plane_chart(4))),
+        "geodesic_sphere": geodesic_sphere_surface().chart,
+        "clifford_torus": clifford_torus_surface().chart,
+    }
+
+
+class TestTaylorCharts:
+    """Every closed-form chart keeps only its value formula; its exact jets
+    must match central differences of that formula."""
+
+    @pytest.mark.parametrize("name", sorted(_closed_form_charts()))
+    def test_jets_match_fd_oracle(self, name, rng):
+        chart = _closed_form_charts()[name]
+        for p in random_points(shrink_box(chart.box, 0.8), 3, rng):
+            exact = chart.jet(p)
+            _, d1, d2 = fd_jet(chart.value, p)
+            np.testing.assert_allclose(exact.d1, d1, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(exact.d2, d2, rtol=0.0, atol=1e-6)
+
+    def test_third_partials_match_fd_of_second(self, rng):
+        chart = sphere_chart()
+        p = random_points(shrink_box(chart.box, 0.8), 1, rng)[0]
+        d3 = chart.jet(p, order=3).d3
+        _, fd, _ = fd_jet(lambda q: chart.jet(q).d2, p)
+        np.testing.assert_allclose(d3, np.moveaxis(fd, 0, -2), rtol=0.0, atol=1e-9)

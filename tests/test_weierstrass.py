@@ -251,9 +251,38 @@ class TestJets:
                 fd = (chart.jet_batch(p + e)[2] - chart.jet_batch(p - e)[2])[0] / (2 * h)
                 np.testing.assert_allclose(d3[k, :, :, l], fd, rtol=0.0, atol=1e-9 * scale)
 
+    @pytest.mark.parametrize("name", ["enneper", "m4r5", "n3"])
+    def test_fourth_order_jets(self, name, request):
+        chart = request.getfixturevalue(f"{name}_chart")
+        rng = np.random.default_rng(12)
+        box = chart.box * 0.8
+        pts = rng.uniform(box[:, 0], box[:, 1], size=(3, chart.d))
+        jets = chart.jet_batch(pts, order=4)
+        # orders 0-3 keep the bits of the order-3 stack
+        for lower, exact in zip(jets[:4], chart.jet_batch(pts, order=3)):
+            assert lower.tobytes() == exact.tobytes()
+        d4 = jets[4]
+        for axes in ((0, 2, 1, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 4, 3, 5)):
+            assert np.array_equal(d4, d4.transpose(axes))
+        h = np.finfo(np.float64).eps ** (1.0 / 3.0)
+        scale = max(1.0, float(np.abs(d4).max()))
+        for k, p in enumerate(pts):
+            for l in range(chart.d):
+                e = np.zeros(chart.d)
+                e[l] = h
+                fd = (chart.jet_batch(p + e, order=3)[3] - chart.jet_batch(p - e, order=3)[3])[0] / (2 * h)
+                np.testing.assert_allclose(d4[k, :, :, :, l], fd, rtol=0.0, atol=1e-9 * scale)
+
     def test_jet_order_is_checked(self, enneper_chart):
         with pytest.raises(DomainError):
-            enneper_chart.jet_batch(np.zeros((1, 2)), order=4)
+            enneper_chart.jet_batch(np.zeros((1, 2)), order=-1)
+        # orders below 2 are slices of the 2-jet
+        pts = np.array([[0.1, -0.2]])
+        for k in (0, 1):
+            low = enneper_chart.jet_batch(pts, order=k)
+            assert len(low) == k + 1
+            for a, b in zip(low, enneper_chart.jet_batch(pts)):
+                assert a.tobytes() == b.tobytes()
 
     def test_batch_matches_single(self, catenoid_chart):
         pts = np.array([[0.1, 0.2], [-0.15, 0.0], [0.0, -0.3]])
