@@ -19,8 +19,16 @@ A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
 over the same coordinates: ``jet_batch(pts, order)`` returns the value and
 partials of T on a point stack.  A chart is its own position field, the
 conjugate field is the mate chart of the associated family, and f + tT is
-a :class:`CombinationField`.  Every residual below takes points of shape
-(..., d) and returns one value per point.
+a :class:`CombinationField`.
+
+Every residual and every route to B below takes the chart's
+:class:`~minkaehler.geometry.PointFrame` on a point stack of shape
+(..., d) and the field's :class:`~minkaehler.charts.Jet2` on the same
+stack, and returns one value per point; the caller evaluates each jet and
+frame once and hands it to every check that reads it.  The jets of f + tT
+are formed from those two jets.  Only :func:`classify_triviality` and
+:func:`recover_bending_decomposition` take charts and points, and build
+their one frame themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .geometry import (
     covariant_field_derivative,
     gnorm_columns,
     gnorm_op,
-    metric_of,
     point_frame,
 )
 from .taylor import Taylor
@@ -150,36 +157,41 @@ def make_cylinder_bending(cylinder, a: float, b: float) -> TaylorChart:
 
 # -- bending / preservation residuals -----------------------------------------
 
-def bending_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
+def bending_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """max_ij |<T_i, f_j> + <T_j, f_i>| over the normalizing scale.
 
-    Zero exactly when T is an infinitesimal bending at p.
+    Zero exactly when T is an infinitesimal bending at the point.
     """
-    f1 = chart.jet(p).d1
-    t1 = fld.jet(p).d1
+    f1 = frame.jet.d1
+    t1 = field_jet.d1
     sym = t1 @ _t(f1)
     sym = sym + _t(sym)
     scale = np.linalg.norm(f1, axis=(-2, -1)) * np.linalg.norm(t1, axis=(-2, -1))
     return np.abs(sym).max(axis=(-2, -1)) / np.maximum(scale, TINY)
 
 
-def gauss_tangency_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
-    """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at p,
-    the first-order criterion for the variation to preserve the normal."""
-    normal = point_frame(chart.jet(p)).normal
-    t1 = fld.jet(p).d1
+def gauss_tangency_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+    """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at the
+    point, the first-order criterion for the variation to preserve the normal."""
+    normal = frame.normal
+    t1 = field_jet.d1
     nrm = np.linalg.norm(t1, axis=-1)
     tilt = np.abs((t1 @ normal[..., None])[..., 0])
     return np.where(nrm > 1e-14, tilt / np.maximum(nrm, TINY), 0.0).max(axis=-1)
 
 
-def normal_variation_residual(
-    chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4
-) -> np.ndarray:
+def _deformed_frame(frame: PointFrame, field_jet: Jet2, t: float) -> PointFrame:
+    """The frame of f + tT, from the 2-jets of f and T (exact in t, since
+    the deformation is affine)."""
+    jf, jt = frame.jet, field_jet
+    return point_frame(Jet2(jf.coords, jf.value + t * jt.value, jf.d1 + t * jt.d1, jf.d2 + t * jt.d2))
+
+
+def normal_variation_residual(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> np.ndarray:
     """||N(eps) - N(-eps)|| / (2 eps): the t-derivative of the unit normal
     along f + tT, which vanishes for Gauss-map-preserving variations."""
-    np_ = point_frame(CombinationField((chart, fld), (1.0, eps)).jet(p)).normal
-    nm = point_frame(CombinationField((chart, fld), (1.0, -eps)).jet(p)).normal
+    np_ = _deformed_frame(frame, field_jet, eps).normal
+    nm = _deformed_frame(frame, field_jet, -eps).normal
     return np.linalg.norm(np_ - nm, axis=-1) / (2 * eps)
 
 
@@ -207,12 +219,11 @@ class BTensor:
         return BTensor(op=np.linalg.solve(metric, _t(form)), form=form, metric=metric)
 
 
-def B_by_fd(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> BTensor:
+def B_by_fd(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> BTensor:
     """B as the symmetric t-derivative of the shape operator of f + tT."""
-    ap = point_frame(CombinationField((chart, fld), (1.0, eps)).jet(p)).shape_operator
-    am = point_frame(CombinationField((chart, fld), (1.0, -eps)).jet(p)).shape_operator
-    g0 = metric_of(chart, p)
-    return BTensor.from_op((ap - am) / (2 * eps), g0)
+    ap = _deformed_frame(frame, field_jet, eps).shape_operator
+    am = _deformed_frame(frame, field_jet, -eps).shape_operator
+    return BTensor.from_op((ap - am) / (2 * eps), frame.metric)
 
 
 def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
@@ -222,12 +233,11 @@ def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     return (corrected @ frame.normal[..., None, :, None])[..., 0]
 
 
-def B_by_formula(chart: ImmersionChart, fld: ImmersionChart, p) -> BTensor:
+def B_by_formula(frame: PointFrame, field_jet: Jet2) -> BTensor:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
     with the normal.  Exact from the 2-jets of f and T, and identically
     zero on trivial fields."""
-    frame = point_frame(chart.jet(p))
-    return BTensor.from_form(_b_form(frame, fld.jet(p)), frame.metric)
+    return BTensor.from_form(_b_form(frame, field_jet), frame.metric)
 
 
 def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
@@ -237,32 +247,28 @@ def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     return np.linalg.solve(frame.metric, rhs)
 
 
-def B_by_BAT(chart: ImmersionChart, fld: ImmersionChart, p) -> BTensor:
+def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> BTensor:
     """B as the composition A T_* (valid for Gauss-map-preserving fields)."""
-    frame = point_frame(chart.jet(p))
-    tstar = tangential_derivative(frame, fld.jet(p))
+    tstar = tangential_derivative(frame, field_jet)
     return BTensor.from_op(frame.shape_operator @ tstar, frame.metric)
 
 
-def b_route_agreement(chart: ImmersionChart, fld: ImmersionChart, p, eps: float = 1e-4) -> np.ndarray:
+def b_route_agreement(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
-    frame = point_frame(chart.jet(p))
     ops = [
-        B_by_fd(chart, fld, p, eps=eps).op,
-        B_by_formula(chart, fld, p).op,
-        B_by_BAT(chart, fld, p).op,
+        B_by_fd(frame, field_jet, eps=eps).op,
+        B_by_formula(frame, field_jet).op,
+        B_by_BAT(frame, field_jet).op,
     ]
     scale = np.maximum(np.max([gnorm_op(frame.chol, op) for op in ops], axis=0), 1.0)
     worst = np.max([gnorm_op(frame.chol, ops[i] - ops[j]) for i, j in ((0, 1), (0, 2), (1, 2))], axis=0)
     return worst / scale
 
 
-def bat_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
+def bat_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    frame = point_frame(chart.jet(p))
-    jf = fld.jet(p)
-    b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, jf)))
-    at = frame.shape_operator @ tangential_derivative(frame, jf)
+    b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, field_jet)))
+    at = frame.shape_operator @ tangential_derivative(frame, field_jet)
     den = gnorm_op(frame.chol, at)
     return gnorm_op(frame.chol, b_op - at) / np.maximum(den, 1e-14)
 
@@ -287,18 +293,16 @@ def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2) -> np.nd
     return covariant_field_derivative(christoffel(jb), tstar, dT)
 
 
-def parallel_tangential_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
+def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
     the tangential part of dT in the induced connection."""
-    frame = point_frame(chart.jet(p))
-    jf = fld.jet(p)
-    nab = tangential_covariant_derivative(frame, jf)
-    den = gnorm_op(frame.chol, tangential_derivative(frame, jf))
+    nab = tangential_covariant_derivative(frame, field_jet)
+    den = gnorm_op(frame.chol, tangential_derivative(frame, field_jet))
     worst = gnorm_columns(frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
-    return worst / (math.sqrt(chart.d) * np.maximum(den, 1e-14))
+    return worst / (math.sqrt(frame.d) * np.maximum(den, 1e-14))
 
 
-def B_with_derivative(chart: SeriesChart, fld: SeriesChart, p) -> tuple:
+def B_with_derivative(jet: Jet2, field_jet: Jet2) -> tuple:
     """(frame, op, dop): the frame of f, B as an operator and dop[..., l] =
     d_l op, exact from the 3-jets (``jet(p, order=3)``) of f and T.
 
@@ -312,7 +316,7 @@ def B_with_derivative(chart: SeriesChart, fld: SeriesChart, p) -> tuple:
     d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
     a d^4 array per point, is formed.
     """
-    jet, tj = chart.jet(p, order=3), fld.jet(p, order=3)
+    tj = field_jet
     frame = point_frame(jet)
     G, N, f1, f2 = frame.metric, frame.normal, jet.d1, jet.d2
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
@@ -333,12 +337,13 @@ def B_with_derivative(chart: SeriesChart, fld: SeriesChart, p) -> tuple:
     return frame, op, np.linalg.solve(G[..., None, :, :], _t(dform) - dG @ op[..., None, :, :])
 
 
-def codazzi_b_residual(chart: SeriesChart, fld: SeriesChart, p) -> np.ndarray:
-    """Codazzi-type symmetry of the covariant derivative of B."""
-    return codazzi_residual(*B_with_derivative(chart, fld, p))
+def codazzi_b_residual(jet: Jet2, field_jet: Jet2) -> np.ndarray:
+    """Codazzi-type symmetry of the covariant derivative of B, from the
+    3-jets of f and T."""
+    return codazzi_residual(*B_with_derivative(jet, field_jet))
 
 
-def fundamental_equation_residual(chart: ImmersionChart, fld: ImmersionChart, p) -> np.ndarray:
+def fundamental_equation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """Linearized curvature identity: A X ^ B Y + B X ^ A Y = 0.
 
     Differentiating the curvature of the isometric family f + tT in t must
@@ -346,12 +351,11 @@ def fundamental_equation_residual(chart: ImmersionChart, fld: ImmersionChart, p)
     sizes of the lowered operators.  The wedge (u ^ v) Z = <v, Z>_G u -
     <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.
     """
-    frame = point_frame(chart.jet(p))
     A = frame.shape_operator
-    B = np.linalg.solve(frame.metric, _t(_b_form(frame, fld.jet(p))))
+    B = np.linalg.solve(frame.metric, _t(_b_form(frame, field_jet)))
     GA = frame.metric @ A
     GB = frame.metric @ B
-    iu, ju = np.triu_indices(chart.d, 1)
+    iu, ju = np.triu_indices(frame.d, 1)
 
     def outer(U, i, V, j):  # [..., pair, a, b] = (U e_i)_a (V e_j)_b
         return np.einsum("...ap,...bp->...pab", U[..., :, i], V[..., :, j])
@@ -384,7 +388,7 @@ class RotationData:
     basis: np.ndarray         # (..., d, 2) oriented G-orthonormal top-curvature pair
 
 
-def rotation_coefficient(chart: ImmersionChart, fld: ImmersionChart, p, J=None) -> RotationData:
+def rotation_coefficient(frame: PointFrame, field_jet: Jet2, J=None) -> RotationData:
     """The rotation coefficient of T_* on the top-curvature plane.
 
     The two G-orthonormal eigenvectors of largest |curvature| span the
@@ -393,14 +397,13 @@ def rotation_coefficient(chart: ImmersionChart, fld: ImmersionChart, p, J=None) 
     T_* must be c times the quarter-turn rotation; the fit residual is the
     Frobenius distance to the best such multiple.
     """
-    frame = point_frame(chart.jet(p))
     if J is None:
-        J = chart_complex_structure(chart.d)
+        J = chart_complex_structure(frame.d)
     basis = frame.eigenvectors[..., :, :2].copy()
     v1, v2 = basis[..., 0], basis[..., 1]
     flip = np.sum((v1 @ _t(J)) * (frame.metric @ v2[..., None])[..., 0], axis=-1) < 0
     basis[..., 1] = np.where(flip[..., None], -v2, v2)
-    tstar = tangential_derivative(frame, fld.jet(p))
+    tstar = tangential_derivative(frame, field_jet)
     M = _t(basis) @ frame.metric @ (tstar @ basis)
     c = 0.5 * (M[..., 1, 0] - M[..., 0, 1])
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -430,14 +433,14 @@ def classify_triviality(
     ||B||_G / (||A||_G * sigma) with sigma the relative field size.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    worst_bend = float(bending_residual(chart, fld, pts).max())
+    frame = point_frame(chart.jet(pts))
+    jf = fld.jet(pts)
+    worst_bend = float(bending_residual(frame, jf).max())
     if worst_bend > bending_tol:
         raise PreconditionError(
             f"field is not an infinitesimal bending on the sample "
             f"(worst symmetrized residual {worst_bend:.3g} > {bending_tol:g})"
         )
-    frame = point_frame(chart.jet(pts))
-    jf = fld.jet(pts)
     sizes = np.linalg.norm(jf.d1, axis=(-2, -1)) / np.maximum(
         np.linalg.norm(frame.jet.d1, axis=(-2, -1)), TINY
     )
@@ -470,15 +473,16 @@ def recover_bending_decomposition(
     the worst pointwise misfit relative to the field size.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    ref = conjugate_field(chart)
-    bt = B_by_formula(chart, fld, pts).form
-    br = B_by_formula(chart, ref, pts).form
+    frame = point_frame(chart.jet(pts))
+    jf, jr = fld.jet(pts), conjugate_field(chart).jet(pts)
+    bt = B_by_formula(frame, jf).form
+    br = B_by_formula(frame, jr).form
     c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)
     m1 = chart.ambient
     pairs = [(a, b) for a in range(m1) for b in range(a + 1, m1)]
-    base = chart.jet(pts).value
-    field = fld.jet(pts).value
-    resid = field - c * ref.jet(pts).value
+    base = frame.jet.value
+    field = jf.value
+    resid = field - c * jr.value
     # rows [point, component]: entry D[a, b] = x contributes x * f[b] to
     # component a and -x * f[a] to component b; w adds to its own component
     design = np.zeros((len(pts), m1, len(pairs) + m1))

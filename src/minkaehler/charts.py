@@ -1,15 +1,13 @@
-"""Chart infrastructure: jets, sampling boxes, and analytic test charts.
+"""Chart infrastructure: jets, sampling boxes, and closed-form charts.
 
 An immersion chart maps an open box of R^d into R^{m+1} and reports the
 jet (value, first partials, second partials) at a stack of points of its
 box through ``jet_batch``; ``jet`` wraps that stack as a :class:`Jet2`
 with the points' leading axes, a single point being the case with none.
 Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`;
-this module holds the shared protocol plus the small closed-form charts the
-test oracles lean on (sphere, plane, polar plane, plane curves, products
-with a Euclidean factor).  A closed-form chart is a :class:`TaylorChart`:
-one value formula in Taylor arithmetic, whose jets of every order are
-exact.
+this module holds the shared protocol, products with a Euclidean factor,
+and :class:`TaylorChart`, the closed-form chart: one value formula in
+Taylor arithmetic, whose jets of every order are exact.
 """
 
 from __future__ import annotations
@@ -128,56 +126,6 @@ class ProductChart(ImmersionChart):
         out[0][:, mp:] = pts[:, dp:]
         out[1][:, dp:, mp:] = np.eye(self.extra)
         return tuple(out)
-
-
-def sphere_chart(box=None) -> TaylorChart:
-    """Unit sphere S^2 in R^3, oriented so the frame normal points inward.
-
-    Coordinates (s, t) = (azimuth, polar angle); the index-order normal of
-    (f_s, f_t) is -f, so the shape operator is +Identity.
-    """
-    if box is None:
-        box = np.array([[0.2, 1.4], [0.7, 2.3]])
-
-    def fn(x):
-        s, t = x[..., 0], x[..., 1]
-        return Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos()])
-
-    return TaylorChart(2, 3, np.asarray(box, float), fn)
-
-
-def plane_chart(d: int = 2, box=None) -> TaylorChart:
-    """Affine d-plane in R^{d+1}: zero shape operator, rank 0."""
-    if box is None:
-        box = np.array([[-1.0, 1.0]] * d)
-    return TaylorChart(
-        d, d + 1, np.asarray(box, float), lambda x: Taylor.stack([x[..., i] for i in range(d)] + [1.0])
-    )
-
-
-def polar_plane_chart(box=None) -> TaylorChart:
-    """Flat plane in R^3 in polar coordinates (r, theta).
-
-    Metric diag(1, r^2); the closed-form Christoffel symbols
-    Gamma^r_tt = -r, Gamma^t_rt = 1/r serve as a finite-difference oracle.
-    """
-    if box is None:
-        box = np.array([[0.5, 2.0], [0.2, 1.2]])
-
-    def fn(x):
-        r, t = x[..., 0], x[..., 1]
-        return Taylor.stack([r * t.cos(), r * t.sin(), 0.0])
-
-    return TaylorChart(2, 3, np.asarray(box, float), fn)
-
-
-def ellipse_chart(a: float = 1.5, b: float = 0.8, box=None) -> TaylorChart:
-    """Plane curve (a cos t, b sin t) as a 1-dimensional chart in R^2."""
-    if box is None:
-        box = np.array([[0.3, 2.8]])
-    return TaylorChart(
-        1, 2, np.asarray(box, float), lambda x: Taylor.stack([a * x[..., 0].cos(), b * x[..., 0].sin()])
-    )
 
 
 def grid_points(box, counts) -> np.ndarray:

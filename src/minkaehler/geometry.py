@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .charts import ImmersionChart, Jet2
+from .charts import Jet2
 from .errors import (
     DomainError,
     IndeterminateRankWarning,
@@ -171,12 +171,6 @@ def rank_and_nullity(frame: PointFrame, rel_tol: float = 1e-7) -> RankResult:
     keep = absvals > cutoff
     rank = keep.sum(axis=-1)
     return RankResult(rank, frame.d - rank, ~keep, indeterminate)
-
-
-def metric_of(chart: ImmersionChart, p) -> np.ndarray:
-    """Induced metric G_ij = <f_i, f_j> at p."""
-    d1 = chart.jet(p).d1
-    return d1 @ _t(d1)
 
 
 def christoffel(jet: Jet2) -> np.ndarray:

@@ -38,7 +38,6 @@ import numpy as np
 
 from .bending import (
     B_by_formula,
-    TrivialField,
     b_route_agreement,
     bat_residual,
     bending_residual,
@@ -54,6 +53,7 @@ from .bending import (
 )
 from .charts import (
     ImmersionChart,
+    Jet2,
     TaylorChart,
     grid_points,
     random_points,
@@ -159,9 +159,16 @@ class ChartBundle:
     def conjugate(self) -> ImmersionChart:
         return conjugate_field(self.chart)
 
-    def frames(self) -> PointFrame:
-        """The frame stack over the sample grid, one jet batch per call."""
+    @cached_property
+    def frame(self) -> PointFrame:
+        """The chart's frame stack over the sample grid, built on first use
+        and shared by every suite."""
         return point_frame(self.chart.jet(self.points))
+
+    @cached_property
+    def conjugate_jet(self) -> Jet2:
+        """The conjugate field's 2-jet over the sample grid, built on first use."""
+        return self.conjugate.jet(self.points)
 
     def route_points(self, stream: int) -> np.ndarray:
         """Deterministic random interior points for the sampled suites."""
@@ -172,7 +179,7 @@ class ChartBundle:
     @cached_property
     def family(self) -> tuple:
         """Metric/normal/shape deviations across the phase family, per point."""
-        base = self.frames()
+        base = self.frame
         gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
         ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
         metric = normal = shape = np.zeros(len(self.points))
@@ -216,12 +223,12 @@ def build_bundle(
 # -- individual suites ---------------------------------------------------------
 
 def _suite_minimality(b: ChartBundle, tol: float):
-    res = minimality_residual(b.frames())
+    res = minimality_residual(b.frame)
     return [ResidualReport.from_residuals("minimality", res, tol)]
 
 
 def _suite_rank(b: ChartBundle, tol: float):
-    frame = b.frames()
+    frame = b.frame
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IndeterminateRankWarning)
         rr = rank_and_nullity(frame)
@@ -243,42 +250,43 @@ def _suite_family_shape(b: ChartBundle, tol: float):
 
 
 def _suite_anticommutation(b: ChartBundle, tol: float):
-    res = anticommutation_residual(b.frames(), b.J)
+    res = anticommutation_residual(b.frame, b.J)
     return [ResidualReport.from_residuals("anticommutation", res, tol)]
 
 
 def _suite_kaehler_parallel(b: ChartBundle, tol: float):
-    res = parallel_J_residual(b.frames(), b.J)
+    res = parallel_J_residual(b.frame, b.J)
     return [ResidualReport.from_residuals("kaehler_parallel", res, tol)]
 
 
 def _suite_bending_condition(b: ChartBundle, tol: float):
-    res = bending_residual(b.chart, b.conjugate, b.points)
+    res = bending_residual(b.frame, b.conjugate_jet)
     # control: the chart as its own position field scales the metric, it never bends
-    ctrl = bending_residual(b.chart, b.chart, b.points)
+    ctrl = bending_residual(b.frame, b.frame.jet)
     return [
         ResidualReport.from_residuals("bending_condition", res, tol),
         ResidualReport.from_residuals("bending_condition_control", ctrl, CONTROL_FLOOR, control=True),
     ]
 
 
-def _deterministic_trivial(b: ChartBundle, stream: int) -> TrivialField:
+def _deterministic_trivial(b: ChartBundle, stream: int) -> Jet2:
+    """The 2-jet on the grid of a random trivial field D f + w."""
     rng = np.random.default_rng(b.rng_seed + stream)
-    return make_trivial(b.chart, rng=rng)
+    return make_trivial(b.chart, rng=rng).jet(b.points)
 
 
 def _suite_gauss_preservation(b: ChartBundle, tol: float):
-    T = b.conjugate
+    T = b.conjugate_jet
     # both measures of each point, interleaved point by point
     res = np.stack(
-        [gauss_tangency_residual(b.chart, T, b.points), normal_variation_residual(b.chart, T, b.points)],
+        [gauss_tangency_residual(b.frame, T), normal_variation_residual(b.frame, T)],
         axis=-1,
     ).ravel()
     # control: a generic rigid rotation tilts the normal at first order
     bad = _deterministic_trivial(b, stream=101)
     ctrl = np.maximum(
-        gauss_tangency_residual(b.chart, bad, b.points),
-        normal_variation_residual(b.chart, bad, b.points),
+        gauss_tangency_residual(b.frame, bad),
+        normal_variation_residual(b.frame, bad),
     )
     return [
         ResidualReport.from_residuals("gauss_preservation", res, tol),
@@ -297,8 +305,8 @@ def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
 
 
 def _suite_bending_tpar(b: ChartBundle, tol: float):
-    res = parallel_tangential_residual(b.chart, b.conjugate, b.points)
-    ctrl = parallel_tangential_residual(b.chart, _quadratic_control_field(b), b.points)
+    res = parallel_tangential_residual(b.frame, b.conjugate_jet)
+    ctrl = parallel_tangential_residual(b.frame, _quadratic_control_field(b).jet(b.points))
     return [
         ResidualReport.from_residuals("bending_tpar", res, tol),
         ResidualReport.from_residuals("bending_tpar_control", ctrl, CONTROL_FLOOR, control=True),
@@ -306,9 +314,9 @@ def _suite_bending_tpar(b: ChartBundle, tol: float):
 
 
 def _suite_bending_bat(b: ChartBundle, tol: float):
-    res = bat_residual(b.chart, b.conjugate, b.points)
+    res = bat_residual(b.frame, b.conjugate_jet)
     # control: a trivial field has B = 0 but a nonzero tangential part
-    ctrl = bat_residual(b.chart, _deterministic_trivial(b, stream=202), b.points)
+    ctrl = bat_residual(b.frame, _deterministic_trivial(b, stream=202))
     return [
         ResidualReport.from_residuals("bending_bat", res, tol),
         ResidualReport.from_residuals("bending_bat_control", ctrl, CONTROL_FLOOR, control=True),
@@ -316,10 +324,10 @@ def _suite_bending_bat(b: ChartBundle, tol: float):
 
 
 def _suite_fundamental_wedge(b: ChartBundle, tol: float):
-    res = fundamental_equation_residual(b.chart, b.conjugate, b.points)
+    res = fundamental_equation_residual(b.frame, b.conjugate_jet)
     # control: the position field's bending tensor is the second fundamental
     # form itself, and the wedge of A with A is the (nonzero) curvature
-    ctrl = fundamental_equation_residual(b.chart, b.chart, b.points)
+    ctrl = fundamental_equation_residual(b.frame, b.frame.jet)
     return [
         ResidualReport.from_residuals("fundamental_wedge", res, tol),
         ResidualReport.from_residuals("fundamental_wedge_control", ctrl, CONTROL_FLOOR, control=True),
@@ -327,7 +335,8 @@ def _suite_fundamental_wedge(b: ChartBundle, tol: float):
 
 
 def _suite_codazzi_b(b: ChartBundle, tol: float):
-    res = codazzi_b_residual(b.chart, b.conjugate, b.points)
+    # the 3-jets are held by this suite alone
+    res = codazzi_b_residual(b.chart.jet(b.points, order=3), b.conjugate.jet(b.points, order=3))
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(b.rng_seed + 303)
     raw0 = rng.standard_normal((b.d, b.d))
@@ -337,7 +346,7 @@ def _suite_codazzi_b(b: ChartBundle, tol: float):
 
     dS = np.zeros((b.d, b.d, b.d))
     dS[0] = S1  # d_0 (S0 + x0 S1)
-    ctrl = codazzi_residual(b.frames(), S0 + b.points[:, 0, None, None] * S1, dS)
+    ctrl = codazzi_residual(b.frame, S0 + b.points[:, 0, None, None] * S1, dS)
     return [
         ResidualReport.from_residuals("codazzi_b", res, tol),
         ResidualReport.from_residuals("codazzi_b_control", ctrl, CONTROL_FLOOR, control=True),
@@ -345,12 +354,14 @@ def _suite_codazzi_b(b: ChartBundle, tol: float):
 
 
 def _suite_b_three_route(b: ChartBundle, tol: float):
-    res = b_route_agreement(b.chart, b.conjugate, b.route_points(stream=1))
+    pts = b.route_points(stream=1)
+    res = b_route_agreement(point_frame(b.chart.jet(pts)), b.conjugate.jet(pts))
     return [ResidualReport.from_residuals("b_three_route", res, tol)]
 
 
 def _suite_rotation(b: ChartBundle, tol: float):
-    rot = rotation_coefficient(b.chart, b.conjugate, b.route_points(stream=2), J=b.J)
+    pts = b.route_points(stream=2)
+    rot = rotation_coefficient(point_frame(b.chart.jet(pts)), b.conjugate.jet(pts), J=b.J)
     cs = rot.coefficient
     # point-independence of c sits between the per-point misses and fits
     res = np.concatenate([np.abs(cs - 1.0), [cs.max() - cs.min()], rot.fit_residual])
@@ -362,8 +373,8 @@ def _suite_nullity_kernel(b: ChartBundle, tol: float):
         raise ValueError(
             "nullity_in_bending_kernel needs a chart with relative nullity (d > 2)"
         )
-    frame = b.frames()
-    b_op = B_by_formula(b.chart, b.conjugate, b.points).op
+    frame = b.frame
+    b_op = B_by_formula(frame, b.conjugate_jet).op
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
     res = nullity_annihilation_residual(frame, b_op, basis)

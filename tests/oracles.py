@@ -29,6 +29,9 @@ evidence rather than tautology.
 * finite-difference routes that only tests call: the Weingarten equation
   dN = -f_* A, and the first and second t-variations of the metric along
   f + tT.
+* closed-form test charts (sphere, plane, polar plane, ellipse) written as
+  Taylor formulas, and two helpers: the metric at one point, and the
+  (frame, field jet) pair every bending residual takes.
 """
 
 from __future__ import annotations
@@ -36,9 +39,74 @@ from __future__ import annotations
 import numpy as np
 
 from minkaehler.bending import CombinationField
-from minkaehler.geometry import metric_of, point_frame
+from minkaehler.charts import TaylorChart
+from minkaehler.geometry import point_frame
+from minkaehler.taylor import Taylor
 
 SQRT2 = np.sqrt(2.0)
+
+
+def sphere_chart(box=None) -> TaylorChart:
+    """Unit sphere S^2 in R^3, oriented so the frame normal points inward.
+
+    Coordinates (s, t) = (azimuth, polar angle); the index-order normal of
+    (f_s, f_t) is -f, so the shape operator is +Identity.
+    """
+    if box is None:
+        box = np.array([[0.2, 1.4], [0.7, 2.3]])
+
+    def fn(x):
+        s, t = x[..., 0], x[..., 1]
+        return Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos()])
+
+    return TaylorChart(2, 3, np.asarray(box, float), fn)
+
+
+def plane_chart(d: int = 2, box=None) -> TaylorChart:
+    """Affine d-plane in R^{d+1}: zero shape operator, rank 0."""
+    if box is None:
+        box = np.array([[-1.0, 1.0]] * d)
+    return TaylorChart(
+        d, d + 1, np.asarray(box, float), lambda x: Taylor.stack([x[..., i] for i in range(d)] + [1.0])
+    )
+
+
+def polar_plane_chart(box=None) -> TaylorChart:
+    """Flat plane in R^3 in polar coordinates (r, theta).
+
+    Metric diag(1, r^2); the closed-form Christoffel symbols
+    Gamma^r_tt = -r, Gamma^t_rt = 1/r serve as an oracle (see
+    :func:`polar_christoffel`).
+    """
+    if box is None:
+        box = np.array([[0.5, 2.0], [0.2, 1.2]])
+
+    def fn(x):
+        r, t = x[..., 0], x[..., 1]
+        return Taylor.stack([r * t.cos(), r * t.sin(), 0.0])
+
+    return TaylorChart(2, 3, np.asarray(box, float), fn)
+
+
+def ellipse_chart(a: float = 1.5, b: float = 0.8, box=None) -> TaylorChart:
+    """Plane curve (a cos t, b sin t) as a 1-dimensional chart in R^2."""
+    if box is None:
+        box = np.array([[0.3, 2.8]])
+    return TaylorChart(
+        1, 2, np.asarray(box, float), lambda x: Taylor.stack([a * x[..., 0].cos(), b * x[..., 0].sin()])
+    )
+
+
+def metric_of(chart, p) -> np.ndarray:
+    """Induced metric G_ij = <f_i, f_j> at one point p."""
+    d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
+    return d1 @ d1.T
+
+
+def frame_and_jet(chart, fld, p) -> tuple:
+    """(frame of the chart, 2-jet of the field) at points p of shape (..., d),
+    the two inputs of every bending residual."""
+    return point_frame(chart.jet(p)), fld.jet(p)
 
 
 def classical_conformal_factor(fw: complex, g: complex) -> float:
@@ -161,11 +229,6 @@ def second_variation_metric_residual(chart, fld, p, t: float = 0.1) -> float:
     return float(np.linalg.norm(gt - g0 - t * t * (td1 @ td1.T)) / np.linalg.norm(g0))
 
 
-def _fd_metric(chart, p) -> np.ndarray:
-    d1 = chart.jet(p).d1
-    return d1 @ d1.T
-
-
 def fd_christoffel(chart, p) -> np.ndarray:
     """Gamma[k, i, j] = (1/2) G^{kl} (d_i G_jl + d_j G_il - d_l G_ij), with
     d_i G by central differences at steps eps^(1/3) max(1, |p_i|)."""
@@ -176,10 +239,10 @@ def fd_christoffel(chart, p) -> np.ndarray:
     for i in range(d):
         e = np.zeros(d)
         e[i] = hs[i]
-        dG[i] = (_fd_metric(chart, p + e) - _fd_metric(chart, p - e)) / (2 * hs[i])
+        dG[i] = (metric_of(chart, p + e) - metric_of(chart, p - e)) / (2 * hs[i])
     # term[l, i, j] = d_i G_jl + d_j G_il - d_l G_ij
     term = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(_fd_metric(chart, p)), term)
+    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(metric_of(chart, p)), term)
 
 
 def fd_tangential_covariant_derivative(chart, fld, p) -> np.ndarray:

@@ -26,7 +26,6 @@ from minkaehler.bending import (
 )
 from minkaehler.charts import (
     ProductChart,
-    ellipse_chart,
     grid_points,
     random_points,
     shrink_box,
@@ -51,17 +50,12 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import conjugate_fbar, immersion_f
 
-from oracles import catenoid_metric
+from oracles import catenoid_metric, ellipse_chart, frame_and_jet, metric_of
 
 
 def announce(capsys, criterion: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def metric_of(chart, p):
-    d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
-    return d1 @ d1.T
 
 
 def minimality_defect(chart, p) -> float:
@@ -194,7 +188,7 @@ def test_criterion_5_b_three_route_agreement(capsys, m4r5_bundle):
     T = m4r5_bundle.conjugate
     pts = m4r5_bundle.route_points(stream=1)
     assert len(pts) == 30
-    worst = max(b_route_agreement(m4r5_bundle.chart, T, p) for p in pts)
+    worst = max(b_route_agreement(*frame_and_jet(m4r5_bundle.chart, T, p)) for p in pts)
     ok = worst < tol
     announce(
         capsys,
@@ -252,7 +246,7 @@ def test_criterion_7_rotation_coefficient(capsys, m4r5_bundle):
     T = m4r5_bundle.conjugate
     pts = m4r5_bundle.route_points(stream=2)
     assert len(pts) == 30
-    data = [rotation_coefficient(m4r5_bundle.chart, T, p) for p in pts]
+    data = [rotation_coefficient(*frame_and_jet(m4r5_bundle.chart, T, p)) for p in pts]
     cs = [r.coefficient for r in data]
     worst_dev = max(abs(c - 1.0) for c in cs)
     spread = max(cs) - min(cs)
@@ -306,13 +300,13 @@ def test_criterion_9_cylinder_bending_nullity(capsys):
     cylinder = ProductChart(profile=ellipse_chart(a, b), extra=1)
     fld = make_cylinder_bending(cylinder, a, b)
     pts = grid_points(shrink_box(cylinder.box, 0.9), [8, 4])
-    worst_bend = max(bending_residual(cylinder, fld, p) for p in pts)
+    worst_bend = max(bending_residual(*frame_and_jet(cylinder, fld, p)) for p in pts)
     e_z = np.array([[0.0], [1.0]])  # the straight Euclidean factor
     worst_ann = 0.0
     for p in pts:
         fr = point_frame(cylinder.jet(p))
         assert rank_and_nullity(fr).nullity == 1
-        b_op = B_by_formula(cylinder, fld, p).op
+        b_op = B_by_formula(*frame_and_jet(cylinder, fld, p)).op
         worst_ann = max(worst_ann, nullity_annihilation_residual(fr, b_op, e_z))
     ok = worst_bend < 1e-10 and worst_ann < 1e-10
     announce(

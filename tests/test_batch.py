@@ -46,6 +46,8 @@ from minkaehler.geometry import (
 )
 from minkaehler.weierstrass import chart_complex_structure
 
+from oracles import frame_and_jet
+
 
 def _frame(chart, p):
     return point_frame(chart.jet(p))
@@ -55,7 +57,7 @@ def _nullity(chart, fld, p):
     frame = _frame(chart, p)
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    return nullity_annihilation_residual(frame, B_by_formula(chart, fld, p).op, basis)
+    return nullity_annihilation_residual(frame, B_by_formula(*frame_and_jet(chart, fld, p)).op, basis)
 
 
 def _codazzi_control(chart, fld, p):
@@ -81,23 +83,23 @@ QUANTITIES = {
     "kaehler_parallel": lambda c, T, p: parallel_J_residual(
         _frame(c, p), chart_complex_structure(c.d)
     ),
-    "bending_condition": lambda c, T, p: bending_residual(c, T, p),
-    "bending_control": lambda c, T, p: bending_residual(c, c, p),
-    "gauss_tangency": lambda c, T, p: gauss_tangency_residual(c, T, p),
-    "normal_variation": lambda c, T, p: normal_variation_residual(c, T, p),
-    "bending_tpar": lambda c, T, p: parallel_tangential_residual(c, T, p),
-    "bending_bat": lambda c, T, p: bat_residual(c, T, p),
+    "bending_condition": lambda c, T, p: bending_residual(*frame_and_jet(c, T, p)),
+    "bending_control": lambda c, T, p: bending_residual(*frame_and_jet(c, c, p)),
+    "gauss_tangency": lambda c, T, p: gauss_tangency_residual(*frame_and_jet(c, T, p)),
+    "normal_variation": lambda c, T, p: normal_variation_residual(*frame_and_jet(c, T, p)),
+    "bending_tpar": lambda c, T, p: parallel_tangential_residual(*frame_and_jet(c, T, p)),
+    "bending_bat": lambda c, T, p: bat_residual(*frame_and_jet(c, T, p)),
     "bending_bat_trivial": lambda c, T, p: bat_residual(
-        c, make_trivial(c, rng=np.random.default_rng(2)), p
+        *frame_and_jet(c, make_trivial(c, rng=np.random.default_rng(2)), p)
     ),
-    "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(c, T, p),
-    "fundamental_control": lambda c, T, p: fundamental_equation_residual(c, c, p),
-    "codazzi_b": lambda c, T, p: codazzi_b_residual(c, T, p),
+    "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(*frame_and_jet(c, T, p)),
+    "fundamental_control": lambda c, T, p: fundamental_equation_residual(*frame_and_jet(c, c, p)),
+    "codazzi_b": lambda c, T, p: codazzi_b_residual(c.jet(p, order=3), T.jet(p, order=3)),
     "codazzi_control": _codazzi_control,
-    "b_three_route": lambda c, T, p: b_route_agreement(c, T, p),
-    "B_by_formula": lambda c, T, p: B_by_formula(c, T, p).op,
-    "rotation": lambda c, T, p: rotation_coefficient(c, T, p).coefficient,
-    "rotation_fit": lambda c, T, p: rotation_coefficient(c, T, p).fit_residual,
+    "b_three_route": lambda c, T, p: b_route_agreement(*frame_and_jet(c, T, p)),
+    "B_by_formula": lambda c, T, p: B_by_formula(*frame_and_jet(c, T, p)).op,
+    "rotation": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).coefficient,
+    "rotation_fit": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).fit_residual,
     "nullity_in_bending_kernel": lambda c, T, p: _nullity(c, T, p),
 }
 

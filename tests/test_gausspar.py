@@ -3,10 +3,8 @@ import pytest
 
 from minkaehler.charts import (
     ProductChart,
-    ellipse_chart,
     grid_points,
     shrink_box,
-    sphere_chart,
 )
 from minkaehler.errors import DomainError, NonImmersionPointError, PreconditionError
 from minkaehler.gausspar import (
@@ -27,7 +25,7 @@ from minkaehler.gausspar import (
 from minkaehler.geometry import point_frame
 from minkaehler.taylor import Taylor
 
-from oracles import ellipse_support, fd_jet
+from oracles import ellipse_chart, ellipse_support, fd_jet, sphere_chart
 
 
 @pytest.fixture(scope="module")

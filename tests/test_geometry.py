@@ -8,13 +8,9 @@ from minkaehler.bending import make_cylinder_bending
 from minkaehler.charts import (
     Jet2,
     ProductChart,
-    ellipse_chart,
     grid_points,
-    plane_chart,
-    polar_plane_chart,
     random_points,
     shrink_box,
-    sphere_chart,
 )
 from minkaehler.errors import (
     DomainError,
@@ -30,7 +26,6 @@ from minkaehler.geometry import (
     gnorm_columns,
     gnorm_op,
     laplace_beltrami,
-    metric_of,
     minimality_residual,
     point_frame,
     rank_and_nullity,
@@ -41,10 +36,15 @@ from minkaehler.taylor import Taylor
 from minkaehler.weierstrass import chart_complex_structure
 
 from oracles import (
+    ellipse_chart,
     ellipse_support,
     fd_christoffel,
     fd_jet,
+    metric_of,
+    plane_chart,
     polar_christoffel,
+    polar_plane_chart,
+    sphere_chart,
     sphere_harmonic_eigencheck,
     weingarten_residual,
 )

@@ -27,14 +27,10 @@ from oracles import (
     catenoid_metric,
     enneper_gauss_curvature,
     enneper_metric,
+    metric_of,
 )
 
 SQRT2 = math.sqrt(2.0)
-
-
-def metric_of(chart, p):
-    d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
-    return d1 @ d1.T
 
 
 class TestChain:
