@@ -293,13 +293,17 @@ def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2) -> np.nd
     return covariant_field_derivative(christoffel(jb), tstar, dT)
 
 
-def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ma.MaskedArray:
     """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
-    the tangential part of dT in the induced connection."""
+    the tangential part of dT in the induced connection.
+
+    Where ||T_*||_G <= 1e-14 the ratio has no scale to measure against, so
+    those points are masked out (see ``ResidualReport.excluded``).
+    """
     nab = tangential_covariant_derivative(frame, field_jet)
     den = gnorm_op(frame.chol, tangential_derivative(frame, field_jet))
     worst = gnorm_columns(frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
-    return worst / (math.sqrt(frame.d) * np.maximum(den, 1e-14))
+    return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(frame.d) * np.maximum(den, 1e-14)))
 
 
 def B_with_derivative(jet: Jet2, field_jet: Jet2) -> tuple:

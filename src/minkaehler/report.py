@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ResidualReport",
     "all_passed",
@@ -31,6 +33,10 @@ class ResidualReport:
     for control reports; ``passed`` already accounts for the inversion.
     ``nonfinite`` counts NaN or infinite residuals; any fails the row, and
     max and mean cover the finite values (0.0 when there are none).
+    ``excluded`` counts the points a residual masks out (a masked array)
+    because its normalizing scale vanishes there, so the ratio measures
+    nothing; they stay out of max and mean and do not fail the row, but a
+    row with every point excluded measured nothing and fails.
     """
 
     identity: str
@@ -41,25 +47,28 @@ class ResidualReport:
     passed: bool
     control: bool = False
     nonfinite: int = 0
+    excluded: int = 0
 
     @staticmethod
     def from_residuals(identity, residuals, tolerance, control=False) -> "ResidualReport":
-        vals = [float(r) for r in residuals]
-        if not vals:
+        mask = np.ma.getmaskarray(residuals)
+        if not mask.size:
             raise ValueError(f"suite {identity!r} produced no residuals")
+        vals = [float(r) for r, out in zip(np.ma.getdata(residuals), mask) if not out]
         finite = [v for v in vals if math.isfinite(v)]
         worst = max(finite, default=0.0)
         mean = sum(finite) / len(finite) if finite else 0.0
         passed = (worst > tolerance) if control else (worst < tolerance)
         return ResidualReport(
             identity=str(identity),
-            points=len(vals),
+            points=mask.size,
             max_residual=worst,
             mean_residual=mean,
             tolerance=float(tolerance),
-            passed=bool(passed) and len(finite) == len(vals),
+            passed=bool(passed) and len(finite) == len(vals) > 0,
             control=bool(control),
             nonfinite=len(vals) - len(finite),
+            excluded=int(mask.sum()),
         )
 
     @property
@@ -79,6 +88,7 @@ def report_to_dict(report: ResidualReport) -> dict:
         "pass": report.passed,
         "control": report.control,
         "nonfinite": report.nonfinite,
+        "excluded": report.excluded,
     }
 
 

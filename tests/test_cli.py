@@ -17,6 +17,7 @@ REPORT_KEYS = {
     "pass",
     "control",
     "nonfinite",
+    "excluded",
 }
 
 
@@ -110,6 +111,18 @@ class TestVerify:
     def test_report_bytes_are_reproducible(self, tmp_path):
         for out in ("a", "b"):
             cfg = self.verify_config(tmp_path, out=out)
+            assert main(["verify", "--config", cfg]) == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == (
+            tmp_path / "b" / "report.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("seed", ["m4r5", "inline-n3"])
+    def test_default_reports_repeat_in_one_process(self, tmp_path, seed, n3_chart):
+        # a second run in the same process must not read state the first left
+        spec = seed_to_json(n3_chart.seed) if seed == "inline-n3" else seed
+        sampling = {"counts": [2] * 6} if seed == "inline-n3" else {}
+        for out in ("a", "b"):
+            cfg = write_config(tmp_path, f"{out}.json", seed=spec, sampling=sampling, output_dir=out)
             assert main(["verify", "--config", cfg]) == 0
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"

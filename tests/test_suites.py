@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import minkaehler.bending as bending
+import minkaehler.geometry as geometry
+import minkaehler.suites as suites
 from minkaehler import builtin_seed
+from minkaehler.bending import TrivialField
 from minkaehler.errors import DomainWarning
 from minkaehler.report import (
     ResidualReport,
@@ -24,7 +28,7 @@ from minkaehler.suites import (
     default_suites,
     run_suites,
 )
-from minkaehler.weierstrass import seed_from_json
+from minkaehler.weierstrass import SeriesChart, seed_from_json
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
 
@@ -227,7 +231,18 @@ class TestReportPlumbing:
             "pass": True,
             "control": False,
             "nonfinite": 0,
+            "excluded": 0,
         }
+
+    def test_masked_points_are_excluded(self):
+        res = np.ma.masked_array([0.1, 5e13, 0.3], mask=[False, True, False])
+        row = ResidualReport.from_residuals("x", res, 1.0)
+        assert (row.points, row.excluded, row.nonfinite, row.max_residual) == (3, 1, 0, 0.3)
+        assert row.mean_residual == pytest.approx(0.2)
+        assert row.passed and report_to_dict(row)["excluded"] == 1
+        # a row with nothing left to measure cannot pass
+        empty = ResidualReport.from_residuals("x", np.ma.masked_all(2), 1.0)
+        assert (empty.excluded, empty.passed) == (2, False)
 
     def test_json_is_deterministic_and_sorted(self):
         obj = {"b": [1.0, 2], "a": {"z": True, "y": None, "x": "q\"uote"}}
@@ -293,3 +308,123 @@ class TestInlineSeeds:
         reports = run_suites(build_bundle(seed, counts=counts))
         assert [r.identity for r in reports if not r.passed] == []
         assert all(r.max_residual > CONTROL_FLOOR for r in reports if r.control)
+
+
+# alpha0 = mu = 1 and b = (0, 0, 1): the quadratic control field's T_*
+# vanishes where x0 = x1 = 0, which the [3, 3, 2, 2, 2, 2] grid samples at
+# 16 of its 144 points
+FLAT_N3 = {
+    "n": 3,
+    "name": "flat-n3",
+    "alpha0": [[1.0, 0.0]],
+    "mu": [[[1.0, 0.0]]] * 3,
+    "b": [[[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]],
+    "domain": {"radius": 0.8, "w_halfwidth": [0.5, 0.5]},
+}
+
+
+def test_control_excludes_points_without_a_tangential_scale():
+    bundle = build_bundle(seed_from_json(FLAT_N3), counts=[3, 3, 2, 2, 2, 2])
+    row, ctrl = run_suites(bundle, ["bending_tpar"])
+    assert (row.excluded, row.passed) == (0, True)
+    assert ctrl.identity == "bending_tpar_control"
+    assert (ctrl.points, ctrl.excluded) == (144, 16)
+    # the clamped denominator read 8e13 at the excluded points
+    assert CONTROL_FLOOR < ctrl.max_residual < 10.0
+    assert ctrl.passed
+
+
+def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
+    """A default m4r5 run evaluates each (chart, point stack, order) once;
+    only the trivial control fields re-read the chart's jets, once each."""
+    calls, frames, in_trivial = [], [], [0]
+    series_jet, trivial_jet, frame = SeriesChart.jet_batch, TrivialField.jet_batch, geometry.point_frame
+
+    def counted_jet(self, pts, order=2):
+        # the chart itself is kept, so no two charts share an id
+        calls.append((self, np.asarray(pts).tobytes(), order, in_trivial[0] > 0))
+        return series_jet(self, pts, order)
+
+    def marked_trivial_jet(self, pts, order=2):
+        in_trivial[0] += 1
+        try:
+            return trivial_jet(self, pts, order)
+        finally:
+            in_trivial[0] -= 1
+
+    def counted_frame(jet, *args, **kwargs):
+        frames.append(jet)
+        return frame(jet, *args, **kwargs)
+
+    monkeypatch.setattr(SeriesChart, "jet_batch", counted_jet)
+    monkeypatch.setattr(TrivialField, "jet_batch", marked_trivial_jet)
+    for module in (geometry, bending, suites):
+        monkeypatch.setattr(module, "point_frame", counted_frame)
+    run_suites(build_bundle(builtin_seed("m4r5")))
+    keys = [(id(chart), pts, order) for chart, pts, order, trivial in calls if not trivial]
+    assert len(keys) == len(set(keys))
+    assert sum(trivial for *_, trivial in calls) == 2
+    assert len(calls) <= 16
+    assert len(frames) <= 15
+
+
+# the n = 3 seed of the benchmark's verify-random workload
+RANDOM_N3 = {
+    "n": 3,
+    "name": "random-n3",
+    "alpha0": [
+        [0.7744002879767552, 0.6326959727874981],
+        [0.46584040503366453, -0.2526998803354688],
+        [-0.4380057508005345, -0.5159253991036703],
+    ],
+    "mu": [
+        [
+            [0.9614855557277381, 0.27485546406597533],
+            [-0.189779668790229, -0.6395422203485468],
+            [0.46303533412830783, -0.7374594324635144],
+        ],
+        [
+            [-0.9988670161311877, -0.047588697031729285],
+            [-0.8788671114443402, 0.17176585373996622],
+            [-0.9226730150873229, -0.3748225544518735],
+        ],
+        [
+            [0.588448629309679, -0.8085346069671724],
+            [0.2394981387356846, -0.732484001022476],
+            [-0.4949698155185286, -0.18930443388530643],
+        ],
+    ],
+    "b": [
+        [
+            [0.015938656265897053, 0.9998729715501052],
+            [0.12071215071760712, -0.9315930905698199],
+            [0.8667035559423345, 0.04789816276521723],
+        ],
+        [
+            [0.9723524231957934, -0.23351823291826418],
+            [-0.812135110520666, -0.37292263509765095],
+            [0.573548295328894, 0.6369836515107734],
+        ],
+        [
+            [0.20846543268849402, 0.9780297354242349],
+            [-0.5618143289661711, 0.5904901659680188],
+            [0.4294280294404987, 0.3386592415502644],
+        ],
+    ],
+    "domain": {"radius": 0.6, "w_halfwidth": [0.5, 0.5]},
+}
+
+
+@pytest.mark.parametrize(
+    "seed, counts",
+    [(builtin_seed("m4r5"), None), (seed_from_json(RANDOM_N3), [2] * 6)],
+    ids=["m4r5", "random-n3"],
+)
+def test_each_suite_alone_matches_the_full_run(seed, counts):
+    # the bundle's shared frame and conjugate jet carry nothing from one
+    # suite to the next
+    bundle = build_bundle(seed, counts=counts)
+    full = run_suites(bundle)
+    for name in default_suites(bundle):
+        alone = run_suites(build_bundle(seed, counts=counts), [name])
+        assert alone == [r for r in full if r.identity in (name, f"{name}_control")]
