@@ -320,22 +320,22 @@ def B_with_derivative(jet: Jet2, field_jet: Jet2) -> tuple:
     d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
     a d^4 array per point, is formed.
     """
-    tj = field_jet
     frame = point_frame(jet)
     G, N, f1, f2 = frame.metric, frame.normal, jet.d1, jet.d2
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
     # d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
     dG = np.einsum("...klc,...qc->...lkq", f2, f1)
     dG = dG + _t(dG)
-    sigma = np.linalg.solve(G, np.einsum("...kc,...c->...k", tj.d1, N)[..., None])[..., 0]
+    sigma = np.linalg.solve(G, np.einsum("...kc,...c->...k", field_jet.d1, N)[..., None])[..., 0]
     s = np.einsum("...q,...qc->...c", sigma, f1)
-    dtau = np.einsum("...klc,...c->...lk", tj.d2, N) + np.einsum("...kc,...lc->...lk", tj.d1, dN)
+    dtau = np.einsum("...klc,...c->...lk", field_jet.d2, N)
+    dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
     dsigma = np.linalg.solve(G, _t(dtau - (dG @ sigma[..., None, :, None])[..., 0]))  # [q, l]
     ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
-    form = np.einsum("...ijc,...c->...ij", tj.d2, N) - np.einsum("...ijc,...c->...ij", f2, s)
-    dform = np.einsum("...ijlc,...c->...lij", tj.d3, N)
+    form = np.einsum("...ijc,...c->...ij", field_jet.d2, N) - np.einsum("...ijc,...c->...ij", f2, s)
+    dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
     dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
-    dform += np.einsum("...ijc,...lc->...lij", tj.d2, dN)
+    dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
     dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
     op = np.linalg.solve(G, _t(form))
     return frame, op, np.linalg.solve(G[..., None, :, :], _t(dform) - dG @ op[..., None, :, :])

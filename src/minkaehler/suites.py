@@ -335,7 +335,7 @@ def _suite_fundamental_wedge(b: ChartBundle, tol: float):
 
 
 def _suite_codazzi_b(b: ChartBundle, tol: float):
-    # the 3-jets are held by this suite alone
+    # the 3-jets stay local: kept on the bundle they would add to peak memory
     res = codazzi_b_residual(b.chart.jet(b.points, order=3), b.conjugate.jet(b.points, order=3))
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(b.rng_seed + 303)
