@@ -24,11 +24,11 @@ a :class:`CombinationField`.
 Every residual and every route to B below takes the chart's
 :class:`~minkaehler.geometry.PointFrame` on a point stack of shape
 (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the same
-stack, and returns one value per point; the caller evaluates each jet and
-frame once and hands it to every check that reads it.  The jets of f + tT
-are formed from those two jets.  Only :func:`classify_triviality` and
-:func:`recover_bending_decomposition` take charts and points, and build
-their one frame themselves.
+stack (the 3-jets, for the derivative of B), and returns one value per
+point; the caller evaluates each jet and frame once and hands it to every
+check that reads it.  The jets of f + tT are formed from those two jets.
+Only :func:`classify_triviality` and :func:`recover_bending_decomposition`
+take charts and points, and build their one frame themselves.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ImmersionChart, Jet2, TaylorChart
+from .charts import ImmersionChart, Jet2, TaylorChart, mix_jets
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -79,7 +79,13 @@ class TrivialField(ImmersionChart):
             raise DomainError(f"offset must have {self.ambient} components")
 
     def jet_batch(self, pts, order: int = 2) -> tuple:
-        value, *partials = self.chart.jet_batch(pts, order)
+        return self._apply(*self.chart.jet_batch(pts, order))
+
+    def jet_from(self, jet: Jet2) -> Jet2:
+        """T's 2-jet from the chart's jet on the same points."""
+        return Jet2(jet.coords, *self._apply(jet.value, jet.d1, jet.d2))
+
+    def _apply(self, value, *partials) -> tuple:
         return (value @ self.skew.T + self.offset, *(a @ self.skew.T for a in partials))
 
 
@@ -183,8 +189,7 @@ def gauss_tangency_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
 def _deformed_frame(frame: PointFrame, field_jet: Jet2, t: float) -> PointFrame:
     """The frame of f + tT, from the 2-jets of f and T (exact in t, since
     the deformation is affine)."""
-    jf, jt = frame.jet, field_jet
-    return point_frame(Jet2(jf.coords, jf.value + t * jt.value, jf.d1 + t * jt.d1, jf.d2 + t * jt.d2))
+    return point_frame(mix_jets(1.0, frame.jet, t, field_jet))
 
 
 def normal_variation_residual(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> np.ndarray:
@@ -306,9 +311,11 @@ def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ma.Ma
     return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(frame.d) * np.maximum(den, 1e-14)))
 
 
-def B_with_derivative(jet: Jet2, field_jet: Jet2) -> tuple:
-    """(frame, op, dop): the frame of f, B as an operator and dop[..., l] =
-    d_l op, exact from the 3-jets (``jet(p, order=3)``) of f and T.
+def B_with_derivative(frame: PointFrame, field_jet: Jet2) -> tuple:
+    """(op, dop): B as an operator and dop[..., l] = d_l op, exact from the
+    3-jets of f and T.  The frame must be built from the chart's 3-jet
+    (``point_frame(chart.jet(p, order=3))``) and ``field_jet`` must be
+    ``fld.jet(p, order=3)``; no frame is built here.
 
     With tau_k = <T_k, N> and s = f_*(sigma), sigma = G^{-1} tau, the
     tangent vector with <s, f_k> = tau_k, the Christoffel term of B is
@@ -320,7 +327,9 @@ def B_with_derivative(jet: Jet2, field_jet: Jet2) -> tuple:
     d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
     a d^4 array per point, is formed.
     """
-    frame = point_frame(jet)
+    jet = frame.jet
+    if jet.d3 is None or field_jet.d3 is None:
+        raise DomainError("B_with_derivative needs the 3-jets of the chart and the field")
     G, N, f1, f2 = frame.metric, frame.normal, jet.d1, jet.d2
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
     # d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
@@ -338,13 +347,13 @@ def B_with_derivative(jet: Jet2, field_jet: Jet2) -> tuple:
     dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
     dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
     op = np.linalg.solve(G, _t(form))
-    return frame, op, np.linalg.solve(G[..., None, :, :], _t(dform) - dG @ op[..., None, :, :])
+    return op, np.linalg.solve(G[..., None, :, :], _t(dform) - dG @ op[..., None, :, :])
 
 
-def codazzi_b_residual(jet: Jet2, field_jet: Jet2) -> np.ndarray:
+def codazzi_b_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """Codazzi-type symmetry of the covariant derivative of B, from the
-    3-jets of f and T."""
-    return codazzi_residual(*B_with_derivative(jet, field_jet))
+    frame of the chart's 3-jet and the 3-jet of T."""
+    return codazzi_residual(frame, *B_with_derivative(frame, field_jet))
 
 
 def fundamental_equation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:

@@ -49,6 +49,12 @@ class Jet2:
         return self.d1.shape[-1]
 
 
+def mix_jets(a: float, ja: Jet2, b: float, jb: Jet2) -> Jet2:
+    """The 2-jet of a f + b g from the jets of f and g on the same points;
+    exact, since jets are linear in the chart."""
+    return Jet2(ja.coords, a * ja.value + b * jb.value, a * ja.d1 + b * jb.d1, a * ja.d2 + b * jb.d2)
+
+
 class ImmersionChart:
     """Base class: a parametrized piece of a submanifold with jets.
 

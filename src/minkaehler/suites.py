@@ -1,30 +1,22 @@
 """Named verification suites run over a constructed chart.
 
-Each suite measures one identity of the construction on a sample grid, as
-one array expression over the whole point stack, and returns
-:class:`~minkaehler.report.ResidualReport` rows; suites that ship a
-negative control append a second row (``<name>_control``) built from a
-deliberately broken input, which must land *above* ``CONTROL_FLOOR`` for
-the control to count as behaving.
+Every grid quantity the suites check is fixed by two jets: those of the
+chart f and of its conjugate fbar, the bending that preserves the Gauss
+map.  :class:`ChartBundle` evaluates both once on the sample grid, at
+order 3, and derives the rest from them: the grid frame, the members
+cos(theta) f + sin(theta) fbar of the phase family, the trivial control
+fields D f + w, and the derivative of B that ``codazzi_b`` reads.  Only
+``b_three_route`` and ``rotation`` evaluate jets of their own, at random
+interior points.
 
-The registered names:
-
-``minimality``             |trace A| / ||A||, pointwise
-``rank``                   shape-operator rank equals the expected rank
-``family_metric``          induced metrics across the phase family match
-``family_normal``          unit normals across the phase family match
-``family_shape``           A_theta = cos(theta) A + sin(theta) A J
-``anticommutation``        A J + J A = 0
-``kaehler_parallel``       covariant derivative of J vanishes
-``bending_condition``      the conjugate field is an infinitesimal bending
-``gauss_preservation``     the conjugate field keeps the unit normal
-``bending_tpar``           the tangential part of the conjugate is parallel
-``bending_bat``            B equals A composed with the tangential part
-``fundamental_wedge``      linearized curvature identity for (A, B)
-``codazzi_b``              B satisfies the Codazzi symmetry
-``b_three_route``          the three independent B computations agree
-``rotation``               the tangential part rotates by a constant c = 1
-``nullity_in_bending_kernel``  B annihilates relative-nullity directions
+Each suite is registered once below, in verify order and with its default
+tolerance; its docstring states the identity it measures.  A suite maps
+the bundle to a tuple: its residuals, one array expression over the whole
+point stack, then the residuals of its negative control if it has one.
+:func:`run_suites` turns them into :class:`~minkaehler.report.ResidualReport`
+rows; a control row (``<name>_control``) comes from a deliberately broken
+input and must land *above* ``CONTROL_FLOOR`` for the control to count as
+behaving.
 """
 
 from __future__ import annotations
@@ -56,6 +48,7 @@ from .charts import (
     Jet2,
     TaylorChart,
     grid_points,
+    mix_jets,
     random_points,
     shrink_box,
 )
@@ -76,7 +69,6 @@ from .weierstrass import (
     SeriesChart,
     WeierstrassChain,
     WeierstrassSeed,
-    associated,
     build_chain,
     chart_complex_structure,
     immersion_f,
@@ -99,29 +91,6 @@ DEFAULT_RNG_SEED = 20260816
 
 # Floor every negative control must exceed to prove the residual has teeth.
 CONTROL_FLOOR = 1e-2
-
-# Per-identity default tolerances.  Analytic routes (jets to order 3 and
-# exact linear algebra only, the Christoffels and d_l B included) get 1e-7
-# or better; agreement across independent routes (one of them the FD
-# t-derivative at step 1e-4) gets 100 times the step squared.
-DEFAULT_TOLERANCES = {
-    "minimality": 1e-8,
-    "rank": 0.5,
-    "family_metric": 1e-10,
-    "family_normal": 1e-10,
-    "family_shape": 1e-7,
-    "anticommutation": 1e-7,
-    "kaehler_parallel": 1e-7,
-    "bending_condition": 1e-7,
-    "gauss_preservation": 1e-7,
-    "bending_tpar": 1e-7,
-    "bending_bat": 1e-7,
-    "fundamental_wedge": 1e-7,
-    "codazzi_b": 1e-7,
-    "b_three_route": 100 * 1e-4**2,
-    "rotation": 1e-6,
-    "nullity_in_bending_kernel": 1e-6,
-}
 
 _FAMILY_THETAS = tuple(k * math.pi / 6 for k in range(1, 6))
 _ROUTE_POINTS = 30  # sampled points for the route-agreement and rotation suites
@@ -161,14 +130,25 @@ class ChartBundle:
 
     @cached_property
     def frame(self) -> PointFrame:
-        """The chart's frame stack over the sample grid, built on first use
-        and shared by every suite."""
-        return point_frame(self.chart.jet(self.points))
+        """The chart's frame stack over the sample grid; its ``jet`` is the
+        chart's 3-jet there, the one evaluation of f on the grid."""
+        return point_frame(self.chart.jet(self.points, order=3))
 
     @cached_property
     def conjugate_jet(self) -> Jet2:
-        """The conjugate field's 2-jet over the sample grid, built on first use."""
-        return self.conjugate.jet(self.points)
+        """The conjugate field's 3-jet over the sample grid, the one
+        evaluation of fbar on the grid."""
+        return self.conjugate.jet(self.points, order=3)
+
+    def member_jet(self, theta: float) -> Jet2:
+        """The 2-jet over the grid of the family member
+        cos(theta) f + sin(theta) fbar, combined from the two grid jets."""
+        return mix_jets(math.cos(theta), self.frame.jet, math.sin(theta), self.conjugate_jet)
+
+    def trivial_jet(self, stream: int) -> Jet2:
+        """The 2-jet over the grid of a random trivial field D f + w."""
+        rng = np.random.default_rng(self.rng_seed + stream)
+        return make_trivial(self.chart, rng=rng).jet_from(self.frame.jet)
 
     def route_points(self, stream: int) -> np.ndarray:
         """Deterministic random interior points for the sampled suites."""
@@ -184,8 +164,7 @@ class ChartBundle:
         ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
         metric = normal = shape = np.zeros(len(self.points))
         for theta in _FAMILY_THETAS:
-            mate = associated(self.seed, theta, self.chain, box=self.chart.box)
-            fr = point_frame(mate.jet(self.points))
+            fr = point_frame(self.member_jet(theta))
             blend = math.cos(theta) * np.eye(self.d) + math.sin(theta) * self.J
             expected = base.shape_operator @ blend
             metric = np.maximum(metric, np.linalg.norm(fr.metric - base.metric, axis=(-2, -1)) / gscale)
@@ -220,62 +199,85 @@ def build_bundle(
     return ChartBundle(seed=seed, chain=chain, chart=chart, points=pts, rng_seed=rng_seed)
 
 
-# -- individual suites ---------------------------------------------------------
+# -- the suite registry --------------------------------------------------------
+#
+# Analytic routes (jets to order 3 and exact linear algebra only, the
+# Christoffels and d_l B included) get 1e-7 or better; agreement across
+# independent routes (one of them the FD t-derivative at step 1e-4) gets 100
+# times the step squared.
 
-def _suite_minimality(b: ChartBundle, tol: float):
-    res = minimality_residual(b.frame)
-    return [ResidualReport.from_residuals("minimality", res, tol)]
+_SUITES = {}  # suite name -> suite, in verify order
+DEFAULT_TOLERANCES = {}  # suite name -> its default tolerance
 
 
-def _suite_rank(b: ChartBundle, tol: float):
-    frame = b.frame
+def _suite(tolerance: float):
+    """Register the decorated function as the suite of its own name, with
+    its default tolerance; suites run in the order they are registered."""
+
+    def register(fn):
+        _SUITES[fn.__name__] = fn
+        DEFAULT_TOLERANCES[fn.__name__] = tolerance
+        return fn
+
+    return register
+
+
+@_suite(1e-8)
+def minimality(b: ChartBundle):
+    """|trace A| / ||A||, pointwise."""
+    return (minimality_residual(b.frame),)
+
+
+@_suite(0.5)
+def rank(b: ChartBundle):
+    """The shape-operator rank equals the expected rank."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IndeterminateRankWarning)
-        rr = rank_and_nullity(frame)
+        rr = rank_and_nullity(b.frame)
     # an indeterminate spectrum counts as a miss
-    res = np.where(rr.indeterminate, 1.0, np.abs(rr.rank - b.expected_rank))
-    return [ResidualReport.from_residuals("rank", res, tol)]
+    return (np.where(rr.indeterminate, 1.0, np.abs(rr.rank - b.expected_rank)),)
 
 
-def _suite_family_metric(b: ChartBundle, tol: float):
-    return [ResidualReport.from_residuals("family_metric", b.family[0], tol)]
+@_suite(1e-10)
+def family_metric(b: ChartBundle):
+    """The induced metrics across the phase family match."""
+    return (b.family[0],)
 
 
-def _suite_family_normal(b: ChartBundle, tol: float):
-    return [ResidualReport.from_residuals("family_normal", b.family[1], tol)]
+@_suite(1e-10)
+def family_normal(b: ChartBundle):
+    """The unit normals across the phase family match."""
+    return (b.family[1],)
 
 
-def _suite_family_shape(b: ChartBundle, tol: float):
-    return [ResidualReport.from_residuals("family_shape", b.family[2], tol)]
+@_suite(1e-7)
+def family_shape(b: ChartBundle):
+    """A_theta = cos(theta) A + sin(theta) A J."""
+    return (b.family[2],)
 
 
-def _suite_anticommutation(b: ChartBundle, tol: float):
-    res = anticommutation_residual(b.frame, b.J)
-    return [ResidualReport.from_residuals("anticommutation", res, tol)]
+@_suite(1e-7)
+def anticommutation(b: ChartBundle):
+    """A J + J A = 0."""
+    return (anticommutation_residual(b.frame, b.J),)
 
 
-def _suite_kaehler_parallel(b: ChartBundle, tol: float):
-    res = parallel_J_residual(b.frame, b.J)
-    return [ResidualReport.from_residuals("kaehler_parallel", res, tol)]
+@_suite(1e-7)
+def kaehler_parallel(b: ChartBundle):
+    """The covariant derivative of J vanishes."""
+    return (parallel_J_residual(b.frame, b.J),)
 
 
-def _suite_bending_condition(b: ChartBundle, tol: float):
-    res = bending_residual(b.frame, b.conjugate_jet)
+@_suite(1e-7)
+def bending_condition(b: ChartBundle):
+    """The conjugate field is an infinitesimal bending."""
     # control: the chart as its own position field scales the metric, it never bends
-    ctrl = bending_residual(b.frame, b.frame.jet)
-    return [
-        ResidualReport.from_residuals("bending_condition", res, tol),
-        ResidualReport.from_residuals("bending_condition_control", ctrl, CONTROL_FLOOR, control=True),
-    ]
+    return bending_residual(b.frame, b.conjugate_jet), bending_residual(b.frame, b.frame.jet)
 
 
-def _deterministic_trivial(b: ChartBundle, stream: int) -> Jet2:
-    """The 2-jet on the grid of a random trivial field D f + w."""
-    rng = np.random.default_rng(b.rng_seed + stream)
-    return make_trivial(b.chart, rng=rng).jet(b.points)
-
-
-def _suite_gauss_preservation(b: ChartBundle, tol: float):
+@_suite(1e-7)
+def gauss_preservation(b: ChartBundle):
+    """The conjugate field keeps the unit normal."""
     T = b.conjugate_jet
     # both measures of each point, interleaved point by point
     res = np.stack(
@@ -283,15 +285,12 @@ def _suite_gauss_preservation(b: ChartBundle, tol: float):
         axis=-1,
     ).ravel()
     # control: a generic rigid rotation tilts the normal at first order
-    bad = _deterministic_trivial(b, stream=101)
+    bad = b.trivial_jet(stream=101)
     ctrl = np.maximum(
         gauss_tangency_residual(b.frame, bad),
         normal_variation_residual(b.frame, bad),
     )
-    return [
-        ResidualReport.from_residuals("gauss_preservation", res, tol),
-        ResidualReport.from_residuals("gauss_preservation_control", ctrl, CONTROL_FLOOR, control=True),
-    ]
+    return res, ctrl
 
 
 def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
@@ -304,39 +303,37 @@ def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
     return TaylorChart(b.chart.d, b.chart.ambient, b.chart.box, fn)
 
 
-def _suite_bending_tpar(b: ChartBundle, tol: float):
-    res = parallel_tangential_residual(b.frame, b.conjugate_jet)
-    ctrl = parallel_tangential_residual(b.frame, _quadratic_control_field(b).jet(b.points))
-    return [
-        ResidualReport.from_residuals("bending_tpar", res, tol),
-        ResidualReport.from_residuals("bending_tpar_control", ctrl, CONTROL_FLOOR, control=True),
-    ]
+@_suite(1e-7)
+def bending_tpar(b: ChartBundle):
+    """The tangential part of the conjugate is parallel."""
+    return (
+        parallel_tangential_residual(b.frame, b.conjugate_jet),
+        parallel_tangential_residual(b.frame, _quadratic_control_field(b).jet(b.points)),
+    )
 
 
-def _suite_bending_bat(b: ChartBundle, tol: float):
-    res = bat_residual(b.frame, b.conjugate_jet)
+@_suite(1e-7)
+def bending_bat(b: ChartBundle):
+    """B equals A composed with the tangential part."""
     # control: a trivial field has B = 0 but a nonzero tangential part
-    ctrl = bat_residual(b.frame, _deterministic_trivial(b, stream=202))
-    return [
-        ResidualReport.from_residuals("bending_bat", res, tol),
-        ResidualReport.from_residuals("bending_bat_control", ctrl, CONTROL_FLOOR, control=True),
-    ]
+    return bat_residual(b.frame, b.conjugate_jet), bat_residual(b.frame, b.trivial_jet(stream=202))
 
 
-def _suite_fundamental_wedge(b: ChartBundle, tol: float):
-    res = fundamental_equation_residual(b.frame, b.conjugate_jet)
+@_suite(1e-7)
+def fundamental_wedge(b: ChartBundle):
+    """The linearized curvature identity holds for (A, B)."""
     # control: the position field's bending tensor is the second fundamental
     # form itself, and the wedge of A with A is the (nonzero) curvature
-    ctrl = fundamental_equation_residual(b.frame, b.frame.jet)
-    return [
-        ResidualReport.from_residuals("fundamental_wedge", res, tol),
-        ResidualReport.from_residuals("fundamental_wedge_control", ctrl, CONTROL_FLOOR, control=True),
-    ]
+    return (
+        fundamental_equation_residual(b.frame, b.conjugate_jet),
+        fundamental_equation_residual(b.frame, b.frame.jet),
+    )
 
 
-def _suite_codazzi_b(b: ChartBundle, tol: float):
-    # the 3-jets stay local: kept on the bundle they would add to peak memory
-    res = codazzi_b_residual(b.chart.jet(b.points, order=3), b.conjugate.jet(b.points, order=3))
+@_suite(1e-7)
+def codazzi_b(b: ChartBundle):
+    """B satisfies the Codazzi symmetry."""
+    res = codazzi_b_residual(b.frame, b.conjugate_jet)
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(b.rng_seed + 303)
     raw0 = rng.standard_normal((b.d, b.d))
@@ -346,78 +343,39 @@ def _suite_codazzi_b(b: ChartBundle, tol: float):
 
     dS = np.zeros((b.d, b.d, b.d))
     dS[0] = S1  # d_0 (S0 + x0 S1)
-    ctrl = codazzi_residual(b.frame, S0 + b.points[:, 0, None, None] * S1, dS)
-    return [
-        ResidualReport.from_residuals("codazzi_b", res, tol),
-        ResidualReport.from_residuals("codazzi_b_control", ctrl, CONTROL_FLOOR, control=True),
-    ]
+    return res, codazzi_residual(b.frame, S0 + b.points[:, 0, None, None] * S1, dS)
 
 
-def _suite_b_three_route(b: ChartBundle, tol: float):
+@_suite(100 * 1e-4**2)
+def b_three_route(b: ChartBundle):
+    """The three independent B computations agree."""
     pts = b.route_points(stream=1)
-    res = b_route_agreement(point_frame(b.chart.jet(pts)), b.conjugate.jet(pts))
-    return [ResidualReport.from_residuals("b_three_route", res, tol)]
+    return (b_route_agreement(point_frame(b.chart.jet(pts)), b.conjugate.jet(pts)),)
 
 
-def _suite_rotation(b: ChartBundle, tol: float):
+@_suite(1e-6)
+def rotation(b: ChartBundle):
+    """The tangential part rotates by a constant c = 1."""
     pts = b.route_points(stream=2)
     rot = rotation_coefficient(point_frame(b.chart.jet(pts)), b.conjugate.jet(pts), J=b.J)
     cs = rot.coefficient
     # point-independence of c sits between the per-point misses and fits
-    res = np.concatenate([np.abs(cs - 1.0), [cs.max() - cs.min()], rot.fit_residual])
-    return [ResidualReport.from_residuals("rotation", res, tol)]
+    return (np.concatenate([np.abs(cs - 1.0), [cs.max() - cs.min()], rot.fit_residual]),)
 
 
-def _suite_nullity_kernel(b: ChartBundle, tol: float):
+@_suite(1e-6)
+def nullity_in_bending_kernel(b: ChartBundle):
+    """B annihilates the relative-nullity directions."""
     if b.d <= 2:
-        raise ValueError(
-            "nullity_in_bending_kernel needs a chart with relative nullity (d > 2)"
-        )
+        raise ValueError("this suite needs a chart with relative nullity (d > 2)")
     frame = b.frame
     b_op = B_by_formula(frame, b.conjugate_jet).op
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    res = nullity_annihilation_residual(frame, b_op, basis)
-    return [ResidualReport.from_residuals("nullity_in_bending_kernel", res, tol)]
+    return (nullity_annihilation_residual(frame, b_op, basis),)
 
 
-SUITE_ORDER = (
-    "minimality",
-    "rank",
-    "family_metric",
-    "family_normal",
-    "family_shape",
-    "anticommutation",
-    "kaehler_parallel",
-    "bending_condition",
-    "gauss_preservation",
-    "bending_tpar",
-    "bending_bat",
-    "fundamental_wedge",
-    "codazzi_b",
-    "b_three_route",
-    "rotation",
-    "nullity_in_bending_kernel",
-)
-
-_SUITES = {
-    "minimality": _suite_minimality,
-    "rank": _suite_rank,
-    "family_metric": _suite_family_metric,
-    "family_normal": _suite_family_normal,
-    "family_shape": _suite_family_shape,
-    "anticommutation": _suite_anticommutation,
-    "kaehler_parallel": _suite_kaehler_parallel,
-    "bending_condition": _suite_bending_condition,
-    "gauss_preservation": _suite_gauss_preservation,
-    "bending_tpar": _suite_bending_tpar,
-    "bending_bat": _suite_bending_bat,
-    "fundamental_wedge": _suite_fundamental_wedge,
-    "codazzi_b": _suite_codazzi_b,
-    "b_three_route": _suite_b_three_route,
-    "rotation": _suite_rotation,
-    "nullity_in_bending_kernel": _suite_nullity_kernel,
-}
+SUITE_ORDER = tuple(_SUITES)
 
 
 def default_suites(bundle: ChartBundle) -> list:
@@ -430,7 +388,7 @@ def default_suites(bundle: ChartBundle) -> list:
     if name in EXPECTED_RESIDUALS:
         manifest = EXPECTED_RESIDUALS[name]
         return [s for s in SUITE_ORDER if s in manifest]
-    skip = {"nullity_in_bending_kernel"} if bundle.d <= 2 else set()
+    skip = {nullity_in_bending_kernel.__name__} if bundle.d <= 2 else set()
     return [s for s in SUITE_ORDER if s not in skip]
 
 
@@ -453,5 +411,10 @@ def run_suites(bundle: ChartBundle, names=None, tolerances=None) -> list:
     reports = []
     for name in names:
         tol = float(overrides.get(name, DEFAULT_TOLERANCES[name]))
-        reports.extend(_SUITES[name](bundle, tol))
+        res, *control = _SUITES[name](bundle)
+        reports.append(ResidualReport.from_residuals(name, res, tol))
+        reports.extend(
+            ResidualReport.from_residuals(f"{name}_control", c, CONTROL_FLOOR, control=True)
+            for c in control
+        )
     return reports

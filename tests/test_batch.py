@@ -94,7 +94,7 @@ QUANTITIES = {
     ),
     "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(*frame_and_jet(c, T, p)),
     "fundamental_control": lambda c, T, p: fundamental_equation_residual(*frame_and_jet(c, c, p)),
-    "codazzi_b": lambda c, T, p: codazzi_b_residual(c.jet(p, order=3), T.jet(p, order=3)),
+    "codazzi_b": lambda c, T, p: codazzi_b_residual(point_frame(c.jet(p, order=3)), T.jet(p, order=3)),
     "codazzi_control": _codazzi_control,
     "b_three_route": lambda c, T, p: b_route_agreement(*frame_and_jet(c, T, p)),
     "B_by_formula": lambda c, T, p: B_by_formula(*frame_and_jet(c, T, p)).op,

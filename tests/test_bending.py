@@ -190,7 +190,8 @@ class TestStructuralIdentities:
         data["b"][0] = [[0.5, 0.3], [0.2, -0.1]]
         for fld in (conjugate_field(chart), immersion_f(seed_from_json(data))):
             for p in sample(chart, rng, 2):
-                frame, op, dop = B_with_derivative(chart.jet(p, order=3), fld.jet(p, order=3))
+                frame = point_frame(chart.jet(p, order=3))
+                op, dop = B_with_derivative(frame, fld.jet(p, order=3))
                 got = covariant_field_derivative(christoffel(frame.jet), op, dop)
                 ref = fd_codazzi(chart, lambda q: B_by_formula(*frame_and_jet(chart, fld, q)).op, p)
                 scale = float(np.abs(ref).max())
@@ -199,7 +200,14 @@ class TestStructuralIdentities:
     def test_codazzi_for_b(self, enneper_chart, rng):
         fld = conjugate_field(enneper_chart)
         for p in sample(enneper_chart, rng, 2):
-            assert codazzi_b_residual(enneper_chart.jet(p, order=3), fld.jet(p, order=3)) < 1e-12
+            frame = point_frame(enneper_chart.jet(p, order=3))
+            assert codazzi_b_residual(frame, fld.jet(p, order=3)) < 1e-12
+
+    def test_b_derivative_needs_3_jets(self, enneper_chart):
+        fld = conjugate_field(enneper_chart)
+        p = [0.2, -0.1]
+        with pytest.raises(DomainError, match="3-jets"):
+            B_with_derivative(point_frame(enneper_chart.jet(p)), fld.jet(p, order=3))
 
     def test_codazzi_for_b_along_a_sign_flipped_conjugate(self, m4r5_seed, rng):
         # past theta = pi/2 the conjugate is -1 times a family member, a
@@ -208,7 +216,8 @@ class TestStructuralIdentities:
         fld = conjugate_field(chart)
         assert isinstance(fld, CombinationField)
         pts = sample(chart, rng, 3)
-        assert codazzi_b_residual(chart.jet(pts, order=3), fld.jet(pts, order=3)).max() < 1e-12
+        frame = point_frame(chart.jet(pts, order=3))
+        assert codazzi_b_residual(frame, fld.jet(pts, order=3)).max() < 1e-12
 
     def test_curvature_identity_fails_for_sphere_pair(self):
         # sanity: the identity is not vacuous - feeding a non-bending pair

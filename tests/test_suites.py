@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +165,17 @@ class TestDefaults:
         assert suites == [s for s in SUITE_ORDER if s != "nullity_in_bending_kernel"]
 
     def test_every_registered_suite_has_a_tolerance(self):
-        assert set(DEFAULT_TOLERANCES) == set(SUITE_ORDER)
+        assert tuple(DEFAULT_TOLERANCES) == SUITE_ORDER
+
+    def test_suite_order_matches_the_benchmark_copy(self, monkeypatch):
+        # the verify-random workload derives its expected rows from this copy
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while the file runs
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert SUITE_ORDER == workloads.SUITES
 
 
 class TestBundle:
@@ -335,37 +348,41 @@ def test_control_excludes_points_without_a_tangential_scale():
 
 
 def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
-    """A default m4r5 run evaluates each (chart, point stack, order) once;
-    only the trivial control fields re-read the chart's jets, once each."""
-    calls, frames, in_trivial = [], [], [0]
-    series_jet, trivial_jet, frame = SeriesChart.jet_batch, TrivialField.jet_batch, geometry.point_frame
+    """A default m4r5 run builds two charts, f and its conjugate, and
+    evaluates each (chart, point stack, order) once; the family members and
+    the trivial control fields are combined from the two grid jets."""
+    builds, calls, trivial_calls, frames = [], [], [], []
+    series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
+    trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(self)
+        series_init(self, *args, **kwargs)
 
     def counted_jet(self, pts, order=2):
-        # the chart itself is kept, so no two charts share an id
-        calls.append((self, np.asarray(pts).tobytes(), order, in_trivial[0] > 0))
+        # every chart stays alive in builds, so no two charts share an id
+        calls.append((id(self), np.asarray(pts).tobytes(), order))
         return series_jet(self, pts, order)
 
-    def marked_trivial_jet(self, pts, order=2):
-        in_trivial[0] += 1
-        try:
-            return trivial_jet(self, pts, order)
-        finally:
-            in_trivial[0] -= 1
+    def counted_trivial_jet(self, pts, order=2):
+        trivial_calls.append(order)
+        return trivial_jet(self, pts, order)
 
     def counted_frame(jet, *args, **kwargs):
         frames.append(jet)
         return frame(jet, *args, **kwargs)
 
+    monkeypatch.setattr(SeriesChart, "__init__", counted_init)
     monkeypatch.setattr(SeriesChart, "jet_batch", counted_jet)
-    monkeypatch.setattr(TrivialField, "jet_batch", marked_trivial_jet)
+    monkeypatch.setattr(TrivialField, "jet_batch", counted_trivial_jet)
     for module in (geometry, bending, suites):
         monkeypatch.setattr(module, "point_frame", counted_frame)
     run_suites(build_bundle(builtin_seed("m4r5")))
-    keys = [(id(chart), pts, order) for chart, pts, order, trivial in calls if not trivial]
-    assert len(keys) == len(set(keys))
-    assert sum(trivial for *_, trivial in calls) == 2
-    assert len(calls) <= 16
-    assert len(frames) <= 15
+    assert len(builds) == 2
+    assert len(calls) == len(set(calls))
+    assert not trivial_calls
+    assert len(calls) <= 6
+    assert len(frames) <= 14
 
 
 # the n = 3 seed of the benchmark's verify-random workload

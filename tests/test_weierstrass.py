@@ -7,6 +7,7 @@ import pytest
 
 from minkaehler.errors import DomainError, DomainWarning, SeedValidationError
 from minkaehler.series import TruncatedSeries, series_eval, vdot
+from minkaehler.suites import _FAMILY_THETAS, build_bundle
 from minkaehler.weierstrass import (
     DomainSpec,
     HolomorphicRep,
@@ -154,7 +155,7 @@ class TestFamily:
         assert np.array_equal(th0.value(p), f.value(p))
         assert np.array_equal(th90.value(p), fbar.value(p))
 
-    def test_family_is_the_stated_mixture(self, m4r5_seed):
+    def test_family_is_the_stated_mixture(self, m4r5_seed, n3_chart):
         f = immersion_f(m4r5_seed)
         fbar = conjugate_fbar(m4r5_seed)
         theta = 0.7
@@ -162,6 +163,17 @@ class TestFamily:
         p = np.array([0.1, -0.05, 0.2, 0.1])
         want = math.cos(theta) * f.value(p) + math.sin(theta) * fbar.value(p)
         np.testing.assert_allclose(fam.value(p), want, atol=1e-14)
+        # the verify bundle combines its members from the grid jets of f and
+        # fbar; each must match the member's own chart on the grid
+        for seed in (m4r5_seed, n3_chart.seed):
+            bundle = build_bundle(seed)
+            for theta in _FAMILY_THETAS:
+                got = bundle.member_jet(theta)
+                want = associated(seed, theta, bundle.chain, box=bundle.chart.box).jet(bundle.points)
+                for part in ("value", "d1", "d2"):
+                    ref = getattr(want, part)
+                    scale = float(np.abs(ref).max())
+                    np.testing.assert_allclose(getattr(got, part), ref, rtol=0.0, atol=1e-14 * scale)
 
     def test_family_members_are_isometric(self, catenoid_seed):
         base = immersion_f(catenoid_seed)
