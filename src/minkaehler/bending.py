@@ -11,9 +11,9 @@ The associated tensor
 plays the role of the variation of the second fundamental form; trivial
 bendings T = D f + w with D skew have B = 0 identically, and for
 Gauss-map-preserving bendings B equals A composed with the tangential part
-T_* of dT.  Three independent routes to B are implemented (t-derivative of
-the shape operator, the covariant-Hessian formula, and the composition
-A T_*) so they can cross-check each other.
+T_* of dT.  Three independent routes to B are implemented (the exact first
+variation of the shape operator along f + tT, the covariant-Hessian
+formula, and the composition A T_*) so they can cross-check each other.
 
 A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
 over the same coordinates: ``jet_batch(pts, order)`` returns the value and
@@ -26,7 +26,9 @@ Every residual and every route to B below takes the chart's
 (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the same
 stack (the 3-jets, for the derivative of B), and returns one value per
 point; the caller evaluates each jet and frame once and hands it to every
-check that reads it.  The jets of f + tT are formed from those two jets.
+check that reads it.  Since f + tT is affine in t, its first variations
+(of the normal, the metric and the shape operator) are closed form in
+those two jets, and no deformed frame is built.
 Only :func:`classify_triviality` and :func:`recover_bending_decomposition`
 take charts and points, and build their one frame themselves.
 """
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ImmersionChart, Jet2, TaylorChart, mix_jets
+from .charts import ImmersionChart, Jet2, TaylorChart
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -186,18 +188,20 @@ def gauss_tangency_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     return np.where(nrm > 1e-14, tilt / np.maximum(nrm, TINY), 0.0).max(axis=-1)
 
 
-def _deformed_frame(frame: PointFrame, field_jet: Jet2, t: float) -> PointFrame:
-    """The frame of f + tT, from the 2-jets of f and T (exact in t, since
-    the deformation is affine)."""
-    return point_frame(mix_jets(1.0, frame.jet, t, field_jet))
+def normal_variation(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+    """dN = -f_*(sigma), sigma = G^{-1} tau with tau_k = <T_k, N>: the exact
+    t-derivative at t = 0 of the unit normal of f + tT.  Differentiating
+    <N, f_k + t T_k> = 0 fixes its tangential part, and |N| = 1 leaves no
+    normal part."""
+    tau = (field_jet.d1 @ frame.normal[..., None])[..., 0]
+    sigma = np.linalg.solve(frame.metric, tau[..., None])[..., 0]
+    return -(sigma[..., None, :] @ frame.jet.d1)[..., 0, :]
 
 
-def normal_variation_residual(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> np.ndarray:
-    """||N(eps) - N(-eps)|| / (2 eps): the t-derivative of the unit normal
-    along f + tT, which vanishes for Gauss-map-preserving variations."""
-    np_ = _deformed_frame(frame, field_jet, eps).normal
-    nm = _deformed_frame(frame, field_jet, -eps).normal
-    return np.linalg.norm(np_ - nm, axis=-1) / (2 * eps)
+def normal_variation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+    """|dN|: the t-derivative of the unit normal along f + tT, which
+    vanishes for Gauss-map-preserving variations."""
+    return np.linalg.norm(normal_variation(frame, field_jet), axis=-1)
 
 
 # -- the B tensor --------------------------------------------------------------
@@ -224,11 +228,21 @@ class BTensor:
         return BTensor(op=np.linalg.solve(metric, _t(form)), form=form, metric=metric)
 
 
-def B_by_fd(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> BTensor:
-    """B as the symmetric t-derivative of the shape operator of f + tT."""
-    ap = _deformed_frame(frame, field_jet, eps).shape_operator
-    am = _deformed_frame(frame, field_jet, -eps).shape_operator
-    return BTensor.from_op((ap - am) / (2 * eps), frame.metric)
+def B_by_variation(frame: PointFrame, field_jet: Jet2) -> BTensor:
+    """B as dA, the exact t-derivative at t = 0 of the shape operator of
+    f + tT.  With dN from :func:`normal_variation`,
+
+        dG_ij = <f_i, T_j> + <T_i, f_j>,   dH_ij = <T_ij, N> + <f_ij, dN>,
+
+    and A = G^{-1} H gives dA = G^{-1} (dH - dG A).  It differentiates the
+    frame construction, not the covariant Hessian or A T_*."""
+    f1 = frame.jet.d1
+    dN = normal_variation(frame, field_jet)
+    dG = f1 @ _t(field_jet.d1)
+    dG = dG + _t(dG)
+    dH = (field_jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
+    dA = np.linalg.solve(frame.metric, dH - dG @ frame.shape_operator)
+    return BTensor.from_op(dA, frame.metric)
 
 
 def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
@@ -258,10 +272,10 @@ def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> BTensor:
     return BTensor.from_op(frame.shape_operator @ tstar, frame.metric)
 
 
-def b_route_agreement(frame: PointFrame, field_jet: Jet2, eps: float = 1e-4) -> np.ndarray:
+def b_route_agreement(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
     ops = [
-        B_by_fd(frame, field_jet, eps=eps).op,
+        B_by_variation(frame, field_jet).op,
         B_by_formula(frame, field_jet).op,
         B_by_BAT(frame, field_jet).op,
     ]
@@ -462,8 +476,7 @@ def classify_triviality(
         # derivative-free fields are constant translations, trivially so
         return TrivialityResult(True, 0.0, threshold, worst_bend)
     b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, jf)))
-    a_norm = gnorm_op(frame.chol, frame.shape_operator)
-    score = float((gnorm_op(frame.chol, b_op) / np.maximum(a_norm * sigma, 1e-14)).max())
+    score = float((gnorm_op(frame.chol, b_op) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
     return TrivialityResult(bool(score < threshold), score, threshold, worst_bend)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,10 +75,48 @@ class PointFrame:
     def d(self) -> int:
         return self.metric.shape[-1]
 
+    @cached_property
+    def shape_norm(self) -> np.ndarray:
+        """||A||_G per point, computed once per frame."""
+        return gnorm_op(self.chol, self.shape_operator)
+
 
 def _first(bad: np.ndarray):
     """Index of the first flagged point of a stack, or None."""
     return tuple(np.argwhere(bad)[0]) if bad.any() else None
+
+
+def shape_data(jet: Jet2, regularity_rtol: float | None = None) -> tuple:
+    """(metric, normal, second_form, shape_operator) of a jet stack: a
+    :func:`point_frame` without its Cholesky factor and eigen-data.
+
+    Raises :class:`NonImmersionPointError`, naming the coordinates of the
+    first bad point, where the normal degenerates and, if ``regularity_rtol``
+    is given, first where the first partials are dependent to that relative
+    cutoff.  A jet isometric to one already checked can skip that SVD.
+    """
+    d1 = jet.d1
+    if jet.ambient != jet.d + 1:
+        raise DomainError(
+            f"hypersurface frame needs ambient = d+1, got d={jet.d}, ambient={jet.ambient}"
+        )
+    if regularity_rtol is not None:
+        svals = np.linalg.svd(d1, compute_uv=False)
+        k = _first(svals[..., -1] <= regularity_rtol * svals[..., 0])
+        if k is not None:
+            raise NonImmersionPointError(
+                f"first partials are dependent at {jet.coords[k]} "
+                f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
+            )
+    raw = generalized_cross(d1)
+    nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    k = _first(nrm[..., 0] <= TINY)
+    if k is not None:
+        raise NonImmersionPointError(f"degenerate normal at {jet.coords[k]}")
+    normal = raw / nrm
+    metric = d1 @ _t(d1)
+    second = (jet.d2 @ normal[..., None, :, None])[..., 0]
+    return metric, normal, second, np.linalg.solve(metric, second)
 
 
 def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
@@ -87,28 +126,8 @@ def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
     ``regularity_rtol`` is the relative singular-value cutoff below which
     the first partials count as dependent.
     """
-    d1 = jet.d1
-    if jet.ambient != jet.d + 1:
-        raise DomainError(
-            f"hypersurface frame needs ambient = d+1, got d={jet.d}, ambient={jet.ambient}"
-        )
-    svals = np.linalg.svd(d1, compute_uv=False)
-    k = _first(svals[..., -1] <= regularity_rtol * svals[..., 0])
-    if k is not None:
-        raise NonImmersionPointError(
-            f"first partials are dependent at {jet.coords[k]} "
-            f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
-        )
-    raw = generalized_cross(d1)
-    nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
-    k = _first(nrm[..., 0] <= TINY)
-    if k is not None:
-        raise NonImmersionPointError(f"degenerate normal at {jet.coords[k]}")
-    normal = raw / nrm
-    metric = d1 @ _t(d1)
-    second = (jet.d2 @ normal[..., None, :, None])[..., 0]
+    metric, normal, second, shape_op = shape_data(jet, regularity_rtol)
     chol = np.linalg.cholesky(metric)
-    shape_op = np.linalg.solve(metric, second)
     # eigen-data through the symmetric pencil (H, G): real spectrum,
     # G-orthonormal eigenvectors
     reduced = _t(np.linalg.solve(chol, _t(np.linalg.solve(chol, second))))
@@ -208,16 +227,15 @@ def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
     """|trace A| / ||A||_G, with the norm floored at 1e-14."""
-    A = frame.shape_operator
-    scale = np.maximum(gnorm_op(frame.chol, A), 1e-14)
-    return np.abs(np.trace(A, axis1=-2, axis2=-1)) / scale
+    scale = np.maximum(frame.shape_norm, 1e-14)
+    return np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / scale
 
 
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
     """||A J + J A||_G / ||A||_G (zero shape operator gives zero)."""
     A = frame.shape_operator
     num = gnorm_op(frame.chol, A @ J + J @ A)
-    den = gnorm_op(frame.chol, A)
+    den = frame.shape_norm
     quiet = (den <= 1e-14) & (num <= 1e-14)
     return np.where(quiet, 0.0, num / np.maximum(den, 1e-14))
 

@@ -93,12 +93,12 @@ _COMMON_EXPECTED = {
     "anticommutation": 1e-12,
     "kaehler_parallel": 1e-12,
     "bending_condition": 1e-12,
-    "gauss_preservation": 1e-9,
+    "gauss_preservation": 1e-12,
     "bending_tpar": 1e-12,
     "bending_bat": 1e-12,
     "fundamental_wedge": 1e-12,
     "codazzi_b": 1e-12,
-    "b_three_route": 1e-6,
+    "b_three_route": 1e-12,
     "rotation": 1e-12,
 }
 

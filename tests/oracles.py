@@ -27,8 +27,12 @@ evidence rather than tautology.
 * one central-difference jet of any value map (vector or scalar), the
   reference for every chart and Taylor formula with exact jets.
 * finite-difference routes that only tests call: the Weingarten equation
-  dN = -f_* A, and the first and second t-variations of the metric along
-  f + tT.
+  dN = -f_* A, the first and second t-variations of the metric along
+  f + tT, and the t-variations of the unit normal and of the shape
+  operator (the bending tensor B) along f + tT, each a central difference
+  between two deformed frames; the package takes both in closed form.
+* the benchmark's workload module, loaded from its file, for the random
+  seeds it verifies.
 * closed-form test charts (sphere, plane, polar plane, ellipse) written as
   Taylor formulas, and two helpers: the metric at one point, and the
   (frame, field jet) pair every bending residual takes.
@@ -36,10 +40,14 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from minkaehler.bending import CombinationField
-from minkaehler.charts import TaylorChart
+from minkaehler.bending import BTensor, CombinationField
+from minkaehler.charts import TaylorChart, mix_jets
 from minkaehler.geometry import point_frame
 from minkaehler.taylor import Taylor
 
@@ -229,6 +237,28 @@ def second_variation_metric_residual(chart, fld, p, t: float = 0.1) -> float:
     return float(np.linalg.norm(gt - g0 - t * t * (td1 @ td1.T)) / np.linalg.norm(g0))
 
 
+def _deformed_frame(frame, field_jet, t: float):
+    """The frame of f + tT, from the 2-jets of f and T (exact in t, since
+    the deformation is affine)."""
+    return point_frame(mix_jets(1.0, frame.jet, t, field_jet))
+
+
+def fd_normal_variation(frame, field_jet, eps: float = 1e-4) -> np.ndarray:
+    """(N(eps) - N(-eps)) / (2 eps) along f + tT: the t-derivative of the
+    unit normal with O(eps^2) truncation."""
+    up = _deformed_frame(frame, field_jet, eps).normal
+    down = _deformed_frame(frame, field_jet, -eps).normal
+    return (up - down) / (2 * eps)
+
+
+def B_by_fd(frame, field_jet, eps: float = 1e-4) -> BTensor:
+    """B as the central t-difference of the shape operator of f + tT, with
+    O(eps^2) truncation."""
+    ap = _deformed_frame(frame, field_jet, eps).shape_operator
+    am = _deformed_frame(frame, field_jet, -eps).shape_operator
+    return BTensor.from_op((ap - am) / (2 * eps), frame.metric)
+
+
 def fd_christoffel(chart, p) -> np.ndarray:
     """Gamma[k, i, j] = (1/2) G^{kl} (d_i G_jl + d_j G_il - d_l G_ij), with
     d_i G by central differences at steps eps^(1/3) max(1, |p_i|)."""
@@ -295,3 +325,17 @@ def ellipse_support(a: float, b: float, t: float) -> float:
 def sphere_harmonic_eigencheck(value_z: float) -> float:
     """Degree-1 spherical harmonics on S^2 satisfy Delta gamma = -2 gamma."""
     return -2.0 * value_z
+
+
+def benchmark_workloads():
+    """The module ``perfbench/workloads.py`` of this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

@@ -11,6 +11,7 @@ import pytest
 
 from minkaehler.bending import (
     B_by_formula,
+    B_by_variation,
     b_route_agreement,
     bat_residual,
     bending_residual,
@@ -98,6 +99,7 @@ QUANTITIES = {
     "codazzi_control": _codazzi_control,
     "b_three_route": lambda c, T, p: b_route_agreement(*frame_and_jet(c, T, p)),
     "B_by_formula": lambda c, T, p: B_by_formula(*frame_and_jet(c, T, p)).op,
+    "B_by_variation": lambda c, T, p: B_by_variation(*frame_and_jet(c, T, p)).op,
     "rotation": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).coefficient,
     "rotation_fit": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).fit_residual,
     "nullity_in_bending_kernel": lambda c, T, p: _nullity(c, T, p),

@@ -3,8 +3,8 @@ import pytest
 
 from minkaehler.bending import (
     B_by_BAT,
-    B_by_fd,
     B_by_formula,
+    B_by_variation,
     B_with_derivative,
     CombinationField,
     TrivialField,
@@ -19,6 +19,7 @@ from minkaehler.bending import (
     make_cylinder_bending,
     make_trivial,
     normal_variation_residual,
+    normal_variation,
     nullity_annihilation_residual,
     parallel_tangential_residual,
     recover_bending_decomposition,
@@ -30,16 +31,22 @@ from minkaehler.errors import DomainError, PreconditionError
 from minkaehler.geometry import (
     christoffel,
     covariant_field_derivative,
+    gnorm_op,
     point_frame,
     rank_and_nullity,
 )
+from minkaehler.seeds import builtin_seed
+from minkaehler.suites import build_bundle
 
 from minkaehler.weierstrass import associated, immersion_f, seed_from_json, seed_to_json
 
 from oracles import (
+    B_by_fd,
+    benchmark_workloads,
     ellipse_chart,
     fd_codazzi,
     fd_tangential_covariant_derivative,
+    fd_normal_variation,
     first_variation_metric_residual,
     frame_and_jet,
     second_variation_metric_residual,
@@ -81,8 +88,10 @@ class TestConjugateIsBending:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng, 3):
-            assert gauss_tangency_residual(*frame_and_jet(chart, fld, p)) < 1e-13
-            assert normal_variation_residual(*frame_and_jet(chart, fld, p)) < 1e-9
+            frame, jet = frame_and_jet(chart, fld, p)
+            assert gauss_tangency_residual(frame, jet) < 1e-13
+            assert normal_variation_residual(frame, jet) < 1e-13
+            assert np.linalg.norm(fd_normal_variation(frame, jet)) < 1e-9
 
     def test_conjugating_twice_negates(self, catenoid_chart, catenoid_fbar):
         fld = conjugate_field(catenoid_fbar)
@@ -133,7 +142,7 @@ class TestBTensor:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng, 3):
-            assert b_route_agreement(*frame_and_jet(chart, fld, p)) < 1e-6
+            assert b_route_agreement(*frame_and_jet(chart, fld, p)) < 1e-13
 
     def test_bat_identity(self, m4r5_chart, rng):
         fld = conjugate_field(m4r5_chart)
@@ -154,6 +163,66 @@ class TestBTensor:
             rr = rank_and_nullity(frame)
             b = B_by_formula(*frame_and_jet(m4r5_chart, fld, p))
             assert nullity_annihilation_residual(frame, b.op, frame.eigenvectors[:, rr.null_mask]) < 1e-7
+
+
+def _bundle(name):
+    """A default-grid bundle of a built-in or of a seed the benchmark's
+    verify-random workload draws (n = 3 on its [2] * 6 grid)."""
+    if name in ("enneper", "catenoid", "m4r5"):
+        return build_bundle(builtin_seed(name))
+    seeds = {s["name"]: s for s in benchmark_workloads().random_seeds()}
+    seed = seed_from_json(seeds[name])
+    return build_bundle(seed, counts=[2] * 6 if seed.n == 3 else None)
+
+
+def _g_relative(frame, op, ref):
+    """||op - ref||_G / ||ref||_G per point."""
+    return gnorm_op(frame.chol, op - ref) / gnorm_op(frame.chol, ref)
+
+
+SIX_SEEDS = ["enneper", "catenoid", "m4r5", "random-n1", "random-n2", "random-n3"]
+
+
+class TestExactVariation:
+    """B_by_variation and the normal variation are the closed-form first
+    variations along f + tT; the FD oracles difference two deformed frames."""
+
+    @pytest.mark.parametrize("name", SIX_SEEDS)
+    def test_variation_matches_formula_and_bat(self, name):
+        bundle = _bundle(name)
+        for frame, T in ((bundle.frame, bundle.conjugate_jet), bundle.route):
+            var = B_by_variation(frame, T).op
+            assert _g_relative(frame, var, B_by_formula(frame, T).op).max() <= 1e-13
+            assert _g_relative(frame, var, B_by_BAT(frame, T).op).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["enneper", "m4r5", "random-n3"])
+    def test_variation_matches_fd_oracle_at_second_order(self, name):
+        # f + t fbar is a scaled family member, so the central difference of
+        # A misses by eps^2 relative, and no more
+        frame, T = _bundle(name).route
+        var = B_by_variation(frame, T).op
+        for eps in (1e-2, 1e-3, 1e-4):
+            err = _g_relative(frame, B_by_fd(frame, T, eps=eps).op, var).max()
+            assert 0.5 * eps**2 <= err <= 2 * eps**2
+
+    @pytest.mark.parametrize("name", ["catenoid", "m4r5", "random-n2"])
+    def test_normal_variation_matches_fd_oracle(self, name):
+        # a rigid motion tilts the normal at first order
+        bundle = _bundle(name)
+        frame, T = bundle.frame, bundle.trivial_jet(stream=5)
+        exact = normal_variation(frame, T)
+        assert np.linalg.norm(exact, axis=-1).max() > 1e-2
+        for eps in (1e-2, 1e-3):
+            assert np.abs(fd_normal_variation(frame, T, eps=eps) - exact).max() <= eps**2
+
+    @pytest.mark.parametrize("name", ["enneper", "catenoid", "m4r5"])
+    def test_variation_kills_trivial_like_the_formula(self, name, request, rng):
+        chart = request.getfixturevalue(f"{name}_chart")
+        fld = make_trivial(chart, rng=rng)
+        frame, jet = frame_and_jet(chart, fld, sample(chart, rng, 4))
+        var = B_by_variation(frame, jet).op
+        assert np.abs(var).max() < 1e-11
+        np.testing.assert_allclose(var, B_by_formula(frame, jet).op, rtol=0, atol=1e-11)
 
 
 class TestStructuralIdentities:

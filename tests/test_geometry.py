@@ -29,6 +29,7 @@ from minkaehler.geometry import (
     minimality_residual,
     point_frame,
     rank_and_nullity,
+    shape_data,
 )
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
 from minkaehler.suites import _quadratic_control_field
@@ -122,6 +123,30 @@ class TestPointFrame:
         jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
         with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
             point_frame(jet)
+
+    def test_shape_data_locates_dependent_partials_without_the_svd(self):
+        # the same jet stack as above: point_frame's SVD rejects it, and
+        # shape_data, which skips the SVD, rejects its degenerate normal
+        good = graph_jet(1.0)
+        stack = [good, dataclasses.replace(good, d1=np.array([[1.0, 0, 0], [2.0, 0, 0]])), good]
+        coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
+        jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
+        for build in (point_frame, shape_data):
+            with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
+                build(jet)
+
+    def test_shape_data_is_the_frame_without_its_eigen_data(self, rng):
+        chart = sphere_chart()
+        jet = chart.jet(random_points(shrink_box(chart.box, 0.8), 5, rng))
+        fr = point_frame(jet)
+        for got, want in zip(shape_data(jet), (fr.metric, fr.normal, fr.second_form, fr.shape_operator)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_shape_norm_is_the_g_norm_of_a(self, rng):
+        chart = sphere_chart()
+        fr = point_frame(chart.jet(random_points(shrink_box(chart.box, 0.8), 5, rng)))
+        np.testing.assert_array_equal(fr.shape_norm, gnorm_op(fr.chol, fr.shape_operator))
+        assert fr.shape_norm is fr.shape_norm
 
     def test_non_hypersurface_codimension_rejected(self):
         bad = Jet2(

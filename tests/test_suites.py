@@ -1,9 +1,6 @@
 import dataclasses
-import importlib.util
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +28,9 @@ from minkaehler.suites import (
     default_suites,
     run_suites,
 )
-from minkaehler.weierstrass import SeriesChart, seed_from_json
+from minkaehler.weierstrass import SeriesChart, associated, seed_from_json
+
+from oracles import benchmark_workloads
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
 
@@ -167,15 +166,9 @@ class TestDefaults:
     def test_every_registered_suite_has_a_tolerance(self):
         assert tuple(DEFAULT_TOLERANCES) == SUITE_ORDER
 
-    def test_suite_order_matches_the_benchmark_copy(self, monkeypatch):
+    def test_suite_order_matches_the_benchmark_copy(self):
         # the verify-random workload derives its expected rows from this copy
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up while the file runs
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        assert SUITE_ORDER == workloads.SUITES
+        assert SUITE_ORDER == benchmark_workloads().SUITES
 
 
 class TestBundle:
@@ -347,10 +340,41 @@ def test_control_excludes_points_without_a_tangential_scale():
     assert ctrl.passed
 
 
+def _family_rows(bundle, frames):
+    """The family rows from full member frames at phases pi/6 .. 5 pi/6."""
+    base = bundle.frame
+    gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
+    ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
+    metric = normal = shape = np.zeros(len(bundle.points))
+    for k, fr in enumerate(frames, start=1):
+        theta = k * math.pi / 6
+        expected = base.shape_operator @ (math.cos(theta) * np.eye(bundle.d) + math.sin(theta) * bundle.J)
+        metric = np.maximum(metric, np.linalg.norm(fr.metric - base.metric, axis=(-2, -1)) / gscale)
+        normal = np.maximum(normal, np.linalg.norm(fr.normal - base.normal, axis=-1))
+        shape = np.maximum(shape, np.linalg.norm(fr.shape_operator - expected, axis=(-2, -1)) / ascale)
+    return metric, normal, shape
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_family_rows_match_full_member_frames(name):
+    bundle = build_bundle(builtin_seed(name))
+    thetas = [k * math.pi / 6 for k in range(1, 6)]
+    # full frames of the combined member jets: the same bytes
+    combined = _family_rows(bundle, [geometry.point_frame(bundle.member_jet(t)) for t in thetas])
+    for got, want in zip(bundle.family, combined):
+        np.testing.assert_array_equal(got, want)
+    # full frames of the members built as charts of their own
+    charts = [associated(bundle.seed, t, bundle.chain, box=bundle.chart.box) for t in thetas]
+    built = _family_rows(bundle, [geometry.point_frame(c.jet(bundle.points)) for c in charts])
+    for got, want in zip(bundle.family, built):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     """A default m4r5 run builds two charts, f and its conjugate, and
     evaluates each (chart, point stack, order) once; the family members and
-    the trivial control fields are combined from the two grid jets."""
+    the trivial control fields are combined from the two grid jets, and
+    ``b_three_route`` and ``rotation`` share one route stack."""
     builds, calls, trivial_calls, frames = [], [], [], []
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
@@ -381,8 +405,11 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
     assert not trivial_calls
-    assert len(calls) <= 6
-    assert len(frames) <= 14
+    # f and fbar on the grid and on the shared route stack
+    assert len(calls) == 4
+    # the grid frame and the route frame; family members and first
+    # variations along f + tT build none
+    assert len(frames) == 2
 
 
 # the n = 3 seed of the benchmark's verify-random workload
