@@ -46,7 +46,6 @@ from .geometry import (
     TINY,
     PointFrame,
     _t,
-    christoffel,
     codazzi_residual,
     covariant_field_derivative,
     gnorm_columns,
@@ -194,7 +193,7 @@ def normal_variation(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     <N, f_k + t T_k> = 0 fixes its tangential part, and |N| = 1 leaves no
     normal part."""
     tau = (field_jet.d1 @ frame.normal[..., None])[..., 0]
-    sigma = np.linalg.solve(frame.metric, tau[..., None])[..., 0]
+    sigma = (frame.metric_inv @ tau[..., None])[..., 0]
     return -(sigma[..., None, :] @ frame.jet.d1)[..., 0, :]
 
 
@@ -223,10 +222,6 @@ class BTensor:
     def from_op(op: np.ndarray, metric: np.ndarray) -> "BTensor":
         return BTensor(op=op, form=_t(metric @ op), metric=metric)
 
-    @staticmethod
-    def from_form(form: np.ndarray, metric: np.ndarray) -> "BTensor":
-        return BTensor(op=np.linalg.solve(metric, _t(form)), form=form, metric=metric)
-
 
 def B_by_variation(frame: PointFrame, field_jet: Jet2) -> BTensor:
     """B as dA, the exact t-derivative at t = 0 of the shape operator of
@@ -241,14 +236,13 @@ def B_by_variation(frame: PointFrame, field_jet: Jet2) -> BTensor:
     dG = f1 @ _t(field_jet.d1)
     dG = dG + _t(dG)
     dH = (field_jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
-    dA = np.linalg.solve(frame.metric, dH - dG @ frame.shape_operator)
+    dA = frame.metric_inv @ (dH - dG @ frame.shape_operator)
     return BTensor.from_op(dA, frame.metric)
 
 
 def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """B_ij = <T_ij - Gamma^k_ij T_k, N> from the frame's jet and T's."""
-    gam = christoffel(frame.jet)
-    corrected = field_jet.d2 - np.einsum("...kij,...kc->...ijc", gam, field_jet.d1)
+    corrected = field_jet.d2 - np.einsum("...kij,...kc->...ijc", frame.christoffel, field_jet.d1)
     return (corrected @ frame.normal[..., None, :, None])[..., 0]
 
 
@@ -256,14 +250,15 @@ def B_by_formula(frame: PointFrame, field_jet: Jet2) -> BTensor:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
     with the normal.  Exact from the 2-jets of f and T, and identically
     zero on trivial fields."""
-    return BTensor.from_form(_b_form(frame, field_jet), frame.metric)
+    form = _b_form(frame, field_jet)
+    return BTensor(op=frame.metric_inv @ _t(form), form=form, metric=frame.metric)
 
 
 def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """T_* as a matrix: column j solves G c = <f_i, T_j> (the tangential
     part of dT(e_j) in the coordinate basis)."""
     rhs = frame.jet.d1 @ _t(field_jet.d1)  # [..., i, j] = <f_i, T_j>
-    return np.linalg.solve(frame.metric, rhs)
+    return frame.metric_inv @ rhs
 
 
 def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> BTensor:
@@ -274,42 +269,45 @@ def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> BTensor:
 
 def b_route_agreement(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
-    ops = [
+    ops = np.stack([
         B_by_variation(frame, field_jet).op,
         B_by_formula(frame, field_jet).op,
         B_by_BAT(frame, field_jet).op,
-    ]
-    scale = np.maximum(np.max([gnorm_op(frame.chol, op) for op in ops], axis=0), 1.0)
-    worst = np.max([gnorm_op(frame.chol, ops[i] - ops[j]) for i, j in ((0, 1), (0, 2), (1, 2))], axis=0)
+    ])
+    # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
+    scale = np.maximum(gnorm_op(frame.chol, ops).max(axis=0), 1.0)
+    worst = gnorm_op(frame.chol, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
     return worst / scale
 
 
 def bat_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, field_jet)))
+    b_op = frame.metric_inv @ _t(_b_form(frame, field_jet))
     at = frame.shape_operator @ tangential_derivative(frame, field_jet)
     den = gnorm_op(frame.chol, at)
     return gnorm_op(frame.chol, b_op - at) / np.maximum(den, 1e-14)
 
 
-def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, tstar=None) -> np.ndarray:
     """nabla T_* from the 2-jets of f and T; returns [..., i, k, j] like
-    :func:`~minkaehler.geometry.covariant_field_derivative`.
+    :func:`~minkaehler.geometry.covariant_field_derivative`.  ``tstar`` is
+    T_* from :func:`tangential_derivative` when the caller already has it.
 
     With P_ij = <f_i, T_j> and T_* = G^{-1} P, the coordinate derivative is
     d_i T_* = G^{-1} (d_i P - d_i G T_*), and the connection adds the
     commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
     """
     jb = frame.jet
-    tstar = tangential_derivative(frame, field_jet)
+    if tstar is None:
+        tstar = tangential_derivative(frame, field_jet)
     # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>;  d_i G_kj = <f_ik, f_j> + <f_k, f_ij>
     dP = jb.d2 @ _t(field_jet.d1)[..., None, :, :] + np.einsum(
         "...kc,...ijc->...ikj", jb.d1, field_jet.d2
     )
     dG = jb.d2 @ _t(jb.d1)[..., None, :, :]
     dG = dG + _t(dG)
-    dT = np.linalg.solve(frame.metric[..., None, :, :], dP - dG @ tstar[..., None, :, :])
-    return covariant_field_derivative(christoffel(jb), tstar, dT)
+    dT = frame.metric_inv[..., None, :, :] @ (dP - dG @ tstar[..., None, :, :])
+    return covariant_field_derivative(frame.christoffel, tstar, dT)
 
 
 def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ma.MaskedArray:
@@ -319,8 +317,9 @@ def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ma.Ma
     Where ||T_*||_G <= 1e-14 the ratio has no scale to measure against, so
     those points are masked out (see ``ResidualReport.excluded``).
     """
-    nab = tangential_covariant_derivative(frame, field_jet)
-    den = gnorm_op(frame.chol, tangential_derivative(frame, field_jet))
+    tstar = tangential_derivative(frame, field_jet)
+    nab = tangential_covariant_derivative(frame, field_jet, tstar)
+    den = gnorm_op(frame.chol, tstar)
     worst = gnorm_columns(frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
     return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(frame.d) * np.maximum(den, 1e-14)))
 
@@ -344,24 +343,24 @@ def B_with_derivative(frame: PointFrame, field_jet: Jet2) -> tuple:
     jet = frame.jet
     if jet.d3 is None or field_jet.d3 is None:
         raise DomainError("B_with_derivative needs the 3-jets of the chart and the field")
-    G, N, f1, f2 = frame.metric, frame.normal, jet.d1, jet.d2
+    Ginv, N, f1, f2 = frame.metric_inv, frame.normal, jet.d1, jet.d2
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
     # d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
     dG = np.einsum("...klc,...qc->...lkq", f2, f1)
     dG = dG + _t(dG)
-    sigma = np.linalg.solve(G, np.einsum("...kc,...c->...k", field_jet.d1, N)[..., None])[..., 0]
+    sigma = (Ginv @ np.einsum("...kc,...c->...k", field_jet.d1, N)[..., None])[..., 0]
     s = np.einsum("...q,...qc->...c", sigma, f1)
     dtau = np.einsum("...klc,...c->...lk", field_jet.d2, N)
     dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
-    dsigma = np.linalg.solve(G, _t(dtau - (dG @ sigma[..., None, :, None])[..., 0]))  # [q, l]
+    dsigma = Ginv @ _t(dtau - (dG @ sigma[..., None, :, None])[..., 0])  # [q, l]
     ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
     form = np.einsum("...ijc,...c->...ij", field_jet.d2, N) - np.einsum("...ijc,...c->...ij", f2, s)
     dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
     dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
     dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
     dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
-    op = np.linalg.solve(G, _t(form))
-    return op, np.linalg.solve(G[..., None, :, :], _t(dform) - dG @ op[..., None, :, :])
+    op = Ginv @ _t(form)
+    return op, Ginv[..., None, :, :] @ (_t(dform) - dG @ op[..., None, :, :])
 
 
 def codazzi_b_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
@@ -379,7 +378,7 @@ def fundamental_equation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndar
     <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.
     """
     A = frame.shape_operator
-    B = np.linalg.solve(frame.metric, _t(_b_form(frame, field_jet)))
+    B = frame.metric_inv @ _t(_b_form(frame, field_jet))
     GA = frame.metric @ A
     GB = frame.metric @ B
     iu, ju = np.triu_indices(frame.d, 1)
@@ -475,7 +474,7 @@ def classify_triviality(
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
         return TrivialityResult(True, 0.0, threshold, worst_bend)
-    b_op = np.linalg.solve(frame.metric, _t(_b_form(frame, jf)))
+    b_op = frame.metric_inv @ _t(_b_form(frame, jf))
     score = float((gnorm_op(frame.chol, b_op) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
     return TrivialityResult(bool(score < threshold), score, threshold, worst_bend)
 

@@ -11,6 +11,11 @@ residuals for the Kaehler checks (anticommutation with J, parallelism of
 J) and the Codazzi symmetry.  A single point is the stack with no leading
 axes.  Nothing here differences: every input is a jet.
 
+A :class:`PointFrame` factors its metric once: it carries G^{-1} and the
+Christoffel symbols as cached properties, so every residual that reads the
+frame applies a stored inverse (a batched matmul) instead of solving
+against G again, and the connection is built once per frame.
+
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
 in index order; H_ij = <f_ij, N>; A = G^{-1} H.  Eigenvalues of A are
@@ -60,7 +65,12 @@ def generalized_cross(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Metric, normal, and shape-operator data over a stack of chart points."""
+    """Metric, normal, and shape-operator data over a stack of chart points.
+
+    Besides the fields below, a frame computes on first use and then keeps
+    G^{-1} (``metric_inv``), the Christoffel symbols of its jet
+    (``christoffel``) and ||A||_G (``shape_norm``).
+    """
 
     jet: Jet2
     metric: np.ndarray          # (..., d, d)
@@ -79,6 +89,17 @@ class PointFrame:
     def shape_norm(self) -> np.ndarray:
         """||A||_G per point, computed once per frame."""
         return gnorm_op(self.chol, self.shape_operator)
+
+    @cached_property
+    def metric_inv(self) -> np.ndarray:
+        """G^{-1} per point, one LU factorization per frame."""
+        return np.linalg.inv(self.metric)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        """Christoffel symbols [..., k, i, j] of the frame's jet, computed
+        once per frame."""
+        return christoffel(self.jet)
 
 
 def _first(bad: np.ndarray):
@@ -149,8 +170,10 @@ def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
 
 def gnorm_op(chol: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Operator norm of an endomorphism in the G-geometry: the spectral
-    norm of L^T M L^{-T}, taken as that of its transpose L^{-1} M^T L."""
-    return np.linalg.norm(np.linalg.solve(chol, _t(M) @ chol), 2, axis=(-2, -1))
+    norm of L^T M L^{-T}, taken as that of its transpose K = L^{-1} M^T L,
+    i.e. the square root of the largest eigenvalue of K K^T."""
+    K = np.linalg.solve(chol, _t(M) @ chol)
+    return np.sqrt(np.linalg.eigvalsh(K @ _t(K))[..., -1])
 
 
 def gnorm_columns(chol: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -245,7 +268,7 @@ def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
     (a coordinate complex structure): only the Christoffel commutator
     contributes."""
     J = np.asarray(J, dtype=np.float64)
-    nab = covariant_field_derivative(christoffel(frame.jet), J, 0.0)
+    nab = covariant_field_derivative(frame.christoffel, J, 0.0)
     norms = gnorm_columns(frame.chol[..., None, :, :], nab)
     return norms.max(axis=(-2, -1)) / np.sqrt(frame.d)
 
@@ -254,7 +277,7 @@ def codazzi_residual(frame: PointFrame, S, dS) -> np.ndarray:
     """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G for the
     operator S on the frame's points and its exact coordinate derivatives
     dS[..., i] = d_i S."""
-    nab = np.swapaxes(covariant_field_derivative(christoffel(frame.jet), S, dS), -2, -1)
+    nab = np.swapaxes(covariant_field_derivative(frame.christoffel, S, dS), -2, -1)
     iu, ju = np.triu_indices(frame.d, 1)
     diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
     norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||L^T v|| = ||v^T L||

@@ -38,13 +38,11 @@ def cross_columns(d1: np.ndarray) -> np.ndarray:
     Returns shape (points, d+1); the result is not normalized.
     """
     d1 = np.asarray(d1, dtype=np.float64)
-    npts, d, amb = d1.shape
+    _, d, amb = d1.shape
     if amb != d + 1:
         raise ValueError(f"need d+1 ambient dims, got {amb} for d={d}")
     cols = d1.transpose(0, 2, 1)  # (points, d+1, d)
-    out = np.empty((npts, amb))
-    rows = np.arange(amb)
-    for i in range(amb):
-        minor = cols[:, rows != i, :]
-        out[:, i] = (-1.0) ** i * np.linalg.det(minor)
-    return out
+    # keep[i] lists the rows of minor i, every row but row i
+    keep = np.array([[r for r in range(amb) if r != i] for i in range(amb)])
+    signs = (-1.0) ** np.arange(amb)
+    return np.linalg.det(cols[:, keep, :]) * signs

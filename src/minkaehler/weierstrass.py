@@ -153,7 +153,7 @@ def validate_seed(seed: WeierstrassSeed, zero_tol: float = 1e-9) -> None:
     samples = _domain_samples(seed)
 
     def check(series: TruncatedSeries, label: str):
-        vals = np.abs([series(z) for z in samples])
+        vals = np.abs(kernels.horner_many(series.coeffs[None, :], samples - series.base)[0])
         if vals.min() <= zero_tol * max(1.0, vals.max()):
             raise SeedValidationError(
                 f"seed invariant violated: {label} must be nonzero on the domain "

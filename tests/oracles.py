@@ -34,8 +34,12 @@ evidence rather than tautology.
 * the benchmark's workload module, loaded from its file, for the random
   seeds it verifies.
 * closed-form test charts (sphere, plane, polar plane, ellipse) written as
-  Taylor formulas, and two helpers: the metric at one point, and the
-  (frame, field jet) pair every bending residual takes.
+  Taylor formulas, and three helpers: the metric at one point, the
+  (frame, field jet) pair every bending residual takes, and the default-grid
+  bundle of each of the six verified seeds (``SIX_SEEDS``).
+* the loops that the package's vectorized kernels replaced, kept as
+  references: the generalized cross product one cofactor determinant at a
+  time, and a residual report aggregated point by point.
 """
 
 from __future__ import annotations
@@ -44,12 +48,18 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import math
+
 import numpy as np
 
 from minkaehler.bending import BTensor, CombinationField
 from minkaehler.charts import TaylorChart, mix_jets
 from minkaehler.geometry import point_frame
+from minkaehler.report import ResidualReport
+from minkaehler.seeds import builtin_seed
+from minkaehler.suites import build_bundle
 from minkaehler.taylor import Taylor
+from minkaehler.weierstrass import seed_from_json
 
 SQRT2 = np.sqrt(2.0)
 
@@ -115,6 +125,52 @@ def frame_and_jet(chart, fld, p) -> tuple:
     """(frame of the chart, 2-jet of the field) at points p of shape (..., d),
     the two inputs of every bending residual."""
     return point_frame(chart.jet(p)), fld.jet(p)
+
+
+SIX_SEEDS = ("enneper", "catenoid", "m4r5", "random-n1", "random-n2", "random-n3")
+
+
+def seed_bundle(name):
+    """A default-grid bundle of a built-in or of a seed the benchmark's
+    verify-random workload draws (n = 3 on its [2] * 6 grid)."""
+    if name in ("enneper", "catenoid", "m4r5"):
+        return build_bundle(builtin_seed(name))
+    seeds = {s["name"]: s for s in benchmark_workloads().random_seeds()}
+    seed = seed_from_json(seeds[name])
+    return build_bundle(seed, counts=[2] * 6 if seed.n == 3 else None)
+
+
+def cross_columns_loop(d1: np.ndarray) -> np.ndarray:
+    """Generalized cross product of the rows of each (d, d+1) slice, one
+    signed cofactor determinant per component."""
+    npts, d, amb = d1.shape
+    cols = d1.transpose(0, 2, 1)
+    out = np.empty((npts, amb))
+    rows = np.arange(amb)
+    for i in range(amb):
+        out[:, i] = (-1.0) ** i * np.linalg.det(cols[:, rows != i, :])
+    return out
+
+
+def report_from_residuals_loop(identity, residuals, tolerance, control=False) -> ResidualReport:
+    """:meth:`ResidualReport.from_residuals` with one ``float`` per point."""
+    mask = np.ma.getmaskarray(residuals)
+    vals = [float(r) for r, out in zip(np.ma.getdata(residuals), mask) if not out]
+    finite = [v for v in vals if math.isfinite(v)]
+    worst = max(finite, default=0.0)
+    mean = sum(finite) / len(finite) if finite else 0.0
+    passed = (worst > tolerance) if control else (worst < tolerance)
+    return ResidualReport(
+        identity=str(identity),
+        points=mask.size,
+        max_residual=worst,
+        mean_residual=mean,
+        tolerance=float(tolerance),
+        passed=bool(passed) and len(finite) == len(vals) > 0,
+        control=bool(control),
+        nonfinite=len(vals) - len(finite),
+        excluded=int(mask.sum()),
+    )
 
 
 def classical_conformal_factor(fw: complex, g: complex) -> float:

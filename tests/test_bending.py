@@ -35,14 +35,11 @@ from minkaehler.geometry import (
     point_frame,
     rank_and_nullity,
 )
-from minkaehler.seeds import builtin_seed
-from minkaehler.suites import build_bundle
-
 from minkaehler.weierstrass import associated, immersion_f, seed_from_json, seed_to_json
 
 from oracles import (
+    SIX_SEEDS,
     B_by_fd,
-    benchmark_workloads,
     ellipse_chart,
     fd_codazzi,
     fd_tangential_covariant_derivative,
@@ -50,6 +47,7 @@ from oracles import (
     first_variation_metric_residual,
     frame_and_jet,
     second_variation_metric_residual,
+    seed_bundle,
     sphere_chart,
 )
 
@@ -165,22 +163,9 @@ class TestBTensor:
             assert nullity_annihilation_residual(frame, b.op, frame.eigenvectors[:, rr.null_mask]) < 1e-7
 
 
-def _bundle(name):
-    """A default-grid bundle of a built-in or of a seed the benchmark's
-    verify-random workload draws (n = 3 on its [2] * 6 grid)."""
-    if name in ("enneper", "catenoid", "m4r5"):
-        return build_bundle(builtin_seed(name))
-    seeds = {s["name"]: s for s in benchmark_workloads().random_seeds()}
-    seed = seed_from_json(seeds[name])
-    return build_bundle(seed, counts=[2] * 6 if seed.n == 3 else None)
-
-
 def _g_relative(frame, op, ref):
     """||op - ref||_G / ||ref||_G per point."""
     return gnorm_op(frame.chol, op - ref) / gnorm_op(frame.chol, ref)
-
-
-SIX_SEEDS = ["enneper", "catenoid", "m4r5", "random-n1", "random-n2", "random-n3"]
 
 
 class TestExactVariation:
@@ -189,7 +174,7 @@ class TestExactVariation:
 
     @pytest.mark.parametrize("name", SIX_SEEDS)
     def test_variation_matches_formula_and_bat(self, name):
-        bundle = _bundle(name)
+        bundle = seed_bundle(name)
         for frame, T in ((bundle.frame, bundle.conjugate_jet), bundle.route):
             var = B_by_variation(frame, T).op
             assert _g_relative(frame, var, B_by_formula(frame, T).op).max() <= 1e-13
@@ -199,7 +184,7 @@ class TestExactVariation:
     def test_variation_matches_fd_oracle_at_second_order(self, name):
         # f + t fbar is a scaled family member, so the central difference of
         # A misses by eps^2 relative, and no more
-        frame, T = _bundle(name).route
+        frame, T = seed_bundle(name).route
         var = B_by_variation(frame, T).op
         for eps in (1e-2, 1e-3, 1e-4):
             err = _g_relative(frame, B_by_fd(frame, T, eps=eps).op, var).max()
@@ -208,7 +193,7 @@ class TestExactVariation:
     @pytest.mark.parametrize("name", ["catenoid", "m4r5", "random-n2"])
     def test_normal_variation_matches_fd_oracle(self, name):
         # a rigid motion tilts the normal at first order
-        bundle = _bundle(name)
+        bundle = seed_bundle(name)
         frame, T = bundle.frame, bundle.trivial_jet(stream=5)
         exact = normal_variation(frame, T)
         assert np.linalg.norm(exact, axis=-1).max() > 1e-2

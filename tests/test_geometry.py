@@ -37,6 +37,7 @@ from minkaehler.taylor import Taylor
 from minkaehler.weierstrass import chart_complex_structure
 
 from oracles import (
+    SIX_SEEDS,
     ellipse_chart,
     ellipse_support,
     fd_christoffel,
@@ -45,6 +46,7 @@ from oracles import (
     plane_chart,
     polar_christoffel,
     polar_plane_chart,
+    seed_bundle,
     sphere_chart,
     sphere_harmonic_eigencheck,
     weingarten_residual,
@@ -148,6 +150,15 @@ class TestPointFrame:
         np.testing.assert_array_equal(fr.shape_norm, gnorm_op(fr.chol, fr.shape_operator))
         assert fr.shape_norm is fr.shape_norm
 
+    @pytest.mark.parametrize("name", SIX_SEEDS)
+    def test_stored_inverse_and_connection_on_seed_grids(self, name):
+        fr = seed_bundle(name).frame
+        G = fr.metric
+        miss = np.abs(fr.metric_inv @ G - np.eye(fr.d)).max(axis=(-2, -1))
+        assert np.all(miss <= 1e-13 * np.linalg.cond(G))
+        np.testing.assert_array_equal(fr.christoffel, christoffel(fr.jet))
+        assert fr.metric_inv is fr.metric_inv and fr.christoffel is fr.christoffel
+
     def test_non_hypersurface_codimension_rejected(self):
         bad = Jet2(
             coords=np.zeros(2),
@@ -236,6 +247,15 @@ class TestNorms:
         G = np.array([[4.0, 1.0], [1.0, 2.0]])
         chol = np.linalg.cholesky(G)
         assert gnorm_op(chol, np.eye(2)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_operator_norm_is_the_spectral_norm_of_the_reduced_matrix(self, rng, d):
+        raw = rng.standard_normal((64, d, d))
+        chol = np.linalg.cholesky(raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d))
+        M = rng.standard_normal((64, d, d))
+        want = np.linalg.norm(np.linalg.solve(chol, np.swapaxes(M, -1, -2) @ chol), 2, axis=(-2, -1))
+        np.testing.assert_allclose(gnorm_op(chol, M), want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(gnorm_op(chol, np.zeros_like(M)), 0.0)
 
 
 class TestChristoffel:

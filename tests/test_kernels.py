@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from minkaehler import kernels
 
+from oracles import cross_columns_loop
+
 
 def random_case(rng, rows, order, npts):
     coeffs = rng.standard_normal((rows, order + 1)) + 1j * rng.standard_normal(
@@ -62,6 +64,12 @@ class TestCrossColumns:
                 u = rng.standard_normal(d + 1)
                 full = np.column_stack([u, d1[p].T])
                 assert out[p] @ u == pytest.approx(np.linalg.det(full), rel=1e-10)
+
+    def test_one_stacked_det_matches_the_cofactor_loop(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 4, 6):
+            d1 = rng.standard_normal((512, d, d + 1))
+            np.testing.assert_array_equal(kernels.cross_columns(d1), cross_columns_loop(d1))
 
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="ambient"):

@@ -30,7 +30,7 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import SeriesChart, associated, seed_from_json
 
-from oracles import benchmark_workloads
+from oracles import benchmark_workloads, report_from_residuals_loop
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
 
@@ -240,6 +240,22 @@ class TestReportPlumbing:
             "excluded": 0,
         }
 
+    def test_vectorized_aggregation_matches_the_point_loop(self):
+        rng = np.random.default_rng(11)
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, 1e-300, 1e300])
+        for case in range(300):
+            size = int(rng.integers(1, 40))
+            vals = rng.lognormal(-20.0, 8.0, size)
+            odd = rng.random(size) < 0.15
+            vals[odd] = rng.choice(specials, odd.sum())
+            res = np.ma.masked_array(vals, mask=rng.random(size) < 0.2) if case % 2 else vals
+            tol = float(rng.choice([1e-12, 1e-7, 1.0]))
+            control = bool(case % 3 == 0)
+            got = ResidualReport.from_residuals("x", res, tol, control=control)
+            want = report_from_residuals_loop("x", res, tol, control=control)
+            assert got == want
+            assert render_json(report_to_dict(got)) == render_json(report_to_dict(want))
+
     def test_masked_points_are_excluded(self):
         res = np.ma.masked_array([0.1, 5e13, 0.3], mask=[False, True, False])
         row = ResidualReport.from_residuals("x", res, 1.0)
@@ -374,10 +390,12 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     """A default m4r5 run builds two charts, f and its conjugate, and
     evaluates each (chart, point stack, order) once; the family members and
     the trivial control fields are combined from the two grid jets, and
-    ``b_three_route`` and ``rotation`` share one route stack."""
-    builds, calls, trivial_calls, frames = [], [], [], []
+    ``b_three_route`` and ``rotation`` share one route stack.  Each frame
+    builds its Christoffel symbols once, for every suite that reads them."""
+    builds, calls, trivial_calls, frames, connections = [], [], [], [], []
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
+    christoffel = geometry.christoffel
 
     def counted_init(self, *args, **kwargs):
         builds.append(self)
@@ -396,11 +414,16 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         frames.append(jet)
         return frame(jet, *args, **kwargs)
 
+    def counted_christoffel(jet):
+        connections.append(jet)
+        return christoffel(jet)
+
     monkeypatch.setattr(SeriesChart, "__init__", counted_init)
     monkeypatch.setattr(SeriesChart, "jet_batch", counted_jet)
     monkeypatch.setattr(TrivialField, "jet_batch", counted_trivial_jet)
     for module in (geometry, bending, suites):
         monkeypatch.setattr(module, "point_frame", counted_frame)
+    monkeypatch.setattr(geometry, "christoffel", counted_christoffel)
     run_suites(build_bundle(builtin_seed("m4r5")))
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
@@ -410,6 +433,8 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     # the grid frame and the route frame; family members and first
     # variations along f + tT build none
     assert len(frames) == 2
+    # one connection per frame: the grid's and the route stack's
+    assert len(connections) == 2
 
 
 # the n = 3 seed of the benchmark's verify-random workload

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from minkaehler.weierstrass import (
     HolomorphicRep,
     SeriesChart,
     WeierstrassSeed,
+    _domain_samples,
     associated,
     build_chain,
     chart_complex_structure,
@@ -405,6 +407,15 @@ class TestValidation:
         z = TruncatedSeries.variable(0.0, 8)
         with pytest.raises(SeedValidationError, match=r"mu\[1\] must be nonzero"):
             validate_seed(self._seed(mu=z))
+
+    def test_zero_on_an_off_center_sample_rejected(self):
+        # mu vanishes exactly at one sample of the outer ring, not at the basepoint
+        sample = _domain_samples(self._seed())[-5]
+        coeffs = np.zeros(9, dtype=np.complex128)
+        coeffs[:2] = -sample, 1.0
+        msg = "seed invariant violated: mu[1] must be nonzero on the domain (min modulus 0 at sampled points)"
+        with pytest.raises(SeedValidationError, match=re.escape(msg)):
+            validate_seed(self._seed(mu=TruncatedSeries(0.0, coeffs)))
 
     def test_builtin_seeds_validate(self, enneper_seed, catenoid_seed, m4r5_seed):
         for seed in (enneper_seed, catenoid_seed, m4r5_seed):
