@@ -58,7 +58,6 @@ from .geometry import (
 )
 from .seeds import BUILTIN_NAMES, builtin_seed
 from .bending import (
-    BTensor,
     CombinationField,
     TrivialField,
     bending_residual,

@@ -122,24 +122,20 @@ def conjugate_field(chart: SeriesChart) -> ImmersionChart:
     """
     theta = chart.theta + math.pi / 2
     if theta < math.pi:
-        return associated(chart.seed, theta, chart.chain, box=chart.box)
-    mate = associated(chart.seed, theta - math.pi, chart.chain, box=chart.box)
+        return associated(chart.seed, theta, chart.chain)
+    mate = associated(chart.seed, theta - math.pi, chart.chain)
     return CombinationField((mate,), (-1.0,))
 
 
-def make_trivial(chart: ImmersionChart, skew=None, offset=None, rng=None, scale: float = 1.0) -> TrivialField:
-    """A trivial field D f + w; random unit-size D, w when not supplied."""
+def make_trivial(chart: ImmersionChart, rng) -> TrivialField:
+    """A random trivial field D f + w with unit-size D and w drawn from
+    ``rng``; :class:`TrivialField` takes given ones."""
     m1 = chart.ambient
-    if skew is None or offset is None:
-        if rng is None:
-            raise DomainError("either pass skew and offset or pass an rng")
-    if skew is None:
-        raw = rng.standard_normal((m1, m1))
-        skew = raw - raw.T
-        skew *= scale / max(np.linalg.norm(skew), TINY)
-    if offset is None:
-        offset = rng.standard_normal(m1)
-        offset *= scale / max(np.linalg.norm(offset), TINY)
+    raw = rng.standard_normal((m1, m1))
+    skew = raw - raw.T
+    skew *= 1.0 / max(np.linalg.norm(skew), TINY)
+    offset = rng.standard_normal(m1)
+    offset *= 1.0 / max(np.linalg.norm(offset), TINY)
     return TrivialField(chart, skew, offset)
 
 
@@ -204,26 +200,11 @@ def normal_variation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
 
 
 # -- the B tensor --------------------------------------------------------------
+#
+# Every route returns B as an operator on a point stack, (..., d, d), with
+# columns the images of the basis vectors; its lowered form is (G B)^T.
 
-@dataclass(frozen=True)
-class BTensor:
-    """The bending tensor on a point stack, as operator and lowered form.
-
-    ``op`` maps tangent vectors (columns are images of basis vectors);
-    ``form`` is the bilinear form with form = (G op)^T; ``metric`` is the
-    base metric G used for the lowering.
-    """
-
-    op: np.ndarray
-    form: np.ndarray
-    metric: np.ndarray
-
-    @staticmethod
-    def from_op(op: np.ndarray, metric: np.ndarray) -> "BTensor":
-        return BTensor(op=op, form=_t(metric @ op), metric=metric)
-
-
-def B_by_variation(frame: PointFrame, field_jet: Jet2) -> BTensor:
+def B_by_variation(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """B as dA, the exact t-derivative at t = 0 of the shape operator of
     f + tT.  With dN from :func:`normal_variation`,
 
@@ -236,8 +217,7 @@ def B_by_variation(frame: PointFrame, field_jet: Jet2) -> BTensor:
     dG = f1 @ _t(field_jet.d1)
     dG = dG + _t(dG)
     dH = (field_jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
-    dA = frame.metric_inv @ (dH - dG @ frame.shape_operator)
-    return BTensor.from_op(dA, frame.metric)
+    return frame.metric_inv @ (dH - dG @ frame.shape_operator)
 
 
 def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
@@ -246,12 +226,11 @@ def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     return (corrected @ frame.normal[..., None, :, None])[..., 0]
 
 
-def B_by_formula(frame: PointFrame, field_jet: Jet2) -> BTensor:
+def B_by_formula(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
-    with the normal.  Exact from the 2-jets of f and T, and identically
-    zero on trivial fields."""
-    form = _b_form(frame, field_jet)
-    return BTensor(op=frame.metric_inv @ _t(form), form=form, metric=frame.metric)
+    with the normal, raised to an operator.  Exact from the 2-jets of f and
+    T, and identically zero on trivial fields."""
+    return frame.metric_inv @ _t(_b_form(frame, field_jet))
 
 
 def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
@@ -261,18 +240,17 @@ def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     return frame.metric_inv @ rhs
 
 
-def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> BTensor:
+def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """B as the composition A T_* (valid for Gauss-map-preserving fields)."""
-    tstar = tangential_derivative(frame, field_jet)
-    return BTensor.from_op(frame.shape_operator @ tstar, frame.metric)
+    return frame.shape_operator @ tangential_derivative(frame, field_jet)
 
 
 def b_route_agreement(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
     ops = np.stack([
-        B_by_variation(frame, field_jet).op,
-        B_by_formula(frame, field_jet).op,
-        B_by_BAT(frame, field_jet).op,
+        B_by_variation(frame, field_jet),
+        B_by_formula(frame, field_jet),
+        B_by_BAT(frame, field_jet),
     ])
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
     scale = np.maximum(gnorm_op(frame.chol, ops).max(axis=0), 1.0)
@@ -500,8 +478,8 @@ def recover_bending_decomposition(
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     frame = point_frame(chart.jet(pts))
     jf, jr = fld.jet(pts), conjugate_field(chart).jet(pts)
-    bt = B_by_formula(frame, jf).form
-    br = B_by_formula(frame, jr).form
+    bt = _b_form(frame, jf)
+    br = _b_form(frame, jr)
     c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)
     m1 = chart.ambient
     pairs = [(a, b) for a in range(m1) for b in range(a + 1, m1)]

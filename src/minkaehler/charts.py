@@ -156,7 +156,7 @@ def random_points(box, count: int, rng) -> np.ndarray:
 
 
 def shrink_box(box, fraction: float) -> np.ndarray:
-    """Box scaled about its center; keeps FD stencils inside the domain."""
+    """Box scaled about its center by ``fraction``."""
     box = np.asarray(box, dtype=np.float64)
     mid = box.mean(axis=1, keepdims=True)
     return mid + (box - mid) * fraction

@@ -36,6 +36,7 @@ from .errors import (
     NonImmersionPointError,
     PreconditionError,
     SeedValidationError,
+    expect_json,
 )
 from .export import export_slice, slice_from_json
 from .report import all_passed, render_json, render_text_table, report_to_dict
@@ -70,6 +71,17 @@ DEFAULT_CONFIG = {
 }
 
 _CONFIG_KEYS = set(DEFAULT_CONFIG)
+# JSON kind and item kind of config values; one whose default is null may be null
+_KINDS = {
+    "suites": ("list", "string"),
+    "sampling": ("object", None),
+    "tolerances": ("object", "number"),
+    "export": ("object", None),
+    "output_dir": ("string", None),
+    "counts": ("list", "number"),
+    "margin": ("number", None),
+    "rng_seed": ("number", None),
+}
 _USER_ERRORS = (
     DomainError,
     NonImmersionPointError,
@@ -86,19 +98,27 @@ def load_config(path) -> dict:
         return config
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
+    expect_json(data, "object", "config")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(
             f"unknown config keys {sorted(unknown)}; known: {sorted(_CONFIG_KEYS)}"
         )
-    for key, value in data.items():
-        if key in ("sampling", "export") and isinstance(value, dict):
-            config[key].update(value)
+    for key, value in _checked(data, DEFAULT_CONFIG, "config").items():
+        if key in ("sampling", "export"):
+            config[key].update(_checked(value, DEFAULT_CONFIG[key], f"config {key}"))
         else:
             config[key] = value
     return config
+
+
+def _checked(data: dict, defaults: dict, where: str) -> dict:
+    """Check the JSON kind of each value of ``data`` that ``_KINDS`` lists;
+    return ``data``."""
+    for key, value in data.items():
+        if key in _KINDS and not (value is None and defaults.get(key) is None):
+            expect_json(value, _KINDS[key][0], f"{where} {key!r}", of=_KINDS[key][1])
+    return data
 
 
 def resolve_seed(spec):

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and a JSON type check."""
 
 
 class DomainError(ValueError):
@@ -29,3 +29,18 @@ class DomainWarning(UserWarning):
 class IndeterminateRankWarning(UserWarning):
     """Emitted when a singular value of the shape operator falls inside the
     band around the rank cutoff where the rank decision is unreliable."""
+
+
+_JSON_KINDS = {"list": (list, tuple), "object": dict, "number": (int, float), "string": str}
+
+
+def expect_json(value, kind: str, key: str, error: type = ValueError, of: str | None = None):
+    """``value`` when it is a parsed JSON ``kind`` (list, object, number or
+    string) whose items, or object values, are each of kind ``of`` when
+    given; otherwise raise ``error`` naming ``key``."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        raise error(f"{key} must be a JSON {kind}{f' of {of}s' if of else ''}, got {value!r}")
+    if of is not None:
+        for item in value.values() if kind == "object" else value:
+            expect_json(item, of, key, error)
+    return value

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, expect_json
 from .geometry import anticommutation_residual, minimality_residual, point_frame
 from .weierstrass import (
     SeriesChart,
@@ -62,25 +62,30 @@ class SliceSpec:
 
 def slice_from_json(data: dict) -> SliceSpec:
     """Build a :class:`SliceSpec` from its JSON form (all keys optional)."""
-    if not isinstance(data, dict):
-        raise DomainError("slice spec must be a JSON object")
+    def get(key, default, kind, of=None):
+        return expect_json(data.get(key, default), kind, f"slice {key}", DomainError, of)
+
+    expect_json(data, "object", "slice spec", DomainError)
     known = {"axes", "counts", "fixed", "box", "field", "theta"}
     unknown = set(data) - known
     if unknown:
         raise DomainError(f"unknown slice keys {sorted(unknown)}; known: {sorted(known)}")
-    fixed = {int(k): float(v) for k, v in dict(data.get("fixed", {})).items()}
+    fixed = {int(k): float(v) for k, v in get("fixed", {}, "object", "number").items()}
     box = data.get("box")
     if box is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(box) != 2:
+        box = tuple(
+            tuple(float(x) for x in expect_json(pair, "list", "slice box", DomainError, "number"))
+            for pair in get("box", None, "list")
+        )
+        if len(box) != 2 or any(len(pair) != 2 for pair in box):
             raise DomainError("slice box needs one (lo, hi) pair per free axis")
     return SliceSpec(
-        axes=tuple(int(a) for a in data.get("axes", (0, 1))),
-        counts=tuple(int(c) for c in data.get("counts", (12, 12))),
+        axes=tuple(int(a) for a in get("axes", (0, 1), "list", "number")),
+        counts=tuple(int(c) for c in get("counts", (12, 12), "list", "number")),
         fixed=fixed,
         box=box,
         field_name=str(data.get("field", "f")),
-        theta=float(data.get("theta", 0.0)),
+        theta=float(get("theta", 0.0, "number")),
     )
 
 

@@ -42,6 +42,8 @@ from .errors import (
 
 # Floor for norms used as divisors.
 TINY = 1e-300
+# Relative singular-value cutoff of a frame's regularity check.
+_REGULARITY_RTOL = 1e-8
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -140,14 +142,14 @@ def shape_data(jet: Jet2, regularity_rtol: float | None = None) -> tuple:
     return metric, normal, second, np.linalg.solve(metric, second)
 
 
-def point_frame(jet: Jet2, regularity_rtol: float = 1e-8) -> PointFrame:
+def point_frame(jet: Jet2) -> PointFrame:
     """Assemble the frames of a jet stack; raises if a point is not an
     immersion, naming the coordinates of the first such point.
 
-    ``regularity_rtol`` is the relative singular-value cutoff below which
-    the first partials count as dependent.
+    The first partials count as dependent where their smallest singular
+    value is at most ``_REGULARITY_RTOL`` times their largest.
     """
-    metric, normal, second, shape_op = shape_data(jet, regularity_rtol)
+    metric, normal, second, shape_op = shape_data(jet, _REGULARITY_RTOL)
     chol = np.linalg.cholesky(metric)
     # eigen-data through the symmetric pencil (H, G): real spectrum,
     # G-orthonormal eigenvectors

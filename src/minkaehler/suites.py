@@ -5,10 +5,9 @@ chart f and of its conjugate fbar, the bending that preserves the Gauss
 map.  :class:`ChartBundle` evaluates both once on the sample grid, at
 order 3, and derives the rest from them: the grid frame, the members
 cos(theta) f + sin(theta) fbar of the phase family, the trivial control
-fields D f + w, and the derivative of B that ``codazzi_b`` reads.  The
-only other evaluation is one shared route stack, a frame of f and a jet of
-fbar at random interior points, which ``b_three_route`` and ``rotation``
-both read.
+fields D f + w, and the derivative of B that ``codazzi_b`` reads.  Every
+identity the suites check is pointwise, so the grid is the only
+evaluation.
 
 Each suite is registered once below, in verify order and with its default
 tolerance; its docstring states the identity it measures.  A suite maps
@@ -44,15 +43,7 @@ from .bending import (
     parallel_tangential_residual,
     rotation_coefficient,
 )
-from .charts import (
-    ImmersionChart,
-    Jet2,
-    TaylorChart,
-    grid_points,
-    mix_jets,
-    random_points,
-    shrink_box,
-)
+from .charts import Jet2, TaylorChart, grid_points, mix_jets, shrink_box
 from .errors import IndeterminateRankWarning
 from .geometry import (
     PointFrame,
@@ -95,7 +86,8 @@ DEFAULT_RNG_SEED = 20260816
 CONTROL_FLOOR = 1e-2
 
 _FAMILY_THETAS = tuple(k * math.pi / 6 for k in range(1, 6))
-_ROUTE_POINTS = 30  # sampled points of the route stack
+# every chart of the construction has a rank-2 shape operator (nullity d - 2)
+_EXPECTED_RANK = 2
 
 
 def default_counts(d: int):
@@ -116,7 +108,6 @@ class ChartBundle:
     chart: SeriesChart
     points: np.ndarray
     rng_seed: int = DEFAULT_RNG_SEED
-    expected_rank: int = 2
 
     @property
     def d(self) -> int:
@@ -125,10 +116,6 @@ class ChartBundle:
     @property
     def J(self) -> np.ndarray:
         return chart_complex_structure(self.chart.d)
-
-    @cached_property
-    def conjugate(self) -> ImmersionChart:
-        return conjugate_field(self.chart)
 
     @cached_property
     def frame(self) -> PointFrame:
@@ -140,7 +127,7 @@ class ChartBundle:
     def conjugate_jet(self) -> Jet2:
         """The conjugate field's 3-jet over the sample grid, the one
         evaluation of fbar on the grid."""
-        return self.conjugate.jet(self.points, order=3)
+        return conjugate_field(self.chart).jet(self.points, order=3)
 
     def member_jet(self, theta: float) -> Jet2:
         """The 2-jet over the grid of the family member
@@ -151,19 +138,6 @@ class ChartBundle:
         """The 2-jet over the grid of a random trivial field D f + w."""
         rng = np.random.default_rng(self.rng_seed + stream)
         return make_trivial(self.chart, rng=rng).jet_from(self.frame.jet)
-
-    def route_points(self, stream: int) -> np.ndarray:
-        """Deterministic random interior points for the sampled suites."""
-        rng = np.random.default_rng(self.rng_seed + stream)
-        box = shrink_box(self.chart.box, 0.9)
-        return random_points(box, _ROUTE_POINTS, rng)
-
-    @cached_property
-    def route(self) -> tuple:
-        """(frame of f, 2-jet of fbar) on ``route_points(stream=1)``, the
-        stack that ``b_three_route`` and ``rotation`` share."""
-        pts = self.route_points(stream=1)
-        return point_frame(self.chart.jet(pts)), self.conjugate.jet(pts)
 
     @cached_property
     def family(self) -> tuple:
@@ -189,14 +163,13 @@ class ChartBundle:
 def build_bundle(
     seed: WeierstrassSeed,
     counts=None,
-    box=None,
     margin: float = 0.9,
     rng_seed: int = DEFAULT_RNG_SEED,
 ) -> ChartBundle:
     """Validate the seed, run the recursion, and sample the chart box."""
     validate_seed(seed)
     chain = build_chain(seed)
-    chart = immersion_f(seed, chain, box=box)
+    chart = immersion_f(seed, chain)
     if counts is None:
         counts = default_counts(chart.d)
     counts = [int(c) for c in counts]
@@ -247,7 +220,7 @@ def rank(b: ChartBundle):
         warnings.simplefilter("ignore", IndeterminateRankWarning)
         rr = rank_and_nullity(b.frame)
     # an indeterminate spectrum counts as a miss
-    return (np.where(rr.indeterminate, 1.0, np.abs(rr.rank - b.expected_rank)),)
+    return (np.where(rr.indeterminate, 1.0, np.abs(rr.rank - _EXPECTED_RANK)),)
 
 
 @_suite(1e-10)
@@ -361,13 +334,13 @@ def codazzi_b(b: ChartBundle):
 @_suite(1e-7)
 def b_three_route(b: ChartBundle):
     """The three independent B computations agree."""
-    return (b_route_agreement(*b.route),)
+    return (b_route_agreement(b.frame, b.conjugate_jet),)
 
 
 @_suite(1e-6)
 def rotation(b: ChartBundle):
     """The tangential part rotates by a constant c = 1."""
-    rot = rotation_coefficient(*b.route, J=b.J)
+    rot = rotation_coefficient(b.frame, b.conjugate_jet, J=b.J)
     cs = rot.coefficient
     # point-independence of c sits between the per-point misses and fits
     return (np.concatenate([np.abs(cs - 1.0), [cs.max() - cs.min()], rot.fit_residual]),)
@@ -379,7 +352,7 @@ def nullity_in_bending_kernel(b: ChartBundle):
     if b.d <= 2:
         raise ValueError("this suite needs a chart with relative nullity (d > 2)")
     frame = b.frame
-    b_op = B_by_formula(frame, b.conjugate_jet).op
+    b_op = B_by_formula(frame, b.conjugate_jet)
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
     return (nullity_annihilation_residual(frame, b_op, basis),)

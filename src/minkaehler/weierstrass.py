@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .charts import ImmersionChart, shrink_box
-from .errors import DomainError, DomainWarning, SeedValidationError
+from .errors import DomainError, DomainWarning, SeedValidationError, expect_json
 from .series import (
     DEFAULT_ORDER,
     SeriesVector,
@@ -45,6 +45,7 @@ from .series import (
 )
 
 SQRT2 = math.sqrt(2.0)
+_ZERO_TOL = 1e-9  # a seed series counts as zero below this relative modulus
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,18 @@ def _domain_samples(seed: WeierstrassSeed, radial: int = 6, angular: int = 16) -
     return np.asarray(pts)
 
 
-def validate_seed(seed: WeierstrassSeed, zero_tol: float = 1e-9) -> None:
+def validate_seed(seed: WeierstrassSeed) -> None:
     """Check the nowhere-zero invariants on a polar grid of the domain disc.
 
     Raises :class:`SeedValidationError` naming the offending datum.  The
-    tolerance is relative to the largest sampled modulus (with floor 1).
+    tolerance ``_ZERO_TOL`` is relative to the largest sampled modulus
+    (with floor 1).
     """
     samples = _domain_samples(seed)
 
     def check(series: TruncatedSeries, label: str):
         vals = np.abs(kernels.horner_many(series.coeffs[None, :], samples - series.base)[0])
-        if vals.min() <= zero_tol * max(1.0, vals.max()):
+        if vals.min() <= _ZERO_TOL * max(1.0, vals.max()):
             raise SeedValidationError(
                 f"seed invariant violated: {label} must be nonzero on the domain "
                 f"(min modulus {vals.min():.3g} at sampled points)"
@@ -298,13 +300,14 @@ class SeriesChart(ImmersionChart):
     any order.
 
     Real coordinates (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}) with
-    z = basepoint + x + i y and w_j = u_j + i v_j.  All jets come from
+    z = basepoint + x + i y and w_j = u_j + i v_j; the sampling ``box`` is
+    the domain's inscribed box scaled by 0.7.  All jets come from
     Horner evaluation of stored coefficient rows, built per order on first
     use; delta^(n+1) and beyond, read only by partials of order 3 and up,
     are differentiated here rather than in the chain.
     """
 
-    def __init__(self, seed: WeierstrassSeed, theta: float = 0.0, chain: WeierstrassChain | None = None, box=None):
+    def __init__(self, seed: WeierstrassSeed, theta: float = 0.0, chain: WeierstrassChain | None = None):
         if not 0.0 <= theta < math.pi:
             raise ValueError("theta must lie in [0, pi)")
         rep = HolomorphicRep(seed, chain)
@@ -325,22 +328,16 @@ class SeriesChart(ImmersionChart):
         self._series = [rep.base_part, base1, base1.diff(), *rep.chain.delta_derivs]
         self._rows_by_order = {}
         self._phase = SQRT2 * _snap_phase(self.theta)
-        if box is None:
-            zhalf = seed.domain.radius / math.sqrt(2.0)
-            halves = [zhalf, zhalf]
-            for h in seed.domain.w_halfwidth:
-                halves.extend([h, h])
-            box = np.array([[-h, h] for h in halves])
-            box = shrink_box(box, 0.7)
-        self.box = np.asarray(box, dtype=np.float64)
+        halves = np.repeat([seed.domain.radius / math.sqrt(2.0), *seed.domain.w_halfwidth], 2)
+        self.box = shrink_box(np.stack([-halves, halves], axis=1), 0.7)
 
-    def domain_contains(self, pts, margin: float = 0.0) -> np.ndarray:
-        """Whether each point of a (..., d) stack lies in the seed's domain,
-        ``margin`` inside its boundary; shape (...)."""
+    def domain_contains(self, pts) -> np.ndarray:
+        """Whether each point of a (..., d) stack lies in the seed's domain;
+        shape (...)."""
         pts = np.asarray(pts, dtype=np.float64)
         halves = np.repeat(self.seed.domain.w_halfwidth, 2)
-        inside = np.hypot(pts[..., 0], pts[..., 1]) <= self.seed.domain.radius - margin
-        return inside & np.all(np.abs(pts[..., 2:]) <= halves - margin, axis=-1)
+        inside = np.hypot(pts[..., 0], pts[..., 1]) <= self.seed.domain.radius
+        return inside & np.all(np.abs(pts[..., 2:]) <= halves, axis=-1)
 
     def _rows(self, order: int) -> tuple:
         """Coefficient rows and jet table for ``order``, built on first use."""
@@ -402,19 +399,19 @@ class SeriesChart(ImmersionChart):
         return self.jet_batch(pts)[0]
 
 
-def immersion_f(seed: WeierstrassSeed, chain: WeierstrassChain | None = None, box=None) -> SeriesChart:
+def immersion_f(seed: WeierstrassSeed, chain: WeierstrassChain | None = None) -> SeriesChart:
     """The hypersurface chart f = sqrt(2) Re F."""
-    return SeriesChart(seed, 0.0, chain, box)
+    return SeriesChart(seed, 0.0, chain)
 
 
-def conjugate_fbar(seed: WeierstrassSeed, chain: WeierstrassChain | None = None, box=None) -> SeriesChart:
+def conjugate_fbar(seed: WeierstrassSeed, chain: WeierstrassChain | None = None) -> SeriesChart:
     """The conjugate chart fbar = sqrt(2) Im F."""
-    return SeriesChart(seed, math.pi / 2, chain, box)
+    return SeriesChart(seed, math.pi / 2, chain)
 
 
-def associated(seed: WeierstrassSeed, theta: float, chain: WeierstrassChain | None = None, box=None) -> SeriesChart:
+def associated(seed: WeierstrassSeed, theta: float, chain: WeierstrassChain | None = None) -> SeriesChart:
     """Associated-family member cos(theta) f + sin(theta) fbar, theta in [0, pi)."""
-    return SeriesChart(seed, theta, chain, box)
+    return SeriesChart(seed, theta, chain)
 
 
 def chart_complex_structure(d: int) -> np.ndarray:
@@ -438,10 +435,14 @@ def _c2pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _pair2c(p) -> complex:
+def _seed_json(value, kind: str, key: str, of: str | None = None):
+    return expect_json(value, kind, f"seed {key}", SeedValidationError, of)
+
+
+def _pair2c(p, key: str) -> complex:
     if isinstance(p, (int, float)):
         return complex(p)
-    if len(p) != 2:
+    if len(_seed_json(p, "list", key, of="number")) != 2:
         raise SeedValidationError(f"complex entries are [re, im] pairs, got {p!r}")
     return complex(float(p[0]), float(p[1]))
 
@@ -450,9 +451,12 @@ def _series_to_json(s: TruncatedSeries) -> list:
     return [_c2pair(c) for c in s.coeffs]
 
 
-def _series_from_json(coeffs, base: complex, order: int) -> TruncatedSeries:
-    vals = np.array([_pair2c(p) for p in coeffs], dtype=np.complex128)
-    return _to_order(TruncatedSeries(base, vals), order)
+def _complex_list(entries, key: str) -> np.ndarray:
+    return np.array([_pair2c(p, key) for p in _seed_json(entries, "list", key)], dtype=np.complex128)
+
+
+def _series_from_json(coeffs, base: complex, order: int, key: str) -> TruncatedSeries:
+    return _to_order(TruncatedSeries(base, _complex_list(coeffs, key)), order)
 
 
 def seed_to_json(seed: WeierstrassSeed) -> dict:
@@ -480,24 +484,26 @@ def seed_to_json(seed: WeierstrassSeed) -> dict:
 
 def seed_from_json(data: dict) -> WeierstrassSeed:
     try:
-        n = int(data["n"])
-        base = _pair2c(data.get("basepoint", [0.0, 0.0]))
-        order = int(data.get("trunc_order", DEFAULT_ORDER))
-        alpha0 = _series_from_json(data["alpha0"], base, order)
-        mu = [_series_from_json(s, base, order) for s in data["mu"]]
-        b = [_series_from_json(s, base, order) for s in data["b"]]
-        dom = data["domain"]
-        domain = DomainSpec(float(dom["radius"]), tuple(dom.get("w_halfwidth", ())))
+        n = int(_seed_json(data["n"], "number", "n"))
+        base = _pair2c(data.get("basepoint", [0.0, 0.0]), "basepoint")
+        order = int(_seed_json(data.get("trunc_order", DEFAULT_ORDER), "number", "trunc_order"))
+        alpha0 = _series_from_json(data["alpha0"], base, order, "alpha0")
+        mu = [_series_from_json(s, base, order, "mu") for s in _seed_json(data["mu"], "list", "mu")]
+        b = [_series_from_json(s, base, order, "b") for s in _seed_json(data["b"], "list", "b")]
+        dom = _seed_json(data["domain"], "object", "domain")
+        domain = DomainSpec(
+            float(_seed_json(dom["radius"], "number", "domain radius")),
+            tuple(_seed_json(dom.get("w_halfwidth", ()), "list", "domain w_halfwidth", of="number")),
+        )
     except KeyError as exc:
         raise SeedValidationError(f"seed JSON is missing required key {exc}") from exc
-    consts = data.get("constants", {})
-    phi_c = None
-    rep_c = None
-    if "phi" in consts:
-        phi_c = [np.array([_pair2c(c) for c in vec], dtype=np.complex128) for vec in consts["phi"]]
-    if "rep" in consts:
-        rep_c = [np.array([_pair2c(c) for c in vec], dtype=np.complex128) for vec in consts["rep"]]
-    seed = WeierstrassSeed(
+    consts = _seed_json(data.get("constants", {}), "object", "constants")
+    phi_c, rep_c = (
+        [_complex_list(vec, f"{k} constants") for vec in _seed_json(consts[k], "list", f"{k} constants")]
+        if k in consts else None
+        for k in ("phi", "rep")
+    )
+    return WeierstrassSeed(
         n=n,
         alpha0=alpha0,
         mu=mu,
@@ -508,7 +514,6 @@ def seed_from_json(data: dict) -> WeierstrassSeed:
         rep_constants=rep_c,
         name=str(data.get("name", "custom")),
     )
-    return seed
 
 
 def chain_to_json(chain: WeierstrassChain) -> dict:

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from minkaehler.bending import BTensor, CombinationField
+from minkaehler.bending import CombinationField
 from minkaehler.charts import TaylorChart, mix_jets
 from minkaehler.geometry import point_frame
 from minkaehler.report import ResidualReport
@@ -307,12 +307,12 @@ def fd_normal_variation(frame, field_jet, eps: float = 1e-4) -> np.ndarray:
     return (up - down) / (2 * eps)
 
 
-def B_by_fd(frame, field_jet, eps: float = 1e-4) -> BTensor:
+def B_by_fd(frame, field_jet, eps: float = 1e-4) -> np.ndarray:
     """B as the central t-difference of the shape operator of f + tT, with
     O(eps^2) truncation."""
     ap = _deformed_frame(frame, field_jet, eps).shape_operator
     am = _deformed_frame(frame, field_jet, -eps).shape_operator
-    return BTensor.from_op((ap - am) / (2 * eps), frame.metric)
+    return (ap - am) / (2 * eps)
 
 
 def fd_christoffel(chart, p) -> np.ndarray:

@@ -58,7 +58,7 @@ def _nullity(chart, fld, p):
     frame = _frame(chart, p)
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    return nullity_annihilation_residual(frame, B_by_formula(*frame_and_jet(chart, fld, p)).op, basis)
+    return nullity_annihilation_residual(frame, B_by_formula(*frame_and_jet(chart, fld, p)), basis)
 
 
 def _codazzi_control(chart, fld, p):
@@ -98,8 +98,8 @@ QUANTITIES = {
     "codazzi_b": lambda c, T, p: codazzi_b_residual(point_frame(c.jet(p, order=3)), T.jet(p, order=3)),
     "codazzi_control": _codazzi_control,
     "b_three_route": lambda c, T, p: b_route_agreement(*frame_and_jet(c, T, p)),
-    "B_by_formula": lambda c, T, p: B_by_formula(*frame_and_jet(c, T, p)).op,
-    "B_by_variation": lambda c, T, p: B_by_variation(*frame_and_jet(c, T, p)).op,
+    "B_by_formula": lambda c, T, p: B_by_formula(*frame_and_jet(c, T, p)),
+    "B_by_variation": lambda c, T, p: B_by_variation(*frame_and_jet(c, T, p)),
     "rotation": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).coefficient,
     "rotation_fit": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).fit_residual,
     "nullity_in_bending_kernel": lambda c, T, p: _nullity(c, T, p),

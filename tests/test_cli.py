@@ -179,6 +179,27 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg]) == 2
         assert "unknown builtin seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("verify", {"sampling": 5}),
+            ("verify", {"suites": 5}),
+            ("verify", {"output_dir": 5}),
+            ("verify", {"sampling": {"rng_seed": None}}),
+            ("export", {"export": {"counts": 5}}),
+            ("export", {"export": {"fixed": 5}}),
+            ("export", {"export": {"axes": None}}),
+            ("export", {"export": {"box": 3}}),
+            ("verify", {"seed": dict(seed_to_json(builtin_seed("enneper")), alpha0=5)}),
+        ],
+    )
+    def test_wrong_json_type_is_a_usage_error(self, tmp_path, capsys, command, config):
+        # exit 1 means an identity failed; a malformed input must not read as one
+        cfg = write_config(tmp_path, **config)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestExport:
     def test_obj_and_csv_files(self, tmp_path, capsys):

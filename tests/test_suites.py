@@ -180,18 +180,9 @@ class TestBundle:
         with pytest.raises(ValueError, match="at least 2"):
             build_bundle(builtin_seed("enneper"), counts=[1, 5])
 
-    def test_route_points_are_deterministic_per_stream(self, enneper_bundle):
-        a = enneper_bundle.route_points(stream=7)
-        b = enneper_bundle.route_points(stream=7)
-        c = enneper_bundle.route_points(stream=8)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert a.shape == (30, enneper_bundle.d)
-
     def test_points_stay_inside_the_box(self, enneper_bundle):
-        box = enneper_bundle.chart.box
-        for pts in (enneper_bundle.points, enneper_bundle.route_points(stream=1)):
-            assert np.all(pts >= box[:, 0]) and np.all(pts <= box[:, 1])
+        box, pts = enneper_bundle.chart.box, enneper_bundle.points
+        assert np.all(pts >= box[:, 0]) and np.all(pts <= box[:, 1])
 
 
 class TestReportPlumbing:
@@ -380,7 +371,7 @@ def test_family_rows_match_full_member_frames(name):
     for got, want in zip(bundle.family, combined):
         np.testing.assert_array_equal(got, want)
     # full frames of the members built as charts of their own
-    charts = [associated(bundle.seed, t, bundle.chain, box=bundle.chart.box) for t in thetas]
+    charts = [associated(bundle.seed, t, bundle.chain) for t in thetas]
     built = _family_rows(bundle, [geometry.point_frame(c.jet(bundle.points)) for c in charts])
     for got, want in zip(bundle.family, built):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -388,9 +379,8 @@ def test_family_rows_match_full_member_frames(name):
 
 def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     """A default m4r5 run builds two charts, f and its conjugate, and
-    evaluates each (chart, point stack, order) once; the family members and
-    the trivial control fields are combined from the two grid jets, and
-    ``b_three_route`` and ``rotation`` share one route stack.  Each frame
+    evaluates each once, on the grid; the family members and the trivial
+    control fields are combined from the two grid jets.  The one frame
     builds its Christoffel symbols once, for every suite that reads them."""
     builds, calls, trivial_calls, frames, connections = [], [], [], [], []
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
@@ -428,13 +418,13 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
     assert not trivial_calls
-    # f and fbar on the grid and on the shared route stack
-    assert len(calls) == 4
-    # the grid frame and the route frame; family members and first
-    # variations along f + tT build none
-    assert len(frames) == 2
-    # one connection per frame: the grid's and the route stack's
-    assert len(connections) == 2
+    # f and fbar on the grid
+    assert len(calls) == 2
+    # the grid frame; family members and first variations along f + tT
+    # build none
+    assert len(frames) == 1
+    # the grid frame's one connection
+    assert len(connections) == 1
 
 
 # the n = 3 seed of the benchmark's verify-random workload
