@@ -260,24 +260,22 @@ def b_route_agreement(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
 
 def bat_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    b_op = frame.metric_inv @ _t(_b_form(frame, field_jet))
-    at = frame.shape_operator @ tangential_derivative(frame, field_jet)
+    b_op = B_by_formula(frame, field_jet)
+    at = B_by_BAT(frame, field_jet)
     den = gnorm_op(frame.chol, at)
     return gnorm_op(frame.chol, b_op - at) / np.maximum(den, 1e-14)
 
 
-def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, tstar=None) -> np.ndarray:
+def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, tstar: np.ndarray) -> np.ndarray:
     """nabla T_* from the 2-jets of f and T; returns [..., i, k, j] like
     :func:`~minkaehler.geometry.covariant_field_derivative`.  ``tstar`` is
-    T_* from :func:`tangential_derivative` when the caller already has it.
+    T_* from :func:`tangential_derivative`.
 
     With P_ij = <f_i, T_j> and T_* = G^{-1} P, the coordinate derivative is
     d_i T_* = G^{-1} (d_i P - d_i G T_*), and the connection adds the
     commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
     """
     jb = frame.jet
-    if tstar is None:
-        tstar = tangential_derivative(frame, field_jet)
     # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>;  d_i G_kj = <f_ik, f_j> + <f_k, f_ij>
     dP = jb.d2 @ _t(field_jet.d1)[..., None, :, :] + np.einsum(
         "...kc,...ijc->...ikj", jb.d1, field_jet.d2
@@ -356,7 +354,7 @@ def fundamental_equation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndar
     <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.
     """
     A = frame.shape_operator
-    B = frame.metric_inv @ _t(_b_form(frame, field_jet))
+    B = B_by_formula(frame, field_jet)
     GA = frame.metric @ A
     GB = frame.metric @ B
     iu, ju = np.triu_indices(frame.d, 1)
@@ -415,6 +413,10 @@ def rotation_coefficient(frame: PointFrame, field_jet: Jet2, J=None) -> Rotation
     return RotationData(coefficient=c, fit_residual=fit, basis=basis)
 
 
+_BENDING_TOL = 1e-6
+_TRIVIAL_THRESHOLD = 1e-6
+
+
 @dataclass(frozen=True)
 class TrivialityResult:
     trivial: bool
@@ -423,27 +425,22 @@ class TrivialityResult:
     worst_bending_residual: float
 
 
-def classify_triviality(
-    chart: ImmersionChart,
-    fld: ImmersionChart,
-    pts,
-    threshold: float = 1e-6,
-    bending_tol: float = 1e-6,
-) -> TrivialityResult:
+def classify_triviality(chart: ImmersionChart, fld: ImmersionChart, pts) -> TrivialityResult:
     """Decide whether a bending is trivial (B vanishes identically).
 
-    Raises :class:`PreconditionError` if the field fails the bending
-    condition anywhere in the sample; the score is the largest
-    ||B||_G / (||A||_G * sigma) with sigma the relative field size.
+    Raises :class:`PreconditionError` if the field's bending residual
+    exceeds ``_BENDING_TOL`` anywhere in the sample; the score is the
+    largest ||B||_G / (||A||_G * sigma) with sigma the relative field size,
+    and the bending is trivial when it is below ``_TRIVIAL_THRESHOLD``.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     frame = point_frame(chart.jet(pts))
     jf = fld.jet(pts)
     worst_bend = float(bending_residual(frame, jf).max())
-    if worst_bend > bending_tol:
+    if worst_bend > _BENDING_TOL:
         raise PreconditionError(
             f"field is not an infinitesimal bending on the sample "
-            f"(worst symmetrized residual {worst_bend:.3g} > {bending_tol:g})"
+            f"(worst symmetrized residual {worst_bend:.3g} > {_BENDING_TOL:g})"
         )
     sizes = np.linalg.norm(jf.d1, axis=(-2, -1)) / np.maximum(
         np.linalg.norm(frame.jet.d1, axis=(-2, -1)), TINY
@@ -451,10 +448,10 @@ def classify_triviality(
     sigma = float(sizes.max())
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
-        return TrivialityResult(True, 0.0, threshold, worst_bend)
-    b_op = frame.metric_inv @ _t(_b_form(frame, jf))
+        return TrivialityResult(True, 0.0, _TRIVIAL_THRESHOLD, worst_bend)
+    b_op = B_by_formula(frame, jf)
     score = float((gnorm_op(frame.chol, b_op) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
-    return TrivialityResult(bool(score < threshold), score, threshold, worst_bend)
+    return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score, _TRIVIAL_THRESHOLD, worst_bend)
 
 
 @dataclass(frozen=True)

@@ -107,18 +107,18 @@ class TaylorChart(ImmersionChart):
 class ProductChart(ImmersionChart):
     """Cylinder ``(y, z) -> (profile(y), z)`` over a profile chart.
 
-    Appends ``extra`` flat Euclidean coordinates to both domain and ambient
-    space; the second fundamental form is carried entirely by the profile.
+    Appends ``extra`` flat Euclidean coordinates, each over [-0.5, 0.5], to
+    both domain and ambient space; the second fundamental form is carried
+    entirely by the profile.
     """
 
     profile: ImmersionChart
     extra: int
-    extra_halfwidth: float = 0.5
 
     def __post_init__(self):
         self.d = self.profile.d + self.extra
         self.ambient = self.profile.ambient + self.extra
-        flat = np.array([[-self.extra_halfwidth, self.extra_halfwidth]] * self.extra)
+        flat = np.array([[-0.5, 0.5]] * self.extra)
         self.box = np.vstack([self.profile.box, flat]) if self.extra else self.profile.box.copy()
 
     def jet_batch(self, pts, order: int = 2) -> tuple:

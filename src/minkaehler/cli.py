@@ -49,14 +49,13 @@ from .suites import (
     default_suites,
     run_suites,
 )
-from .weierstrass import chain_to_json, seed_from_json, seed_to_json
+from .weierstrass import chain_to_json, immersion_f, seed_from_json, seed_to_json, validate_seed
 
 DEFAULT_CONFIG = {
     "seed": "enneper",
     "suites": None,
     "sampling": {
         "counts": None,
-        "margin": 0.9,
         "rng_seed": DEFAULT_RNG_SEED,
     },
     "tolerances": {},
@@ -70,7 +69,6 @@ DEFAULT_CONFIG = {
     "output_dir": "minkaehler-out",
 }
 
-_CONFIG_KEYS = set(DEFAULT_CONFIG)
 # JSON kind and item kind of config values; one whose default is null may be null
 _KINDS = {
     "suites": ("list", "string"),
@@ -78,9 +76,8 @@ _KINDS = {
     "tolerances": ("object", "number"),
     "export": ("object", None),
     "output_dir": ("string", None),
-    "counts": ("list", "number"),
-    "margin": ("number", None),
-    "rng_seed": ("number", None),
+    "counts": ("list", "integer"),
+    "rng_seed": ("integer", None),
 }
 _USER_ERRORS = (
     DomainError,
@@ -99,17 +96,21 @@ def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     expect_json(data, "object", "config")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(
-            f"unknown config keys {sorted(unknown)}; known: {sorted(_CONFIG_KEYS)}"
-        )
+    _reject_unknown(data, DEFAULT_CONFIG, "config")
     for key, value in _checked(data, DEFAULT_CONFIG, "config").items():
+        if key == "sampling":
+            _reject_unknown(value, DEFAULT_CONFIG[key], "config sampling")
         if key in ("sampling", "export"):
             config[key].update(_checked(value, DEFAULT_CONFIG[key], f"config {key}"))
         else:
             config[key] = value
     return config
+
+
+def _reject_unknown(data: dict, defaults: dict, where: str) -> None:
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {sorted(unknown)}; known: {sorted(defaults)}")
 
 
 def _checked(data: dict, defaults: dict, where: str) -> dict:
@@ -136,7 +137,6 @@ def _bundle_from_config(config):
     return build_bundle(
         seed,
         counts=sampling.get("counts"),
-        margin=float(sampling.get("margin", 0.9)),
         rng_seed=int(sampling.get("rng_seed", DEFAULT_RNG_SEED)),
     )
 
@@ -149,15 +149,16 @@ def _out_dir(config) -> Path:
 
 def cmd_generate(config) -> int:
     seed = resolve_seed(config["seed"])
-    bundle = build_bundle(seed, counts=config["sampling"].get("counts"))
+    validate_seed(seed)
+    chart = immersion_f(seed)
     payload = {
         "seed": seed_to_json(seed),
-        "chain": chain_to_json(bundle.chain),
+        "chain": chain_to_json(chart.chain),
         "chart": {
             "theta": 0.0,
-            "ambient_dim": bundle.chart.ambient,
-            "coordinate_dim": bundle.chart.d,
-            "box": [[float(lo), float(hi)] for lo, hi in bundle.chart.box],
+            "ambient_dim": chart.ambient,
+            "coordinate_dim": chart.d,
+            "box": [[float(lo), float(hi)] for lo, hi in chart.box],
             "trunc_order": seed.trunc_order,
         },
     }

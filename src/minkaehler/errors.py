@@ -23,7 +23,8 @@ class PreconditionError(RuntimeError):
 
 
 class DomainWarning(UserWarning):
-    """Emitted when a series is evaluated outside its declared radius."""
+    """Emitted when a seed chart is evaluated at points outside its seed's
+    declared domain, where the truncation error bound no longer holds."""
 
 
 class IndeterminateRankWarning(UserWarning):
@@ -31,14 +32,25 @@ class IndeterminateRankWarning(UserWarning):
     band around the rank cutoff where the rank decision is unreliable."""
 
 
-_JSON_KINDS = {"list": (list, tuple), "object": dict, "number": (int, float), "string": str}
+_JSON_KINDS = {
+    "list": (list, tuple),
+    "object": dict,
+    "number": (int, float),
+    "integer": (int, float),
+    "string": str,
+}
+
+
+def _whole(value) -> bool:
+    """A JSON integer: a whole number, never a boolean."""
+    return not isinstance(value, bool) and (isinstance(value, int) or value.is_integer())
 
 
 def expect_json(value, kind: str, key: str, error: type = ValueError, of: str | None = None):
-    """``value`` when it is a parsed JSON ``kind`` (list, object, number or
-    string) whose items, or object values, are each of kind ``of`` when
-    given; otherwise raise ``error`` naming ``key``."""
-    if not isinstance(value, _JSON_KINDS[kind]):
+    """``value`` when it is a parsed JSON ``kind`` (list, object, number,
+    integer or string) whose items, or object values, are each of kind
+    ``of`` when given; otherwise raise ``error`` naming ``key``."""
+    if not isinstance(value, _JSON_KINDS[kind]) or (kind == "integer" and not _whole(value)):
         raise error(f"{key} must be a JSON {kind}{f' of {of}s' if of else ''}, got {value!r}")
     if of is not None:
         for item in value.values() if kind == "object" else value:

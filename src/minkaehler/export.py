@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import DomainError, expect_json
 from .geometry import anticommutation_residual, minimality_residual, point_frame
-from .weierstrass import (
-    SeriesChart,
-    WeierstrassChain,
-    WeierstrassSeed,
-    associated,
-    chart_complex_structure,
-)
+from .weierstrass import SeriesChart, WeierstrassSeed, associated, chart_complex_structure
 
 __all__ = [
     "SliceSpec",
@@ -70,7 +64,12 @@ def slice_from_json(data: dict) -> SliceSpec:
     unknown = set(data) - known
     if unknown:
         raise DomainError(f"unknown slice keys {sorted(unknown)}; known: {sorted(known)}")
-    fixed = {int(k): float(v) for k, v in get("fixed", {}, "object", "number").items()}
+    fixed = {}
+    for k, v in get("fixed", {}, "object", "number").items():
+        try:
+            fixed[int(k)] = float(v)
+        except ValueError:
+            raise DomainError(f"slice fixed key {k!r} is not an axis index") from None
     box = data.get("box")
     if box is not None:
         box = tuple(
@@ -80,8 +79,8 @@ def slice_from_json(data: dict) -> SliceSpec:
         if len(box) != 2 or any(len(pair) != 2 for pair in box):
             raise DomainError("slice box needs one (lo, hi) pair per free axis")
     return SliceSpec(
-        axes=tuple(int(a) for a in get("axes", (0, 1), "list", "number")),
-        counts=tuple(int(c) for c in get("counts", (12, 12), "list", "number")),
+        axes=tuple(int(a) for a in get("axes", (0, 1), "list", "integer")),
+        counts=tuple(int(c) for c in get("counts", (12, 12), "list", "integer")),
         fixed=fixed,
         box=box,
         field_name=str(data.get("field", "f")),
@@ -89,12 +88,10 @@ def slice_from_json(data: dict) -> SliceSpec:
     )
 
 
-def slice_chart(
-    seed: WeierstrassSeed, spec: SliceSpec, chain: WeierstrassChain | None = None
-) -> SeriesChart:
+def slice_chart(seed: WeierstrassSeed, spec: SliceSpec) -> SeriesChart:
     """The family member the slice samples: f, fbar, or the theta member."""
     theta = {"f": 0.0, "fbar": math.pi / 2, "ftheta": spec.theta}[spec.field_name]
-    return associated(seed, theta, chain)
+    return associated(seed, theta)
 
 
 def slice_points(chart: SeriesChart, spec: SliceSpec) -> np.ndarray:
@@ -191,21 +188,14 @@ def export_csv(path, coords: np.ndarray, values: np.ndarray, residuals: dict) ->
         fh.write("\n".join(lines) + "\n")
 
 
-def export_slice(
-    seed: WeierstrassSeed,
-    spec: SliceSpec,
-    obj_path,
-    csv_path,
-    chain: WeierstrassChain | None = None,
-    name: str = "slice",
-) -> int:
+def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, name: str = "slice") -> int:
     """Sample the slice and write both files; returns the point count.
 
     The CSV carries two analytic per-point residual columns: the
     minimality defect |trace A| / ||A|| and the anticommutation defect
     ||A J + J A|| / ||A||.
     """
-    chart = slice_chart(seed, spec, chain)
+    chart = slice_chart(seed, spec)
     pts = slice_points(chart, spec)
     frame = point_frame(chart.jet(pts))
     minim = minimality_residual(frame)

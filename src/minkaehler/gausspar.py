@@ -44,6 +44,11 @@ from .geometry import (
 )
 from .taylor import Taylor, dot, solve, unit
 
+# half-width of every fiber coordinate w_a in a parametrized chart's box
+_W_HALFWIDTH = 0.4
+# sample normals closer than this belong to one nullity leaf
+_CLUSTER_TOL = 1e-6
+
 
 def _values(fn, p) -> np.ndarray:
     """A Taylor formula's values on a (..., d) point stack."""
@@ -162,11 +167,8 @@ def second_legendre_support() -> SupportFunction:
 
 # -- builtin sphere surfaces ---------------------------------------------------
 
-def geodesic_sphere_surface(box=None) -> SphereSurface:
+def geodesic_sphere_surface() -> SphereSurface:
     """The equatorial 2-sphere of S^3 in R^4, framed by the constant e_4."""
-    if box is None:
-        box = np.array([[0.3, 1.3], [0.8, 2.2]])
-
     def g(x):
         s, t = x[..., 0], x[..., 1]
         return Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos(), 0.0])
@@ -175,13 +177,11 @@ def geodesic_sphere_surface(box=None) -> SphereSurface:
         zero = 0.0 * x[..., 0]
         return Taylor.stack([zero, zero, zero, zero + 1.0])[..., None, :]
 
-    return SphereSurface(TaylorChart(2, 4, np.asarray(box, float), g), frame)
+    return SphereSurface(TaylorChart(2, 4, np.array([[0.3, 1.3], [0.8, 2.2]]), g), frame)
 
 
-def clifford_torus_surface(box=None) -> SphereSurface:
+def clifford_torus_surface() -> SphereSurface:
     """The Clifford torus in S^3 in R^4, framed by its sphere normal."""
-    if box is None:
-        box = np.array([[0.2, 1.8], [0.4, 2.0]])
     s2 = np.sqrt(2.0)
 
     def g(x):
@@ -192,17 +192,12 @@ def clifford_torus_surface(box=None) -> SphereSurface:
         u, v = x[..., 0], x[..., 1]
         return (Taylor.stack([-u.cos(), -u.sin(), v.cos(), v.sin()]) / s2)[..., None, :]
 
-    return SphereSurface(TaylorChart(2, 4, np.asarray(box, float), g), frame)
+    return SphereSurface(TaylorChart(2, 4, np.array([[0.2, 1.8], [0.4, 2.0]]), g), frame)
 
 
 # -- the parametrization -------------------------------------------------------
 
-def gauss_param(
-    surface: SphereSurface,
-    gamma: SupportFunction,
-    w_halfwidth: float = 0.4,
-    check: bool = True,
-) -> TaylorChart:
+def gauss_param(surface: SphereSurface, gamma: SupportFunction, check: bool = True) -> TaylorChart:
     """Build the parametrized hypersurface chart from (g, gamma).
 
     Coordinates are (x_1..x_d, w_1..w_k) with k the fiber dimension.  At
@@ -229,7 +224,7 @@ def gauss_param(
         base = gam[..., None] * g + (solve(G, dgam)[..., None] * dg).sum(-2)
         return base.compose(x) + (w[..., :, None] * surface.frame_fn(x)).sum(-2)
 
-    box = np.vstack([surface.box, np.array([[-w_halfwidth, w_halfwidth]] * k)])
+    box = np.vstack([surface.box, np.array([[-_W_HALFWIDTH, _W_HALFWIDTH]] * k)])
     chart = TaylorChart(d + k, surface.ambient, box, psi)
     if check:
         center = box.mean(axis=1)
@@ -308,7 +303,7 @@ def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
     return tuple(t.reshape(lead + t.shape[1:]).compose(x) for t in data)
 
 
-def rebuild_surface(chart: ImmersionChart, quotient_dim: int = 2, box=None) -> SphereSurface:
+def rebuild_surface(chart: ImmersionChart, quotient_dim: int = 2) -> SphereSurface:
     """Sphere-surface data from a chart whose trailing coordinates run along
     the nullity leaves: g = chart normal on the zero-fiber section, framed
     by the orthonormalized leaf directions, both exact from the chart's
@@ -316,8 +311,7 @@ def rebuild_surface(chart: ImmersionChart, quotient_dim: int = 2, box=None) -> S
     checks downstream."""
     if chart.d - quotient_dim < 1:
         raise PreconditionError("chart has no fiber coordinates to rebuild from")
-    if box is None:
-        box = np.asarray(chart.box[:quotient_dim], dtype=np.float64)
+    box = np.asarray(chart.box[:quotient_dim], dtype=np.float64)
     g = TaylorChart(quotient_dim, chart.ambient, box, lambda x: _section(chart, quotient_dim, x)[0])
     return SphereSurface(g, lambda x: _section(chart, quotient_dim, x)[2])
 
@@ -351,13 +345,7 @@ class ExtractionResult:
     indeterminate: bool
 
 
-def extract_from_hypersurface(
-    chart: ImmersionChart,
-    samples,
-    expected_rank: int = 2,
-    cluster_tol: float = 1e-6,
-    rank_rtol: float = 1e-7,
-) -> ExtractionResult:
+def extract_from_hypersurface(chart: ImmersionChart, samples, expected_rank: int = 2) -> ExtractionResult:
     """Recover Gauss-image and support data from chart samples.
 
     Frames are computed at every sample; the rank must equal
@@ -369,7 +357,7 @@ def extract_from_hypersurface(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     fr = point_frame(chart.jet(samples))
-    rr = rank_and_nullity(fr, rel_tol=rank_rtol)
+    rr = rank_and_nullity(fr)
     for i, p in enumerate(samples):
         if rr.rank[i] != expected_rank:
             raise PreconditionError(
@@ -386,7 +374,7 @@ def extract_from_hypersurface(
     labels = np.empty(len(samples), dtype=np.intp)
     reps = []
     for i, n in enumerate(normals):
-        near = [ci for ci, rep in enumerate(reps) if np.linalg.norm(n - rep) < cluster_tol]
+        near = [ci for ci, rep in enumerate(reps) if np.linalg.norm(n - rep) < _CLUSTER_TOL]
         labels[i] = near[0] if near else len(reps)
         reps += [] if near else [n]
     clusters = [np.flatnonzero(labels == ci) for ci in range(len(reps))]

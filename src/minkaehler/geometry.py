@@ -44,6 +44,8 @@ from .errors import (
 TINY = 1e-300
 # Relative singular-value cutoff of a frame's regularity check.
 _REGULARITY_RTOL = 1e-8
+# Relative cutoff below which an eigenvalue of A counts as zero.
+_RANK_RTOL = 1e-7
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -191,8 +193,8 @@ class RankResult:
     indeterminate: np.ndarray   # (...) bools
 
 
-def rank_and_nullity(frame: PointFrame, rel_tol: float = 1e-7) -> RankResult:
-    """Rank of A = count of its G-singular values above rel_tol * largest.
+def rank_and_nullity(frame: PointFrame) -> RankResult:
+    """Rank of A = count of its G-singular values above _RANK_RTOL * largest.
 
     For the G-self-adjoint shape operator the singular values in the
     induced geometry are |eigenvalues|, so the relative nullity is spanned
@@ -202,7 +204,7 @@ def rank_and_nullity(frame: PointFrame, rel_tol: float = 1e-7) -> RankResult:
     """
     absvals = np.abs(frame.eigenvalues)
     scale = absvals.max(axis=-1, keepdims=True, initial=0.0)
-    cutoff = rel_tol * scale
+    cutoff = _RANK_RTOL * scale
     in_band = (absvals >= cutoff / 10.0) & (absvals <= cutoff * 10.0)
     indeterminate = in_band.any(axis=-1) & (scale[..., 0] > 0.0)
     if indeterminate.any():

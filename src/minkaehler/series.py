@@ -21,12 +21,11 @@ construction depend on that convention.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DomainWarning
+from .errors import DomainError
 
 DEFAULT_ORDER = 32
 
@@ -107,8 +106,8 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __call__(self, z: complex, radius: float | None = None) -> complex:
-        return series_eval(self, z, radius=radius)
+    def __call__(self, z: complex) -> complex:
+        return series_eval(self, z)
 
 
 def _require_same_base(a: TruncatedSeries, b: TruncatedSeries) -> None:
@@ -156,20 +155,9 @@ def series_int(a: TruncatedSeries, constant: complex = 0.0) -> TruncatedSeries:
     return TruncatedSeries(a.base, out)
 
 
-def series_eval(a: TruncatedSeries, z: complex, radius: float | None = None) -> complex:
-    """Horner evaluation at ``z``.
-
-    When ``radius`` is given and |z - base| exceeds it, the value is still
-    returned but a :class:`DomainWarning` is emitted, since the truncation
-    error bound only holds inside the declared radius.
-    """
+def series_eval(a: TruncatedSeries, z: complex) -> complex:
+    """Horner evaluation at ``z``."""
     dz = complex(z) - a.base
-    if radius is not None and abs(dz) > radius:
-        warnings.warn(
-            f"evaluation at |z-base|={abs(dz):.3g} outside declared radius {radius:.3g}",
-            DomainWarning,
-            stacklevel=2,
-        )
     acc = 0j
     for c in a.coeffs[::-1]:
         acc = acc * dz + c

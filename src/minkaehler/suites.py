@@ -88,6 +88,8 @@ CONTROL_FLOOR = 1e-2
 _FAMILY_THETAS = tuple(k * math.pi / 6 for k in range(1, 6))
 # every chart of the construction has a rank-2 shape operator (nullity d - 2)
 _EXPECTED_RANK = 2
+# the sample grid keeps off the edge of the chart box, which the seed's domain sets
+_GRID_MARGIN = 0.9
 
 
 def default_counts(d: int):
@@ -160,13 +162,9 @@ class ChartBundle:
         return metric, normal, shape
 
 
-def build_bundle(
-    seed: WeierstrassSeed,
-    counts=None,
-    margin: float = 0.9,
-    rng_seed: int = DEFAULT_RNG_SEED,
-) -> ChartBundle:
-    """Validate the seed, run the recursion, and sample the chart box."""
+def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG_SEED) -> ChartBundle:
+    """Validate the seed, run the recursion, and sample the chart box
+    shrunk by ``_GRID_MARGIN`` about its center."""
     validate_seed(seed)
     chain = build_chain(seed)
     chart = immersion_f(seed, chain)
@@ -179,7 +177,7 @@ def build_bundle(
         )
     if any(c < 2 for c in counts):
         raise ValueError("sampling needs at least 2 points per axis")
-    pts = grid_points(shrink_box(chart.box, margin), counts)
+    pts = grid_points(shrink_box(chart.box, _GRID_MARGIN), counts)
     return ChartBundle(seed=seed, chain=chain, chart=chart, points=pts, rng_seed=rng_seed)
 
 

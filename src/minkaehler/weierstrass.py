@@ -136,9 +136,10 @@ def _to_order(s: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(s.base, c)
 
 
-def _domain_samples(seed: WeierstrassSeed, radial: int = 6, angular: int = 16) -> np.ndarray:
-    radii = np.linspace(0.0, seed.domain.radius, radial + 1)[1:]
-    angles = np.linspace(0.0, 2 * np.pi, angular, endpoint=False)
+def _domain_samples(seed: WeierstrassSeed) -> np.ndarray:
+    """The basepoint and 16 points on each of 6 circles out to the radius."""
+    radii = np.linspace(0.0, seed.domain.radius, 7)[1:]
+    angles = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     pts = [seed.basepoint]
     for r in radii:
         pts.extend(seed.basepoint + r * np.exp(1j * angles))
@@ -484,9 +485,9 @@ def seed_to_json(seed: WeierstrassSeed) -> dict:
 
 def seed_from_json(data: dict) -> WeierstrassSeed:
     try:
-        n = int(_seed_json(data["n"], "number", "n"))
+        n = int(_seed_json(data["n"], "integer", "n"))
         base = _pair2c(data.get("basepoint", [0.0, 0.0]), "basepoint")
-        order = int(_seed_json(data.get("trunc_order", DEFAULT_ORDER), "number", "trunc_order"))
+        order = int(_seed_json(data.get("trunc_order", DEFAULT_ORDER), "integer", "trunc_order"))
         alpha0 = _series_from_json(data["alpha0"], base, order, "alpha0")
         mu = [_series_from_json(s, base, order, "mu") for s in _seed_json(data["mu"], "list", "mu")]
         b = [_series_from_json(s, base, order, "b") for s in _seed_json(data["b"], "list", "b")]

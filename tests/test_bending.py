@@ -25,6 +25,7 @@ from minkaehler.bending import (
     recover_bending_decomposition,
     rotation_coefficient,
     tangential_covariant_derivative,
+    tangential_derivative,
 )
 from minkaehler.charts import ProductChart, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
@@ -219,7 +220,8 @@ class TestStructuralIdentities:
         chart = request.getfixturevalue(f"{name}_chart")
         for fld in (conjugate_field(chart), make_trivial(chart, rng=rng)):
             for p in sample(chart, rng, 2):
-                got = tangential_covariant_derivative(point_frame(chart.jet(p)), fld.jet(p))
+                frame, jet = point_frame(chart.jet(p)), fld.jet(p)
+                got = tangential_covariant_derivative(frame, jet, tangential_derivative(frame, jet))
                 ref = fd_tangential_covariant_derivative(chart, fld, p)
                 scale = max(1.0, float(np.abs(ref).max()))
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)

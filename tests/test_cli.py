@@ -47,6 +47,12 @@ class TestTopLevel:
         assert payload["config"]["seed"] == "enneper"
         assert "m4r5" in payload["builtin_seeds"]
 
+    def test_printed_defaults_run_as_a_config(self, tmp_path, capsys):
+        assert main(["--print-defaults"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        cfg = write_config(tmp_path, **config)
+        assert main(["verify", "--config", cfg]) == 0
+
     def test_no_command_prints_help_and_fails(self, capsys):
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().out
@@ -71,6 +77,13 @@ class TestGenerate:
         assert payload["chart"]["coordinate_dim"] == 4
         assert payload["chart"]["ambient_dim"] == 5
         assert payload["seed"]["name"] == "m4r5"
+
+    @pytest.mark.parametrize("counts", [[3, 3, 3], [1, 1]])
+    def test_sampling_is_not_read(self, tmp_path, capsys, counts):
+        # generate samples no grid, so counts that no grid could use are moot
+        cfg = write_config(tmp_path, seed="enneper", sampling={"counts": counts}, output_dir="out")
+        assert main(["generate", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "enneper_bundle.json").exists()
 
     def test_degenerate_seed_is_refused(self, tmp_path, capsys):
         broken = seed_to_json(builtin_seed("enneper"))
@@ -158,6 +171,41 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, seed="enneper", tolerance=1.0)
         assert main(["verify", "--config", cfg]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sampling", [{"count": [3, 3]}, {"margin": 0.9}])
+    def test_unknown_sampling_key_is_rejected(self, tmp_path, capsys, sampling):
+        cfg = write_config(tmp_path, seed="enneper", sampling=sampling)
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config sampling keys" in err and repr(next(iter(sampling))) in err
+
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["verify"], {"sampling": {"counts": [2.9, 2.2]}}, "counts"),
+            (["verify"], {"sampling": {"counts": [True, 3]}}, "counts"),
+            (["verify"], {"sampling": {"rng_seed": 1.5}}, "rng_seed"),
+            (["verify"], {"seed": dict(seed_to_json(builtin_seed("enneper")), n=1.7)}, "seed n"),
+            (
+                ["verify"],
+                {"seed": dict(seed_to_json(builtin_seed("enneper")), trunc_order=24.5)},
+                "seed trunc_order",
+            ),
+            (["export", "--slice", '{"counts": [3.9, 2.5]}'], {}, "slice counts"),
+            (["export", "--slice", '{"axes": [0.5, 1]}'], {}, "slice axes"),
+        ],
+    )
+    def test_integer_keys_reject_fractions_and_booleans(self, tmp_path, capsys, argv, config, key):
+        cfg = write_config(tmp_path, **config)
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "integer" in err
+
+    def test_non_integer_fixed_key_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed="m4r5")
+        assert main(["export", "--config", cfg, "--slice", '{"fixed": {"a": 1}}']) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: slice fixed key 'a'")
 
     def test_malformed_json_is_reported(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

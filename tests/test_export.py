@@ -14,7 +14,6 @@ from minkaehler.export import (
     slice_from_json,
     slice_points,
 )
-from minkaehler.weierstrass import build_chain
 
 from oracles import catenoid_closed_form
 
@@ -187,7 +186,6 @@ class TestExportedGeometry:
         # tiny grid: chord lengths approximate intrinsic distances to
         # third order, and the induced metric is shared across the family
         seed = builtin_seed("enneper")
-        chain = build_chain(seed)
         box = ((-2e-3, 2e-3), (-2e-3, 2e-3))
         lengths = []
         for k in range(8):
@@ -195,7 +193,7 @@ class TestExportedGeometry:
                 counts=(4, 4), box=box, field_name="ftheta", theta=k * math.pi / 8
             )
             obj = tmp_path / f"frame{k}.obj"
-            export_slice(seed, spec, obj, tmp_path / f"frame{k}.csv", chain=chain)
+            export_slice(seed, spec, obj, tmp_path / f"frame{k}.csv")
             verts, faces = read_obj(obj)
             keyed, vals = edge_lengths(verts, faces)
             assert len(keyed) == 24  # 2 * 3 * 4 grid edges

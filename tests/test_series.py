@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkaehler.errors import DomainError, DomainWarning
+from minkaehler.errors import DomainError
 from minkaehler.series import (
     SeriesVector,
     TruncatedSeries,
@@ -66,11 +66,6 @@ class TestBasicOps:
         a = make([1, 2, 3], base=1.0)
         z = 1.5
         assert series_eval(a, z) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
-
-    def test_eval_outside_radius_warns(self):
-        a = make([1, 1])
-        with pytest.warns(DomainWarning):
-            series_eval(a, 2.0, radius=1.0)
 
     def test_basepoint_mismatch_raises(self):
         with pytest.raises(DomainError):

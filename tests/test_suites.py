@@ -10,6 +10,7 @@ import minkaehler.geometry as geometry
 import minkaehler.suites as suites
 from minkaehler import builtin_seed
 from minkaehler.bending import TrivialField
+from minkaehler.charts import grid_points, shrink_box
 from minkaehler.errors import DomainWarning
 from minkaehler.report import (
     ResidualReport,
@@ -117,11 +118,14 @@ class TestSelectionAndErrors:
         assert [r.identity for r in reports] == ["rotation", "minimality"]
 
     def test_rank_verdict_does_not_depend_on_suite_order(self):
-        # margin 1.5 samples outside the seed's domain, where the chart warns;
-        # that warning is no rank miss, whichever suite framed the point first
+        # a grid over the chart box scaled by 1.5 leaves the seed's domain,
+        # where the chart warns; that warning is no rank miss, whichever
+        # suite framed the point first
+        base = build_bundle(builtin_seed("enneper"))
+        wide = grid_points(shrink_box(base.chart.box, 1.5), default_counts(base.d))
         rows, seen = [], []
         for names in (["rank"], ["minimality", "rank"]):
-            bundle = build_bundle(builtin_seed("enneper"), margin=1.5)
+            bundle = dataclasses.replace(base, points=wide)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 reports = run_suites(bundle, names=names)
