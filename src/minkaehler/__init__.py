@@ -18,7 +18,6 @@ from .errors import (
 )
 from .taylor import Taylor
 from .series import (
-    SeriesVector,
     TruncatedSeries,
     mul_error_bound,
     series_add,
@@ -26,11 +25,11 @@ from .series import (
     series_eval,
     series_int,
     series_mul,
+    to_order,
     vdot,
 )
 from .weierstrass import (
     DomainSpec,
-    HolomorphicRep,
     SeriesChart,
     WeierstrassChain,
     WeierstrassSeed,

@@ -41,16 +41,20 @@ _JSON_KINDS = {
 }
 
 
-def _whole(value) -> bool:
-    """A JSON integer: a whole number, never a boolean."""
-    return not isinstance(value, bool) and (isinstance(value, int) or value.is_integer())
+def _fits(value, kind: str) -> bool:
+    """Whether ``value`` is of JSON ``kind``; a boolean is never a number."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        return False
+    if kind in ("number", "integer") and isinstance(value, bool):
+        return False
+    return kind != "integer" or isinstance(value, int) or value.is_integer()
 
 
 def expect_json(value, kind: str, key: str, error: type = ValueError, of: str | None = None):
     """``value`` when it is a parsed JSON ``kind`` (list, object, number,
     integer or string) whose items, or object values, are each of kind
     ``of`` when given; otherwise raise ``error`` naming ``key``."""
-    if not isinstance(value, _JSON_KINDS[kind]) or (kind == "integer" and not _whole(value)):
+    if not _fits(value, kind):
         raise error(f"{key} must be a JSON {kind}{f' of {of}s' if of else ''}, got {value!r}")
     if of is not None:
         for item in value.values() if kind == "object" else value:

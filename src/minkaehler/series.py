@@ -3,20 +3,22 @@
 A :class:`TruncatedSeries` stores the Taylor coefficients of a holomorphic
 function about a basepoint, through a finite order::
 
-    a(z) = sum_k  coeffs[k] * (z - base)**k,    k = 0 .. order
+    a(z) = sum_k  coeffs[..., k] * (z - base)**k,    k = 0 .. order
 
-The algebra is the quotient-ring arithmetic of polynomials in (z - base):
-sums require equal basepoints and truncate to the shorter operand,
-products use the Cauchy convolution truncated to the minimum operand
-order, differentiation lowers the order by one, and integration raises it
-by one while installing an explicit integration constant.  Series are
-immutable; every operation returns a fresh object and never recenters the
-basepoint.
+Coefficients have shape ``(..., order + 1)``: the leading axes make a stack
+of series sharing one basepoint and order (a vector-valued series is a
+stack of its components), and every operation acts along the last axis
+and broadcasts the leading ones.  The algebra is the quotient-ring
+arithmetic of polynomials in (z - base): sums require equal basepoints and
+truncate to the shorter operand, products use the Cauchy convolution
+truncated to the minimum operand order, differentiation lowers the order
+by one, and integration raises it by one while installing an explicit
+integration constant.  Series are immutable; every operation returns a
+fresh object and never recenters the basepoint.
 
-:class:`SeriesVector` is a tuple of component series sharing one basepoint
-and order.  Its inner product :func:`vdot` is the symmetric bilinear form
-sum_k a_k * b_k with no complex conjugation; isotropy statements in the
-construction depend on that convention.
+The inner product :func:`vdot` of two stacks is the symmetric bilinear
+form sum_k a_k * b_k over axis 0, with no complex conjugation; isotropy
+statements in the construction depend on that convention.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ DEFAULT_ORDER = 32
 
 def _as_coeffs(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("coefficients must be a nonempty 1-d sequence")
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError("coefficients must have a nonempty last axis")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -41,14 +43,15 @@ def _as_coeffs(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Immutable truncated Taylor series about ``base``.
+    """Immutable truncated Taylor series about ``base``, or a stack of them.
 
     Parameters
     ----------
     base : complex
         Expansion point.
     coeffs : array_like
-        Taylor coefficients, ``coeffs[k]`` multiplying ``(z-base)**k``.
+        Taylor coefficients of shape (..., order+1), ``coeffs[..., k]``
+        multiplying ``(z-base)**k``.
     """
 
     base: complex
@@ -60,7 +63,19 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
+
+    def __len__(self) -> int:
+        if self.coeffs.ndim == 1:
+            raise TypeError("a single series has no length")
+        return self.coeffs.shape[0]
+
+    def __getitem__(self, index) -> "TruncatedSeries":
+        """The series at ``index`` of the leading axes."""
+        index = index if isinstance(index, tuple) else (index,)
+        if len(index) >= self.coeffs.ndim:
+            raise IndexError("series index must leave the coefficient axis")
+        return TruncatedSeries(self.base, self.coeffs[index])
 
     @staticmethod
     def constant(value: complex, base: complex = 0.0, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
@@ -77,10 +92,6 @@ class TruncatedSeries:
         c[0] = base
         c[1] = 1.0
         return TruncatedSeries(base, c)
-
-    @staticmethod
-    def zero(base: complex = 0.0, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return TruncatedSeries(base, np.zeros(order + 1, dtype=np.complex128))
 
     # -- operator sugar; the series_* functions are the canonical ops --
     def __add__(self, other):
@@ -106,7 +117,7 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z: complex):
         return series_eval(self, z)
 
 
@@ -121,15 +132,26 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Sum, truncated to the minimum operand order."""
     _require_same_base(a, b)
     n = min(a.order, b.order)
-    return TruncatedSeries(a.base, a.coeffs[: n + 1] + b.coeffs[: n + 1])
+    return TruncatedSeries(a.base, a.coeffs[..., : n + 1] + b.coeffs[..., : n + 1])
+
+
+def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> np.ndarray:
+    """The untruncated Cauchy products of the broadcast stacks.
+
+    Each pair of full rows goes to ``np.convolve`` in operand order, so a
+    stacked product rounds exactly like the scalar products of its rows.
+    """
+    _require_same_base(a, b)
+    lead = np.broadcast_shapes(a.coeffs.shape[:-1], b.coeffs.shape[:-1])
+    x, y = (np.broadcast_to(s.coeffs, lead + s.coeffs.shape[-1:]).reshape(-1, s.order + 1) for s in (a, b))
+    full = [np.convolve(u, v) for u, v in zip(x, y)]
+    return np.reshape(full, lead + (a.order + b.order + 1,))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated to the minimum operand order."""
-    _require_same_base(a, b)
     n = min(a.order, b.order)
-    full = np.convolve(a.coeffs, b.coeffs)
-    return TruncatedSeries(a.base, full[: n + 1])
+    return TruncatedSeries(a.base, _convolve(a, b)[..., : n + 1])
 
 
 def series_diff(a: TruncatedSeries) -> TruncatedSeries:
@@ -139,120 +161,60 @@ def series_diff(a: TruncatedSeries) -> TruncatedSeries:
     rather than an empty coefficient array.
     """
     if a.order == 0:
-        return TruncatedSeries.zero(a.base, 0)
+        return TruncatedSeries(a.base, np.zeros_like(a.coeffs))
     k = np.arange(1, a.order + 1)
-    return TruncatedSeries(a.base, a.coeffs[1:] * k)
+    return TruncatedSeries(a.base, a.coeffs[..., 1:] * k)
 
 
-def series_int(a: TruncatedSeries, constant: complex = 0.0) -> TruncatedSeries:
-    """Term-wise antiderivative with value ``constant`` at the basepoint.
+def series_int(a: TruncatedSeries, constant=0.0) -> TruncatedSeries:
+    """Term-wise antiderivative with value ``constant`` at the basepoint;
+    ``constant`` broadcasts over the leading axes.
 
     The order rises by one.
     """
-    out = np.empty(a.order + 2, dtype=np.complex128)
-    out[0] = constant
-    out[1:] = a.coeffs / np.arange(1, a.order + 2)
+    out = np.empty(a.coeffs.shape[:-1] + (a.order + 2,), dtype=np.complex128)
+    out[..., 0] = constant
+    out[..., 1:] = a.coeffs / np.arange(1, a.order + 2)
     return TruncatedSeries(a.base, out)
 
 
-def series_eval(a: TruncatedSeries, z: complex) -> complex:
-    """Horner evaluation at ``z``."""
+def series_eval(a: TruncatedSeries, z: complex):
+    """Horner evaluation at ``z``; one value per series of the stack."""
     dz = complex(z) - a.base
-    acc = 0j
-    for c in a.coeffs[::-1]:
-        acc = acc * dz + c
-    return acc
+    acc = np.zeros(a.coeffs.shape[:-1], dtype=np.complex128)
+    for k in range(a.order, -1, -1):
+        acc = acc * dz + a.coeffs[..., k]
+    return acc[()]
 
 
-def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
+def to_order(a: TruncatedSeries, order: int) -> TruncatedSeries:
+    """``a`` truncated or zero-padded to ``order``."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order >= a.order:
+    if order == a.order:
         return a
-    return TruncatedSeries(a.base, a.coeffs[: order + 1])
+    c = np.zeros(a.coeffs.shape[:-1] + (order + 1,), dtype=np.complex128)
+    keep = min(order, a.order) + 1
+    c[..., :keep] = a.coeffs[..., :keep]
+    return TruncatedSeries(a.base, c)
 
 
-def mul_error_bound(a: TruncatedSeries, b: TruncatedSeries, rho: float) -> float:
-    """Bound on |a*b - series_mul(a,b)| for |z - base| <= rho.
+def vdot(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Symmetric bilinear inner product sum_k a_k*b_k over axis 0 (no
+    conjugation)."""
+    if len(a) != len(b):
+        raise DomainError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    prod = series_mul(a, b)
+    return TruncatedSeries(prod.base, prod.coeffs.sum(axis=0))
+
+
+def mul_error_bound(a: TruncatedSeries, b: TruncatedSeries, rho: float):
+    """Bound on |a*b - series_mul(a,b)| for |z - base| <= rho, one per
+    series of the stack.
 
     The truncated product drops the convolution terms above the minimum
     operand order; the bound sums their moduli times rho**k.
     """
-    _require_same_base(a, b)
     n = min(a.order, b.order)
-    full = np.convolve(a.coeffs, b.coeffs)
-    tail = full[n + 1:]
-    if tail.size == 0:
-        return 0.0
-    powers = rho ** np.arange(n + 1, n + 1 + tail.size, dtype=np.float64)
-    return float(np.abs(tail) @ powers)
-
-
-@dataclass(frozen=True)
-class SeriesVector:
-    """Tuple of component series sharing one basepoint and order."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("SeriesVector needs at least one component")
-        base = comps[0].base
-        order = comps[0].order
-        for c in comps[1:]:
-            if c.base != base:
-                raise DomainError("all components must share one basepoint")
-            if c.order != order:
-                raise DomainError("all components must share one order")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @property
-    def base(self) -> complex:
-        return self.components[0].base
-
-    @property
-    def order(self) -> int:
-        return self.components[0].order
-
-    def diff(self) -> "SeriesVector":
-        return SeriesVector(tuple(series_diff(c) for c in self.components))
-
-    def integrate(self, constants=None) -> "SeriesVector":
-        if constants is None:
-            constants = np.zeros(self.dim, dtype=np.complex128)
-        constants = np.asarray(constants, dtype=np.complex128)
-        if constants.shape != (self.dim,):
-            raise ValueError(f"need {self.dim} integration constants, got {constants.shape}")
-        return SeriesVector(
-            tuple(series_int(c, k) for c, k in zip(self.components, constants))
-        )
-
-    def eval(self, z: complex) -> np.ndarray:
-        return np.array([series_eval(c, z) for c in self.components])
-
-    def scale(self, s: TruncatedSeries) -> "SeriesVector":
-        return SeriesVector(tuple(series_mul(s, c) for c in self.components))
-
-    def coeff_matrix(self, width: int | None = None) -> np.ndarray:
-        """Component coefficients stacked as rows, zero-padded to ``width``."""
-        if width is None:
-            width = self.order + 1
-        out = np.zeros((self.dim, width), dtype=np.complex128)
-        for i, c in enumerate(self.components):
-            out[i, : c.order + 1] = c.coeffs
-        return out
-
-
-def vdot(a: SeriesVector, b: SeriesVector) -> TruncatedSeries:
-    """Symmetric bilinear inner product sum_k a_k*b_k (no conjugation)."""
-    if a.dim != b.dim:
-        raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    acc = series_mul(a.components[0], b.components[0])
-    for i in range(1, a.dim):
-        acc = series_add(acc, series_mul(a.components[i], b.components[i]))
-    return acc
+    tail = _convolve(a, b)[..., n + 1:]
+    return np.abs(tail) @ rho ** np.arange(n + 1, n + 1 + tail.shape[-1], dtype=np.float64)

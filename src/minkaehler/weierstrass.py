@@ -8,23 +8,28 @@ nowhere zero, all expanded about one basepoint.  The chain iterates
     alpha_r+1 = mu_r+1 * ( (1 - q)/2, i (1 + q)/2, phi_r ),
                 q = vdot(phi_r, phi_r)
 
-so alpha_r has 2r+1 components.  With delta = alpha_n and its derivatives
-delta^(j), the holomorphic representative on U x W, W in C^{n-1}, is
+so alpha_r has 2r+1 components; each alpha_r and phi_r is one stack of
+component series (:mod:`minkaehler.series`).  With delta = alpha_n and its
+derivatives delta^(j), the holomorphic representative on U x W, W in
+C^{n-1}, is
 
     F(z, w) = sum_{j=0}^{n-1} integral b_j delta^(j) dz
             + sum_{j=1}^{n-1} w_j delta^(j-1),
 
-valued in C^{2n+1}.  The hypersurface chart is f = sqrt(2) Re F in the real
-coordinates (x, y, u_1, v_1, ...), its conjugate is fbar = sqrt(2) Im F,
-and the associated family is f_theta = cos(theta) f + sin(theta) fbar.
-Because F is affine in w and holomorphic in z, a jet of any order reduces
-to Horner evaluations of stored coefficient rows; those go through the
-kernels module.  Verification reads jets to order 3; the Gauss
+valued in C^{2n+1}.  :func:`build_chain` integrates its z part once, as
+the chain's ``base``, so every chart built on one chain shares it.  The
+hypersurface chart is f = sqrt(2) Re F in the real coordinates
+(x, y, u_1, v_1, ...), its conjugate is fbar = sqrt(2) Im F, and the
+associated family is f_theta = cos(theta) f + sin(theta) fbar.  Because F
+is affine in w and holomorphic in z, a jet of any order reduces to Horner
+evaluations of stored coefficient rows; those go through the kernels
+module.  Verification reads jets to order 3; the Gauss
 parametrization of :mod:`minkaehler.gausspar` reads the 4-jets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -37,10 +42,12 @@ from .charts import ImmersionChart, shrink_box
 from .errors import DomainError, DomainWarning, SeedValidationError, expect_json
 from .series import (
     DEFAULT_ORDER,
-    SeriesVector,
     TruncatedSeries,
+    series_add,
+    series_diff,
+    series_int,
     series_mul,
-    truncate,
+    to_order,
     vdot,
 )
 
@@ -103,9 +110,9 @@ class WeierstrassSeed:
             if s.base != base:
                 raise SeedValidationError("all seed series must share the basepoint")
         # normalize orders to the run's truncation order
-        self.alpha0 = _to_order(self.alpha0, self.trunc_order)
-        self.mu = [_to_order(s, self.trunc_order) for s in self.mu]
-        self.b = [_to_order(s, self.trunc_order) for s in self.b]
+        self.alpha0 = to_order(self.alpha0, self.trunc_order)
+        self.mu = [to_order(s, self.trunc_order) for s in self.mu]
+        self.b = [to_order(s, self.trunc_order) for s in self.b]
         if self.phi_constants is not None:
             self.phi_constants = [np.asarray(c, dtype=np.complex128) for c in self.phi_constants]
             if len(self.phi_constants) != self.n:
@@ -124,16 +131,6 @@ class WeierstrassSeed:
     @property
     def basepoint(self) -> complex:
         return self.alpha0.base
-
-
-def _to_order(s: TruncatedSeries, order: int) -> TruncatedSeries:
-    if s.order == order:
-        return s
-    if s.order > order:
-        return truncate(s, order)
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[: s.order + 1] = s.coeffs
-    return TruncatedSeries(s.base, c)
 
 
 def _domain_samples(seed: WeierstrassSeed) -> np.ndarray:
@@ -173,93 +170,46 @@ def validate_seed(seed: WeierstrassSeed) -> None:
 
 @dataclass(frozen=True)
 class WeierstrassChain:
-    """Output of the recursion: alphas, phis, delta and its derivatives.
+    """Output of the recursion: alphas, phis, delta and its derivatives,
+    each a stack of component series.
 
-    ``alphas[r]`` = alpha_r (dimension 2r+1, r = 0..n), ``phis[r]`` = phi_r
-    (r = 0..n-1), ``delta_derivs[j]`` = delta^(j) for j = 0..n (one past the
-    representation's needs, for second partials of the chart).
+    ``alphas[r]`` = alpha_r (2r+1 components, r = 0..n), ``phis[r]`` =
+    phi_r (r = 0..n-1), ``delta_derivs[j]`` = delta^(j) for j = 0..n (one
+    past the representation's needs, for second partials of the chart),
+    and ``base`` = sum_j integral b_j delta^(j) dz, the z-integral part of
+    the representative F (2n+1 components).
     """
 
     alphas: tuple
     phis: tuple
     delta_derivs: tuple
+    base: TruncatedSeries
 
     @property
-    def delta(self) -> SeriesVector:
+    def delta(self) -> TruncatedSeries:
         return self.alphas[-1]
 
 
 def build_chain(seed: WeierstrassSeed) -> WeierstrassChain:
-    """Run the recursion from alpha_0 through delta = alpha_n."""
+    """Run the recursion from alpha_0 through delta = alpha_n, and integrate
+    the z part of the representative."""
     one = TruncatedSeries.constant(1.0, seed.basepoint, seed.trunc_order)
-    alphas = [SeriesVector((seed.alpha0,))]
+    alphas = [TruncatedSeries(seed.basepoint, seed.alpha0.coeffs[None])]
     phis = []
+    phi_constants = [0.0] * seed.n if seed.phi_constants is None else seed.phi_constants
     for r in range(seed.n):
-        const = None if seed.phi_constants is None else seed.phi_constants[r]
-        phi = alphas[r].integrate(const)
+        phi = series_int(alphas[r], phi_constants[r])
         phis.append(phi)
         q = vdot(phi, phi)
         mu = seed.mu[r]
         head1 = series_mul(mu, (one - q) * 0.5)
         head2 = series_mul(mu, (one + q) * 0.5) * 1j
-        tail = phi.scale(mu)
-        alphas.append(SeriesVector((head1, head2) + tail.components))
-    delta = alphas[-1]
-    derivs = [delta]
-    for _ in range(seed.n):
-        derivs.append(derivs[-1].diff())
-    return WeierstrassChain(tuple(alphas), tuple(phis), tuple(derivs))
-
-
-class HolomorphicRep:
-    """The representative F(z, w) in C^{2n+1} and its exact derivatives.
-
-    F is holomorphic in z and affine in w: dF/dw_j = delta^(j-1) for
-    j = 1..n-1, and all second w-derivatives vanish.
-    """
-
-    def __init__(self, seed: WeierstrassSeed, chain: WeierstrassChain | None = None):
-        if chain is None:
-            chain = build_chain(seed)
-        self.seed = seed
-        self.chain = chain
-        n = seed.n
-        pieces = []
-        for j in range(n):
-            integrand = SeriesVector(
-                tuple(series_mul(seed.b[j], c) for c in chain.delta_derivs[j].components)
-            )
-            const = None if seed.rep_constants is None else seed.rep_constants[j]
-            pieces.append(integrand.integrate(const))
-        self.base_part = pieces[0]
-        for p in pieces[1:]:
-            self.base_part = SeriesVector(
-                tuple(a + b for a, b in zip(self.base_part.components, p.components))
-            )
-        self.w_parts = [chain.delta_derivs[j - 1] for j in range(1, n)]
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2 * self.seed.n + 1
-
-    def _split(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=np.complex128).reshape(-1)
-        if w.shape != (self.seed.n - 1,):
-            raise DomainError(f"w must have {self.seed.n - 1} complex entries, got {w.shape}")
-        return w
-
-    def value(self, z: complex, w=()) -> np.ndarray:
-        w = self._split(w)
-        out = self.base_part.eval(z)
-        for wj, part in zip(w, self.w_parts):
-            out = out + wj * part.eval(z)
-        return out
-
-    def w_partial(self, j: int) -> SeriesVector:
-        """dF/dw_j as a vector series; j runs from 1 to n-1."""
-        if not 1 <= j <= self.seed.n - 1:
-            raise DomainError(f"w index must be in 1..{self.seed.n - 1}")
-        return self.w_parts[j - 1]
+        tail = series_mul(mu, phi)
+        alphas.append(TruncatedSeries(seed.basepoint, np.vstack([head1.coeffs, head2.coeffs, tail.coeffs])))
+    derivs = _derivatives([alphas[-1]], seed.n + 1)
+    rep_constants = [0.0] * seed.n if seed.rep_constants is None else seed.rep_constants
+    pieces = [series_int(series_mul(b, d), c) for b, d, c in zip(seed.b, derivs, rep_constants)]
+    return WeierstrassChain(tuple(alphas), tuple(phis), tuple(derivs), functools.reduce(series_add, pieces))
 
 
 def _snap_phase(theta: float) -> complex:
@@ -296,6 +246,15 @@ def _jet_table(n: int, order: int) -> tuple:
     return tuple(table)
 
 
+def _derivatives(series, count: int) -> list:
+    """The first ``count`` of (s, s', s'', ...), continuing ``series`` by
+    differentiation."""
+    series = list(series[:count])
+    while len(series) < count:
+        series.append(series_diff(series[-1]))
+    return series
+
+
 class SeriesChart(ImmersionChart):
     """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) with jets of
     any order.
@@ -311,22 +270,12 @@ class SeriesChart(ImmersionChart):
     def __init__(self, seed: WeierstrassSeed, theta: float = 0.0, chain: WeierstrassChain | None = None):
         if not 0.0 <= theta < math.pi:
             raise ValueError("theta must lie in [0, pi)")
-        rep = HolomorphicRep(seed, chain)
         self.seed = seed
-        self.rep = rep
         self.theta = float(theta)
-        self.chain = rep.chain
+        self.chain = build_chain(seed) if chain is None else chain
         n = seed.n
         self.d = 2 * n
         self.ambient = 2 * n + 1
-        self._width = max(
-            rep.base_part.order + 1,
-            max((d.order + 1 for d in rep.chain.delta_derivs), default=1),
-        )
-        base1 = rep.base_part.diff()
-        # rows base^(0..2), delta^(0..n); each order k > 2 appends base^(k)
-        # and delta^(n+k-2), so a lower order's rows are a prefix
-        self._series = [rep.base_part, base1, base1.diff(), *rep.chain.delta_derivs]
         self._rows_by_order = {}
         self._phase = SQRT2 * _snap_phase(self.theta)
         halves = np.repeat([seed.domain.radius / math.sqrt(2.0), *seed.domain.w_halfwidth], 2)
@@ -341,12 +290,15 @@ class SeriesChart(ImmersionChart):
         return inside & np.all(np.abs(pts[..., 2:]) <= halves, axis=-1)
 
     def _rows(self, order: int) -> tuple:
-        """Coefficient rows and jet table for ``order``, built on first use."""
+        """Coefficient rows and jet table for ``order``, built on first use:
+        d^a base for a = 0..order, then delta^(j) for j = 0..n-2+order, each
+        a stack of 2n+1 component rows zero-padded to one width."""
         if order not in self._rows_by_order:
-            n, s = self.seed.n, self._series
-            while len(s) < n + 2 * order:
-                s += [s[2 if len(s) == n + 4 else -2].diff(), s[-1].diff()]
-            coef = np.vstack([r.coeff_matrix(self._width) for r in s[: n + 2 * order]])
+            n = self.seed.n
+            series = _derivatives([self.chain.base], order + 1)
+            series += _derivatives(self.chain.delta_derivs, n - 1 + order)
+            top = max(s.order for s in series)
+            coef = np.concatenate([to_order(s, top).coeffs for s in series])
             self._rows_by_order[order] = (coef, _jet_table(n, order))
         return self._rows_by_order[order]
 
@@ -366,29 +318,21 @@ class SeriesChart(ImmersionChart):
                 DomainWarning,
                 stacklevel=2,
             )
-        coef, table = self._rows(max(order, 2))
-        n = self.seed.n
-        m1 = self.ambient
-        npts = pts.shape[0]
-        dz = pts[:, 0] + 1j * pts[:, 1]
-        blocks = kernels.horner_many(coef, dz.astype(np.complex128))
-        blocks = blocks.reshape(-1, m1, npts)
-        # d^a F / dz^a and delta^(0) .. delta^(n-2+order), from the row layout
-        Fz = [b.copy() for b in (*blocks[:3], *blocks[n + 4 :: 2])]
-        delta = [*blocks[3 : n + 4], *blocks[n + 5 :: 2]]
-        wmat = pts[:, 2::2] + 1j * pts[:, 3::2] if n > 1 else np.zeros((npts, 0), complex)
-        for j in range(1, n):
-            wj = wmat[:, j - 1]
-            for a in range(len(Fz)):
-                Fz[a] += wj[None, :] * delta[j - 1 + a]
-        sources = Fz + delta
-        parts = np.zeros((npts, 2 * len(sources) + 1, m1))  # Re, Im, a zero row
-        for i, s in enumerate(sources):
+        k = max(order, 2) + 1
+        coef, table = self._rows(k - 1)
+        m1, npts = self.ambient, pts.shape[0]
+        # one block per row stack: d^a F / dz^a for a < k, then delta^(j);
+        # the w part of F adds w_j delta^(j-1+a) to d^a F / dz^a
+        src = kernels.horner_many(coef, pts[:, 0] + 1j * pts[:, 1]).reshape(-1, m1, npts)
+        for j in range(1, self.seed.n):
+            src[:k] += (pts[:, 2 * j] + 1j * pts[:, 2 * j + 1]) * src[k + j - 1 : 2 * k + j - 1]
+        parts = np.zeros((npts, 2 * len(src) + 1, m1))  # Re, Im, a zero row
+        for i, s in enumerate(src):
             # one product per source: numpy's complex product can round a
             # value differently at another offset in a longer array
             c = self._phase * s
             parts[:, i, :] = c.real.T
-            parts[:, len(sources) + i, :] = c.imag.T
+            parts[:, len(src) + i, :] = c.imag.T
         out = []
         for rows, signs in table:
             dk = np.take(parts, rows, axis=1)
@@ -397,6 +341,7 @@ class SeriesChart(ImmersionChart):
         return tuple(out[: order + 1])
 
     def values(self, pts) -> np.ndarray:
+        """The chart's values at a (P, d) stack of points."""
         return self.jet_batch(pts)[0]
 
 
@@ -441,7 +386,7 @@ def _seed_json(value, kind: str, key: str, of: str | None = None):
 
 
 def _pair2c(p, key: str) -> complex:
-    if isinstance(p, (int, float)):
+    if isinstance(p, (int, float)) and not isinstance(p, bool):
         return complex(p)
     if len(_seed_json(p, "list", key, of="number")) != 2:
         raise SeedValidationError(f"complex entries are [re, im] pairs, got {p!r}")
@@ -457,7 +402,7 @@ def _complex_list(entries, key: str) -> np.ndarray:
 
 
 def _series_from_json(coeffs, base: complex, order: int, key: str) -> TruncatedSeries:
-    return _to_order(TruncatedSeries(base, _complex_list(coeffs, key)), order)
+    return to_order(TruncatedSeries(base, _complex_list(coeffs, key)), order)
 
 
 def seed_to_json(seed: WeierstrassSeed) -> dict:
@@ -488,6 +433,8 @@ def seed_from_json(data: dict) -> WeierstrassSeed:
         n = int(_seed_json(data["n"], "integer", "n"))
         base = _pair2c(data.get("basepoint", [0.0, 0.0]), "basepoint")
         order = int(_seed_json(data.get("trunc_order", DEFAULT_ORDER), "integer", "trunc_order"))
+        if order < 0:
+            raise SeedValidationError(f"seed trunc_order must be >= 0, got {order}")
         alpha0 = _series_from_json(data["alpha0"], base, order, "alpha0")
         mu = [_series_from_json(s, base, order, "mu") for s in _seed_json(data["mu"], "list", "mu")]
         b = [_series_from_json(s, base, order, "b") for s in _seed_json(data["b"], "list", "b")]
@@ -518,8 +465,8 @@ def seed_from_json(data: dict) -> WeierstrassSeed:
 
 
 def chain_to_json(chain: WeierstrassChain) -> dict:
-    def vec(v: SeriesVector) -> list:
-        return [_series_to_json(c) for c in v.components]
+    def vec(v: TruncatedSeries) -> list:
+        return [_series_to_json(row) for row in v]
 
     return {
         "alphas": [vec(a) for a in chain.alphas],

@@ -201,6 +201,11 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "integer" in err
 
+    def test_negative_trunc_order_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=dict(seed_to_json(builtin_seed("enneper")), trunc_order=-1))
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: seed trunc_order must be >= 0")
+
     def test_non_integer_fixed_key_names_the_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed="m4r5")
         assert main(["export", "--config", cfg, "--slice", '{"fixed": {"a": 1}}']) == 2
@@ -239,6 +244,12 @@ class TestConfigErrors:
             ("export", {"export": {"axes": None}}),
             ("export", {"export": {"box": 3}}),
             ("verify", {"seed": dict(seed_to_json(builtin_seed("enneper")), alpha0=5)}),
+            # a boolean is never a number
+            ("verify", {"tolerances": {"minimality": True}}),
+            ("export", {"export": {"field": "ftheta", "theta": True}}),
+            ("verify", {"seed": dict(seed_to_json(builtin_seed("enneper")), domain={"radius": True})}),
+            ("verify", {"seed": dict(seed_to_json(builtin_seed("enneper")), basepoint=True)}),
+            ("verify", {"seed": dict(seed_to_json(builtin_seed("enneper")), alpha0=[[True, 0]])}),
         ],
     )
     def test_wrong_json_type_is_a_usage_error(self, tmp_path, capsys, command, config):

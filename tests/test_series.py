@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from minkaehler.errors import DomainError
 from minkaehler.series import (
-    SeriesVector,
     TruncatedSeries,
     mul_error_bound,
     series_add,
@@ -13,7 +12,7 @@ from minkaehler.series import (
     series_eval,
     series_int,
     series_mul,
-    truncate,
+    to_order,
     vdot,
 )
 
@@ -80,20 +79,88 @@ class TestBasicOps:
 
     def test_truncate(self):
         a = make([1, 2, 3, 4])
-        assert truncate(a, 1).order == 1
-        assert truncate(a, 9) is a
+        assert np.array_equal(to_order(a, 1).coeffs, [1, 2])
+        assert to_order(a, 3) is a
+        with pytest.raises(ValueError):
+            to_order(a, -1)
+
+    def test_to_order_pads_with_zeros(self):
+        a = make([[1, 2], [3, 4]])
+        assert np.array_equal(to_order(a, 3).coeffs, [[1, 2, 0, 0], [3, 4, 0, 0]])
+
+
+class TestStacks:
+    """A (3, K) stack against the scalar calls on its rows, bit for bit."""
+
+    @pytest.fixture
+    def rows(self, rng):
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        return draw((3, 7)), draw((3, 5))
+
+    def test_len_and_rows(self, rows):
+        a = make(rows[0])
+        assert len(a) == 3 and a.order == 6
+        assert np.array_equal(a[1].coeffs, rows[0][1])
+        assert np.array_equal([r.coeffs for r in a], rows[0])
+        with pytest.raises(TypeError):
+            len(a[0])
+        with pytest.raises(IndexError):
+            a[0, 1]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_mul_of_unequal_orders_matches_rows(self, rows, swap):
+        # np.convolve swaps its operands when the second is longer; the
+        # stack must still round like each scalar product
+        a, b = (make(rows[1]), make(rows[0])) if swap else (make(rows[0]), make(rows[1]))
+        got = series_mul(a, b)
+        assert got.coeffs.shape == (3, 5)
+        for i in range(3):
+            assert np.array_equal(got[i].coeffs, series_mul(a[i], b[i]).coeffs)
+
+    def test_mul_broadcasts_a_scalar_factor(self, rows):
+        s, b = make(rows[1][0]), make(rows[0])
+        got = series_mul(s, b)
+        for i in range(3):
+            assert np.array_equal(got[i].coeffs, series_mul(s, b[i]).coeffs)
+
+    def test_int_diff_eval_match_rows(self, rows):
+        a = make(rows[0], base=0.5)
+        consts = np.array([1.0, 2j, -3.0])
+        integral, derivative = series_int(a, consts), series_diff(a)
+        values = series_eval(a, 0.7 - 0.2j)
+        assert values.shape == (3,)
+        for i in range(3):
+            assert np.array_equal(integral[i].coeffs, series_int(a[i], consts[i]).coeffs)
+            assert np.array_equal(derivative[i].coeffs, series_diff(a[i]).coeffs)
+            assert values[i] == series_eval(a[i], 0.7 - 0.2j)
+
+    def test_int_constant_broadcasts(self, rows):
+        assert np.array_equal(series_int(make(rows[0]), 2.5).coeffs[:, 0], [2.5] * 3)
+
+    def test_ragged_stack_is_rejected(self):
+        with pytest.raises(ValueError):
+            make([[1, 2], [1]])
 
 
 class TestVdot:
     def test_no_conjugation(self):
         # (i, 1) . (i, 1) = i^2 + 1 = 0; a Hermitian product would give 2
-        v = SeriesVector((make([1j]), make([1.0])))
+        v = make([[1j], [1.0]])
         assert abs(vdot(v, v).coeffs[0]) == 0.0
 
     def test_symmetry(self):
-        u = SeriesVector((make([1, 2]), make([3j, 1])))
-        w = SeriesVector((make([2, -1]), make([0, 1j])))
+        u = make([[1, 2], [3j, 1]])
+        w = make([[2, -1], [0, 1j]])
         assert np.allclose(vdot(u, w).coeffs, vdot(w, u).coeffs)
+
+    def test_is_the_sum_of_row_products(self, rng):
+        u = make(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+        acc = series_mul(u[0], u[0])
+        for i in range(1, 4):
+            acc = series_add(acc, series_mul(u[i], u[i]))
+        assert np.array_equal(vdot(u, u).coeffs, acc.coeffs)
 
     def test_isotropy_of_recursion_block(self):
         # ((1-z^2)/2, i(1+z^2)/2, z) is isotropic for the symmetric product
@@ -101,18 +168,12 @@ class TestVdot:
         z = TruncatedSeries.variable(0.0, order)
         one = TruncatedSeries.constant(1.0, 0.0, order)
         z2 = series_mul(z, z)
-        v = SeriesVector(((one - z2) * 0.5, (one + z2) * (0.5j), z))
+        v = make(np.stack([((one - z2) * 0.5).coeffs, ((one + z2) * (0.5j)).coeffs, z.coeffs]))
         assert np.abs(vdot(v, v).coeffs).max() < 1e-15
 
     def test_component_mismatch(self):
-        u = SeriesVector((make([1]),))
-        w = SeriesVector((make([1]), make([1])))
         with pytest.raises(DomainError):
-            vdot(u, w)
-
-    def test_vector_requires_common_order(self):
-        with pytest.raises(DomainError):
-            SeriesVector((make([1, 2]), make([1])))
+            vdot(make([[1]]), make([[1], [1]]))
 
 
 class TestCalculus:
@@ -144,7 +205,7 @@ class TestRingProperties:
     @settings(max_examples=60)
     def test_distributive_at_common_order(self, ca, cb, cc):
         n = min(len(ca), len(cb), len(cc)) - 1
-        a, b, c = (truncate(make(x), n) for x in (ca, cb, cc))
+        a, b, c = (to_order(make(x), n) for x in (ca, cb, cc))
         lhs = series_mul(a, series_add(b, c))
         rhs = series_add(series_mul(a, b), series_mul(a, c))
         np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=1e-12, atol=1e-12)
@@ -153,7 +214,7 @@ class TestRingProperties:
     @settings(max_examples=60)
     def test_associative_at_common_order(self, ca, cb, cc):
         n = min(len(ca), len(cb), len(cc)) - 1
-        a, b, c = (truncate(make(x), n) for x in (ca, cb, cc))
+        a, b, c = (to_order(make(x), n) for x in (ca, cb, cc))
         lhs = series_mul(series_mul(a, b), c)
         rhs = series_mul(a, series_mul(b, c))
         np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, rtol=1e-11, atol=1e-11)

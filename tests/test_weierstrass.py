@@ -11,7 +11,6 @@ from minkaehler.series import TruncatedSeries, series_eval, vdot
 from minkaehler.suites import _FAMILY_THETAS, build_bundle
 from minkaehler.weierstrass import (
     DomainSpec,
-    HolomorphicRep,
     SeriesChart,
     WeierstrassSeed,
     _domain_samples,
@@ -40,11 +39,11 @@ class TestChain:
     def test_enneper_chain_closed_form(self, enneper_seed):
         chain = build_chain(enneper_seed)
         # phi_0 = z
-        phi0 = chain.phis[0].components[0]
+        phi0 = chain.phis[0][0]
         assert phi0.coeffs[1] == 1.0
         assert np.abs(np.delete(phi0.coeffs, 1)).max() == 0.0
         # delta = ((1 - z^2)/2, i (1 + z^2)/2, z) exactly
-        d0, d1, d2 = chain.delta.components
+        d0, d1, d2 = chain.delta
         assert d0.coeffs[0] == 0.5 and d0.coeffs[2] == -0.5
         assert d1.coeffs[0] == 0.5j and d1.coeffs[2] == 0.5j
         assert d2.coeffs[1] == 1.0
@@ -53,13 +52,13 @@ class TestChain:
         chain = build_chain(m4r5_seed)
         # q_1 = vdot(phi_1, phi_1) = -z^4 / 12, so the head components of
         # alpha_2 are (1 + z^4/12)/2 and i (1 - z^4/12)/2
-        head0, head1 = chain.delta.components[:2]
+        head0, head1 = chain.delta[:2]
         assert head0.coeffs[0] == 0.5
         assert head0.coeffs[4] == pytest.approx(1.0 / 24.0, abs=1e-16)
         assert head1.coeffs[0] == 0.5j
         assert head1.coeffs[4] == pytest.approx(-1j / 24.0, abs=1e-16)
         # tail = phi_1 = (z/2 - z^3/6, i(z/2 + z^3/6), z^2/2)
-        t0, t1, t2 = chain.delta.components[2:]
+        t0, t1, t2 = chain.delta[2:]
         assert t0.coeffs[1] == 0.5 and t0.coeffs[3] == pytest.approx(-1.0 / 6.0)
         assert t1.coeffs[1] == 0.5j and t1.coeffs[3] == pytest.approx(1j / 6.0)
         assert t2.coeffs[2] == 0.5
@@ -77,37 +76,23 @@ class TestChain:
     def test_integral_of_derivative_matches_delta(self, m4r5_seed):
         # with b = (0, 1) the z-integral part of the representative is
         # exactly delta - delta(basepoint)
-        rep = HolomorphicRep(m4r5_seed)
-        chain = rep.chain
+        chain = build_chain(m4r5_seed)
+        assert len(chain.base) == 5
         for z in (0.1 + 0.2j, -0.3j, 0.25):
-            want = chain.delta.eval(z) - chain.delta.eval(m4r5_seed.basepoint)
-            got = rep.base_part.eval(z)
+            want = series_eval(chain.delta, z) - series_eval(chain.delta, m4r5_seed.basepoint)
+            got = series_eval(chain.base, z)
             np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 class TestRepresentative:
     def test_sqrt2_rep_splits_into_f_and_fbar(self, catenoid_seed):
         f = immersion_f(catenoid_seed)
-        fbar = conjugate_fbar(catenoid_seed)
-        rep = f.rep
+        fbar = conjugate_fbar(catenoid_seed, f.chain)
         for p in ([0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]):
             z = catenoid_seed.basepoint + p[0] + 1j * p[1]
-            F = rep.value(z)
+            F = series_eval(f.chain.base, z)  # n = 1: F has no w part
             got = f.value(p) + 1j * fbar.value(p)
             np.testing.assert_allclose(got, SQRT2 * F, atol=1e-14)
-
-    def test_w_partial_bounds(self, m4r5_seed, enneper_seed):
-        rep = HolomorphicRep(m4r5_seed)
-        assert rep.w_partial(1).dim == 5
-        with pytest.raises(DomainError):
-            rep.w_partial(2)
-        with pytest.raises(DomainError):
-            HolomorphicRep(enneper_seed).w_partial(1)
-
-    def test_value_rejects_wrong_w_count(self, m4r5_seed):
-        rep = HolomorphicRep(m4r5_seed)
-        with pytest.raises(DomainError):
-            rep.value(0.1, w=())
 
 
 class TestClassicalSurfaces:
@@ -355,7 +340,7 @@ class TestConstants:
             phi_constants=[np.array([1.0 + 0j])],
         )
         chain = build_chain(seed)
-        assert chain.phis[0].components[0].coeffs[0] == 1.0
+        assert chain.phis[0][0].coeffs[0] == 1.0
         # the shifted chain is still isotropic
         q = vdot(chain.delta, chain.delta)
         assert np.abs(q.coeffs).max() < 1e-14
