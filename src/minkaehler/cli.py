@@ -22,6 +22,11 @@ manifests, then exits.
 
 All outputs are deterministic for a fixed config: floats are rendered with
 17 significant digits and no timestamps or machine identifiers appear.
+
+The config is read against ``CONFIG_SCHEMA`` (its ``export`` section
+against the slice schema, an inline seed against the seed schema): an
+unknown key at any level, a value of the wrong JSON kind, NaN or infinity
+exits 2 with an ``error:`` line naming the key.
 """
 
 from __future__ import annotations
@@ -31,14 +36,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    DomainError,
-    NonImmersionPointError,
-    PreconditionError,
-    SeedValidationError,
-    expect_json,
-)
-from .export import export_slice, slice_from_json
+from .errors import NonImmersionPointError, PreconditionError, read_json
+from .export import SLICE_SCHEMA, export_slice, slice_from_json
 from .report import all_passed, render_json, render_text_table, report_to_dict
 from .seeds import BUILTIN_NAMES, EXPECTED_RESIDUALS, builtin_seed
 from .suites import (
@@ -51,75 +50,31 @@ from .suites import (
 )
 from .weierstrass import chain_to_json, immersion_f, seed_from_json, seed_to_json, validate_seed
 
-DEFAULT_CONFIG = {
-    "seed": "enneper",
-    "suites": None,
-    "sampling": {
-        "counts": None,
-        "rng_seed": DEFAULT_RNG_SEED,
-    },
-    "tolerances": {},
-    "export": {
-        "axes": [0, 1],
-        "counts": [12, 12],
-        "fixed": {},
-        "field": "f",
-        "theta": 0.0,
-    },
-    "output_dir": "minkaehler-out",
+# each config key's JSON kind, item kind and default; the export section is
+# a slice spec, and ``seed`` (a built-in name or a seed object) is read by
+# :func:`resolve_seed`
+CONFIG_SCHEMA = {
+    "seed": (None, None, "enneper"),
+    "suites": ("list", "string", None),
+    "sampling": (
+        {"counts": ("list", "integer", None), "rng_seed": ("integer", None, DEFAULT_RNG_SEED)}, None, {}
+    ),
+    "tolerances": ("object", "number", {}),
+    "export": (SLICE_SCHEMA, None, {}),
+    "output_dir": ("string", None, "minkaehler-out"),
 }
-
-# JSON kind and item kind of config values; one whose default is null may be null
-_KINDS = {
-    "suites": ("list", "string"),
-    "sampling": ("object", None),
-    "tolerances": ("object", "number"),
-    "export": ("object", None),
-    "output_dir": ("string", None),
-    "counts": ("list", "integer"),
-    "rng_seed": ("integer", None),
-}
-_USER_ERRORS = (
-    DomainError,
-    NonImmersionPointError,
-    PreconditionError,
-    SeedValidationError,
-    ValueError,
-)
+DEFAULT_CONFIG = read_json({}, CONFIG_SCHEMA, "config")
+# DomainError and SeedValidationError are ValueErrors
+_USER_ERRORS = (NonImmersionPointError, OSError, PreconditionError, ValueError)
 
 
 def load_config(path) -> dict:
     """Defaults overlaid with the JSON config file (when given)."""
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    if path is None:
-        return config
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    expect_json(data, "object", "config")
-    _reject_unknown(data, DEFAULT_CONFIG, "config")
-    for key, value in _checked(data, DEFAULT_CONFIG, "config").items():
-        if key == "sampling":
-            _reject_unknown(value, DEFAULT_CONFIG[key], "config sampling")
-        if key in ("sampling", "export"):
-            config[key].update(_checked(value, DEFAULT_CONFIG[key], f"config {key}"))
-        else:
-            config[key] = value
-    return config
-
-
-def _reject_unknown(data: dict, defaults: dict, where: str) -> None:
-    unknown = set(data) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown {where} keys {sorted(unknown)}; known: {sorted(defaults)}")
-
-
-def _checked(data: dict, defaults: dict, where: str) -> dict:
-    """Check the JSON kind of each value of ``data`` that ``_KINDS`` lists;
-    return ``data``."""
-    for key, value in data.items():
-        if key in _KINDS and not (value is None and defaults.get(key) is None):
-            expect_json(value, _KINDS[key][0], f"{where} {key!r}", of=_KINDS[key][1])
-    return data
+    data = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    return read_json(data, CONFIG_SCHEMA, "config")
 
 
 def resolve_seed(spec):
@@ -134,11 +89,7 @@ def resolve_seed(spec):
 def _bundle_from_config(config):
     seed = resolve_seed(config["seed"])
     sampling = config["sampling"]
-    return build_bundle(
-        seed,
-        counts=sampling.get("counts"),
-        rng_seed=int(sampling.get("rng_seed", DEFAULT_RNG_SEED)),
-    )
+    return build_bundle(seed, counts=sampling["counts"], rng_seed=int(sampling["rng_seed"]))
 
 
 def _out_dir(config) -> Path:
@@ -265,9 +216,6 @@ def main(argv=None) -> int:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package, and a JSON type check."""
+"""Exception and warning types shared across the package, and the JSON
+input reader: :func:`read_json` checks a parsed object against a schema,
+so every object level rejects unknown keys and every number is finite."""
+
+import copy
+import sys
 
 
 class DomainError(ValueError):
@@ -39,13 +44,14 @@ _JSON_KINDS = {
     "integer": (int, float),
     "string": str,
 }
+REQUIRED = object()  # the schema default of a key that must be given
 
 
 def _fits(value, kind: str) -> bool:
-    """Whether ``value`` is of JSON ``kind``; a boolean is never a number."""
+    """Whether ``value`` is of JSON ``kind``; a number is finite and never a boolean."""
     if not isinstance(value, _JSON_KINDS[kind]):
         return False
-    if kind in ("number", "integer") and isinstance(value, bool):
+    if kind in ("number", "integer") and (isinstance(value, bool) or not abs(value) <= sys.float_info.max):
         return False
     return kind != "integer" or isinstance(value, int) or value.is_integer()
 
@@ -60,3 +66,29 @@ def expect_json(value, kind: str, key: str, error: type = ValueError, of: str | 
         for item in value.values() if kind == "object" else value:
             expect_json(item, of, key, error)
     return value
+
+
+def read_json(data, schema: dict, where: str, error: type = ValueError) -> dict:
+    """``data`` read as a JSON object against ``schema``: a dict of every
+    known key, with a copy of the default for each missing one.
+
+    ``schema`` maps a key to ``(kind, item kind, default)``; the kind is an
+    :func:`expect_json` kind, a nested schema (a missing value is read from
+    its default), or None when the caller checks the value.  A key whose
+    default is None may be null; one whose default is :data:`REQUIRED` must
+    be given.  Raises ``error`` naming ``where`` and the key."""
+    expect_json(data, "object", where, error)
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise error(f"unknown {where} keys {sorted(unknown)}; known: {sorted(schema)}")
+    out = {}
+    for key, (kind, of, default) in schema.items():
+        if key not in data and default is REQUIRED:
+            raise error(f"{where} is missing required key {key!r}")
+        value = data[key] if key in data else copy.deepcopy(default)
+        if isinstance(kind, dict):
+            value = read_json(value, kind, f"{where} {key}", error)
+        elif kind is not None and not (value is None and default is None):
+            expect_json(value, kind, f"{where} {key}", error, of)
+        out[key] = value
+    return out

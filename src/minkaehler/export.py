@@ -5,7 +5,9 @@ on a grid.  The sampled immersion values become a Wavefront OBJ mesh
 (vertices from the first three ambient coordinates, quad faces from the
 grid) and a CSV table (chart coordinates, all ambient coordinates, and
 per-point residual columns).  All numbers are written with 17 significant
-digits, so identical inputs produce byte-identical files.
+digits, so identical inputs produce byte-identical files.  A slice's JSON
+form is read against ``SLICE_SCHEMA``, which the CLI config's ``export``
+section shares.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, expect_json
+from .errors import DomainError, expect_json, read_json
 from .geometry import anticommutation_residual, minimality_residual, point_frame
 from .weierstrass import SeriesChart, WeierstrassSeed, associated, chart_complex_structure
 
 __all__ = [
+    "SLICE_SCHEMA",
     "SliceSpec",
     "export_csv",
     "export_obj",
@@ -54,37 +57,39 @@ class SliceSpec:
             raise DomainError(f"unknown field {self.field_name!r}; choose from {_FIELDS}")
 
 
+# each slice key's JSON kind, item kind and default; box pairs are checked below
+SLICE_SCHEMA = {
+    "axes": ("list", "integer", [0, 1]),
+    "counts": ("list", "integer", [12, 12]),
+    "fixed": ("object", "number", {}),
+    "box": ("list", None, None),
+    "field": ("string", None, "f"),
+    "theta": ("number", None, 0.0),
+}
+
+
 def slice_from_json(data: dict) -> SliceSpec:
     """Build a :class:`SliceSpec` from its JSON form (all keys optional)."""
-    def get(key, default, kind, of=None):
-        return expect_json(data.get(key, default), kind, f"slice {key}", DomainError, of)
-
-    expect_json(data, "object", "slice spec", DomainError)
-    known = {"axes", "counts", "fixed", "box", "field", "theta"}
-    unknown = set(data) - known
-    if unknown:
-        raise DomainError(f"unknown slice keys {sorted(unknown)}; known: {sorted(known)}")
+    data = read_json(data, SLICE_SCHEMA, "slice", DomainError)
     fixed = {}
-    for k, v in get("fixed", {}, "object", "number").items():
+    for k, v in data["fixed"].items():
         try:
             fixed[int(k)] = float(v)
         except ValueError:
             raise DomainError(f"slice fixed key {k!r} is not an axis index") from None
-    box = data.get("box")
+    box = data["box"]
     if box is not None:
-        box = tuple(
-            tuple(float(x) for x in expect_json(pair, "list", "slice box", DomainError, "number"))
-            for pair in get("box", None, "list")
-        )
+        pairs = (expect_json(pair, "list", "slice box", DomainError, "number") for pair in box)
+        box = tuple(tuple(float(x) for x in pair) for pair in pairs)
         if len(box) != 2 or any(len(pair) != 2 for pair in box):
             raise DomainError("slice box needs one (lo, hi) pair per free axis")
     return SliceSpec(
-        axes=tuple(int(a) for a in get("axes", (0, 1), "list", "integer")),
-        counts=tuple(int(c) for c in get("counts", (12, 12), "list", "integer")),
+        axes=tuple(int(a) for a in data["axes"]),
+        counts=tuple(int(c) for c in data["counts"]),
         fixed=fixed,
         box=box,
-        field_name=str(data.get("field", "f")),
-        theta=float(get("theta", 0.0, "number")),
+        field_name=data["field"],
+        theta=float(data["theta"]),
     )
 
 

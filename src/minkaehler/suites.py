@@ -165,6 +165,8 @@ class ChartBundle:
 def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG_SEED) -> ChartBundle:
     """Validate the seed, run the recursion, and sample the chart box
     shrunk by ``_GRID_MARGIN`` about its center."""
+    if rng_seed < 0:
+        raise ValueError(f"sampling rng_seed must be >= 0, got {rng_seed}")
     validate_seed(seed)
     chain = build_chain(seed)
     chart = immersion_f(seed, chain)

@@ -25,6 +25,8 @@ is affine in w and holomorphic in z, a jet of any order reduces to Horner
 evaluations of stored coefficient rows; those go through the kernels
 module.  Verification reads jets to order 3; the Gauss
 parametrization of :mod:`minkaehler.gausspar` reads the 4-jets.
+A JSON seed is read against ``_SEED_SCHEMA``; an unknown key at any level,
+a missing one or a non-finite number raises :class:`SeedValidationError`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .charts import ImmersionChart, shrink_box
-from .errors import DomainError, DomainWarning, SeedValidationError, expect_json
+from .errors import REQUIRED, DomainError, DomainWarning, SeedValidationError, expect_json, read_json
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -154,7 +156,7 @@ def validate_seed(seed: WeierstrassSeed) -> None:
 
     def check(series: TruncatedSeries, label: str):
         vals = np.abs(kernels.horner_many(series.coeffs[None, :], samples - series.base)[0])
-        if vals.min() <= _ZERO_TOL * max(1.0, vals.max()):
+        if not vals.min() > _ZERO_TOL * max(1.0, vals.max()):  # true on NaN or infinity too
             raise SeedValidationError(
                 f"seed invariant violated: {label} must be nonzero on the domain "
                 f"(min modulus {vals.min():.3g} at sampled points)"
@@ -381,14 +383,10 @@ def _c2pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _seed_json(value, kind: str, key: str, of: str | None = None):
-    return expect_json(value, kind, f"seed {key}", SeedValidationError, of)
-
-
 def _pair2c(p, key: str) -> complex:
-    if isinstance(p, (int, float)) and not isinstance(p, bool):
-        return complex(p)
-    if len(_seed_json(p, "list", key, of="number")) != 2:
+    if not isinstance(p, (list, tuple)):
+        return complex(expect_json(p, "number", key, SeedValidationError))
+    if len(expect_json(p, "list", key, SeedValidationError, of="number")) != 2:
         raise SeedValidationError(f"complex entries are [re, im] pairs, got {p!r}")
     return complex(float(p[0]), float(p[1]))
 
@@ -397,8 +395,8 @@ def _series_to_json(s: TruncatedSeries) -> list:
     return [_c2pair(c) for c in s.coeffs]
 
 
-def _complex_list(entries, key: str) -> np.ndarray:
-    return np.array([_pair2c(p, key) for p in _seed_json(entries, "list", key)], dtype=np.complex128)
+def _complex_list(entries: list, key: str) -> np.ndarray:
+    return np.array([_pair2c(p, key) for p in entries], dtype=np.complex128)
 
 
 def _series_from_json(coeffs, base: complex, order: int, key: str) -> TruncatedSeries:
@@ -428,39 +426,42 @@ def seed_to_json(seed: WeierstrassSeed) -> dict:
     return out
 
 
+# each seed key's JSON kind, item kind and default; complex entries are checked by _pair2c
+_SEED_SCHEMA = {
+    "n": ("integer", None, REQUIRED),
+    "name": ("string", None, "custom"),
+    "basepoint": (None, None, [0.0, 0.0]),  # a number or an [re, im] pair
+    "trunc_order": ("integer", None, DEFAULT_ORDER),
+    "alpha0": ("list", None, REQUIRED),
+    "mu": ("list", "list", REQUIRED),
+    "b": ("list", "list", REQUIRED),
+    "domain": (
+        {"radius": ("number", None, REQUIRED), "w_halfwidth": ("list", "number", [])}, None, REQUIRED
+    ),
+    "constants": ({"phi": ("list", "list", None), "rep": ("list", "list", None)}, None, {}),
+}
+
+
 def seed_from_json(data: dict) -> WeierstrassSeed:
-    try:
-        n = int(_seed_json(data["n"], "integer", "n"))
-        base = _pair2c(data.get("basepoint", [0.0, 0.0]), "basepoint")
-        order = int(_seed_json(data.get("trunc_order", DEFAULT_ORDER), "integer", "trunc_order"))
-        if order < 0:
-            raise SeedValidationError(f"seed trunc_order must be >= 0, got {order}")
-        alpha0 = _series_from_json(data["alpha0"], base, order, "alpha0")
-        mu = [_series_from_json(s, base, order, "mu") for s in _seed_json(data["mu"], "list", "mu")]
-        b = [_series_from_json(s, base, order, "b") for s in _seed_json(data["b"], "list", "b")]
-        dom = _seed_json(data["domain"], "object", "domain")
-        domain = DomainSpec(
-            float(_seed_json(dom["radius"], "number", "domain radius")),
-            tuple(_seed_json(dom.get("w_halfwidth", ()), "list", "domain w_halfwidth", of="number")),
-        )
-    except KeyError as exc:
-        raise SeedValidationError(f"seed JSON is missing required key {exc}") from exc
-    consts = _seed_json(data.get("constants", {}), "object", "constants")
+    data = read_json(data, _SEED_SCHEMA, "seed", SeedValidationError)
+    base = _pair2c(data["basepoint"], "seed basepoint")
+    order = int(data["trunc_order"])
+    if order < 0:
+        raise SeedValidationError(f"seed trunc_order must be >= 0, got {order}")
     phi_c, rep_c = (
-        [_complex_list(vec, f"{k} constants") for vec in _seed_json(consts[k], "list", f"{k} constants")]
-        if k in consts else None
-        for k in ("phi", "rep")
+        None if vecs is None else [_complex_list(vec, f"seed constants {k}") for vec in vecs]
+        for k, vecs in data["constants"].items()
     )
     return WeierstrassSeed(
-        n=n,
-        alpha0=alpha0,
-        mu=mu,
-        b=b,
-        domain=domain,
+        n=int(data["n"]),
+        alpha0=_series_from_json(data["alpha0"], base, order, "seed alpha0"),
+        mu=[_series_from_json(s, base, order, "seed mu") for s in data["mu"]],
+        b=[_series_from_json(s, base, order, "seed b") for s in data["b"]],
+        domain=DomainSpec(float(data["domain"]["radius"]), data["domain"]["w_halfwidth"]),
         trunc_order=order,
         phi_constants=phi_c,
         rep_constants=rep_c,
-        name=str(data.get("name", "custom")),
+        name=data["name"],
     )
 
 

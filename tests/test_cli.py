@@ -21,6 +21,14 @@ REPORT_KEYS = {
 }
 
 
+ENNEPER_JSON = seed_to_json(builtin_seed("enneper"))
+
+
+def raw_seed(key: str, text: str) -> str:
+    """The enneper seed's JSON text with ``key`` set to the raw JSON ``text``."""
+    return json.dumps(dict(ENNEPER_JSON, **{key: "<raw>"})).replace('"<raw>"', text)
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     data = dict(overrides)
     path = tmp_path / name
@@ -45,6 +53,7 @@ class TestTopLevel:
             "expected_residuals",
         }
         assert payload["config"]["seed"] == "enneper"
+        assert payload["config"]["export"]["box"] is None
         assert "m4r5" in payload["builtin_seeds"]
 
     def test_printed_defaults_run_as_a_config(self, tmp_path, capsys):
@@ -200,6 +209,61 @@ class TestConfigErrors:
         assert main(argv + ["--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "integer" in err
+
+    @pytest.mark.parametrize("rng_seed", [-5, -200])
+    def test_negative_rng_seed_names_the_key(self, tmp_path, capsys, rng_seed):
+        # the control streams add 101, 202 and 303, so a small negative seed used to run
+        cfg = write_config(tmp_path, sampling={"counts": [2, 2], "rng_seed": rng_seed})
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rng_seed" in err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"seed": dict(ENNEPER_JSON, trunc_ordr=4)}, "'trunc_ordr'"),
+            ({"seed": dict(ENNEPER_JSON, domain={"radius": 0.5, "w_halfwidht": [1]})}, "'w_halfwidht'"),
+            ({"seed": dict(ENNEPER_JSON, constants={"ph": [[[0.5, 0.0]]]})}, "'ph'"),
+            ({"export": {"feild": "f"}}, "'feild'"),
+        ],
+        ids=["seed", "seed-domain", "seed-constants", "export"],
+    )
+    def test_unknown_key_is_rejected_at_every_level(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, sampling={"counts": [2, 2]}, **config)
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown") and key in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "config, slice_spec, key",
+        [
+            ('{"tolerances": {"minimality": @}}', None, "config tolerances"),
+            ('{"seed": %s}' % raw_seed("basepoint", "@"), None, "seed basepoint"),
+            ('{"seed": %s}' % raw_seed("basepoint", "[@, 0.0]"), None, "seed basepoint"),
+            ('{"seed": %s}' % raw_seed("domain", '{"radius": @}'), None, "seed domain radius"),
+            ('{"seed": %s}' % raw_seed("alpha0", "[@]"), None, "seed alpha0"),
+            ("{}", '{"field": "ftheta", "theta": @}', "slice theta"),
+            ('{"seed": "m4r5"}', '{"fixed": {"2": @}}', "slice fixed"),
+            ("{}", '{"box": [[@, 0.1], [-0.1, 0.1]]}', "slice box"),
+        ],
+        ids=["tolerance", "basepoint", "basepoint-pair", "radius", "coefficient", "theta", "fixed", "box"],
+    )
+    def test_non_finite_numbers_name_the_key(self, tmp_path, capsys, literal, config, slice_spec, key):
+        # raw JSON text: Python's parser reads NaN and Infinity, JSON has neither
+        path = tmp_path / "config.json"
+        path.write_text(config.replace("@", literal), encoding="utf-8")
+        argv = ["verify", "--config", str(path), "--suite", "minimality"]
+        if slice_spec is not None:
+            argv = ["export", "--config", str(path), "--slice", slice_spec.replace("@", literal)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+
+    def test_seed_name_must_be_a_string(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=dict(ENNEPER_JSON, name=5), sampling={"counts": [2, 2]})
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: seed name must be a JSON string")
 
     def test_negative_trunc_order_names_the_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=dict(seed_to_json(builtin_seed("enneper")), trunc_order=-1))

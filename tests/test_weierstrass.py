@@ -402,6 +402,19 @@ class TestValidation:
         with pytest.raises(SeedValidationError, match=re.escape(msg)):
             validate_seed(self._seed(mu=TruncatedSeries(0.0, coeffs)))
 
+    def test_nan_coefficient_rejected(self):
+        # a NaN modulus compares false with the zero tolerance, so it must fail as such
+        coeffs = np.ones(9, dtype=np.complex128)
+        coeffs[3] = np.nan
+        with pytest.raises(SeedValidationError, match=r"mu\[1\] must be nonzero"):
+            validate_seed(self._seed(mu=TruncatedSeries(0.0, coeffs)))
+
+    def test_infinite_basepoint_rejected(self):
+        one = TruncatedSeries.constant(1.0, complex(np.inf, 0.0), 8)
+        seed = WeierstrassSeed(n=1, alpha0=one, mu=[one], b=[one], domain=DomainSpec(0.5), trunc_order=8)
+        with np.errstate(invalid="ignore"), pytest.raises(SeedValidationError, match="alpha0 must be nonzero"):
+            validate_seed(seed)
+
     def test_builtin_seeds_validate(self, enneper_seed, catenoid_seed, m4r5_seed):
         for seed in (enneper_seed, catenoid_seed, m4r5_seed):
             validate_seed(seed)
