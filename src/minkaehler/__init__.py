@@ -59,6 +59,7 @@ from .seeds import BUILTIN_NAMES, builtin_seed
 from .bending import (
     CombinationField,
     TrivialField,
+    Variation,
     bending_residual,
     classify_triviality,
     conjugate_field,

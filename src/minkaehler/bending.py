@@ -21,22 +21,23 @@ partials of T on a point stack.  A chart is its own position field, the
 conjugate field is the mate chart of the associated family, and f + tT is
 a :class:`CombinationField`.
 
-Every residual and every route to B below takes the chart's
-:class:`~minkaehler.geometry.PointFrame` on a point stack of shape
-(..., d) and the field's :class:`~minkaehler.charts.Jet2` on the same
-stack (the 3-jets, for the derivative of B), and returns one value per
-point; the caller evaluates each jet and frame once and hands it to every
-check that reads it.  Since f + tT is affine in t, its first variations
-(of the normal, the metric and the shape operator) are closed form in
-those two jets, and no deformed frame is built.
-Only :func:`classify_triviality` and :func:`recover_bending_decomposition`
-take charts and points, and build their one frame themselves.
+Every residual and every route to B below takes one :class:`Variation`,
+the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
+shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
+same stack (3-jets, for the derivative of B), and returns one value per
+point.  A Variation keeps tau, dN, T_* and B once computed, so each is
+computed once per field; the three routes to B share only those inputs.
+Since f + tT is affine in t, its first variations are closed form in the
+two jets, and no deformed frame is built.  Only :func:`classify_triviality`
+and :func:`recover_bending_decomposition` take charts and points, and
+build their one frame themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .geometry import (
     TINY,
     PointFrame,
     _t,
-    codazzi_residual,
     covariant_field_derivative,
     gnorm_columns,
     gnorm_op,
@@ -160,43 +160,69 @@ def make_cylinder_bending(cylinder, a: float, b: float) -> TaylorChart:
 
 # -- bending / preservation residuals -----------------------------------------
 
-def bending_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+@dataclass(frozen=True)
+class Variation:
+    """A variation field T along the chart on one point stack: the chart's
+    frame and T's jet there, with the pieces the bending checks read kept."""
+
+    frame: PointFrame
+    jet: Jet2
+
+    def __post_init__(self):
+        if not np.array_equal(self.jet.coords, self.frame.jet.coords):
+            raise DomainError("a variation needs the field's jet on the points of the chart's frame")
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """tau_k = <T_k, N>, the normal part of dT."""
+        return (self.jet.d1 @ self.frame.normal[..., None])[..., 0]
+
+    @cached_property
+    def normal_variation(self) -> np.ndarray:
+        """dN = -f_*(sigma), sigma = G^{-1} tau: the exact t-derivative at
+        t = 0 of the unit normal of f + tT.  Differentiating
+        <N, f_k + t T_k> = 0 fixes its tangential part, and |N| = 1 leaves
+        no normal part."""
+        sigma = (self.frame.metric_inv @ self.tau[..., None])[..., 0]
+        return -(sigma[..., None, :] @ self.frame.jet.d1)[..., 0, :]
+
+    @cached_property
+    def tstar(self) -> np.ndarray:
+        """T_* as a matrix: column j solves G c = <f_i, T_j> (the tangential
+        part of dT(e_j) in the coordinate basis)."""
+        rhs = self.frame.jet.d1 @ _t(self.jet.d1)  # [..., i, j] = <f_i, T_j>
+        return self.frame.metric_inv @ rhs
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """B by the covariant-Hessian formula, :func:`B_by_formula`."""
+        return B_by_formula(self)
+
+
+def bending_residual(v: Variation) -> np.ndarray:
     """max_ij |<T_i, f_j> + <T_j, f_i>| over the normalizing scale.
 
     Zero exactly when T is an infinitesimal bending at the point.
     """
-    f1 = frame.jet.d1
-    t1 = field_jet.d1
+    f1 = v.frame.jet.d1
+    t1 = v.jet.d1
     sym = t1 @ _t(f1)
     sym = sym + _t(sym)
     scale = np.linalg.norm(f1, axis=(-2, -1)) * np.linalg.norm(t1, axis=(-2, -1))
     return np.abs(sym).max(axis=(-2, -1)) / np.maximum(scale, TINY)
 
 
-def gauss_tangency_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def gauss_tangency_residual(v: Variation) -> np.ndarray:
     """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at the
     point, the first-order criterion for the variation to preserve the normal."""
-    normal = frame.normal
-    t1 = field_jet.d1
-    nrm = np.linalg.norm(t1, axis=-1)
-    tilt = np.abs((t1 @ normal[..., None])[..., 0])
-    return np.where(nrm > 1e-14, tilt / np.maximum(nrm, TINY), 0.0).max(axis=-1)
+    nrm = np.linalg.norm(v.jet.d1, axis=-1)
+    return np.where(nrm > 1e-14, np.abs(v.tau) / np.maximum(nrm, TINY), 0.0).max(axis=-1)
 
 
-def normal_variation(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
-    """dN = -f_*(sigma), sigma = G^{-1} tau with tau_k = <T_k, N>: the exact
-    t-derivative at t = 0 of the unit normal of f + tT.  Differentiating
-    <N, f_k + t T_k> = 0 fixes its tangential part, and |N| = 1 leaves no
-    normal part."""
-    tau = (field_jet.d1 @ frame.normal[..., None])[..., 0]
-    sigma = (frame.metric_inv @ tau[..., None])[..., 0]
-    return -(sigma[..., None, :] @ frame.jet.d1)[..., 0, :]
-
-
-def normal_variation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def normal_variation_residual(v: Variation) -> np.ndarray:
     """|dN|: the t-derivative of the unit normal along f + tT, which
     vanishes for Gauss-map-preserving variations."""
-    return np.linalg.norm(normal_variation(frame, field_jet), axis=-1)
+    return np.linalg.norm(v.normal_variation, axis=-1)
 
 
 # -- the B tensor --------------------------------------------------------------
@@ -204,81 +230,68 @@ def normal_variation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
 # Every route returns B as an operator on a point stack, (..., d, d), with
 # columns the images of the basis vectors; its lowered form is (G B)^T.
 
-def B_by_variation(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def B_by_variation(v: Variation) -> np.ndarray:
     """B as dA, the exact t-derivative at t = 0 of the shape operator of
-    f + tT.  With dN from :func:`normal_variation`,
+    f + tT.  With dN from :attr:`Variation.normal_variation`,
 
         dG_ij = <f_i, T_j> + <T_i, f_j>,   dH_ij = <T_ij, N> + <f_ij, dN>,
 
     and A = G^{-1} H gives dA = G^{-1} (dH - dG A).  It differentiates the
     frame construction, not the covariant Hessian or A T_*."""
-    f1 = frame.jet.d1
-    dN = normal_variation(frame, field_jet)
-    dG = f1 @ _t(field_jet.d1)
+    frame, dN = v.frame, v.normal_variation
+    dG = frame.jet.d1 @ _t(v.jet.d1)
     dG = dG + _t(dG)
-    dH = (field_jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
+    dH = (v.jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
     return frame.metric_inv @ (dH - dG @ frame.shape_operator)
 
 
-def _b_form(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def _b_form(v: Variation) -> np.ndarray:
     """B_ij = <T_ij - Gamma^k_ij T_k, N> from the frame's jet and T's."""
-    corrected = field_jet.d2 - np.einsum("...kij,...kc->...ijc", frame.christoffel, field_jet.d1)
-    return (corrected @ frame.normal[..., None, :, None])[..., 0]
+    corrected = v.jet.d2 - np.einsum("...kij,...kc->...ijc", v.frame.christoffel, v.jet.d1)
+    return (corrected @ v.frame.normal[..., None, :, None])[..., 0]
 
 
-def B_by_formula(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def B_by_formula(v: Variation) -> np.ndarray:
     """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
     with the normal, raised to an operator.  Exact from the 2-jets of f and
-    T, and identically zero on trivial fields."""
-    return frame.metric_inv @ _t(_b_form(frame, field_jet))
+    T, and identically zero on trivial fields; :attr:`Variation.B` keeps it."""
+    return v.frame.metric_inv @ _t(_b_form(v))
 
 
-def tangential_derivative(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
-    """T_* as a matrix: column j solves G c = <f_i, T_j> (the tangential
-    part of dT(e_j) in the coordinate basis)."""
-    rhs = frame.jet.d1 @ _t(field_jet.d1)  # [..., i, j] = <f_i, T_j>
-    return frame.metric_inv @ rhs
-
-
-def B_by_BAT(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def B_by_BAT(v: Variation) -> np.ndarray:
     """B as the composition A T_* (valid for Gauss-map-preserving fields)."""
-    return frame.shape_operator @ tangential_derivative(frame, field_jet)
+    return v.frame.shape_operator @ v.tstar
 
 
-def b_route_agreement(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def b_route_agreement(v: Variation) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
-    ops = np.stack([
-        B_by_variation(frame, field_jet),
-        B_by_formula(frame, field_jet),
-        B_by_BAT(frame, field_jet),
-    ])
+    frame = v.frame
+    ops = np.stack([B_by_variation(v), v.B, B_by_BAT(v)])
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
     scale = np.maximum(gnorm_op(frame.chol, ops).max(axis=0), 1.0)
     worst = gnorm_op(frame.chol, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
     return worst / scale
 
 
-def bat_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def bat_residual(v: Variation) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    b_op = B_by_formula(frame, field_jet)
-    at = B_by_BAT(frame, field_jet)
-    den = gnorm_op(frame.chol, at)
-    return gnorm_op(frame.chol, b_op - at) / np.maximum(den, 1e-14)
+    at = B_by_BAT(v)
+    den = gnorm_op(v.frame.chol, at)
+    return gnorm_op(v.frame.chol, v.B - at) / np.maximum(den, 1e-14)
 
 
-def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, tstar: np.ndarray) -> np.ndarray:
+def tangential_covariant_derivative(v: Variation) -> np.ndarray:
     """nabla T_* from the 2-jets of f and T; returns [..., i, k, j] like
-    :func:`~minkaehler.geometry.covariant_field_derivative`.  ``tstar`` is
-    T_* from :func:`tangential_derivative`.
+    :func:`~minkaehler.geometry.covariant_field_derivative`.
 
     With P_ij = <f_i, T_j> and T_* = G^{-1} P, the coordinate derivative is
     d_i T_* = G^{-1} (d_i P - d_i G T_*), and the connection adds the
     commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
     """
-    jb = frame.jet
+    frame, jb, tstar = v.frame, v.frame.jet, v.tstar
     # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>;  d_i G_kj = <f_ik, f_j> + <f_k, f_ij>
-    dP = jb.d2 @ _t(field_jet.d1)[..., None, :, :] + np.einsum(
-        "...kc,...ijc->...ikj", jb.d1, field_jet.d2
+    dP = jb.d2 @ _t(v.jet.d1)[..., None, :, :] + np.einsum(
+        "...kc,...ijc->...ikj", jb.d1, v.jet.d2
     )
     dG = jb.d2 @ _t(jb.d1)[..., None, :, :]
     dG = dG + _t(dG)
@@ -286,24 +299,23 @@ def tangential_covariant_derivative(frame: PointFrame, field_jet: Jet2, tstar: n
     return covariant_field_derivative(frame.christoffel, tstar, dT)
 
 
-def parallel_tangential_residual(frame: PointFrame, field_jet: Jet2) -> np.ma.MaskedArray:
+def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
     """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
     the tangential part of dT in the induced connection.
 
     Where ||T_*||_G <= 1e-14 the ratio has no scale to measure against, so
     those points are masked out (see ``ResidualReport.excluded``).
     """
-    tstar = tangential_derivative(frame, field_jet)
-    nab = tangential_covariant_derivative(frame, field_jet, tstar)
-    den = gnorm_op(frame.chol, tstar)
-    worst = gnorm_columns(frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
-    return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(frame.d) * np.maximum(den, 1e-14)))
+    nab = tangential_covariant_derivative(v)
+    den = gnorm_op(v.frame.chol, v.tstar)
+    worst = gnorm_columns(v.frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
+    return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(v.frame.d) * np.maximum(den, 1e-14)))
 
 
-def B_with_derivative(frame: PointFrame, field_jet: Jet2) -> tuple:
+def B_with_derivative(v: Variation) -> tuple:
     """(op, dop): B as an operator and dop[..., l] = d_l op, exact from the
     3-jets of f and T.  The frame must be built from the chart's 3-jet
-    (``point_frame(chart.jet(p, order=3))``) and ``field_jet`` must be
+    (``point_frame(chart.jet(p, order=3))``) and the field's jet must be
     ``fld.jet(p, order=3)``; no frame is built here.
 
     With tau_k = <T_k, N> and s = f_*(sigma), sigma = G^{-1} tau, the
@@ -314,9 +326,10 @@ def B_with_derivative(frame: PointFrame, field_jet: Jet2) -> tuple:
 
     with d_l N = -f_*(A e_l), d_l sigma = G^{-1} (d_l tau - d_l G sigma) and
     d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
-    a d^4 array per point, is formed.
+    a d^4 array per point, is formed.  Its tau is its own einsum, which
+    differs from :attr:`Variation.tau` in the last bit.
     """
-    jet = frame.jet
+    frame, jet, field_jet = v.frame, v.frame.jet, v.jet
     if jet.d3 is None or field_jet.d3 is None:
         raise DomainError("B_with_derivative needs the 3-jets of the chart and the field")
     Ginv, N, f1, f2 = frame.metric_inv, frame.normal, jet.d1, jet.d2
@@ -339,13 +352,7 @@ def B_with_derivative(frame: PointFrame, field_jet: Jet2) -> tuple:
     return op, Ginv[..., None, :, :] @ (_t(dform) - dG @ op[..., None, :, :])
 
 
-def codazzi_b_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
-    """Codazzi-type symmetry of the covariant derivative of B, from the
-    frame of the chart's 3-jet and the 3-jet of T."""
-    return codazzi_residual(frame, *B_with_derivative(frame, field_jet))
-
-
-def fundamental_equation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndarray:
+def fundamental_equation_residual(v: Variation) -> np.ndarray:
     """Linearized curvature identity: A X ^ B Y + B X ^ A Y = 0.
 
     Differentiating the curvature of the isometric family f + tT in t must
@@ -353,8 +360,7 @@ def fundamental_equation_residual(frame: PointFrame, field_jet: Jet2) -> np.ndar
     sizes of the lowered operators.  The wedge (u ^ v) Z = <v, Z>_G u -
     <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.
     """
-    A = frame.shape_operator
-    B = B_by_formula(frame, field_jet)
+    frame, A, B = v.frame, v.frame.shape_operator, v.B
     GA = frame.metric @ A
     GB = frame.metric @ B
     iu, ju = np.triu_indices(frame.d, 1)
@@ -390,23 +396,21 @@ class RotationData:
     basis: np.ndarray         # (..., d, 2) oriented G-orthonormal top-curvature pair
 
 
-def rotation_coefficient(frame: PointFrame, field_jet: Jet2, J=None) -> RotationData:
+def rotation_coefficient(v: Variation) -> RotationData:
     """The rotation coefficient of T_* on the top-curvature plane.
 
     The two G-orthonormal eigenvectors of largest |curvature| span the
     plane orthogonal to the relative nullity; the basis (v1, v2) is
-    oriented so that <J v1, v2>_G > 0.  In that basis the restriction of
-    T_* must be c times the quarter-turn rotation; the fit residual is the
-    Frobenius distance to the best such multiple.
+    oriented so that <J v1, v2>_G > 0 for the chart's J.  Restricted to
+    that plane, T_* must be c times the quarter-turn rotation; the fit
+    residual is the Frobenius distance to the best such multiple.
     """
-    if J is None:
-        J = chart_complex_structure(frame.d)
-    basis = frame.eigenvectors[..., :, :2].copy()
+    J, G = chart_complex_structure(v.frame.d), v.frame.metric
+    basis = v.frame.eigenvectors[..., :, :2].copy()
     v1, v2 = basis[..., 0], basis[..., 1]
-    flip = np.sum((v1 @ _t(J)) * (frame.metric @ v2[..., None])[..., 0], axis=-1) < 0
+    flip = np.sum((v1 @ _t(J)) * (G @ v2[..., None])[..., 0], axis=-1) < 0
     basis[..., 1] = np.where(flip[..., None], -v2, v2)
-    tstar = tangential_derivative(frame, field_jet)
-    M = _t(basis) @ frame.metric @ (tstar @ basis)
+    M = _t(basis) @ G @ (v.tstar @ basis)
     c = 0.5 * (M[..., 1, 0] - M[..., 0, 1])
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     fit = np.linalg.norm(M - c[..., None, None] * R, axis=(-2, -1))
@@ -435,22 +439,21 @@ def classify_triviality(chart: ImmersionChart, fld: ImmersionChart, pts) -> Triv
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     frame = point_frame(chart.jet(pts))
-    jf = fld.jet(pts)
-    worst_bend = float(bending_residual(frame, jf).max())
+    v = Variation(frame, fld.jet(pts))
+    worst_bend = float(bending_residual(v).max())
     if worst_bend > _BENDING_TOL:
         raise PreconditionError(
             f"field is not an infinitesimal bending on the sample "
             f"(worst symmetrized residual {worst_bend:.3g} > {_BENDING_TOL:g})"
         )
-    sizes = np.linalg.norm(jf.d1, axis=(-2, -1)) / np.maximum(
+    sizes = np.linalg.norm(v.jet.d1, axis=(-2, -1)) / np.maximum(
         np.linalg.norm(frame.jet.d1, axis=(-2, -1)), TINY
     )
     sigma = float(sizes.max())
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
         return TrivialityResult(True, 0.0, _TRIVIAL_THRESHOLD, worst_bend)
-    b_op = B_by_formula(frame, jf)
-    score = float((gnorm_op(frame.chol, b_op) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
+    score = float((gnorm_op(frame.chol, v.B) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
     return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score, _TRIVIAL_THRESHOLD, worst_bend)
 
 
@@ -475,8 +478,8 @@ def recover_bending_decomposition(
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     frame = point_frame(chart.jet(pts))
     jf, jr = fld.jet(pts), conjugate_field(chart).jet(pts)
-    bt = _b_form(frame, jf)
-    br = _b_form(frame, jr)
+    bt = _b_form(Variation(frame, jf))
+    br = _b_form(Variation(frame, jr))
     c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)
     m1 = chart.ambient
     pairs = [(a, b) for a in range(m1) for b in range(a + 1, m1)]

@@ -39,6 +39,7 @@ from .geometry import (
     TINY,
     generalized_cross,
     laplace_beltrami,
+    minimality_residual,
     point_frame,
     rank_and_nullity,
 )
@@ -260,14 +261,13 @@ class MinimalityPair:
 
 def minimality_criterion(surface: SphereSurface, gamma: SupportFunction, qpts) -> MinimalityPair:
     """Evaluate both sides of the minimality equivalence on a (..., d)
-    point stack: the chart's |trace A| normalized by its largest
-    |eigenvalue| at the lifted point (zero fiber coordinates), and
+    point stack: the chart's :func:`~minkaehler.geometry.minimality_residual`
+    |trace A| / ||A||_G at the lifted point (zero fiber coordinates), where
+    ||A||_G is the largest |eigenvalue| of the G-self-adjoint A, and
     |(Laplace + d) gamma| on the quotient from gamma's exact 2-jet."""
     q = np.asarray(qpts, dtype=np.float64)
     chart = gauss_param(surface, gamma, check=False)
-    frame = point_frame(chart.jet(_lift(q, surface.fiber_dim)))
-    scale = np.maximum(np.abs(frame.eigenvalues).max(axis=-1), 1e-14)
-    trace_res = np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / scale
+    trace_res = minimality_residual(point_frame(chart.jet(_lift(q, surface.fiber_dim))))
     gam = gamma.fn(Taylor.variables(q, 2))
     lap = laplace_beltrami(surface.chart.jet(q), gam.derivatives(1), gam.derivatives(2))
     return MinimalityPair(trace_res, np.abs(lap + surface.d * gam.value))

@@ -116,15 +116,20 @@ def shape_data(jet: Jet2, regularity_rtol: float | None = None) -> tuple:
     :func:`point_frame` without its Cholesky factor and eigen-data.
 
     Raises :class:`NonImmersionPointError`, naming the coordinates of the
-    first bad point, where the normal degenerates and, if ``regularity_rtol``
-    is given, first where the first partials are dependent to that relative
-    cutoff.  A jet isometric to one already checked can skip that SVD.
+    first bad point, where the jet's value or partials are not finite, where
+    the normal degenerates and, if ``regularity_rtol`` is given, first where
+    the first partials are dependent to that relative cutoff.  A jet
+    isometric to one already checked can skip that SVD.
     """
     d1 = jet.d1
     if jet.ambient != jet.d + 1:
         raise DomainError(
             f"hypersurface frame needs ambient = d+1, got d={jet.d}, ambient={jet.ambient}"
         )
+    finite = np.isfinite(jet.value).all(axis=-1) & np.isfinite(d1).all(axis=(-2, -1))
+    k = _first(~(finite & np.isfinite(jet.d2).all(axis=(-3, -2, -1))))
+    if k is not None:
+        raise NonImmersionPointError(f"the jet at {jet.coords[k]} is not finite")
     if regularity_rtol is not None:
         svals = np.linalg.svd(d1, compute_uv=False)
         k = _first(svals[..., -1] <= regularity_rtol * svals[..., 0])

@@ -3,10 +3,11 @@
 Every grid quantity the suites check is fixed by two jets: those of the
 chart f and of its conjugate fbar, the bending that preserves the Gauss
 map.  :class:`ChartBundle` evaluates both once on the sample grid, at
-order 3, and derives the rest from them: the grid frame, the members
-cos(theta) f + sin(theta) fbar of the phase family, the trivial control
-fields D f + w, and the derivative of B that ``codazzi_b`` reads.  Every
-identity the suites check is pointwise, so the grid is the only
+order 3, and derives the rest from them: the grid frame, the conjugate
+as a :class:`~minkaehler.bending.Variation` along it that keeps its dN,
+T_* and B for every suite, the members cos(theta) f + sin(theta) fbar of
+the phase family, and the control fields, each a Variation of its own.
+Every identity the suites check is pointwise, so the grid is the only
 evaluation.
 
 Each suite is registered once below, in verify order and with its default
@@ -29,11 +30,11 @@ from functools import cached_property
 import numpy as np
 
 from .bending import (
-    B_by_formula,
+    B_with_derivative,
+    Variation,
     b_route_agreement,
     bat_residual,
     bending_residual,
-    codazzi_b_residual,
     conjugate_field,
     fundamental_equation_residual,
     gauss_tangency_residual,
@@ -126,15 +127,15 @@ class ChartBundle:
         return point_frame(self.chart.jet(self.points, order=3))
 
     @cached_property
-    def conjugate_jet(self) -> Jet2:
-        """The conjugate field's 3-jet over the sample grid, the one
-        evaluation of fbar on the grid."""
-        return conjugate_field(self.chart).jet(self.points, order=3)
+    def conjugate(self) -> Variation:
+        """The conjugate field along the grid frame; its ``jet`` is fbar's
+        3-jet there, the one evaluation of fbar on the grid."""
+        return Variation(self.frame, conjugate_field(self.chart).jet(self.points, order=3))
 
     def member_jet(self, theta: float) -> Jet2:
         """The 2-jet over the grid of the family member
         cos(theta) f + sin(theta) fbar, combined from the two grid jets."""
-        return mix_jets(math.cos(theta), self.frame.jet, math.sin(theta), self.conjugate_jet)
+        return mix_jets(math.cos(theta), self.frame.jet, math.sin(theta), self.conjugate.jet)
 
     def trivial_jet(self, stream: int) -> Jet2:
         """The 2-jet over the grid of a random trivial field D f + w."""
@@ -257,25 +258,18 @@ def kaehler_parallel(b: ChartBundle):
 def bending_condition(b: ChartBundle):
     """The conjugate field is an infinitesimal bending."""
     # control: the chart as its own position field scales the metric, it never bends
-    return bending_residual(b.frame, b.conjugate_jet), bending_residual(b.frame, b.frame.jet)
+    return bending_residual(b.conjugate), bending_residual(Variation(b.frame, b.frame.jet))
 
 
 @_suite(1e-7)
 def gauss_preservation(b: ChartBundle):
     """The conjugate field keeps the unit normal."""
-    T = b.conjugate_jet
+    T = b.conjugate
     # both measures of each point, interleaved point by point
-    res = np.stack(
-        [gauss_tangency_residual(b.frame, T), normal_variation_residual(b.frame, T)],
-        axis=-1,
-    ).ravel()
+    res = np.stack([gauss_tangency_residual(T), normal_variation_residual(T)], axis=-1).ravel()
     # control: a generic rigid rotation tilts the normal at first order
-    bad = b.trivial_jet(stream=101)
-    ctrl = np.maximum(
-        gauss_tangency_residual(b.frame, bad),
-        normal_variation_residual(b.frame, bad),
-    )
-    return res, ctrl
+    bad = Variation(b.frame, b.trivial_jet(stream=101))
+    return res, np.maximum(gauss_tangency_residual(bad), normal_variation_residual(bad))
 
 
 def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
@@ -292,8 +286,8 @@ def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
 def bending_tpar(b: ChartBundle):
     """The tangential part of the conjugate is parallel."""
     return (
-        parallel_tangential_residual(b.frame, b.conjugate_jet),
-        parallel_tangential_residual(b.frame, _quadratic_control_field(b).jet(b.points)),
+        parallel_tangential_residual(b.conjugate),
+        parallel_tangential_residual(Variation(b.frame, _quadratic_control_field(b).jet(b.points))),
     )
 
 
@@ -301,7 +295,7 @@ def bending_tpar(b: ChartBundle):
 def bending_bat(b: ChartBundle):
     """B equals A composed with the tangential part."""
     # control: a trivial field has B = 0 but a nonzero tangential part
-    return bat_residual(b.frame, b.conjugate_jet), bat_residual(b.frame, b.trivial_jet(stream=202))
+    return bat_residual(b.conjugate), bat_residual(Variation(b.frame, b.trivial_jet(stream=202)))
 
 
 @_suite(1e-7)
@@ -310,15 +304,15 @@ def fundamental_wedge(b: ChartBundle):
     # control: the position field's bending tensor is the second fundamental
     # form itself, and the wedge of A with A is the (nonzero) curvature
     return (
-        fundamental_equation_residual(b.frame, b.conjugate_jet),
-        fundamental_equation_residual(b.frame, b.frame.jet),
+        fundamental_equation_residual(b.conjugate),
+        fundamental_equation_residual(Variation(b.frame, b.frame.jet)),
     )
 
 
 @_suite(1e-7)
 def codazzi_b(b: ChartBundle):
     """B satisfies the Codazzi symmetry."""
-    res = codazzi_b_residual(b.frame, b.conjugate_jet)
+    res = codazzi_residual(b.frame, *B_with_derivative(b.conjugate))
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(b.rng_seed + 303)
     raw0 = rng.standard_normal((b.d, b.d))
@@ -334,13 +328,13 @@ def codazzi_b(b: ChartBundle):
 @_suite(1e-7)
 def b_three_route(b: ChartBundle):
     """The three independent B computations agree."""
-    return (b_route_agreement(b.frame, b.conjugate_jet),)
+    return (b_route_agreement(b.conjugate),)
 
 
 @_suite(1e-6)
 def rotation(b: ChartBundle):
     """The tangential part rotates by a constant c = 1."""
-    rot = rotation_coefficient(b.frame, b.conjugate_jet, J=b.J)
+    rot = rotation_coefficient(b.conjugate)
     cs = rot.coefficient
     # point-independence of c sits between the per-point misses and fits
     return (np.concatenate([np.abs(cs - 1.0), [cs.max() - cs.min()], rot.fit_residual]),)
@@ -352,10 +346,9 @@ def nullity_in_bending_kernel(b: ChartBundle):
     if b.d <= 2:
         raise ValueError("this suite needs a chart with relative nullity (d > 2)")
     frame = b.frame
-    b_op = B_by_formula(frame, b.conjugate_jet)
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    return (nullity_annihilation_residual(frame, b_op, basis),)
+    return (nullity_annihilation_residual(frame, b.conjugate.B, basis),)
 
 
 SUITE_ORDER = tuple(_SUITES)

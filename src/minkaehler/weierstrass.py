@@ -400,6 +400,8 @@ def _complex_list(entries: list, key: str) -> np.ndarray:
 
 
 def _series_from_json(coeffs, base: complex, order: int, key: str) -> TruncatedSeries:
+    if not coeffs:
+        raise SeedValidationError(f"{key} needs at least one coefficient")
     return to_order(TruncatedSeries(base, _complex_list(coeffs, key)), order)
 
 

@@ -35,8 +35,9 @@ evidence rather than tautology.
   seeds it verifies.
 * closed-form test charts (sphere, plane, polar plane, ellipse) written as
   Taylor formulas, and three helpers: the metric at one point, the
-  (frame, field jet) pair every bending residual takes, and the default-grid
-  bundle of each of the six verified seeds (``SIX_SEEDS``).
+  Variation (the chart's frame and the field's jet) every bending residual
+  takes, and the default-grid bundle of each of the six verified seeds
+  (``SIX_SEEDS``).
 * the loops that the package's vectorized kernels replaced, kept as
   references: the generalized cross product one cofactor determinant at a
   time, and a residual report aggregated point by point.
@@ -52,7 +53,7 @@ import math
 
 import numpy as np
 
-from minkaehler.bending import CombinationField
+from minkaehler.bending import CombinationField, Variation
 from minkaehler.charts import TaylorChart, mix_jets
 from minkaehler.geometry import point_frame
 from minkaehler.report import ResidualReport
@@ -121,10 +122,11 @@ def metric_of(chart, p) -> np.ndarray:
     return d1 @ d1.T
 
 
-def frame_and_jet(chart, fld, p) -> tuple:
-    """(frame of the chart, 2-jet of the field) at points p of shape (..., d),
-    the two inputs of every bending residual."""
-    return point_frame(chart.jet(p)), fld.jet(p)
+def frame_and_jet(chart, fld, p) -> Variation:
+    """The field along the chart at points p of shape (..., d): the frame of
+    the chart and the 2-jet of the field, the input of every bending
+    residual."""
+    return Variation(point_frame(chart.jet(p)), fld.jet(p))
 
 
 SIX_SEEDS = ("enneper", "catenoid", "m4r5", "random-n1", "random-n2", "random-n3")
@@ -293,25 +295,26 @@ def second_variation_metric_residual(chart, fld, p, t: float = 0.1) -> float:
     return float(np.linalg.norm(gt - g0 - t * t * (td1 @ td1.T)) / np.linalg.norm(g0))
 
 
-def _deformed_frame(frame, field_jet, t: float):
-    """The frame of f + tT, from the 2-jets of f and T (exact in t, since
-    the deformation is affine)."""
-    return point_frame(mix_jets(1.0, frame.jet, t, field_jet))
+def _deformed_frame(v, t: float):
+    """The frame of f + tT, from the 2-jets of f and T that the Variation
+    ``v`` holds (exact in t, since the deformation is affine).  It reads
+    the two jets only, none of the pieces a Variation keeps."""
+    return point_frame(mix_jets(1.0, v.frame.jet, t, v.jet))
 
 
-def fd_normal_variation(frame, field_jet, eps: float = 1e-4) -> np.ndarray:
+def fd_normal_variation(v, eps: float = 1e-4) -> np.ndarray:
     """(N(eps) - N(-eps)) / (2 eps) along f + tT: the t-derivative of the
     unit normal with O(eps^2) truncation."""
-    up = _deformed_frame(frame, field_jet, eps).normal
-    down = _deformed_frame(frame, field_jet, -eps).normal
+    up = _deformed_frame(v, eps).normal
+    down = _deformed_frame(v, -eps).normal
     return (up - down) / (2 * eps)
 
 
-def B_by_fd(frame, field_jet, eps: float = 1e-4) -> np.ndarray:
+def B_by_fd(v, eps: float = 1e-4) -> np.ndarray:
     """B as the central t-difference of the shape operator of f + tT, with
     O(eps^2) truncation."""
-    ap = _deformed_frame(frame, field_jet, eps).shape_operator
-    am = _deformed_frame(frame, field_jet, -eps).shape_operator
+    ap = _deformed_frame(v, eps).shape_operator
+    am = _deformed_frame(v, -eps).shape_operator
     return (ap - am) / (2 * eps)
 
 

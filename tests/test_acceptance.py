@@ -188,7 +188,7 @@ def test_criterion_5_b_three_route_agreement(capsys, m4r5_bundle):
     T = conjugate_field(m4r5_bundle.chart)
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 1)
     pts = random_points(shrink_box(m4r5_bundle.chart.box, 0.9), 30, rng)
-    worst = max(b_route_agreement(*frame_and_jet(m4r5_bundle.chart, T, p)) for p in pts)
+    worst = max(b_route_agreement(frame_and_jet(m4r5_bundle.chart, T, p)) for p in pts)
     ok = worst < tol
     announce(
         capsys,
@@ -246,7 +246,7 @@ def test_criterion_7_rotation_coefficient(capsys, m4r5_bundle):
     T = conjugate_field(m4r5_bundle.chart)
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 2)
     pts = random_points(shrink_box(m4r5_bundle.chart.box, 0.9), 30, rng)
-    data = [rotation_coefficient(*frame_and_jet(m4r5_bundle.chart, T, p)) for p in pts]
+    data = [rotation_coefficient(frame_and_jet(m4r5_bundle.chart, T, p)) for p in pts]
     cs = [r.coefficient for r in data]
     worst_dev = max(abs(c - 1.0) for c in cs)
     spread = max(cs) - min(cs)
@@ -300,13 +300,13 @@ def test_criterion_9_cylinder_bending_nullity(capsys):
     cylinder = ProductChart(profile=ellipse_chart(a, b), extra=1)
     fld = make_cylinder_bending(cylinder, a, b)
     pts = grid_points(shrink_box(cylinder.box, 0.9), [8, 4])
-    worst_bend = max(bending_residual(*frame_and_jet(cylinder, fld, p)) for p in pts)
+    worst_bend = max(bending_residual(frame_and_jet(cylinder, fld, p)) for p in pts)
     e_z = np.array([[0.0], [1.0]])  # the straight Euclidean factor
     worst_ann = 0.0
     for p in pts:
         fr = point_frame(cylinder.jet(p))
         assert rank_and_nullity(fr).nullity == 1
-        b_op = B_by_formula(*frame_and_jet(cylinder, fld, p))
+        b_op = B_by_formula(frame_and_jet(cylinder, fld, p))
         worst_ann = max(worst_ann, nullity_annihilation_residual(fr, b_op, e_z))
     ok = worst_bend < 1e-10 and worst_ann < 1e-10
     announce(

@@ -12,10 +12,11 @@ import pytest
 from minkaehler.bending import (
     B_by_formula,
     B_by_variation,
+    B_with_derivative,
+    Variation,
     b_route_agreement,
     bat_residual,
     bending_residual,
-    codazzi_b_residual,
     conjugate_field,
     fundamental_equation_residual,
     gauss_tangency_residual,
@@ -58,7 +59,12 @@ def _nullity(chart, fld, p):
     frame = _frame(chart, p)
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    return nullity_annihilation_residual(frame, B_by_formula(*frame_and_jet(chart, fld, p)), basis)
+    return nullity_annihilation_residual(frame, B_by_formula(frame_and_jet(chart, fld, p)), basis)
+
+
+def _codazzi_b(chart, fld, p):
+    frame = point_frame(chart.jet(p, order=3))
+    return codazzi_residual(frame, *B_with_derivative(Variation(frame, fld.jet(p, order=3))))
 
 
 def _codazzi_control(chart, fld, p):
@@ -84,24 +90,24 @@ QUANTITIES = {
     "kaehler_parallel": lambda c, T, p: parallel_J_residual(
         _frame(c, p), chart_complex_structure(c.d)
     ),
-    "bending_condition": lambda c, T, p: bending_residual(*frame_and_jet(c, T, p)),
-    "bending_control": lambda c, T, p: bending_residual(*frame_and_jet(c, c, p)),
-    "gauss_tangency": lambda c, T, p: gauss_tangency_residual(*frame_and_jet(c, T, p)),
-    "normal_variation": lambda c, T, p: normal_variation_residual(*frame_and_jet(c, T, p)),
-    "bending_tpar": lambda c, T, p: parallel_tangential_residual(*frame_and_jet(c, T, p)),
-    "bending_bat": lambda c, T, p: bat_residual(*frame_and_jet(c, T, p)),
+    "bending_condition": lambda c, T, p: bending_residual(frame_and_jet(c, T, p)),
+    "bending_control": lambda c, T, p: bending_residual(frame_and_jet(c, c, p)),
+    "gauss_tangency": lambda c, T, p: gauss_tangency_residual(frame_and_jet(c, T, p)),
+    "normal_variation": lambda c, T, p: normal_variation_residual(frame_and_jet(c, T, p)),
+    "bending_tpar": lambda c, T, p: parallel_tangential_residual(frame_and_jet(c, T, p)),
+    "bending_bat": lambda c, T, p: bat_residual(frame_and_jet(c, T, p)),
     "bending_bat_trivial": lambda c, T, p: bat_residual(
-        *frame_and_jet(c, make_trivial(c, rng=np.random.default_rng(2)), p)
+        frame_and_jet(c, make_trivial(c, rng=np.random.default_rng(2)), p)
     ),
-    "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(*frame_and_jet(c, T, p)),
-    "fundamental_control": lambda c, T, p: fundamental_equation_residual(*frame_and_jet(c, c, p)),
-    "codazzi_b": lambda c, T, p: codazzi_b_residual(point_frame(c.jet(p, order=3)), T.jet(p, order=3)),
+    "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(frame_and_jet(c, T, p)),
+    "fundamental_control": lambda c, T, p: fundamental_equation_residual(frame_and_jet(c, c, p)),
+    "codazzi_b": _codazzi_b,
     "codazzi_control": _codazzi_control,
-    "b_three_route": lambda c, T, p: b_route_agreement(*frame_and_jet(c, T, p)),
-    "B_by_formula": lambda c, T, p: B_by_formula(*frame_and_jet(c, T, p)),
-    "B_by_variation": lambda c, T, p: B_by_variation(*frame_and_jet(c, T, p)),
-    "rotation": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).coefficient,
-    "rotation_fit": lambda c, T, p: rotation_coefficient(*frame_and_jet(c, T, p)).fit_residual,
+    "b_three_route": lambda c, T, p: b_route_agreement(frame_and_jet(c, T, p)),
+    "B_by_formula": lambda c, T, p: B_by_formula(frame_and_jet(c, T, p)),
+    "B_by_variation": lambda c, T, p: B_by_variation(frame_and_jet(c, T, p)),
+    "rotation": lambda c, T, p: rotation_coefficient(frame_and_jet(c, T, p)).coefficient,
+    "rotation_fit": lambda c, T, p: rotation_coefficient(frame_and_jet(c, T, p)).fit_residual,
     "nullity_in_bending_kernel": lambda c, T, p: _nullity(c, T, p),
 }
 

@@ -8,29 +8,28 @@ from minkaehler.bending import (
     B_with_derivative,
     CombinationField,
     TrivialField,
+    Variation,
     b_route_agreement,
     bat_residual,
     bending_residual,
     classify_triviality,
-    codazzi_b_residual,
     conjugate_field,
     fundamental_equation_residual,
     gauss_tangency_residual,
     make_cylinder_bending,
     make_trivial,
     normal_variation_residual,
-    normal_variation,
     nullity_annihilation_residual,
     parallel_tangential_residual,
     recover_bending_decomposition,
     rotation_coefficient,
     tangential_covariant_derivative,
-    tangential_derivative,
 )
 from minkaehler.charts import ProductChart, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
 from minkaehler.geometry import (
     christoffel,
+    codazzi_residual,
     covariant_field_derivative,
     gnorm_op,
     point_frame,
@@ -68,7 +67,7 @@ class TestConjugateIsBending:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng):
-            assert bending_residual(*frame_and_jet(chart, fld, p)) < 1e-13
+            assert bending_residual(frame_and_jet(chart, fld, p)) < 1e-13
 
     @pytest.mark.parametrize("name", ["enneper", "m4r5"])
     def test_first_metric_variation_vanishes(self, name, request, rng):
@@ -87,10 +86,10 @@ class TestConjugateIsBending:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng, 3):
-            frame, jet = frame_and_jet(chart, fld, p)
-            assert gauss_tangency_residual(frame, jet) < 1e-13
-            assert normal_variation_residual(frame, jet) < 1e-13
-            assert np.linalg.norm(fd_normal_variation(frame, jet)) < 1e-9
+            v = frame_and_jet(chart, fld, p)
+            assert gauss_tangency_residual(v) < 1e-13
+            assert normal_variation_residual(v) < 1e-13
+            assert np.linalg.norm(fd_normal_variation(v)) < 1e-9
 
     def test_conjugating_twice_negates(self, catenoid_chart, catenoid_fbar):
         fld = conjugate_field(catenoid_fbar)
@@ -101,24 +100,40 @@ class TestConjugateIsBending:
 
     def test_scaling_field_is_not_a_bending(self, enneper_chart):
         # T = f itself stretches the metric: the condition must fail
-        assert bending_residual(*frame_and_jet(enneper_chart, enneper_chart, [0.2, 0.1])) > 1e-2
+        assert bending_residual(frame_and_jet(enneper_chart, enneper_chart, [0.2, 0.1])) > 1e-2
+
+
+class TestVariation:
+    def test_frame_and_jet_must_share_points(self, catenoid_chart):
+        fld = conjugate_field(catenoid_chart)
+        frame = point_frame(catenoid_chart.jet([[0.1, 0.2], [0.2, -0.1]]))
+        for pts in ([[0.1, 0.2], [0.2, -0.15]], [[0.1, 0.2]], [0.1, 0.2]):
+            with pytest.raises(DomainError, match="points"):
+                Variation(frame, fld.jet(pts))
+
+    def test_pieces_are_kept_and_b_is_the_formula_route(self, m4r5_chart, rng):
+        v = frame_and_jet(m4r5_chart, conjugate_field(m4r5_chart), sample(m4r5_chart, rng, 3))
+        for name in ("tau", "normal_variation", "tstar", "B"):
+            assert getattr(v, name) is getattr(v, name)
+        np.testing.assert_array_equal(v.B, B_by_formula(v))
+        np.testing.assert_array_equal(B_by_BAT(v), v.frame.shape_operator @ v.tstar)
 
 
 class TestTrivialFields:
     def test_trivial_is_a_bending(self, catenoid_chart, rng):
         fld = make_trivial(catenoid_chart, rng=rng)
         for p in sample(catenoid_chart, rng, 3):
-            assert bending_residual(*frame_and_jet(catenoid_chart, fld, p)) < 1e-13
+            assert bending_residual(frame_and_jet(catenoid_chart, fld, p)) < 1e-13
 
     def test_formula_route_kills_trivial_exactly(self, catenoid_chart, rng):
         fld = make_trivial(catenoid_chart, rng=rng)
         for p in sample(catenoid_chart, rng, 3):
-            b = B_by_formula(*frame_and_jet(catenoid_chart, fld, p))
+            b = B_by_formula(frame_and_jet(catenoid_chart, fld, p))
             assert np.abs(b).max() < 1e-11
 
     def test_fd_route_kills_trivial(self, catenoid_chart, rng):
         fld = make_trivial(catenoid_chart, rng=rng)
-        b = B_by_fd(*frame_and_jet(catenoid_chart, fld, [0.1, 0.2]))
+        b = B_by_fd(frame_and_jet(catenoid_chart, fld, [0.1, 0.2]))
         assert np.abs(b).max() < 1e-6
 
     def test_skewness_enforced(self, catenoid_chart):
@@ -137,19 +152,19 @@ class TestBTensor:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng, 3):
-            assert b_route_agreement(*frame_and_jet(chart, fld, p)) < 1e-13
+            assert b_route_agreement(frame_and_jet(chart, fld, p)) < 1e-13
 
     def test_bat_identity(self, m4r5_chart, rng):
         fld = conjugate_field(m4r5_chart)
         for p in sample(m4r5_chart, rng, 3):
-            assert bat_residual(*frame_and_jet(m4r5_chart, fld, p)) < 1e-7
+            assert bat_residual(frame_and_jet(m4r5_chart, fld, p)) < 1e-7
 
     def test_nullity_annihilation_on_m4r5(self, m4r5_chart, rng):
         fld = conjugate_field(m4r5_chart)
         for p in sample(m4r5_chart, rng, 3):
             frame = point_frame(m4r5_chart.jet(p))
             rr = rank_and_nullity(frame)
-            b = B_by_formula(*frame_and_jet(m4r5_chart, fld, p))
+            b = B_by_formula(frame_and_jet(m4r5_chart, fld, p))
             assert nullity_annihilation_residual(frame, b, frame.eigenvectors[:, rr.null_mask]) < 1e-7
 
 
@@ -165,40 +180,40 @@ class TestExactVariation:
     @pytest.mark.parametrize("name", SIX_SEEDS)
     def test_variation_matches_formula_and_bat(self, name):
         bundle = seed_bundle(name)
-        frame, T = bundle.frame, bundle.conjugate_jet
-        var = B_by_variation(frame, T)
-        assert _g_relative(frame, var, B_by_formula(frame, T)).max() <= 1e-13
-        assert _g_relative(frame, var, B_by_BAT(frame, T)).max() <= 1e-13
+        frame, T = bundle.frame, bundle.conjugate
+        var = B_by_variation(T)
+        assert _g_relative(frame, var, B_by_formula(T)).max() <= 1e-13
+        assert _g_relative(frame, var, B_by_BAT(T)).max() <= 1e-13
 
     @pytest.mark.parametrize("name", ["enneper", "m4r5", "random-n3"])
     def test_variation_matches_fd_oracle_at_second_order(self, name):
         # f + t fbar is a scaled family member, so the central difference of
         # A misses by eps^2 relative, and no more
         bundle = seed_bundle(name)
-        frame, T = bundle.frame, bundle.conjugate_jet
-        var = B_by_variation(frame, T)
+        frame, T = bundle.frame, bundle.conjugate
+        var = B_by_variation(T)
         for eps in (1e-2, 1e-3, 1e-4):
-            err = _g_relative(frame, B_by_fd(frame, T, eps=eps), var).max()
+            err = _g_relative(frame, B_by_fd(T, eps=eps), var).max()
             assert 0.5 * eps**2 <= err <= 2 * eps**2
 
     @pytest.mark.parametrize("name", ["catenoid", "m4r5", "random-n2"])
     def test_normal_variation_matches_fd_oracle(self, name):
         # a rigid motion tilts the normal at first order
         bundle = seed_bundle(name)
-        frame, T = bundle.frame, bundle.trivial_jet(stream=5)
-        exact = normal_variation(frame, T)
+        T = Variation(bundle.frame, bundle.trivial_jet(stream=5))
+        exact = T.normal_variation
         assert np.linalg.norm(exact, axis=-1).max() > 1e-2
         for eps in (1e-2, 1e-3):
-            assert np.abs(fd_normal_variation(frame, T, eps=eps) - exact).max() <= eps**2
+            assert np.abs(fd_normal_variation(T, eps=eps) - exact).max() <= eps**2
 
     @pytest.mark.parametrize("name", ["enneper", "catenoid", "m4r5"])
     def test_variation_kills_trivial_like_the_formula(self, name, request, rng):
         chart = request.getfixturevalue(f"{name}_chart")
         fld = make_trivial(chart, rng=rng)
-        frame, jet = frame_and_jet(chart, fld, sample(chart, rng, 4))
-        var = B_by_variation(frame, jet)
+        v = frame_and_jet(chart, fld, sample(chart, rng, 4))
+        var = B_by_variation(v)
         assert np.abs(var).max() < 1e-11
-        np.testing.assert_allclose(var, B_by_formula(frame, jet), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(var, B_by_formula(v), rtol=0, atol=1e-11)
 
 
 class TestStructuralIdentities:
@@ -207,12 +222,12 @@ class TestStructuralIdentities:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng, 3):
-            assert fundamental_equation_residual(*frame_and_jet(chart, fld, p)) < 1e-9
+            assert fundamental_equation_residual(frame_and_jet(chart, fld, p)) < 1e-9
 
     def test_tangential_part_is_parallel(self, catenoid_chart, rng):
         fld = conjugate_field(catenoid_chart)
         for p in sample(catenoid_chart, rng, 2):
-            assert parallel_tangential_residual(*frame_and_jet(catenoid_chart, fld, p)) < 1e-7
+            assert parallel_tangential_residual(frame_and_jet(catenoid_chart, fld, p)) < 1e-7
 
     @pytest.mark.parametrize("name", ["m4r5", "n3"])
     def test_tangential_derivative_matches_fd_reference(self, name, request, rng):
@@ -220,8 +235,7 @@ class TestStructuralIdentities:
         chart = request.getfixturevalue(f"{name}_chart")
         for fld in (conjugate_field(chart), make_trivial(chart, rng=rng)):
             for p in sample(chart, rng, 2):
-                frame, jet = point_frame(chart.jet(p)), fld.jet(p)
-                got = tangential_covariant_derivative(frame, jet, tangential_derivative(frame, jet))
+                got = tangential_covariant_derivative(frame_and_jet(chart, fld, p))
                 ref = fd_tangential_covariant_derivative(chart, fld, p)
                 scale = max(1.0, float(np.abs(ref).max()))
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)
@@ -237,9 +251,9 @@ class TestStructuralIdentities:
         for fld in (conjugate_field(chart), immersion_f(seed_from_json(data))):
             for p in sample(chart, rng, 2):
                 frame = point_frame(chart.jet(p, order=3))
-                op, dop = B_with_derivative(frame, fld.jet(p, order=3))
+                op, dop = B_with_derivative(Variation(frame, fld.jet(p, order=3)))
                 got = covariant_field_derivative(christoffel(frame.jet), op, dop)
-                ref = fd_codazzi(chart, lambda q: B_by_formula(*frame_and_jet(chart, fld, q)), p)
+                ref = fd_codazzi(chart, lambda q: B_by_formula(frame_and_jet(chart, fld, q)), p)
                 scale = float(np.abs(ref).max())
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * scale)
 
@@ -247,13 +261,14 @@ class TestStructuralIdentities:
         fld = conjugate_field(enneper_chart)
         for p in sample(enneper_chart, rng, 2):
             frame = point_frame(enneper_chart.jet(p, order=3))
-            assert codazzi_b_residual(frame, fld.jet(p, order=3)) < 1e-12
+            op, dop = B_with_derivative(Variation(frame, fld.jet(p, order=3)))
+            assert codazzi_residual(frame, op, dop) < 1e-12
 
     def test_b_derivative_needs_3_jets(self, enneper_chart):
         fld = conjugate_field(enneper_chart)
         p = [0.2, -0.1]
         with pytest.raises(DomainError, match="3-jets"):
-            B_with_derivative(point_frame(enneper_chart.jet(p)), fld.jet(p, order=3))
+            B_with_derivative(Variation(point_frame(enneper_chart.jet(p)), fld.jet(p, order=3)))
 
     def test_codazzi_for_b_along_a_sign_flipped_conjugate(self, m4r5_seed, rng):
         # past theta = pi/2 the conjugate is -1 times a family member, a
@@ -263,13 +278,14 @@ class TestStructuralIdentities:
         assert isinstance(fld, CombinationField)
         pts = sample(chart, rng, 3)
         frame = point_frame(chart.jet(pts, order=3))
-        assert codazzi_b_residual(frame, fld.jet(pts, order=3)).max() < 1e-12
+        op, dop = B_with_derivative(Variation(frame, fld.jet(pts, order=3)))
+        assert codazzi_residual(frame, op, dop).max() < 1e-12
 
     def test_curvature_identity_fails_for_sphere_pair(self):
         # sanity: the identity is not vacuous - feeding a non-bending pair
         # (sphere with its own position field) must not pass
         chart = sphere_chart()
-        assert fundamental_equation_residual(*frame_and_jet(chart, chart, [0.6, 1.2])) > 1e-3
+        assert fundamental_equation_residual(frame_and_jet(chart, chart, [0.6, 1.2])) > 1e-3
 
 
 class TestRotation:
@@ -278,19 +294,19 @@ class TestRotation:
         chart = request.getfixturevalue(f"{name}_chart")
         fld = conjugate_field(chart)
         for p in sample(chart, rng, 3):
-            rot = rotation_coefficient(*frame_and_jet(chart, fld, p))
+            rot = rotation_coefficient(frame_and_jet(chart, fld, p))
             assert rot.coefficient == pytest.approx(1.0, abs=1e-9)
             assert rot.fit_residual < 1e-9
 
     def test_scaled_conjugate_scales_coefficient(self, enneper_chart, rng):
         fld = CombinationField((conjugate_field(enneper_chart),), (2.5,))
         p = sample(enneper_chart, rng, 1)[0]
-        rot = rotation_coefficient(*frame_and_jet(enneper_chart, fld, p))
+        rot = rotation_coefficient(frame_and_jet(enneper_chart, fld, p))
         assert rot.coefficient == pytest.approx(2.5, abs=1e-9)
 
     def test_oriented_basis_is_g_orthonormal(self, m4r5_chart):
         fld = conjugate_field(m4r5_chart)
-        rot = rotation_coefficient(*frame_and_jet(m4r5_chart, fld, [0.1, 0.05, 0.2, -0.1]))
+        rot = rotation_coefficient(frame_and_jet(m4r5_chart, fld, [0.1, 0.05, 0.2, -0.1]))
         frame = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
         v = rot.basis
         np.testing.assert_allclose(v.T @ frame.metric @ v, np.eye(2), atol=1e-10)
@@ -369,7 +385,7 @@ class TestCylinder:
     def test_field_is_a_bending(self, cylinder, rng):
         fld = make_cylinder_bending(cylinder, 1.5, 0.8)
         for p in sample(cylinder, rng, 4):
-            assert bending_residual(*frame_and_jet(cylinder, fld, p)) < 1e-13
+            assert bending_residual(frame_and_jet(cylinder, fld, p)) < 1e-13
 
     def test_field_is_nontrivial(self, cylinder, rng):
         fld = make_cylinder_bending(cylinder, 1.5, 0.8)
@@ -379,13 +395,13 @@ class TestCylinder:
     def test_b_annihilates_flat_directions(self, cylinder, rng):
         fld = make_cylinder_bending(cylinder, 1.5, 0.8)
         for p in sample(cylinder, rng, 3):
-            b = B_by_formula(*frame_and_jet(cylinder, fld, p))
+            b = B_by_formula(frame_and_jet(cylinder, fld, p))
             # the straight factor is chart coordinate 1
             assert np.abs(b[:, 1]).max() < 1e-10
 
     def test_b_is_nonzero_on_profile_direction(self, cylinder):
         fld = make_cylinder_bending(cylinder, 1.5, 0.8)
-        b = B_by_formula(*frame_and_jet(cylinder, fld, [1.0, 0.1]))
+        b = B_by_formula(frame_and_jet(cylinder, fld, [1.0, 0.1]))
         assert np.abs(b[0, 0]) > 1e-3
 
 

@@ -260,6 +260,30 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [("alpha0", []), ("mu", [[]]), ("b", [[]])])
+    def test_empty_coefficient_list_names_the_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, seed=dict(ENNEPER_JSON, **{key: value}), sampling={"counts": [2, 2]})
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed {key} needs at least one coefficient")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    def test_non_finite_jet_names_the_point(self, tmp_path, capsys, command):
+        # a finite radius far past the series' convergence overflows the jets
+        seed = dict(ENNEPER_JSON, domain=dict(ENNEPER_JSON["domain"], radius=1e300))
+        cfg = write_config(tmp_path, seed=seed, sampling={"counts": [2, 2]})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the jet at [") and err.rstrip().endswith("is not finite")
+        assert "SVD" not in err
+
+    def test_large_finite_radius_still_verifies(self, tmp_path, capsys):
+        seed = dict(ENNEPER_JSON, domain=dict(ENNEPER_JSON["domain"], radius=1e12))
+        cfg = write_config(tmp_path, seed=seed, sampling={"counts": [2, 2]})
+        assert main(["verify", "--config", cfg]) == 0
+        assert "ALL PASS" in capsys.readouterr().out
+
     def test_seed_name_must_be_a_string(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=dict(ENNEPER_JSON, name=5), sampling={"counts": [2, 2]})
         assert main(["verify", "--config", cfg]) == 2

@@ -137,6 +137,22 @@ class TestPointFrame:
             with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
                 build(jet)
 
+    @pytest.mark.parametrize("part", ["value", "d1", "d2"])
+    def test_non_finite_jet_is_located(self, part):
+        # a jet overflowed far outside a series' disc: the error names the
+        # first point whose value or partials are not finite, before any SVD
+        good = graph_jet(1.0)
+        bad = getattr(good, part).copy()
+        bad.flat[-1] = np.inf if part == "d1" else np.nan
+        stack = [good, dataclasses.replace(good, **{part: bad}), good]
+        coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
+        jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
+        for build in (point_frame, shape_data):
+            with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1])) + ".*not finite"):
+                build(jet)
+        with pytest.raises(NonImmersionPointError, match="not finite"):
+            point_frame(stack[1])
+
     def test_shape_data_is_the_frame_without_its_eigen_data(self, rng):
         chart = sphere_chart()
         jet = chart.jet(random_points(shrink_box(chart.box, 0.8), 5, rng))

@@ -385,11 +385,14 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     """A default m4r5 run builds two charts, f and its conjugate, and
     evaluates each once, on the grid; the family members and the trivial
     control fields are combined from the two grid jets.  The one frame
-    builds its Christoffel symbols once, for every suite that reads them."""
-    builds, calls, trivial_calls, frames, connections = [], [], [], [], []
+    builds its Christoffel symbols once, for every suite that reads them,
+    and each variation field along it computes its B, T_* and dN once."""
+    builds, calls, trivial_calls, frames, connections, b_forms = [], [], [], [], [], []
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
     christoffel = geometry.christoffel
+    b_formula = bending.B_by_formula
+    pieces = {name: [] for name in ("tstar", "normal_variation")}
 
     def counted_init(self, *args, **kwargs):
         builds.append(self)
@@ -412,13 +415,30 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         connections.append(jet)
         return christoffel(jet)
 
+    def counted_b_formula(v):
+        b_forms.append(v)
+        return b_formula(v)
+
+    def counted_piece(name):
+        piece = vars(bending.Variation)[name].func
+
+        def counted(v):
+            pieces[name].append(v)
+            return piece(v)
+
+        return counted
+
     monkeypatch.setattr(SeriesChart, "__init__", counted_init)
     monkeypatch.setattr(SeriesChart, "jet_batch", counted_jet)
     monkeypatch.setattr(TrivialField, "jet_batch", counted_trivial_jet)
     for module in (geometry, bending, suites):
         monkeypatch.setattr(module, "point_frame", counted_frame)
     monkeypatch.setattr(geometry, "christoffel", counted_christoffel)
-    run_suites(build_bundle(builtin_seed("m4r5")))
+    monkeypatch.setattr(bending, "B_by_formula", counted_b_formula)
+    for name in pieces:
+        monkeypatch.setattr(vars(bending.Variation)[name], "func", counted_piece(name))
+    bundle = build_bundle(builtin_seed("m4r5"))
+    run_suites(bundle)
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
     assert not trivial_calls
@@ -429,6 +449,13 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(frames) == 1
     # the grid frame's one connection
     assert len(connections) == 1
+    # B once per field: the conjugate, fundamental_wedge's position field
+    # and bending_bat's trivial field
+    assert len(b_forms) == 3 and b_forms[0] is bundle.conjugate
+    assert len({id(v) for v in b_forms}) == 3
+    # T_* for the conjugate and the bending_tpar and bending_bat controls;
+    # dN for the conjugate and the gauss_preservation control
+    assert len(pieces["tstar"]) == 3 and len(pieces["normal_variation"]) == 2
 
 
 # the n = 3 seed of the benchmark's verify-random workload
