@@ -5,7 +5,10 @@ on a grid.  The sampled immersion values become a Wavefront OBJ mesh
 (vertices from the first three ambient coordinates, quad faces from the
 grid) and a CSV table (chart coordinates, all ambient coordinates, and
 per-point residual columns).  All numbers are written with 17 significant
-digits, so identical inputs produce byte-identical files.  A slice's JSON
+digits, the bytes of ``format(x, ".17g")``, so identical inputs produce
+byte-identical files.  The writers format a few hundred rows per call of
+one %-template, holding only that chunk as Python numbers and text; the
+slice reads A and ||A||_G of its frame, never the eigen-data.  A slice's JSON
 form is read against ``SLICE_SCHEMA``, which the CLI config's ``export``
 section shares.
 """
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 _FIELDS = ("f", "fbar", "ftheta")
+_NUM = "%.17g"  # the bytes of format(x, ".17g")
+_CHUNK = 256  # rows formatted per call
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,13 @@ def slice_points(chart: SeriesChart, spec: SliceSpec) -> np.ndarray:
     return pts
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(fh, template: str, table: np.ndarray) -> None:
+    """Write each row of ``table`` through the %-template ``template``, one
+    format call per chunk of rows, so that only one chunk of the table is
+    ever held as Python numbers and text."""
+    for start in range(0, len(table), _CHUNK):
+        chunk = table[start : start + _CHUNK]
+        fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def export_obj(path, values: np.ndarray, counts, name: str = "slice") -> None:
@@ -154,18 +164,13 @@ def export_obj(path, values: np.ndarray, counts, name: str = "slice") -> None:
         raise DomainError(f"value rows ({values.shape[0]}) must equal nu*nv ({nu * nv})")
     if values.shape[1] < 3:
         raise DomainError("OBJ export needs at least three ambient coordinates")
-    lines = [f"o {name}"]
-    for row in values:
-        lines.append(f"v {_fmt(row[0])} {_fmt(row[1])} {_fmt(row[2])}")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            c = (i + 1) * nv + j + 2
-            e = i * nv + j + 2
-            lines.append(f"f {a} {b} {c} {e}")
+    # face (i, j) joins vertices a = i nv + j + 1, a + nv, a + nv + 1, a + 1
+    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).ravel()
+    faces = np.stack([a, a + nv, a + nv + 1, a + 1], axis=1)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"o {name}\n")
+        _write_rows(fh, f"v {_NUM} {_NUM} {_NUM}\n", values[:, :3])
+        _write_rows(fh, "f %d %d %d %d\n", faces)
 
 
 def export_csv(path, coords: np.ndarray, values: np.ndarray, residuals: dict) -> None:
@@ -183,14 +188,11 @@ def export_csv(path, coords: np.ndarray, values: np.ndarray, residuals: dict) ->
         + [f"f{k}" for k in range(values.shape[1])]
         + [key for key, _ in res_items]
     )
-    lines = [",".join(header)]
-    for r in range(coords.shape[0]):
-        cells = [_fmt(v) for v in coords[r]]
-        cells += [_fmt(v) for v in values[r]]
-        cells += [_fmt(res_items[k][1][r]) for k in range(len(res_items))]
-        lines.append(",".join(cells))
+    res = [np.asarray(col, dtype=np.float64).reshape(-1, 1) for _, col in res_items]
+    table = np.concatenate([coords, values, *res], axis=1)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, ",".join([_NUM] * table.shape[1]) + "\n", table)
 
 
 def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, name: str = "slice") -> int:

@@ -11,10 +11,13 @@ residuals for the Kaehler checks (anticommutation with J, parallelism of
 J) and the Codazzi symmetry.  A single point is the stack with no leading
 axes.  Nothing here differences: every input is a jet.
 
-A :class:`PointFrame` factors its metric once: it carries G^{-1} and the
-Christoffel symbols as cached properties, so every residual that reads the
-frame applies a stored inverse (a batched matmul) instead of solving
-against G again, and the connection is built once per frame.
+A :class:`PointFrame` holds the metric, its Cholesky factor, the normal,
+H and A; everything else it computes on first read and then keeps: G^{-1},
+the Christoffel symbols, ||A||_G and the eigen-data of A.  So every
+residual that reads the frame applies a stored inverse (a batched matmul)
+instead of solving against G again, the connection is built once per
+frame, and a reader that needs only A (an export) never pays for the
+eigen-decomposition.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
@@ -73,7 +76,8 @@ class PointFrame:
 
     Besides the fields below, a frame computes on first use and then keeps
     G^{-1} (``metric_inv``), the Christoffel symbols of its jet
-    (``christoffel``) and ||A||_G (``shape_norm``).
+    (``christoffel``), ||A||_G (``shape_norm``) and the eigen-data of A
+    (``eigenvalues``, ``eigenvectors``).
     """
 
     jet: Jet2
@@ -82,8 +86,6 @@ class PointFrame:
     normal: np.ndarray          # (..., d+1) unit normal
     second_form: np.ndarray     # (..., d, d) H_ij
     shape_operator: np.ndarray  # (..., d, d) A = G^{-1} H
-    eigenvalues: np.ndarray     # (..., d) real, sorted by descending |.|
-    eigenvectors: np.ndarray    # (..., d, d) columns, G-orthonormal, matching order
 
     @property
     def d(self) -> int:
@@ -105,6 +107,30 @@ class PointFrame:
         once per frame."""
         return christoffel(self.jet)
 
+    @cached_property
+    def _eigen(self) -> tuple:
+        # through the symmetric pencil (H, G): real spectrum, G-orthonormal
+        # eigenvectors, both sorted by descending |eigenvalue|
+        reduced = _t(np.linalg.solve(self.chol, _t(np.linalg.solve(self.chol, self.second_form))))
+        reduced = 0.5 * (reduced + _t(reduced))
+        vals, q = np.linalg.eigh(reduced)
+        vecs = np.linalg.solve(_t(self.chol), q)
+        order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
+        return (
+            np.take_along_axis(vals, order, axis=-1),
+            np.take_along_axis(vecs, order[..., None, :], axis=-1),
+        )
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """(..., d) real eigenvalues of A, sorted by descending |.|."""
+        return self._eigen[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """(..., d, d) G-orthonormal eigenvector columns, in eigenvalue order."""
+        return self._eigen[1]
+
 
 def _first(bad: np.ndarray):
     """Index of the first flagged point of a stack, or None."""
@@ -113,7 +139,7 @@ def _first(bad: np.ndarray):
 
 def shape_data(jet: Jet2, regularity_rtol: float | None = None) -> tuple:
     """(metric, normal, second_form, shape_operator) of a jet stack: a
-    :func:`point_frame` without its Cholesky factor and eigen-data.
+    :func:`point_frame` without its Cholesky factor.
 
     Raises :class:`NonImmersionPointError`, naming the coordinates of the
     first bad point, where the jet's value or partials are not finite, where
@@ -157,23 +183,13 @@ def point_frame(jet: Jet2) -> PointFrame:
     value is at most ``_REGULARITY_RTOL`` times their largest.
     """
     metric, normal, second, shape_op = shape_data(jet, _REGULARITY_RTOL)
-    chol = np.linalg.cholesky(metric)
-    # eigen-data through the symmetric pencil (H, G): real spectrum,
-    # G-orthonormal eigenvectors
-    reduced = _t(np.linalg.solve(chol, _t(np.linalg.solve(chol, second))))
-    reduced = 0.5 * (reduced + _t(reduced))
-    vals, q = np.linalg.eigh(reduced)
-    vecs = np.linalg.solve(_t(chol), q)
-    order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
     return PointFrame(
         jet=jet,
         metric=metric,
-        chol=chol,
+        chol=np.linalg.cholesky(metric),
         normal=normal,
         second_form=second,
         shape_operator=shape_op,
-        eigenvalues=np.take_along_axis(vals, order, axis=-1),
-        eigenvectors=np.take_along_axis(vecs, order[..., None, :], axis=-1),
     )
 
 

@@ -24,7 +24,8 @@ def horner_many(coeffs: np.ndarray, dz: np.ndarray) -> np.ndarray:
     dz = np.ascontiguousarray(dz, dtype=np.complex128)
     acc = np.repeat(coeffs[:, -1][:, None], dz.shape[0], axis=1)
     for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * dz[None, :] + coeffs[:, k][:, None]
+        acc *= dz
+        acc += coeffs[:, k][:, None]
     return acc
 
 

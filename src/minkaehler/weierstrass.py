@@ -324,17 +324,20 @@ class SeriesChart(ImmersionChart):
         coef, table = self._rows(k - 1)
         m1, npts = self.ambient, pts.shape[0]
         # one block per row stack: d^a F / dz^a for a < k, then delta^(j);
-        # the w part of F adds w_j delta^(j-1+a) to d^a F / dz^a
-        src = kernels.horner_many(coef, pts[:, 0] + 1j * pts[:, 1]).reshape(-1, m1, npts)
-        for j in range(1, self.seed.n):
-            src[:k] += (pts[:, 2 * j] + 1j * pts[:, 2 * j + 1]) * src[k + j - 1 : 2 * k + j - 1]
-        parts = np.zeros((npts, 2 * len(src) + 1, m1))  # Re, Im, a zero row
-        for i, s in enumerate(src):
-            # one product per source: numpy's complex product can round a
-            # value differently at another offset in a longer array
-            c = self._phase * s
-            parts[:, i, :] = c.real.T
-            parts[:, len(src) + i, :] = c.imag.T
+        # the w part of F adds w_j delta^(j-1+a) to d^a F / dz^a.  Far out
+        # of the domain these overflow silently: the frame names the first
+        # non-finite point.
+        with np.errstate(over="ignore", invalid="ignore"):
+            src = kernels.horner_many(coef, pts[:, 0] + 1j * pts[:, 1]).reshape(-1, m1, npts)
+            for j in range(1, self.seed.n):
+                src[:k] += (pts[:, 2 * j] + 1j * pts[:, 2 * j + 1]) * src[k + j - 1 : 2 * k + j - 1]
+            parts = np.zeros((npts, 2 * len(src) + 1, m1))  # Re, Im, a zero row
+            for i, s in enumerate(src):
+                # one product per source: numpy's complex product can round a
+                # value differently at another offset in a longer array
+                c = self._phase * s
+                parts[:, i, :] = c.real.T
+                parts[:, len(src) + i, :] = c.imag.T
         out = []
         for rows, signs in table:
             dk = np.take(parts, rows, axis=1)

@@ -152,6 +152,53 @@ class TestCsvFormat:
         assert lines[1].split(",")[5] == "1"  # alpha column before zeta
 
 
+SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 2**53 + 1.0]
+
+
+def _cells(row):
+    return [format(float(x), ".17g") for x in row]
+
+
+class TestNumberFormat:
+    """Every number is written as format(x, ".17g"), on rows that cross the
+    writer's chunk boundaries."""
+
+    @staticmethod
+    def _table(rows, cols):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+        table.flat[: len(SPECIAL)] = SPECIAL
+        table.flat[-len(SPECIAL) :] = [-x for x in SPECIAL]
+        return table
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_csv_cells_are_17_significant_digits(self, tmp_path, as_list):
+        coords, values = self._table(600, 2), self._table(600, 3)[::-1]
+        res = {"b": self._table(600, 1)[:, 0], "a": SPECIAL * 100}
+        if as_list:
+            res = {k: list(map(float, v)) for k, v in res.items()}
+        path = tmp_path / "t.csv"
+        export_csv(path, coords, values, res)
+        lines = path.read_bytes().decode("ascii").split("\n")
+        assert lines[0] == "x0,x1,f0,f1,f2,a,b" and lines[-1] == ""
+        expect = [
+            ",".join(_cells(coords[r]) + _cells(values[r]) + _cells([res["a"][r], res["b"][r]]))
+            for r in range(600)
+        ]
+        assert lines[1:-1] == expect
+
+    def test_obj_vertices_are_17_significant_digits(self, tmp_path):
+        values = self._table(20 * 30, 4)
+        path = tmp_path / "t.obj"
+        export_obj(path, values, (20, 30), name="demo")
+        expect = ["o demo"] + ["v " + " ".join(_cells(row[:3])) for row in values]
+        for i in range(19):
+            for j in range(29):
+                a = i * 30 + j + 1
+                expect.append(f"f {a} {a + 30} {a + 31} {a + 1}")
+        assert path.read_bytes().decode("ascii") == "\n".join(expect) + "\n"
+
+
 class TestExportedGeometry:
     def test_catenoid_vertices_match_closed_form(self, tmp_path, catenoid_seed):
         spec = SliceSpec(counts=(4, 4))

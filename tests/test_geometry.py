@@ -31,8 +31,9 @@ from minkaehler.geometry import (
     rank_and_nullity,
     shape_data,
 )
+from minkaehler.export import SliceSpec, export_slice
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
-from minkaehler.suites import _quadratic_control_field
+from minkaehler.suites import _quadratic_control_field, build_bundle, run_suites
 from minkaehler.taylor import Taylor
 from minkaehler.weierstrass import chart_complex_structure
 
@@ -192,6 +193,38 @@ class TestPointFrame:
             fr = point_frame(chart.jet([t]))
             support = float(fr.jet.value @ fr.normal)
             assert support == pytest.approx(ellipse_support(a, b, t), rel=1e-12)
+
+
+class TestLazyEigenData:
+    """Only a reader of the eigen-data pays for the eigen-decomposition."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_export_never_decomposes(self, tmp_path, m4r5_seed, eigh_calls):
+        spec = SliceSpec(counts=(6, 6), field_name="ftheta", theta=0.3)
+        export_slice(m4r5_seed, spec, tmp_path / "s.obj", tmp_path / "s.csv")
+        assert eigh_calls == []
+
+    def test_default_verify_decomposes_once(self, m4r5_seed, eigh_calls):
+        run_suites(build_bundle(m4r5_seed))
+        assert len(eigh_calls) == 1
+
+    def test_repeated_reads_return_the_same_arrays(self, m4r5_chart, eigh_calls):
+        fr = point_frame(m4r5_chart.jet(np.array([[0.1, 0.2, 0.05, -0.1], [0.0, 0.1, 0.2, 0.0]])))
+        vals, vecs = fr.eigenvalues, fr.eigenvectors
+        assert fr.eigenvalues is vals and fr.eigenvectors is vecs
+        assert len(eigh_calls) == 1
+        np.testing.assert_allclose(fr.shape_operator @ vecs, vecs * vals[:, None, :], atol=1e-12)
 
 
 class TestRank:

@@ -36,6 +36,18 @@ class TestHorner:
             expect = np.polyval(coeffs[r, ::-1], dz)
             np.testing.assert_allclose(out[r], expect, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("npts", [1, 7, 144, 4096])
+    def test_in_place_steps_match_the_allocating_recurrence_bitwise(self, npts):
+        # numpy's complex product can round differently at another array
+        # offset; the in-place update must not
+        rng = np.random.default_rng(npts)
+        coeffs, dz = random_case(rng, rows=9, order=14, npts=npts)
+        expect = np.repeat(coeffs[:, -1][:, None], npts, axis=1)
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            expect = expect * dz[None, :] + coeffs[:, k][:, None]
+        out = kernels.horner_many(coeffs, dz)
+        assert out.tobytes() == expect.tobytes()
+
     def test_constant_series(self):
         coeffs = np.array([[2.0 + 1.0j]])
         out = kernels.horner_many(coeffs, np.array([0.3 + 0.1j, -1.0 + 0.0j]))
