@@ -27,6 +27,8 @@ shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
 same stack (3-jets, for the derivative of B), and returns one value per
 point.  A Variation keeps tau, dN, T_* and B once computed, so each is
 computed once per field; the three routes to B share only those inputs.
+Every route reads G^{-1}, L and L^{-1} (in ||.||_G) and d_l G from the
+frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
 two jets, and no deformed frame is built.  Only :func:`classify_triviality`
 and :func:`recover_bending_decomposition` take charts and points, and
@@ -268,16 +270,16 @@ def b_route_agreement(v: Variation) -> np.ndarray:
     frame = v.frame
     ops = np.stack([B_by_variation(v), v.B, B_by_BAT(v)])
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
-    scale = np.maximum(gnorm_op(frame.chol, ops).max(axis=0), 1.0)
-    worst = gnorm_op(frame.chol, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
+    scale = np.maximum(gnorm_op(frame, ops).max(axis=0), 1.0)
+    worst = gnorm_op(frame, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
     return worst / scale
 
 
 def bat_residual(v: Variation) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
     at = B_by_BAT(v)
-    den = gnorm_op(v.frame.chol, at)
-    return gnorm_op(v.frame.chol, v.B - at) / np.maximum(den, 1e-14)
+    den = gnorm_op(v.frame, at)
+    return gnorm_op(v.frame, v.B - at) / np.maximum(den, 1e-14)
 
 
 def tangential_covariant_derivative(v: Variation) -> np.ndarray:
@@ -289,13 +291,11 @@ def tangential_covariant_derivative(v: Variation) -> np.ndarray:
     commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
     """
     frame, jb, tstar = v.frame, v.frame.jet, v.tstar
-    # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>;  d_i G_kj = <f_ik, f_j> + <f_k, f_ij>
+    # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>
     dP = jb.d2 @ _t(v.jet.d1)[..., None, :, :] + np.einsum(
         "...kc,...ijc->...ikj", jb.d1, v.jet.d2
     )
-    dG = jb.d2 @ _t(jb.d1)[..., None, :, :]
-    dG = dG + _t(dG)
-    dT = frame.metric_inv[..., None, :, :] @ (dP - dG @ tstar[..., None, :, :])
+    dT = frame.metric_inv[..., None, :, :] @ (dP - frame.metric_derivative @ tstar[..., None, :, :])
     return covariant_field_derivative(frame.christoffel, tstar, dT)
 
 
@@ -307,7 +307,7 @@ def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
     those points are masked out (see ``ResidualReport.excluded``).
     """
     nab = tangential_covariant_derivative(v)
-    den = gnorm_op(v.frame.chol, v.tstar)
+    den = gnorm_op(v.frame, v.tstar)
     worst = gnorm_columns(v.frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
     return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(v.frame.d) * np.maximum(den, 1e-14)))
 
@@ -318,30 +318,29 @@ def B_with_derivative(v: Variation) -> tuple:
     (``point_frame(chart.jet(p, order=3))``) and the field's jet must be
     ``fld.jet(p, order=3)``; no frame is built here.
 
-    With tau_k = <T_k, N> and s = f_*(sigma), sigma = G^{-1} tau, the
-    tangent vector with <s, f_k> = tau_k, the Christoffel term of B is
-    Gamma^k_ij tau_k = <f_ij, s>.  So B_ij = <T_ij, N> - <f_ij, s>, and
+    With tau = :attr:`Variation.tau` and s = -dN
+    (:attr:`Variation.normal_variation`), s = f_*(sigma) with sigma =
+    G^{-1} tau is the tangent vector with <s, f_k> = tau_k, so the
+    Christoffel term of B is Gamma^k_ij tau_k = <f_ij, s>.  So
+    B_ij = <T_ij, N> - <f_ij, s>, and
 
         d_l B_ij = <T_ijl, N> + <T_ij, d_l N> - <f_ijl, s> - <f_ij, d_l s>
 
-    with d_l N = -f_*(A e_l), d_l sigma = G^{-1} (d_l tau - d_l G sigma) and
-    d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
-    a d^4 array per point, is formed.  Its tau is its own einsum, which
-    differs from :attr:`Variation.tau` in the last bit.
+    with d_l N = -f_*(A e_l), d_l sigma = G^{-1} (d_l tau - d_l G sigma)
+    (d_l G from :attr:`~minkaehler.geometry.PointFrame.metric_derivative`)
+    and d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of
+    Gamma, a d^4 array per point, is formed.
     """
     frame, jet, field_jet = v.frame, v.frame.jet, v.jet
     if jet.d3 is None or field_jet.d3 is None:
         raise DomainError("B_with_derivative needs the 3-jets of the chart and the field")
     Ginv, N, f1, f2 = frame.metric_inv, frame.normal, jet.d1, jet.d2
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
-    # d_l G_kq = <f_kl, f_q> + <f_k, f_ql>
-    dG = np.einsum("...klc,...qc->...lkq", f2, f1)
-    dG = dG + _t(dG)
-    sigma = (Ginv @ np.einsum("...kc,...c->...k", field_jet.d1, N)[..., None])[..., 0]
-    s = np.einsum("...q,...qc->...c", sigma, f1)
+    sigma = (Ginv @ v.tau[..., None])[..., 0]
+    s = -v.normal_variation
     dtau = np.einsum("...klc,...c->...lk", field_jet.d2, N)
     dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
-    dsigma = Ginv @ _t(dtau - (dG @ sigma[..., None, :, None])[..., 0])  # [q, l]
+    dsigma = Ginv @ _t(dtau - (frame.metric_derivative @ sigma[..., None, :, None])[..., 0])  # [q, l]
     ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
     form = np.einsum("...ijc,...c->...ij", field_jet.d2, N) - np.einsum("...ijc,...c->...ij", f2, s)
     dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
@@ -349,7 +348,7 @@ def B_with_derivative(v: Variation) -> tuple:
     dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
     dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
     op = Ginv @ _t(form)
-    return op, Ginv[..., None, :, :] @ (_t(dform) - dG @ op[..., None, :, :])
+    return op, Ginv[..., None, :, :] @ (_t(dform) - frame.metric_derivative @ op[..., None, :, :])
 
 
 def fundamental_equation_residual(v: Variation) -> np.ndarray:
@@ -384,7 +383,7 @@ def nullity_annihilation_residual(frame: PointFrame, b_op: np.ndarray, basis: np
     ``basis`` (..., d, k), relative to ||B||_G.  Zeroed columns, such as the
     eigenvectors a rank mask leaves out, count for nothing."""
     worst = gnorm_columns(frame.chol, b_op @ basis).max(axis=-1, initial=0.0)
-    return worst / np.maximum(gnorm_op(frame.chol, b_op), 1e-14)
+    return worst / np.maximum(gnorm_op(frame, b_op), 1e-14)
 
 
 # -- rotation coefficient and classification ----------------------------------
@@ -453,7 +452,7 @@ def classify_triviality(chart: ImmersionChart, fld: ImmersionChart, pts) -> Triv
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
         return TrivialityResult(True, 0.0, _TRIVIAL_THRESHOLD, worst_bend)
-    score = float((gnorm_op(frame.chol, v.B) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
+    score = float((gnorm_op(frame, v.B) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
     return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score, _TRIVIAL_THRESHOLD, worst_bend)
 
 

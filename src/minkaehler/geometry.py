@@ -11,13 +11,12 @@ residuals for the Kaehler checks (anticommutation with J, parallelism of
 J) and the Codazzi symmetry.  A single point is the stack with no leading
 axes.  Nothing here differences: every input is a jet.
 
-A :class:`PointFrame` holds the metric, its Cholesky factor, the normal,
-H and A; everything else it computes on first read and then keeps: G^{-1},
-the Christoffel symbols, ||A||_G and the eigen-data of A.  So every
-residual that reads the frame applies a stored inverse (a batched matmul)
-instead of solving against G again, the connection is built once per
-frame, and a reader that needs only A (an export) never pays for the
-eigen-decomposition.
+A :class:`PointFrame` holds one field, a jet stack; every other piece it
+computes from the jet on first read and then keeps: G, G^{-1}, the
+Cholesky factor L of G and L^{-1}, d_l G, N, H, A, ||A||_G, the
+Christoffel symbols and the eigen-data of A.  Every residual that reads
+the frame applies the stored inverses (batched matmuls); nothing here
+solves against G, and only a reader of the eigen-data decomposes A.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
@@ -72,49 +71,75 @@ def generalized_cross(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Metric, normal, and shape-operator data over a stack of chart points.
+    """Metric, normal and shape-operator data over a stack of chart points.
 
-    Besides the fields below, a frame computes on first use and then keeps
-    G^{-1} (``metric_inv``), the Christoffel symbols of its jet
-    (``christoffel``), ||A||_G (``shape_norm``) and the eigen-data of A
-    (``eigenvalues``, ``eigenvectors``).
+    The frame's one field is its jet; every other piece is computed from it
+    on first read and then kept.  G and its lower Cholesky factor L are
+    inverted once each.  A reader that needs only G, N and A (a family
+    member) never takes L.
     """
 
     jet: Jet2
-    metric: np.ndarray          # (..., d, d)
-    chol: np.ndarray            # lower Cholesky factor of the metric
-    normal: np.ndarray          # (..., d+1) unit normal
-    second_form: np.ndarray     # (..., d, d) H_ij
-    shape_operator: np.ndarray  # (..., d, d) A = G^{-1} H
 
     @property
     def d(self) -> int:
-        return self.metric.shape[-1]
+        return self.jet.d
 
     @cached_property
-    def shape_norm(self) -> np.ndarray:
-        """||A||_G per point, computed once per frame."""
-        return gnorm_op(self.chol, self.shape_operator)
+    def metric(self) -> np.ndarray:  # (..., d, d) G_ij = <f_i, f_j>
+        return self.jet.d1 @ _t(self.jet.d1)
 
     @cached_property
-    def metric_inv(self) -> np.ndarray:
-        """G^{-1} per point, one LU factorization per frame."""
+    def metric_inv(self) -> np.ndarray:  # G^{-1}
         return np.linalg.inv(self.metric)
 
     @cached_property
-    def christoffel(self) -> np.ndarray:
-        """Christoffel symbols [..., k, i, j] of the frame's jet, computed
-        once per frame."""
-        return christoffel(self.jet)
+    def chol(self) -> np.ndarray:  # L, with G = L L^T
+        return np.linalg.cholesky(self.metric)
+
+    @cached_property
+    def chol_inv(self) -> np.ndarray:  # L^{-1}
+        return np.linalg.inv(self.chol)
+
+    @cached_property
+    def metric_derivative(self) -> np.ndarray:  # [..., l, k, q] = d_l G_kq
+        dG = self.jet.d2 @ _t(self.jet.d1)[..., None, :, :]  # <f_lk, f_q>
+        return dG + _t(dG)
+
+    @cached_property
+    def _cross(self) -> tuple:  # the unnormalized normal and its length
+        raw = generalized_cross(self.jet.d1)
+        return raw, np.linalg.norm(raw, axis=-1, keepdims=True)
+
+    @cached_property
+    def normal(self) -> np.ndarray:  # (..., d+1) unit normal N
+        raw, length = self._cross
+        return raw / length
+
+    @cached_property
+    def second_form(self) -> np.ndarray:  # (..., d, d) H_ij = <f_ij, N>
+        return (self.jet.d2 @ self.normal[..., None, :, None])[..., 0]
+
+    @cached_property
+    def shape_operator(self) -> np.ndarray:  # (..., d, d) A = G^{-1} H
+        return self.metric_inv @ self.second_form
+
+    @cached_property
+    def shape_norm(self) -> np.ndarray:  # ||A||_G per point
+        return gnorm_op(self, self.shape_operator)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:  # Gamma[..., k, i, j]
+        return christoffel(self.jet, self.metric_inv)
 
     @cached_property
     def _eigen(self) -> tuple:
         # through the symmetric pencil (H, G): real spectrum, G-orthonormal
         # eigenvectors, both sorted by descending |eigenvalue|
-        reduced = _t(np.linalg.solve(self.chol, _t(np.linalg.solve(self.chol, self.second_form))))
+        reduced = self.chol_inv @ self.second_form @ _t(self.chol_inv)
         reduced = 0.5 * (reduced + _t(reduced))
         vals, q = np.linalg.eigh(reduced)
-        vecs = np.linalg.solve(_t(self.chol), q)
+        vecs = _t(self.chol_inv) @ q
         order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
         return (
             np.take_along_axis(vals, order, axis=-1),
@@ -137,15 +162,12 @@ def _first(bad: np.ndarray):
     return tuple(np.argwhere(bad)[0]) if bad.any() else None
 
 
-def shape_data(jet: Jet2, regularity_rtol: float | None = None) -> tuple:
-    """(metric, normal, second_form, shape_operator) of a jet stack: a
-    :func:`point_frame` without its Cholesky factor.
-
-    Raises :class:`NonImmersionPointError`, naming the coordinates of the
-    first bad point, where the jet's value or partials are not finite, where
-    the normal degenerates and, if ``regularity_rtol`` is given, first where
-    the first partials are dependent to that relative cutoff.  A jet
-    isometric to one already checked can skip that SVD.
+def point_frame(jet: Jet2) -> PointFrame:
+    """The frames of a jet stack, checked; raises
+    :class:`NonImmersionPointError`, naming the coordinates of the first bad
+    point, where the jet's value or partials are not finite, where the first
+    partials are dependent (smallest singular value at most
+    ``_REGULARITY_RTOL`` times the largest) and where the normal degenerates.
     """
     d1 = jet.d1
     if jet.ambient != jet.d + 1:
@@ -156,48 +178,26 @@ def shape_data(jet: Jet2, regularity_rtol: float | None = None) -> tuple:
     k = _first(~(finite & np.isfinite(jet.d2).all(axis=(-3, -2, -1))))
     if k is not None:
         raise NonImmersionPointError(f"the jet at {jet.coords[k]} is not finite")
-    if regularity_rtol is not None:
-        svals = np.linalg.svd(d1, compute_uv=False)
-        k = _first(svals[..., -1] <= regularity_rtol * svals[..., 0])
-        if k is not None:
-            raise NonImmersionPointError(
-                f"first partials are dependent at {jet.coords[k]} "
-                f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
-            )
-    raw = generalized_cross(d1)
-    nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
-    k = _first(nrm[..., 0] <= TINY)
+    svals = np.linalg.svd(d1, compute_uv=False)
+    k = _first(svals[..., -1] <= _REGULARITY_RTOL * svals[..., 0])
+    if k is not None:
+        raise NonImmersionPointError(
+            f"first partials are dependent at {jet.coords[k]} "
+            f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
+        )
+    frame = PointFrame(jet)
+    k = _first(frame._cross[1][..., 0] <= TINY)
     if k is not None:
         raise NonImmersionPointError(f"degenerate normal at {jet.coords[k]}")
-    normal = raw / nrm
-    metric = d1 @ _t(d1)
-    second = (jet.d2 @ normal[..., None, :, None])[..., 0]
-    return metric, normal, second, np.linalg.solve(metric, second)
+    return frame
 
 
-def point_frame(jet: Jet2) -> PointFrame:
-    """Assemble the frames of a jet stack; raises if a point is not an
-    immersion, naming the coordinates of the first such point.
-
-    The first partials count as dependent where their smallest singular
-    value is at most ``_REGULARITY_RTOL`` times their largest.
-    """
-    metric, normal, second, shape_op = shape_data(jet, _REGULARITY_RTOL)
-    return PointFrame(
-        jet=jet,
-        metric=metric,
-        chol=np.linalg.cholesky(metric),
-        normal=normal,
-        second_form=second,
-        shape_operator=shape_op,
-    )
-
-
-def gnorm_op(chol: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Operator norm of an endomorphism in the G-geometry: the spectral
-    norm of L^T M L^{-T}, taken as that of its transpose K = L^{-1} M^T L,
-    i.e. the square root of the largest eigenvalue of K K^T."""
-    K = np.linalg.solve(chol, _t(M) @ chol)
+def gnorm_op(frame: PointFrame, M: np.ndarray) -> np.ndarray:
+    """Operator norm of an endomorphism M in the G-geometry of the frame:
+    the spectral norm of L^T M L^{-T}, taken as that of its transpose
+    K = L^{-1} M^T L, i.e. the square root of the largest eigenvalue of
+    K K^T.  M may carry extra leading axes."""
+    K = frame.chol_inv @ _t(M) @ frame.chol
     return np.sqrt(np.linalg.eigvalsh(K @ _t(K))[..., -1])
 
 
@@ -240,8 +240,9 @@ def rank_and_nullity(frame: PointFrame) -> RankResult:
     return RankResult(rank, frame.d - rank, ~keep, indeterminate)
 
 
-def christoffel(jet: Jet2) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] from a 2-jet stack.
+def christoffel(jet: Jet2, metric_inv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] from a 2-jet stack and the
+    inverse of its metric.
 
     Gamma^k_ij = G^{kl} <f_ij, f_l>, the tangential part of the second
     partials; symmetric in (i, j) because the jet's second partials are.
@@ -249,15 +250,16 @@ def christoffel(jet: Jet2) -> np.ndarray:
     d = jet.d
     lead = jet.d1.shape[:-2]
     proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(lead + (d, d * d))
-    return np.linalg.solve(jet.d1 @ _t(jet.d1), proj).reshape(lead + (d, d, d))
+    return (metric_inv @ proj).reshape(lead + (d, d, d))
 
 
 def laplace_beltrami(jet: Jet2, grad, hess) -> np.ndarray:
     """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) on a 2-jet stack of the
     chart, from the exact gradient (..., d) and Hessian (..., d, d) of the
     scalar gamma at the same points."""
-    corr = hess - np.einsum("...kij,...k->...ij", christoffel(jet), grad)
-    return np.trace(np.linalg.solve(jet.d1 @ _t(jet.d1), corr), axis1=-2, axis2=-1)
+    Ginv = np.linalg.inv(jet.d1 @ _t(jet.d1))
+    corr = hess - np.einsum("...kij,...k->...ij", christoffel(jet, Ginv), grad)
+    return np.trace(Ginv @ corr, axis1=-2, axis2=-1)
 
 
 def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
@@ -282,7 +284,7 @@ def minimality_residual(frame: PointFrame) -> np.ndarray:
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
     """||A J + J A||_G / ||A||_G (zero shape operator gives zero)."""
     A = frame.shape_operator
-    num = gnorm_op(frame.chol, A @ J + J @ A)
+    num = gnorm_op(frame, A @ J + J @ A)
     den = frame.shape_norm
     quiet = (den <= 1e-14) & (num <= 1e-14)
     return np.where(quiet, 0.0, num / np.maximum(den, 1e-14))
@@ -306,4 +308,4 @@ def codazzi_residual(frame: PointFrame, S, dS) -> np.ndarray:
     iu, ju = np.triu_indices(frame.d, 1)
     diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
     norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||L^T v|| = ||v^T L||
-    return norms.max(axis=-1, initial=0.0) / np.maximum(gnorm_op(frame.chol, S), 1e-14)
+    return norms.max(axis=-1, initial=0.0) / np.maximum(gnorm_op(frame, S), 1e-14)

@@ -54,7 +54,6 @@ from .geometry import (
     parallel_J_residual,
     point_frame,
     rank_and_nullity,
-    shape_data,
 )
 from .report import ResidualReport
 from .seeds import EXPECTED_RESIDUALS
@@ -146,20 +145,20 @@ class ChartBundle:
     def family(self) -> tuple:
         """Metric/normal/shape deviations across the phase family, per point.
 
-        Each member needs only its metric, normal and shape operator, so it
-        gets :func:`~minkaehler.geometry.shape_data`, not a full frame; it
-        is isometric to f, whose frame already passed the regularity check."""
+        Each member is an unchecked :class:`~minkaehler.geometry.PointFrame`
+        of its grid jet, isometric to f, whose frame passed the checks; it
+        reads only G, N and A, so it takes no Cholesky factor."""
         base = self.frame
         gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
         ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
         metric = normal = shape = np.zeros(len(self.points))
         for theta in _FAMILY_THETAS:
-            G, N, _, A = shape_data(self.member_jet(theta))
+            member = PointFrame(self.member_jet(theta))
             blend = math.cos(theta) * np.eye(self.d) + math.sin(theta) * self.J
             expected = base.shape_operator @ blend
-            metric = np.maximum(metric, np.linalg.norm(G - base.metric, axis=(-2, -1)) / gscale)
-            normal = np.maximum(normal, np.linalg.norm(N - base.normal, axis=-1))
-            shape = np.maximum(shape, np.linalg.norm(A - expected, axis=(-2, -1)) / ascale)
+            metric = np.maximum(metric, np.linalg.norm(member.metric - base.metric, axis=(-2, -1)) / gscale)
+            normal = np.maximum(normal, np.linalg.norm(member.normal - base.normal, axis=-1))
+            shape = np.maximum(shape, np.linalg.norm(member.shape_operator - expected, axis=(-2, -1)) / ascale)
         return metric, normal, shape
 
 

@@ -146,12 +146,30 @@ def _domain_samples(seed: WeierstrassSeed) -> np.ndarray:
 
 
 def validate_seed(seed: WeierstrassSeed) -> None:
-    """Check the nowhere-zero invariants on a polar grid of the domain disc.
+    """Check that every seed series is kept far enough to converge on the
+    domain disc, then the nowhere-zero invariants on a polar grid of it.
 
-    Raises :class:`SeedValidationError` naming the offending datum.  The
-    tolerance ``_ZERO_TOL`` is relative to the largest sampled modulus
-    (with floor 1).
+    A series counts as cut off short of convergence when its term of order
+    ``trunc_order`` is nonzero and at least as large as every other term
+    |c_k| r^k at the domain radius r (compared as logarithms, so that no
+    radius overflows).  Raises :class:`SeedValidationError` naming the
+    offending datum.  The nonzero tolerance ``_ZERO_TOL`` is relative to the
+    largest sampled modulus (with floor 1).
     """
+    radius, order = seed.domain.radius, seed.trunc_order
+    labeled = [("alpha0", seed.alpha0)]
+    labeled += [(f"mu[{r}]", m) for r, m in enumerate(seed.mu, start=1)]
+    labeled += [(f"b[{j}]", b) for j, b in enumerate(seed.b)]
+    for label, series in labeled:
+        mods = np.abs(series.coeffs)
+        k = np.flatnonzero(mods)
+        terms = k * math.log(radius) + np.log(mods[k])
+        if order > 0 and mods[-1] > 0 and terms[-1] >= terms.max():
+            raise SeedValidationError(
+                f"seed series {label} does not converge on the domain: its term of "
+                f"order {order} is its largest at radius {radius:g}"
+            )
+
     samples = _domain_samples(seed)
 
     def check(series: TruncatedSeries, label: str):

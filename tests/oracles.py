@@ -45,6 +45,7 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -60,7 +61,7 @@ from minkaehler.report import ResidualReport
 from minkaehler.seeds import builtin_seed
 from minkaehler.suites import build_bundle
 from minkaehler.taylor import Taylor
-from minkaehler.weierstrass import seed_from_json
+from minkaehler.weierstrass import DomainSpec, seed_from_json
 
 SQRT2 = np.sqrt(2.0)
 
@@ -133,10 +134,13 @@ SIX_SEEDS = ("enneper", "catenoid", "m4r5", "random-n1", "random-n2", "random-n3
 
 
 def seed_bundle(name):
-    """A default-grid bundle of a built-in or of a seed the benchmark's
+    """A default-grid bundle of a built-in, of the built-in enneper on a
+    disc of radius 1e12 (``enneper-r1e12``) or of a seed the benchmark's
     verify-random workload draws (n = 3 on its [2] * 6 grid)."""
     if name in ("enneper", "catenoid", "m4r5"):
         return build_bundle(builtin_seed(name))
+    if name == "enneper-r1e12":
+        return build_bundle(dataclasses.replace(builtin_seed("enneper"), domain=DomainSpec(radius=1e12)))
     seeds = {s["name"]: s for s in benchmark_workloads().random_seeds()}
     seed = seed_from_json(seeds[name])
     return build_bundle(seed, counts=[2] * 6 if seed.n == 3 else None)

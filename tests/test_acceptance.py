@@ -60,7 +60,7 @@ def announce(capsys, criterion: int, ok: bool, detail: str) -> None:
 
 def minimality_defect(chart, p) -> float:
     fr = point_frame(chart.jet(p))
-    scale = max(gnorm_op(fr.chol, fr.shape_operator), 1e-14)
+    scale = max(gnorm_op(fr, fr.shape_operator), 1e-14)
     return abs(float(np.trace(fr.shape_operator))) / scale
 
 
@@ -112,7 +112,7 @@ def test_criterion_2_m4r5_minimal_rank_two(capsys):
     ranks = set()
     for p in pts:
         fr = point_frame(chart.jet(p))
-        scale = max(gnorm_op(fr.chol, fr.shape_operator), 1e-14)
+        scale = max(gnorm_op(fr, fr.shape_operator), 1e-14)
         worst_min = max(worst_min, abs(float(np.trace(fr.shape_operator))) / scale)
         ranks.add(rank_and_nullity(fr).rank)
     elapsed = time.perf_counter() - t0

@@ -39,7 +39,6 @@ from minkaehler.gausspar import (
 )
 from minkaehler.geometry import (
     anticommutation_residual,
-    christoffel,
     codazzi_residual,
     minimality_residual,
     parallel_J_residual,
@@ -81,7 +80,7 @@ QUANTITIES = {
     "second_form": lambda c, T, p: _frame(c, p).second_form,
     "shape_operator": lambda c, T, p: _frame(c, p).shape_operator,
     "eigenvalues": lambda c, T, p: _frame(c, p).eigenvalues,
-    "christoffel": lambda c, T, p: christoffel(c.jet(p)),
+    "christoffel": lambda c, T, p: _frame(c, p).christoffel,
     "rank": lambda c, T, p: rank_and_nullity(_frame(c, p)).rank,
     "minimality": lambda c, T, p: minimality_residual(_frame(c, p)),
     "anticommutation": lambda c, T, p: anticommutation_residual(

@@ -291,6 +291,15 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg]) == 0
         assert "ALL PASS" in capsys.readouterr().out
 
+    def test_domain_past_the_series_convergence_names_the_series(self, tmp_path, capsys):
+        seed = seed_to_json(builtin_seed("catenoid"))
+        seed["domain"]["radius"] = 3.0
+        cfg = write_config(tmp_path, seed=seed, sampling={"counts": [4, 4]})
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed series b[0] does not converge on the domain")
+        assert "radius 3" in err
+
     def test_seed_name_must_be_a_string(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=dict(ENNEPER_JSON, name=5), sampling={"counts": [2, 2]})
         assert main(["verify", "--config", cfg]) == 2

@@ -29,7 +29,6 @@ from minkaehler.geometry import (
     minimality_residual,
     point_frame,
     rank_and_nullity,
-    shape_data,
 )
 from minkaehler.export import SliceSpec, export_slice
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
@@ -127,16 +126,15 @@ class TestPointFrame:
         with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
             point_frame(jet)
 
-    def test_shape_data_locates_dependent_partials_without_the_svd(self):
-        # the same jet stack as above: point_frame's SVD rejects it, and
-        # shape_data, which skips the SVD, rejects its degenerate normal
+    def test_degenerate_normal_is_located(self):
+        # partials of size 1e-160 pass the relative SVD check, but their
+        # cross product (size 1e-320) is no normal to divide by
         good = graph_jet(1.0)
-        stack = [good, dataclasses.replace(good, d1=np.array([[1.0, 0, 0], [2.0, 0, 0]])), good]
+        stack = [good, dataclasses.replace(good, d1=1e-160 * good.d1), good]
         coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
         jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
-        for build in (point_frame, shape_data):
-            with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
-                build(jet)
+        with pytest.raises(NonImmersionPointError, match="degenerate normal at " + re.escape(str(coords[1]))):
+            point_frame(jet)
 
     @pytest.mark.parametrize("part", ["value", "d1", "d2"])
     def test_non_finite_jet_is_located(self, part):
@@ -148,23 +146,15 @@ class TestPointFrame:
         stack = [good, dataclasses.replace(good, **{part: bad}), good]
         coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
         jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
-        for build in (point_frame, shape_data):
-            with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1])) + ".*not finite"):
-                build(jet)
+        with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1])) + ".*not finite"):
+            point_frame(jet)
         with pytest.raises(NonImmersionPointError, match="not finite"):
             point_frame(stack[1])
-
-    def test_shape_data_is_the_frame_without_its_eigen_data(self, rng):
-        chart = sphere_chart()
-        jet = chart.jet(random_points(shrink_box(chart.box, 0.8), 5, rng))
-        fr = point_frame(jet)
-        for got, want in zip(shape_data(jet), (fr.metric, fr.normal, fr.second_form, fr.shape_operator)):
-            np.testing.assert_array_equal(got, want)
 
     def test_shape_norm_is_the_g_norm_of_a(self, rng):
         chart = sphere_chart()
         fr = point_frame(chart.jet(random_points(shrink_box(chart.box, 0.8), 5, rng)))
-        np.testing.assert_array_equal(fr.shape_norm, gnorm_op(fr.chol, fr.shape_operator))
+        np.testing.assert_array_equal(fr.shape_norm, gnorm_op(fr, fr.shape_operator))
         assert fr.shape_norm is fr.shape_norm
 
     @pytest.mark.parametrize("name", SIX_SEEDS)
@@ -173,8 +163,26 @@ class TestPointFrame:
         G = fr.metric
         miss = np.abs(fr.metric_inv @ G - np.eye(fr.d)).max(axis=(-2, -1))
         assert np.all(miss <= 1e-13 * np.linalg.cond(G))
-        np.testing.assert_array_equal(fr.christoffel, christoffel(fr.jet))
+        np.testing.assert_array_equal(fr.christoffel, christoffel(fr.jet, fr.metric_inv))
         assert fr.metric_inv is fr.metric_inv and fr.christoffel is fr.christoffel
+
+    @pytest.mark.parametrize("name", SIX_SEEDS + ("enneper-r1e12",))
+    def test_pieces_match_solve_references(self, name):
+        # A, the Christoffels and ||A||_G from the stored inverses of G and
+        # L against solves of the same G and L, each within 8 eps cond(G)
+        # per point, relative to the largest entry of the reference
+        fr = seed_bundle(name).frame
+        G, L, jet, d = fr.metric, fr.chol, fr.jet, fr.d
+        bound = 8 * np.finfo(float).eps * np.linalg.cond(G)
+        A = np.linalg.solve(G, fr.second_form)
+        proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(-1, d, d * d)
+        gam = np.linalg.solve(G, proj).reshape(-1, d, d, d)
+        K = np.linalg.solve(L, np.swapaxes(fr.shape_operator, -1, -2) @ L)
+        norm = np.sqrt(np.linalg.eigvalsh(K @ np.swapaxes(K, -1, -2))[..., -1])
+        for got, want in ((fr.shape_operator, A), (fr.christoffel, gam), (fr.shape_norm[:, None], norm[:, None])):
+            axes = tuple(range(1, want.ndim))
+            miss = np.abs(got - want).max(axis=axes)
+            assert np.all(miss <= bound * np.abs(want).max(axis=axes))
 
     def test_non_hypersurface_codimension_rejected(self):
         bad = Jet2(
@@ -283,46 +291,55 @@ class TestRank:
         np.testing.assert_allclose(np.abs(fr.eigenvectors[:, res.null_mask][:, 0]), [0, 1], atol=1e-12)
 
 
+def chol_frame(L: np.ndarray):
+    """The frame of a flat jet stack whose first partials are [L | 0], so
+    that G = L L^T; L lower triangular with a positive diagonal is its
+    Cholesky factor up to roundoff."""
+    lead, d = L.shape[:-2], L.shape[-1]
+    d1 = np.concatenate([L, np.zeros(lead + (d, 1))], axis=-1)
+    return point_frame(Jet2(np.zeros(lead + (d,)), np.zeros(lead + (d + 1,)), d1, np.zeros(lead + (d, d, d + 1))))
+
+
 class TestNorms:
     def test_euclidean_reduction(self, rng):
-        chol = np.eye(3)
+        fr = chol_frame(np.eye(3))
         v = rng.standard_normal(3)
         M = rng.standard_normal((3, 3))
-        assert gnorm_columns(chol, v[:, None])[0] == pytest.approx(np.linalg.norm(v))
-        assert gnorm_op(chol, M) == pytest.approx(np.linalg.norm(M, 2))
+        assert gnorm_columns(fr.chol, v[:, None])[0] == pytest.approx(np.linalg.norm(v))
+        assert gnorm_op(fr, M) == pytest.approx(np.linalg.norm(M, 2))
 
     def test_metric_invariance_of_operator_norm(self):
         # the identity has G-operator norm 1 in any metric
-        G = np.array([[4.0, 1.0], [1.0, 2.0]])
-        chol = np.linalg.cholesky(G)
-        assert gnorm_op(chol, np.eye(2)) == pytest.approx(1.0)
+        fr = chol_frame(np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 2.0]])))
+        assert gnorm_op(fr, np.eye(2)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_operator_norm_is_the_spectral_norm_of_the_reduced_matrix(self, rng, d):
         raw = rng.standard_normal((64, d, d))
-        chol = np.linalg.cholesky(raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d))
+        fr = chol_frame(np.linalg.cholesky(raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d)))
+        chol = fr.chol
         M = rng.standard_normal((64, d, d))
         want = np.linalg.norm(np.linalg.solve(chol, np.swapaxes(M, -1, -2) @ chol), 2, axis=(-2, -1))
-        np.testing.assert_allclose(gnorm_op(chol, M), want, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(gnorm_op(chol, np.zeros_like(M)), 0.0)
+        np.testing.assert_allclose(gnorm_op(fr, M), want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(gnorm_op(fr, np.zeros_like(M)), 0.0)
 
 
 class TestChristoffel:
     def test_polar_plane_matches_closed_form(self):
         chart = polar_plane_chart()
         for r, t in ((1.3, 0.7), (0.8, 0.4)):
-            gam = christoffel(chart.jet([r, t]))
+            gam = point_frame(chart.jet([r, t])).christoffel
             np.testing.assert_allclose(gam, polar_christoffel(r), atol=1e-12)
 
     def test_flat_chart_is_torsion_free_zero(self):
-        gam = christoffel(plane_chart().jet([0.1, 0.3]))
+        gam = point_frame(plane_chart().jet([0.1, 0.3])).christoffel
         np.testing.assert_allclose(gam, 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["m4r5", "n3"])
     def test_jets_match_fd_reference(self, name, request, rng):
         chart = request.getfixturevalue(f"{name}_chart")
         for p in random_points(shrink_box(chart.box, 0.8), 3, rng):
-            gam = christoffel(chart.jet(p))
+            gam = point_frame(chart.jet(p)).christoffel
             ref = fd_christoffel(chart, p)
             scale = max(1.0, float(np.abs(ref).max()))
             np.testing.assert_allclose(gam, ref, rtol=0.0, atol=1e-8 * scale)
@@ -393,7 +410,7 @@ class TestCurvatureIdentities:
     def test_covariant_derivative_of_metric_vanishes(self):
         # nabla G = 0, checked through the (1,1) field G^{-1}G = identity
         chart = polar_plane_chart()
-        gam = christoffel(chart.jet([1.2, 0.5]))
+        gam = point_frame(chart.jet([1.2, 0.5])).christoffel
         nab = covariant_field_derivative(gam, np.eye(2), np.zeros((2, 2, 2)))
         np.testing.assert_allclose(nab, 0.0, atol=1e-9)
 

@@ -386,8 +386,12 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     evaluates each once, on the grid; the family members and the trivial
     control fields are combined from the two grid jets.  The one frame
     builds its Christoffel symbols once, for every suite that reads them,
-    and each variation field along it computes its B, T_* and dN once."""
+    and each variation field along it computes its B, T_* and dN once.
+    Nothing solves against G: the grid frame inverts G and its Cholesky
+    factor L once each, and each of the five family members inverts its
+    own G, taking no Cholesky factor."""
     builds, calls, trivial_calls, frames, connections, b_forms = [], [], [], [], [], []
+    factorizations = {name: [] for name in ("solve", "inv", "cholesky")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
     christoffel = geometry.christoffel
@@ -411,13 +415,22 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         frames.append(jet)
         return frame(jet, *args, **kwargs)
 
-    def counted_christoffel(jet):
+    def counted_christoffel(jet, metric_inv):
         connections.append(jet)
-        return christoffel(jet)
+        return christoffel(jet, metric_inv)
 
     def counted_b_formula(v):
         b_forms.append(v)
         return b_formula(v)
+
+    def counted_linalg(name):
+        routine = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            factorizations[name].append(np.shape(a))
+            return routine(a, *args, **kwargs)
+
+        return counted
 
     def counted_piece(name):
         piece = vars(bending.Variation)[name].func
@@ -437,6 +450,8 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     monkeypatch.setattr(bending, "B_by_formula", counted_b_formula)
     for name in pieces:
         monkeypatch.setattr(vars(bending.Variation)[name], "func", counted_piece(name))
+    for name in factorizations:
+        monkeypatch.setattr(np.linalg, name, counted_linalg(name))
     bundle = build_bundle(builtin_seed("m4r5"))
     run_suites(bundle)
     assert len(builds) == 2
@@ -456,6 +471,9 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     # T_* for the conjugate and the bending_tpar and bending_bat controls;
     # dN for the conjugate and the gauss_preservation control
     assert len(pieces["tstar"]) == 3 and len(pieces["normal_variation"]) == 2
+    # G^{-1} and L^{-1} of the grid frame and G^{-1} of each family member
+    counts = {name: len(shapes) for name, shapes in factorizations.items()}
+    assert counts == {"solve": 0, "inv": 7, "cholesky": 1}
 
 
 # the n = 3 seed of the benchmark's verify-random workload

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -414,6 +415,20 @@ class TestValidation:
         seed = WeierstrassSeed(n=1, alpha0=one, mu=[one], b=[one], domain=DomainSpec(0.5), trunc_order=8)
         with np.errstate(invalid="ignore"), pytest.raises(SeedValidationError, match="alpha0 must be nonzero"):
             validate_seed(seed)
+
+    @pytest.mark.parametrize("radius", [2.0, 2.5, 3.0, 1e300])
+    def test_domain_past_the_series_convergence_rejected(self, catenoid_seed, radius):
+        # b = 1/z^2 about 2 converges for |z - 2| < 2; at r >= 2 its terms
+        # (k + 1) (r / 2)^k / 4 grow to the last one kept, with no overflow
+        # warning even at r = 1e300
+        seed = dataclasses.replace(catenoid_seed, domain=DomainSpec(radius=radius))
+        msg = f"seed series b[0] does not converge on the domain: its term of order 32 is its largest at radius {radius:g}"
+        with pytest.raises(SeedValidationError, match=re.escape(msg)):
+            validate_seed(seed)
+
+    def test_domain_inside_the_series_convergence_accepted(self, catenoid_seed):
+        # at r = 1.9 the terms peak near k = 18, before the last one kept
+        validate_seed(dataclasses.replace(catenoid_seed, domain=DomainSpec(radius=1.9)))
 
     def test_builtin_seeds_validate(self, enneper_seed, catenoid_seed, m4r5_seed):
         for seed in (enneper_seed, catenoid_seed, m4r5_seed):
