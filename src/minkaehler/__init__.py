@@ -40,7 +40,6 @@ from .weierstrass import (
     immersion_f,
     seed_from_json,
     seed_to_json,
-    validate_seed,
 )
 from .geometry import (
     PointFrame,

@@ -18,8 +18,8 @@ formula, and the composition A T_*) so they can cross-check each other.
 A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
 over the same coordinates: ``jet_batch(pts, order)`` returns the value and
 partials of T on a point stack.  A chart is its own position field, the
-conjugate field is the mate chart of the associated family, and f + tT is
-a :class:`CombinationField`.
+conjugate field of the family member at theta is the member at
+theta + pi/2, and f + tT is a :class:`CombinationField`.
 
 Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
@@ -55,7 +55,7 @@ from .geometry import (
     point_frame,
 )
 from .taylor import Taylor
-from .weierstrass import SeriesChart, associated, chart_complex_structure
+from .weierstrass import SeriesChart, chart_complex_structure
 
 
 # -- variation fields ---------------------------------------------------------
@@ -115,18 +115,10 @@ class CombinationField(ImmersionChart):
         return tuple(sum(c * j[k] for c, j in zip(self.coeffs, jets)) for k in range(order + 1))
 
 
-def conjugate_field(chart: SeriesChart) -> ImmersionChart:
-    """The conjugate of a family member, as a bending field along it.
-
-    For the member at phase theta this is the member at theta + pi/2; when
-    that leaves [0, pi) the representative at theta - pi/2 is used with a
-    sign flip (the two differ by a global sign).
-    """
-    theta = chart.theta + math.pi / 2
-    if theta < math.pi:
-        return associated(chart.seed, theta, chart.chain)
-    mate = associated(chart.seed, theta - math.pi, chart.chain)
-    return CombinationField((mate,), (-1.0,))
+def conjugate_field(chart: SeriesChart) -> SeriesChart:
+    """The conjugate of a family member, as a bending field along it: the
+    member at theta + pi/2 of the same seed, for every theta."""
+    return SeriesChart(chart.seed, chart.theta + math.pi / 2)
 
 
 def make_trivial(chart: ImmersionChart, rng) -> TrivialField:
@@ -313,10 +305,10 @@ def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
 
 
 def B_with_derivative(v: Variation) -> tuple:
-    """(op, dop): B as an operator and dop[..., l] = d_l op, exact from the
-    3-jets of f and T.  The frame must be built from the chart's 3-jet
-    (``point_frame(chart.jet(p, order=3))``) and the field's jet must be
-    ``fld.jet(p, order=3)``; no frame is built here.
+    """(op, dop): B as an operator, :attr:`Variation.B`, and dop[..., l] =
+    d_l op, exact from the 3-jets of f and T.  The frame must be built
+    from the chart's 3-jet (``point_frame(chart.jet(p, order=3))``) and the
+    field's jet must be ``fld.jet(p, order=3)``; no frame is built here.
 
     With tau = :attr:`Variation.tau` and s = -dN
     (:attr:`Variation.normal_variation`), s = f_*(sigma) with sigma =
@@ -342,12 +334,11 @@ def B_with_derivative(v: Variation) -> tuple:
     dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
     dsigma = Ginv @ _t(dtau - (frame.metric_derivative @ sigma[..., None, :, None])[..., 0])  # [q, l]
     ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
-    form = np.einsum("...ijc,...c->...ij", field_jet.d2, N) - np.einsum("...ijc,...c->...ij", f2, s)
     dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
     dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
     dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
     dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
-    op = Ginv @ _t(form)
+    op = v.B
     return op, Ginv[..., None, :, :] @ (_t(dform) - frame.metric_derivative @ op[..., None, :, :])
 
 

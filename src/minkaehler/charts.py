@@ -49,10 +49,12 @@ class Jet2:
         return self.d1.shape[-1]
 
 
-def mix_jets(a: float, ja: Jet2, b: float, jb: Jet2) -> Jet2:
-    """The 2-jet of a f + b g from the jets of f and g on the same points;
-    exact, since jets are linear in the chart."""
-    return Jet2(ja.coords, a * ja.value + b * jb.value, a * ja.d1 + b * jb.d1, a * ja.d2 + b * jb.d2)
+def mix_jets(a, ja: Jet2, b, jb: Jet2) -> Jet2:
+    """The 2-jet of a f + b g from the jets of f and g on the same points
+    (exact: jets are linear); 1-d arrays a, b stack the mixes on a new leading axis."""
+    pairs = ((ja.value, jb.value), (ja.d1, jb.d1), (ja.d2, jb.d2))
+    mixed = (np.multiply.outer(a, x) + np.multiply.outer(b, y) for x, y in pairs)
+    return Jet2(np.broadcast_to(ja.coords, np.shape(a) + ja.coords.shape), *mixed)
 
 
 class ImmersionChart:

@@ -48,7 +48,7 @@ from .suites import (
     default_suites,
     run_suites,
 )
-from .weierstrass import chain_to_json, immersion_f, seed_from_json, seed_to_json, validate_seed
+from .weierstrass import chain_to_json, immersion_f, seed_from_json, seed_to_json
 
 # each config key's JSON kind, item kind and default; the export section is
 # a slice spec, and ``seed`` (a built-in name or a seed object) is read by
@@ -100,11 +100,10 @@ def _out_dir(config) -> Path:
 
 def cmd_generate(config) -> int:
     seed = resolve_seed(config["seed"])
-    validate_seed(seed)
     chart = immersion_f(seed)
     payload = {
         "seed": seed_to_json(seed),
-        "chain": chain_to_json(chart.chain),
+        "chain": chain_to_json(seed.chain),
         "chart": {
             "theta": 0.0,
             "ambient_dim": chart.ambient,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, expect_json, read_json
 from .geometry import anticommutation_residual, minimality_residual, point_frame
-from .weierstrass import SeriesChart, WeierstrassSeed, associated, chart_complex_structure
+from .weierstrass import SeriesChart, WeierstrassSeed, chart_complex_structure
 
 __all__ = [
     "SLICE_SCHEMA",
@@ -101,7 +101,7 @@ def slice_from_json(data: dict) -> SliceSpec:
 def slice_chart(seed: WeierstrassSeed, spec: SliceSpec) -> SeriesChart:
     """The family member the slice samples: f, fbar, or the theta member."""
     theta = {"f": 0.0, "fbar": math.pi / 2, "ftheta": spec.theta}[spec.field_name]
-    return associated(seed, theta)
+    return SeriesChart(seed, theta)
 
 
 def slice_points(chart: SeriesChart, spec: SliceSpec) -> np.ndarray:

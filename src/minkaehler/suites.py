@@ -58,15 +58,7 @@ from .geometry import (
 from .report import ResidualReport
 from .seeds import EXPECTED_RESIDUALS
 from .taylor import Taylor
-from .weierstrass import (
-    SeriesChart,
-    WeierstrassChain,
-    WeierstrassSeed,
-    build_chain,
-    chart_complex_structure,
-    immersion_f,
-    validate_seed,
-)
+from .weierstrass import SeriesChart, WeierstrassSeed, chart_complex_structure, immersion_f
 
 __all__ = [
     "CONTROL_FLOOR",
@@ -106,7 +98,6 @@ class ChartBundle:
     """A constructed chart with everything the suites consume."""
 
     seed: WeierstrassSeed
-    chain: WeierstrassChain
     chart: SeriesChart
     points: np.ndarray
     rng_seed: int = DEFAULT_RNG_SEED
@@ -143,33 +134,29 @@ class ChartBundle:
 
     @cached_property
     def family(self) -> tuple:
-        """Metric/normal/shape deviations across the phase family, per point.
-
-        Each member is an unchecked :class:`~minkaehler.geometry.PointFrame`
-        of its grid jet, isometric to f, whose frame passed the checks; it
-        reads only G, N and A, so it takes no Cholesky factor."""
+        """Metric/normal/shape deviations across the phase family, per point,
+        the largest over the members: one unchecked PointFrame over the (5, P)
+        stack of their grid jets, each isometric to f, whose frame passed the
+        checks.  It reads only G, N and A, so it takes no Cholesky factor."""
         base = self.frame
         gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
         ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
-        metric = normal = shape = np.zeros(len(self.points))
-        for theta in _FAMILY_THETAS:
-            member = PointFrame(self.member_jet(theta))
-            blend = math.cos(theta) * np.eye(self.d) + math.sin(theta) * self.J
-            expected = base.shape_operator @ blend
-            metric = np.maximum(metric, np.linalg.norm(member.metric - base.metric, axis=(-2, -1)) / gscale)
-            normal = np.maximum(normal, np.linalg.norm(member.normal - base.normal, axis=-1))
-            shape = np.maximum(shape, np.linalg.norm(member.shape_operator - expected, axis=(-2, -1)) / ascale)
-        return metric, normal, shape
+        cos, sin = (np.array([fn(t) for t in _FAMILY_THETAS]) for fn in (math.cos, math.sin))
+        members = PointFrame(mix_jets(cos, base.jet, sin, self.conjugate.jet))
+        blend = cos[:, None, None, None] * np.eye(self.d) + sin[:, None, None, None] * self.J
+        expected = base.shape_operator @ blend
+        metric = np.linalg.norm(members.metric - base.metric, axis=(-2, -1)) / gscale
+        normal = np.linalg.norm(members.normal - base.normal, axis=-1)
+        shape = np.linalg.norm(members.shape_operator - expected, axis=(-2, -1)) / ascale
+        return metric.max(axis=0), normal.max(axis=0), shape.max(axis=0)
 
 
 def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG_SEED) -> ChartBundle:
-    """Validate the seed, run the recursion, and sample the chart box
-    shrunk by ``_GRID_MARGIN`` about its center."""
+    """The seed's chart f, sampled on its box shrunk by ``_GRID_MARGIN``
+    about its center; the seed checked itself when built."""
     if rng_seed < 0:
         raise ValueError(f"sampling rng_seed must be >= 0, got {rng_seed}")
-    validate_seed(seed)
-    chain = build_chain(seed)
-    chart = immersion_f(seed, chain)
+    chart = immersion_f(seed)
     if counts is None:
         counts = default_counts(chart.d)
     counts = [int(c) for c in counts]
@@ -180,7 +167,7 @@ def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG
     if any(c < 2 for c in counts):
         raise ValueError("sampling needs at least 2 points per axis")
     pts = grid_points(shrink_box(chart.box, _GRID_MARGIN), counts)
-    return ChartBundle(seed=seed, chain=chain, chart=chart, points=pts, rng_seed=rng_seed)
+    return ChartBundle(seed=seed, chart=chart, points=pts, rng_seed=rng_seed)
 
 
 # -- the suite registry --------------------------------------------------------

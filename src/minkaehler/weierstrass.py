@@ -16,15 +16,18 @@ C^{n-1}, is
     F(z, w) = sum_{j=0}^{n-1} integral b_j delta^(j) dz
             + sum_{j=1}^{n-1} w_j delta^(j-1),
 
-valued in C^{2n+1}.  :func:`build_chain` integrates its z part once, as
-the chain's ``base``, so every chart built on one chain shares it.  The
-hypersurface chart is f = sqrt(2) Re F in the real coordinates
-(x, y, u_1, v_1, ...), its conjugate is fbar = sqrt(2) Im F, and the
-associated family is f_theta = cos(theta) f + sin(theta) fbar.  Because F
-is affine in w and holomorphic in z, a jet of any order reduces to Horner
-evaluations of stored coefficient rows; those go through the kernels
-module.  Verification reads jets to order 3; the Gauss
-parametrization of :mod:`minkaehler.gausspar` reads the 4-jets.
+valued in C^{2n+1}.  A :class:`WeierstrassSeed` checks itself when built
+and runs the recursion once, on the first read of its ``chain``;
+:func:`build_chain` integrates the z part of F there, as the chain's
+``base``, so every chart of one seed shares it.  The hypersurface chart is
+f = sqrt(2) Re F in the real coordinates (x, y, u_1, v_1, ...), its
+conjugate is fbar = sqrt(2) Im F, and the associated family is
+f_theta = cos(theta) f + sin(theta) fbar, each member one
+``SeriesChart(seed, theta)``.  Because F is affine in w and holomorphic
+in z, a jet of any order reduces to Horner evaluations of stored
+coefficient rows; those go through the kernels module.  Verification
+reads jets to order 3; the Gauss parametrization of
+:mod:`minkaehler.gausspar` reads the 4-jets.
 A JSON seed is read against ``_SEED_SCHEMA``; an unknown key at any level,
 a missing one or a non-finite number raises :class:`SeedValidationError`.
 """
@@ -76,14 +79,22 @@ class DomainSpec:
             raise SeedValidationError("domain w half-widths must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeierstrassSeed:
-    """Holomorphic seed data for one construction run.
+    """Holomorphic seed data for one construction run, checked when built.
 
-    ``mu`` and ``b`` are lists of n series each; integration constants
-    default to zero everywhere.  ``phi_constants[r]`` (length 2r+1) feeds
-    the integral producing phi_r, r = 0..n-1; ``rep_constants[j]`` (length
-    2n+1) feeds the integral of b_j delta^(j).
+    ``mu`` and ``b`` are lists of n series each, every series is kept to
+    ``trunc_order``, and integration constants default to zero everywhere.
+    ``phi_constants[r]`` (length 2r+1) feeds the integral producing phi_r,
+    r = 0..n-1; ``rep_constants[j]`` (length 2n+1) feeds the integral of
+    b_j delta^(j).
+
+    Building a seed runs every check, so no seed exists that fails one:
+    the structure, ``trunc_order >= 0``, each series kept far enough to
+    converge on the domain disc, and the nowhere-zero invariants on a polar
+    grid of that disc (``_check_domain``).  Each raises
+    :class:`SeedValidationError` naming the offending datum.  ``chain``
+    runs the recursion on first read and keeps it.
     """
 
     n: int
@@ -107,32 +118,77 @@ class WeierstrassSeed:
             raise SeedValidationError(
                 f"domain needs {self.n - 1} w half-widths, got {len(self.domain.w_halfwidth)}"
             )
+        if self.trunc_order < 0:
+            raise SeedValidationError(f"seed trunc_order must be >= 0, got {self.trunc_order}")
         base = self.alpha0.base
         for s in list(self.mu) + list(self.b):
             if s.base != base:
                 raise SeedValidationError("all seed series must share the basepoint")
-        # normalize orders to the run's truncation order
-        self.alpha0 = to_order(self.alpha0, self.trunc_order)
-        self.mu = [to_order(s, self.trunc_order) for s in self.mu]
-        self.b = [to_order(s, self.trunc_order) for s in self.b]
+        order, put = self.trunc_order, functools.partial(object.__setattr__, self)
+        put("alpha0", to_order(self.alpha0, order))
+        put("mu", [to_order(s, order) for s in self.mu])
+        put("b", [to_order(s, order) for s in self.b])
         if self.phi_constants is not None:
-            self.phi_constants = [np.asarray(c, dtype=np.complex128) for c in self.phi_constants]
+            put("phi_constants", [np.asarray(c, dtype=np.complex128) for c in self.phi_constants])
             if len(self.phi_constants) != self.n:
                 raise SeedValidationError(f"need {self.n} phi constant vectors")
             for r, c in enumerate(self.phi_constants):
                 if c.shape != (2 * r + 1,):
                     raise SeedValidationError(f"phi constants for step {r} must have length {2 * r + 1}")
         if self.rep_constants is not None:
-            self.rep_constants = [np.asarray(c, dtype=np.complex128) for c in self.rep_constants]
+            put("rep_constants", [np.asarray(c, dtype=np.complex128) for c in self.rep_constants])
             if len(self.rep_constants) != self.n:
                 raise SeedValidationError(f"need {self.n} representation constant vectors")
             for c in self.rep_constants:
                 if c.shape != (2 * self.n + 1,):
                     raise SeedValidationError(f"representation constants must have length {2 * self.n + 1}")
+        self._check_domain()
 
     @property
     def basepoint(self) -> complex:
         return self.alpha0.base
+
+    @functools.cached_property
+    def chain(self) -> WeierstrassChain:
+        """The recursion's output, :func:`build_chain` of this seed."""
+        return build_chain(self)
+
+    def _check_domain(self) -> None:
+        """Check that every series is kept far enough to converge on the
+        domain disc, then that the nowhere-zero series are finite and
+        nonzero on a polar grid of it.
+
+        A series counts as cut off short of convergence when its term of
+        order ``trunc_order`` is nonzero and at least as large as every
+        other term |c_k| r^k at the domain radius r (compared as logarithms,
+        so that no radius overflows).  The nonzero tolerance ``_ZERO_TOL`` is
+        relative to the largest sampled modulus (with floor 1).
+        """
+        radius, order = self.domain.radius, self.trunc_order
+        mus = [(f"mu[{r}]", m) for r, m in enumerate(self.mu, start=1)]
+        labeled = [("alpha0", self.alpha0), *mus, *((f"b[{j}]", b) for j, b in enumerate(self.b))]
+        for label, series in labeled:
+            mods = np.abs(series.coeffs)
+            k = np.flatnonzero(mods)
+            terms = k * math.log(radius) + np.log(mods[k])
+            if order > 0 and mods[-1] > 0 and terms[-1] >= terms.max():
+                raise SeedValidationError(
+                    f"seed series {label} does not converge on the domain: its term of "
+                    f"order {order} is its largest at radius {radius:g}"
+                )
+        samples = _domain_samples(self)
+        # alpha0 and b[n-1] carry the contract; the recursion multiplies by
+        # mu_r at every step, so a zero there would degenerate the chart too
+        for label, series in [("alpha0", self.alpha0), ("b[n-1]", self.b[-1]), *mus]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.abs(kernels.horner_many(series.coeffs[None, :], samples - series.base)[0])
+            if not np.isfinite(vals).all():
+                raise SeedValidationError(f"seed invariant violated: {label} is not finite on the domain")
+            if not vals.min() > _ZERO_TOL * max(1.0, vals.max()):
+                raise SeedValidationError(
+                    f"seed invariant violated: {label} must be nonzero on the domain "
+                    f"(min modulus {vals.min():.3g} at sampled points)"
+                )
 
 
 def _domain_samples(seed: WeierstrassSeed) -> np.ndarray:
@@ -143,49 +199,6 @@ def _domain_samples(seed: WeierstrassSeed) -> np.ndarray:
     for r in radii:
         pts.extend(seed.basepoint + r * np.exp(1j * angles))
     return np.asarray(pts)
-
-
-def validate_seed(seed: WeierstrassSeed) -> None:
-    """Check that every seed series is kept far enough to converge on the
-    domain disc, then the nowhere-zero invariants on a polar grid of it.
-
-    A series counts as cut off short of convergence when its term of order
-    ``trunc_order`` is nonzero and at least as large as every other term
-    |c_k| r^k at the domain radius r (compared as logarithms, so that no
-    radius overflows).  Raises :class:`SeedValidationError` naming the
-    offending datum.  The nonzero tolerance ``_ZERO_TOL`` is relative to the
-    largest sampled modulus (with floor 1).
-    """
-    radius, order = seed.domain.radius, seed.trunc_order
-    labeled = [("alpha0", seed.alpha0)]
-    labeled += [(f"mu[{r}]", m) for r, m in enumerate(seed.mu, start=1)]
-    labeled += [(f"b[{j}]", b) for j, b in enumerate(seed.b)]
-    for label, series in labeled:
-        mods = np.abs(series.coeffs)
-        k = np.flatnonzero(mods)
-        terms = k * math.log(radius) + np.log(mods[k])
-        if order > 0 and mods[-1] > 0 and terms[-1] >= terms.max():
-            raise SeedValidationError(
-                f"seed series {label} does not converge on the domain: its term of "
-                f"order {order} is its largest at radius {radius:g}"
-            )
-
-    samples = _domain_samples(seed)
-
-    def check(series: TruncatedSeries, label: str):
-        vals = np.abs(kernels.horner_many(series.coeffs[None, :], samples - series.base)[0])
-        if not vals.min() > _ZERO_TOL * max(1.0, vals.max()):  # true on NaN or infinity too
-            raise SeedValidationError(
-                f"seed invariant violated: {label} must be nonzero on the domain "
-                f"(min modulus {vals.min():.3g} at sampled points)"
-            )
-
-    check(seed.alpha0, "alpha0")
-    check(seed.b[seed.n - 1], "b[n-1]")
-    # the recursion multiplies by mu_r at every step; a zero would make the
-    # chart degenerate even though only alpha0 and b[n-1] carry the contract
-    for r, m in enumerate(seed.mu, start=1):
-        check(m, f"mu[{r}]")
 
 
 @dataclass(frozen=True)
@@ -232,13 +245,14 @@ def build_chain(seed: WeierstrassSeed) -> WeierstrassChain:
     return WeierstrassChain(tuple(alphas), tuple(phis), tuple(derivs), functools.reduce(series_add, pieces))
 
 
+# e^{-i theta} at the quarter turns, exact
+_QUARTER_TURNS = {0.0: 1.0 + 0.0j, math.pi / 2: -1.0j, math.pi: -1.0 + 0.0j, 1.5 * math.pi: 1.0j}
+
+
 def _snap_phase(theta: float) -> complex:
-    """Mixing weights for the family; quarter-turn angles snap exactly."""
-    if theta == 0.0:
-        return 1.0 + 0.0j
-    if theta == math.pi / 2:
-        return -1.0j
-    return math.cos(theta) - 1.0j * math.sin(theta)
+    """Mixing weight e^{-i theta} of the family member; exact at 0, pi/2,
+    pi and 3 pi/2 and only there, with no reduction of other angles."""
+    return _QUARTER_TURNS.get(theta, math.cos(theta) - 1.0j * math.sin(theta))
 
 
 def _jet_table(n: int, order: int) -> tuple:
@@ -277,7 +291,8 @@ def _derivatives(series, count: int) -> list:
 
 class SeriesChart(ImmersionChart):
     """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) with jets of
-    any order.
+    any order, for any real theta; f is the member at 0 and its conjugate
+    fbar the member at pi/2.  Every member reads its seed's one ``chain``.
 
     Real coordinates (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}) with
     z = basepoint + x + i y and w_j = u_j + i v_j; the sampling ``box`` is
@@ -287,12 +302,11 @@ class SeriesChart(ImmersionChart):
     are differentiated here rather than in the chain.
     """
 
-    def __init__(self, seed: WeierstrassSeed, theta: float = 0.0, chain: WeierstrassChain | None = None):
-        if not 0.0 <= theta < math.pi:
-            raise ValueError("theta must lie in [0, pi)")
+    def __init__(self, seed: WeierstrassSeed, theta: float = 0.0):
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be a finite angle, got {theta}")
         self.seed = seed
         self.theta = float(theta)
-        self.chain = build_chain(seed) if chain is None else chain
         n = seed.n
         self.d = 2 * n
         self.ambient = 2 * n + 1
@@ -315,8 +329,9 @@ class SeriesChart(ImmersionChart):
         a stack of 2n+1 component rows zero-padded to one width."""
         if order not in self._rows_by_order:
             n = self.seed.n
-            series = _derivatives([self.chain.base], order + 1)
-            series += _derivatives(self.chain.delta_derivs, n - 1 + order)
+            chain = self.seed.chain
+            series = _derivatives([chain.base], order + 1)
+            series += _derivatives(chain.delta_derivs, n - 1 + order)
             top = max(s.order for s in series)
             coef = np.concatenate([to_order(s, top).coeffs for s in series])
             self._rows_by_order[order] = (coef, _jet_table(n, order))
@@ -368,19 +383,19 @@ class SeriesChart(ImmersionChart):
         return self.jet_batch(pts)[0]
 
 
-def immersion_f(seed: WeierstrassSeed, chain: WeierstrassChain | None = None) -> SeriesChart:
+def immersion_f(seed: WeierstrassSeed) -> SeriesChart:
     """The hypersurface chart f = sqrt(2) Re F."""
-    return SeriesChart(seed, 0.0, chain)
+    return SeriesChart(seed, 0.0)
 
 
-def conjugate_fbar(seed: WeierstrassSeed, chain: WeierstrassChain | None = None) -> SeriesChart:
+def conjugate_fbar(seed: WeierstrassSeed) -> SeriesChart:
     """The conjugate chart fbar = sqrt(2) Im F."""
-    return SeriesChart(seed, math.pi / 2, chain)
+    return SeriesChart(seed, math.pi / 2)
 
 
-def associated(seed: WeierstrassSeed, theta: float, chain: WeierstrassChain | None = None) -> SeriesChart:
-    """Associated-family member cos(theta) f + sin(theta) fbar, theta in [0, pi)."""
-    return SeriesChart(seed, theta, chain)
+def associated(seed: WeierstrassSeed, theta: float) -> SeriesChart:
+    """Associated-family member cos(theta) f + sin(theta) fbar."""
+    return SeriesChart(seed, theta)
 
 
 def chart_complex_structure(d: int) -> np.ndarray:
@@ -420,10 +435,10 @@ def _complex_list(entries: list, key: str) -> np.ndarray:
     return np.array([_pair2c(p, key) for p in entries], dtype=np.complex128)
 
 
-def _series_from_json(coeffs, base: complex, order: int, key: str) -> TruncatedSeries:
+def _series_from_json(coeffs, base: complex, key: str) -> TruncatedSeries:
     if not coeffs:
         raise SeedValidationError(f"{key} needs at least one coefficient")
-    return to_order(TruncatedSeries(base, _complex_list(coeffs, key)), order)
+    return TruncatedSeries(base, _complex_list(coeffs, key))
 
 
 def seed_to_json(seed: WeierstrassSeed) -> dict:
@@ -468,20 +483,17 @@ _SEED_SCHEMA = {
 def seed_from_json(data: dict) -> WeierstrassSeed:
     data = read_json(data, _SEED_SCHEMA, "seed", SeedValidationError)
     base = _pair2c(data["basepoint"], "seed basepoint")
-    order = int(data["trunc_order"])
-    if order < 0:
-        raise SeedValidationError(f"seed trunc_order must be >= 0, got {order}")
     phi_c, rep_c = (
         None if vecs is None else [_complex_list(vec, f"seed constants {k}") for vec in vecs]
         for k, vecs in data["constants"].items()
     )
     return WeierstrassSeed(
         n=int(data["n"]),
-        alpha0=_series_from_json(data["alpha0"], base, order, "seed alpha0"),
-        mu=[_series_from_json(s, base, order, "seed mu") for s in data["mu"]],
-        b=[_series_from_json(s, base, order, "seed b") for s in data["b"]],
+        alpha0=_series_from_json(data["alpha0"], base, "seed alpha0"),
+        mu=[_series_from_json(s, base, "seed mu") for s in data["mu"]],
+        b=[_series_from_json(s, base, "seed b") for s in data["b"]],
         domain=DomainSpec(float(data["domain"]["radius"]), data["domain"]["w_halfwidth"]),
-        trunc_order=order,
+        trunc_order=int(data["trunc_order"]),
         phi_constants=phi_c,
         rep_constants=rep_c,
         name=data["name"],

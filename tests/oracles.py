@@ -141,7 +141,7 @@ def seed_bundle(name):
         return build_bundle(builtin_seed(name))
     if name == "enneper-r1e12":
         return build_bundle(dataclasses.replace(builtin_seed("enneper"), domain=DomainSpec(radius=1e12)))
-    seeds = {s["name"]: s for s in benchmark_workloads().random_seeds()}
+    seeds = {s["name"]: s for s in perfbench_module("workloads").random_seeds()}
     seed = seed_from_json(seeds[name])
     return build_bundle(seed, counts=[2] * 6 if seed.n == 3 else None)
 
@@ -390,10 +390,10 @@ def sphere_harmonic_eigencheck(value_z: float) -> float:
     return -2.0 * value_z
 
 
-def benchmark_workloads():
-    """The module ``perfbench/workloads.py`` of this checkout."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_module(name: str):
+    """The module ``perfbench/<name>.py`` of this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file runs
     sys.modules[spec.name] = module

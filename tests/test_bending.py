@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from minkaehler.geometry import (
     point_frame,
     rank_and_nullity,
 )
-from minkaehler.weierstrass import associated, immersion_f, seed_from_json, seed_to_json
+from minkaehler.weierstrass import SeriesChart, associated, immersion_f, seed_from_json, seed_to_json
 
 from oracles import (
     SIX_SEEDS,
@@ -269,12 +271,11 @@ class TestStructuralIdentities:
         with pytest.raises(DomainError, match="3-jets"):
             B_with_derivative(Variation(point_frame(enneper_chart.jet(p)), fld.jet(p, order=3)))
 
-    def test_codazzi_for_b_along_a_sign_flipped_conjugate(self, m4r5_seed, rng):
-        # past theta = pi/2 the conjugate is -1 times a family member, a
-        # CombinationField that must pass its jets through at order 3
+    def test_codazzi_for_b_along_the_conjugate_past_pi(self, m4r5_seed, rng):
+        # past theta = pi/2 the conjugate is the family member past pi
         chart = associated(m4r5_seed, 2.0)
         fld = conjugate_field(chart)
-        assert isinstance(fld, CombinationField)
+        assert isinstance(fld, SeriesChart) and fld.theta == 2.0 + math.pi / 2
         pts = sample(chart, rng, 3)
         frame = point_frame(chart.jet(pts, order=3))
         op, dop = B_with_derivative(Variation(frame, fld.jet(pts, order=3)))
@@ -436,10 +437,16 @@ class TestCombinationField:
         assert mix.box is catenoid_chart.box
 
     def test_conjugate_is_the_mate_chart(self, catenoid_chart, catenoid_fbar):
-        # f's conjugate is fbar itself; fbar's is -f, a sign-flipped combination
+        # f's conjugate is fbar itself; fbar's is the member at pi, which is
+        # -f to the bit, and that one's the member at 3 pi / 2, -fbar
         fld = conjugate_field(catenoid_chart)
         assert fld.theta == catenoid_fbar.theta
         np.testing.assert_array_equal(fld.box, catenoid_chart.box)
         back = conjugate_field(catenoid_fbar)
-        assert isinstance(back, CombinationField) and back.coeffs == (-1.0,)
-        assert back.fields[0].theta == catenoid_chart.theta
+        again = conjugate_field(back)
+        assert (back.theta, again.theta) == (math.pi, 1.5 * math.pi)
+        pts = np.array([[0.1, 0.2], [-0.3, 0.05]])
+        for got, want in zip(back.jet_batch(pts, order=3), catenoid_chart.jet_batch(pts, order=3)):
+            np.testing.assert_array_equal(got, -want)
+        for got, want in zip(again.jet_batch(pts, order=3), catenoid_fbar.jet_batch(pts, order=3)):
+            np.testing.assert_array_equal(got, -want)

@@ -6,7 +6,10 @@ import pytest
 
 from minkaehler import builtin_seed
 from minkaehler.cli import DEFAULT_CONFIG, load_config, main
+from minkaehler.suites import SUITE_ORDER
 from minkaehler.weierstrass import seed_to_json
+
+from oracles import perfbench_module
 
 REPORT_KEYS = {
     "identity",
@@ -300,6 +303,32 @@ class TestConfigErrors:
         assert err.startswith("error: seed series b[0] does not converge on the domain")
         assert "radius 3" in err
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (
+                dict(seed_to_json(builtin_seed("catenoid")), domain={"radius": 3.0, "w_halfwidth": []}),
+                "seed series b[0] does not converge on the domain: its term of order 32 is its largest at radius 3",
+            ),
+            (
+                dict(ENNEPER_JSON, alpha0=[[0, 0], [1, 0]]),
+                "seed invariant violated: alpha0 must be nonzero on the domain (min modulus 0 at sampled points)",
+            ),
+            (
+                dict(ENNEPER_JSON, alpha0=[[1e308, 0], [1e308, 0]]),
+                "seed invariant violated: alpha0 is not finite on the domain",
+            ),
+        ],
+        ids=["catenoid-radius-3", "enneper-zero-alpha0", "enneper-overflowing-alpha0"],
+    )
+    def test_every_command_rejects_a_bad_seed_alike(self, tmp_path, capsys, seed, message):
+        # the seed checks itself when read, before any command samples it
+        cfg = write_config(tmp_path, seed=seed, output_dir="out")
+        for command in ("verify", "generate", "export"):
+            assert main([command, "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_seed_name_must_be_a_string(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=dict(ENNEPER_JSON, name=5), sampling={"counts": [2, 2]})
         assert main(["verify", "--config", cfg]) == 2
@@ -409,3 +438,22 @@ def test_module_entry_point_runs(package_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]["output_dir"] == "minkaehler-out"
+
+
+def test_every_benchmark_trace_point_records_a_span(tmp_path):
+    """A small verify and export pass through every boundary the
+    benchmark's tracer wraps, so a refactor that bypasses one (and so reads
+    zero on its per-layer metric) fails here."""
+    spans = perfbench_module("spans")
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        sampling, export = {"counts": [2, 2, 2, 2]}, {"counts": [4, 4]}
+        cfg = write_config(tmp_path, seed="m4r5", sampling=sampling, export=export, output_dir="out")
+        assert main(["verify", "--config", cfg]) == 0
+        assert main(["export", "--config", cfg]) == 0
+    finally:
+        uninstall()
+    recorded = {tracer.names[k] for k in tracer.arrays()["name"]}
+    wanted = {*spans.FUNCTIONS, *spans.METHODS, *(f"suites.{name}" for name in SUITE_ORDER)}
+    assert not wanted - recorded, sorted(wanted - recorded)

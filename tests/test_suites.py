@@ -8,6 +8,7 @@ import pytest
 import minkaehler.bending as bending
 import minkaehler.geometry as geometry
 import minkaehler.suites as suites
+import minkaehler.weierstrass as weierstrass
 from minkaehler import builtin_seed
 from minkaehler.bending import TrivialField
 from minkaehler.charts import grid_points, shrink_box
@@ -31,7 +32,7 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import SeriesChart, associated, seed_from_json
 
-from oracles import benchmark_workloads, report_from_residuals_loop
+from oracles import perfbench_module, report_from_residuals_loop
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
 
@@ -172,7 +173,7 @@ class TestDefaults:
 
     def test_suite_order_matches_the_benchmark_copy(self):
         # the verify-random workload derives its expected rows from this copy
-        assert SUITE_ORDER == benchmark_workloads().SUITES
+        assert SUITE_ORDER == perfbench_module("workloads").SUITES
 
 
 class TestBundle:
@@ -375,27 +376,28 @@ def test_family_rows_match_full_member_frames(name):
     for got, want in zip(bundle.family, combined):
         np.testing.assert_array_equal(got, want)
     # full frames of the members built as charts of their own
-    charts = [associated(bundle.seed, t, bundle.chain) for t in thetas]
+    charts = [associated(bundle.seed, t) for t in thetas]
     built = _family_rows(bundle, [geometry.point_frame(c.jet(bundle.points)) for c in charts])
     for got, want in zip(bundle.family, built):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
-    """A default m4r5 run builds two charts, f and its conjugate, and
-    evaluates each once, on the grid; the family members and the trivial
-    control fields are combined from the two grid jets.  The one frame
-    builds its Christoffel symbols once, for every suite that reads them,
-    and each variation field along it computes its B, T_* and dN once.
-    Nothing solves against G: the grid frame inverts G and its Cholesky
-    factor L once each, and each of the five family members inverts its
-    own G, taking no Cholesky factor."""
-    builds, calls, trivial_calls, frames, connections, b_forms = [], [], [], [], [], []
+    """A default m4r5 run expands its seed once and builds two charts, f
+    and its conjugate, and evaluates each once, on the grid; the family
+    members and the trivial control fields are combined from the two grid
+    jets.  The one frame builds its Christoffel symbols once, for every
+    suite that reads them, and each variation field along it computes its
+    B, T_* and dN once.  Nothing solves against G: the grid frame inverts G
+    and its Cholesky factor L once each, and the five family members, one
+    stacked frame, invert their G in one call, taking no Cholesky factor."""
+    builds, calls, trivial_calls, frames, connections, b_forms, chains = [], [], [], [], [], [], []
     factorizations = {name: [] for name in ("solve", "inv", "cholesky")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
     christoffel = geometry.christoffel
     b_formula = bending.B_by_formula
+    build_chain = weierstrass.build_chain
     pieces = {name: [] for name in ("tstar", "normal_variation")}
 
     def counted_init(self, *args, **kwargs):
@@ -423,6 +425,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         b_forms.append(v)
         return b_formula(v)
 
+    def counted_chain(seed):
+        chains.append(seed)
+        return build_chain(seed)
+
     def counted_linalg(name):
         routine = getattr(np.linalg, name)
 
@@ -448,12 +454,14 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         monkeypatch.setattr(module, "point_frame", counted_frame)
     monkeypatch.setattr(geometry, "christoffel", counted_christoffel)
     monkeypatch.setattr(bending, "B_by_formula", counted_b_formula)
+    monkeypatch.setattr(weierstrass, "build_chain", counted_chain)
     for name in pieces:
         monkeypatch.setattr(vars(bending.Variation)[name], "func", counted_piece(name))
     for name in factorizations:
         monkeypatch.setattr(np.linalg, name, counted_linalg(name))
     bundle = build_bundle(builtin_seed("m4r5"))
     run_suites(bundle)
+    assert len(chains) == 1 and chains[0] is bundle.seed
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
     assert not trivial_calls
@@ -471,9 +479,9 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     # T_* for the conjugate and the bending_tpar and bending_bat controls;
     # dN for the conjugate and the gauss_preservation control
     assert len(pieces["tstar"]) == 3 and len(pieces["normal_variation"]) == 2
-    # G^{-1} and L^{-1} of the grid frame and G^{-1} of each family member
+    # G^{-1} and L^{-1} of the grid frame and G^{-1} of the member stack
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
-    assert counts == {"solve": 0, "inv": 7, "cholesky": 1}
+    assert counts == {"solve": 0, "inv": 3, "cholesky": 1}
 
 
 # the n = 3 seed of the benchmark's verify-random workload

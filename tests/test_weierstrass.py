@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from minkaehler.errors import DomainError, DomainWarning, SeedValidationError
+from minkaehler.seeds import BUILTIN_NAMES, builtin_seed
 from minkaehler.series import TruncatedSeries, series_eval, vdot
 from minkaehler.suites import _FAMILY_THETAS, build_bundle
 from minkaehler.weierstrass import (
@@ -15,6 +16,7 @@ from minkaehler.weierstrass import (
     SeriesChart,
     WeierstrassSeed,
     _domain_samples,
+    _snap_phase,
     associated,
     build_chain,
     chart_complex_structure,
@@ -22,7 +24,6 @@ from minkaehler.weierstrass import (
     immersion_f,
     seed_from_json,
     seed_to_json,
-    validate_seed,
 )
 
 from oracles import (
@@ -88,10 +89,10 @@ class TestChain:
 class TestRepresentative:
     def test_sqrt2_rep_splits_into_f_and_fbar(self, catenoid_seed):
         f = immersion_f(catenoid_seed)
-        fbar = conjugate_fbar(catenoid_seed, f.chain)
+        fbar = conjugate_fbar(catenoid_seed)
         for p in ([0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]):
             z = catenoid_seed.basepoint + p[0] + 1j * p[1]
-            F = series_eval(f.chain.base, z)  # n = 1: F has no w part
+            F = series_eval(catenoid_seed.chain.base, z)  # n = 1: F has no w part
             got = f.value(p) + 1j * fbar.value(p)
             np.testing.assert_allclose(got, SQRT2 * F, atol=1e-14)
 
@@ -157,7 +158,7 @@ class TestFamily:
             bundle = build_bundle(seed)
             for theta in _FAMILY_THETAS:
                 got = bundle.member_jet(theta)
-                want = associated(seed, theta, bundle.chain).jet(bundle.points)
+                want = associated(seed, theta).jet(bundle.points)
                 for part in ("value", "d1", "d2"):
                     ref = getattr(want, part)
                     scale = float(np.abs(ref).max())
@@ -172,11 +173,19 @@ class TestFamily:
                     metric_of(member, p), metric_of(base, p), rtol=1e-12, atol=1e-14
                 )
 
-    def test_theta_range_enforced(self, enneper_seed):
-        with pytest.raises(ValueError):
-            associated(enneper_seed, math.pi)
-        with pytest.raises(ValueError):
-            associated(enneper_seed, -0.1)
+    def test_every_real_theta_is_a_member(self, enneper_seed):
+        f, fbar = immersion_f(enneper_seed), conjugate_fbar(enneper_seed)
+        p = np.array([0.21, -0.17])
+        # pi and 3 pi / 2 snap exactly, to -f and -fbar
+        assert np.array_equal(associated(enneper_seed, math.pi).value(p), -f.value(p))
+        assert np.array_equal(associated(enneper_seed, 1.5 * math.pi).value(p), -fbar.value(p))
+        # angles past a turn, negative or huge, are not reduced
+        for theta in (-0.1, 7.0, 1e20):
+            want = math.cos(theta) * f.value(p) + math.sin(theta) * fbar.value(p)
+            np.testing.assert_allclose(associated(enneper_seed, theta).value(p), want, atol=1e-14)
+        assert _snap_phase(1e20) == math.cos(1e20) - 1j * math.sin(1e20)
+        with pytest.raises(ValueError, match="finite angle"):
+            associated(enneper_seed, math.inf)
 
 
 class TestComplexStructure:
@@ -382,17 +391,17 @@ class TestValidation:
     def test_vanishing_b_rejected(self):
         z = TruncatedSeries.variable(0.0, 8)
         with pytest.raises(SeedValidationError, match=r"b\[n-1\] must be nonzero"):
-            validate_seed(self._seed(b=z))
+            self._seed(b=z)
 
     def test_vanishing_alpha0_rejected(self):
         z = TruncatedSeries.variable(0.0, 8)
         with pytest.raises(SeedValidationError, match="alpha0 must be nonzero"):
-            validate_seed(self._seed(alpha0=z))
+            self._seed(alpha0=z)
 
     def test_vanishing_mu_rejected(self):
         z = TruncatedSeries.variable(0.0, 8)
         with pytest.raises(SeedValidationError, match=r"mu\[1\] must be nonzero"):
-            validate_seed(self._seed(mu=z))
+            self._seed(mu=z)
 
     def test_zero_on_an_off_center_sample_rejected(self):
         # mu vanishes exactly at one sample of the outer ring, not at the basepoint
@@ -401,38 +410,56 @@ class TestValidation:
         coeffs[:2] = -sample, 1.0
         msg = "seed invariant violated: mu[1] must be nonzero on the domain (min modulus 0 at sampled points)"
         with pytest.raises(SeedValidationError, match=re.escape(msg)):
-            validate_seed(self._seed(mu=TruncatedSeries(0.0, coeffs)))
+            self._seed(mu=TruncatedSeries(0.0, coeffs))
 
     def test_nan_coefficient_rejected(self):
-        # a NaN modulus compares false with the zero tolerance, so it must fail as such
+        # a NaN modulus is not finite, and fails as such
         coeffs = np.ones(9, dtype=np.complex128)
         coeffs[3] = np.nan
-        with pytest.raises(SeedValidationError, match=r"mu\[1\] must be nonzero"):
-            validate_seed(self._seed(mu=TruncatedSeries(0.0, coeffs)))
+        with pytest.raises(SeedValidationError, match=re.escape("mu[1] is not finite on the domain")):
+            self._seed(mu=TruncatedSeries(0.0, coeffs))
 
     def test_infinite_basepoint_rejected(self):
         one = TruncatedSeries.constant(1.0, complex(np.inf, 0.0), 8)
-        seed = WeierstrassSeed(n=1, alpha0=one, mu=[one], b=[one], domain=DomainSpec(0.5), trunc_order=8)
-        with np.errstate(invalid="ignore"), pytest.raises(SeedValidationError, match="alpha0 must be nonzero"):
-            validate_seed(seed)
+        with pytest.raises(SeedValidationError, match="alpha0 is not finite on the domain"):
+            WeierstrassSeed(n=1, alpha0=one, mu=[one], b=[one], domain=DomainSpec(0.5), trunc_order=8)
+
+    def test_overflowing_series_is_not_finite_not_zero(self):
+        # 1e308 (1 + z) overflows on the disc; numpy's overflow warnings stay quiet
+        big = TruncatedSeries(0.0, [1e308, 1e308])
+        msg = "seed invariant violated: alpha0 is not finite on the domain"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeedValidationError, match=re.escape(msg)):
+                self._seed(alpha0=big, radius=3.0)
 
     @pytest.mark.parametrize("radius", [2.0, 2.5, 3.0, 1e300])
     def test_domain_past_the_series_convergence_rejected(self, catenoid_seed, radius):
         # b = 1/z^2 about 2 converges for |z - 2| < 2; at r >= 2 its terms
         # (k + 1) (r / 2)^k / 4 grow to the last one kept, with no overflow
         # warning even at r = 1e300
-        seed = dataclasses.replace(catenoid_seed, domain=DomainSpec(radius=radius))
         msg = f"seed series b[0] does not converge on the domain: its term of order 32 is its largest at radius {radius:g}"
         with pytest.raises(SeedValidationError, match=re.escape(msg)):
-            validate_seed(seed)
+            dataclasses.replace(catenoid_seed, domain=DomainSpec(radius=radius))
 
     def test_domain_inside_the_series_convergence_accepted(self, catenoid_seed):
         # at r = 1.9 the terms peak near k = 18, before the last one kept
-        validate_seed(dataclasses.replace(catenoid_seed, domain=DomainSpec(radius=1.9)))
+        dataclasses.replace(catenoid_seed, domain=DomainSpec(radius=1.9))
 
-    def test_builtin_seeds_validate(self, enneper_seed, catenoid_seed, m4r5_seed):
-        for seed in (enneper_seed, catenoid_seed, m4r5_seed):
-            validate_seed(seed)
+    def test_builtin_seeds_validate(self):
+        for name in BUILTIN_NAMES:
+            builtin_seed(name)
+
+    def test_negative_trunc_order_rejected(self):
+        one = TruncatedSeries.constant(1.0, 0.0, 8)
+        with pytest.raises(SeedValidationError, match=re.escape("seed trunc_order must be >= 0, got -1")):
+            WeierstrassSeed(n=1, alpha0=one, mu=[one], b=[one], domain=DomainSpec(0.5), trunc_order=-1)
+
+    def test_seed_is_frozen_and_expands_once(self, m4r5_seed):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m4r5_seed.trunc_order = 4
+        assert m4r5_seed.chain is m4r5_seed.chain
+        assert immersion_f(m4r5_seed).seed.chain is conjugate_fbar(m4r5_seed).seed.chain
 
     def test_structural_errors(self, enneper_seed):
         one = enneper_seed.alpha0
