@@ -33,11 +33,8 @@ from .weierstrass import (
     SeriesChart,
     WeierstrassChain,
     WeierstrassSeed,
-    associated,
     build_chain,
     chart_complex_structure,
-    conjugate_fbar,
-    immersion_f,
     seed_from_json,
     seed_to_json,
 )
@@ -56,7 +53,6 @@ from .geometry import (
 )
 from .seeds import BUILTIN_NAMES, builtin_seed
 from .bending import (
-    CombinationField,
     TrivialField,
     Variation,
     bending_residual,

@@ -17,9 +17,10 @@ formula, and the composition A T_*) so they can cross-check each other.
 
 A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
 over the same coordinates: ``jet_batch(pts, order)`` returns the value and
-partials of T on a point stack.  A chart is its own position field, the
-conjugate field of the family member at theta is the member at
-theta + pi/2, and f + tT is a :class:`CombinationField`.
+partials of T on a point stack.  A chart is its own position field, and
+the conjugate field of the family member at theta is the member at
+theta + pi/2.  Since jets are linear, the jet of f + tT is the sum of the
+two jets (:func:`~minkaehler.charts.mix_jets`).
 
 Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
@@ -32,7 +33,8 @@ frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
 two jets, and no deformed frame is built.  Only :func:`classify_triviality`
 and :func:`recover_bending_decomposition` take charts and points, and
-build their one frame themselves.
+build their one frame themselves; the latter reads the chart and its
+conjugate from one two-member :class:`~minkaehler.weierstrass.SeriesChart`.
 """
 
 from __future__ import annotations
@@ -90,29 +92,6 @@ class TrivialField(ImmersionChart):
 
     def _apply(self, value, *partials) -> tuple:
         return (value @ self.skew.T + self.offset, *(a @ self.skew.T for a in partials))
-
-
-@dataclass
-class CombinationField(ImmersionChart):
-    """Linear combination sum_k coeffs[k] * fields[k] over the box of the
-    first member; f + tT is ``CombinationField((f, T), (1.0, t))``, exact
-    in t since the deformation is affine."""
-
-    fields: tuple
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.fields) != len(self.coeffs) or not self.fields:
-            raise DomainError("need one coefficient per field")
-        first = self.fields[0]
-        self.d, self.ambient, self.box = first.d, first.ambient, first.box
-        for f in self.fields:
-            if (f.d, f.ambient) != (self.d, self.ambient):
-                raise DomainError("combined fields must share dimensions")
-
-    def jet_batch(self, pts, order: int = 2) -> tuple:
-        jets = [f.jet_batch(pts, order) for f in self.fields]
-        return tuple(sum(c * j[k] for c, j in zip(self.coeffs, jets)) for k in range(order + 1))
 
 
 def conjugate_field(chart: SeriesChart) -> SeriesChart:
@@ -463,11 +442,13 @@ def recover_bending_decomposition(
     The coefficient comes from projecting B(T) onto B(conjugate) in the
     Frobenius pairing over the sample (the trivial part contributes no B);
     the remaining trivial part is fit by least squares and the residual is
-    the worst pointwise misfit relative to the field size.
+    the worst pointwise misfit relative to the field size.  The chart and
+    its conjugate come from one jet call, of the stack of their two angles.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    frame = point_frame(chart.jet(pts))
-    jf, jr = fld.jet(pts), conjugate_field(chart).jet(pts)
+    jc, jr = SeriesChart(chart.seed, (chart.theta, chart.theta + math.pi / 2)).member_jets(pts)
+    frame = point_frame(jc)
+    jf = fld.jet(pts)
     bt = _b_form(Variation(frame, jf))
     br = _b_form(Variation(frame, jr))
     c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)

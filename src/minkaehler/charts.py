@@ -4,10 +4,13 @@ An immersion chart maps an open box of R^d into R^{m+1} and reports the
 jet (value, first partials, second partials) at a stack of points of its
 box through ``jet_batch``; ``jet`` wraps that stack as a :class:`Jet2`
 with the points' leading axes, a single point being the case with none.
-Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`;
-this module holds the shared protocol, products with a Euclidean factor,
-and :class:`TaylorChart`, the closed-form chart: one value formula in
-Taylor arithmetic, whose jets of every order are exact.
+Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`,
+where a stack of family members puts a member axis before the points
+and ``member_jets`` splits it into one Jet2 per member.  This module holds the shared
+protocol, :func:`mix_jets` (jets are linear, so the jet of a f + b g,
+f + tT among them, is combined from the two jets), products with a
+Euclidean factor, and :class:`TaylorChart`, the closed-form chart: one
+value formula in Taylor arithmetic, whose jets of every order are exact.
 """
 
 from __future__ import annotations

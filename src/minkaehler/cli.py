@@ -48,7 +48,7 @@ from .suites import (
     default_suites,
     run_suites,
 )
-from .weierstrass import chain_to_json, immersion_f, seed_from_json, seed_to_json
+from .weierstrass import SeriesChart, chain_to_json, seed_from_json, seed_to_json
 
 # each config key's JSON kind, item kind and default; the export section is
 # a slice spec, and ``seed`` (a built-in name or a seed object) is read by
@@ -100,7 +100,7 @@ def _out_dir(config) -> Path:
 
 def cmd_generate(config) -> int:
     seed = resolve_seed(config["seed"])
-    chart = immersion_f(seed)
+    chart = SeriesChart(seed)
     payload = {
         "seed": seed_to_json(seed),
         "chain": chain_to_json(seed.chain),

@@ -2,13 +2,14 @@
 
 Every grid quantity the suites check is fixed by two jets: those of the
 chart f and of its conjugate fbar, the bending that preserves the Gauss
-map.  :class:`ChartBundle` evaluates both once on the sample grid, at
-order 3, and derives the rest from them: the grid frame, the conjugate
-as a :class:`~minkaehler.bending.Variation` along it that keeps its dN,
-T_* and B for every suite, the members cos(theta) f + sin(theta) fbar of
-the phase family, and the control fields, each a Variation of its own.
-Every identity the suites check is pointwise, so the grid is the only
-evaluation.
+map.  :class:`ChartBundle` evaluates both in one call on the sample grid,
+as the two-member stack ``SeriesChart(seed, (0, pi/2))`` at order 3, and
+derives the rest from them: the grid frame, the conjugate as a
+:class:`~minkaehler.bending.Variation` along it that keeps its dN, T_* and
+B for every suite, the members cos(theta) f + sin(theta) fbar of the phase
+family, and the control fields, each a Variation of its own, the
+quadratic one in closed form.  Every identity the suites check is
+pointwise, so the grid is the only evaluation.
 
 Each suite is registered once below, in verify order and with its default
 tolerance; its docstring states the identity it measures.  A suite maps
@@ -35,7 +36,6 @@ from .bending import (
     b_route_agreement,
     bat_residual,
     bending_residual,
-    conjugate_field,
     fundamental_equation_residual,
     gauss_tangency_residual,
     make_trivial,
@@ -44,7 +44,7 @@ from .bending import (
     parallel_tangential_residual,
     rotation_coefficient,
 )
-from .charts import Jet2, TaylorChart, grid_points, mix_jets, shrink_box
+from .charts import Jet2, grid_points, mix_jets, shrink_box
 from .errors import IndeterminateRankWarning
 from .geometry import (
     PointFrame,
@@ -57,8 +57,7 @@ from .geometry import (
 )
 from .report import ResidualReport
 from .seeds import EXPECTED_RESIDUALS
-from .taylor import Taylor
-from .weierstrass import SeriesChart, WeierstrassSeed, chart_complex_structure, immersion_f
+from .weierstrass import SeriesChart, WeierstrassSeed, chart_complex_structure
 
 __all__ = [
     "CONTROL_FLOOR",
@@ -111,21 +110,21 @@ class ChartBundle:
         return chart_complex_structure(self.chart.d)
 
     @cached_property
+    def _grid_jets(self) -> tuple:
+        """The 3-jets over the sample grid of f and of its conjugate fbar:
+        the one evaluation on the grid, of the stack of members 0 and pi/2."""
+        return SeriesChart(self.seed, (0.0, math.pi / 2)).member_jets(self.points, order=3)
+
+    @cached_property
     def frame(self) -> PointFrame:
-        """The chart's frame stack over the sample grid; its ``jet`` is the
-        chart's 3-jet there, the one evaluation of f on the grid."""
-        return point_frame(self.chart.jet(self.points, order=3))
+        """The chart's frame stack over the sample grid, from f's grid 3-jet."""
+        return point_frame(self._grid_jets[0])
 
     @cached_property
     def conjugate(self) -> Variation:
         """The conjugate field along the grid frame; its ``jet`` is fbar's
-        3-jet there, the one evaluation of fbar on the grid."""
-        return Variation(self.frame, conjugate_field(self.chart).jet(self.points, order=3))
-
-    def member_jet(self, theta: float) -> Jet2:
-        """The 2-jet over the grid of the family member
-        cos(theta) f + sin(theta) fbar, combined from the two grid jets."""
-        return mix_jets(math.cos(theta), self.frame.jet, math.sin(theta), self.conjugate.jet)
+        grid 3-jet."""
+        return Variation(self.frame, self._grid_jets[1])
 
     def trivial_jet(self, stream: int) -> Jet2:
         """The 2-jet over the grid of a random trivial field D f + w."""
@@ -156,7 +155,7 @@ def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG
     about its center; the seed checked itself when built."""
     if rng_seed < 0:
         raise ValueError(f"sampling rng_seed must be >= 0, got {rng_seed}")
-    chart = immersion_f(seed)
+    chart = SeriesChart(seed)
     if counts is None:
         counts = default_counts(chart.d)
     counts = [int(c) for c in counts]
@@ -258,14 +257,17 @@ def gauss_preservation(b: ChartBundle):
     return res, np.maximum(gauss_tangency_residual(bad), normal_variation_residual(bad))
 
 
-def _quadratic_control_field(b: ChartBundle) -> TaylorChart:
-    """T = x0^2 e0 + x1^2 e1: a smooth field whose tangential part is
-    visibly non-parallel (its derivative grows linearly in the coordinates)."""
-
-    def fn(x):
-        return Taylor.stack([x[..., 0] * x[..., 0], x[..., 1] * x[..., 1]] + [0.0] * (b.chart.ambient - 2))
-
-    return TaylorChart(b.chart.d, b.chart.ambient, b.chart.box, fn)
+def _quadratic_control_jet(b: ChartBundle) -> Jet2:
+    """The 2-jet over the grid of T = x0^2 e0 + x1^2 e1, in closed form: a
+    smooth field whose tangential part is visibly non-parallel (its
+    derivative grows linearly in the coordinates)."""
+    x = b.points
+    value, d1, d2 = (np.zeros(x.shape[:-1] + (b.d,) * k + (b.chart.ambient,)) for k in range(3))
+    for i in (0, 1):
+        value[..., i] = x[..., i] * x[..., i]
+        d1[..., i, i] = 2.0 * x[..., i]
+        d2[..., i, i, i] = 2.0
+    return Jet2(x, value, d1, d2)
 
 
 @_suite(1e-7)
@@ -273,7 +275,7 @@ def bending_tpar(b: ChartBundle):
     """The tangential part of the conjugate is parallel."""
     return (
         parallel_tangential_residual(b.conjugate),
-        parallel_tangential_residual(Variation(b.frame, _quadratic_control_field(b).jet(b.points))),
+        parallel_tangential_residual(Variation(b.frame, _quadratic_control_jet(b))),
     )
 
 

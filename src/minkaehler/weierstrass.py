@@ -19,15 +19,17 @@ C^{n-1}, is
 valued in C^{2n+1}.  A :class:`WeierstrassSeed` checks itself when built
 and runs the recursion once, on the first read of its ``chain``;
 :func:`build_chain` integrates the z part of F there, as the chain's
-``base``, so every chart of one seed shares it.  The hypersurface chart is
-f = sqrt(2) Re F in the real coordinates (x, y, u_1, v_1, ...), its
-conjugate is fbar = sqrt(2) Im F, and the associated family is
-f_theta = cos(theta) f + sin(theta) fbar, each member one
-``SeriesChart(seed, theta)``.  Because F is affine in w and holomorphic
-in z, a jet of any order reduces to Horner evaluations of stored
-coefficient rows; those go through the kernels module.  Verification
-reads jets to order 3; the Gauss parametrization of
-:mod:`minkaehler.gausspar` reads the 4-jets.
+``base``.  Because F is affine in w and holomorphic in z, a jet of any
+order reduces to Horner evaluations of coefficient rows, which the seed
+builds once per jet order (:meth:`WeierstrassSeed.jet_rows`), so every
+chart of one seed reads one chain and one set of rows.  The hypersurface
+chart is f = sqrt(2) Re F in the real coordinates (x, y, u_1, v_1, ...),
+its conjugate is fbar = sqrt(2) Im F, and the associated family is
+f_theta = sqrt(2) Re(e^{-i theta} F) = cos(theta) f + sin(theta) fbar.
+``SeriesChart(seed, theta)`` is one member, and ``SeriesChart(seed,
+thetas)`` a stack of members from one Horner evaluation: f and fbar are
+``SeriesChart(seed, (0, pi/2))``.  Verification reads jets to order 3;
+the Gauss parametrization of :mod:`minkaehler.gausspar` reads the 4-jets.
 A JSON seed is read against ``_SEED_SCHEMA``; an unknown key at any level,
 a missing one or a non-finite number raises :class:`SeedValidationError`.
 """
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .charts import ImmersionChart, shrink_box
+from .charts import ImmersionChart, Jet2, shrink_box
 from .errors import REQUIRED, DomainError, DomainWarning, SeedValidationError, expect_json, read_json
 from .series import (
     DEFAULT_ORDER,
@@ -94,7 +96,8 @@ class WeierstrassSeed:
     converge on the domain disc, and the nowhere-zero invariants on a polar
     grid of that disc (``_check_domain``).  Each raises
     :class:`SeedValidationError` naming the offending datum.  ``chain``
-    runs the recursion on first read and keeps it.
+    runs the recursion on first read and keeps it, and ``jet_rows`` keeps
+    the coefficient rows of each jet order beside it.
     """
 
     n: int
@@ -152,6 +155,22 @@ class WeierstrassSeed:
     def chain(self) -> WeierstrassChain:
         """The recursion's output, :func:`build_chain` of this seed."""
         return build_chain(self)
+
+    def jet_rows(self, order: int) -> tuple:
+        """Coefficient rows and jet table for jets to ``order``, built on
+        first use and kept: d^a base for a = 0..order, then delta^(j) for
+        j = 0..n-2+order, each a stack of 2n+1 component rows zero-padded
+        to one width.  delta^(n+1) and beyond, read only by partials of
+        order 3 and up, are differentiated here rather than in the chain."""
+        # kept in the instance dict beside ``chain``, as a frozen seed allows
+        kept = self.__dict__.setdefault("_jet_rows", {})
+        if order not in kept:
+            series = _derivatives([self.chain.base], order + 1)
+            series += _derivatives(self.chain.delta_derivs, self.n - 1 + order)
+            top = max(s.order for s in series)
+            coef = np.concatenate([to_order(s, top).coeffs for s in series])
+            kept[order] = (coef, _jet_table(self.n, order))
+        return kept[order]
 
     def _check_domain(self) -> None:
         """Check that every series is kept far enough to converge on the
@@ -292,26 +311,26 @@ def _derivatives(series, count: int) -> list:
 class SeriesChart(ImmersionChart):
     """Family member f_theta = sqrt(2) Re( e^{-i theta} F ) with jets of
     any order, for any real theta; f is the member at 0 and its conjugate
-    fbar the member at pi/2.  Every member reads its seed's one ``chain``.
+    fbar the member at pi/2.  A 1-d sequence of angles makes a stack of
+    members whose jets come from one Horner evaluation, each array with a
+    leading member axis.  Every chart of a seed reads its seed's one
+    ``chain`` and coefficient rows.
 
     Real coordinates (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}) with
     z = basepoint + x + i y and w_j = u_j + i v_j; the sampling ``box`` is
-    the domain's inscribed box scaled by 0.7.  All jets come from
-    Horner evaluation of stored coefficient rows, built per order on first
-    use; delta^(n+1) and beyond, read only by partials of order 3 and up,
-    are differentiated here rather than in the chain.
+    the domain's inscribed box scaled by 0.7.
     """
 
-    def __init__(self, seed: WeierstrassSeed, theta: float = 0.0):
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be a finite angle, got {theta}")
+    def __init__(self, seed: WeierstrassSeed, theta=0.0):
+        thetas = np.asarray(theta, dtype=np.float64)
+        if thetas.ndim > 1 or thetas.size == 0 or not np.isfinite(thetas).all():
+            raise ValueError(f"theta must be a finite angle or a 1-d sequence of them, got {theta!r}")
         self.seed = seed
-        self.theta = float(theta)
+        self.theta = tuple(thetas.tolist()) if thetas.ndim else float(thetas)
+        self._phases = [SQRT2 * _snap_phase(t) for t in np.atleast_1d(thetas).tolist()]
         n = seed.n
         self.d = 2 * n
         self.ambient = 2 * n + 1
-        self._rows_by_order = {}
-        self._phase = SQRT2 * _snap_phase(self.theta)
         halves = np.repeat([seed.domain.radius / math.sqrt(2.0), *seed.domain.w_halfwidth], 2)
         self.box = shrink_box(np.stack([-halves, halves], axis=1), 0.7)
 
@@ -323,24 +342,10 @@ class SeriesChart(ImmersionChart):
         inside = np.hypot(pts[..., 0], pts[..., 1]) <= self.seed.domain.radius
         return inside & np.all(np.abs(pts[..., 2:]) <= halves, axis=-1)
 
-    def _rows(self, order: int) -> tuple:
-        """Coefficient rows and jet table for ``order``, built on first use:
-        d^a base for a = 0..order, then delta^(j) for j = 0..n-2+order, each
-        a stack of 2n+1 component rows zero-padded to one width."""
-        if order not in self._rows_by_order:
-            n = self.seed.n
-            chain = self.seed.chain
-            series = _derivatives([chain.base], order + 1)
-            series += _derivatives(chain.delta_derivs, n - 1 + order)
-            top = max(s.order for s in series)
-            coef = np.concatenate([to_order(s, top).coeffs for s in series])
-            self._rows_by_order[order] = (coef, _jet_table(n, order))
-        return self._rows_by_order[order]
-
     def jet_batch(self, pts, order: int = 2) -> tuple:
         """Vectorized jets: (value (P,m+1), d1 (P,d,m+1), d2 (P,d,d,m+1),
-        ...) to any ``order``, d_k of shape (P, d, ..., d, m+1); orders
-        below 2 are sliced from the 2-jet.  Warns with
+        ...) to any ``order``, d_k of shape (P, d, ..., d, m+1), with a
+        leading member axis for a stack of angles.  Warns with
         :class:`DomainWarning` when a point leaves the seed's domain."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if pts.shape[1] != self.d:
@@ -353,9 +358,12 @@ class SeriesChart(ImmersionChart):
                 DomainWarning,
                 stacklevel=2,
             )
+        # orders below 2 read the rows of the 2-jet, so values and jets share them
         k = max(order, 2) + 1
-        coef, table = self._rows(k - 1)
+        coef, table = self.seed.jet_rows(k - 1)
         m1, npts = self.ambient, pts.shape[0]
+        table = table[: order + 1]
+        out = [np.empty((len(self._phases), npts) + rows.shape + (m1,)) for rows, _ in table]
         # one block per row stack: d^a F / dz^a for a < k, then delta^(j);
         # the w part of F adds w_j delta^(j-1+a) to d^a F / dz^a.  Far out
         # of the domain these overflow silently: the frame names the first
@@ -365,37 +373,33 @@ class SeriesChart(ImmersionChart):
             for j in range(1, self.seed.n):
                 src[:k] += (pts[:, 2 * j] + 1j * pts[:, 2 * j + 1]) * src[k + j - 1 : 2 * k + j - 1]
             parts = np.zeros((npts, 2 * len(src) + 1, m1))  # Re, Im, a zero row
-            for i, s in enumerate(src):
-                # one product per source: numpy's complex product can round a
-                # value differently at another offset in a longer array
-                c = self._phase * s
-                parts[:, i, :] = c.real.T
-                parts[:, len(src) + i, :] = c.imag.T
-        out = []
-        for rows, signs in table:
-            dk = np.take(parts, rows, axis=1)
-            dk *= signs
-            out.append(dk)
-        return tuple(out[: order + 1])
+            for member, phase in enumerate(self._phases):
+                for i, s in enumerate(src):
+                    # one product per source: numpy's complex product can
+                    # round a value differently at another offset in a
+                    # longer array
+                    c = phase * s
+                    parts[:, i, :] = c.real.T
+                    parts[:, len(src) + i, :] = c.imag.T
+                for dk, (rows, signs) in zip(out, table):
+                    view = dk[member]
+                    # every index is in range; "clip" lets take write to out unbuffered
+                    np.take(parts, rows, axis=1, out=view, mode="clip")
+                    view *= signs
+        return tuple(out) if isinstance(self.theta, tuple) else tuple(dk[0] for dk in out)
+
+    def member_jets(self, pts, order: int = 2) -> tuple:
+        """One :class:`Jet2` per member on a (P, d) point stack, each a
+        contiguous slice of one ``jet_batch`` call."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        parts = self.jet_batch(pts, order)
+        if not isinstance(self.theta, tuple):
+            parts = tuple(a[None] for a in parts)
+        return tuple(Jet2(pts, *(a[i] for a in parts)) for i in range(len(self._phases)))
 
     def values(self, pts) -> np.ndarray:
         """The chart's values at a (P, d) stack of points."""
-        return self.jet_batch(pts)[0]
-
-
-def immersion_f(seed: WeierstrassSeed) -> SeriesChart:
-    """The hypersurface chart f = sqrt(2) Re F."""
-    return SeriesChart(seed, 0.0)
-
-
-def conjugate_fbar(seed: WeierstrassSeed) -> SeriesChart:
-    """The conjugate chart fbar = sqrt(2) Im F."""
-    return SeriesChart(seed, math.pi / 2)
-
-
-def associated(seed: WeierstrassSeed, theta: float) -> SeriesChart:
-    """Associated-family member cos(theta) f + sin(theta) fbar."""
-    return SeriesChart(seed, theta)
+        return self.jet_batch(pts, 0)[0]
 
 
 def chart_complex_structure(d: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import minkaehler
 from minkaehler.seeds import builtin_seed
-from minkaehler.weierstrass import conjugate_fbar, immersion_f, seed_from_json
+from minkaehler.weierstrass import SeriesChart, seed_from_json
 
 
 @pytest.fixture(scope="session")
@@ -41,32 +42,32 @@ def m4r5_seed():
 
 @pytest.fixture(scope="session")
 def enneper_chart(enneper_seed):
-    return immersion_f(enneper_seed)
+    return SeriesChart(enneper_seed)
 
 
 @pytest.fixture(scope="session")
 def enneper_fbar(enneper_seed):
-    return conjugate_fbar(enneper_seed)
+    return SeriesChart(enneper_seed, math.pi / 2)
 
 
 @pytest.fixture(scope="session")
 def catenoid_chart(catenoid_seed):
-    return immersion_f(catenoid_seed)
+    return SeriesChart(catenoid_seed)
 
 
 @pytest.fixture(scope="session")
 def catenoid_fbar(catenoid_seed):
-    return conjugate_fbar(catenoid_seed)
+    return SeriesChart(catenoid_seed, math.pi / 2)
 
 
 @pytest.fixture(scope="session")
 def m4r5_chart(m4r5_seed):
-    return immersion_f(m4r5_seed)
+    return SeriesChart(m4r5_seed)
 
 
 @pytest.fixture(scope="session")
 def m4r5_fbar(m4r5_seed):
-    return conjugate_fbar(m4r5_seed)
+    return SeriesChart(m4r5_seed, math.pi / 2)
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +91,7 @@ def n3_chart():
             "domain": {"radius": 0.6, "w_halfwidth": [0.5, 0.5]},
         }
     )
-    return immersion_f(seed)
+    return SeriesChart(seed)
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ import pytest
 
 from minkaehler.bending import (
     B_by_formula,
-    CombinationField,
     b_route_agreement,
     bending_residual,
     classify_triviality,
@@ -48,9 +47,9 @@ from minkaehler.suites import (
     build_bundle,
     run_suites,
 )
-from minkaehler.weierstrass import conjugate_fbar, immersion_f
+from minkaehler.weierstrass import SeriesChart
 
-from oracles import catenoid_metric, ellipse_chart, frame_and_jet, metric_of
+from oracles import FieldSum, catenoid_metric, ellipse_chart, frame_and_jet, metric_of
 
 
 def announce(capsys, criterion: int, ok: bool, detail: str) -> None:
@@ -77,8 +76,8 @@ def m4r5_bundle():
 def test_criterion_1_catenoid_minimality_and_conjugate_isometry(capsys):
     t0 = time.perf_counter()
     seed = builtin_seed("catenoid")
-    chart = immersion_f(seed)
-    mate = conjugate_fbar(seed)
+    chart = SeriesChart(seed)
+    mate = SeriesChart(seed, math.pi / 2)
     pts = grid_points(shrink_box(chart.box, 0.9), [10, 10])
     assert len(pts) == 100
     worst_min = max(minimality_defect(chart, p) for p in pts)
@@ -105,7 +104,7 @@ def test_criterion_1_catenoid_minimality_and_conjugate_isometry(capsys):
 def test_criterion_2_m4r5_minimal_rank_two(capsys):
     t0 = time.perf_counter()
     seed = builtin_seed("m4r5")
-    chart = immersion_f(seed)
+    chart = SeriesChart(seed)
     rng = np.random.default_rng(DEFAULT_RNG_SEED)
     pts = random_points(shrink_box(chart.box, 0.9), 200, rng)
     worst_min = 0.0
@@ -213,7 +212,7 @@ def test_criterion_6_triviality_classification(capsys, enneper_chart):
     conj_res = classify_triviality(chart, conj, pts)
     dec1 = recover_bending_decomposition(chart, conj, pts)
     trivial_part = make_trivial(chart, rng=rng)
-    combo = CombinationField(fields=(conj, trivial_part), coeffs=(2.0, 1.0))
+    combo = FieldSum((2.0, conj), (1.0, trivial_part))
     combo_res = classify_triviality(chart, combo, pts)
     dec2 = recover_bending_decomposition(chart, combo, pts)
     ok = (

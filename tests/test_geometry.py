@@ -6,8 +6,10 @@ import pytest
 
 from minkaehler.bending import make_cylinder_bending
 from minkaehler.charts import (
+    ImmersionChart,
     Jet2,
     ProductChart,
+    TaylorChart,
     grid_points,
     random_points,
     shrink_box,
@@ -32,7 +34,7 @@ from minkaehler.geometry import (
 )
 from minkaehler.export import SliceSpec, export_slice
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
-from minkaehler.suites import _quadratic_control_field, build_bundle, run_suites
+from minkaehler.suites import _quadratic_control_jet, build_bundle, run_suites
 from minkaehler.taylor import Taylor
 from minkaehler.weierstrass import chart_complex_structure
 
@@ -502,10 +504,38 @@ class TestFDJetOracle:
 
 
 class _Bundle:
-    """The one attribute the control-field builder reads."""
+    """The attributes the closed-form control jet reads."""
 
-    def __init__(self, chart):
-        self.chart = chart
+    def __init__(self, chart, points):
+        self.chart, self.d, self.points = chart, chart.d, points
+
+
+class _ControlField(ImmersionChart):
+    """bending_tpar's control field x0^2 e0 + x1^2 e1 over the box of the
+    4-d plane chart, from its closed-form jet."""
+
+    def __init__(self):
+        self.base = plane_chart(4)
+        self.d, self.ambient, self.box = self.base.d, self.base.ambient, self.base.box
+
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        jet = _quadratic_control_jet(_Bundle(self.base, pts))
+        return (jet.value, jet.d1, jet.d2)[: order + 1]
+
+
+@pytest.mark.parametrize("name", SIX_SEEDS)
+def test_control_jet_matches_its_taylor_formula(name):
+    # the closed form is the Taylor formula's jet to the bit, so the
+    # bending_tpar_control rows it feeds keep their bytes
+    bundle = seed_bundle(name)
+
+    def fn(x):
+        return Taylor.stack([x[..., 0] * x[..., 0], x[..., 1] * x[..., 1]] + [0.0] * (bundle.chart.ambient - 2))
+
+    want = TaylorChart(bundle.d, bundle.chart.ambient, bundle.chart.box, fn).jet(bundle.points)
+    got = _quadratic_control_jet(bundle)
+    for part in ("coords", "value", "d1", "d2"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
 
 
 def _closed_form_charts():
@@ -516,7 +546,7 @@ def _closed_form_charts():
         "polar_plane": polar_plane_chart(),
         "ellipse": ellipse_chart(),
         "cylinder_bending": make_cylinder_bending(cylinder, 1.5, 0.8),
-        "bending_tpar_control": _quadratic_control_field(_Bundle(plane_chart(4))),
+        "bending_tpar_control": _ControlField(),
         "geodesic_sphere": geodesic_sphere_surface().chart,
         "clifford_torus": clifford_torus_surface().chart,
     }

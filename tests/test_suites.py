@@ -7,11 +7,12 @@ import pytest
 
 import minkaehler.bending as bending
 import minkaehler.geometry as geometry
+import minkaehler.kernels as kernels
 import minkaehler.suites as suites
 import minkaehler.weierstrass as weierstrass
 from minkaehler import builtin_seed
 from minkaehler.bending import TrivialField
-from minkaehler.charts import grid_points, shrink_box
+from minkaehler.charts import grid_points, mix_jets, shrink_box
 from minkaehler.errors import DomainWarning
 from minkaehler.report import (
     ResidualReport,
@@ -30,7 +31,7 @@ from minkaehler.suites import (
     default_suites,
     run_suites,
 )
-from minkaehler.weierstrass import SeriesChart, associated, seed_from_json
+from minkaehler.weierstrass import SeriesChart, seed_from_json
 
 from oracles import perfbench_module, report_from_residuals_loop
 
@@ -372,11 +373,12 @@ def test_family_rows_match_full_member_frames(name):
     bundle = build_bundle(builtin_seed(name))
     thetas = [k * math.pi / 6 for k in range(1, 6)]
     # full frames of the combined member jets: the same bytes
-    combined = _family_rows(bundle, [geometry.point_frame(bundle.member_jet(t)) for t in thetas])
+    jf, jt = bundle.frame.jet, bundle.conjugate.jet
+    combined = _family_rows(bundle, [geometry.point_frame(mix_jets(math.cos(t), jf, math.sin(t), jt)) for t in thetas])
     for got, want in zip(bundle.family, combined):
         np.testing.assert_array_equal(got, want)
     # full frames of the members built as charts of their own
-    charts = [associated(bundle.seed, t) for t in thetas]
+    charts = [SeriesChart(bundle.seed, t) for t in thetas]
     built = _family_rows(bundle, [geometry.point_frame(c.jet(bundle.points)) for c in charts])
     for got, want in zip(bundle.family, built):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -384,20 +386,21 @@ def test_family_rows_match_full_member_frames(name):
 
 def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     """A default m4r5 run expands its seed once and builds two charts, f
-    and its conjugate, and evaluates each once, on the grid; the family
-    members and the trivial control fields are combined from the two grid
-    jets.  The one frame builds its Christoffel symbols once, for every
+    and the stack of f and its conjugate, and evaluates the stack once, on
+    the grid, from one set of coefficient rows; the family members and the
+    trivial control fields are combined from the two grid jets.  The one frame builds its Christoffel symbols once, for every
     suite that reads them, and each variation field along it computes its
     B, T_* and dN once.  Nothing solves against G: the grid frame inverts G
     and its Cholesky factor L once each, and the five family members, one
     stacked frame, invert their G in one call, taking no Cholesky factor."""
-    builds, calls, trivial_calls, frames, connections, b_forms, chains = [], [], [], [], [], [], []
+    builds, calls, trivial_calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], [], []
     factorizations = {name: [] for name in ("solve", "inv", "cholesky")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
     christoffel = geometry.christoffel
     b_formula = bending.B_by_formula
     build_chain = weierstrass.build_chain
+    horner_many = kernels.horner_many
     pieces = {name: [] for name in ("tstar", "normal_variation")}
 
     def counted_init(self, *args, **kwargs):
@@ -429,6 +432,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         chains.append(seed)
         return build_chain(seed)
 
+    def counted_horner(coeffs, dz):
+        horners.append(coeffs)
+        return horner_many(coeffs, dz)
+
     def counted_linalg(name):
         routine = getattr(np.linalg, name)
 
@@ -459,14 +466,19 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         monkeypatch.setattr(vars(bending.Variation)[name], "func", counted_piece(name))
     for name in factorizations:
         monkeypatch.setattr(np.linalg, name, counted_linalg(name))
-    bundle = build_bundle(builtin_seed("m4r5"))
+    seed = builtin_seed("m4r5")  # checks itself on a domain sample, by Horner
+    monkeypatch.setattr(kernels, "horner_many", counted_horner)
+    bundle = build_bundle(seed)
     run_suites(bundle)
     assert len(chains) == 1 and chains[0] is bundle.seed
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
     assert not trivial_calls
-    # f and fbar on the grid
-    assert len(calls) == 2
+    # f and fbar on the grid, one stack: one jet call and one Horner
+    # evaluation, of the seed's rows
+    assert len(calls) == 1
+    assert builds[1].theta == (0.0, math.pi / 2) and calls[0][0] == id(builds[1])
+    assert len(horners) == 1 and horners[0] is bundle.seed.jet_rows(3)[0]
     # the grid frame; family members and first variations along f + tT
     # build none
     assert len(frames) == 1

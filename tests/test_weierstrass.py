@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+import minkaehler.weierstrass as weierstrass
+from minkaehler.charts import mix_jets, random_points, shrink_box
 from minkaehler.errors import DomainError, DomainWarning, SeedValidationError
 from minkaehler.seeds import BUILTIN_NAMES, builtin_seed
 from minkaehler.series import TruncatedSeries, series_eval, vdot
@@ -17,16 +19,14 @@ from minkaehler.weierstrass import (
     WeierstrassSeed,
     _domain_samples,
     _snap_phase,
-    associated,
     build_chain,
     chart_complex_structure,
-    conjugate_fbar,
-    immersion_f,
     seed_from_json,
     seed_to_json,
 )
 
 from oracles import (
+    perfbench_module,
     catenoid_closed_form,
     catenoid_metric,
     enneper_gauss_curvature,
@@ -88,8 +88,8 @@ class TestChain:
 
 class TestRepresentative:
     def test_sqrt2_rep_splits_into_f_and_fbar(self, catenoid_seed):
-        f = immersion_f(catenoid_seed)
-        fbar = conjugate_fbar(catenoid_seed)
+        f = SeriesChart(catenoid_seed)
+        fbar = SeriesChart(catenoid_seed, math.pi / 2)
         for p in ([0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]):
             z = catenoid_seed.basepoint + p[0] + 1j * p[1]
             F = series_eval(catenoid_seed.chain.base, z)  # n = 1: F has no w part
@@ -136,19 +136,19 @@ class TestClassicalSurfaces:
 
 class TestFamily:
     def test_quarter_turn_snaps_exactly(self, catenoid_seed):
-        f = immersion_f(catenoid_seed)
-        fbar = conjugate_fbar(catenoid_seed)
-        th0 = associated(catenoid_seed, 0.0)
-        th90 = associated(catenoid_seed, math.pi / 2)
+        f = SeriesChart(catenoid_seed)
+        fbar = SeriesChart(catenoid_seed, math.pi / 2)
+        th0 = SeriesChart(catenoid_seed, 0.0)
+        th90 = SeriesChart(catenoid_seed, math.pi / 2)
         p = np.array([0.21, -0.17])
         assert np.array_equal(th0.value(p), f.value(p))
         assert np.array_equal(th90.value(p), fbar.value(p))
 
     def test_family_is_the_stated_mixture(self, m4r5_seed, n3_chart):
-        f = immersion_f(m4r5_seed)
-        fbar = conjugate_fbar(m4r5_seed)
+        f = SeriesChart(m4r5_seed)
+        fbar = SeriesChart(m4r5_seed, math.pi / 2)
         theta = 0.7
-        fam = associated(m4r5_seed, theta)
+        fam = SeriesChart(m4r5_seed, theta)
         p = np.array([0.1, -0.05, 0.2, 0.1])
         want = math.cos(theta) * f.value(p) + math.sin(theta) * fbar.value(p)
         np.testing.assert_allclose(fam.value(p), want, atol=1e-14)
@@ -157,35 +157,79 @@ class TestFamily:
         for seed in (m4r5_seed, n3_chart.seed):
             bundle = build_bundle(seed)
             for theta in _FAMILY_THETAS:
-                got = bundle.member_jet(theta)
-                want = associated(seed, theta).jet(bundle.points)
+                got = mix_jets(math.cos(theta), bundle.frame.jet, math.sin(theta), bundle.conjugate.jet)
+                want = SeriesChart(seed, theta).jet(bundle.points)
                 for part in ("value", "d1", "d2"):
                     ref = getattr(want, part)
                     scale = float(np.abs(ref).max())
                     np.testing.assert_allclose(getattr(got, part), ref, rtol=0.0, atol=1e-14 * scale)
 
     def test_family_members_are_isometric(self, catenoid_seed):
-        base = immersion_f(catenoid_seed)
+        base = SeriesChart(catenoid_seed)
         for theta in (0.3, 1.1, 2.5):
-            member = associated(catenoid_seed, theta)
+            member = SeriesChart(catenoid_seed, theta)
             for p in ([0.0, 0.0], [0.2, -0.15]):
                 np.testing.assert_allclose(
                     metric_of(member, p), metric_of(base, p), rtol=1e-12, atol=1e-14
                 )
 
     def test_every_real_theta_is_a_member(self, enneper_seed):
-        f, fbar = immersion_f(enneper_seed), conjugate_fbar(enneper_seed)
+        f, fbar = SeriesChart(enneper_seed), SeriesChart(enneper_seed, math.pi / 2)
         p = np.array([0.21, -0.17])
         # pi and 3 pi / 2 snap exactly, to -f and -fbar
-        assert np.array_equal(associated(enneper_seed, math.pi).value(p), -f.value(p))
-        assert np.array_equal(associated(enneper_seed, 1.5 * math.pi).value(p), -fbar.value(p))
+        assert np.array_equal(SeriesChart(enneper_seed, math.pi).value(p), -f.value(p))
+        assert np.array_equal(SeriesChart(enneper_seed, 1.5 * math.pi).value(p), -fbar.value(p))
         # angles past a turn, negative or huge, are not reduced
         for theta in (-0.1, 7.0, 1e20):
             want = math.cos(theta) * f.value(p) + math.sin(theta) * fbar.value(p)
-            np.testing.assert_allclose(associated(enneper_seed, theta).value(p), want, atol=1e-14)
+            np.testing.assert_allclose(SeriesChart(enneper_seed, theta).value(p), want, atol=1e-14)
         assert _snap_phase(1e20) == math.cos(1e20) - 1j * math.sin(1e20)
         with pytest.raises(ValueError, match="finite angle"):
-            associated(enneper_seed, math.inf)
+            SeriesChart(enneper_seed, math.inf)
+
+
+def _stack_test_seed(name):
+    """A built-in, or a seed the benchmark's verify-random workload draws."""
+    if name in BUILTIN_NAMES:
+        return builtin_seed(name)
+    return seed_from_json({s["name"]: s for s in perfbench_module("workloads").random_seeds()}[name])
+
+
+class TestPhaseStack:
+    @pytest.mark.parametrize("name", ["enneper", "catenoid", "m4r5", "random-n1", "random-n2", "random-n3"])
+    def test_each_member_is_its_own_chart_to_the_bit(self, name):
+        seed = _stack_test_seed(name)
+        thetas = (0.0, math.pi / 2, math.pi, 1.5 * math.pi, 0.7)
+        stack = SeriesChart(seed, thetas)
+        assert stack.theta == thetas
+        pts = random_points(shrink_box(stack.box, 0.9), 5, np.random.default_rng(7))
+        for order in range(5):
+            parts = stack.jet_batch(pts, order)
+            assert len(parts) == order + 1
+            for i, theta in enumerate(thetas):
+                single = SeriesChart(seed, theta).jet_batch(pts, order)
+                for got, want in zip(parts, single):
+                    assert got.shape == (len(thetas),) + want.shape
+                    np.testing.assert_array_equal(got[i], want)
+        jets = stack.member_jets(pts, order=3)
+        for jet, theta in zip(jets, thetas):
+            assert jet.d3.flags.c_contiguous
+            np.testing.assert_array_equal(jet.d3, SeriesChart(seed, theta).jet(pts, order=3).d3)
+
+    def test_charts_of_one_seed_share_their_rows(self, m4r5_seed, monkeypatch):
+        pts = np.array([[0.1, -0.05, 0.2, 0.1]])
+        SeriesChart(m4r5_seed).jet_batch(pts, order=3)
+        rows = m4r5_seed.jet_rows(3)
+        # a second chart of the seed builds no rows of its own
+        monkeypatch.setattr(weierstrass, "_jet_table", None)
+        SeriesChart(m4r5_seed, (0.3, 1.2)).jet_batch(pts, order=3)
+        assert m4r5_seed.jet_rows(3) is rows
+        assert m4r5_seed.jet_rows(3)[0] is rows[0]
+
+    @pytest.mark.parametrize("theta", [(), [[0.0, 1.0]], (0.0, math.nan), math.inf, [1.0, -math.inf]])
+    def test_empty_2d_or_non_finite_theta_rejected(self, enneper_seed, theta):
+        with pytest.raises(ValueError, match="finite angle"):
+            SeriesChart(enneper_seed, theta)
 
 
 class TestComplexStructure:
@@ -332,8 +376,8 @@ class TestConstants:
             phi_constants=catenoid_seed.phi_constants,
             rep_constants=[shift],
         )
-        f0 = immersion_f(catenoid_seed)
-        f1 = immersion_f(shifted)
+        f0 = SeriesChart(catenoid_seed)
+        f1 = SeriesChart(shifted)
         p = np.array([0.2, -0.1])
         np.testing.assert_allclose(
             f1.value(p) - f0.value(p), SQRT2 * shift.real, atol=1e-14
@@ -459,7 +503,7 @@ class TestValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             m4r5_seed.trunc_order = 4
         assert m4r5_seed.chain is m4r5_seed.chain
-        assert immersion_f(m4r5_seed).seed.chain is conjugate_fbar(m4r5_seed).seed.chain
+        assert SeriesChart(m4r5_seed).seed.chain is SeriesChart(m4r5_seed, math.pi / 2).seed.chain
 
     def test_structural_errors(self, enneper_seed):
         one = enneper_seed.alpha0
@@ -485,7 +529,7 @@ class TestSerialization:
         assert back.n == seed.n
         assert back.trunc_order == seed.trunc_order
         np.testing.assert_array_equal(back.alpha0.coeffs, seed.alpha0.coeffs)
-        f0, f1 = immersion_f(seed), immersion_f(back)
+        f0, f1 = SeriesChart(seed), SeriesChart(back)
         p = np.zeros(f0.d) + 0.05
         np.testing.assert_array_equal(f0.value(p), f1.value(p))
 
