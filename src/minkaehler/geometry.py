@@ -17,6 +17,8 @@ Cholesky factor L of G and L^{-1}, d_l G, N, H, A, ||A||_G, the
 Christoffel symbols and the eigen-data of A.  Every residual that reads
 the frame applies the stored inverses (batched matmuls); nothing here
 solves against G, and only a reader of the eigen-data decomposes A.
+:func:`point_frame` reads L and L^{-1} for its regularity check and takes
+an SVD of the first partials only at the points their bound cannot clear.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
@@ -46,6 +48,10 @@ from .errors import (
 TINY = 1e-300
 # Relative singular-value cutoff of a frame's regularity check.
 _REGULARITY_RTOL = 1e-8
+# A point whose Cholesky bound kappa on cond(first partials) is at most this,
+# and whose metric diagonal lies in _CLEAR_DIAG, skips the regularity SVD.
+_CLEAR_KAPPA = 1e6
+_CLEAR_DIAG = (2.0**-500, 2.0**500)
 # Relative cutoff below which an eigenvalue of A counts as zero.
 _RANK_RTOL = 1e-7
 
@@ -75,8 +81,8 @@ class PointFrame:
 
     The frame's one field is its jet; every other piece is computed from it
     on first read and then kept.  G and its lower Cholesky factor L are
-    inverted once each.  A reader that needs only G, N and A (a family
-    member) never takes L.
+    inverted once each.  :func:`point_frame` takes L; a frame built
+    directly that needs only G, N and A (a family member) never does.
     """
 
     jet: Jet2
@@ -162,12 +168,36 @@ def _first(bad: np.ndarray):
     return tuple(np.argwhere(bad)[0]) if bad.any() else None
 
 
+def _cleared(frame: PointFrame) -> np.ndarray:
+    """Points whose first partials the Cholesky factor of G alone shows to be
+    independent: kappa = ||L||_F ||L^{-1}||_F bounds their condition number
+    sigma_max / sigma_min up to a factor 1 + O(eps kappa^2), so kappa at most
+    ``_CLEAR_KAPPA`` with every diagonal entry of G inside ``_CLEAR_DIAG``
+    (G neither under- nor overflows) leaves two decades to the regularity
+    cutoff.  No point is cleared when G has no Cholesky factor.  G, L and
+    L^{-1} are taken quietly here, since an overflow in them is not the
+    check's finding."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        diag = np.diagonal(frame.metric, axis1=-2, axis2=-1)
+        try:
+            L, Linv = frame.chol, frame.chol_inv
+        except np.linalg.LinAlgError:
+            return np.zeros(diag.shape[:-1], dtype=bool)
+        kappa2 = (L * L).sum(axis=(-2, -1)) * (Linv * Linv).sum(axis=(-2, -1))
+    lo, hi = _CLEAR_DIAG
+    return (kappa2 <= _CLEAR_KAPPA**2) & ((diag >= lo) & (diag <= hi)).all(axis=-1)
+
+
 def point_frame(jet: Jet2) -> PointFrame:
     """The frames of a jet stack, checked; raises
     :class:`NonImmersionPointError`, naming the coordinates of the first bad
     point, where the jet's value or partials are not finite, where the first
     partials are dependent (smallest singular value at most
     ``_REGULARITY_RTOL`` times the largest) and where the normal degenerates.
+
+    The singular values are computed only at the points that the Cholesky
+    bound of :func:`_cleared` cannot clear (every point when G has no
+    Cholesky factor); at every other point the check could not fire.
     """
     d1 = jet.d1
     if jet.ambient != jet.d + 1:
@@ -178,14 +208,17 @@ def point_frame(jet: Jet2) -> PointFrame:
     k = _first(~(finite & np.isfinite(jet.d2).all(axis=(-3, -2, -1))))
     if k is not None:
         raise NonImmersionPointError(f"the jet at {jet.coords[k]} is not finite")
-    svals = np.linalg.svd(d1, compute_uv=False)
-    k = _first(svals[..., -1] <= _REGULARITY_RTOL * svals[..., 0])
-    if k is not None:
-        raise NonImmersionPointError(
-            f"first partials are dependent at {jet.coords[k]} "
-            f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
-        )
     frame = PointFrame(jet)
+    unclear = ~_cleared(frame)
+    if unclear.any():
+        svals = np.zeros(d1.shape[:-1])
+        svals[unclear] = np.linalg.svd(d1[unclear], compute_uv=False)
+        k = _first(unclear & (svals[..., -1] <= _REGULARITY_RTOL * svals[..., 0]))
+        if k is not None:
+            raise NonImmersionPointError(
+                f"first partials are dependent at {jet.coords[k]} "
+                f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
+            )
     k = _first(frame._cross[1][..., 0] <= TINY)
     if k is not None:
         raise NonImmersionPointError(f"degenerate normal at {jet.coords[k]}")

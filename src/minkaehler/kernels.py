@@ -1,7 +1,9 @@
 """Numeric kernels for the two inner loops of verification sweeps.
 
 ``horner_many`` evaluates stacks of truncated power series at a batch of
-points; ``cross_columns`` gives the cofactor-expansion normal vector of a
+points, stepping only over the coefficient columns that can change a bit
+of the result (a polynomial seed's rows are zero past its degree);
+``cross_columns`` gives the cofactor-expansion normal vector of a
 hypersurface frame.  Both are plain numpy.  ``BACKEND`` names the numeric
 path for provenance records.
 """
@@ -19,9 +21,18 @@ def horner_many(coeffs: np.ndarray, dz: np.ndarray) -> np.ndarray:
     ``coeffs`` has shape (rows, order+1), row r holding the Taylor
     coefficients of one series (index k multiplies dz**k).  ``dz`` has
     shape (points,).  Returns shape (rows, points).
+
+    Trailing columns whose every entry is +0.0 bitwise are dropped, all but
+    the first of them (and at least two columns are kept), so the first
+    step is still (+0)·dz + c_last: at every finite offset the result is
+    bitwise that of the full recurrence, signed zeros included (a
+    non-finite offset gives a non-finite value either way).
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     dz = np.ascontiguousarray(dz, dtype=np.complex128)
+    live = np.flatnonzero(coeffs.view(np.uint64).reshape(coeffs.shape + (2,)).any(axis=(0, 2)))
+    last = live[-1] if live.size else -1
+    coeffs = coeffs[:, : max(last + 2, 2)]
     acc = np.repeat(coeffs[:, -1][:, None], dz.shape[0], axis=1)
     for k in range(coeffs.shape[1] - 2, -1, -1):
         acc *= dz

@@ -195,12 +195,14 @@ class WeierstrassSeed:
                     f"seed series {label} does not converge on the domain: its term of "
                     f"order {order} is its largest at radius {radius:g}"
                 )
-        samples = _domain_samples(self)
         # alpha0 and b[n-1] carry the contract; the recursion multiplies by
-        # mu_r at every step, so a zero there would degenerate the chart too
-        for label, series in [("alpha0", self.alpha0), ("b[n-1]", self.b[-1]), *mus]:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = np.abs(kernels.horner_many(series.coeffs[None, :], samples - series.base)[0])
+        # mu_r at every step, so a zero there would degenerate the chart too.
+        # The series share the basepoint and the width: one Horner call.
+        checked = [("alpha0", self.alpha0), ("b[n-1]", self.b[-1]), *mus]
+        rows = np.stack([series.coeffs for _, series in checked])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampled = np.abs(kernels.horner_many(rows, _domain_samples(self) - self.basepoint))
+        for (label, _), vals in zip(checked, sampled):
             if not np.isfinite(vals).all():
                 raise SeedValidationError(f"seed invariant violated: {label} is not finite on the domain")
             if not vals.min() > _ZERO_TOL * max(1.0, vals.max()):

@@ -42,6 +42,9 @@ evidence rather than tautology.
 * the loops that the package's vectorized kernels replaced, kept as
   references: the generalized cross product one cofactor determinant at a
   time, and a residual report aggregated point by point.
+* the full work the package's hot path skips, kept as references: the
+  Horner recurrence over every coefficient column, zero padding included,
+  and the frame's regularity check with one SVD of every point's partials.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ import numpy as np
 
 from minkaehler.bending import Variation
 from minkaehler.charts import ImmersionChart, TaylorChart, mix_jets
-from minkaehler.geometry import point_frame
+from minkaehler.errors import NonImmersionPointError
+from minkaehler.geometry import TINY, PointFrame, point_frame
 from minkaehler.report import ResidualReport
 from minkaehler.seeds import builtin_seed
 from minkaehler.suites import build_bundle
@@ -171,6 +175,39 @@ def cross_columns_loop(d1: np.ndarray) -> np.ndarray:
     for i in range(amb):
         out[:, i] = (-1.0) ** i * np.linalg.det(cols[:, rows != i, :])
     return out
+
+
+def horner_untrimmed(coeffs: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """The Horner recurrence over every column of ``coeffs`` (rows, order+1)
+    at the offsets ``dz``, trailing zero columns included."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    acc = np.repeat(coeffs[:, -1][:, None], dz.shape[0], axis=1)
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * dz[None, :] + coeffs[:, k][:, None]
+    return acc
+
+
+def point_frame_full_svd(jet) -> PointFrame:
+    """``point_frame`` with its regularity check on every point: one SVD of
+    the whole stack of first partials, flagging smallest <= 1e-8 largest."""
+    d1 = jet.d1
+    finite = np.isfinite(jet.value).all(axis=-1) & np.isfinite(d1).all(axis=(-2, -1))
+    bad = ~(finite & np.isfinite(jet.d2).all(axis=(-3, -2, -1)))
+    if bad.any():
+        raise NonImmersionPointError(f"the jet at {jet.coords[tuple(np.argwhere(bad)[0])]} is not finite")
+    svals = np.linalg.svd(d1, compute_uv=False)
+    bad = svals[..., -1] <= 1e-8 * svals[..., 0]
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])
+        raise NonImmersionPointError(
+            f"first partials are dependent at {jet.coords[k]} "
+            f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
+        )
+    frame = PointFrame(jet)
+    bad = frame._cross[1][..., 0] <= TINY
+    if bad.any():
+        raise NonImmersionPointError(f"degenerate normal at {jet.coords[tuple(np.argwhere(bad)[0])]}")
+    return frame
 
 
 def report_from_residuals_loop(identity, residuals, tolerance, control=False) -> ResidualReport:

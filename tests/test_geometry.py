@@ -34,6 +34,7 @@ from minkaehler.geometry import (
 )
 from minkaehler.export import SliceSpec, export_slice
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
+from minkaehler.seeds import builtin_seed
 from minkaehler.suites import _quadratic_control_jet, build_bundle, run_suites
 from minkaehler.taylor import Taylor
 from minkaehler.weierstrass import chart_complex_structure
@@ -46,6 +47,7 @@ from oracles import (
     fd_jet,
     metric_of,
     plane_chart,
+    point_frame_full_svd,
     polar_christoffel,
     polar_plane_chart,
     seed_bundle,
@@ -235,6 +237,102 @@ class TestLazyEigenData:
         assert fr.eigenvalues is vals and fr.eigenvectors is vecs
         assert len(eigh_calls) == 1
         np.testing.assert_allclose(fr.shape_operator @ vecs, vecs * vals[:, None, :], atol=1e-12)
+
+
+def random_partials(rng, npts: int, d: int) -> np.ndarray:
+    """(P, d, d+1) first partials: each point's condition number is
+    log-uniform in [1, c], c one of 1e3, 1e7, 1e9 and 1e12 per stack, and its
+    scale is 2^k, with k drawn around one center in [-600, 600].  In two stacks of three, points at random
+    positions are rank-deficient (one in eight or one in fifty)."""
+    u = np.linalg.qr(rng.standard_normal((npts, d, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((npts, d + 1, d + 1)))[0][..., :d, :]
+    cond = 10.0 ** rng.uniform(0.0, rng.choice([3.0, 7.0, 9.0, 12.0]), (npts, 1))
+    d1 = (u * (cond ** -np.linspace(0.0, 1.0, d))[:, None, :]) @ v
+    spread = rng.choice([0.0, 30.0, 300.0])
+    k = np.rint(rng.uniform(-600.0, 600.0) + rng.uniform(-spread, spread, npts))
+    d1 = np.ldexp(d1, k.astype(int)[:, None, None])
+    flat = rng.random(npts) < rng.choice([0.0, 0.02, 0.125])
+    # a rounded multiple of the first row: G is singular only up to rounding
+    d1[flat, -1] = 0.0 if d == 1 else rng.uniform(0.5, 2.0, (flat.sum(), 1)) * d1[flat, 0]
+    return d1
+
+
+def check_outcome(check, jet):
+    """The error type and message ``check`` raises on ``jet`` (warnings are
+    errors), or None."""
+    try:
+        check(jet)
+    except (NonImmersionPointError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestRegularityCheck:
+    """The SVD runs only on the points a Cholesky bound cannot clear, and the
+    check raises exactly where the full SVD of every point does."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_matches_the_full_svd_check(self, d, svd_calls):
+        rng = np.random.default_rng(d)
+        seen, subsets = set(), 0
+        for _ in range(60):
+            npts = int(rng.choice([1, 7, 144]))
+            d1 = random_partials(rng, npts, d)
+            jet = Jet2(
+                rng.standard_normal((npts, d)), np.zeros((npts, d + 1)), d1, np.zeros((npts, d, d, d + 1))
+            )
+            single = Jet2(*(a[0] for a in (jet.coords, jet.value, jet.d1, jet.d2)))
+            for j in (single, jet):
+                want = check_outcome(point_frame_full_svd, j)
+                svd_calls.clear()
+                assert check_outcome(point_frame, j) == want
+                seen.add(want and (want[0], want[1].split(" at ")[0]))
+            # the stack's SVD, if any, took only some of its points
+            subsets += any(shape[0] < npts for shape in svd_calls)
+        assert subsets and {None, ("NonImmersionPointError", "first partials are dependent")} <= seen
+
+    def test_rounded_dependence_is_never_cleared(self):
+        # a rounded multiple of the first row leaves G singular up to
+        # rounding; when G still has a Cholesky factor, its bound reads
+        # about 1e8, which must not clear the point
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            d1 = rng.standard_normal((2, 3))
+            d1[1] = rng.uniform(0.5, 2.0) * d1[0]
+            with pytest.raises(NonImmersionPointError, match="dependent"):
+                point_frame(Jet2(np.zeros(2), np.zeros(3), d1, np.zeros((2, 2, 3))))
+
+    @pytest.mark.parametrize("name", ["enneper", "catenoid", "m4r5"])
+    def test_default_verify_takes_no_svd(self, name, svd_calls):
+        run_suites(build_bundle(builtin_seed(name)))
+        assert svd_calls == []
+
+    def test_default_export_takes_no_svd(self, tmp_path, m4r5_seed, svd_calls):
+        export_slice(m4r5_seed, SliceSpec(), tmp_path / "s.obj", tmp_path / "s.csv")
+        assert svd_calls == []
+
+    def test_only_an_ill_conditioned_point_takes_the_svd(self, svd_calls):
+        # cond 1e9 has a Cholesky factor but fails the bound; its neighbours clear
+        good = graph_jet(1.0)
+        near = dataclasses.replace(good, d1=np.array([[1.0, 0, 0], [0, 1e-9, 0]]))
+        coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
+        stack = [good, near, good]
+        jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
+        with pytest.raises(NonImmersionPointError, match="dependent at " + re.escape(str(coords[1]))):
+            point_frame(jet)
+        assert svd_calls == [(1, 2, 3)]
 
 
 class TestRank:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from minkaehler import kernels
 
-from oracles import cross_columns_loop
+from oracles import cross_columns_loop, horner_untrimmed
 
 
 def random_case(rng, rows, order, npts):
@@ -42,11 +42,29 @@ class TestHorner:
         # offset; the in-place update must not
         rng = np.random.default_rng(npts)
         coeffs, dz = random_case(rng, rows=9, order=14, npts=npts)
-        expect = np.repeat(coeffs[:, -1][:, None], npts, axis=1)
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            expect = expect * dz[None, :] + coeffs[:, k][:, None]
         out = kernels.horner_many(coeffs, dz)
-        assert out.tobytes() == expect.tobytes()
+        assert out.tobytes() == horner_untrimmed(coeffs, dz).tobytes()
+
+    @pytest.mark.parametrize("npts", [1, 7, 144, 4096])
+    @pytest.mark.parametrize("case", ["padded", "negative_zero", "zero_row", "zero_table"])
+    def test_trimmed_zero_columns_match_the_untrimmed_recurrence_bitwise(self, npts, case):
+        # degree-5 rows padded with 27 zero columns, as a polynomial seed's
+        # jet rows are; signed zeros and the offsets' signs must survive
+        rng = np.random.default_rng(npts)
+        coeffs, dz = random_case(rng, rows=9, order=5, npts=npts)
+        coeffs = np.concatenate([coeffs, np.zeros((9, 27))], axis=1)
+        dz[: min(npts, 3)] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.5, -0.0)][:npts]
+        if case == "negative_zero":
+            # the last live column holds -0.0 and nothing else: it is live,
+            # and the recurrence must reach it as (+0) dz + (-0)
+            coeffs[:, 5] = 0.0
+            coeffs[3, :6] = complex(-0.0, -0.0)
+        elif case == "zero_row":
+            coeffs[2] = 0.0
+        elif case == "zero_table":
+            coeffs[:] = 0.0
+        out = kernels.horner_many(coeffs, dz)
+        assert out.tobytes() == horner_untrimmed(coeffs, dz).tobytes()
 
     def test_constant_series(self):
         coeffs = np.array([[2.0 + 1.0j]])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import minkaehler.weierstrass as weierstrass
+from minkaehler import kernels
 from minkaehler.charts import mix_jets, random_points, shrink_box
 from minkaehler.errors import DomainError, DomainWarning, SeedValidationError
 from minkaehler.seeds import BUILTIN_NAMES, builtin_seed
@@ -446,6 +447,26 @@ class TestValidation:
         z = TruncatedSeries.variable(0.0, 8)
         with pytest.raises(SeedValidationError, match=r"mu\[1\] must be nonzero"):
             self._seed(mu=z)
+
+    def test_checked_series_fail_in_order(self):
+        # alpha0, then b[n-1], then each mu_r: the first failing row names itself
+        z = TruncatedSeries.variable(0.0, 8)
+        with pytest.raises(SeedValidationError, match="alpha0 must be nonzero"):
+            self._seed(alpha0=z, mu=z, b=z)
+        with pytest.raises(SeedValidationError, match=r"b\[n-1\] must be nonzero"):
+            self._seed(mu=z, b=z)
+
+    def test_checked_series_take_one_horner_call(self, monkeypatch):
+        calls = []
+        horner = kernels.horner_many
+
+        def counted(coeffs, dz):
+            calls.append(np.shape(coeffs))
+            return horner(coeffs, dz)
+
+        monkeypatch.setattr(kernels, "horner_many", counted)
+        seed = builtin_seed("m4r5")
+        assert calls == [(2 + seed.n, seed.trunc_order + 1)]
 
     def test_zero_on_an_off_center_sample_rejected(self):
         # mu vanishes exactly at one sample of the outer ring, not at the basepoint
