@@ -44,7 +44,6 @@ from .geometry import (
     anticommutation_residual,
     christoffel,
     codazzi_residual,
-    generalized_cross,
     laplace_beltrami,
     minimality_residual,
     parallel_J_residual,

@@ -20,8 +20,10 @@ Subcommands
 registered suites, their tolerances, and the built-in expected-residual
 manifests, then exits.
 
-All outputs are deterministic for a fixed config: floats are rendered with
-17 significant digits and no timestamps or machine identifiers appear.
+All outputs are deterministic for a fixed config: JSON floats are written
+in their shortest round-trip repr (CSV and OBJ at 17 significant digits),
+and no timestamps or machine identifiers appear.  A seed's name is the
+stem of the files it writes, so a seed is checked to have a plain one.
 
 The config is read against ``CONFIG_SCHEMA`` (its ``export`` section
 against the slice schema, an inline seed against the seed schema): an
@@ -41,7 +43,6 @@ from .export import SLICE_SCHEMA, export_slice, slice_from_json
 from .report import all_passed, render_json, render_text_table, report_to_dict
 from .seeds import BUILTIN_NAMES, EXPECTED_RESIDUALS, builtin_seed
 from .suites import (
-    DEFAULT_RNG_SEED,
     DEFAULT_TOLERANCES,
     SUITE_ORDER,
     build_bundle,
@@ -56,9 +57,7 @@ from .weierstrass import SeriesChart, chain_to_json, seed_from_json, seed_to_jso
 CONFIG_SCHEMA = {
     "seed": (None, None, "enneper"),
     "suites": ("list", "string", None),
-    "sampling": (
-        {"counts": ("list", "integer", None), "rng_seed": ("integer", None, DEFAULT_RNG_SEED)}, None, {}
-    ),
+    "sampling": ({"counts": ("list", "integer", None)}, None, {}),
     "tolerances": ("object", "number", {}),
     "export": (SLICE_SCHEMA, None, {}),
     "output_dir": ("string", None, "minkaehler-out"),
@@ -88,8 +87,7 @@ def resolve_seed(spec):
 
 def _bundle_from_config(config):
     seed = resolve_seed(config["seed"])
-    sampling = config["sampling"]
-    return build_bundle(seed, counts=sampling["counts"], rng_seed=int(sampling["rng_seed"]))
+    return build_bundle(seed, counts=config["sampling"]["counts"])
 
 
 def _out_dir(config) -> Path:
@@ -126,7 +124,6 @@ def cmd_verify(config, suite_names=None) -> int:
     payload = {
         "seed": bundle.seed.name,
         "points": len(bundle.points),
-        "rng_seed": bundle.rng_seed,
         "suites": list(names),
         "reports": [report_to_dict(r) for r in reports],
         "all_pass": all_passed(reports),

@@ -33,11 +33,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .charts import ImmersionChart, TaylorChart
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
-    generalized_cross,
+    PointFrame,
     laplace_beltrami,
     minimality_residual,
     point_frame,
@@ -269,7 +270,7 @@ def minimality_criterion(surface: SphereSurface, gamma: SupportFunction, qpts) -
     chart = gauss_param(surface, gamma, check=False)
     trace_res = minimality_residual(point_frame(chart.jet(_lift(q, surface.fiber_dim))))
     gam = gamma.fn(Taylor.variables(q, 2))
-    lap = laplace_beltrami(surface.chart.jet(q), gam.derivatives(1), gam.derivatives(2))
+    lap = laplace_beltrami(PointFrame(surface.chart.jet(q)), gam.derivatives(1), gam.derivatives(2))
     return MinimalityPair(trace_res, np.abs(lap + surface.d * gam.value))
 
 
@@ -289,7 +290,7 @@ def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
     full = Taylor.from_derivatives([np.moveaxis(a, -1, 1) for a in parts])
     f = full.restrict(r)
     df = Taylor.stack([full.diff(i).restrict(r) for i in range(chart.d)], axis=-2)
-    n0 = generalized_cross(df.value)
+    n0 = kernels.cross_columns(df.value)
     n0 /= np.maximum(np.linalg.norm(n0, axis=-1, keepdims=True), TINY)
     G = dot(df[..., :, None, :], df[..., None, :, :])
     normal = unit(n0 - (solve(G, dot(df, n0[:, None, :]))[..., None] * df).sum(-2))

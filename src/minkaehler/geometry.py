@@ -61,20 +61,6 @@ def _t(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
-def generalized_cross(vectors: np.ndarray) -> np.ndarray:
-    """Cross product of d vectors in R^{d+1} (rows of ``vectors``, over any
-    leading axes).
-
-    Defined by <result, u> = det([u | v_1 | ... | v_d]); for (e1, e2) in
-    R^3 this gives e3.  Not normalized.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim < 2 or vectors.shape[-1] != vectors.shape[-2] + 1:
-        raise DomainError(f"need d vectors of R^(d+1), got shape {vectors.shape}")
-    flat = vectors.reshape((-1,) + vectors.shape[-2:])
-    return kernels.cross_columns(flat).reshape(vectors.shape[:-2] + vectors.shape[-1:])
-
-
 @dataclass(frozen=True)
 class PointFrame:
     """Metric, normal and shape-operator data over a stack of chart points.
@@ -114,7 +100,7 @@ class PointFrame:
 
     @cached_property
     def _cross(self) -> tuple:  # the unnormalized normal and its length
-        raw = generalized_cross(self.jet.d1)
+        raw = kernels.cross_columns(self.jet.d1)
         return raw, np.linalg.norm(raw, axis=-1, keepdims=True)
 
     @cached_property
@@ -286,13 +272,12 @@ def christoffel(jet: Jet2, metric_inv: np.ndarray) -> np.ndarray:
     return (metric_inv @ proj).reshape(lead + (d, d, d))
 
 
-def laplace_beltrami(jet: Jet2, grad, hess) -> np.ndarray:
-    """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) on a 2-jet stack of the
+def laplace_beltrami(frame: PointFrame, grad, hess) -> np.ndarray:
+    """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) on a frame stack of the
     chart, from the exact gradient (..., d) and Hessian (..., d, d) of the
     scalar gamma at the same points."""
-    Ginv = np.linalg.inv(jet.d1 @ _t(jet.d1))
-    corr = hess - np.einsum("...kij,...k->...ij", christoffel(jet, Ginv), grad)
-    return np.trace(Ginv @ corr, axis1=-2, axis2=-1)
+    corr = hess - np.einsum("...kij,...k->...ij", frame.christoffel, grad)
+    return np.trace(frame.metric_inv @ corr, axis1=-2, axis2=-1)
 
 
 def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 BACKEND = "numpy"
 
 
@@ -43,18 +45,19 @@ def horner_many(coeffs: np.ndarray, dz: np.ndarray) -> np.ndarray:
 def cross_columns(d1: np.ndarray) -> np.ndarray:
     """Generalized cross product of the rows of each (d, d+1) slice.
 
-    ``d1`` has shape (points, d, d+1); slice p holds d tangent vectors of
-    R^{d+1}.  Component i of the result is the signed i-th cofactor of the
-    (d+1, d) matrix whose columns are those vectors, so that
-    dot(result, u) = det([u | v_1 | ... | v_d]) for every u.
-    Returns shape (points, d+1); the result is not normalized.
+    ``d1`` has shape (..., d, d+1), over any leading axes; each slice holds
+    d tangent vectors of R^{d+1}.  Component i of the result is the signed
+    i-th cofactor of the (d+1, d) matrix whose columns are those vectors,
+    so that dot(result, u) = det([u | v_1 | ... | v_d]) for every u; for
+    (e1, e2) in R^3 this gives e3.  Returns shape (..., d+1); the result is
+    not normalized.  Any other shape raises :class:`DomainError`.
     """
     d1 = np.asarray(d1, dtype=np.float64)
-    _, d, amb = d1.shape
-    if amb != d + 1:
-        raise ValueError(f"need d+1 ambient dims, got {amb} for d={d}")
-    cols = d1.transpose(0, 2, 1)  # (points, d+1, d)
+    if d1.ndim < 2 or d1.shape[-1] != d1.shape[-2] + 1:
+        raise DomainError(f"need d vectors with d+1 ambient dims, got shape {d1.shape}")
+    amb = d1.shape[-1]
+    cols = np.swapaxes(d1, -1, -2)  # (..., d+1, d)
     # keep[i] lists the rows of minor i, every row but row i
     keep = np.array([[r for r in range(amb) if r != i] for i in range(amb)])
     signs = (-1.0) ** np.arange(amb)
-    return np.linalg.det(cols[:, keep, :]) * signs
+    return np.linalg.det(cols[..., keep, :]) * signs

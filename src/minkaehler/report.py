@@ -4,15 +4,15 @@ A :class:`ResidualReport` summarizes one verified identity over a sample
 set.  Negative controls are reports with ``control=True``: they describe a
 deliberately broken input and *pass* only when the residual exceeds the
 floor, demonstrating that the residual actually measures something.  The
-JSON rendering is deterministic - keys sorted, floats fixed to 17
-significant digits - so identical configurations produce byte-identical
-reports.
+JSON rendering is :func:`json.dumps` with sorted keys and each float in
+its shortest round-trip repr, so identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,17 +80,10 @@ class ResidualReport:
 
 
 def report_to_dict(report: ResidualReport) -> dict:
-    return {
-        "identity": report.identity,
-        "points": report.points,
-        "max_residual": report.max_residual,
-        "mean_residual": report.mean_residual,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-        "control": report.control,
-        "nonfinite": report.nonfinite,
-        "excluded": report.excluded,
-    }
+    """The report's fields, ``passed`` under the JSON key ``pass``."""
+    row = asdict(report)
+    row["pass"] = row.pop("passed")
+    return row
 
 
 def all_passed(reports) -> bool:
@@ -98,41 +91,10 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports if not r.control)
 
 
-def _render_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot go into a deterministic report")
-    return format(float(x), ".17g")
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}"{key}": {render_json(obj[key], indent + 1)}'
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _render_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot render {type(obj).__name__} deterministically")
+def render_json(obj) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, ASCII only, floats
+    in their shortest round-trip repr; NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def render_text_table(reports) -> str:

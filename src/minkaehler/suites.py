@@ -56,7 +56,6 @@ from .geometry import (
     rank_and_nullity,
 )
 from .report import ResidualReport
-from .seeds import EXPECTED_RESIDUALS
 from .weierstrass import SeriesChart, WeierstrassSeed, chart_complex_structure
 
 __all__ = [
@@ -71,6 +70,7 @@ __all__ = [
     "run_suites",
 ]
 
+# generator seed of the random control fields; each control adds its own stream
 DEFAULT_RNG_SEED = 20260816
 
 # Floor every negative control must exceed to prove the residual has teeth.
@@ -99,7 +99,6 @@ class ChartBundle:
     seed: WeierstrassSeed
     chart: SeriesChart
     points: np.ndarray
-    rng_seed: int = DEFAULT_RNG_SEED
 
     @property
     def d(self) -> int:
@@ -128,7 +127,7 @@ class ChartBundle:
 
     def trivial_jet(self, stream: int) -> Jet2:
         """The 2-jet over the grid of a random trivial field D f + w."""
-        rng = np.random.default_rng(self.rng_seed + stream)
+        rng = np.random.default_rng(DEFAULT_RNG_SEED + stream)
         return make_trivial(self.chart, rng=rng).jet_from(self.frame.jet)
 
     @cached_property
@@ -150,11 +149,9 @@ class ChartBundle:
         return metric.max(axis=0), normal.max(axis=0), shape.max(axis=0)
 
 
-def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG_SEED) -> ChartBundle:
+def build_bundle(seed: WeierstrassSeed, counts=None) -> ChartBundle:
     """The seed's chart f, sampled on its box shrunk by ``_GRID_MARGIN``
     about its center; the seed checked itself when built."""
-    if rng_seed < 0:
-        raise ValueError(f"sampling rng_seed must be >= 0, got {rng_seed}")
     chart = SeriesChart(seed)
     if counts is None:
         counts = default_counts(chart.d)
@@ -166,7 +163,7 @@ def build_bundle(seed: WeierstrassSeed, counts=None, rng_seed: int = DEFAULT_RNG
     if any(c < 2 for c in counts):
         raise ValueError("sampling needs at least 2 points per axis")
     pts = grid_points(shrink_box(chart.box, _GRID_MARGIN), counts)
-    return ChartBundle(seed=seed, chart=chart, points=pts, rng_seed=rng_seed)
+    return ChartBundle(seed=seed, chart=chart, points=pts)
 
 
 # -- the suite registry --------------------------------------------------------
@@ -302,7 +299,7 @@ def codazzi_b(b: ChartBundle):
     """B satisfies the Codazzi symmetry."""
     res = codazzi_residual(b.frame, *B_with_derivative(b.conjugate))
     # control: a generic operator field linear in the coordinates
-    rng = np.random.default_rng(b.rng_seed + 303)
+    rng = np.random.default_rng(DEFAULT_RNG_SEED + 303)
     raw0 = rng.standard_normal((b.d, b.d))
     raw1 = rng.standard_normal((b.d, b.d))
     S0 = raw0 + raw0.T
@@ -343,21 +340,14 @@ SUITE_ORDER = tuple(_SUITES)
 
 
 def default_suites(bundle: ChartBundle) -> list:
-    """Suites run when the config names none.
-
-    Built-in seeds run exactly the suites in their expected-residual
-    manifest; other seeds run everything applicable to their dimension.
-    """
-    name = bundle.seed.name
-    if name in EXPECTED_RESIDUALS:
-        manifest = EXPECTED_RESIDUALS[name]
-        return [s for s in SUITE_ORDER if s in manifest]
-    skip = {nullity_in_bending_kernel.__name__} if bundle.d <= 2 else set()
-    return [s for s in SUITE_ORDER if s not in skip]
+    """Suites run when the config names none: every registered suite, but
+    ``nullity_in_bending_kernel`` only on a chart with relative nullity
+    (d > 2).  The chart's dimension alone decides, never the seed's name."""
+    return [s for s in SUITE_ORDER if bundle.d > 2 or s != nullity_in_bending_kernel.__name__]
 
 
 def run_suites(bundle: ChartBundle, names=None, tolerances=None) -> list:
-    """Run the named suites (default per seed) and return report rows."""
+    """Run the named suites (by default :func:`default_suites`) and return report rows."""
     if names is None:
         names = default_suites(bundle)
     overrides = dict(tolerances or {})

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ from .series import (
 
 SQRT2 = math.sqrt(2.0)
 _ZERO_TOL = 1e-9  # a seed series counts as zero below this relative modulus
+# a seed's name is the stem of the files written for it, so it is one plain path component
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,10 @@ class WeierstrassSeed:
     b_j delta^(j).
 
     Building a seed runs every check, so no seed exists that fails one:
-    the structure, ``trunc_order >= 0``, each series kept far enough to
-    converge on the domain disc, and the nowhere-zero invariants on a polar
-    grid of that disc (``_check_domain``).  Each raises
+    a ``name`` of ASCII letters, digits, '.', '_' and '-' that starts with
+    a letter or digit, the structure, ``trunc_order >= 0``, each series
+    kept far enough to converge on the domain disc, and the nowhere-zero
+    invariants on a polar grid of that disc (``_check_domain``).  Each raises
     :class:`SeedValidationError` naming the offending datum.  ``chain``
     runs the recursion on first read and keeps it, and ``jet_rows`` keeps
     the coefficient rows of each jet order beside it.
@@ -111,6 +115,11 @@ class WeierstrassSeed:
     name: str = "custom"
 
     def __post_init__(self):
+        if not _NAME_PATTERN.fullmatch(self.name):
+            raise SeedValidationError(
+                f"seed name {self.name!r} must be ASCII letters, digits, '.', '_' or '-', "
+                "starting with a letter or digit"
+            )
         if self.n < 1:
             raise SeedValidationError("n must be at least 1")
         if len(self.mu) != self.n:

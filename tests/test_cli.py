@@ -58,6 +58,8 @@ class TestTopLevel:
         assert payload["config"]["seed"] == "enneper"
         assert payload["config"]["export"]["box"] is None
         assert "m4r5" in payload["builtin_seeds"]
+        for manifest in payload["expected_residuals"].values():
+            assert type(manifest["rank"]) is float and manifest["rank"] == 0.0
 
     def test_printed_defaults_run_as_a_config(self, tmp_path, capsys):
         assert main(["--print-defaults"]) == 0
@@ -172,8 +174,22 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--suite", "nope"]) == 2
         assert "unknown suites" in capsys.readouterr().err
 
+    def test_seed_named_like_a_builtin_of_another_dimension(self, tmp_path, capsys):
+        # the suite plan reads the chart's dimension: an n = 1 seed skips the
+        # nullity suite whatever it is called
+        seed = dict(ENNEPER_JSON, name="m4r5")
+        cfg = write_config(tmp_path, seed=seed, sampling={"counts": [3, 3]}, output_dir="out")
+        assert main(["verify", "--config", cfg]) == 0
+        assert main(["generate", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="ascii"))
+        assert report["suites"] == [s for s in SUITE_ORDER if s != "nullity_in_bending_kernel"]
+        rank = next(row for row in report["reports"] if row["identity"] == "rank")
+        assert type(rank["max_residual"]) is float and rank["max_residual"] == 0.0
+        bundle = json.loads((tmp_path / "out" / "m4r5_bundle.json").read_text(encoding="ascii"))
+        assert bundle["seed"]["name"] == "m4r5" and bundle["chart"]["coordinate_dim"] == 2
+
     def test_defaults_need_no_config_file(self, tmp_path, capsys):
-        # no --config at all: defaults run the enneper manifest end to end
+        # no --config at all: the defaults run the enneper seed end to end
         assert main(["verify", "--suite", "minimality"]) == 0
         assert (tmp_path / "minkaehler-out" / "report.json").exists()
 
@@ -184,7 +200,12 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sampling", [{"count": [3, 3]}, {"margin": 0.9}])
+    @pytest.mark.parametrize(
+        "sampling",
+        # rng_seed was a sampling key; the control fields' generator seed is now fixed
+        [{"count": [3, 3]}, {"margin": 0.9}]
+        + [{"rng_seed": v} for v in (3, 1.5, -5, None)],
+    )
     def test_unknown_sampling_key_is_rejected(self, tmp_path, capsys, sampling):
         cfg = write_config(tmp_path, seed="enneper", sampling=sampling)
         assert main(["verify", "--config", cfg]) == 2
@@ -196,7 +217,6 @@ class TestConfigErrors:
         [
             (["verify"], {"sampling": {"counts": [2.9, 2.2]}}, "counts"),
             (["verify"], {"sampling": {"counts": [True, 3]}}, "counts"),
-            (["verify"], {"sampling": {"rng_seed": 1.5}}, "rng_seed"),
             (["verify"], {"seed": dict(seed_to_json(builtin_seed("enneper")), n=1.7)}, "seed n"),
             (
                 ["verify"],
@@ -212,14 +232,6 @@ class TestConfigErrors:
         assert main(argv + ["--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "integer" in err
-
-    @pytest.mark.parametrize("rng_seed", [-5, -200])
-    def test_negative_rng_seed_names_the_key(self, tmp_path, capsys, rng_seed):
-        # the control streams add 101, 202 and 303, so a small negative seed used to run
-        cfg = write_config(tmp_path, sampling={"counts": [2, 2], "rng_seed": rng_seed})
-        assert main(["verify", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "rng_seed" in err
 
     @pytest.mark.parametrize(
         "config, key",
@@ -365,13 +377,22 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg]) == 2
         assert "unknown builtin seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "verify", "export"])
+    @pytest.mark.parametrize("name", ["../x", "a/b", "", "\u00e9", "a\nb", ".hidden"])
+    def test_seed_name_that_is_no_plain_file_stem_writes_nothing(self, tmp_path, capsys, command, name):
+        # the name is the stem of every file a seed writes
+        cfg = write_config(tmp_path, seed=dict(ENNEPER_JSON, name=name), output_dir="out")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed name") and repr(name) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize(
         "command, config",
         [
             ("verify", {"sampling": 5}),
             ("verify", {"suites": 5}),
             ("verify", {"output_dir": 5}),
-            ("verify", {"sampling": {"rng_seed": None}}),
             ("export", {"export": {"counts": 5}}),
             ("export", {"export": {"fixed": 5}}),
             ("export", {"export": {"axes": None}}),

@@ -80,7 +80,7 @@ SLICE = {
 CONFIG = {
     "seed": SEED,
     "suites": ["minimality"],
-    "sampling": {"counts": [2, 2, 2, 2], "rng_seed": 3},
+    "sampling": {"counts": [2, 2, 2, 2]},
     "tolerances": {"minimality": 1e-7},
     "export": SLICE,
     "output_dir": "out",

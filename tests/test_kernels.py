@@ -100,6 +100,10 @@ class TestCrossColumns:
         for d in (1, 2, 4, 6):
             d1 = rng.standard_normal((512, d, d + 1))
             np.testing.assert_array_equal(kernels.cross_columns(d1), cross_columns_loop(d1))
+            # extra leading axes, as a stack of family members carries
+            stack = rng.standard_normal((5, 64, d, d + 1))
+            want = np.stack([cross_columns_loop(member) for member in stack])
+            np.testing.assert_array_equal(kernels.cross_columns(stack), want)
 
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="ambient"):

@@ -151,12 +151,10 @@ class TestDefaults:
         assert default_counts(4) == [4, 4, 3, 3]
         assert default_counts(6) == [4, 4, 2, 2, 2, 2]
 
-    def test_surface_seeds_skip_rank_and_nullity(self):
+    def test_surface_seeds_skip_only_nullity(self):
         for name in ("enneper", "catenoid"):
             suites = default_suites(build_bundle(builtin_seed(name), counts=[2, 2]))
-            assert "rank" not in suites
-            assert "nullity_in_bending_kernel" not in suites
-            assert "minimality" in suites
+            assert suites == [s for s in SUITE_ORDER if s != "nullity_in_bending_kernel"]
 
     def test_m4r5_defaults_include_rank_and_nullity(self):
         suites = default_suites(build_bundle(builtin_seed("m4r5"), counts=[2, 2, 2, 2]))
@@ -168,6 +166,21 @@ class TestDefaults:
         bundle = build_bundle(seed, counts=[2, 2])
         suites = default_suites(bundle)
         assert suites == [s for s in SUITE_ORDER if s != "nullity_in_bending_kernel"]
+
+    @pytest.mark.parametrize("source", SEED_NAMES + ("inline-n1", "inline-n2", "inline-n3"))
+    def test_plan_follows_the_dimension_not_the_name(self, source, n3_chart):
+        if source in SEED_NAMES:
+            seed = builtin_seed(source)
+        elif source == "inline-n3":
+            seed = n3_chart.seed
+        else:
+            seed = seed_from_json(INLINE_SEEDS[int(source[-1])])
+        d = 2 * seed.n
+        plans = [
+            default_suites(build_bundle(dataclasses.replace(seed, name=name), counts=[2] * d))
+            for name in ("custom",) + SEED_NAMES
+        ]
+        assert plans == [[s for s in SUITE_ORDER if d > 2 or s != "nullity_in_bending_kernel"]] * len(plans)
 
     def test_every_registered_suite_has_a_tolerance(self):
         assert tuple(DEFAULT_TOLERANCES) == SUITE_ORDER
@@ -278,11 +291,10 @@ class TestReportPlumbing:
         rendered = render_json({"v": x})
         assert json.loads(rendered)["v"] == x
 
-    def test_non_finite_values_are_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            render_json({"v": float("nan")})
-        with pytest.raises(ValueError, match="non-finite"):
-            render_json({"v": float("inf")})
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_are_rejected(self, x):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            render_json({"v": x})
 
     def test_table_has_verdict_line(self):
         ok = ResidualReport.from_residuals("alpha", [1e-9], 1e-7)

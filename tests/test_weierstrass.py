@@ -515,6 +515,10 @@ class TestValidation:
         for name in BUILTIN_NAMES:
             builtin_seed(name)
 
+    def test_plain_names_are_accepted(self, enneper_seed):
+        for name in BUILTIN_NAMES + ("custom", "random-n1", "my-surface", "inline-n3"):
+            assert dataclasses.replace(enneper_seed, name=name).name == name
+
     def test_negative_trunc_order_rejected(self):
         one = TruncatedSeries.constant(1.0, 0.0, 8)
         with pytest.raises(SeedValidationError, match=re.escape("seed trunc_order must be >= 0, got -1")):
