@@ -5,9 +5,13 @@ construction and verifies, numerically and to stated tolerances, that the
 conjugate chart is an infinitesimal bending preserving the Gauss map,
 along with the associated-family, Kaehler, and Gauss-parametrization
 identities that characterize these submanifolds.
+
+Closed-form charts and the Gauss parametrization are imported from their
+modules, :mod:`minkaehler.taylor` and :mod:`minkaehler.gausspar`, so that
+the command line never loads their Taylor arithmetic.
 """
 
-from .charts import ImmersionChart, Jet2, ProductChart, TaylorChart
+from .charts import ImmersionChart, Jet2, ProductChart
 from .errors import (
     DomainError,
     DomainWarning,
@@ -16,7 +20,6 @@ from .errors import (
     PreconditionError,
     SeedValidationError,
 )
-from .taylor import Taylor
 from .series import (
     TruncatedSeries,
     mul_error_bound,
@@ -52,27 +55,15 @@ from .geometry import (
 )
 from .seeds import BUILTIN_NAMES, builtin_seed
 from .bending import (
-    TrivialField,
     Variation,
     bending_residual,
     classify_triviality,
     conjugate_field,
     gauss_tangency_residual,
-    make_cylinder_bending,
     make_trivial,
     recover_bending_decomposition,
     rotation_coefficient,
-)
-from .gausspar import (
-    SphereSurface,
-    SupportFunction,
-    clifford_torus_surface,
-    extract_from_hypersurface,
-    gauss_param,
-    gauss_round_trip,
-    geodesic_sphere_surface,
-    linear_support,
-    minimality_criterion,
+    trivial_jet,
 )
 
 __version__ = "0.1.0"

@@ -15,12 +15,13 @@ T_* of dT.  Three independent routes to B are implemented (the exact first
 variation of the shape operator along f + tT, the covariant-Hessian
 formula, and the composition A T_*) so they can cross-check each other.
 
-A variation field is itself an :class:`~minkaehler.charts.ImmersionChart`
-over the same coordinates: ``jet_batch(pts, order)`` returns the value and
-partials of T on a point stack.  A chart is its own position field, and
-the conjugate field of the family member at theta is the member at
-theta + pi/2.  Since jets are linear, the jet of f + tT is the sum of the
-two jets (:func:`~minkaehler.charts.mix_jets`).
+A variation field is given by its :class:`~minkaehler.charts.Jet2` on the
+chart's points.  A chart is its own position field, the conjugate field of
+the family member at theta is the member at theta + pi/2
+(:func:`conjugate_field`), and a trivial field's jet is a linear map of the
+chart's (:func:`trivial_jet`).  Since jets are linear, the jet of f + tT,
+or of a sum of fields, is the sum of the jets
+(:func:`~minkaehler.charts.mix_jets`).
 
 Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
@@ -31,10 +32,7 @@ computed once per field; the three routes to B share only those inputs.
 Every route reads G^{-1}, L and L^{-1} (in ||.||_G) and d_l G from the
 frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
-two jets, and no deformed frame is built.  Only :func:`classify_triviality`
-and :func:`recover_bending_decomposition` take charts and points, and
-build their one frame themselves; the latter reads the chart and its
-conjugate from one two-member :class:`~minkaehler.weierstrass.SeriesChart`.
+two jets, and no deformed frame is built.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import ImmersionChart, Jet2, TaylorChart
+from .charts import Jet2
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -54,44 +52,25 @@ from .geometry import (
     covariant_field_derivative,
     gnorm_columns,
     gnorm_op,
-    point_frame,
 )
-from .taylor import Taylor
 from .weierstrass import SeriesChart, chart_complex_structure
 
 
 # -- variation fields ---------------------------------------------------------
 
-@dataclass
-class TrivialField(ImmersionChart):
-    """T = D f + w for a skew ambient matrix D and a constant vector w."""
-
-    chart: ImmersionChart
-    skew: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        self.d = self.chart.d
-        self.ambient = self.chart.ambient
-        self.box = self.chart.box
-        self.skew = np.asarray(self.skew, dtype=np.float64)
-        self.offset = np.asarray(self.offset, dtype=np.float64)
-        if self.skew.shape != (self.ambient, self.ambient):
-            raise DomainError(f"skew matrix must be {self.ambient}x{self.ambient}")
-        if np.abs(self.skew + self.skew.T).max() > 1e-12 * max(1.0, np.abs(self.skew).max()):
-            raise DomainError("trivial fields need an antisymmetric matrix")
-        if self.offset.shape != (self.ambient,):
-            raise DomainError(f"offset must have {self.ambient} components")
-
-    def jet_batch(self, pts, order: int = 2) -> tuple:
-        return self._apply(*self.chart.jet_batch(pts, order))
-
-    def jet_from(self, jet: Jet2) -> Jet2:
-        """T's 2-jet from the chart's jet on the same points."""
-        return Jet2(jet.coords, *self._apply(jet.value, jet.d1, jet.d2))
-
-    def _apply(self, value, *partials) -> tuple:
-        return (value @ self.skew.T + self.offset, *(a @ self.skew.T for a in partials))
+def trivial_jet(jet: Jet2, skew, offset) -> Jet2:
+    """The 2-jet of the trivial field T = D f + w, for a skew ambient matrix
+    D and a constant vector w, on the points of f's jet ``jet``."""
+    m1 = jet.ambient
+    skew = np.asarray(skew, dtype=np.float64)
+    offset = np.asarray(offset, dtype=np.float64)
+    if skew.shape != (m1, m1):
+        raise DomainError(f"skew matrix must be {m1}x{m1}")
+    if np.abs(skew + skew.T).max() > 1e-12 * max(1.0, np.abs(skew).max()):
+        raise DomainError("trivial fields need an antisymmetric matrix")
+    if offset.shape != (m1,):
+        raise DomainError(f"offset must have {m1} components")
+    return Jet2(jet.coords, jet.value @ skew.T + offset, jet.d1 @ skew.T, jet.d2 @ skew.T)
 
 
 def conjugate_field(chart: SeriesChart) -> SeriesChart:
@@ -100,35 +79,17 @@ def conjugate_field(chart: SeriesChart) -> SeriesChart:
     return SeriesChart(chart.seed, chart.theta + math.pi / 2)
 
 
-def make_trivial(chart: ImmersionChart, rng) -> TrivialField:
-    """A random trivial field D f + w with unit-size D and w drawn from
-    ``rng``; :class:`TrivialField` takes given ones."""
-    m1 = chart.ambient
+def make_trivial(jet: Jet2, rng) -> Jet2:
+    """The 2-jet of a random trivial field D f + w on the points of f's jet,
+    with unit-size D and w drawn from ``rng``; :func:`trivial_jet` takes
+    given ones."""
+    m1 = jet.ambient
     raw = rng.standard_normal((m1, m1))
     skew = raw - raw.T
     skew *= 1.0 / max(np.linalg.norm(skew), TINY)
     offset = rng.standard_normal(m1)
     offset *= 1.0 / max(np.linalg.norm(offset), TINY)
-    return TrivialField(chart, skew, offset)
-
-
-def make_cylinder_bending(cylinder, a: float, b: float) -> TaylorChart:
-    """Nontrivial bending of the cylinder over the ellipse (a cos t, b sin t).
-
-    The field lies in the profile plane and is constant along the straight
-    factor: T(t, z) = (v(t), 0, ...) with v'(t) = t * rot90(c'(t)), which
-    satisfies <v', c'> = 0 pointwise, the bending condition for cylinders.
-    A closed form is v(t) = (-b (t sin t + cos t), a (t cos t - sin t)).
-    """
-    if cylinder.ambient < 3:
-        raise DomainError("cylinder bending needs an ambient dimension of at least 3")
-
-    def fn(x):
-        t = x[..., 0]
-        v = [-b * (t * t.sin() + t.cos()), a * (t * t.cos() - t.sin())]
-        return Taylor.stack(v + [0.0] * (cylinder.ambient - 2))
-
-    return TaylorChart(cylinder.d, cylinder.ambient, cylinder.box, fn)
+    return trivial_jet(jet, skew, offset)
 
 
 # -- bending / preservation residuals -----------------------------------------
@@ -394,11 +355,9 @@ _TRIVIAL_THRESHOLD = 1e-6
 class TrivialityResult:
     trivial: bool
     score: float
-    threshold: float
-    worst_bending_residual: float
 
 
-def classify_triviality(chart: ImmersionChart, fld: ImmersionChart, pts) -> TrivialityResult:
+def classify_triviality(v: Variation) -> TrivialityResult:
     """Decide whether a bending is trivial (B vanishes identically).
 
     Raises :class:`PreconditionError` if the field's bending residual
@@ -406,9 +365,7 @@ def classify_triviality(chart: ImmersionChart, fld: ImmersionChart, pts) -> Triv
     largest ||B||_G / (||A||_G * sigma) with sigma the relative field size,
     and the bending is trivial when it is below ``_TRIVIAL_THRESHOLD``.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    frame = point_frame(chart.jet(pts))
-    v = Variation(frame, fld.jet(pts))
+    frame = v.frame
     worst_bend = float(bending_residual(v).max())
     if worst_bend > _BENDING_TOL:
         raise PreconditionError(
@@ -421,9 +378,9 @@ def classify_triviality(chart: ImmersionChart, fld: ImmersionChart, pts) -> Triv
     sigma = float(sizes.max())
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
-        return TrivialityResult(True, 0.0, _TRIVIAL_THRESHOLD, worst_bend)
+        return TrivialityResult(True, 0.0)
     score = float((gnorm_op(frame, v.B) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
-    return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score, _TRIVIAL_THRESHOLD, worst_bend)
+    return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score)
 
 
 @dataclass(frozen=True)
@@ -434,32 +391,28 @@ class BendingDecomposition:
     residual: float
 
 
-def recover_bending_decomposition(
-    chart: SeriesChart, fld: ImmersionChart, pts
-) -> BendingDecomposition:
-    """Split T = c * conjugate + D f + w and recover (c, D, w).
+def recover_bending_decomposition(v: Variation, conjugate: Variation) -> BendingDecomposition:
+    """Split T = c * conjugate + D f + w and recover (c, D, w), for a field
+    and the chart's conjugate along one frame.
 
     The coefficient comes from projecting B(T) onto B(conjugate) in the
     Frobenius pairing over the sample (the trivial part contributes no B);
     the remaining trivial part is fit by least squares and the residual is
-    the worst pointwise misfit relative to the field size.  The chart and
-    its conjugate come from one jet call, of the stack of their two angles.
+    the worst pointwise misfit relative to the field size.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    jc, jr = SeriesChart(chart.seed, (chart.theta, chart.theta + math.pi / 2)).member_jets(pts)
-    frame = point_frame(jc)
-    jf = fld.jet(pts)
-    bt = _b_form(Variation(frame, jf))
-    br = _b_form(Variation(frame, jr))
+    if conjugate.frame is not v.frame:
+        raise DomainError("a decomposition needs the field and the conjugate along one frame")
+    bt = _b_form(v)
+    br = _b_form(conjugate)
     c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)
-    m1 = chart.ambient
+    m1 = v.frame.jet.ambient
     pairs = [(a, b) for a in range(m1) for b in range(a + 1, m1)]
-    base = frame.jet.value
-    field = jf.value
-    resid = field - c * jr.value
+    base = v.frame.jet.value.reshape(-1, m1)
+    field = v.jet.value.reshape(-1, m1)
+    resid = field - c * conjugate.jet.value.reshape(-1, m1)
     # rows [point, component]: entry D[a, b] = x contributes x * f[b] to
     # component a and -x * f[a] to component b; w adds to its own component
-    design = np.zeros((len(pts), m1, len(pairs) + m1))
+    design = np.zeros((len(base), m1, len(pairs) + m1))
     for col, (a, b) in enumerate(pairs):
         design[:, a, col] = base[:, b]
         design[:, b, col] = -base[:, a]

@@ -1,4 +1,4 @@
-"""Chart infrastructure: jets, sampling boxes, and closed-form charts.
+"""Chart infrastructure: jets, sampling boxes, and product charts.
 
 An immersion chart maps an open box of R^d into R^{m+1} and reports the
 jet (value, first partials, second partials) at a stack of points of its
@@ -8,20 +8,18 @@ Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`,
 where a stack of family members puts a member axis before the points
 and ``member_jets`` splits it into one Jet2 per member.  This module holds the shared
 protocol, :func:`mix_jets` (jets are linear, so the jet of a f + b g,
-f + tT among them, is combined from the two jets), products with a
-Euclidean factor, and :class:`TaylorChart`, the closed-form chart: one
-value formula in Taylor arithmetic, whose jets of every order are exact.
+f + tT among them, is combined from the two jets) and products with a
+Euclidean factor.  Closed-form charts, one value formula in Taylor
+arithmetic, are :class:`minkaehler.taylor.TaylorChart`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .taylor import Taylor
 
 
 @dataclass(frozen=True)
@@ -77,35 +75,24 @@ class ImmersionChart:
         raise NotImplementedError
 
     def jet(self, p, order: int = 2) -> Jet2:
-        """The jet at points ``p`` of shape (..., d), as one :class:`Jet2`
-        with the same leading axes; one point (d,) gives the one-point slice."""
+        """The 2- or 3-jet at points ``p`` of shape (..., d), as one
+        :class:`Jet2` with the same leading axes after any member axis of
+        the chart; one point (d,) gives the one-point slice."""
+        if order not in (2, 3):
+            raise DomainError(f"a Jet2 holds a 2- or 3-jet; read order {order} from jet_batch")
         p = np.asarray(p, dtype=np.float64)
-        parts = self.jet_batch(p.reshape(-1, p.shape[-1]), order)
-        lead = p.shape[:-1]
-        return Jet2(p, *(a.reshape(lead + a.shape[1:]) for a in parts))
+        parts = self._on_points(p, order)
+        return Jet2(np.broadcast_to(p, parts[0].shape[:-1] + p.shape[-1:]), *parts)
 
     def value(self, p) -> np.ndarray:
-        return self.jet(p).value
+        return self._on_points(np.asarray(p, dtype=np.float64), 0)[0]
 
-
-@dataclass
-class TaylorChart(ImmersionChart):
-    """Chart from one value formula written in Taylor arithmetic.
-
-    ``fn`` maps a (P, d) stack of :class:`~minkaehler.taylor.Taylor`
-    variables to the (P, ambient) Taylor values; the jets of any order are
-    that expansion's derivative tensors, exact up to roundoff.
-    """
-
-    d: int
-    ambient: int
-    box: np.ndarray
-    fn: Callable
-
-    def jet_batch(self, pts, order: int = 2) -> tuple:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        out = self.fn(Taylor.variables(pts, order))
-        return tuple(np.moveaxis(out.derivatives(k), 1, -1) for k in range(order + 1))
+    def _on_points(self, p: np.ndarray, order: int) -> tuple:
+        """``jet_batch`` on the (..., d) stack ``p`` flattened to one point
+        axis, each array's point axis reshaped back to p's leading axes."""
+        parts = self.jet_batch(p.reshape(-1, p.shape[-1]), order)
+        lead, member = p.shape[:-1], parts[0].ndim - 2
+        return tuple(a.reshape(a.shape[:member] + lead + a.shape[member + 1 :]) for a in parts)
 
 
 @dataclass
@@ -135,7 +122,8 @@ class ProductChart(ImmersionChart):
             full[(slice(None),) + (slice(0, dp),) * k + (slice(0, mp),)] = part
             out.append(full)
         out[0][:, mp:] = pts[:, dp:]
-        out[1][:, dp:, mp:] = np.eye(self.extra)
+        if order:
+            out[1][:, dp:, mp:] = np.eye(self.extra)
         return tuple(out)
 
 

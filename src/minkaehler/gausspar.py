@@ -20,10 +20,16 @@ leaves (the series charts built here, and cylinders over plane curves),
 the section at zero fiber coordinates rebuilds the sphere data, and the
 round trip lands each rebuilt point back on the original leaf.
 
+The quotient dimension is read from the input, never set: the measured
+rank of the samples in :func:`extract_from_hypersurface`, the last axis
+of the quotient points in :func:`gauss_round_trip`.
+
 Everything is Taylor arithmetic (:mod:`minkaehler.taylor`) over point
 stacks: g, gamma and the frame are formulas or sections of a chart's jets,
 and Psi's 2-jet takes g and gamma one order deeper, so it is exact.  The
-rebuilt data of a chart read its 4-jets.
+rebuilt data of a chart read its 4-jets.  The closed-form charts live
+here too: the sphere surfaces, Psi, and the nontrivial bending of a
+cylinder over an ellipse (:func:`make_cylinder_bending`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .charts import ImmersionChart, TaylorChart
+from .charts import ImmersionChart
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -44,7 +50,7 @@ from .geometry import (
     point_frame,
     rank_and_nullity,
 )
-from .taylor import Taylor, dot, solve, unit
+from .taylor import Taylor, TaylorChart, dot, solve, unit
 
 # half-width of every fiber coordinate w_a in a parametrized chart's box
 _W_HALFWIDTH = 0.4
@@ -304,22 +310,26 @@ def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
     return tuple(t.reshape(lead + t.shape[1:]).compose(x) for t in data)
 
 
-def rebuild_surface(chart: ImmersionChart, quotient_dim: int = 2) -> SphereSurface:
-    """Sphere-surface data from a chart whose trailing coordinates run along
-    the nullity leaves: g = chart normal on the zero-fiber section, framed
-    by the orthonormalized leaf directions, both exact from the chart's
-    jets.  The frame identities are what :meth:`SphereSurface.verify`
-    checks downstream."""
-    if chart.d - quotient_dim < 1:
+def rebuild_surface(chart: ImmersionChart, rank: int) -> SphereSurface:
+    """Sphere-surface data from a chart of shape-operator rank ``rank``
+    whose trailing coordinates run along the nullity leaves: g = chart
+    normal on the zero-fiber section over the leading ``rank``
+    coordinates, framed by the orthonormalized leaf directions, both exact
+    from the chart's jets.  The frame identities are what
+    :meth:`SphereSurface.verify` checks downstream."""
+    if rank < 1:
+        raise PreconditionError("a chart of rank 0 has a point for its Gauss image: no quotient to rebuild")
+    if chart.d - rank < 1:
         raise PreconditionError("chart has no fiber coordinates to rebuild from")
-    box = np.asarray(chart.box[:quotient_dim], dtype=np.float64)
-    g = TaylorChart(quotient_dim, chart.ambient, box, lambda x: _section(chart, quotient_dim, x)[0])
-    return SphereSurface(g, lambda x: _section(chart, quotient_dim, x)[2])
+    box = np.asarray(chart.box[:rank], dtype=np.float64)
+    g = TaylorChart(rank, chart.ambient, box, lambda x: _section(chart, rank, x)[0])
+    return SphereSurface(g, lambda x: _section(chart, rank, x)[2])
 
 
-def rebuild_support(chart: ImmersionChart, quotient_dim: int = 2) -> SupportFunction:
-    """gamma = <f, N> on the zero-fiber section, exact from the chart's jets."""
-    return SupportFunction(lambda x: _section(chart, quotient_dim, x)[1])
+def rebuild_support(chart: ImmersionChart, rank: int) -> SupportFunction:
+    """gamma = <f, N> on the zero-fiber section over the leading ``rank``
+    coordinates, exact from the chart's jets."""
+    return SupportFunction(lambda x: _section(chart, rank, x)[1])
 
 
 @dataclass(frozen=True)
@@ -346,11 +356,11 @@ class ExtractionResult:
     indeterminate: bool
 
 
-def extract_from_hypersurface(chart: ImmersionChart, samples, expected_rank: int = 2) -> ExtractionResult:
+def extract_from_hypersurface(chart: ImmersionChart, samples) -> ExtractionResult:
     """Recover Gauss-image and support data from chart samples.
 
-    Frames are computed at every sample; the rank must equal
-    ``expected_rank`` with positive nullity everywhere (otherwise
+    Frames are computed at every sample; the rank must be the first
+    sample's at every sample, with positive nullity (otherwise
     :class:`PreconditionError`).  Samples are greedily clustered by normal
     direction: points on one nullity leaf share their normal to first
     order, so clusters are leaf fingerprints.  The support gamma = <f, N>
@@ -359,11 +369,12 @@ def extract_from_hypersurface(chart: ImmersionChart, samples, expected_rank: int
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     fr = point_frame(chart.jet(samples))
     rr = rank_and_nullity(fr)
+    rank = int(rr.rank[0])
     for i, p in enumerate(samples):
-        if rr.rank[i] != expected_rank:
+        if rr.rank[i] != rank:
             raise PreconditionError(
                 f"sample at {p} has shape-operator rank {rr.rank[i]}, "
-                f"expected {expected_rank}"
+                f"expected {rank} as at the first sample"
             )
         if rr.nullity[i] == 0:
             raise PreconditionError(
@@ -384,15 +395,15 @@ def extract_from_hypersurface(chart: ImmersionChart, samples, expected_rank: int
     cluster_supports = np.array([supports[idx].mean() for idx in clusters])
 
     return ExtractionResult(
-        rank=expected_rank,
-        nullity=chart.d - expected_rank,
+        rank=rank,
+        nullity=chart.d - rank,
         clusters=clusters,
         normals=cluster_normals,
         supports=cluster_supports,
         normal_spread=float(np.linalg.norm(normals - cluster_normals[labels], axis=1).max()),
         support_spread=float(np.abs(supports - cluster_supports[labels]).max()),
-        surface=rebuild_surface(chart, expected_rank),
-        support=rebuild_support(chart, expected_rank),
+        surface=rebuild_surface(chart, rank),
+        support=rebuild_support(chart, rank),
         indeterminate=bool(rr.indeterminate.any()),
     )
 
@@ -406,8 +417,9 @@ class RoundTripResult:
     gauss_mismatch: np.ndarray
 
 
-def gauss_round_trip(chart: ImmersionChart, qpts, quotient_dim: int = 2) -> RoundTripResult:
-    """Rebuild (g, gamma) from the chart and parametrize back.
+def gauss_round_trip(chart: ImmersionChart, qpts) -> RoundTripResult:
+    """Rebuild (g, gamma) from the chart and parametrize back, over a
+    (..., r) stack of quotient points, r the chart's rank.
 
     Each rebuilt point Psi(q, 0) must land on the original leaf: the
     affine leaf plane through the zero-fiber point spanned by the leaf
@@ -416,11 +428,12 @@ def gauss_round_trip(chart: ImmersionChart, qpts, quotient_dim: int = 2) -> Roun
     and the (sign-blind) mismatch between the rebuilt chart's own normal
     and g.
     """
-    surface = rebuild_surface(chart, quotient_dim)
-    gamma = rebuild_support(chart, quotient_dim)
-    psi = gauss_param(surface, gamma, check=False)
     q = np.asarray(qpts, dtype=np.float64)
-    lifted = _lift(q, chart.d - quotient_dim)
+    rank = q.shape[-1]
+    surface = rebuild_surface(chart, rank)
+    gamma = rebuild_support(chart, rank)
+    psi = gauss_param(surface, gamma, check=False)
+    lifted = _lift(q, chart.d - rank)
     rebuilt = point_frame(psi.jet(lifted))
     base = point_frame(chart.jet(lifted))
     L = surface.frame(q)  # (..., k, m+1), orthonormal rows
@@ -432,3 +445,24 @@ def gauss_round_trip(chart: ImmersionChart, qpts, quotient_dim: int = 2) -> Roun
         support_mismatch=np.abs(support),
         gauss_mismatch=_off_axis(rebuilt.normal, surface.chart.value(q)),
     )
+
+
+# -- a closed-form bending -----------------------------------------------------
+
+def make_cylinder_bending(cylinder: ImmersionChart, a: float, b: float) -> TaylorChart:
+    """Nontrivial bending of the cylinder over the ellipse (a cos t, b sin t).
+
+    The field lies in the profile plane and is constant along the straight
+    factor: T(t, z) = (v(t), 0, ...) with v'(t) = t * rot90(c'(t)), which
+    satisfies <v', c'> = 0 pointwise, the bending condition for cylinders.
+    A closed form is v(t) = (-b (t sin t + cos t), a (t cos t - sin t)).
+    """
+    if cylinder.ambient < 3:
+        raise DomainError("cylinder bending needs an ambient dimension of at least 3")
+
+    def fn(x):
+        t = x[..., 0]
+        v = [-b * (t * t.sin() + t.cos()), a * (t * t.cos() - t.sin())]
+        return Taylor.stack(v + [0.0] * (cylinder.ambient - 2))
+
+    return TaylorChart(cylinder.d, cylinder.ambient, cylinder.box, fn)

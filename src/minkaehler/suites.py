@@ -128,7 +128,7 @@ class ChartBundle:
     def trivial_jet(self, stream: int) -> Jet2:
         """The 2-jet over the grid of a random trivial field D f + w."""
         rng = np.random.default_rng(DEFAULT_RNG_SEED + stream)
-        return make_trivial(self.chart, rng=rng).jet_from(self.frame.jet)
+        return make_trivial(self.frame.jet, rng)
 
     @cached_property
     def family(self) -> tuple:

@@ -13,7 +13,8 @@ two operands truncates to the lower order, ``diff`` lowers the order by
 one, and :meth:`Taylor.compose` substitutes one expansion into another,
 which also gives every elementary function from its derivatives at the
 value.  :func:`solve` solves linear systems by the Neumann series about the
-value.
+value.  :class:`TaylorChart` is the closed-form chart: one value formula
+in this arithmetic, whose jets of every order are exact.
 
 The index tables behind products, derivatives and compositions are built
 on first use, once per (number of variables, order).
@@ -24,8 +25,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+from .charts import ImmersionChart
 
 
 def _size(n: int, order: int) -> int:
@@ -317,3 +322,23 @@ def solve(A: Taylor, b: Taylor) -> Taylor:
         r = b - dot(rest, x[..., None, :])
         x = Taylor(np.linalg.solve(A0, r.c), r.n, r.order)
     return x
+
+
+@dataclass
+class TaylorChart(ImmersionChart):
+    """Chart from one value formula written in Taylor arithmetic.
+
+    ``fn`` maps a (P, d) stack of :class:`Taylor` variables to the
+    (P, ambient) Taylor values; the jets of any order are that expansion's
+    derivative tensors, exact up to roundoff.
+    """
+
+    d: int
+    ambient: int
+    box: np.ndarray
+    fn: Callable
+
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        out = self.fn(Taylor.variables(pts, order))
+        return tuple(np.moveaxis(out.derivatives(k), 1, -1) for k in range(order + 1))

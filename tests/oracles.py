@@ -34,11 +34,10 @@ evidence rather than tautology.
 * the benchmark's workload module, loaded from its file, for the random
   seeds it verifies.
 * closed-form test charts (sphere, plane, polar plane, ellipse) written as
-  Taylor formulas, and four helpers: the metric at one point, a field
-  summed from other fields (``FieldSum``, for the functions that take a
-  field as a chart), the Variation (the chart's frame and the field's jet)
-  every bending residual takes, and the default-grid bundle of each of the
-  six verified seeds (``SIX_SEEDS``).
+  Taylor formulas, and three helpers: the metric at one point, the
+  Variation (the chart's frame and the field's jet) every bending residual
+  takes, and the default-grid bundle of each of the six verified seeds
+  (``SIX_SEEDS``).
 * the loops that the package's vectorized kernels replaced, kept as
   references: the generalized cross product one cofactor determinant at a
   time, and a residual report aggregated point by point.
@@ -59,13 +58,13 @@ import math
 import numpy as np
 
 from minkaehler.bending import Variation
-from minkaehler.charts import ImmersionChart, TaylorChart, mix_jets
+from minkaehler.charts import mix_jets
 from minkaehler.errors import NonImmersionPointError
 from minkaehler.geometry import TINY, PointFrame, point_frame
 from minkaehler.report import ResidualReport
 from minkaehler.seeds import builtin_seed
 from minkaehler.suites import build_bundle
-from minkaehler.taylor import Taylor
+from minkaehler.taylor import Taylor, TaylorChart
 from minkaehler.weierstrass import DomainSpec, seed_from_json
 
 SQRT2 = np.sqrt(2.0)
@@ -126,20 +125,6 @@ def metric_of(chart, p) -> np.ndarray:
     """Induced metric G_ij = <f_i, f_j> at one point p."""
     d1 = chart.jet(np.asarray(p, dtype=np.float64)).d1
     return d1 @ d1.T
-
-
-class FieldSum(ImmersionChart):
-    """The field sum_k c_k T_k of (c_k, T_k) pairs along one chart: each
-    jet the same sum of the fields' jets, exact since jets are linear."""
-
-    def __init__(self, *terms):
-        self.terms = terms
-        first = terms[0][1]
-        self.d, self.ambient, self.box = first.d, first.ambient, first.box
-
-    def jet_batch(self, pts, order: int = 2) -> tuple:
-        jets = [(c, fld.jet_batch(pts, order)) for c, fld in self.terms]
-        return tuple(sum(c * parts[k] for c, parts in jets) for k in range(order + 1))
 
 
 def frame_and_jet(chart, fld, p) -> Variation:
@@ -397,15 +382,17 @@ def fd_christoffel(chart, p) -> np.ndarray:
     return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(metric_of(chart, p)), term)
 
 
-def fd_tangential_covariant_derivative(chart, fld, p) -> np.ndarray:
+def fd_tangential_covariant_derivative(chart, field, p) -> np.ndarray:
     """(nabla_i T_*)^k_j as [i, k, j]: T_* = G^{-1} <f_i, T_j> differenced
     at steps eps^(1/3) max(1, |p_i|), plus Gamma^k_il T^l_j - Gamma^l_ij T^k_l
-    from :func:`fd_christoffel`."""
+    from :func:`fd_christoffel`.  ``field`` maps the chart's jet at a point
+    to the field's jet there."""
     p = np.asarray(p, dtype=np.float64)
 
     def tstar(q):
-        d1 = chart.jet(q).d1
-        return np.linalg.solve(d1 @ d1.T, d1 @ fld.jet(q).d1.T)
+        jet = chart.jet(q)
+        d1 = jet.d1
+        return np.linalg.solve(d1 @ d1.T, d1 @ field(jet).d1.T)
 
     hs = _fd_steps(p)
     d = p.size

@@ -61,6 +61,12 @@ def _nullity(chart, fld, p):
     return nullity_annihilation_residual(frame, B_by_formula(frame_and_jet(chart, fld, p)), basis)
 
 
+def _trivial(chart, p):
+    # one rigid motion: each call draws the same D and w
+    jet = chart.jet(p)
+    return Variation(point_frame(jet), make_trivial(jet, np.random.default_rng(2)))
+
+
 def _codazzi_b(chart, fld, p):
     frame = point_frame(chart.jet(p, order=3))
     return codazzi_residual(frame, *B_with_derivative(Variation(frame, fld.jet(p, order=3))))
@@ -95,9 +101,7 @@ QUANTITIES = {
     "normal_variation": lambda c, T, p: normal_variation_residual(frame_and_jet(c, T, p)),
     "bending_tpar": lambda c, T, p: parallel_tangential_residual(frame_and_jet(c, T, p)),
     "bending_bat": lambda c, T, p: bat_residual(frame_and_jet(c, T, p)),
-    "bending_bat_trivial": lambda c, T, p: bat_residual(
-        frame_and_jet(c, make_trivial(c, rng=np.random.default_rng(2)), p)
-    ),
+    "bending_bat_trivial": lambda c, T, p: bat_residual(_trivial(c, p)),
     "fundamental_wedge": lambda c, T, p: fundamental_equation_residual(frame_and_jet(c, T, p)),
     "fundamental_control": lambda c, T, p: fundamental_equation_residual(frame_and_jet(c, c, p)),
     "codazzi_b": _codazzi_b,
@@ -130,7 +134,7 @@ def _gauss_data(source, request):
     """(surface, support, quotient box) rebuilt from m4r5 or in closed form."""
     if source == "m4r5":
         chart = request.getfixturevalue("m4r5_chart")
-        return rebuild_surface(chart), rebuild_support(chart), chart.box[:2]
+        return rebuild_surface(chart, 2), rebuild_support(chart, 2), chart.box[:2]
     surface = clifford_torus_surface()
     return surface, linear_support(surface, [0.7, -0.3, 0.4, 0.2]), surface.box
 

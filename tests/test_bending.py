@@ -8,7 +8,6 @@ from minkaehler.bending import (
     B_by_formula,
     B_by_variation,
     B_with_derivative,
-    TrivialField,
     Variation,
     b_route_agreement,
     bat_residual,
@@ -17,7 +16,6 @@ from minkaehler.bending import (
     conjugate_field,
     fundamental_equation_residual,
     gauss_tangency_residual,
-    make_cylinder_bending,
     make_trivial,
     normal_variation_residual,
     nullity_annihilation_residual,
@@ -25,9 +23,11 @@ from minkaehler.bending import (
     recover_bending_decomposition,
     rotation_coefficient,
     tangential_covariant_derivative,
+    trivial_jet,
 )
 from minkaehler.charts import ProductChart, mix_jets, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
+from minkaehler.gausspar import make_cylinder_bending
 from minkaehler.geometry import (
     codazzi_residual,
     covariant_field_derivative,
@@ -39,7 +39,6 @@ from minkaehler.weierstrass import SeriesChart, seed_from_json, seed_to_json
 
 from oracles import (
     SIX_SEEDS,
-    FieldSum,
     B_by_fd,
     ellipse_chart,
     fd_codazzi,
@@ -55,6 +54,17 @@ from oracles import (
 
 def sample(chart, rng, count=4):
     return random_points(shrink_box(chart.box, 0.8), count, rng)
+
+
+def trivial_along(chart, p, rng) -> Variation:
+    """A random trivial field along the chart at points p."""
+    jet = chart.jet(p)
+    return Variation(point_frame(jet), make_trivial(jet, rng))
+
+
+def conjugate_along(chart, p) -> Variation:
+    """The conjugate field along the chart at points p."""
+    return frame_and_jet(chart, conjugate_field(chart), p)
 
 
 @pytest.fixture()
@@ -122,29 +132,43 @@ class TestVariation:
 
 class TestTrivialFields:
     def test_trivial_is_a_bending(self, catenoid_chart, rng):
-        fld = make_trivial(catenoid_chart, rng=rng)
-        for p in sample(catenoid_chart, rng, 3):
-            assert bending_residual(frame_and_jet(catenoid_chart, fld, p)) < 1e-13
+        v = trivial_along(catenoid_chart, sample(catenoid_chart, rng, 3), rng)
+        assert bending_residual(v).max() < 1e-13
 
     def test_formula_route_kills_trivial_exactly(self, catenoid_chart, rng):
-        fld = make_trivial(catenoid_chart, rng=rng)
-        for p in sample(catenoid_chart, rng, 3):
-            b = B_by_formula(frame_and_jet(catenoid_chart, fld, p))
-            assert np.abs(b).max() < 1e-11
+        b = B_by_formula(trivial_along(catenoid_chart, sample(catenoid_chart, rng, 3), rng))
+        assert np.abs(b).max() < 1e-11
 
     def test_fd_route_kills_trivial(self, catenoid_chart, rng):
-        fld = make_trivial(catenoid_chart, rng=rng)
-        b = B_by_fd(frame_and_jet(catenoid_chart, fld, [0.1, 0.2]))
+        b = B_by_fd(trivial_along(catenoid_chart, [0.1, 0.2], rng))
         assert np.abs(b).max() < 1e-6
 
     def test_skewness_enforced(self, catenoid_chart):
-        with pytest.raises(DomainError):
-            TrivialField(catenoid_chart, np.eye(3), np.zeros(3))
+        with pytest.raises(DomainError, match="antisymmetric"):
+            trivial_jet(catenoid_chart.jet([0.1, 0.2]), np.eye(3), np.zeros(3))
+
+    def test_shapes_enforced(self, catenoid_chart):
+        jet = catenoid_chart.jet([0.1, 0.2])
+        with pytest.raises(DomainError, match="3x3"):
+            trivial_jet(jet, np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(DomainError, match="3 components"):
+            trivial_jet(jet, np.zeros((3, 3)), np.zeros(2))
+
+    def test_jet_is_the_rigid_motion_of_the_chart_jet(self, m4r5_chart, rng):
+        jet = m4r5_chart.jet(sample(m4r5_chart, rng, 3).reshape(3, 1, 4))
+        raw = rng.standard_normal((5, 5))
+        skew, offset = raw - raw.T, rng.standard_normal(5)
+        fld = trivial_jet(jet, skew, offset)
+        assert fld.coords is jet.coords and fld.d3 is None
+        np.testing.assert_array_equal(fld.value, jet.value @ skew.T + offset)
+        np.testing.assert_array_equal(fld.d1, jet.d1 @ skew.T)
+        np.testing.assert_array_equal(fld.d2, jet.d2 @ skew.T)
 
     def test_random_construction_shapes(self, m4r5_chart, rng):
-        fld = make_trivial(m4r5_chart, rng=rng)
-        assert fld.skew.shape == (5, 5)
-        np.testing.assert_allclose(fld.skew, -fld.skew.T, atol=0)
+        jet = m4r5_chart.jet(sample(m4r5_chart, rng, 2))
+        fld = make_trivial(jet, rng)
+        assert (fld.value.shape, fld.d1.shape, fld.d2.shape) == ((2, 5), (2, 4, 5), (2, 4, 4, 5))
+        assert fld.coords is jet.coords
 
 
 class TestBTensor:
@@ -210,8 +234,7 @@ class TestExactVariation:
     @pytest.mark.parametrize("name", ["enneper", "catenoid", "m4r5"])
     def test_variation_kills_trivial_like_the_formula(self, name, request, rng):
         chart = request.getfixturevalue(f"{name}_chart")
-        fld = make_trivial(chart, rng=rng)
-        v = frame_and_jet(chart, fld, sample(chart, rng, 4))
+        v = trivial_along(chart, sample(chart, rng, 4), rng)
         var = B_by_variation(v)
         assert np.abs(var).max() < 1e-11
         np.testing.assert_allclose(var, B_by_formula(v), rtol=0, atol=1e-11)
@@ -234,10 +257,13 @@ class TestStructuralIdentities:
     def test_tangential_derivative_matches_fd_reference(self, name, request, rng):
         # the conjugate's T_* is parallel; a trivial field's is not
         chart = request.getfixturevalue(f"{name}_chart")
-        for fld in (conjugate_field(chart), make_trivial(chart, rng=rng)):
+        conj = conjugate_field(chart)
+        # one trivial field: each call draws the same D and w
+        for field in (lambda jet: conj.jet(jet.coords), lambda jet: make_trivial(jet, np.random.default_rng(7))):
             for p in sample(chart, rng, 2):
-                got = tangential_covariant_derivative(frame_and_jet(chart, fld, p))
-                ref = fd_tangential_covariant_derivative(chart, fld, p)
+                jet = chart.jet(p)
+                got = tangential_covariant_derivative(Variation(point_frame(jet), field(jet)))
+                ref = fd_tangential_covariant_derivative(chart, field, p)
                 scale = max(1.0, float(np.abs(ref).max()))
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)
 
@@ -299,9 +325,9 @@ class TestRotation:
             assert rot.fit_residual < 1e-9
 
     def test_scaled_conjugate_scales_coefficient(self, enneper_chart, rng):
-        fld = FieldSum((2.5, conjugate_field(enneper_chart)))
         p = sample(enneper_chart, rng, 1)[0]
-        rot = rotation_coefficient(frame_and_jet(enneper_chart, fld, p))
+        conj = conjugate_along(enneper_chart, p)
+        rot = rotation_coefficient(Variation(conj.frame, mix_jets(2.5, conj.jet, 0.0, conj.jet)))
         assert rot.coefficient == pytest.approx(2.5, abs=1e-9)
 
     def test_oriented_basis_is_g_orthonormal(self, m4r5_chart):
@@ -314,39 +340,38 @@ class TestRotation:
 
 class TestClassification:
     def test_trivial_fields_classify_trivial(self, catenoid_chart, rng):
-        pts = sample(catenoid_chart, rng, 5)
+        jet = catenoid_chart.jet(sample(catenoid_chart, rng, 5))
+        frame = point_frame(jet)
         for _ in range(5):
-            fld = make_trivial(catenoid_chart, rng=rng)
-            res = classify_triviality(catenoid_chart, fld, pts)
+            res = classify_triviality(Variation(frame, make_trivial(jet, rng)))
             assert res.trivial and res.score < 1e-6
 
     def test_translation_only_is_trivial(self, catenoid_chart, rng):
-        fld = TrivialField(catenoid_chart, np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]))
-        res = classify_triviality(catenoid_chart, fld, sample(catenoid_chart, rng, 3))
+        jet = catenoid_chart.jet(sample(catenoid_chart, rng, 3))
+        fld = trivial_jet(jet, np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]))
+        res = classify_triviality(Variation(point_frame(jet), fld))
         assert res.trivial and res.score == 0.0
 
     def test_conjugate_classifies_nontrivial(self, m4r5_chart, rng):
-        fld = conjugate_field(m4r5_chart)
-        res = classify_triviality(m4r5_chart, fld, sample(m4r5_chart, rng, 5))
+        res = classify_triviality(conjugate_along(m4r5_chart, sample(m4r5_chart, rng, 5)))
         assert not res.trivial
 
     def test_mixture_classifies_nontrivial(self, enneper_chart, rng):
-        mix = FieldSum((2.0, conjugate_field(enneper_chart)), (1.0, make_trivial(enneper_chart, rng=rng)))
-        res = classify_triviality(enneper_chart, mix, sample(enneper_chart, rng, 5))
+        conj = conjugate_along(enneper_chart, sample(enneper_chart, rng, 5))
+        mix = mix_jets(2.0, conj.jet, 1.0, make_trivial(conj.frame.jet, rng))
+        res = classify_triviality(Variation(conj.frame, mix))
         assert not res.trivial
 
     def test_non_bending_is_rejected(self, enneper_chart, rng):
         # T = f scales the metric
         with pytest.raises(PreconditionError):
-            classify_triviality(enneper_chart, enneper_chart, sample(enneper_chart, rng, 3))
+            classify_triviality(frame_and_jet(enneper_chart, enneper_chart, sample(enneper_chart, rng, 3)))
 
 
 class TestDecomposition:
     def test_pure_conjugate(self, catenoid_chart, rng):
-        fld = conjugate_field(catenoid_chart)
-        dec = recover_bending_decomposition(
-            catenoid_chart, fld, sample(catenoid_chart, rng, 8)
-        )
+        conj = conjugate_along(catenoid_chart, sample(catenoid_chart, rng, 8))
+        dec = recover_bending_decomposition(conj, conj)
         assert dec.coefficient == pytest.approx(1.0, abs=1e-8)
         assert np.abs(dec.skew).max() < 1e-8
         assert np.abs(dec.offset).max() < 1e-8
@@ -356,20 +381,25 @@ class TestDecomposition:
         raw = rng.standard_normal((3, 3))
         skew = raw - raw.T
         offset = np.array([0.4, -1.2, 0.7])
-        mix = FieldSum((2.0, conjugate_field(catenoid_chart)), (1.0, TrivialField(catenoid_chart, skew, offset)))
-        dec = recover_bending_decomposition(
-            catenoid_chart, mix, sample(catenoid_chart, rng, 8)
-        )
+        conj = conjugate_along(catenoid_chart, sample(catenoid_chart, rng, 8))
+        mix = mix_jets(2.0, conj.jet, 1.0, trivial_jet(conj.frame.jet, skew, offset))
+        dec = recover_bending_decomposition(Variation(conj.frame, mix), conj)
         assert dec.coefficient == pytest.approx(2.0, abs=1e-6)
         np.testing.assert_allclose(dec.skew, skew, atol=1e-6)
         np.testing.assert_allclose(dec.offset, offset, atol=1e-6)
         assert dec.residual < 1e-6
 
     def test_m4r5_mixture(self, m4r5_chart, rng):
-        mix = FieldSum((2.0, conjugate_field(m4r5_chart)), (1.0, make_trivial(m4r5_chart, rng=rng)))
-        dec = recover_bending_decomposition(m4r5_chart, mix, sample(m4r5_chart, rng, 10))
+        conj = conjugate_along(m4r5_chart, sample(m4r5_chart, rng, 10))
+        mix = mix_jets(2.0, conj.jet, 1.0, make_trivial(conj.frame.jet, rng))
+        dec = recover_bending_decomposition(Variation(conj.frame, mix), conj)
         assert dec.coefficient == pytest.approx(2.0, abs=1e-6)
         assert dec.residual < 1e-6
+
+    def test_field_and_conjugate_must_share_the_frame(self, catenoid_chart, rng):
+        pts = sample(catenoid_chart, rng, 4)
+        with pytest.raises(DomainError, match="one frame"):
+            recover_bending_decomposition(conjugate_along(catenoid_chart, pts), conjugate_along(catenoid_chart, pts))
 
 
 class TestCylinder:
@@ -380,8 +410,16 @@ class TestCylinder:
 
     def test_field_is_nontrivial(self, cylinder, rng):
         fld = make_cylinder_bending(cylinder, 1.5, 0.8)
-        res = classify_triviality(cylinder, fld, sample(cylinder, rng, 5))
+        res = classify_triviality(frame_and_jet(cylinder, fld, sample(cylinder, rng, 5)))
         assert not res.trivial
+
+    def test_decomposition_against_the_closed_form_bending(self, cylinder, rng):
+        # any chart decomposes against a nontrivial bending the caller supplies
+        bend = frame_and_jet(cylinder, make_cylinder_bending(cylinder, 1.5, 0.8), sample(cylinder, rng, 8))
+        mix = mix_jets(-0.5, bend.jet, 1.0, make_trivial(bend.frame.jet, rng))
+        dec = recover_bending_decomposition(Variation(bend.frame, mix), bend)
+        assert dec.coefficient == pytest.approx(-0.5, abs=1e-8)
+        assert dec.residual < 1e-8
 
     def test_b_annihilates_flat_directions(self, cylinder, rng):
         fld = make_cylinder_bending(cylinder, 1.5, 0.8)
@@ -419,8 +457,7 @@ class TestCombinationField:
                 getattr(jp, name), getattr(jf, name) + t * getattr(jt, name)
             )
 
-    def test_fields_carry_the_box_of_their_chart(self, catenoid_chart, cylinder, rng):
-        assert make_trivial(catenoid_chart, rng=rng).box is catenoid_chart.box
+    def test_fields_carry_the_box_of_their_chart(self, cylinder):
         assert make_cylinder_bending(cylinder, 1.5, 0.8).box is cylinder.box
 
     def test_conjugate_is_the_mate_chart(self, catenoid_chart, catenoid_fbar):

@@ -461,6 +461,23 @@ def test_module_entry_point_runs(package_env):
     assert json.loads(proc.stdout)["config"]["output_dir"] == "minkaehler-out"
 
 
+def test_command_line_loads_no_taylor_arithmetic(package_env):
+    # closed-form charts and the Gauss parametrization stay out of every
+    # command's import graph
+    probe = "import json, sys, minkaehler.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=package_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"minkaehler.cli", "minkaehler.suites", "minkaehler.export"} <= loaded
+    assert not {"minkaehler.taylor", "minkaehler.gausspar"} & loaded
+
+
 def test_every_benchmark_trace_point_records_a_span(tmp_path):
     """A small verify and export pass through every boundary the
     benchmark's tracer wraps, so a refactor that bypasses one (and so reads

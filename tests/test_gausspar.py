@@ -23,9 +23,9 @@ from minkaehler.gausspar import (
     second_legendre_support,
 )
 from minkaehler.geometry import point_frame
-from minkaehler.taylor import Taylor
+from minkaehler.taylor import Taylor, TaylorChart
 
-from oracles import ellipse_chart, ellipse_support, fd_jet, sphere_chart
+from oracles import ellipse_chart, ellipse_support, fd_jet, plane_chart, sphere_chart
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ class TestParametrization:
 class TestExtraction:
     def test_m4r5_leaf_clusters(self, m4r5_chart):
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
-        res = extract_from_hypersurface(m4r5_chart, samples, expected_rank=2)
+        res = extract_from_hypersurface(m4r5_chart, samples)
         assert len(res.clusters) == 9
         assert sorted(len(c) for c in res.clusters) == [4] * 9
         assert res.normal_spread < 1e-9
@@ -153,7 +153,7 @@ class TestExtraction:
 
     def test_m4r5_sections_match_clusters(self, m4r5_chart):
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [2, 2, 2, 2])
-        res = extract_from_hypersurface(m4r5_chart, samples, expected_rank=2)
+        res = extract_from_hypersurface(m4r5_chart, samples)
         # the section at the cluster's base coordinates reproduces its data
         for ci, idx in enumerate(res.clusters):
             q = samples[idx[0]][:2]
@@ -166,17 +166,28 @@ class TestExtraction:
         chart = sphere_chart()
         pts = grid_points(shrink_box(chart.box, 0.5), 2)
         with pytest.raises(PreconditionError, match="no relative nullity"):
-            extract_from_hypersurface(chart, pts, expected_rank=2)
+            extract_from_hypersurface(chart, pts)
 
-    def test_wrong_expected_rank_is_rejected(self, m4r5_chart):
-        samples = grid_points(shrink_box(m4r5_chart.box, 0.5), 2)
-        with pytest.raises(PreconditionError, match="rank"):
-            extract_from_hypersurface(m4r5_chart, samples, expected_rank=3)
+    def test_samples_of_unequal_rank_are_rejected(self):
+        # the cylinder over (t, t^3) is flat along its inflection line t = 0
+        def fn(x):
+            t, z = x[..., 0], x[..., 1]
+            return Taylor.stack([t, t * t * t, z])
+
+        chart = TaylorChart(2, 3, np.array([[-1.0, 1.0], [-0.5, 0.5]]), fn)
+        samples = np.array([[0.5, 0.0], [0.5, 0.2], [0.0, 0.0]])
+        with pytest.raises(PreconditionError, match="rank 0, expected 1"):
+            extract_from_hypersurface(chart, samples)
+
+    def test_flat_chart_is_rejected(self):
+        chart = plane_chart(3)
+        with pytest.raises(PreconditionError, match="rank 0"):
+            extract_from_hypersurface(chart, grid_points(shrink_box(chart.box, 0.5), 2))
 
     def test_cylinder_support_recovers_ellipse_oracle(self, cylinder):
         a, b = 1.5, 0.8
         samples = grid_points(shrink_box(cylinder.box, 0.8), [4, 3])
-        res = extract_from_hypersurface(cylinder, samples, expected_rank=1)
+        res = extract_from_hypersurface(cylinder, samples)
         assert len(res.clusters) == 4
         assert res.support_spread < 1e-10
         for ci, idx in enumerate(res.clusters):
@@ -188,7 +199,7 @@ class TestRoundTrip:
     def test_m4r5_round_trip(self, m4r5_chart):
         qbox = shrink_box(m4r5_chart.box[:2], 0.6)
         qpts = grid_points(qbox, 3)
-        res = gauss_round_trip(m4r5_chart, qpts, quotient_dim=2)
+        res = gauss_round_trip(m4r5_chart, qpts)
         # all three come out at roundoff: the rebuilt chart's jets are
         # exact, every ingredient read from the source chart's 4-jets
         assert res.plane_distance.max() < 1e-14
@@ -197,13 +208,13 @@ class TestRoundTrip:
 
     def test_cylinder_round_trip(self, cylinder):
         qpts = grid_points(shrink_box(cylinder.box[:1], 0.8), [4])
-        res = gauss_round_trip(cylinder, qpts, quotient_dim=1)
+        res = gauss_round_trip(cylinder, qpts)
         assert res.plane_distance.max() < 1e-14
         assert res.support_mismatch.max() < 1e-14
         assert res.gauss_mismatch.max() < 1e-14
 
     def test_rebuilt_surface_verifies(self, m4r5_chart):
-        surface = rebuild_surface(m4r5_chart, quotient_dim=2)
+        surface = rebuild_surface(m4r5_chart, 2)
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 2)
         # the leaf directions are tangent to the sphere at the normal and
         # orthogonal to the Gauss image's derivative: verified, not assumed
@@ -211,7 +222,7 @@ class TestRoundTrip:
 
     def test_leaf_directions_are_orthonormal_and_tangent(self, m4r5_chart):
         q = np.array([0.1, -0.05])
-        L = rebuild_surface(m4r5_chart, quotient_dim=2).frame(q)
+        L = rebuild_surface(m4r5_chart, 2).frame(q)
         np.testing.assert_allclose(L @ L.T, np.eye(2), atol=1e-12)
         fr = point_frame(m4r5_chart.jet(np.array([0.1, -0.05, 0.0, 0.0])))
         np.testing.assert_allclose(L @ fr.normal, 0.0, atol=1e-12)
@@ -221,10 +232,21 @@ class TestRoundTrip:
 
     def test_rebuild_needs_fiber_coordinates(self, enneper_chart):
         with pytest.raises(PreconditionError):
-            rebuild_surface(enneper_chart, quotient_dim=2)
+            rebuild_surface(enneper_chart, 2)
+
+    def test_values_read_the_zero_jet(self, m4r5_chart):
+        # the rebuilt surface's value, a section read one order above it,
+        # is its jet's to the bit; Psi's solve iterates once per order, so
+        # its value and its jet's agree to roundoff
+        surface = rebuild_surface(m4r5_chart, 2)
+        psi = gauss_param(surface, rebuild_support(m4r5_chart, 2), check=False)
+        q = grid_points(shrink_box(surface.box, 0.6), 2)
+        lifted = np.column_stack([q, np.zeros((len(q), 2))])
+        np.testing.assert_array_equal(surface.chart.value(q), surface.chart.jet(q).value)
+        np.testing.assert_allclose(psi.value(lifted), psi.jet(lifted).value, rtol=0.0, atol=1e-15)
 
     def test_rebuilt_first_derivatives_match_differences(self, m4r5_chart):
-        surface = rebuild_surface(m4r5_chart, quotient_dim=2)
+        surface = rebuild_surface(m4r5_chart, 2)
         chart = surface.chart
         for q in grid_points(shrink_box(chart.box, 0.6), 2):
             jet = chart.jet(q)
@@ -238,7 +260,7 @@ class TestRoundTrip:
 
     def test_extracted_support_gradient_matches_differences(self, m4r5_chart):
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
-        res = extract_from_hypersurface(m4r5_chart, samples, expected_rank=2)
+        res = extract_from_hypersurface(m4r5_chart, samples)
         for q in grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 3):
             gam = res.support.fn(Taylor.variables(q, 2))
             _, grad, hess = fd_jet(res.support.value, q)
@@ -250,7 +272,7 @@ class TestRoundTrip:
         # re-parametrize, and check both sides of the minimality
         # equivalence at roundoff, every jet exact
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
-        res = extract_from_hypersurface(m4r5_chart, samples, expected_rank=2)
+        res = extract_from_hypersurface(m4r5_chart, samples)
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 3)
         pairs = minimality_criterion(res.surface, res.support, qpts)
         assert pairs.trace_residual.max() < 1e-13
@@ -272,5 +294,5 @@ class TestSupportFunction:
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 2)
         fr = point_frame(m4r5_chart.jet(np.column_stack([qpts, np.zeros((len(qpts), 2))])))
         want = np.einsum("pc,pc->p", fr.jet.value, fr.normal)
-        got = rebuild_support(m4r5_chart, quotient_dim=2).value(qpts)
+        got = rebuild_support(m4r5_chart, 2).value(qpts)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)

@@ -4,12 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from minkaehler.bending import make_cylinder_bending
 from minkaehler.charts import (
     ImmersionChart,
     Jet2,
     ProductChart,
-    TaylorChart,
     grid_points,
     random_points,
     shrink_box,
@@ -33,11 +31,11 @@ from minkaehler.geometry import (
     rank_and_nullity,
 )
 from minkaehler.export import SliceSpec, export_slice
-from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface
+from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface, make_cylinder_bending
 from minkaehler.kernels import cross_columns
 from minkaehler.seeds import builtin_seed
 from minkaehler.suites import _quadratic_control_jet, build_bundle, run_suites
-from minkaehler.taylor import Taylor
+from minkaehler.taylor import Taylor, TaylorChart
 from minkaehler.weierstrass import chart_complex_structure
 
 from oracles import (
@@ -644,6 +642,7 @@ def _closed_form_charts():
         "plane": plane_chart(3),
         "polar_plane": polar_plane_chart(),
         "ellipse": ellipse_chart(),
+        "cylinder": cylinder,
         "cylinder_bending": make_cylinder_bending(cylinder, 1.5, 0.8),
         "bending_tpar_control": _ControlField(),
         "geodesic_sphere": geodesic_sphere_surface().chart,
@@ -663,6 +662,12 @@ class TestTaylorCharts:
             _, d1, d2 = fd_jet(chart.value, p)
             np.testing.assert_allclose(exact.d1, d1, rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(exact.d2, d2, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(_closed_form_charts()))
+    def test_value_is_the_jets_value_to_the_bit(self, name, rng):
+        chart = _closed_form_charts()[name]
+        pts = random_points(shrink_box(chart.box, 0.8), 4, rng).reshape(2, 2, chart.d)
+        np.testing.assert_array_equal(chart.value(pts), chart.jet(pts).value)
 
     def test_third_partials_match_fd_of_second(self, rng):
         chart = sphere_chart()

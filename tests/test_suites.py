@@ -11,7 +11,6 @@ import minkaehler.kernels as kernels
 import minkaehler.suites as suites
 import minkaehler.weierstrass as weierstrass
 from minkaehler import builtin_seed
-from minkaehler.bending import TrivialField
 from minkaehler.charts import grid_points, mix_jets, shrink_box
 from minkaehler.errors import DomainWarning
 from minkaehler.report import (
@@ -405,10 +404,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     B, T_* and dN once.  Nothing solves against G: the grid frame inverts G
     and its Cholesky factor L once each, and the five family members, one
     stacked frame, invert their G in one call, taking no Cholesky factor."""
-    builds, calls, trivial_calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], [], []
+    builds, calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], []
     factorizations = {name: [] for name in ("solve", "inv", "cholesky")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
-    trivial_jet, frame = TrivialField.jet_batch, geometry.point_frame
+    frame = geometry.point_frame
     christoffel = geometry.christoffel
     b_formula = bending.B_by_formula
     build_chain = weierstrass.build_chain
@@ -423,10 +422,6 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         # every chart stays alive in builds, so no two charts share an id
         calls.append((id(self), np.asarray(pts).tobytes(), order))
         return series_jet(self, pts, order)
-
-    def counted_trivial_jet(self, pts, order=2):
-        trivial_calls.append(order)
-        return trivial_jet(self, pts, order)
 
     def counted_frame(jet, *args, **kwargs):
         frames.append(jet)
@@ -468,8 +463,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
 
     monkeypatch.setattr(SeriesChart, "__init__", counted_init)
     monkeypatch.setattr(SeriesChart, "jet_batch", counted_jet)
-    monkeypatch.setattr(TrivialField, "jet_batch", counted_trivial_jet)
-    for module in (geometry, bending, suites):
+    for module in (geometry, suites):
         monkeypatch.setattr(module, "point_frame", counted_frame)
     monkeypatch.setattr(geometry, "christoffel", counted_christoffel)
     monkeypatch.setattr(bending, "B_by_formula", counted_b_formula)
@@ -485,7 +479,6 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(chains) == 1 and chains[0] is bundle.seed
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
-    assert not trivial_calls
     # f and fbar on the grid, one stack: one jet call and one Horner
     # evaluation, of the seed's rows
     assert len(calls) == 1
