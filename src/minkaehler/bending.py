@@ -75,8 +75,9 @@ def trivial_jet(jet: Jet2, skew, offset) -> Jet2:
 
 def conjugate_field(chart: SeriesChart) -> SeriesChart:
     """The conjugate of a family member, as a bending field along it: the
-    member at theta + pi/2 of the same seed, for every theta."""
-    return SeriesChart(chart.seed, chart.theta + math.pi / 2)
+    member at theta + pi/2 of the same seed, for every theta, and for a
+    stack of members the stack of their conjugates."""
+    return SeriesChart(chart.seed, np.add(chart.theta, math.pi / 2))
 
 
 def make_trivial(jet: Jet2, rng) -> Jet2:

@@ -24,23 +24,26 @@ The quotient dimension is read from the input, never set: the measured
 rank of the samples in :func:`extract_from_hypersurface`, the last axis
 of the quotient points in :func:`gauss_round_trip`.
 
-Everything is Taylor arithmetic (:mod:`minkaehler.taylor`) over point
-stacks: g, gamma and the frame are formulas or sections of a chart's jets,
-and Psi's 2-jet takes g and gamma one order deeper, so it is exact.  The
-rebuilt data of a chart read its 4-jets.  The closed-form charts live
-here too: the sphere surfaces, Psi, and the nontrivial bending of a
-cylinder over an ellipse (:func:`make_cylinder_bending`).
+A :class:`GaussDatum` is one formula x -> (g, gamma, xi) in Taylor
+arithmetic (:mod:`minkaehler.taylor`) over point stacks, so every
+derivative is exact and one evaluation gives all three.  Psi's jet
+evaluates it once, one order deeper, and composes xi from the same
+evaluation.  The closed-form data are the sphere surfaces, each with a
+support; the data rebuilt from a chart (:func:`rebuild`) read its jets
+once per point stack, the 4-jets under Psi's 2-jet.  The nontrivial
+bending of a cylinder over an ellipse (:func:`make_cylinder_bending`) is
+closed form too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .charts import ImmersionChart
+from .charts import ImmersionChart, Jet2
 from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
@@ -56,11 +59,8 @@ from .taylor import Taylor, TaylorChart, dot, solve, unit
 _W_HALFWIDTH = 0.4
 # sample normals closer than this belong to one nullity leaf
 _CLUSTER_TOL = 1e-6
-
-
-def _values(fn, p) -> np.ndarray:
-    """A Taylor formula's values on a (..., d) point stack."""
-    return fn(Taylor.variables(np.asarray(p, dtype=np.float64), 0)).value
+# largest deviation from its defining identities that a datum's frame may show
+_VERIFY_TOL = 1e-8
 
 
 def _lift(q, fiber_dim: int) -> np.ndarray:
@@ -69,93 +69,81 @@ def _lift(q, fiber_dim: int) -> np.ndarray:
     return np.concatenate([q, np.zeros(q.shape[:-1] + (fiber_dim,))], axis=-1)
 
 
-# -- sphere surfaces -----------------------------------------------------------
+# -- Gauss data ----------------------------------------------------------------
 
-@dataclass
-class SphereSurface:
-    """A surface inside the unit sphere, with a frame of its sphere-normal
-    space.  ``chart`` maps L-coordinates to the ambient Euclidean space (its
-    image must lie on the unit sphere); ``frame_fn`` maps a (..., d) stack of
-    Taylor variables to the (..., k, m+1) fields spanning the orthogonal
-    complement of the surface tangent inside the sphere tangent.  Frames
-    are *verified*, never constructed: :meth:`verify` checks all defining
-    identities numerically.
+@dataclass(frozen=True)
+class GaussDatum:
+    """A surface g in the unit sphere of R^ambient over a box of
+    d-dimensional L-coordinates, with its support gamma and a frame xi of
+    its sphere-normal space.  ``fn`` maps a (..., d) stack of Taylor
+    variables to (g, gamma, xi) of shapes (..., ambient), (...) and
+    (..., k, ambient), k the fiber dimension.  Frames are *verified*, never
+    constructed: :meth:`verify` checks all defining identities numerically.
     """
 
-    chart: TaylorChart
-    frame_fn: Callable
-
-    @property
-    def d(self) -> int:
-        return self.chart.d
-
-    @property
-    def ambient(self) -> int:
-        return self.chart.ambient
+    d: int
+    ambient: int
+    box: np.ndarray
+    fn: Callable
 
     @property
     def fiber_dim(self) -> int:
         return self.ambient - 1 - self.d
 
-    @property
-    def box(self) -> np.ndarray:
-        return self.chart.box
-
-    def frame(self, p) -> np.ndarray:
-        """(..., k, m+1) frame at a (..., d) point stack."""
-        out = _values(self.frame_fn, p)
-        if out.shape[-2:] != (self.fiber_dim, self.ambient):
+    def expand(self, p, order: int) -> tuple:
+        """(g, gamma, xi) expanded to ``order`` about each point of a
+        (..., d) stack."""
+        g, gamma, xi = self.fn(Taylor.variables(np.asarray(p, dtype=np.float64), order))
+        if xi.shape[-2:] != (self.fiber_dim, self.ambient):
             raise DomainError(
-                f"frame must have shape {(self.fiber_dim, self.ambient)}, got {out.shape[-2:]}"
+                f"frame must have shape {(self.fiber_dim, self.ambient)}, got {xi.shape[-2:]}"
             )
-        return out
+        return g, gamma, xi
 
-    def verify(self, pts, tol: float = 1e-8) -> float:
+    def verify(self, pts) -> float:
         """Check |g| = 1, frame orthonormality, and frame tangency/normality
-        on a point stack; raises :class:`PreconditionError` past ``tol``,
-        returns the worst deviation."""
-        jet = self.chart.jet(pts)
-        xi = self.frame(pts)
+        on a point stack; raises :class:`PreconditionError` past
+        ``_VERIFY_TOL``, returns the worst deviation."""
+        g, _, xi = self.expand(pts, 1)
+        value, xi = g.value, xi.value
         worst = max(
-            float(np.abs(np.einsum("...c,...c->...", jet.value, jet.value) - 1.0).max()),
+            float(np.abs(np.einsum("...c,...c->...", value, value) - 1.0).max()),
             float(np.abs(xi @ np.swapaxes(xi, -1, -2) - np.eye(self.fiber_dim)).max()),
-            float(np.abs(xi @ jet.value[..., None]).max()),
-            float(np.abs(xi @ np.swapaxes(jet.d1, -1, -2)).max()),
+            float(np.abs(xi @ value[..., None]).max()),
+            float(np.abs(xi @ g.derivatives(1)).max()),
         )
-        if worst > tol:
+        if worst > _VERIFY_TOL:
             raise PreconditionError(
                 f"sphere-surface data fails its defining identities "
-                f"(worst deviation {worst:.3g} > {tol:g})"
+                f"(worst deviation {worst:.3g} > {_VERIFY_TOL:g})"
             )
         return worst
 
 
-@dataclass(frozen=True)
-class SupportFunction:
-    """Scalar gamma on the surface's coordinate domain: ``fn`` maps a
-    (..., d) stack of Taylor variables to the (...) Taylor values, so every
-    derivative of gamma is exact."""
+def _with_support(data: GaussDatum, support: Callable) -> GaussDatum:
+    """``data`` with gamma = support(x, g) in place of its own."""
 
-    fn: Callable
+    def fn(x):
+        g, _, xi = data.fn(x)
+        return g, support(x, g), xi
 
-    def value(self, p) -> np.ndarray:
-        return _values(self.fn, p)
+    return replace(data, fn=fn)
 
 
-def linear_support(surface: SphereSurface, a) -> SupportFunction:
+def linear_support(data: GaussDatum, a) -> GaussDatum:
     """gamma = <a, g>: for 2-dimensional L in the round examples these are
     the eigenfunctions making the parametrized hypersurface minimal."""
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != (surface.ambient,):
-        raise DomainError(f"coefficient vector must have {surface.ambient} entries")
-    return SupportFunction(lambda x: dot(surface.chart.fn(x), a))
+    if a.shape != (data.ambient,):
+        raise DomainError(f"coefficient vector must have {data.ambient} entries")
+    return _with_support(data, lambda x, g: dot(g, a))
 
 
-def constant_support(c: float) -> SupportFunction:
-    return SupportFunction(lambda x: 0.0 * x[..., 0] + c)
+def constant_support(data: GaussDatum, c: float) -> GaussDatum:
+    return _with_support(data, lambda x, g: 0.0 * x[..., 0] + c)
 
 
-def second_legendre_support() -> SupportFunction:
+def second_legendre_support(data: GaussDatum) -> GaussDatum:
     """gamma(s, t) = Q_1(cos t) on the equatorial sphere (polar angle t).
 
     Q_1(x) = (x/2) log((1+x)/(1-x)) - 1 is the second solution of the
@@ -166,56 +154,56 @@ def second_legendre_support() -> SupportFunction:
     regular on the equatorial band.
     """
 
-    def fn(x):
+    def support(x, g):
         c = x[..., 1].cos()
         return 0.5 * c * ((1.0 + c) / (1.0 - c)).log() - 1.0
 
-    return SupportFunction(fn)
+    return _with_support(data, support)
 
 
 # -- builtin sphere surfaces ---------------------------------------------------
 
-def geodesic_sphere_surface() -> SphereSurface:
-    """The equatorial 2-sphere of S^3 in R^4, framed by the constant e_4."""
-    def g(x):
+def geodesic_sphere_surface() -> GaussDatum:
+    """The equatorial 2-sphere of S^3 in R^4, framed by the constant e_4,
+    with support 0 until a support above replaces it."""
+
+    def fn(x):
         s, t = x[..., 0], x[..., 1]
-        return Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos(), 0.0])
+        zero = 0.0 * s
+        g = Taylor.stack([t.sin() * s.cos(), t.sin() * s.sin(), t.cos(), 0.0])
+        return g, zero, Taylor.stack([zero, zero, zero, zero + 1.0])[..., None, :]
 
-    def frame(x):
-        zero = 0.0 * x[..., 0]
-        return Taylor.stack([zero, zero, zero, zero + 1.0])[..., None, :]
-
-    return SphereSurface(TaylorChart(2, 4, np.array([[0.3, 1.3], [0.8, 2.2]]), g), frame)
+    return GaussDatum(2, 4, np.array([[0.3, 1.3], [0.8, 2.2]]), fn)
 
 
-def clifford_torus_surface() -> SphereSurface:
-    """The Clifford torus in S^3 in R^4, framed by its sphere normal."""
+def clifford_torus_surface() -> GaussDatum:
+    """The Clifford torus in S^3 in R^4, framed by its sphere normal, with
+    support 0 until a support above replaces it."""
     s2 = np.sqrt(2.0)
 
-    def g(x):
+    def fn(x):
         u, v = x[..., 0], x[..., 1]
-        return Taylor.stack([u.cos(), u.sin(), v.cos(), v.sin()]) / s2
+        g = Taylor.stack([u.cos(), u.sin(), v.cos(), v.sin()]) / s2
+        xi = Taylor.stack([-u.cos(), -u.sin(), v.cos(), v.sin()]) / s2
+        return g, 0.0 * u, xi[..., None, :]
 
-    def frame(x):
-        u, v = x[..., 0], x[..., 1]
-        return (Taylor.stack([-u.cos(), -u.sin(), v.cos(), v.sin()]) / s2)[..., None, :]
-
-    return SphereSurface(TaylorChart(2, 4, np.array([[0.2, 1.8], [0.4, 2.0]]), g), frame)
+    return GaussDatum(2, 4, np.array([[0.2, 1.8], [0.4, 2.0]]), fn)
 
 
 # -- the parametrization -------------------------------------------------------
 
-def gauss_param(surface: SphereSurface, gamma: SupportFunction, check: bool = True) -> TaylorChart:
-    """Build the parametrized hypersurface chart from (g, gamma).
+def gauss_param(data: GaussDatum) -> TaylorChart:
+    """Build the parametrized hypersurface chart from (g, gamma, xi).
 
     Coordinates are (x_1..x_d, w_1..w_k) with k the fiber dimension.  At
-    jet order K, g and gamma are expanded one order deeper about x, so
-    g_* and grad gamma = G^{-1} d gamma keep order K and the jets are exact.
-    With ``check`` the surface identities are verified at the box center
-    and the center point is probed for regularity.
+    jet order K the datum is expanded once, one order deeper, about x, so
+    g_* and grad gamma = G^{-1} d gamma keep order K and the jets are
+    exact; xi comes from the same expansion.  Nothing is checked here:
+    :meth:`GaussDatum.verify` and :func:`~minkaehler.geometry.point_frame`
+    of a jet do that.
     """
-    d = surface.d
-    k = surface.fiber_dim
+    d = data.d
+    k = data.fiber_dim
     if k < 1:
         raise PreconditionError(
             "the surface has no sphere-normal directions: the parametrized "
@@ -224,31 +212,25 @@ def gauss_param(surface: SphereSurface, gamma: SupportFunction, check: bool = Tr
 
     def psi(X):
         x, w = X[..., :d], X[..., d:]
-        deeper = Taylor.variables(x.value, X.order + 1)
-        g, gam = surface.chart.fn(deeper), gamma.fn(deeper)
+        g, gam, xi = data.expand(x.value, X.order + 1)
         dg = Taylor.stack([g.diff(i) for i in range(d)], axis=-2)
         dgam = Taylor.stack([gam.diff(i) for i in range(d)])
         G = dot(dg[..., :, None, :], dg[..., None, :, :])
         base = gam[..., None] * g + (solve(G, dgam)[..., None] * dg).sum(-2)
-        return base.compose(x) + (w[..., :, None] * surface.frame_fn(x)).sum(-2)
+        return base.compose(x) + (w[..., :, None] * xi.compose(x)).sum(-2)
 
-    box = np.vstack([surface.box, np.array([[-_W_HALFWIDTH, _W_HALFWIDTH]] * k)])
-    chart = TaylorChart(d + k, surface.ambient, box, psi)
-    if check:
-        center = box.mean(axis=1)
-        surface.verify(center[:d])
-        point_frame(chart.jet(center))  # raises NonImmersionPointError if singular
-    return chart
+    box = np.vstack([data.box, np.array([[-_W_HALFWIDTH, _W_HALFWIDTH]] * k)])
+    return TaylorChart(d + k, data.ambient, box, psi)
 
 
-def gauss_map_identity_residual(chart: ImmersionChart, surface: SphereSurface, q) -> np.ndarray:
+def gauss_map_identity_residual(chart: ImmersionChart, data: GaussDatum, q) -> np.ndarray:
     """Component of the chart normal orthogonal to g: ||N - <N, g> g||, on
     a (..., d + k) point stack.
 
     Sign-blind, so it measures exactly the Gauss-map identity N = +-g.
     """
     q = np.asarray(q, dtype=np.float64)
-    return _off_axis(point_frame(chart.jet(q)).normal, surface.chart.value(q[..., : surface.d]))
+    return _off_axis(point_frame(chart.jet(q)).normal, data.expand(q[..., : data.d], 0)[0].value)
 
 
 def _off_axis(N: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -266,18 +248,19 @@ class MinimalityPair:
     eigen_residual: np.ndarray
 
 
-def minimality_criterion(surface: SphereSurface, gamma: SupportFunction, qpts) -> MinimalityPair:
+def minimality_criterion(data: GaussDatum, qpts) -> MinimalityPair:
     """Evaluate both sides of the minimality equivalence on a (..., d)
     point stack: the chart's :func:`~minkaehler.geometry.minimality_residual`
     |trace A| / ||A||_G at the lifted point (zero fiber coordinates), where
     ||A||_G is the largest |eigenvalue| of the G-self-adjoint A, and
-    |(Laplace + d) gamma| on the quotient from gamma's exact 2-jet."""
+    |(Laplace + d) gamma| on the quotient from one exact 2-jet of g and
+    gamma."""
     q = np.asarray(qpts, dtype=np.float64)
-    chart = gauss_param(surface, gamma, check=False)
-    trace_res = minimality_residual(point_frame(chart.jet(_lift(q, surface.fiber_dim))))
-    gam = gamma.fn(Taylor.variables(q, 2))
-    lap = laplace_beltrami(PointFrame(surface.chart.jet(q)), gam.derivatives(1), gam.derivatives(2))
-    return MinimalityPair(trace_res, np.abs(lap + surface.d * gam.value))
+    trace_res = minimality_residual(point_frame(gauss_param(data).jet(_lift(q, data.fiber_dim))))
+    g, gam, _ = data.expand(q, 2)
+    jet = Jet2(q, *(np.moveaxis(g.derivatives(k), q.ndim - 1, -1) for k in range(3)))
+    lap = laplace_beltrami(PointFrame(jet), gam.derivatives(1), gam.derivatives(2))
+    return MinimalityPair(trace_res, np.abs(lap + data.d * gam.value))
 
 
 # -- extraction from a hypersurface chart ---------------------------------------
@@ -310,26 +293,20 @@ def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
     return tuple(t.reshape(lead + t.shape[1:]).compose(x) for t in data)
 
 
-def rebuild_surface(chart: ImmersionChart, rank: int) -> SphereSurface:
-    """Sphere-surface data from a chart of shape-operator rank ``rank``
-    whose trailing coordinates run along the nullity leaves: g = chart
-    normal on the zero-fiber section over the leading ``rank``
-    coordinates, framed by the orthonormalized leaf directions, both exact
-    from the chart's jets.  The frame identities are what
-    :meth:`SphereSurface.verify` checks downstream."""
+def rebuild(chart: ImmersionChart, rank: int) -> GaussDatum:
+    """The Gauss datum of a chart of shape-operator rank ``rank`` whose
+    trailing coordinates run along the nullity leaves, on the zero-fiber
+    section over the leading ``rank`` coordinates: g the chart normal,
+    gamma = <f, N> and xi the orthonormalized leaf directions, all exact
+    from one read of the chart's jets per point stack (:func:`_section`).
+    The frame identities are what :meth:`GaussDatum.verify` checks
+    downstream."""
     if rank < 1:
         raise PreconditionError("a chart of rank 0 has a point for its Gauss image: no quotient to rebuild")
     if chart.d - rank < 1:
         raise PreconditionError("chart has no fiber coordinates to rebuild from")
     box = np.asarray(chart.box[:rank], dtype=np.float64)
-    g = TaylorChart(rank, chart.ambient, box, lambda x: _section(chart, rank, x)[0])
-    return SphereSurface(g, lambda x: _section(chart, rank, x)[2])
-
-
-def rebuild_support(chart: ImmersionChart, rank: int) -> SupportFunction:
-    """gamma = <f, N> on the zero-fiber section over the leading ``rank``
-    coordinates, exact from the chart's jets."""
-    return SupportFunction(lambda x: _section(chart, rank, x)[1])
+    return GaussDatum(rank, chart.ambient, box, lambda x: _section(chart, rank, x))
 
 
 @dataclass(frozen=True)
@@ -338,10 +315,9 @@ class ExtractionResult:
 
     ``clusters`` groups sample indices by leaf (constant normal);
     ``normals`` and ``supports`` are per-cluster representatives with their
-    observed spreads.  ``surface`` and ``support`` are the section data
-    over the quotient coordinates (the leading ``rank`` chart coordinates,
-    at zero fiber coordinates), from :func:`rebuild_surface` and
-    :func:`rebuild_support`.
+    observed spreads.  ``data`` is the Gauss datum of the section over the
+    quotient coordinates (the leading ``rank`` chart coordinates, at zero
+    fiber coordinates), from :func:`rebuild`.
     """
 
     rank: int
@@ -351,8 +327,7 @@ class ExtractionResult:
     supports: np.ndarray
     normal_spread: float
     support_spread: float
-    surface: SphereSurface
-    support: SupportFunction
+    data: GaussDatum
     indeterminate: bool
 
 
@@ -361,26 +336,29 @@ def extract_from_hypersurface(chart: ImmersionChart, samples) -> ExtractionResul
 
     Frames are computed at every sample; the rank must be the first
     sample's at every sample, with positive nullity (otherwise
-    :class:`PreconditionError`).  Samples are greedily clustered by normal
-    direction: points on one nullity leaf share their normal to first
-    order, so clusters are leaf fingerprints.  The support gamma = <f, N>
-    is constant on each leaf and recorded per cluster.
+    :class:`PreconditionError`, naming the first sample that breaks
+    either).  Samples are greedily clustered by normal direction: points
+    on one nullity leaf share their normal to first order, so clusters are
+    leaf fingerprints.  The support gamma = <f, N> is constant on each
+    leaf and recorded per cluster.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     fr = point_frame(chart.jet(samples))
     rr = rank_and_nullity(fr)
     rank = int(rr.rank[0])
-    for i, p in enumerate(samples):
-        if rr.rank[i] != rank:
+    other_rank = rr.rank != rank
+    bad = np.flatnonzero(other_rank | (rr.nullity == 0))
+    if bad.size:
+        i = bad[0]
+        if other_rank[i]:
             raise PreconditionError(
-                f"sample at {p} has shape-operator rank {rr.rank[i]}, "
+                f"sample at {samples[i]} has shape-operator rank {rr.rank[i]}, "
                 f"expected {rank} as at the first sample"
             )
-        if rr.nullity[i] == 0:
-            raise PreconditionError(
-                f"sample at {p} has no relative nullity: the chart admits "
-                "no quotient construction"
-            )
+        raise PreconditionError(
+            f"sample at {samples[i]} has no relative nullity: the chart admits "
+            "no quotient construction"
+        )
     normals = fr.normal
     supports = np.einsum("...c,...c->...", fr.jet.value, normals)
     labels = np.empty(len(samples), dtype=np.intp)
@@ -402,8 +380,7 @@ def extract_from_hypersurface(chart: ImmersionChart, samples) -> ExtractionResul
         supports=cluster_supports,
         normal_spread=float(np.linalg.norm(normals - cluster_normals[labels], axis=1).max()),
         support_spread=float(np.abs(supports - cluster_supports[labels]).max()),
-        surface=rebuild_surface(chart, rank),
-        support=rebuild_support(chart, rank),
+        data=rebuild(chart, rank),
         indeterminate=bool(rr.indeterminate.any()),
     )
 
@@ -418,7 +395,7 @@ class RoundTripResult:
 
 
 def gauss_round_trip(chart: ImmersionChart, qpts) -> RoundTripResult:
-    """Rebuild (g, gamma) from the chart and parametrize back, over a
+    """Rebuild (g, gamma, xi) from the chart and parametrize back, over a
     (..., r) stack of quotient points, r the chart's rank.
 
     Each rebuilt point Psi(q, 0) must land on the original leaf: the
@@ -430,20 +407,18 @@ def gauss_round_trip(chart: ImmersionChart, qpts) -> RoundTripResult:
     """
     q = np.asarray(qpts, dtype=np.float64)
     rank = q.shape[-1]
-    surface = rebuild_surface(chart, rank)
-    gamma = rebuild_support(chart, rank)
-    psi = gauss_param(surface, gamma, check=False)
+    data = rebuild(chart, rank)
     lifted = _lift(q, chart.d - rank)
-    rebuilt = point_frame(psi.jet(lifted))
+    rebuilt = point_frame(gauss_param(data).jet(lifted))
     base = point_frame(chart.jet(lifted))
-    L = surface.frame(q)  # (..., k, m+1), orthonormal rows
+    g, gamma, L = (t.value for t in data.expand(q, 0))  # L (..., k, m+1), orthonormal rows
     r = rebuilt.jet.value - base.jet.value
     off_plane = r - np.einsum("...a,...ac->...c", np.einsum("...ac,...c->...a", L, r), L)
-    support = np.einsum("...c,...c->...", rebuilt.jet.value, base.normal) - gamma.value(q)
+    support = np.einsum("...c,...c->...", rebuilt.jet.value, base.normal) - gamma
     return RoundTripResult(
         plane_distance=np.linalg.norm(off_plane, axis=-1),
         support_mismatch=np.abs(support),
-        gauss_mismatch=_off_axis(rebuilt.normal, surface.chart.value(q)),
+        gauss_mismatch=_off_axis(rebuilt.normal, g),
     )
 
 

@@ -27,8 +27,8 @@ from .weierstrass import DomainSpec, WeierstrassSeed
 BUILTIN_NAMES = ("enneper", "catenoid", "m4r5")
 
 
-def _const(value: complex, base: complex, order: int) -> TruncatedSeries:
-    return TruncatedSeries.constant(value, base, order)
+def _const(value: complex, base: complex) -> TruncatedSeries:
+    return TruncatedSeries.constant(value, base, DEFAULT_ORDER)
 
 
 def inverse_square_series(base: complex, order: int) -> TruncatedSeries:
@@ -41,27 +41,25 @@ def inverse_square_series(base: complex, order: int) -> TruncatedSeries:
     return TruncatedSeries(base, coeffs)
 
 
-def builtin_seed(name: str, trunc_order: int = DEFAULT_ORDER) -> WeierstrassSeed:
+def builtin_seed(name: str) -> WeierstrassSeed:
     if name == "enneper":
         base = 0.0
         return WeierstrassSeed(
             n=1,
-            alpha0=_const(1.0, base, trunc_order),
-            mu=[_const(1.0, base, trunc_order)],
-            b=[_const(1.0, base, trunc_order)],
+            alpha0=_const(1.0, base),
+            mu=[_const(1.0, base)],
+            b=[_const(1.0, base)],
             domain=DomainSpec(radius=1.2),
-            trunc_order=trunc_order,
             name="enneper",
         )
     if name == "catenoid":
         base = 2.0
         return WeierstrassSeed(
             n=1,
-            alpha0=_const(1.0, base, trunc_order),
-            mu=[_const(1.0, base, trunc_order)],
-            b=[inverse_square_series(base, trunc_order)],
+            alpha0=_const(1.0, base),
+            mu=[_const(1.0, base)],
+            b=[inverse_square_series(base, DEFAULT_ORDER)],
             domain=DomainSpec(radius=0.9),
-            trunc_order=trunc_order,
             # integration constant base makes phi_0(z) = z, the classical
             # Gauss-map datum of the catenoid about this basepoint
             phi_constants=[np.array([base], dtype=np.complex128)],
@@ -71,11 +69,10 @@ def builtin_seed(name: str, trunc_order: int = DEFAULT_ORDER) -> WeierstrassSeed
         base = 0.0
         return WeierstrassSeed(
             n=2,
-            alpha0=_const(1.0, base, trunc_order),
-            mu=[_const(1.0, base, trunc_order), _const(1.0, base, trunc_order)],
-            b=[_const(0.0, base, trunc_order), _const(1.0, base, trunc_order)],
+            alpha0=_const(1.0, base),
+            mu=[_const(1.0, base), _const(1.0, base)],
+            b=[_const(0.0, base), _const(1.0, base)],
             domain=DomainSpec(radius=0.8, w_halfwidth=(0.5,)),
-            trunc_order=trunc_order,
             name="m4r5",
         )
     raise SeedValidationError(f"unknown builtin seed {name!r}; choose from {BUILTIN_NAMES}")

@@ -93,33 +93,6 @@ class TruncatedSeries:
         c[1] = 1.0
         return TruncatedSeries(base, c)
 
-    # -- operator sugar; the series_* functions are the canonical ops --
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return series_add(self, other)
-        return series_add(self, TruncatedSeries.constant(other, self.base, self.order))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.base, -self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return series_mul(self, other)
-        return TruncatedSeries(self.base, self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __call__(self, z: complex):
-        return series_eval(self, z)
-
 
 def _require_same_base(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.base != b.base:

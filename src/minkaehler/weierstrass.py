@@ -256,19 +256,19 @@ class WeierstrassChain:
 def build_chain(seed: WeierstrassSeed) -> WeierstrassChain:
     """Run the recursion from alpha_0 through delta = alpha_n, and integrate
     the z part of the representative."""
-    one = TruncatedSeries.constant(1.0, seed.basepoint, seed.trunc_order)
+    one = TruncatedSeries.constant(1.0, seed.basepoint, seed.trunc_order).coeffs
     alphas = [TruncatedSeries(seed.basepoint, seed.alpha0.coeffs[None])]
     phis = []
     phi_constants = [0.0] * seed.n if seed.phi_constants is None else seed.phi_constants
     for r in range(seed.n):
         phi = series_int(alphas[r], phi_constants[r])
         phis.append(phi)
-        q = vdot(phi, phi)
+        q = vdot(phi, phi).coeffs[: one.size]
         mu = seed.mu[r]
-        head1 = series_mul(mu, (one - q) * 0.5)
-        head2 = series_mul(mu, (one + q) * 0.5) * 1j
+        head1 = series_mul(mu, TruncatedSeries(seed.basepoint, (one - q) * 0.5))
+        head2 = series_mul(mu, TruncatedSeries(seed.basepoint, (one + q) * 0.5))
         tail = series_mul(mu, phi)
-        alphas.append(TruncatedSeries(seed.basepoint, np.vstack([head1.coeffs, head2.coeffs, tail.coeffs])))
+        alphas.append(TruncatedSeries(seed.basepoint, np.vstack([head1.coeffs, head2.coeffs * 1j, tail.coeffs])))
     derivs = _derivatives([alphas[-1]], seed.n + 1)
     rep_constants = [0.0] * seed.n if seed.rep_constants is None else seed.rep_constants
     pieces = [series_int(series_mul(b, d), c) for b, d, c in zip(seed.b, derivs, rep_constants)]

@@ -281,7 +281,7 @@ def test_criterion_8_gauss_round_trip_and_minimality(capsys, m4r5_chart):
 
     samples = grid_points(shrink_box(chart.box, 0.6), [3, 3, 2, 2])
     ext = extract_from_hypersurface(chart, samples)
-    pairs = minimality_criterion(ext.surface, ext.support, qpts)
+    pairs = minimality_criterion(ext.data, qpts)
     trace = float(pairs.trace_residual.max())
     eigen = float(pairs.eigen_residual.max())
     ok = max(plane, support, gauss) < 1e-14 and trace < 1e-13 and eigen < 1e-14

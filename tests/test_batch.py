@@ -34,8 +34,7 @@ from minkaehler.gausspar import (
     gauss_round_trip,
     linear_support,
     minimality_criterion,
-    rebuild_support,
-    rebuild_surface,
+    rebuild,
 )
 from minkaehler.geometry import (
     anticommutation_residual,
@@ -131,16 +130,12 @@ def test_stack_matches_points_alone(name, quantity, request):
 
 
 def _gauss_data(source, request):
-    """(surface, support, quotient box) rebuilt from m4r5 or in closed form."""
+    """(Gauss datum, quotient box) rebuilt from m4r5 or in closed form."""
     if source == "m4r5":
         chart = request.getfixturevalue("m4r5_chart")
-        return rebuild_surface(chart, 2), rebuild_support(chart, 2), chart.box[:2]
+        return rebuild(chart, 2), chart.box[:2]
     surface = clifford_torus_surface()
-    return surface, linear_support(surface, [0.7, -0.3, 0.4, 0.2]), surface.box
-
-
-def _psi(surface, gamma):
-    return gauss_param(surface, gamma, check=False)
+    return linear_support(surface, [0.7, -0.3, 0.4, 0.2]), surface.box
 
 
 def _lifted(q, w=0.1):
@@ -148,25 +143,25 @@ def _lifted(q, w=0.1):
 
 
 GAUSSPAR = {
-    "g_jet_d2": lambda s, gam, q: s.chart.jet(q).d2,
-    "frame": lambda s, gam, q: s.frame(q),
-    "support": lambda s, gam, q: gam.value(q),
-    "psi_d1": lambda s, gam, q: _psi(s, gam).jet(_lifted(q, 0.0)).d1,
-    "psi_d2": lambda s, gam, q: _psi(s, gam).jet(_lifted(q, 0.0)).d2,
-    "trace": lambda s, gam, q: minimality_criterion(s, gam, q).trace_residual,
-    "eigen": lambda s, gam, q: minimality_criterion(s, gam, q).eigen_residual,
+    "g_jet_d2": lambda data, q: data.expand(q, 2)[0].derivatives(2),
+    "frame": lambda data, q: data.expand(q, 0)[2].value,
+    "support": lambda data, q: data.expand(q, 0)[1].value,
+    "psi_d1": lambda data, q: gauss_param(data).jet(_lifted(q, 0.0)).d1,
+    "psi_d2": lambda data, q: gauss_param(data).jet(_lifted(q, 0.0)).d2,
+    "trace": lambda data, q: minimality_criterion(data, q).trace_residual,
+    "eigen": lambda data, q: minimality_criterion(data, q).eigen_residual,
 }
 
 
 @pytest.mark.parametrize("source", ["m4r5", "clifford"])
 @pytest.mark.parametrize("quantity", sorted(GAUSSPAR))
 def test_gausspar_stack_matches_points_alone(source, quantity, request):
-    surface, gamma, box = _gauss_data(source, request)
+    data, box = _gauss_data(source, request)
     rng = np.random.default_rng(20260816)
     q = random_points(shrink_box(box, 0.6), 4, rng).reshape(2, 2, 2)
     fn = GAUSSPAR[quantity]
-    stacked = fn(surface, gamma, q)
-    alone = np.array([[fn(surface, gamma, p) for p in row] for row in q])
+    stacked = fn(data, q)
+    alone = np.array([[fn(data, p) for p in row] for row in q])
     assert stacked.shape == alone.shape
     scale = max(1.0, float(np.abs(alone).max()))
     np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14 * scale)
@@ -175,11 +170,11 @@ def test_gausspar_stack_matches_points_alone(source, quantity, request):
 def test_gauss_identity_and_round_trip_stack_matches_points_alone(m4r5_chart):
     rng = np.random.default_rng(20260816)
     q = random_points(shrink_box(m4r5_chart.box[:2], 0.6), 4, rng).reshape(2, 2, 2)
-    surface = clifford_torus_surface()
-    psi = _psi(surface, linear_support(surface, [0.7, -0.3, 0.4, 0.2]))
-    qc = random_points(shrink_box(surface.box, 0.6), 4, rng).reshape(2, 2, 2)
+    data = linear_support(clifford_torus_surface(), [0.7, -0.3, 0.4, 0.2])
+    psi = gauss_param(data)
+    qc = random_points(shrink_box(data.box, 0.6), 4, rng).reshape(2, 2, 2)
     checks = [
-        lambda p: gauss_map_identity_residual(psi, surface, _lifted(p)),
+        lambda p: gauss_map_identity_residual(psi, data, _lifted(p)),
         lambda p: gauss_round_trip(m4r5_chart, p).plane_distance,
         lambda p: gauss_round_trip(m4r5_chart, p).support_mismatch,
         lambda p: gauss_round_trip(m4r5_chart, p).gauss_mismatch,

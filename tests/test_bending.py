@@ -474,3 +474,14 @@ class TestCombinationField:
             np.testing.assert_array_equal(got, -want)
         for got, want in zip(again.jet_batch(pts, order=3), catenoid_fbar.jet_batch(pts, order=3)):
             np.testing.assert_array_equal(got, -want)
+
+    def test_conjugate_of_a_member_stack_is_the_stack_of_conjugates(self, m4r5_chart):
+        thetas = (0.0, 1.0, math.pi / 2)
+        stack = conjugate_field(SeriesChart(m4r5_chart.seed, thetas))
+        assert stack.theta == tuple(t + math.pi / 2 for t in thetas)
+        pts = random_points(shrink_box(m4r5_chart.box, 0.8), 3, np.random.default_rng(3))
+        jets = stack.jet_batch(pts, order=3)
+        for i, theta in enumerate(thetas):
+            alone = conjugate_field(SeriesChart(m4r5_chart.seed, theta)).jet_batch(pts, order=3)
+            for got, want in zip(jets, alone):
+                np.testing.assert_array_equal(got[i], want)

@@ -8,7 +8,7 @@ from minkaehler.charts import (
 )
 from minkaehler.errors import DomainError, NonImmersionPointError, PreconditionError
 from minkaehler.gausspar import (
-    SphereSurface,
+    GaussDatum,
     clifford_torus_surface,
     constant_support,
     extract_from_hypersurface,
@@ -18,12 +18,12 @@ from minkaehler.gausspar import (
     geodesic_sphere_surface,
     linear_support,
     minimality_criterion,
-    rebuild_support,
-    rebuild_surface,
+    rebuild,
     second_legendre_support,
 )
 from minkaehler.geometry import point_frame
 from minkaehler.taylor import Taylor, TaylorChart
+from minkaehler.weierstrass import SeriesChart
 
 from oracles import ellipse_chart, ellipse_support, fd_jet, plane_chart, sphere_chart
 
@@ -47,6 +47,31 @@ def surface_grid(surface, counts=3):
     return grid_points(shrink_box(surface.box, 0.8), counts)
 
 
+def with_frame(data, frame):
+    """``data`` with xi replaced by frame(xi)."""
+
+    def fn(x):
+        g, gamma, xi = data.fn(x)
+        return g, gamma, frame(xi)
+
+    return GaussDatum(data.d, data.ambient, data.box, fn)
+
+
+def value(data, part):
+    """The values of one part of the datum (0: g, 1: gamma, 2: xi) on a point stack."""
+    return lambda p: data.expand(p, 0)[part].value
+
+
+def checked_param(data):
+    """Psi, with the datum's identities verified and Psi's frame built at
+    the centre of its box (raises NonImmersionPointError if singular)."""
+    chart = gauss_param(data)
+    center = chart.box.mean(axis=1)
+    data.verify(center[: data.d])
+    point_frame(chart.jet(center))
+    return chart
+
+
 class TestBuiltinSurfaces:
     def test_geodesic_identities(self, geodesic):
         assert geodesic.verify(surface_grid(geodesic)) < 1e-12
@@ -59,19 +84,19 @@ class TestBuiltinSurfaces:
         assert clifford.fiber_dim == 1
 
     def test_broken_frame_is_rejected(self, geodesic):
-        broken = SphereSurface(chart=geodesic.chart, frame_fn=lambda x: 2.0 * geodesic.frame_fn(x))
+        broken = with_frame(geodesic, lambda xi: 2.0 * xi)
         with pytest.raises(PreconditionError):
             broken.verify([[0.5, 1.2]])
 
     def test_frame_shape_is_enforced(self, geodesic):
-        bad = SphereSurface(chart=geodesic.chart, frame_fn=lambda x: geodesic.frame_fn(x)[..., [0, 0], :])
+        bad = with_frame(geodesic, lambda xi: xi[..., [0, 0], :])
         with pytest.raises(DomainError):
-            bad.frame([0.5, 1.2])
+            bad.expand([0.5, 1.2], 0)
 
     def test_fd_frame_derivative_matches_analytic(self, clifford):
         p = np.array([0.8, 1.1])
-        xi = clifford.frame_fn(Taylor.variables(p, 2))
-        _, d1, d2 = fd_jet(clifford.frame, p)
+        xi = clifford.expand(p, 2)[2]
+        _, d1, d2 = fd_jet(value(clifford, 2), p)
         np.testing.assert_allclose(np.moveaxis(xi.derivatives(1), -1, 0), d1, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(np.moveaxis(xi.derivatives(2), (-2, -1), (0, 1)), d2, rtol=0.0, atol=1e-6)
 
@@ -86,24 +111,24 @@ class TestParametrization:
         # below).  The Clifford torus has no such collapse for linear
         # supports.
         if name == "geodesic":
-            return second_legendre_support()
+            return second_legendre_support(surface)
         return linear_support(surface, [0.7, -0.3, 0.4, 0.2])
 
     @pytest.mark.parametrize("maker", ["geodesic", "clifford"])
     def test_gauss_map_identity(self, maker, request, rng):
         surface = request.getfixturevalue(maker)
-        gamma = self._minimal_support(maker, surface)
-        chart = gauss_param(surface, gamma)
+        data = self._minimal_support(maker, surface)
+        chart = checked_param(data)
         q = surface_grid(surface, 2)
         for w in (-0.2, 0.0, 0.3):
-            res = gauss_map_identity_residual(chart, surface, np.column_stack([q, np.full(len(q), w)]))
+            res = gauss_map_identity_residual(chart, data, np.column_stack([q, np.full(len(q), w)]))
             assert res.max() < 1e-12
 
     @pytest.mark.parametrize("maker", ["geodesic", "clifford"])
     def test_minimal_support_gives_minimal_chart(self, maker, request):
         surface = request.getfixturevalue(maker)
-        gamma = self._minimal_support(maker, surface)
-        pairs = minimality_criterion(surface, gamma, surface_grid(surface, 2))
+        data = self._minimal_support(maker, surface)
+        pairs = minimality_criterion(data, surface_grid(surface, 2))
         assert pairs.trace_residual.max() < 5e-13
         assert pairs.eigen_residual.max() < 5e-14
 
@@ -111,30 +136,36 @@ class TestParametrization:
         # On the equatorial sphere grad <a, g> = a - <a, g> g, so the base
         # part of the parametrization is the constant vector a and the map
         # cannot be an immersion; the regularity probe must say so.
-        gamma = linear_support(geodesic, [0.7, -0.3, 0.4, 0.2])
+        data = linear_support(geodesic, [0.7, -0.3, 0.4, 0.2])
         with pytest.raises(NonImmersionPointError):
-            gauss_param(geodesic, gamma)
+            checked_param(data)
 
     def test_constant_support_is_not_minimal(self, geodesic):
-        gamma = constant_support(1.0)
-        pairs = minimality_criterion(geodesic, gamma, surface_grid(geodesic, 2))
+        data = constant_support(geodesic, 1.0)
+        pairs = minimality_criterion(data, surface_grid(geodesic, 2))
         assert pairs.trace_residual.min() > 1e-2
         np.testing.assert_allclose(pairs.eigen_residual, 2.0, rtol=0.0, atol=1e-9)
 
     def test_support_identity_along_fibers(self, clifford):
         # <Psi, g> = gamma for every fiber coordinate
-        gamma = linear_support(clifford, [0.5, 0.1, -0.2, 0.3])
-        chart = gauss_param(clifford, gamma)
+        data = linear_support(clifford, [0.5, 0.1, -0.2, 0.3])
+        chart = checked_param(data)
         q = np.array([0.9, 1.3])
-        g = clifford.chart.value(q)
+        g = value(data, 0)(q)
         for w in (-0.3, 0.0, 0.25):
             psi = chart.value(np.append(q, w))
-            assert float(psi @ g) == pytest.approx(gamma.value(q), abs=1e-12)
+            assert float(psi @ g) == pytest.approx(value(data, 1)(q), abs=1e-12)
 
     def test_no_fiber_direction_is_rejected(self):
-        full = SphereSurface(chart=sphere_chart(), frame_fn=lambda p: np.zeros((0, 3)))
+        sphere = sphere_chart()
+
+        def fn(x):
+            g = sphere.fn(x)
+            return g, 0.0 * x[..., 0], g[..., None, :][..., :0, :]
+
+        full = GaussDatum(2, 3, sphere.box, fn)
         with pytest.raises(PreconditionError):
-            gauss_param(full, constant_support(1.0))
+            gauss_param(constant_support(full, 1.0))
 
     def test_linear_support_coefficient_shape(self, geodesic):
         with pytest.raises(DomainError):
@@ -158,9 +189,9 @@ class TestExtraction:
         for ci, idx in enumerate(res.clusters):
             q = samples[idx[0]][:2]
             np.testing.assert_allclose(
-                res.surface.chart.value(q), res.normals[ci], atol=1e-9
+                value(res.data, 0)(q), res.normals[ci], atol=1e-9
             )
-            assert res.support.value(q) == pytest.approx(res.supports[ci], abs=1e-9)
+            assert value(res.data, 1)(q) == pytest.approx(res.supports[ci], abs=1e-9)
 
     def test_full_rank_chart_is_rejected(self):
         chart = sphere_chart()
@@ -214,15 +245,15 @@ class TestRoundTrip:
         assert res.gauss_mismatch.max() < 1e-14
 
     def test_rebuilt_surface_verifies(self, m4r5_chart):
-        surface = rebuild_surface(m4r5_chart, 2)
+        data = rebuild(m4r5_chart, 2)
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 2)
         # the leaf directions are tangent to the sphere at the normal and
         # orthogonal to the Gauss image's derivative: verified, not assumed
-        assert surface.verify(qpts, tol=1e-14) < 1e-14
+        assert data.verify(qpts) < 1e-14
 
     def test_leaf_directions_are_orthonormal_and_tangent(self, m4r5_chart):
         q = np.array([0.1, -0.05])
-        L = rebuild_surface(m4r5_chart, 2).frame(q)
+        L = value(rebuild(m4r5_chart, 2), 2)(q)
         np.testing.assert_allclose(L @ L.T, np.eye(2), atol=1e-12)
         fr = point_frame(m4r5_chart.jet(np.array([0.1, -0.05, 0.0, 0.0])))
         np.testing.assert_allclose(L @ fr.normal, 0.0, atol=1e-12)
@@ -232,38 +263,38 @@ class TestRoundTrip:
 
     def test_rebuild_needs_fiber_coordinates(self, enneper_chart):
         with pytest.raises(PreconditionError):
-            rebuild_surface(enneper_chart, 2)
+            rebuild(enneper_chart, 2)
 
     def test_values_read_the_zero_jet(self, m4r5_chart):
-        # the rebuilt surface's value, a section read one order above it,
-        # is its jet's to the bit; Psi's solve iterates once per order, so
+        # the rebuilt datum's value, a section read one order above it, is
+        # its 2-jet's to the bit; Psi's solve iterates once per order, so
         # its value and its jet's agree to roundoff
-        surface = rebuild_surface(m4r5_chart, 2)
-        psi = gauss_param(surface, rebuild_support(m4r5_chart, 2), check=False)
-        q = grid_points(shrink_box(surface.box, 0.6), 2)
+        data = rebuild(m4r5_chart, 2)
+        psi = gauss_param(data)
+        q = grid_points(shrink_box(data.box, 0.6), 2)
         lifted = np.column_stack([q, np.zeros((len(q), 2))])
-        np.testing.assert_array_equal(surface.chart.value(q), surface.chart.jet(q).value)
+        for part in range(3):
+            np.testing.assert_array_equal(value(data, part)(q), data.expand(q, 2)[part].value)
         np.testing.assert_allclose(psi.value(lifted), psi.jet(lifted).value, rtol=0.0, atol=1e-15)
 
     def test_rebuilt_first_derivatives_match_differences(self, m4r5_chart):
-        surface = rebuild_surface(m4r5_chart, 2)
-        chart = surface.chart
-        for q in grid_points(shrink_box(chart.box, 0.6), 2):
-            jet = chart.jet(q)
-            _, d1, d2 = fd_jet(chart.value, q)
-            np.testing.assert_allclose(jet.d1, d1, rtol=0.0, atol=1e-9)
-            np.testing.assert_allclose(jet.d2, d2, rtol=0.0, atol=1e-6)
+        data = rebuild(m4r5_chart, 2)
+        for q in grid_points(shrink_box(data.box, 0.6), 2):
+            g, _, xi = data.expand(q, 2)
+            _, d1, d2 = fd_jet(value(data, 0), q)
+            np.testing.assert_allclose(np.moveaxis(g.derivatives(1), 0, -1), d1, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(np.moveaxis(g.derivatives(2), 0, -1), d2, rtol=0.0, atol=1e-6)
             # the leaf frame's partials too
-            xi = surface.frame_fn(Taylor.variables(q, 1)).derivatives(1)
-            _, fd, _ = fd_jet(surface.frame, q)
+            xi = xi.derivatives(1)
+            _, fd, _ = fd_jet(value(data, 2), q)
             np.testing.assert_allclose(np.moveaxis(xi, -1, 0), fd, rtol=0.0, atol=1e-9)
 
     def test_extracted_support_gradient_matches_differences(self, m4r5_chart):
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
         res = extract_from_hypersurface(m4r5_chart, samples)
         for q in grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 3):
-            gam = res.support.fn(Taylor.variables(q, 2))
-            _, grad, hess = fd_jet(res.support.value, q)
+            gam = res.data.expand(q, 2)[1]
+            _, grad, hess = fd_jet(value(res.data, 1), q)
             np.testing.assert_allclose(gam.derivatives(1), grad, rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(gam.derivatives(2), hess, rtol=0.0, atol=1e-6)
 
@@ -274,7 +305,7 @@ class TestRoundTrip:
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
         res = extract_from_hypersurface(m4r5_chart, samples)
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 3)
-        pairs = minimality_criterion(res.surface, res.support, qpts)
+        pairs = minimality_criterion(res.data, qpts)
         assert pairs.trace_residual.max() < 1e-13
         assert pairs.eigen_residual.max() < 1e-14
 
@@ -282,10 +313,10 @@ class TestRoundTrip:
 class TestSupportFunction:
     def test_fd_gradient_matches_analytic(self, clifford):
         p = np.array([0.8, 1.2])
-        for gamma in (linear_support(clifford, [0.7, -0.3, 0.4, 0.2]), second_legendre_support()):
-            exact = gamma.fn(Taylor.variables(p, 2))
-            value, grad, hess = fd_jet(gamma.value, p)
-            assert exact.value == value
+        for data in (linear_support(clifford, [0.7, -0.3, 0.4, 0.2]), second_legendre_support(clifford)):
+            exact = data.expand(p, 2)[1]
+            gamma, grad, hess = fd_jet(value(data, 1), p)
+            assert exact.value == gamma
             np.testing.assert_allclose(exact.derivatives(1), grad, rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(exact.derivatives(2), hess, rtol=0.0, atol=1e-6)
 
@@ -294,5 +325,32 @@ class TestSupportFunction:
         qpts = grid_points(shrink_box(m4r5_chart.box[:2], 0.6), 2)
         fr = point_frame(m4r5_chart.jet(np.column_stack([qpts, np.zeros((len(qpts), 2))])))
         want = np.einsum("pc,pc->p", fr.jet.value, fr.normal)
-        got = rebuild_support(m4r5_chart, 2).value(qpts)
+        got = value(rebuild(m4r5_chart, 2), 1)(qpts)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_one_jet_read_per_point_stack(m4r5_chart, monkeypatch):
+    """The rebuilt datum reads the chart's jets once per point stack: the
+    round trip reads Psi's, the chart's own and the datum's values, three
+    reads of one stack, and the minimality criterion on the extracted
+    datum reads Psi's and the datum's 2-jet, two."""
+    calls = []
+    series_jet = SeriesChart.jet_batch
+
+    def counted_jet(self, pts, order=2):
+        calls.append((np.asarray(pts).tobytes(), order))
+        return series_jet(self, pts, order)
+
+    qpts = grid_points(shrink_box(m4r5_chart.box, 0.6)[:2], [4, 4])
+    lifted = np.column_stack([qpts, np.zeros((len(qpts), 2))]).tobytes()
+    samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [3, 3, 2, 2])
+    data = extract_from_hypersurface(m4r5_chart, samples).data
+    monkeypatch.setattr(SeriesChart, "jet_batch", counted_jet)
+
+    gauss_round_trip(m4r5_chart, qpts)
+    assert len(calls) <= 3
+    assert {pts for pts, _ in calls} == {lifted}
+    calls.clear()
+    minimality_criterion(data, qpts)
+    assert len(calls) <= 2
+    assert {pts for pts, _ in calls} == {lifted}

@@ -168,7 +168,7 @@ class TestVdot:
         z = TruncatedSeries.variable(0.0, order)
         one = TruncatedSeries.constant(1.0, 0.0, order)
         z2 = series_mul(z, z)
-        v = make(np.stack([((one - z2) * 0.5).coeffs, ((one + z2) * (0.5j)).coeffs, z.coeffs]))
+        v = make(np.stack([(one.coeffs - z2.coeffs) * 0.5, (one.coeffs + z2.coeffs) * 0.5j, z.coeffs]))
         assert np.abs(vdot(v, v).coeffs).max() < 1e-15
 
     def test_component_mismatch(self):
