@@ -6,11 +6,16 @@ on a grid.  The sampled immersion values become a Wavefront OBJ mesh
 grid) and a CSV table (chart coordinates, all ambient coordinates, and
 per-point residual columns).  All numbers are written with 17 significant
 digits, the bytes of ``format(x, ".17g")``, so identical inputs produce
-byte-identical files.  The writers format a few hundred rows per call of
-one %-template, holding only that chunk as Python numbers and text; the
-slice reads A and ||A||_G of its frame, never the eigen-data.  A slice's JSON
-form is read against ``SLICE_SCHEMA``, which the CLI config's ``export``
-section shares.
+byte-identical files.  Each cell's text is made at most once per export:
+the OBJ writer formats the first three ambient coordinates a chunk of rows
+at a time and hands that text on, so the CSV reuses it for its f0..f2
+cells, and the CSV formats each distinct chart coordinate once, since a
+grid line repeats its coordinates in every row.  Text is held per chunk as
+a few large strings, never one object per cell for the whole slice.  Every
+frame and residual is computed before either file is opened, so a failed
+slice writes nothing; the slice reads A and ||A||_G of its frame, never
+the eigen-data.  A slice's JSON form is read against ``SLICE_SCHEMA``,
+which the CLI config's ``export`` section shares.
 """
 
 from __future__ import annotations
@@ -143,20 +148,14 @@ def slice_points(chart: SeriesChart, spec: SliceSpec) -> np.ndarray:
     return pts
 
 
-def _write_rows(fh, template: str, table: np.ndarray) -> None:
-    """Write each row of ``table`` through the %-template ``template``, one
-    format call per chunk of rows, so that only one chunk of the table is
-    ever held as Python numbers and text."""
-    for start in range(0, len(table), _CHUNK):
-        chunk = table[start : start + _CHUNK]
-        fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
-
-
-def export_obj(path, values: np.ndarray, counts, name: str = "slice") -> None:
-    """Write an OBJ mesh: grid vertices and quad faces.
+def export_obj(path, values: np.ndarray, counts, name: str = "slice") -> list:
+    """Write an OBJ mesh, grid vertices and quad faces; returns the vertex text.
 
     Vertices take the first three ambient coordinates of ``values`` (rows
-    in u-major grid order); faces are the grid quads, 1-indexed.
+    in u-major grid order); faces are the grid quads, 1-indexed.  The
+    vertex text is those three columns as ``a,b,c`` lines, one string per
+    chunk of ``_CHUNK`` rows, each cell formatted once: the vertex lines
+    are made from it, and :func:`export_csv` takes its f0..f2 cells from it.
     """
     values = np.asarray(values, dtype=np.float64)
     nu, nv = (int(c) for c in counts)
@@ -167,15 +166,29 @@ def export_obj(path, values: np.ndarray, counts, name: str = "slice") -> None:
     # face (i, j) joins vertices a = i nv + j + 1, a + nv, a + nv + 1, a + 1
     a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).ravel()
     faces = np.stack([a, a + nv, a + nv + 1, a + 1], axis=1)
+    text = []
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"o {name}\n")
-        _write_rows(fh, f"v {_NUM} {_NUM} {_NUM}\n", values[:, :3])
-        _write_rows(fh, "f %d %d %d %d\n", faces)
+        for start in range(0, len(values), _CHUNK):
+            chunk = values[start : start + _CHUNK, :3]
+            lines = f"{_NUM},{_NUM},{_NUM}\n" * len(chunk) % tuple(chunk.ravel().tolist())
+            text.append(lines)
+            fh.write("v " + lines[:-1].replace(",", " ").replace("\n", "\nv ") + "\n")
+        for start in range(0, len(faces), _CHUNK):
+            chunk = faces[start : start + _CHUNK]
+            fh.write("f %d %d %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+    return text
 
 
-def export_csv(path, coords: np.ndarray, values: np.ndarray, residuals: dict) -> None:
-    """Write a CSV table: chart coordinates, ambient values, residuals."""
-    coords = np.asarray(coords, dtype=np.float64)
+def export_csv(path, coords: np.ndarray, values: np.ndarray, residuals: dict, vertex_text: list) -> None:
+    """Write a CSV table: chart coordinates, ambient values, residuals.
+
+    The f0..f2 cells come from ``vertex_text``, which :func:`export_obj`
+    returned for the same ``values``.  The other cells are formatted here,
+    a chunk of rows per call, and each distinct coordinate once: a grid
+    line repeats its coordinates in every row.
+    """
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if coords.shape[0] != values.shape[0]:
         raise DomainError("coordinate and value row counts differ")
@@ -183,16 +196,32 @@ def export_csv(path, coords: np.ndarray, values: np.ndarray, residuals: dict) ->
     for key, col in res_items:
         if len(col) != coords.shape[0]:
             raise DomainError(f"residual column {key!r} has the wrong length")
+    d = coords.shape[1]
     header = (
-        [f"x{k}" for k in range(coords.shape[1])]
+        [f"x{k}" for k in range(d)]
         + [f"f{k}" for k in range(values.shape[1])]
         + [key for key, _ in res_items]
     )
-    res = [np.asarray(col, dtype=np.float64).reshape(-1, 1) for _, col in res_items]
-    table = np.concatenate([coords, values, *res], axis=1)
+    # the cells after f2: the other values, then one column per residual
+    rest = [values[:, 3:], *(np.asarray(col, dtype=np.float64)[:, None] for _, col in res_items)]
+    bits = coords.view(np.uint64)
+    memo = {}  # coordinate text by bit pattern, so that -0.0 stays -0
+    row = "%s," * d + "%s" + f",{_NUM}" * (len(header) - d - 3) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, ",".join([_NUM] * table.shape[1]) + "\n", table)
+        for k, start in enumerate(range(0, len(coords), _CHUNK)):
+            rows = slice(start, start + _CHUNK)
+            keys, where = np.unique(bits[rows], return_inverse=True)
+            for b, v in zip(keys.tolist(), keys.view(np.float64).tolist()):
+                if b not in memo:
+                    memo[b] = _NUM % v
+            texts = np.array([memo[b] for b in keys.tolist()], dtype=object)
+            f012 = vertex_text[k].split("\n")[:-1]
+            cells = np.empty((len(f012), len(header) - 2), dtype=object)
+            cells[:, :d] = texts[where.reshape(-1, d)]
+            cells[:, d] = f012
+            cells[:, d + 1 :] = np.concatenate([col[rows] for col in rest], axis=1)
+            fh.write(row * len(f012) % tuple(cells.ravel().tolist()))
 
 
 def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, name: str = "slice") -> int:
@@ -208,6 +237,7 @@ def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, nam
     minim = minimality_residual(frame)
     antic = anticommutation_residual(frame, chart_complex_structure(chart.d))
     values = frame.jet.value
-    export_obj(obj_path, values, spec.counts, name=name)
-    export_csv(csv_path, pts, values, {"minimality": minim, "anticommutation": antic})
+    del frame  # free the jets and frame, so that the writers reuse their memory
+    vertex_text = export_obj(obj_path, values, spec.counts, name=name)
+    export_csv(csv_path, pts, values, {"minimality": minim, "anticommutation": antic}, vertex_text)
     return len(pts)

@@ -331,6 +331,29 @@ class ExtractionResult:
     indeterminate: bool
 
 
+def _cluster_labels(normals: np.ndarray) -> np.ndarray:
+    """Greedy cluster labels of a (P, m) stack of normals, in sample order.
+
+    A sample joins the first earlier cluster whose founding normal lies
+    within ``_CLUSTER_TOL``, else founds the next one.  From one array of
+    pairwise distances, founders, taken in order, claim every later sample
+    near them that no earlier founder claimed.
+    """
+    gap = np.zeros((len(normals), len(normals)))
+    for c in range(normals.shape[1]):
+        gap += np.subtract.outer(normals[:, c], normals[:, c]) ** 2
+    near = np.sqrt(gap) < _CLUSTER_TOL
+    labels = np.full(len(normals), -1, dtype=np.intp)
+    count = 0
+    for i in range(len(normals)):
+        if labels[i] < 0:
+            claim = near[i] & (labels < 0)
+            claim[i] = True
+            labels[claim] = count
+            count += 1
+    return labels
+
+
 def extract_from_hypersurface(chart: ImmersionChart, samples) -> ExtractionResult:
     """Recover Gauss-image and support data from chart samples.
 
@@ -361,13 +384,8 @@ def extract_from_hypersurface(chart: ImmersionChart, samples) -> ExtractionResul
         )
     normals = fr.normal
     supports = np.einsum("...c,...c->...", fr.jet.value, normals)
-    labels = np.empty(len(samples), dtype=np.intp)
-    reps = []
-    for i, n in enumerate(normals):
-        near = [ci for ci, rep in enumerate(reps) if np.linalg.norm(n - rep) < _CLUSTER_TOL]
-        labels[i] = near[0] if near else len(reps)
-        reps += [] if near else [n]
-    clusters = [np.flatnonzero(labels == ci) for ci in range(len(reps))]
+    labels = _cluster_labels(normals)
+    clusters = [np.flatnonzero(labels == ci) for ci in range(labels.max() + 1)]
     cluster_normals = np.array([normals[idx].mean(axis=0) for idx in clusters])
     cluster_normals /= np.maximum(np.linalg.norm(cluster_normals, axis=1, keepdims=True), TINY)
     cluster_supports = np.array([supports[idx].mean() for idx in clusters])

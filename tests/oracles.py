@@ -43,7 +43,10 @@ evidence rather than tautology.
   time, and a residual report aggregated point by point.
 * the full work the package's hot path skips, kept as references: the
   Horner recurrence over every coefficient column, zero padding included,
-  and the frame's regularity check with one SVD of every point's partials.
+  the frame's regularity check with one SVD of every point's partials, a
+  slice export that formats every cell on its own (the OBJ, then the CSV),
+  and the greedy clustering of normals one sample against every earlier
+  cluster at a time.
 """
 
 from __future__ import annotations
@@ -60,12 +63,19 @@ import numpy as np
 from minkaehler.bending import Variation
 from minkaehler.charts import mix_jets
 from minkaehler.errors import NonImmersionPointError
-from minkaehler.geometry import TINY, PointFrame, point_frame
+from minkaehler.export import slice_chart, slice_points
+from minkaehler.geometry import (
+    TINY,
+    PointFrame,
+    anticommutation_residual,
+    minimality_residual,
+    point_frame,
+)
 from minkaehler.report import ResidualReport
 from minkaehler.seeds import builtin_seed
 from minkaehler.suites import build_bundle
 from minkaehler.taylor import Taylor, TaylorChart
-from minkaehler.weierstrass import DomainSpec, seed_from_json
+from minkaehler.weierstrass import DomainSpec, chart_complex_structure, seed_from_json
 
 SQRT2 = np.sqrt(2.0)
 
@@ -193,6 +203,45 @@ def point_frame_full_svd(jet) -> PointFrame:
     if bad.any():
         raise NonImmersionPointError(f"degenerate normal at {jet.coords[tuple(np.argwhere(bad)[0])]}")
     return frame
+
+
+def export_slice_per_cell(seed, spec, obj_path, csv_path, name: str = "slice") -> None:
+    """``export_slice`` writing one ``format(x, ".17g")`` per cell: the OBJ's
+    vertex and face lines, then the CSV's header and rows."""
+    chart = slice_chart(seed, spec)
+    pts = slice_points(chart, spec)
+    frame = point_frame(chart.jet(pts))
+    residuals = {
+        "anticommutation": anticommutation_residual(frame, chart_complex_structure(chart.d)),
+        "minimality": minimality_residual(frame),
+    }
+    values = frame.jet.value
+    nu, nv = spec.counts
+    lines = [f"o {name}"] + ["v " + " ".join(format(x, ".17g") for x in row[:3]) for row in values.tolist()]
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            lines.append(f"f {a} {a + nv} {a + nv + 1} {a + 1}")
+    Path(obj_path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    header = [f"x{k}" for k in range(pts.shape[1])] + [f"f{k}" for k in range(values.shape[1])]
+    lines = [",".join(header + sorted(residuals))]
+    columns = [residuals[key] for key in sorted(residuals)]
+    for r, (x, f) in enumerate(zip(pts.tolist(), values.tolist())):
+        cells = x + f + [float(col[r]) for col in columns]
+        lines.append(",".join(format(c, ".17g") for c in cells))
+    Path(csv_path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def cluster_labels_loop(normals: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy clustering of unit normals: each sample joins the first earlier
+    cluster whose founding normal lies within ``tol``, else founds one."""
+    labels = np.empty(len(normals), dtype=np.intp)
+    reps = []
+    for i, n in enumerate(normals):
+        near = [ci for ci, rep in enumerate(reps) if np.linalg.norm(n - rep) < tol]
+        labels[i] = near[0] if near else len(reps)
+        reps += [] if near else [n]
+    return labels
 
 
 def report_from_residuals_loop(identity, residuals, tolerance, control=False) -> ResidualReport:

@@ -6,6 +6,7 @@ import pytest
 
 from minkaehler import builtin_seed
 from minkaehler.cli import DEFAULT_CONFIG, load_config, main
+from minkaehler.errors import NonImmersionPointError
 from minkaehler.suites import SUITE_ORDER
 from minkaehler.weierstrass import seed_to_json
 
@@ -438,6 +439,18 @@ class TestExport:
         spec = json.dumps({"counts": [2, 2], "box": [[-10.0, 10.0], [-10.0, 10.0]]})
         assert main(["export", "--config", cfg, "--slice", spec]) == 2
         assert "leaves the chart domain" in capsys.readouterr().err
+
+    def test_failed_export_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # every frame is computed before a file is opened
+        def fail(jet):
+            raise NonImmersionPointError("first partials are dependent")
+
+        monkeypatch.setattr("minkaehler.export.point_frame", fail)
+        cfg = write_config(tmp_path, seed="enneper", output_dir="mesh")
+        assert main(["export", "--config", cfg]) == 2
+        assert "first partials are dependent" in capsys.readouterr().err
+        for suffix in ("obj", "csv"):
+            assert not (tmp_path / "mesh" / f"enneper_f.{suffix}").exists()
 
     def test_exports_are_deterministic(self, tmp_path):
         for out in ("m1", "m2"):

@@ -15,7 +15,7 @@ from minkaehler.export import (
     slice_points,
 )
 
-from oracles import catenoid_closed_form
+from oracles import catenoid_closed_form, export_slice_per_cell
 
 
 def read_obj(path):
@@ -128,10 +128,17 @@ class TestObjFormat:
             export_obj(tmp_path / "x.obj", np.zeros((4, 2)), (2, 2))
 
 
+def write_csv(path, coords, values, residuals):
+    """``export_csv`` after the ``export_obj`` whose vertex text it reuses,
+    on a one-column grid of the value rows."""
+    text = export_obj(path.with_suffix(".obj"), values, (len(values), 1))
+    export_csv(path, coords, values, residuals, text)
+
+
 class TestCsvFormat:
     def test_residual_column_length_is_checked(self, tmp_path):
         with pytest.raises(DomainError, match="wrong length"):
-            export_csv(
+            write_csv(
                 tmp_path / "x.csv",
                 np.zeros((3, 2)),
                 np.zeros((3, 3)),
@@ -140,7 +147,7 @@ class TestCsvFormat:
 
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "t.csv"
-        export_csv(
+        write_csv(
             path,
             np.zeros((2, 2)),
             np.ones((2, 3)),
@@ -178,7 +185,7 @@ class TestNumberFormat:
         if as_list:
             res = {k: list(map(float, v)) for k, v in res.items()}
         path = tmp_path / "t.csv"
-        export_csv(path, coords, values, res)
+        write_csv(path, coords, values, res)
         lines = path.read_bytes().decode("ascii").split("\n")
         assert lines[0] == "x0,x1,f0,f1,f2,a,b" and lines[-1] == ""
         expect = [
@@ -190,13 +197,45 @@ class TestNumberFormat:
     def test_obj_vertices_are_17_significant_digits(self, tmp_path):
         values = self._table(20 * 30, 4)
         path = tmp_path / "t.obj"
-        export_obj(path, values, (20, 30), name="demo")
+        text = export_obj(path, values, (20, 30), name="demo")
         expect = ["o demo"] + ["v " + " ".join(_cells(row[:3])) for row in values]
         for i in range(19):
             for j in range(29):
                 a = i * 30 + j + 1
                 expect.append(f"f {a} {a + 30} {a + 31} {a + 1}")
         assert path.read_bytes().decode("ascii") == "\n".join(expect) + "\n"
+        # the vertex text the CSV reuses: one a,b,c line per row
+        assert "".join(text) == "".join(",".join(_cells(row[:3])) + "\n" for row in values)
+
+
+class TestSharedText:
+    """``export_slice`` writes the bytes of a writer that formats every cell
+    on its own, OBJ then CSV, on slices that stress the shared vertex text
+    (row counts that cross ``_CHUNK`` unevenly) and the coordinate memo
+    (repeated, pinned and signed-zero coordinates)."""
+
+    @pytest.mark.parametrize(
+        "seed, spec",
+        [
+            # -0.0 pinned in one column, 0.0 in another; the 23-point axis holds 0.0
+            ("m4r5", SliceSpec(counts=(37, 23), fixed={2: -0.0, 3: 0.0}, field_name="ftheta", theta=0.7)),
+            # axes in reverse order, axis 1 pinned and axis 3 left at 0
+            ("m4r5", SliceSpec(axes=(2, 0), counts=(37, 23), fixed={1: 0.05}, field_name="ftheta", theta=2.9)),
+            ("enneper", SliceSpec(counts=(33, 17), field_name="fbar")),
+            ("catenoid", SliceSpec(counts=(9, 31), field_name="f")),
+        ],
+        ids=["m4r5-signed-zero", "m4r5-axes-2-0", "enneper-fbar", "catenoid-f"],
+    )
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path, seed, spec):
+        seed = builtin_seed(seed)
+        grid = slice_points(slice_chart(seed, spec), spec)
+        assert np.any(grid == 0.0)  # an odd count puts 0.0 on the grid
+        export_slice(seed, spec, tmp_path / "a.obj", tmp_path / "a.csv", name="s")
+        export_slice_per_cell(seed, spec, tmp_path / "b.obj", tmp_path / "b.csv", name="s")
+        for suffix in ("obj", "csv"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+        if -0.0 in spec.fixed.values():
+            assert (tmp_path / "a.csv").read_text().splitlines()[1].split(",")[2:4] == ["-0", "0"]
 
 
 class TestExportedGeometry:

@@ -8,7 +8,9 @@ from minkaehler.charts import (
 )
 from minkaehler.errors import DomainError, NonImmersionPointError, PreconditionError
 from minkaehler.gausspar import (
+    _CLUSTER_TOL,
     GaussDatum,
+    _cluster_labels,
     clifford_torus_surface,
     constant_support,
     extract_from_hypersurface,
@@ -25,7 +27,14 @@ from minkaehler.geometry import point_frame
 from minkaehler.taylor import Taylor, TaylorChart
 from minkaehler.weierstrass import SeriesChart
 
-from oracles import ellipse_chart, ellipse_support, fd_jet, plane_chart, sphere_chart
+from oracles import (
+    cluster_labels_loop,
+    ellipse_chart,
+    ellipse_support,
+    fd_jet,
+    plane_chart,
+    sphere_chart,
+)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +190,27 @@ class TestExtraction:
         assert res.normal_spread < 1e-9
         assert res.support_spread < 1e-9
         assert res.rank == 2 and res.nullity == 2
+
+    def test_chained_normals_cluster_as_the_greedy_loop(self):
+        # normals 0.4 tol apart along a line, shuffled: most samples lie near
+        # two or more founders, so the first-founder rule decides their label
+        rng = np.random.default_rng(3)
+        steps = rng.permutation(40) * 0.4 * _CLUSTER_TOL
+        normals = np.stack([np.ones(40), steps, np.zeros(40)], axis=1)
+        normals[5] = np.nan
+        labels = _cluster_labels(normals)
+        np.testing.assert_array_equal(labels, cluster_labels_loop(normals, _CLUSTER_TOL))
+        assert 5 < labels.max() < 39
+
+    @pytest.mark.parametrize("counts", [[2, 2, 2, 2], [3, 3, 2, 2], [6, 6, 2, 2], [4, 3]])
+    def test_clusters_match_the_greedy_loop(self, m4r5_chart, cylinder, counts):
+        chart = m4r5_chart if len(counts) == 4 else cylinder
+        samples = grid_points(shrink_box(chart.box, 0.6), counts)
+        res = extract_from_hypersurface(chart, samples)
+        labels = cluster_labels_loop(point_frame(chart.jet(samples)).normal, _CLUSTER_TOL)
+        assert len(res.clusters) == labels.max() + 1 > 1
+        for ci, idx in enumerate(res.clusters):
+            np.testing.assert_array_equal(idx, np.flatnonzero(labels == ci))
 
     def test_m4r5_sections_match_clusters(self, m4r5_chart):
         samples = grid_points(shrink_box(m4r5_chart.box, 0.6), [2, 2, 2, 2])
