@@ -27,8 +27,9 @@ Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
 shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
 same stack (3-jets, for the derivative of B), and returns one value per
-point.  A Variation keeps tau, dN, T_* and B once computed, so each is
-computed once per field; the three routes to B share only those inputs.
+point.  A Variation keeps tau, dN, T_*, B and the G-norms ||B||_G and
+||A T_*||_G once computed, so each is computed once per field; the three
+routes to B share only those inputs.
 Every route reads G^{-1}, L and L^{-1} (in ||.||_G) and d_l G from the
 frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
@@ -133,6 +134,16 @@ class Variation:
         """B by the covariant-Hessian formula, :func:`B_by_formula`."""
         return B_by_formula(self)
 
+    @cached_property
+    def B_norm(self) -> np.ndarray:
+        """||B||_G per point."""
+        return gnorm_op(self.frame, self.B)
+
+    @cached_property
+    def bat_norm(self) -> np.ndarray:
+        """||A T_*||_G per point, :func:`B_by_BAT`'s route to B."""
+        return gnorm_op(self.frame, B_by_BAT(self))
+
 
 def bending_residual(v: Variation) -> np.ndarray:
     """max_ij |<T_i, f_j> + <T_j, f_i>| over the normalizing scale.
@@ -202,17 +213,16 @@ def b_route_agreement(v: Variation) -> np.ndarray:
     """Largest pairwise deviation of the three B routes, G-relative."""
     frame = v.frame
     ops = np.stack([B_by_variation(v), v.B, B_by_BAT(v)])
+    norms = np.stack([gnorm_op(frame, ops[0]), v.B_norm, v.bat_norm])
+    scale = np.maximum(norms.max(axis=0), 1.0)
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
-    scale = np.maximum(gnorm_op(frame, ops).max(axis=0), 1.0)
     worst = gnorm_op(frame, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
     return worst / scale
 
 
 def bat_residual(v: Variation) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    at = B_by_BAT(v)
-    den = gnorm_op(v.frame, at)
-    return gnorm_op(v.frame, v.B - at) / np.maximum(den, 1e-14)
+    return gnorm_op(v.frame, v.B - B_by_BAT(v)) / np.maximum(v.bat_norm, 1e-14)
 
 
 def tangential_covariant_derivative(v: Variation) -> np.ndarray:
@@ -310,12 +320,17 @@ def fundamental_equation_residual(v: Variation) -> np.ndarray:
     return worst / np.maximum(den, 1e-14)
 
 
-def nullity_annihilation_residual(frame: PointFrame, b_op: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def nullity_annihilation_residual(
+    frame: PointFrame, b_op: np.ndarray, basis: np.ndarray, norm=None
+) -> np.ndarray:
     """max ||B v||_G over the relative-nullity directions v, the columns of
-    ``basis`` (..., d, k), relative to ||B||_G.  Zeroed columns, such as the
+    ``basis`` (..., d, k), relative to ||B||_G (``norm``, when the caller
+    keeps it, as :attr:`Variation.B_norm`).  Zeroed columns, such as the
     eigenvectors a rank mask leaves out, count for nothing."""
+    if norm is None:
+        norm = gnorm_op(frame, b_op)
     worst = gnorm_columns(frame.chol, b_op @ basis).max(axis=-1, initial=0.0)
-    return worst / np.maximum(gnorm_op(frame, b_op), 1e-14)
+    return worst / np.maximum(norm, 1e-14)
 
 
 # -- rotation coefficient and classification ----------------------------------
@@ -380,7 +395,7 @@ def classify_triviality(v: Variation) -> TrivialityResult:
     if sigma < 1e-14:
         # derivative-free fields are constant translations, trivially so
         return TrivialityResult(True, 0.0)
-    score = float((gnorm_op(frame, v.B) / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
+    score = float((v.B_norm / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
     return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score)
 
 

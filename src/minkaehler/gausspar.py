@@ -30,7 +30,8 @@ derivative is exact and one evaluation gives all three.  Psi's jet
 evaluates it once, one order deeper, and composes xi from the same
 evaluation.  The closed-form data are the sphere surfaces, each with a
 support; the data rebuilt from a chart (:func:`rebuild`) read its jets
-once per point stack, the 4-jets under Psi's 2-jet.  The nontrivial
+once per point stack, the 4-jets under Psi's 2-jet, and the round trip
+reads the chart once in all.  The nontrivial
 bending of a cylinder over an ellipse (:func:`make_cylinder_bending`) is
 closed form too.
 """
@@ -412,6 +413,23 @@ class RoundTripResult:
     gauss_mismatch: np.ndarray
 
 
+class _ReadOnce(ImmersionChart):
+    """``chart`` read once on one (P, d) point stack, at ``order``: a read
+    of that stack at a lower order is the leading part of that one (the
+    series charts give the same bits either way).  Any other read raises
+    :class:`DomainError`."""
+
+    def __init__(self, chart: ImmersionChart, pts: np.ndarray, order: int):
+        self.d, self.ambient, self.box = chart.d, chart.ambient, chart.box
+        self._pts = pts
+        self._parts = chart.jet_batch(pts, order)
+
+    def jet_batch(self, pts, order: int = 2) -> tuple:
+        if order >= len(self._parts) or not np.array_equal(pts, self._pts):
+            raise DomainError(f"this chart holds its {len(self._parts) - 1}-jet on one point stack only")
+        return self._parts[: order + 1]
+
+
 def gauss_round_trip(chart: ImmersionChart, qpts) -> RoundTripResult:
     """Rebuild (g, gamma, xi) from the chart and parametrize back, over a
     (..., r) stack of quotient points, r the chart's rank.
@@ -421,12 +439,16 @@ def gauss_round_trip(chart: ImmersionChart, qpts) -> RoundTripResult:
     directions.  Reported per point are the point-to-plane distance, the
     support mismatch <Psi, N> - gamma against the original chart's normal,
     and the (sign-blind) mismatch between the rebuilt chart's own normal
-    and g.
+    and g.  The chart is read once, its 4-jet on the lifted points: the
+    section under Psi's 2-jet reads that, and the chart's own frame and the
+    datum's values read its leading parts.
     """
     q = np.asarray(qpts, dtype=np.float64)
     rank = q.shape[-1]
-    data = rebuild(chart, rank)
     lifted = _lift(q, chart.d - rank)
+    # Psi's 2-jet expands the datum to order 3, whose section reads the 4-jet
+    chart = _ReadOnce(chart, lifted.reshape(-1, chart.d), 4)
+    data = rebuild(chart, rank)
     rebuilt = point_frame(gauss_param(data).jet(lifted))
     base = point_frame(chart.jet(lifted))
     g, gamma, L = (t.value for t in data.expand(q, 0))  # L (..., k, m+1), orthonormal rows

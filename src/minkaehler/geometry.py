@@ -12,11 +12,13 @@ J) and the Codazzi symmetry.  A single point is the stack with no leading
 axes.  Nothing here differences: every input is a jet.
 
 A :class:`PointFrame` holds one field, a jet stack; every other piece it
-computes from the jet on first read and then keeps: G, G^{-1}, the
-Cholesky factor L of G and L^{-1}, d_l G, N, H, A, ||A||_G, the
-Christoffel symbols and the eigen-data of A.  Every residual that reads
-the frame applies the stored inverses (batched matmuls); nothing here
-solves against G, and only a reader of the eigen-data decomposes A.
+computes from the jet on first read and then keeps: G; the Cholesky factor
+L of G, L^{-1} and G^{-1}, all three from one L D L^T pass over the whole
+stack (:func:`~minkaehler.kernels.ldl_factors`); d_l G, N, H, A, ||A||_G,
+the Christoffel symbols and the eigen-data of A.  Every residual that
+reads the frame applies the stored inverses (batched matmuls); nothing
+here solves against G or calls LAPACK once per point to factor it, and
+only a reader of the eigen-data or of a G-norm decomposes per point.
 :func:`point_frame` reads L and L^{-1} for its regularity check and takes
 an SVD of the first partials only at the points their bound cannot clear.
 
@@ -66,9 +68,11 @@ class PointFrame:
     """Metric, normal and shape-operator data over a stack of chart points.
 
     The frame's one field is its jet; every other piece is computed from it
-    on first read and then kept.  G and its lower Cholesky factor L are
-    inverted once each.  :func:`point_frame` takes L; a frame built
-    directly that needs only G, N and A (a family member) never does.
+    on first read and then kept.  L, L^{-1} and G^{-1} come together from
+    one L D L^T pass along the point axis, so a frame that reads only G, N
+    and A (a family member) pays for the same pass as :func:`point_frame`,
+    which reads L.  Where G is not positive definite the three hold a NaN
+    or an infinity.
     """
 
     jet: Jet2
@@ -82,16 +86,20 @@ class PointFrame:
         return self.jet.d1 @ _t(self.jet.d1)
 
     @cached_property
-    def metric_inv(self) -> np.ndarray:  # G^{-1}
-        return np.linalg.inv(self.metric)
+    def _factors(self) -> tuple:  # (L, L^{-1}, G^{-1})
+        return kernels.ldl_factors(self.metric)
 
-    @cached_property
+    @property
     def chol(self) -> np.ndarray:  # L, with G = L L^T
-        return np.linalg.cholesky(self.metric)
+        return self._factors[0]
 
-    @cached_property
+    @property
     def chol_inv(self) -> np.ndarray:  # L^{-1}
-        return np.linalg.inv(self.chol)
+        return self._factors[1]
+
+    @property
+    def metric_inv(self) -> np.ndarray:  # G^{-1} = L^{-T} D^{-1} L^{-1}, no square root
+        return self._factors[2]
 
     @cached_property
     def metric_derivative(self) -> np.ndarray:  # [..., l, k, q] = d_l G_kq
@@ -160,15 +168,13 @@ def _cleared(frame: PointFrame) -> np.ndarray:
     sigma_max / sigma_min up to a factor 1 + O(eps kappa^2), so kappa at most
     ``_CLEAR_KAPPA`` with every diagonal entry of G inside ``_CLEAR_DIAG``
     (G neither under- nor overflows) leaves two decades to the regularity
-    cutoff.  No point is cleared when G has no Cholesky factor.  G, L and
-    L^{-1} are taken quietly here, since an overflow in them is not the
+    cutoff.  A point where G is not positive definite has a non-finite
+    factor, so kappa is NaN or infinite there and the point is not cleared.
+    The norms are taken quietly, since an overflow in them is not the
     check's finding."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         diag = np.diagonal(frame.metric, axis1=-2, axis2=-1)
-        try:
-            L, Linv = frame.chol, frame.chol_inv
-        except np.linalg.LinAlgError:
-            return np.zeros(diag.shape[:-1], dtype=bool)
+        L, Linv = frame.chol, frame.chol_inv
         kappa2 = (L * L).sum(axis=(-2, -1)) * (Linv * Linv).sum(axis=(-2, -1))
     lo, hi = _CLEAR_DIAG
     return (kappa2 <= _CLEAR_KAPPA**2) & ((diag >= lo) & (diag <= hi)).all(axis=-1)
@@ -182,8 +188,8 @@ def point_frame(jet: Jet2) -> PointFrame:
     ``_REGULARITY_RTOL`` times the largest) and where the normal degenerates.
 
     The singular values are computed only at the points that the Cholesky
-    bound of :func:`_cleared` cannot clear (every point when G has no
-    Cholesky factor); at every other point the check could not fire.
+    bound of :func:`_cleared` cannot clear (among them every point where G
+    has no Cholesky factor); at every other point the check could not fire.
     """
     d1 = jet.d1
     if jet.ambient != jet.d + 1:
@@ -318,12 +324,14 @@ def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
     return norms.max(axis=(-2, -1)) / np.sqrt(frame.d)
 
 
-def codazzi_residual(frame: PointFrame, S, dS) -> np.ndarray:
+def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:
     """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G for the
     operator S on the frame's points and its exact coordinate derivatives
-    dS[..., i] = d_i S."""
+    dS[..., i] = d_i S; ``norm`` is ||S||_G when the caller keeps it."""
+    if norm is None:
+        norm = gnorm_op(frame, S)
     nab = np.swapaxes(covariant_field_derivative(frame.christoffel, S, dS), -2, -1)
     iu, ju = np.triu_indices(frame.d, 1)
     diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
     norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||L^T v|| = ||v^T L||
-    return norms.max(axis=-1, initial=0.0) / np.maximum(gnorm_op(frame, S), 1e-14)
+    return norms.max(axis=-1, initial=0.0) / np.maximum(norm, 1e-14)

@@ -135,7 +135,8 @@ class ChartBundle:
         """Metric/normal/shape deviations across the phase family, per point,
         the largest over the members: one unchecked PointFrame over the (5, P)
         stack of their grid jets, each isometric to f, whose frame passed the
-        checks.  It reads only G, N and A, so it takes no Cholesky factor."""
+        checks.  It reads G, N and A: one L D L^T pass and one Householder
+        pass over the whole stack."""
         base = self.frame
         gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
         ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
@@ -297,7 +298,7 @@ def fundamental_wedge(b: ChartBundle):
 @_suite(1e-7)
 def codazzi_b(b: ChartBundle):
     """B satisfies the Codazzi symmetry."""
-    res = codazzi_residual(b.frame, *B_with_derivative(b.conjugate))
+    res = codazzi_residual(b.frame, *B_with_derivative(b.conjugate), norm=b.conjugate.B_norm)
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 303)
     raw0 = rng.standard_normal((b.d, b.d))
@@ -333,7 +334,8 @@ def nullity_in_bending_kernel(b: ChartBundle):
     frame = b.frame
     null = rank_and_nullity(frame).null_mask
     basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    return (nullity_annihilation_residual(frame, b.conjugate.B, basis),)
+    T = b.conjugate
+    return (nullity_annihilation_residual(frame, T.B, basis, norm=T.B_norm),)
 
 
 SUITE_ORDER = tuple(_SUITES)

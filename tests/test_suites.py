@@ -401,11 +401,14 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     the grid, from one set of coefficient rows; the family members and the
     trivial control fields are combined from the two grid jets.  The one frame builds its Christoffel symbols once, for every
     suite that reads them, and each variation field along it computes its
-    B, T_* and dN once.  Nothing solves against G: the grid frame inverts G
-    and its Cholesky factor L once each, and the five family members, one
-    stacked frame, invert their G in one call, taking no Cholesky factor."""
+    B, T_* and dN once, and ||B||_G and ||A T_*||_G once.  Nothing calls
+    LAPACK per point to factor G or to take a normal: the frames factor G
+    in one L D L^T pass over their stack and take the normal from one
+    Householder pass, with no solve, inverse, Cholesky factor or
+    determinant; the only per-point decompositions left are the G-norms'
+    eigvalsh calls."""
     builds, calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], []
-    factorizations = {name: [] for name in ("solve", "inv", "cholesky")}
+    factorizations = {name: [] for name in ("solve", "inv", "cholesky", "det", "eigvalsh")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     frame = geometry.point_frame
     christoffel = geometry.christoffel
@@ -496,9 +499,16 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     # T_* for the conjugate and the bending_tpar and bending_bat controls;
     # dN for the conjugate and the gauss_preservation control
     assert len(pieces["tstar"]) == 3 and len(pieces["normal_variation"]) == 2
-    # G^{-1} and L^{-1} of the grid frame and G^{-1} of the member stack
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
-    assert counts == {"solve": 0, "inv": 3, "cholesky": 1}
+    assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 12}
+    # G-norms of 14 operators per point: ||A||_G, ||AJ + JA||_G, T_* of the
+    # conjugate and of the bending_tpar control, ||A T_*||_G and the
+    # bending_bat numerator for the conjugate and the trivial control, ||B||_G
+    # (once, for codazzi_b, b_three_route and nullity_in_bending_kernel), the
+    # codazzi_b control's operator, the variation route's B and three route
+    # differences
+    matrices = sum(math.prod(shape[:-2]) for shape in factorizations["eigvalsh"])
+    assert matrices == 14 * len(bundle.points) == 2016
 
 
 # the n = 3 seed of the benchmark's verify-random workload
