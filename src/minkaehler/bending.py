@@ -49,6 +49,7 @@ from .errors import DomainError, PreconditionError
 from .geometry import (
     TINY,
     PointFrame,
+    _flat,
     _t,
     covariant_field_derivative,
     gnorm_columns,
@@ -187,14 +188,15 @@ def B_by_variation(v: Variation) -> np.ndarray:
     frame, dN = v.frame, v.normal_variation
     dG = frame.jet.d1 @ _t(v.jet.d1)
     dG = dG + _t(dG)
-    dH = (v.jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
+    dH = _flat(v.jet.d2, 2) @ frame.normal[..., None] + _flat(frame.jet.d2, 2) @ dN[..., None]
+    dH = dH.reshape(v.jet.d2.shape[:-1])
     return frame.metric_inv @ (dH - dG @ frame.shape_operator)
 
 
 def _b_form(v: Variation) -> np.ndarray:
     """B_ij = <T_ij - Gamma^k_ij T_k, N> from the frame's jet and T's."""
-    corrected = v.jet.d2 - np.einsum("...kij,...kc->...ijc", v.frame.christoffel, v.jet.d1)
-    return (corrected @ v.frame.normal[..., None, :, None])[..., 0]
+    corrected = _flat(v.jet.d2, 2) - _t(_flat(v.frame.christoffel, 2, keep=0)) @ v.jet.d1
+    return (corrected @ v.frame.normal[..., None]).reshape(v.jet.d2.shape[:-1])
 
 
 def B_by_formula(v: Variation) -> np.ndarray:
@@ -234,12 +236,14 @@ def tangential_covariant_derivative(v: Variation) -> np.ndarray:
     commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
     """
     frame, jb, tstar = v.frame, v.frame.jet, v.tstar
-    # d_i P_kj = <f_ik, T_j> + <f_k, T_ij>
-    dP = jb.d2 @ _t(v.jet.d1)[..., None, :, :] + np.einsum(
-        "...kc,...ijc->...ikj", jb.d1, v.jet.d2
-    )
-    dT = frame.metric_inv[..., None, :, :] @ (dP - frame.metric_derivative @ tstar[..., None, :, :])
-    return covariant_field_derivative(frame.christoffel, tstar, dT)
+    shape = jb.d2.shape[:-1] + (frame.d,)
+    # built as [..., k, i, j] so that G^{-1} acts on one matrix axis:
+    # d_i P_kj = <f_k, T_ij> + <f_ik, T_j>, less (d_i G T_*)_kj
+    dP = (jb.d1 @ _t(_flat(v.jet.d2, 2))).reshape(shape)
+    dP += np.swapaxes((_flat(jb.d2, 2) @ _t(v.jet.d1)).reshape(shape), -3, -2)
+    dP -= np.swapaxes((_flat(frame.metric_derivative, 2) @ tstar).reshape(shape), -3, -2)
+    dT = (frame.metric_inv @ _flat(dP, 2, keep=0)).reshape(shape)
+    return covariant_field_derivative(frame.christoffel, tstar, np.swapaxes(dT, -3, -2))
 
 
 def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
@@ -251,7 +255,7 @@ def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
     """
     nab = tangential_covariant_derivative(v)
     den = gnorm_op(v.frame, v.tstar)
-    worst = gnorm_columns(v.frame.chol[..., None, :, :], nab).max(axis=(-2, -1))
+    worst = gnorm_columns(v.frame.chol, _flat(np.swapaxes(nab, -3, -2), 2, keep=0)).max(axis=-1)
     return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(v.frame.d) * np.maximum(den, 1e-14)))
 
 
@@ -281,16 +285,23 @@ def B_with_derivative(v: Variation) -> tuple:
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
     sigma = (Ginv @ v.tau[..., None])[..., 0]
     s = -v.normal_variation
-    dtau = np.einsum("...klc,...c->...lk", field_jet.d2, N)
-    dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
-    dsigma = Ginv @ _t(dtau - (frame.metric_derivative @ sigma[..., None, :, None])[..., 0])  # [q, l]
-    ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
-    dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
-    dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
-    dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
-    dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
+    pair = f2.shape[:-1]
+    triple = pair + (frame.d,)
+    dG = _flat(frame.metric_derivative, 2)  # [..., (l, k), q] = d_l G_kq
+    dtau = dN @ _t(field_jet.d1)  # [l, k] = <T_k, d_l N> + <T_kl, N>
+    dtau += _t((_flat(field_jet.d2, 2) @ N[..., None]).reshape(pair))
+    dsigma = Ginv @ _t(dtau - (dG @ sigma[..., None]).reshape(pair))  # [q, l]
+    ds = _t(dsigma) @ f1 + (sigma[..., None, :] @ _flat(f2, 2, keep=0)).reshape(f1.shape)
+    # dform[..., i, j, l] = d_l B_ij
+    dform = (_flat(field_jet.d3, 3) @ N[..., None]).reshape(triple)
+    dform -= (_flat(jet.d3, 3) @ s[..., None]).reshape(triple)
+    dform += (_flat(field_jet.d2, 2) @ _t(dN)).reshape(triple)
+    dform -= (_flat(f2, 2) @ _t(ds)).reshape(triple)
     op = v.B
-    return op, Ginv[..., None, :, :] @ (_t(dform) - frame.metric_derivative @ op[..., None, :, :])
+    # d_l op = G^{-1} ((d_l B)^T - d_l G op), with the row index of G^{-1}'s
+    # operand first: [..., q, l, i]
+    rhs = np.moveaxis(dform, -3, -1) - np.swapaxes((dG @ op).reshape(triple), -3, -2)
+    return op, np.swapaxes((Ginv @ _flat(rhs, 2, keep=0)).reshape(triple), -3, -2)
 
 
 def fundamental_equation_residual(v: Variation) -> np.ndarray:
@@ -305,16 +316,13 @@ def fundamental_equation_residual(v: Variation) -> np.ndarray:
     GA = frame.metric @ A
     GB = frame.metric @ B
     iu, ju = np.triu_indices(frame.d, 1)
-
-    def outer(U, i, V, j):  # [..., pair, a, b] = (U e_i)_a (V e_j)_b
-        return np.einsum("...ap,...bp->...pab", U[..., :, i], V[..., :, j])
-
-    # (A e_i ^ B e_j) + (B e_i ^ A e_j), built in place to hold two pair stacks
-    mix = outer(A, iu, GB, ju)
-    mix -= outer(B, ju, GA, iu)
-    second = outer(B, iu, GA, ju)
-    second -= outer(A, ju, GB, iu)
-    mix += second
+    # (A e_i ^ B e_j) + (B e_i ^ A e_j) for the pair i < j is U V with the
+    # columns U = [A e_i, -B e_j, B e_i, -A e_j] and the rows
+    # V = [GB e_j, GA e_i, GA e_j, GB e_i]: one product per pair
+    At, Bt, GAt, GBt = _t(A), _t(B), _t(GA), _t(GB)
+    U = np.stack([At[..., iu, :], -Bt[..., ju, :], Bt[..., iu, :], -At[..., ju, :]], axis=-1)
+    V = np.stack([GBt[..., ju, :], GAt[..., iu, :], GAt[..., ju, :], GBt[..., iu, :]], axis=-2)
+    mix = U @ V
     den = np.linalg.norm(GA, axis=(-2, -1)) * np.linalg.norm(GB, axis=(-2, -1))
     worst = np.linalg.norm(mix, axis=(-2, -1)).max(axis=-1, initial=0.0)
     return worst / np.maximum(den, 1e-14)

@@ -22,12 +22,22 @@ only a reader of the eigen-data or of a G-norm decomposes per point.
 :func:`point_frame` reads L and L^{-1} for its regularity check and takes
 an SVD of the first partials only at the points their bound cannot clear.
 
+Every contraction of per-point tensors, here and in
+:mod:`~minkaehler.bending`, is one batched ``matmul`` per point: a jet's
+free index pair (i, j) or triple (i, j, l), or the (i, j) of Gamma, is
+flattened into one matrix axis (:func:`_flat`, a reshape, so a view of a
+contiguous jet), and the product is reshaped or transposed back.  Nothing
+calls ``einsum`` or broadcasts a product over an extra index axis; the
+one exception is the wedge of the linearized curvature identity, one
+product per point and basis pair.
+
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
 in index order; H_ij = <f_ij, N>; A = G^{-1} H.  Eigenvalues of A are
 computed through the symmetric pencil (H, G) so they are real and the
 eigenvectors are G-orthonormal; both are sorted by descending absolute
-value.  Norms written ||.||_G use the induced metric.
+value, and of two values whose moduli agree to roundoff the positive one
+comes first.  Norms written ||.||_G use the induced metric.
 """
 
 from __future__ import annotations
@@ -56,11 +66,24 @@ _CLEAR_KAPPA = 1e6
 _CLEAR_DIAG = (2.0**-500, 2.0**500)
 # Relative cutoff below which an eigenvalue of A counts as zero.
 _RANK_RTOL = 1e-7
+# Two eigenvalues of A of opposite sign whose moduli differ by at most this
+# times the largest modulus are a tie, the positive one first: 1024 ulps,
+# where the +-lambda pairs of the built-in and random seeds differ by up to
+# about 130.
+_TIE_RTOL = 1024 * np.finfo(np.float64).eps
 
 
 def _t(M: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes."""
     return np.swapaxes(M, -1, -2)
+
+
+def _flat(a: np.ndarray, n: int, keep: int = 1) -> np.ndarray:
+    """``a`` with n consecutive axes merged into one, ahead of its last
+    ``keep`` axes: a free index pair or triple of a jet or of Gamma as one
+    matrix axis.  A reshape, so a view of a contiguous array."""
+    cut = a.ndim - keep
+    return a.reshape(a.shape[: cut - n] + (-1,) + a.shape[cut:])
 
 
 @dataclass(frozen=True)
@@ -103,7 +126,8 @@ class PointFrame:
 
     @cached_property
     def metric_derivative(self) -> np.ndarray:  # [..., l, k, q] = d_l G_kq
-        dG = self.jet.d2 @ _t(self.jet.d1)[..., None, :, :]  # <f_lk, f_q>
+        d2 = self.jet.d2
+        dG = (_flat(d2, 2) @ _t(self.jet.d1)).reshape(d2.shape[:-1] + (self.d,))  # <f_lk, f_q>
         return dG + _t(dG)
 
     @cached_property
@@ -118,7 +142,7 @@ class PointFrame:
 
     @cached_property
     def second_form(self) -> np.ndarray:  # (..., d, d) H_ij = <f_ij, N>
-        return (self.jet.d2 @ self.normal[..., None, :, None])[..., 0]
+        return (_flat(self.jet.d2, 2) @ self.normal[..., None]).reshape(self.jet.d2.shape[:-1])
 
     @cached_property
     def shape_operator(self) -> np.ndarray:  # (..., d, d) A = G^{-1} H
@@ -140,7 +164,12 @@ class PointFrame:
         reduced = 0.5 * (reduced + _t(reduced))
         vals, q = np.linalg.eigh(reduced)
         vecs = _t(self.chol_inv) @ q
-        order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
+        # a pair +-lambda would be ordered by roundoff, so a positive value
+        # goes ahead of a negative one whose |.| exceeds its own by at most
+        # _TIE_RTOL of the largest
+        size = np.abs(vals)
+        size += (_TIE_RTOL * size.max(axis=-1, keepdims=True)) * (vals > 0.0)
+        order = np.argsort(-size, axis=-1, kind="stable")
         return (
             np.take_along_axis(vals, order, axis=-1),
             np.take_along_axis(vecs, order[..., None, :], axis=-1),
@@ -148,7 +177,7 @@ class PointFrame:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """(..., d) real eigenvalues of A, sorted by descending |.|."""
+        """(..., d) real eigenvalues of A, sorted by descending |.|, a tie positive first."""
         return self._eigen[0]
 
     @property
@@ -272,17 +301,17 @@ def christoffel(jet: Jet2, metric_inv: np.ndarray) -> np.ndarray:
     Gamma^k_ij = G^{kl} <f_ij, f_l>, the tangential part of the second
     partials; symmetric in (i, j) because the jet's second partials are.
     """
-    d = jet.d
-    lead = jet.d1.shape[:-2]
-    proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(lead + (d, d * d))
-    return (metric_inv @ proj).reshape(lead + (d, d, d))
+    proj = jet.d1 @ _t(_flat(jet.d2, 2))  # [..., l, (i, j)] = <f_ij, f_l>
+    gam = metric_inv @ proj
+    return gam.reshape(gam.shape[:-1] + (jet.d, jet.d))
 
 
 def laplace_beltrami(frame: PointFrame, grad, hess) -> np.ndarray:
     """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) on a frame stack of the
     chart, from the exact gradient (..., d) and Hessian (..., d, d) of the
     scalar gamma at the same points."""
-    corr = hess - np.einsum("...kij,...k->...ij", frame.christoffel, grad)
+    gam = frame.christoffel
+    corr = hess - (grad[..., None, :] @ _flat(gam, 2, keep=0)).reshape(gam.shape[:-3] + gam.shape[-2:])
     return np.trace(frame.metric_inv @ corr, axis1=-2, axis2=-1)
 
 
@@ -294,9 +323,14 @@ def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -
     exact coordinate derivative d_i S:
     (nabla_i S)^k_j = d_i S^k_j + Gamma^k_il S^l_j - Gamma^l_ij S^k_l.
     """
-    gam_i = np.swapaxes(gam, -3, -2)  # [..., i, k, l] = Gamma^k_il
-    S = S[..., None, :, :]
-    return dS + gam_i @ S - S @ gam_i
+    d = gam.shape[-1]
+    # summed as [..., k, i, j], the layout of both products, and returned
+    # transposed: sum_l Gamma^k_il S^l_j and sum_l S^k_l Gamma^l_ij
+    left = _flat(gam, 2) @ S
+    right = S @ _flat(gam, 2, keep=0)
+    shape = left.shape[:-2] + (d, d, d)
+    dS = np.swapaxes(dS, -3, -2) if np.ndim(dS) else dS  # a scalar broadcasts
+    return np.swapaxes(dS + left.reshape(shape) - right.reshape(shape), -3, -2)
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
@@ -320,8 +354,8 @@ def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
     contributes."""
     J = np.asarray(J, dtype=np.float64)
     nab = covariant_field_derivative(frame.christoffel, J, 0.0)
-    norms = gnorm_columns(frame.chol[..., None, :, :], nab)
-    return norms.max(axis=(-2, -1)) / np.sqrt(frame.d)
+    norms = gnorm_columns(frame.chol, _flat(np.swapaxes(nab, -3, -2), 2, keep=0))
+    return norms.max(axis=-1) / np.sqrt(frame.d)
 
 
 def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:

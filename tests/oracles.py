@@ -41,6 +41,11 @@ evidence rather than tautology.
 * the loops that the package's vectorized kernels replaced, kept as
   references: the generalized cross product one cofactor determinant at a
   time, and a residual report aggregated point by point.
+* the frame and bending contractions as numpy's ``einsum`` and broadcast
+  matmuls wrote them before every contraction became one matmul per point
+  (Christoffel symbols, d_l G, H, the Laplace-Beltrami operator, the
+  covariant derivative of a (1,1)-field, the three B-side pieces and the
+  wedge of the linearized curvature identity).
 * the full work the package's hot path skips, kept as references: the
   Horner recurrence over every coefficient column, zero padding included,
   the frame's regularity check with one SVD of every point's partials, a
@@ -497,3 +502,103 @@ def perfbench_module(name: str):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+# -- the einsum and broadcast forms of the frame and bending contractions ----
+#
+# Each reads the same frame pieces as the package's form, so a comparison
+# isolates the one contraction being checked.
+
+def _t(M):
+    return np.swapaxes(M, -1, -2)
+
+
+def christoffel_einsum(jet, metric_inv) -> np.ndarray:
+    """Gamma[..., k, i, j] = G^{kl} <f_ij, f_l>."""
+    d, lead = jet.d, jet.d1.shape[:-2]
+    proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(lead + (d, d * d))
+    return (metric_inv @ proj).reshape(lead + (d, d, d))
+
+
+def metric_derivative_broadcast(jet) -> np.ndarray:
+    """[..., l, k, q] = d_l G_kq = <f_lk, f_q> + <f_k, f_lq>."""
+    dG = jet.d2 @ _t(jet.d1)[..., None, :, :]
+    return dG + _t(dG)
+
+
+def second_form_broadcast(jet, normal) -> np.ndarray:
+    """H_ij = <f_ij, N>."""
+    return (jet.d2 @ normal[..., None, :, None])[..., 0]
+
+
+def laplace_beltrami_einsum(frame, grad, hess) -> np.ndarray:
+    corr = hess - np.einsum("...kij,...k->...ij", frame.christoffel, grad)
+    return np.trace(frame.metric_inv @ corr, axis1=-2, axis2=-1)
+
+
+def covariant_field_derivative_broadcast(gam, S, dS) -> np.ndarray:
+    """[..., i, k, j] = d_i S^k_j + Gamma^k_il S^l_j - Gamma^l_ij S^k_l."""
+    gam_i = np.swapaxes(gam, -3, -2)
+    S = S[..., None, :, :]
+    return dS + gam_i @ S - S @ gam_i
+
+
+def b_form_einsum(v) -> np.ndarray:
+    """B_ij = <T_ij - Gamma^k_ij T_k, N>."""
+    corrected = v.jet.d2 - np.einsum("...kij,...kc->...ijc", v.frame.christoffel, v.jet.d1)
+    return (corrected @ v.frame.normal[..., None, :, None])[..., 0]
+
+
+def B_by_formula_einsum(v) -> np.ndarray:
+    return v.frame.metric_inv @ _t(b_form_einsum(v))
+
+
+def B_by_variation_broadcast(v) -> np.ndarray:
+    """G^{-1} (dH - dG A) with dH_ij = <T_ij, N> + <f_ij, dN>."""
+    frame, dN = v.frame, v.normal_variation
+    dG = frame.jet.d1 @ _t(v.jet.d1)
+    dG = dG + _t(dG)
+    dH = (v.jet.d2 @ frame.normal[..., None, :, None] + frame.jet.d2 @ dN[..., None, :, None])[..., 0]
+    return frame.metric_inv @ (dH - dG @ frame.shape_operator)
+
+
+def tangential_covariant_derivative_einsum(v) -> np.ndarray:
+    """nabla T_*, [..., i, k, j], with d_i P_kj = <f_ik, T_j> + <f_k, T_ij>."""
+    frame, jb, tstar = v.frame, v.frame.jet, v.tstar
+    dP = jb.d2 @ _t(v.jet.d1)[..., None, :, :] + np.einsum("...kc,...ijc->...ikj", jb.d1, v.jet.d2)
+    dT = frame.metric_inv[..., None, :, :] @ (dP - frame.metric_derivative @ tstar[..., None, :, :])
+    return covariant_field_derivative_broadcast(frame.christoffel, tstar, dT)
+
+
+def B_with_derivative_einsum(v) -> tuple:
+    """(B, d_l B) as operators from the 3-jets of f and T."""
+    frame, jet, field_jet = v.frame, v.frame.jet, v.jet
+    Ginv, N, f1, f2 = frame.metric_inv, frame.normal, jet.d1, jet.d2
+    dN = -(_t(frame.shape_operator) @ f1)
+    sigma = (Ginv @ v.tau[..., None])[..., 0]
+    s = -v.normal_variation
+    dtau = np.einsum("...klc,...c->...lk", field_jet.d2, N)
+    dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
+    dsigma = Ginv @ _t(dtau - (frame.metric_derivative @ sigma[..., None, :, None])[..., 0])
+    ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
+    dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
+    dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
+    dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
+    dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
+    op = B_by_formula_einsum(v)
+    return op, Ginv[..., None, :, :] @ (_t(dform) - frame.metric_derivative @ op[..., None, :, :])
+
+
+def fundamental_equation_residual_einsum(v) -> np.ndarray:
+    """Worst ||A e_i ^ B e_j + B e_i ^ A e_j||_F over i < j, over ||GA|| ||GB||."""
+    frame, A, B = v.frame, v.frame.shape_operator, v.B
+    GA, GB = frame.metric @ A, frame.metric @ B
+    iu, ju = np.triu_indices(frame.d, 1)
+
+    def outer(U, i, V, j):  # [..., pair, a, b] = (U e_i)_a (V e_j)_b
+        return np.einsum("...ap,...bp->...pab", U[..., :, i], V[..., :, j])
+
+    mix = outer(A, iu, GB, ju) - outer(B, ju, GA, iu) + (outer(B, iu, GA, ju) - outer(A, ju, GB, iu))
+    den = np.linalg.norm(GA, axis=(-2, -1)) * np.linalg.norm(GB, axis=(-2, -1))
+    worst = np.linalg.norm(mix, axis=(-2, -1)).max(axis=-1, initial=0.0)
+    return worst / np.maximum(den, 1e-14)

@@ -56,17 +56,35 @@ from oracles import (
 )
 
 
+def diagonal_jet(h) -> Jet2:
+    """Jet at the origin of the graph x_{d+1} = sum_i h_i x_i^2 / 2 for each
+    row h of ``h``: G = I, so the shape operator is diag(h) up to the
+    normal's orientation."""
+    h = np.asarray(h, dtype=np.float64)
+    d = h.shape[-1]
+    d1 = np.zeros(h.shape + (d + 1,))
+    d1[..., range(d), range(d)] = 1.0
+    d2 = np.zeros(h.shape + (d, d + 1))
+    d2[..., range(d), range(d), d] = h
+    return Jet2(np.zeros(h.shape), np.zeros(h.shape[:-1] + (d + 1,)), d1, d2)
+
+
 def graph_jet(lam: float) -> Jet2:
     """Jet of the graph z = (x^2 + lam y^2) / 2 at the origin."""
-    d2 = np.zeros((2, 2, 3))
-    d2[0, 0, 2] = 1.0
-    d2[1, 1, 2] = lam
-    return Jet2(
-        coords=np.zeros(2),
-        value=np.zeros(3),
-        d1=np.array([[1.0, 0, 0], [0, 1.0, 0]]),
-        d2=d2,
-    )
+    return diagonal_jet([1.0, lam])
+
+
+# a +-lambda pair whose moduli differ in the last bit, in each direction and
+# in either position, alone and beside smaller eigenvalues
+LAM = 2.4458
+LAM_UP = np.nextafter(LAM, np.inf)
+TIED = {
+    "negative-larger": [LAM, -LAM_UP],
+    "negative-larger-first": [-LAM_UP, LAM],
+    "positive-larger": [LAM_UP, -LAM],
+    "positive-larger-first": [-LAM, LAM_UP],
+    "d4": [0.3, -LAM_UP, LAM, 0.0],
+}
 
 
 class TestCross:
@@ -109,6 +127,24 @@ class TestPointFrame:
         fr = point_frame(graph_jet(-3.0))
         assert abs(fr.eigenvalues[0]) >= abs(fr.eigenvalues[1])
         np.testing.assert_allclose(sorted(fr.eigenvalues), [-3.0, 1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("h", TIED.values(), ids=TIED.keys())
+    def test_tied_pair_puts_the_positive_first(self, h):
+        fr = point_frame(diagonal_jet(h))
+        H = np.diagonal(fr.second_form)
+        assert sorted(np.abs(H)) == sorted(np.abs(h))  # the last-bit gap survives
+        assert fr.eigenvalues[0] == H.max() > 0 > H.min() == fr.eigenvalues[1]
+        assert abs(fr.eigenvectors[H.argmax(), 0]) == 1.0
+        assert abs(fr.eigenvectors[H.argmin(), 1]) == 1.0
+
+    def test_tied_pairs_order_alike_in_a_stack_and_alone(self):
+        h = np.array([v for v in TIED.values() if len(v) == 2]).reshape(2, 2, 2)
+        stacked = point_frame(diagonal_jet(h))
+        for idx in np.ndindex(2, 2):
+            alone = point_frame(diagonal_jet(h[idx]))
+            np.testing.assert_array_equal(stacked.eigenvalues[idx], alone.eigenvalues)
+            np.testing.assert_array_equal(stacked.eigenvectors[idx], alone.eigenvectors)
+            assert alone.eigenvalues[0] > 0 > alone.eigenvalues[1]
 
     def test_dependent_partials_rejected(self):
         bad = Jet2(

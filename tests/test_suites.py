@@ -406,8 +406,9 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     in one L D L^T pass over their stack and take the normal from one
     Householder pass, with no solve, inverse, Cholesky factor or
     determinant; the only per-point decompositions left are the G-norms'
-    eigvalsh calls."""
+    eigvalsh calls.  Every contraction is a matmul: nothing calls einsum."""
     builds, calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], []
+    einsums = []
     factorizations = {name: [] for name in ("solve", "inv", "cholesky", "det", "eigvalsh")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     frame = geometry.point_frame
@@ -415,6 +416,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     b_formula = bending.B_by_formula
     build_chain = weierstrass.build_chain
     horner_many = kernels.horner_many
+    einsum = np.einsum
     pieces = {name: [] for name in ("tstar", "normal_variation")}
 
     def counted_init(self, *args, **kwargs):
@@ -455,6 +457,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
 
         return counted
 
+    def counted_einsum(*args, **kwargs):
+        einsums.append(args[0])
+        return einsum(*args, **kwargs)
+
     def counted_piece(name):
         piece = vars(bending.Variation)[name].func
 
@@ -475,6 +481,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         monkeypatch.setattr(vars(bending.Variation)[name], "func", counted_piece(name))
     for name in factorizations:
         monkeypatch.setattr(np.linalg, name, counted_linalg(name))
+    monkeypatch.setattr(np, "einsum", counted_einsum)
     seed = builtin_seed("m4r5")  # checks itself on a domain sample, by Horner
     monkeypatch.setattr(kernels, "horner_many", counted_horner)
     bundle = build_bundle(seed)
@@ -509,6 +516,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     # differences
     matrices = sum(math.prod(shape[:-2]) for shape in factorizations["eigvalsh"])
     assert matrices == 14 * len(bundle.points) == 2016
+    assert einsums == []
 
 
 # the n = 3 seed of the benchmark's verify-random workload
