@@ -30,7 +30,7 @@ same stack (3-jets, for the derivative of B), and returns one value per
 point.  A Variation keeps tau, dN, T_*, B and the G-norms ||B||_G and
 ||A T_*||_G once computed, so each is computed once per field; the three
 routes to B share only those inputs.
-Every route reads G^{-1}, L and L^{-1} (in ||.||_G) and d_l G from the
+Every route reads G^{-1}, C and C^{-1} (in ||.||_G) and d_l G from the
 frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
 two jets, and no deformed frame is built.
@@ -51,9 +51,9 @@ from .geometry import (
     PointFrame,
     _flat,
     _t,
-    covariant_field_derivative,
     gnorm_columns,
     gnorm_op,
+    parallel_residual,
 )
 from .weierstrass import SeriesChart, chart_complex_structure
 
@@ -227,14 +227,12 @@ def bat_residual(v: Variation) -> np.ndarray:
     return gnorm_op(v.frame, v.B - B_by_BAT(v)) / np.maximum(v.bat_norm, 1e-14)
 
 
-def tangential_covariant_derivative(v: Variation) -> np.ndarray:
-    """nabla T_* from the 2-jets of f and T; returns [..., i, k, j] like
+def tstar_derivative(v: Variation) -> np.ndarray:
+    """d_i T_* from the 2-jets of f and T, as [..., i, k, j] like the dS of
     :func:`~minkaehler.geometry.covariant_field_derivative`.
 
-    With P_ij = <f_i, T_j> and T_* = G^{-1} P, the coordinate derivative is
-    d_i T_* = G^{-1} (d_i P - d_i G T_*), and the connection adds the
-    commutator [Gamma_i, T_*] with (Gamma_i)^k_l = Gamma^k_il.
-    """
+    With P_ij = <f_i, T_j> and T_* = G^{-1} P, d_i T_* = G^{-1} (d_i P -
+    d_i G T_*)."""
     frame, jb, tstar = v.frame, v.frame.jet, v.tstar
     shape = jb.d2.shape[:-1] + (frame.d,)
     # built as [..., k, i, j] so that G^{-1} acts on one matrix axis:
@@ -242,21 +240,20 @@ def tangential_covariant_derivative(v: Variation) -> np.ndarray:
     dP = (jb.d1 @ _t(_flat(v.jet.d2, 2))).reshape(shape)
     dP += np.swapaxes((_flat(jb.d2, 2) @ _t(v.jet.d1)).reshape(shape), -3, -2)
     dP -= np.swapaxes((_flat(frame.metric_derivative, 2) @ tstar).reshape(shape), -3, -2)
-    dT = (frame.metric_inv @ _flat(dP, 2, keep=0)).reshape(shape)
-    return covariant_field_derivative(frame.christoffel, tstar, np.swapaxes(dT, -3, -2))
+    return np.swapaxes((frame.metric_inv @ _flat(dP, 2, keep=0)).reshape(shape), -3, -2)
 
 
 def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
-    """max_ij ||(nabla_i T_*) e_j||_G / (sqrt(d) ||T_*||_G): parallelism of
-    the tangential part of dT in the induced connection.
+    """Parallelism of the tangential part of dT in the induced connection:
+    :func:`~minkaehler.geometry.parallel_residual` of T_*, each
+    ||(nabla_i T_*) e_j||_G against the largest G-norm of d_i T_*,
+    Gamma_i T_* and T_* Gamma_i on any column.
 
-    Where ||T_*||_G <= 1e-14 the ratio has no scale to measure against, so
-    those points are masked out (see ``ResidualReport.excluded``).
+    Where ||T_*||_G <= 1e-14 there is no field to measure, so those points
+    are masked out (see ``ResidualReport.excluded``).
     """
-    nab = tangential_covariant_derivative(v)
-    den = gnorm_op(v.frame, v.tstar)
-    worst = gnorm_columns(v.frame.chol, _flat(np.swapaxes(nab, -3, -2), 2, keep=0)).max(axis=-1)
-    return np.ma.masked_where(den <= 1e-14, worst / (math.sqrt(v.frame.d) * np.maximum(den, 1e-14)))
+    res = parallel_residual(v.frame, v.tstar, tstar_derivative(v))
+    return np.ma.masked_where(gnorm_op(v.frame, v.tstar) <= 1e-14, res)
 
 
 def B_with_derivative(v: Variation) -> tuple:

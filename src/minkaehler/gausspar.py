@@ -280,7 +280,7 @@ def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
     full = Taylor.from_derivatives([np.moveaxis(a, -1, 1) for a in parts])
     f = full.restrict(r)
     df = Taylor.stack([full.diff(i).restrict(r) for i in range(chart.d)], axis=-2)
-    n0 = kernels.cross_columns(df.value)
+    n0 = kernels.cross_columns(df.value)[0]
     n0 /= np.maximum(np.linalg.norm(n0, axis=-1, keepdims=True), TINY)
     G = dot(df[..., :, None, :], df[..., None, :, :])
     normal = unit(n0 - (solve(G, dot(df, n0[:, None, :]))[..., None] * df).sum(-2))

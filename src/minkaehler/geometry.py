@@ -12,15 +12,16 @@ J) and the Codazzi symmetry.  A single point is the stack with no leading
 axes.  Nothing here differences: every input is a jet.
 
 A :class:`PointFrame` holds one field, a jet stack; every other piece it
-computes from the jet on first read and then keeps: G; the Cholesky factor
-L of G, L^{-1} and G^{-1}, all three from one L D L^T pass over the whole
-stack (:func:`~minkaehler.kernels.ldl_factors`); d_l G, N, H, A, ||A||_G,
-the Christoffel symbols and the eigen-data of A.  Every residual that
-reads the frame applies the stored inverses (batched matmuls); nothing
-here solves against G or calls LAPACK once per point to factor it, and
-only a reader of the eigen-data or of a G-norm decomposes per point.
-:func:`point_frame` reads L and L^{-1} for its regularity check and takes
-an SVD of the first partials only at the points their bound cannot clear.
+computes from the jet on first read and then keeps: G; N, the Cholesky
+factor C of G and C^{-1}, all three from one Householder QR of the first
+partials over the whole stack (:func:`~minkaehler.kernels.cross_columns`);
+G^{-1} = C^{-T} C^{-1}, d_l G, H, A, ||A||_G, the Christoffel symbols and
+the eigen-data of A.  Every residual that reads the frame applies the
+stored inverses (batched matmuls); nothing here factors G, solves against
+it or calls LAPACK once per point, and only a reader of the eigen-data or
+of a G-norm decomposes per point.  :func:`point_frame` reads C and C^{-1}
+for its regularity check and takes an SVD of the first partials only at
+the points their bound cannot clear.
 
 Every contraction of per-point tensors, here and in
 :mod:`~minkaehler.bending`, is one batched ``matmul`` per point: a jet's
@@ -91,11 +92,11 @@ class PointFrame:
     """Metric, normal and shape-operator data over a stack of chart points.
 
     The frame's one field is its jet; every other piece is computed from it
-    on first read and then kept.  L, L^{-1} and G^{-1} come together from
-    one L D L^T pass along the point axis, so a frame that reads only G, N
-    and A (a family member) pays for the same pass as :func:`point_frame`,
-    which reads L.  Where G is not positive definite the three hold a NaN
-    or an infinity.
+    on first read and then kept.  N, C and C^{-1} come from one Householder
+    pass along the point axis, the frame's only factorization, and G^{-1} =
+    C^{-T} C^{-1} only when read.  The ambient dimension may exceed d + 1
+    (a Gauss map's frame reads G^{-1}), but N is a normal only at d + 1.
+    At a zero or exactly dependent row of f_*, C^{-1} is not finite.
     """
 
     jet: Jet2
@@ -109,20 +110,20 @@ class PointFrame:
         return self.jet.d1 @ _t(self.jet.d1)
 
     @cached_property
-    def _factors(self) -> tuple:  # (L, L^{-1}, G^{-1})
-        return kernels.ldl_factors(self.metric)
+    def _factor(self) -> tuple:  # (cofactor normal, C, C^{-1}), one Householder pass
+        return kernels.cross_columns(self.jet.d1)
 
     @property
-    def chol(self) -> np.ndarray:  # L, with G = L L^T
-        return self._factors[0]
+    def chol(self) -> np.ndarray:  # C, with G = C C^T
+        return self._factor[1]
 
     @property
-    def chol_inv(self) -> np.ndarray:  # L^{-1}
-        return self._factors[1]
+    def chol_inv(self) -> np.ndarray:  # C^{-1}
+        return self._factor[2]
 
-    @property
-    def metric_inv(self) -> np.ndarray:  # G^{-1} = L^{-T} D^{-1} L^{-1}, no square root
-        return self._factors[2]
+    @cached_property
+    def metric_inv(self) -> np.ndarray:  # G^{-1} = C^{-T} C^{-1}
+        return _t(self.chol_inv) @ self.chol_inv
 
     @cached_property
     def metric_derivative(self) -> np.ndarray:  # [..., l, k, q] = d_l G_kq
@@ -132,7 +133,7 @@ class PointFrame:
 
     @cached_property
     def _cross(self) -> tuple:  # the unnormalized normal and its length
-        raw = kernels.cross_columns(self.jet.d1)
+        raw = self._factor[0]
         return raw, np.linalg.norm(raw, axis=-1, keepdims=True)
 
     @cached_property
@@ -193,18 +194,19 @@ def _first(bad: np.ndarray):
 
 def _cleared(frame: PointFrame) -> np.ndarray:
     """Points whose first partials the Cholesky factor of G alone shows to be
-    independent: kappa = ||L||_F ||L^{-1}||_F bounds their condition number
-    sigma_max / sigma_min up to a factor 1 + O(eps kappa^2), so kappa at most
-    ``_CLEAR_KAPPA`` with every diagonal entry of G inside ``_CLEAR_DIAG``
-    (G neither under- nor overflows) leaves two decades to the regularity
-    cutoff.  A point where G is not positive definite has a non-finite
-    factor, so kappa is NaN or infinite there and the point is not cleared.
+    independent: C is the triangular factor of a QR of the partials, not of
+    G, so kappa = ||C||_F ||C^{-1}||_F bounds their condition number
+    sigma_max / sigma_min directly, up to the rounding of C, and kappa at
+    most ``_CLEAR_KAPPA`` with every diagonal entry of G inside
+    ``_CLEAR_DIAG`` (G neither under- nor overflows) leaves two decades to
+    the regularity cutoff.  At a zero or exactly dependent row C^{-1} is not
+    finite, so kappa is NaN or infinite there and the point is not cleared.
     The norms are taken quietly, since an overflow in them is not the
     check's finding."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         diag = np.diagonal(frame.metric, axis1=-2, axis2=-1)
-        L, Linv = frame.chol, frame.chol_inv
-        kappa2 = (L * L).sum(axis=(-2, -1)) * (Linv * Linv).sum(axis=(-2, -1))
+        C, Cinv = frame.chol, frame.chol_inv
+        kappa2 = (C * C).sum(axis=(-2, -1)) * (Cinv * Cinv).sum(axis=(-2, -1))
     lo, hi = _CLEAR_DIAG
     return (kappa2 <= _CLEAR_KAPPA**2) & ((diag >= lo) & (diag <= hi)).all(axis=-1)
 
@@ -217,8 +219,8 @@ def point_frame(jet: Jet2) -> PointFrame:
     ``_REGULARITY_RTOL`` times the largest) and where the normal degenerates.
 
     The singular values are computed only at the points that the Cholesky
-    bound of :func:`_cleared` cannot clear (among them every point where G
-    has no Cholesky factor); at every other point the check could not fire.
+    bound of :func:`_cleared` cannot clear (among them every point whose
+    factor is singular); at every other point the check could not fire.
     """
     d1 = jet.d1
     if jet.ambient != jet.d + 1:
@@ -248,8 +250,8 @@ def point_frame(jet: Jet2) -> PointFrame:
 
 def gnorm_op(frame: PointFrame, M: np.ndarray) -> np.ndarray:
     """Operator norm of an endomorphism M in the G-geometry of the frame:
-    the spectral norm of L^T M L^{-T}, taken as that of its transpose
-    K = L^{-1} M^T L, i.e. the square root of the largest eigenvalue of
+    the spectral norm of C^T M C^{-T}, taken as that of its transpose
+    K = C^{-1} M^T C, i.e. the square root of the largest eigenvalue of
     K K^T.  M may carry extra leading axes."""
     K = frame.chol_inv @ _t(M) @ frame.chol
     return np.sqrt(np.linalg.eigvalsh(K @ _t(K))[..., -1])
@@ -315,6 +317,17 @@ def laplace_beltrami(frame: PointFrame, grad, hess) -> np.ndarray:
     return np.trace(frame.metric_inv @ corr, axis1=-2, axis2=-1)
 
 
+def _connection_terms(gam: np.ndarray, S: np.ndarray) -> tuple:
+    """(sum_l Gamma^k_il S^l_j, sum_l S^k_l Gamma^l_ij), each [..., k, i, j]:
+    the two Christoffel terms of the covariant derivative of the (1,1)-field
+    S, from the Christoffels ``gam`` [..., k, i, l]."""
+    d = gam.shape[-1]
+    left = _flat(gam, 2) @ S
+    right = S @ _flat(gam, 2, keep=0)
+    shape = left.shape[:-2] + (d, d, d)
+    return left.reshape(shape), right.reshape(shape)
+
+
 def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
     """Covariant derivative of a (1,1)-tensor field; returns [..., i, k, j].
 
@@ -323,14 +336,31 @@ def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -
     exact coordinate derivative d_i S:
     (nabla_i S)^k_j = d_i S^k_j + Gamma^k_il S^l_j - Gamma^l_ij S^k_l.
     """
-    d = gam.shape[-1]
-    # summed as [..., k, i, j], the layout of both products, and returned
-    # transposed: sum_l Gamma^k_il S^l_j and sum_l S^k_l Gamma^l_ij
-    left = _flat(gam, 2) @ S
-    right = S @ _flat(gam, 2, keep=0)
-    shape = left.shape[:-2] + (d, d, d)
+    # summed as [..., k, i, j], the layout of both products, and returned transposed
+    left, right = _connection_terms(gam, S)
     dS = np.swapaxes(dS, -3, -2) if np.ndim(dS) else dS  # a scalar broadcasts
-    return np.swapaxes(dS + left.reshape(shape) - right.reshape(shape), -3, -2)
+    return np.swapaxes(dS + left - right, -3, -2)
+
+
+def parallel_residual(frame: PointFrame, S: np.ndarray, dS) -> np.ndarray:
+    """max_{i,j} ||(nabla_i S) e_j||_G over the largest G-norm of
+    (d_i S) e_j, Gamma_i S e_j and S Gamma_i e_j: the covariant derivative
+    of the (1,1)-field S relative to the terms whose cancellation it is, so
+    a homothety or a change of coordinate scale moves both alike.  ``dS``
+    is as for :func:`covariant_field_derivative`, or 0 for a constant S.  A
+    point where every term vanishes reads 0."""
+    left, right = _connection_terms(frame.christoffel, S)
+    nab, terms = left - right, [left, right]
+    if np.ndim(dS):
+        dS = np.swapaxes(dS, -3, -2)
+        nab, terms = dS + left - right, [left, right, dS]
+
+    def worst(a):  # the largest ||a_i e_j||_G^2 = ||C^T a_i e_j||^2, a as [..., k, i, j]
+        y = _t(frame.chol) @ _flat(a, 2, keep=0)
+        return (y * y).sum(axis=-2).max(axis=-1)
+
+    den = np.maximum.reduce([worst(a) for a in terms])
+    return np.sqrt(worst(nab) / np.where(den > 0.0, den, 1.0))
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
@@ -349,13 +379,9 @@ def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
 
 
 def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
-    """max_{i,j} ||(nabla_i J) e_j||_G / sqrt(d) for a constant matrix J
-    (a coordinate complex structure): only the Christoffel commutator
-    contributes."""
-    J = np.asarray(J, dtype=np.float64)
-    nab = covariant_field_derivative(frame.christoffel, J, 0.0)
-    norms = gnorm_columns(frame.chol, _flat(np.swapaxes(nab, -3, -2), 2, keep=0))
-    return norms.max(axis=-1) / np.sqrt(frame.d)
+    """:func:`parallel_residual` of a constant matrix J (a coordinate
+    complex structure): only the Christoffel commutator contributes."""
+    return parallel_residual(frame, np.asarray(J, dtype=np.float64), 0.0)
 
 
 def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:
@@ -367,5 +393,5 @@ def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:
     nab = np.swapaxes(covariant_field_derivative(frame.christoffel, S, dS), -2, -1)
     iu, ju = np.triu_indices(frame.d, 1)
     diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
-    norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||L^T v|| = ||v^T L||
+    norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||C^T v|| = ||v^T C||
     return norms.max(axis=-1, initial=0.0) / np.maximum(norm, 1e-14)

@@ -3,13 +3,12 @@
 ``horner_many`` evaluates stacks of truncated power series at a batch of
 points, stepping only over the coefficient columns that can change a bit
 of the result (a polynomial seed's rows are zero past its degree).
-``ldl_factors`` factors a stack of metrics G once, as L D L^T, and gives
-the Cholesky factor, its inverse and G^{-1}; ``cross_columns`` gives the
-cofactor normal vector of a hypersurface frame from one Householder QR.
-Those two run every step along the point axis, moved last, so that each
-arithmetic step is one vector operation over the whole stack, never one
-LAPACK call per small matrix.  All are plain numpy.  ``BACKEND`` names the
-numeric path for provenance records.
+``cross_columns`` factors a stack of tangent frames f_* by one Householder
+QR, for the cofactor normal and the Cholesky factor of G = f_* f_*^T with
+its inverse, never forming G; each of its steps is one vector operation
+along the point axis, moved last, never one LAPACK call per small matrix.
+All are plain numpy.  ``BACKEND`` names the numeric path for provenance
+records.
 """
 
 from __future__ import annotations
@@ -57,42 +56,6 @@ def _points_first(a: np.ndarray, lead: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(lead + a.shape[:-1])
 
 
-def ldl_factors(G: np.ndarray) -> tuple:
-    """(C, C^{-1}, G^{-1}) for each (d, d) slice of G (..., d, d), from one
-    L D L^T factorization (L unit lower triangular, D diagonal).
-
-    C = L D^{1/2} is the lower Cholesky factor, C^{-1} = D^{-1/2} L^{-1},
-    and G^{-1} = L^{-T} D^{-1} L^{-1} takes no square root, so it carries
-    the rounding of one division per pivot rather than that of C^{-T} C^{-1}.
-    Only the lower triangle of G is read.  At a slice that is not positive
-    definite some pivot is at most zero and the factors hold a NaN or an
-    infinity there; no warning is raised, so a caller tests the factors.
-    """
-    G = np.asarray(G, dtype=np.float64)
-    lead, d = G.shape[:-2], G.shape[-1]
-    g = _points_last(G, (d, d))
-    L = np.zeros(g.shape)
-    Linv = np.zeros(g.shape)
-    D = np.empty(g.shape[1:])
-    with np.errstate(all="ignore"):
-        for j in range(d):
-            ld = L[j, :j] * D[:j]  # [k] = L_jk D_k, k < j
-            D[j] = g[j, j] - (L[j, :j] * ld).sum(axis=0)
-            L[j + 1 :, j] = (g[j + 1 :, j] - (L[j + 1 :, :j] * ld).sum(axis=1)) / D[j]
-            L[j, j] = 1.0
-            # row j of L^{-1} by forward substitution
-            Linv[j, :j] = -(L[j, :j, None] * Linv[:j, :j]).sum(axis=0)
-            Linv[j, j] = 1.0
-        scaled = Linv / D[:, None]  # D^{-1} L^{-1}
-        inv = np.zeros(g.shape)
-        for k in range(d):  # (row k of L^{-1})^T (row k of D^{-1} L^{-1}), nonzero up to k
-            inv[: k + 1, : k + 1] += Linv[k, : k + 1, None] * scaled[k, None, : k + 1]
-        root = np.sqrt(D)
-        L *= root  # C
-        Linv /= root[:, None]  # C^{-1}
-    return tuple(_points_first(a, lead) for a in (L, Linv, inv))
-
-
 # sums of squares inside this range hold no square that over- or underflowed
 # enough to move their square root
 _SQUARES_SAFE = (2.0**-960, 2.0**960)
@@ -101,41 +64,46 @@ _SQUARES_SAFE = (2.0**-960, 2.0**960)
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of x (n, P): the square root of the sum
     of squares, and at a column where that sum left ``_SQUARES_SAFE`` (an
-    entry below about 1e-145 or above 1e145 may have lost its square)
-    ``hypot`` over the entries, which squares nothing."""
+    entry below about 1e-145 or above 1e145 may have lost its square) the
+    same of the column scaled by the power of two that brings its largest
+    entry into [1/2, 1), scaled back.  Scaling by a power of two is exact,
+    so a column scaled by 2^k has its norm scaled by 2^k to the bit."""
     with np.errstate(over="ignore", under="ignore"):
         squares = (x * x).sum(axis=0)
     norm = np.sqrt(squares)
     lo, hi = _SQUARES_SAFE
     risky = ~((squares >= lo) & (squares <= hi))
     if risky.any():
-        norm[risky] = np.hypot.reduce(x[:, risky], axis=0)
+        cols = x[:, risky]
+        exp = np.frexp(np.abs(cols).max(axis=0))[1]
+        with np.errstate(under="ignore"):
+            scaled = np.ldexp(cols, -exp)
+            norm[risky] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=0)), exp)
     return norm
 
 
-def cross_columns(d1: np.ndarray) -> np.ndarray:
-    """Generalized cross product of the rows of each (d, d+1) slice.
+def cross_columns(d1: np.ndarray) -> tuple:
+    """(n, C, C^{-1}) of the rows of each (d, m) slice of ``d1``, m > d,
+    from one Householder QR M = H_1 ... H_d R of the (m, d) matrix M whose
+    columns are the rows; leading axes are a point stack.
 
-    ``d1`` has shape (..., d, d+1), over any leading axes; each slice holds
-    d tangent vectors of R^{d+1}.  Component i of the result is the signed
-    i-th cofactor of the (d+1, d) matrix M whose columns are those vectors,
-    so that dot(result, u) = det([u | v_1 | ... | v_d]) for every u; for
-    (e1, e2) in R^3 this gives e3.  Returns shape (..., d+1); the result is
-    not normalized.  Any other shape raises :class:`DomainError`.
-
-    With a Householder QR, M = H_1 ... H_d R, the cofactor vector is
-    R_11 ... R_dd H_1 ... H_d e_{d+1}: each of the d reflections turns the
-    orientation once, as does moving u past the d columns.  Each reflection
+    C = R^T, each row of R sign-flipped to a positive diagonal, is the lower
+    Cholesky factor of G = M^T M, and C^{-1} comes by forward substitution.
+    n = R_11 ... R_dd H_1 ... H_d e_m is orthogonal to every row; for
+    m = d + 1 it is the cofactor vector, dot(n, u) = det([u | M]) for every
+    u (e3 for (e1, e2) in R^3), and it is not normalized.  Each reflection
     is built as LAPACK's ``dlarfg`` builds it, from a column norm that
     :func:`_norms` guards against squares that under- or overflow.  A
-    column that is zero where its reflection acts gives R_kk = 0, so the
-    result is an exact zero, never a NaN.
+    column that is zero where its reflection acts gives R_kk = 0: n is an
+    exact zero, never a NaN, and C^{-1} is quietly not finite.  m <= d
+    raises :class:`DomainError`.
     """
     d1 = np.asarray(d1, dtype=np.float64)
-    if d1.ndim < 2 or d1.shape[-1] != d1.shape[-2] + 1:
-        raise DomainError(f"need d vectors with d+1 ambient dims, got shape {d1.shape}")
+    if d1.ndim < 2 or d1.shape[-1] <= d1.shape[-2]:
+        raise DomainError(f"need d vectors with more than d ambient dims, got shape {d1.shape}")
     lead, (d, amb) = d1.shape[:-2], d1.shape[-2:]
     cols = _points_last(d1, (d, amb)).copy()  # cols[j]: column j of M, over the points
+    chol = np.zeros((d, d) + cols.shape[2:])
     betas, reflectors = [], []
     for k in range(d):
         x = cols[k, k:]
@@ -150,8 +118,15 @@ def cross_columns(d1: np.ndarray) -> np.ndarray:
         w *= tau
         rest[:, 0] -= w
         rest[:, 1:] -= v * w[:, None]
+        chol[k, k] = norm
+        chol[k + 1 :, k] = rest[:, 0] * np.copysign(1.0, beta)  # R_kj, j > k, signed
         betas.append(beta)
         reflectors.append((v, tau))
+    chol_inv = np.zeros(chol.shape)
+    with np.errstate(all="ignore"):
+        for j in range(d):  # row j of C^{-1}
+            chol_inv[j, :j] = -(chol[j, :j, None] * chol_inv[:j, :j]).sum(axis=0) / chol[j, j]
+            chol_inv[j, j] = 1.0 / chol[j, j]
     y = np.zeros(cols.shape[1:])
     y[-1] = 1.0
     for k in range(d - 1, -1, -1):
@@ -163,4 +138,4 @@ def cross_columns(d1: np.ndarray) -> np.ndarray:
         part[1:] -= v * w
     with np.errstate(over="ignore", invalid="ignore"):  # as the cofactors themselves do
         y *= np.prod(betas, axis=0)
-    return _points_first(y, lead)
+    return _points_first(y, lead), _points_first(chol, lead), _points_first(chol_inv, lead)

@@ -135,8 +135,8 @@ class ChartBundle:
         """Metric/normal/shape deviations across the phase family, per point,
         the largest over the members: one unchecked PointFrame over the (5, P)
         stack of their grid jets, each isometric to f, whose frame passed the
-        checks.  It reads G, N and A: one L D L^T pass and one Householder
-        pass over the whole stack."""
+        checks.  It reads G, N and A: one Householder pass over the whole
+        stack."""
         base = self.frame
         gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
         ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)

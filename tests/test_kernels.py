@@ -83,7 +83,7 @@ class TestCrossColumns:
     def test_three_dimensional_case_is_the_cross_product(self):
         rng = np.random.default_rng(2)
         d1 = rng.standard_normal((10, 2, 3))
-        out = kernels.cross_columns(d1)
+        out = kernels.cross_columns(d1)[0]
         for p in range(10):
             np.testing.assert_allclose(
                 out[p], np.cross(d1[p, 0], d1[p, 1]), rtol=1e-12, atol=1e-12
@@ -93,7 +93,7 @@ class TestCrossColumns:
         rng = np.random.default_rng(3)
         for d in (1, 2, 3, 4, 6):
             d1 = rng.standard_normal((6, d, d + 1))
-            out = kernels.cross_columns(d1)
+            out = kernels.cross_columns(d1)[0]
             assert out.shape == (6, d + 1)
             for p in range(6):
                 # orthogonal to every row, and pairing with u gives det([u|rows])
@@ -110,22 +110,25 @@ class TestCrossColumns:
             d1 = rng.standard_normal((512, d, d + 1))
             want = cross_columns_loop(d1)
             bound = 4 * d * EPS * np.linalg.cond(d1) * np.abs(want).max(axis=-1)
-            assert np.all(np.abs(kernels.cross_columns(d1) - want).max(axis=-1) <= bound)
+            assert np.all(np.abs(kernels.cross_columns(d1)[0] - want).max(axis=-1) <= bound)
             # extra leading axes, as a stack of family members carries
             stack = rng.standard_normal((5, 64, d, d + 1))
             want = np.stack([cross_columns_loop(member) for member in stack])
             bound = 4 * d * EPS * np.linalg.cond(stack) * np.abs(want).max(axis=-1)
-            assert np.all(np.abs(kernels.cross_columns(stack) - want).max(axis=-1) <= bound)
+            assert np.all(np.abs(kernels.cross_columns(stack)[0] - want).max(axis=-1) <= bound)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_a_point_alone_is_bitwise_its_row_of_the_stack(self, d):
         # every step is elementwise along the point axis, so the stack's size
-        # changes no bit (a tie between eigenvalues +-lambda is broken alike)
+        # changes no bit of the normal, C or C^{-1}
         rng = np.random.default_rng(d)
         d1 = rng.standard_normal((7, 3, d, d + 1))
         out = kernels.cross_columns(d1)
         for idx in np.ndindex(7, 3):
-            assert kernels.cross_columns(d1[idx]).tobytes() == out[idx].tobytes()
+            assert all(
+                alone.tobytes() == stacked[idx].tobytes()
+                for alone, stacked in zip(kernels.cross_columns(d1[idx]), out)
+            )
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_rows_scaled_past_1e150_and_1e_minus_150(self, d):
@@ -143,13 +146,13 @@ class TestCrossColumns:
                 scaled = d1.copy()
                 scaled[:, 0] *= 2.0**e
                 scaled[:, -1] *= 2.0**-e
-                assert np.all(np.abs(kernels.cross_columns(scaled) - want).max(axis=-1) <= bound)
+                assert np.all(np.abs(kernels.cross_columns(scaled)[0] - want).max(axis=-1) <= bound)
             if e * d < 1020:
                 for sign in (1, -1):
-                    got = kernels.cross_columns(2.0 ** (sign * e) * d1) * 2.0 ** (-sign * e * d)
+                    got = kernels.cross_columns(2.0 ** (sign * e) * d1)[0] * 2.0 ** (-sign * e * d)
                     assert np.all(np.abs(got - want).max(axis=-1) <= bound)
         # partials of size 1e-160, whose squares underflow: no NaN
-        assert np.isfinite(kernels.cross_columns(1e-160 * d1)).all()
+        assert np.isfinite(kernels.cross_columns(1e-160 * d1)[0]).all()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_a_zero_row_gives_an_exact_zero(self, d):
@@ -157,85 +160,99 @@ class TestCrossColumns:
         d1 = rng.standard_normal((d, d, d + 1))
         for i in range(d):
             d1[i, i] = 0.0  # point i has its row i zero
-        out = kernels.cross_columns(d1)
+        out = kernels.cross_columns(d1)[0]
         assert not np.isnan(out).any()
         np.testing.assert_array_equal(out, 0.0)
 
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="ambient"):
-            kernels.cross_columns(np.zeros((1, 2, 4)))
+            kernels.cross_columns(np.zeros((1, 2, 2)))
 
     def test_degenerate_rows_give_zero(self):
         d1 = np.array([[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
-        np.testing.assert_array_equal(kernels.cross_columns(d1), [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(kernels.cross_columns(d1)[0], [[0.0, 0.0, 0.0]])
 
 
-def spd_stack(rng, lead, d):
-    raw = rng.standard_normal(lead + (d, d))
-    return raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d)
+def partials(rng, lead, d, m):
+    """A stack of random (d, m) tangent frames f_* and their metrics G."""
+    d1 = rng.standard_normal(lead + (d, m))
+    return d1, d1 @ np.swapaxes(d1, -1, -2)
 
 
-class TestLdlFactors:
+class TestCholeskyFactor:
+    """C and C^{-1} from the Householder pass of ``cross_columns``."""
+
     @pytest.mark.parametrize("d", range(1, 11))
     def test_factors_match_lapack(self, d):
-        # C, C^{-1} and G^{-1} against numpy's Cholesky factor and inverses,
-        # within d eps cond(G) of each point's largest entry
+        # C and C^{-1} against numpy's Cholesky factor of the formed G and its
+        # inverse, within (d + 1) eps cond(G) of each point's largest entry
+        # (the one eps more is G's own rounding), for m = d + 1 and m = d + 3
         rng = np.random.default_rng(60 + d)
-        G = spd_stack(rng, (3, 16), d)
-        chol = np.linalg.cholesky(G)
-        bound = d * EPS * np.linalg.cond(G)
-        for got, want in zip(kernels.ldl_factors(G), (chol, np.linalg.inv(chol), np.linalg.inv(G))):
-            assert got.shape == G.shape
-            miss = np.abs(got - want).max(axis=(-2, -1))
-            assert np.all(miss <= bound * np.abs(want).max(axis=(-2, -1)))
+        for m in (d + 1, d + 3):
+            d1, G = partials(rng, (3, 16), d, m)
+            chol = np.linalg.cholesky(G)
+            bound = (d + 1) * EPS * np.linalg.cond(G)
+            normal, *factors = kernels.cross_columns(d1)
+            assert normal.shape == (3, 16, m)
+            unit = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+            np.testing.assert_allclose(d1 @ unit[..., None], 0.0, atol=1e-12)
+            for got, want in zip(factors, (chol, np.linalg.inv(chol))):
+                assert got.shape == G.shape
+                miss = np.abs(got - want).max(axis=(-2, -1))
+                assert np.all(miss <= bound * np.abs(want).max(axis=(-2, -1)))
 
-    def test_factors_are_lower_triangular_and_the_inverse_symmetric_to_roundoff(self, rng):
-        G = spd_stack(rng, (32,), 5)
-        chol, chol_inv, inv = kernels.ldl_factors(G)
+    def test_factor_is_lower_triangular_with_a_positive_diagonal(self, rng):
+        d1, G = partials(rng, (32,), 5, 6)
+        _, chol, chol_inv = kernels.cross_columns(d1)
         iu = np.triu_indices(5, 1)
         assert np.all(chol[:, iu[0], iu[1]] == 0.0) and np.all(chol_inv[:, iu[0], iu[1]] == 0.0)
-        np.testing.assert_allclose(chol @ np.swapaxes(chol, -1, -2), G, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(inv, np.swapaxes(inv, -1, -2), rtol=1e-13, atol=0)
+        assert np.all(np.diagonal(chol, axis1=-2, axis2=-1) > 0.0)
+        np.testing.assert_allclose(chol @ np.swapaxes(chol, -1, -2), G, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("d", [1, 2, 4, 6])
-    def test_a_point_alone_is_bitwise_its_row_of_the_stack(self, d):
-        rng = np.random.default_rng(d)
-        G = spd_stack(rng, (7, 3), d)
-        out = kernels.ldl_factors(G)
-        for idx in np.ndindex(7, 3):
-            for alone, stacked in zip(kernels.ldl_factors(G[idx]), out):
-                assert alone.tobytes() == stacked[idx].tobytes()
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_inverse_rows_on_the_partials_are_orthonormal(self, d):
+        # a frame's C^{-1} f_* has orthonormal rows to within
+        # 100 d eps cond(f_*) at cond(f_*) = 1e7, where an inverse factor of
+        # the formed G would carry eps cond(f_*)^2
+        rng = np.random.default_rng(70 + d)
+        U = np.linalg.qr(rng.standard_normal((8, d + 1, d + 1)))[0]
+        V = np.linalg.qr(rng.standard_normal((8, d, d)))[0]
+        d1 = (V * np.logspace(0, -7, d)) @ U[:, :d]
+        frame = PointFrame(Jet2(np.zeros((8, d)), np.zeros((8, d + 1)), d1, np.zeros((8, d, d, d + 1))))
+        rows = frame.chol_inv @ d1
+        miss = np.abs(rows @ np.swapaxes(rows, -1, -2) - np.eye(d)).max(axis=(-2, -1))
+        assert np.all(miss <= 100 * d * EPS * np.linalg.cond(d1))
 
-    def test_metrics_scaled_by_1e150_and_1e_minus_150(self, rng):
-        G = spd_stack(rng, (16,), 4)
-        want = kernels.ldl_factors(G)
-        for e in (500, -500):
-            chol, chol_inv, inv = kernels.ldl_factors(2.0 ** (2 * e) * G)
-            np.testing.assert_allclose(chol * 2.0**-e, want[0], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(chol_inv * 2.0**e, want[1], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(inv * 2.0 ** (2 * e), want[2], rtol=1e-14, atol=0)
+    @pytest.mark.parametrize("e", [500, -500, 540, -540])
+    def test_power_of_two_scaling_is_exact(self, rng, e):
+        # 2^500 is about 3e150 and 2^540 about 4e162, whose square overflows
+        d1, _ = partials(rng, (16,), 4, 5)
+        _, chol, chol_inv = kernels.cross_columns(d1)
+        _, scaled, scaled_inv = kernels.cross_columns(2.0**e * d1)
+        assert (scaled * 2.0**-e).tobytes() == chol.tobytes()
+        assert (scaled_inv * 2.0**e).tobytes() == chol_inv.tobytes()
 
-    def test_a_metric_that_is_not_positive_definite_stays_uncleared(self, rng):
-        # an indefinite G in the middle of a stack: its factors are not
-        # finite, quietly, and the other points' are those they have alone
-        G = spd_stack(rng, (3,), 2)
-        G[1] = [[1.0, 2.0], [2.0, 1.0]]
-        out = kernels.ldl_factors(G)
-        for k in (0, 2):
-            for alone, stacked in zip(kernels.ldl_factors(G[k]), out):
+    def test_a_zero_or_dependent_row_leaves_the_point_uncleared(self, rng):
+        # a zero row, and a row exactly twice another, in the middle of a
+        # stack: the factors there are quietly singular or far past the
+        # bound, the other points' factors are those they have alone, and
+        # the frame leaves both points to the SVD
+        d1, _ = partials(rng, (4,), 2, 3)
+        d1[1, 0] = 0.0
+        d1[2, 1] = 2.0 * d1[2, 0]
+        out = kernels.cross_columns(d1)
+        for k in (0, 3):
+            for alone, stacked in zip(kernels.cross_columns(d1[k]), out):
                 assert alone.tobytes() == stacked[k].tobytes()
-        assert not all(np.isfinite(f[1]).all() for f in out)
-        # a frame reading that metric leaves the point to the SVD
-        frame = PointFrame(Jet2(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2, 3)), np.zeros((3, 2, 2, 3))))
-        frame.__dict__["metric"] = G
-        np.testing.assert_array_equal(_cleared(frame), [True, False, True])
+        assert not np.isfinite(out[2][1]).all()
+        frame = PointFrame(Jet2(np.zeros((4, 2)), np.zeros((4, 3)), d1, np.zeros((4, 2, 2, 3))))
+        np.testing.assert_array_equal(_cleared(frame), [True, False, False, True])
 
-    def test_rounded_dependence_with_a_negative_pivot_reaches_the_svd(self, monkeypatch):
-        # a rounded multiple of the first row whose second pivot rounds
-        # below zero: G has no Cholesky factor at that point only
+    def test_rounded_dependence_reaches_the_svd(self, monkeypatch):
+        # a rounded multiple of the first row, whose factor is not exactly
+        # singular: the bound cannot clear that point, and the SVD finds it
         row = np.array([-1.282491794740462, 0.9669722789332148, -0.36060836889927])
         bad = np.array([row, 1.3298750596903113 * row])
-        assert np.isnan(kernels.ldl_factors(bad @ bad.T)[0]).any()
         d1 = np.stack([np.eye(2, 3), bad, np.eye(2, 3)])
         coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
         jet = Jet2(coords, np.zeros((3, 3)), d1, np.zeros((3, 2, 2, 3)))

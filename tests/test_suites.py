@@ -32,7 +32,7 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import SeriesChart, seed_from_json
 
-from oracles import perfbench_module, report_from_residuals_loop
+from oracles import perfbench_module, report_from_residuals_loop, seed_bundle
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
 
@@ -364,6 +364,39 @@ def test_control_excludes_points_without_a_tangential_scale():
     assert ctrl.passed
 
 
+def test_parallel_rows_do_not_depend_on_the_chart_units():
+    # enneper on a disc of radius 1e12 on its default grid: f_* reaches
+    # about 1e24 and Gamma about 1e-12, and both rows still read roundoff,
+    # measured against the terms that cancel in nabla J and nabla T_*
+    bundle = seed_bundle("enneper-r1e12")
+    tpar, control = suites.bending_tpar(bundle)
+    assert suites.kaehler_parallel(bundle)[0].max() <= 1e-14
+    assert np.ma.max(tpar) <= 1e-14
+    assert np.ma.min(control) > 0.5
+
+
+def _bumped(jet, axis: int):
+    """``jet`` plus the field 1e-6 x0^2 e_axis, in closed form."""
+    x0 = jet.coords[..., 0]
+    value, d1, d2 = jet.value.copy(), jet.d1.copy(), jet.d2.copy()
+    value[..., axis] += 1e-6 * x0 * x0
+    d1[..., 0, axis] += 2e-6 * x0
+    d2[..., 0, 0, axis] += 2e-6
+    return dataclasses.replace(jet, value=value, d1=d1, d2=d2)
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_a_small_bump_fails_the_parallel_rows(name):
+    # f + 1e-6 x0^2 e_last bends J out of parallel, and T + 1e-6 x0^2 e0
+    # bends T_*: each row FAILs by more than 20 times its tolerance
+    seed = builtin_seed(name)
+    f, T = build_bundle(seed)._grid_jets
+    for jets, suite in (((_bumped(f, -1), T), suites.kaehler_parallel), ((f, _bumped(T, 0)), suites.bending_tpar)):
+        bundle = build_bundle(seed)
+        bundle.__dict__["_grid_jets"] = jets
+        assert np.ma.max(suite(bundle)[0]) > 20 * DEFAULT_TOLERANCES[suite.__name__]
+
+
 def _family_rows(bundle, frames):
     """The family rows from full member frames at phases pi/6 .. 5 pi/6."""
     base = bundle.frame
@@ -402,13 +435,14 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     trivial control fields are combined from the two grid jets.  The one frame builds its Christoffel symbols once, for every
     suite that reads them, and each variation field along it computes its
     B, T_* and dN once, and ||B||_G and ||A T_*||_G once.  Nothing calls
-    LAPACK per point to factor G or to take a normal: the frames factor G
-    in one L D L^T pass over their stack and take the normal from one
-    Householder pass, with no solve, inverse, Cholesky factor or
-    determinant; the only per-point decompositions left are the G-norms'
-    eigvalsh calls.  Every contraction is a matmul: nothing calls einsum."""
+    LAPACK per point to factor G or to take a normal: each of the two frame
+    stacks, the grid's and the family's, takes its normal and the Cholesky
+    factor of G with its inverse from one Householder pass over the stack,
+    with no solve, inverse, Cholesky factor or determinant; the only
+    per-point decompositions left are the G-norms' eigvalsh calls.  Every
+    contraction is a matmul: nothing calls einsum."""
     builds, calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], []
-    einsums = []
+    einsums, crosses = [], []
     factorizations = {name: [] for name in ("solve", "inv", "cholesky", "det", "eigvalsh")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     frame = geometry.point_frame
@@ -416,6 +450,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     b_formula = bending.B_by_formula
     build_chain = weierstrass.build_chain
     horner_many = kernels.horner_many
+    cross_columns = kernels.cross_columns
     einsum = np.einsum
     pieces = {name: [] for name in ("tstar", "normal_variation")}
 
@@ -457,6 +492,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
 
         return counted
 
+    def counted_cross(d1):
+        crosses.append(d1.shape)
+        return cross_columns(d1)
+
     def counted_einsum(*args, **kwargs):
         einsums.append(args[0])
         return einsum(*args, **kwargs)
@@ -482,6 +521,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     for name in factorizations:
         monkeypatch.setattr(np.linalg, name, counted_linalg(name))
     monkeypatch.setattr(np, "einsum", counted_einsum)
+    monkeypatch.setattr(kernels, "cross_columns", counted_cross)
     seed = builtin_seed("m4r5")  # checks itself on a domain sample, by Horner
     monkeypatch.setattr(kernels, "horner_many", counted_horner)
     bundle = build_bundle(seed)
@@ -517,6 +557,8 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     matrices = sum(math.prod(shape[:-2]) for shape in factorizations["eigvalsh"])
     assert matrices == 14 * len(bundle.points) == 2016
     assert einsums == []
+    # one Householder pass per frame stack: the grid frame's and the family's
+    assert crosses == [(144, 4, 5), (5, 144, 4, 5)]
 
 
 # the n = 3 seed of the benchmark's verify-random workload
