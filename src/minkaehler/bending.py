@@ -26,10 +26,9 @@ or of a sum of fields, is the sum of the jets
 Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
 shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
-same stack (3-jets, for the derivative of B), and returns one value per
-point.  A Variation keeps tau, dN, T_*, B and the G-norms ||B||_G and
-||A T_*||_G once computed, so each is computed once per field; the three
-routes to B share only those inputs.
+same stack, and returns one value per point.  A Variation keeps tau, sigma,
+dN, T_*, B and the G-norms ||B||_G and ||A T_*||_G once computed, so each
+is computed once per field; the three routes to B share only those inputs.
 Every route reads G^{-1}, C and C^{-1} (in ||.||_G) and d_l G from the
 frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
@@ -115,13 +114,16 @@ class Variation:
         return (self.jet.d1 @ self.frame.normal[..., None])[..., 0]
 
     @cached_property
+    def sigma(self) -> np.ndarray:
+        """sigma = G^{-1} tau: the tangent vector s = f_*(sigma) has <s, f_k> = tau_k."""
+        return (self.frame.metric_inv @ self.tau[..., None])[..., 0]
+
+    @cached_property
     def normal_variation(self) -> np.ndarray:
-        """dN = -f_*(sigma), sigma = G^{-1} tau: the exact t-derivative at
-        t = 0 of the unit normal of f + tT.  Differentiating
-        <N, f_k + t T_k> = 0 fixes its tangential part, and |N| = 1 leaves
-        no normal part."""
-        sigma = (self.frame.metric_inv @ self.tau[..., None])[..., 0]
-        return -(sigma[..., None, :] @ self.frame.jet.d1)[..., 0, :]
+        """dN = -f_*(sigma): the exact t-derivative at t = 0 of the unit
+        normal of f + tT.  Differentiating <N, f_k + t T_k> = 0 fixes its
+        tangential part, and |N| = 1 leaves no normal part."""
+        return -(self.sigma[..., None, :] @ self.frame.jet.d1)[..., 0, :]
 
     @cached_property
     def tstar(self) -> np.ndarray:
@@ -223,8 +225,11 @@ def b_route_agreement(v: Variation) -> np.ndarray:
 
 
 def bat_residual(v: Variation) -> np.ndarray:
-    """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
-    return gnorm_op(v.frame, v.B - B_by_BAT(v)) / np.maximum(v.bat_norm, 1e-14)
+    """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula; points
+    with A T_* = 0 have no scale and are masked out (``excluded``)."""
+    scale = v.bat_norm
+    res = gnorm_op(v.frame, v.B - B_by_BAT(v)) / np.where(scale > 0.0, scale, 1.0)
+    return np.ma.masked_where(scale == 0.0, res)
 
 
 def tstar_derivative(v: Variation) -> np.ndarray:
@@ -256,32 +261,28 @@ def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
     return np.ma.masked_where(gnorm_op(v.frame, v.tstar) <= 1e-14, res)
 
 
-def B_with_derivative(v: Variation) -> tuple:
+def B_with_codazzi_derivative(v: Variation) -> tuple:
     """(op, dop): B as an operator, :attr:`Variation.B`, and dop[..., l] =
-    d_l op, exact from the 3-jets of f and T.  The frame must be built
-    from the chart's 3-jet (``point_frame(chart.jet(p, order=3))``) and the
-    field's jet must be ``fld.jet(p, order=3)``; no frame is built here.
+    d_l op less G^{-1} of a part symmetric in (i, j, l), from the 2-jets of
+    f and T; :func:`~minkaehler.geometry.codazzi_residual` reads dop only
+    antisymmetrized, where that part cancels.
 
-    With tau = :attr:`Variation.tau` and s = -dN
-    (:attr:`Variation.normal_variation`), s = f_*(sigma) with sigma =
-    G^{-1} tau is the tangent vector with <s, f_k> = tau_k, so the
-    Christoffel term of B is Gamma^k_ij tau_k = <f_ij, s>.  So
-    B_ij = <T_ij, N> - <f_ij, s>, and
+    With sigma = :attr:`Variation.sigma` and s = -dN = f_*(sigma)
+    (:attr:`Variation.normal_variation`), the Christoffel term of B is
+    Gamma^k_ij tau_k = <f_ij, s>.  So B_ij = <T_ij, N> - <f_ij, s>, and
 
-        d_l B_ij = <T_ijl, N> + <T_ij, d_l N> - <f_ijl, s> - <f_ij, d_l s>
+        d_l B_ij = <T_ijl, N> - <f_ijl, s> + <T_ij, d_l N> - <f_ij, d_l s>,
 
-    with d_l N = -f_*(A e_l), d_l sigma = G^{-1} (d_l tau - d_l G sigma)
-    (d_l G from :attr:`~minkaehler.geometry.PointFrame.metric_derivative`)
-    and d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of
-    Gamma, a d^4 array per point, is formed.
+    whose first two terms, the symmetric part, are left out: no third
+    partial is read.  The rest takes d_l N = -f_*(A e_l), d_l sigma =
+    G^{-1} (d_l tau - d_l G sigma) (d_l G from
+    :attr:`~minkaehler.geometry.PointFrame.metric_derivative`) and
+    d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
+    a d^4 array per point, is formed.
     """
     frame, jet, field_jet = v.frame, v.frame.jet, v.jet
-    if jet.d3 is None or field_jet.d3 is None:
-        raise DomainError("B_with_derivative needs the 3-jets of the chart and the field")
-    Ginv, N, f1, f2 = frame.metric_inv, frame.normal, jet.d1, jet.d2
+    Ginv, N, f1, f2, sigma = frame.metric_inv, frame.normal, jet.d1, jet.d2, v.sigma
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
-    sigma = (Ginv @ v.tau[..., None])[..., 0]
-    s = -v.normal_variation
     pair = f2.shape[:-1]
     triple = pair + (frame.d,)
     dG = _flat(frame.metric_derivative, 2)  # [..., (l, k), q] = d_l G_kq
@@ -289,10 +290,8 @@ def B_with_derivative(v: Variation) -> tuple:
     dtau += _t((_flat(field_jet.d2, 2) @ N[..., None]).reshape(pair))
     dsigma = Ginv @ _t(dtau - (dG @ sigma[..., None]).reshape(pair))  # [q, l]
     ds = _t(dsigma) @ f1 + (sigma[..., None, :] @ _flat(f2, 2, keep=0)).reshape(f1.shape)
-    # dform[..., i, j, l] = d_l B_ij
-    dform = (_flat(field_jet.d3, 3) @ N[..., None]).reshape(triple)
-    dform -= (_flat(jet.d3, 3) @ s[..., None]).reshape(triple)
-    dform += (_flat(field_jet.d2, 2) @ _t(dN)).reshape(triple)
+    # dform[..., i, j, l] = d_l B_ij less <T_ijl, N> - <f_ijl, s>
+    dform = (_flat(field_jet.d2, 2) @ _t(dN)).reshape(triple)
     dform -= (_flat(f2, 2) @ _t(ds)).reshape(triple)
     op = v.B
     # d_l op = G^{-1} ((d_l B)^T - d_l G op), with the row index of G^{-1}'s

@@ -30,7 +30,6 @@ class Jet2:
     d1    : (..., d, m+1) first partials, row i = d(chart)/d(coord i)
     d2    : (..., d, d, m+1) second partials, symmetric in the two axes
     coords: (..., d) the evaluation points
-    d3    : (..., d, d, d, m+1) third partials, when asked for
 
     Higher orders come from ``jet_batch`` alone.
     """
@@ -39,7 +38,6 @@ class Jet2:
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray | None = None
 
     @property
     def d(self) -> int:
@@ -74,14 +72,12 @@ class ImmersionChart:
     def jet_batch(self, pts, order: int = 2) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def jet(self, p, order: int = 2) -> Jet2:
-        """The 2- or 3-jet at points ``p`` of shape (..., d), as one
-        :class:`Jet2` with the same leading axes after any member axis of
-        the chart; one point (d,) gives the one-point slice."""
-        if order not in (2, 3):
-            raise DomainError(f"a Jet2 holds a 2- or 3-jet; read order {order} from jet_batch")
+    def jet(self, p) -> Jet2:
+        """The 2-jet at points ``p`` of shape (..., d), as one :class:`Jet2`
+        with the same leading axes after any member axis of the chart; one
+        point (d,) gives the one-point slice."""
         p = np.asarray(p, dtype=np.float64)
-        parts = self._on_points(p, order)
+        parts = self._on_points(p, 2)
         return Jet2(np.broadcast_to(p, parts[0].shape[:-1] + p.shape[-1:]), *parts)
 
     def value(self, p) -> np.ndarray:

@@ -364,18 +364,16 @@ def parallel_residual(frame: PointFrame, S: np.ndarray, dS) -> np.ndarray:
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
-    """|trace A| / ||A||_G, with the norm floored at 1e-14."""
-    scale = np.maximum(frame.shape_norm, 1e-14)
-    return np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / scale
+    """|trace A| / ||A||_G, unit-free; a point with A = 0 reads 0."""
+    scale = frame.shape_norm
+    return np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / np.where(scale > 0.0, scale, 1.0)
 
 
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
-    """||A J + J A||_G / ||A||_G (zero shape operator gives zero)."""
+    """||A J + J A||_G / ||A||_G, unit-free; a point with A = 0 reads 0."""
     A = frame.shape_operator
-    num = gnorm_op(frame, A @ J + J @ A)
     den = frame.shape_norm
-    quiet = (den <= 1e-14) & (num <= 1e-14)
-    return np.where(quiet, 0.0, num / np.maximum(den, 1e-14))
+    return gnorm_op(frame, A @ J + J @ A) / np.where(den > 0.0, den, 1.0)
 
 
 def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
@@ -386,8 +384,11 @@ def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
 
 def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:
     """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G for the
-    operator S on the frame's points and its exact coordinate derivatives
-    dS[..., i] = d_i S; ``norm`` is ||S||_G when the caller keeps it."""
+    operator S on the frame's points and its coordinate derivatives
+    dS[..., i] = d_i S; ``norm`` is ||S||_G when the caller keeps it.  It
+    reads dS only through d_i S e_j - d_j S e_i, so a part of dS symmetric
+    in (i, j), which :func:`~minkaehler.bending.B_with_codazzi_derivative`
+    leaves out, does not count."""
     if norm is None:
         norm = gnorm_op(frame, S)
     nab = np.swapaxes(covariant_field_derivative(frame.christoffel, S, dS), -2, -1)

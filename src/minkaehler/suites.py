@@ -3,7 +3,7 @@
 Every grid quantity the suites check is fixed by two jets: those of the
 chart f and of its conjugate fbar, the bending that preserves the Gauss
 map.  :class:`ChartBundle` evaluates both in one call on the sample grid,
-as the two-member stack ``SeriesChart(seed, (0, pi/2))`` at order 3, and
+as the two-member stack ``SeriesChart(seed, (0, pi/2))`` at order 2, and
 derives the rest from them: the grid frame, the conjugate as a
 :class:`~minkaehler.bending.Variation` along it that keeps its dN, T_* and
 B for every suite, the members cos(theta) f + sin(theta) fbar of the phase
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .bending import (
-    B_with_derivative,
+    B_with_codazzi_derivative,
     Variation,
     b_route_agreement,
     bat_residual,
@@ -110,19 +110,19 @@ class ChartBundle:
 
     @cached_property
     def _grid_jets(self) -> tuple:
-        """The 3-jets over the sample grid of f and of its conjugate fbar:
+        """The 2-jets over the sample grid of f and of its conjugate fbar:
         the one evaluation on the grid, of the stack of members 0 and pi/2."""
-        return SeriesChart(self.seed, (0.0, math.pi / 2)).member_jets(self.points, order=3)
+        return SeriesChart(self.seed, (0.0, math.pi / 2)).member_jets(self.points)
 
     @cached_property
     def frame(self) -> PointFrame:
-        """The chart's frame stack over the sample grid, from f's grid 3-jet."""
+        """The chart's frame stack over the sample grid, from f's grid 2-jet."""
         return point_frame(self._grid_jets[0])
 
     @cached_property
     def conjugate(self) -> Variation:
         """The conjugate field along the grid frame; its ``jet`` is fbar's
-        grid 3-jet."""
+        grid 2-jet."""
         return Variation(self.frame, self._grid_jets[1])
 
     def trivial_jet(self, stream: int) -> Jet2:
@@ -169,8 +169,8 @@ def build_bundle(seed: WeierstrassSeed, counts=None) -> ChartBundle:
 
 # -- the suite registry --------------------------------------------------------
 #
-# Every route is analytic: jets to order 3 and exact linear algebra only,
-# the Christoffels, d_l B and the first variations along f + tT included.
+# Every route is analytic: 2-jets and exact linear algebra only, the
+# Christoffels, d_l B and the first variations along f + tT included.
 # Identities get 1e-7 or tighter; ``rotation`` and
 # ``nullity_in_bending_kernel``, which read eigenvectors of A, get 1e-6, and
 # ``rank`` counts a miss as 1.
@@ -298,7 +298,7 @@ def fundamental_wedge(b: ChartBundle):
 @_suite(1e-7)
 def codazzi_b(b: ChartBundle):
     """B satisfies the Codazzi symmetry."""
-    res = codazzi_residual(b.frame, *B_with_derivative(b.conjugate), norm=b.conjugate.B_norm)
+    res = codazzi_residual(b.frame, *B_with_codazzi_derivative(b.conjugate), norm=b.conjugate.B_norm)
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 303)
     raw0 = rng.standard_normal((b.d, b.d))

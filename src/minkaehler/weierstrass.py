@@ -28,7 +28,7 @@ its conjugate is fbar = sqrt(2) Im F, and the associated family is
 f_theta = sqrt(2) Re(e^{-i theta} F) = cos(theta) f + sin(theta) fbar.
 ``SeriesChart(seed, theta)`` is one member, and ``SeriesChart(seed,
 thetas)`` a stack of members from one Horner evaluation: f and fbar are
-``SeriesChart(seed, (0, pi/2))``.  Verification reads jets to order 3;
+``SeriesChart(seed, (0, pi/2))``.  Verification reads the 2-jets;
 the Gauss parametrization of :mod:`minkaehler.gausspar` reads the 4-jets.
 A JSON seed is read against ``_SEED_SCHEMA``; an unknown key at any level,
 a missing one or a non-finite number raises :class:`SeedValidationError`.
@@ -399,11 +399,11 @@ class SeriesChart(ImmersionChart):
                     view *= signs
         return tuple(out) if isinstance(self.theta, tuple) else tuple(dk[0] for dk in out)
 
-    def member_jets(self, pts, order: int = 2) -> tuple:
+    def member_jets(self, pts) -> tuple:
         """One :class:`Jet2` per member on a (P, d) point stack, each a
         contiguous slice of one ``jet_batch`` call."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        parts = self.jet_batch(pts, order)
+        parts = self.jet_batch(pts)
         if not isinstance(self.theta, tuple):
             parts = tuple(a[None] for a in parts)
         return tuple(Jet2(pts, *(a[i] for a in parts)) for i in range(len(self._phases)))

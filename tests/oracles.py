@@ -20,8 +20,8 @@ evidence rather than tautology.
   of T_* itself.  Both read only first partials, so they share nothing
   with the package's jet route, which reads the second partials.
 * the covariant derivative of a (1,1)-field S, the input of the Codazzi
-  check, from central differences of S's values; the package takes d_l S
-  exactly from jets to order 3.
+  check, from central differences of S's values; the package takes the
+  part of d_l S that the Codazzi check reads exactly from the 2-jets.
 * the support function of the ellipse (a cos t, b sin t) with outward
   normal: h = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t).
 * one central-difference jet of any value map (vector or scalar), the
@@ -570,20 +570,18 @@ def tangential_covariant_derivative_einsum(v) -> np.ndarray:
     return covariant_field_derivative_broadcast(frame.christoffel, tstar, dT)
 
 
-def B_with_derivative_einsum(v) -> tuple:
-    """(B, d_l B) as operators from the 3-jets of f and T."""
+def B_with_codazzi_derivative_einsum(v) -> tuple:
+    """(B, d_l B less G^{-1} of the part <T_ijl, N> - <f_ijl, s>) as
+    operators from the 2-jets of f and T."""
     frame, jet, field_jet = v.frame, v.frame.jet, v.jet
     Ginv, N, f1, f2 = frame.metric_inv, frame.normal, jet.d1, jet.d2
     dN = -(_t(frame.shape_operator) @ f1)
     sigma = (Ginv @ v.tau[..., None])[..., 0]
-    s = -v.normal_variation
     dtau = np.einsum("...klc,...c->...lk", field_jet.d2, N)
     dtau += np.einsum("...kc,...lc->...lk", field_jet.d1, dN)
     dsigma = Ginv @ _t(dtau - (frame.metric_derivative @ sigma[..., None, :, None])[..., 0])
     ds = _t(dsigma) @ f1 + np.einsum("...q,...qlc->...lc", sigma, f2)
-    dform = np.einsum("...ijlc,...c->...lij", field_jet.d3, N)
-    dform -= np.einsum("...ijlc,...c->...lij", jet.d3, s)
-    dform += np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
+    dform = np.einsum("...ijc,...lc->...lij", field_jet.d2, dN)
     dform -= np.einsum("...ijc,...lc->...lij", f2, ds)
     op = B_by_formula_einsum(v)
     return op, Ginv[..., None, :, :] @ (_t(dform) - frame.metric_derivative @ op[..., None, :, :])

@@ -12,7 +12,7 @@ import pytest
 from minkaehler.bending import (
     B_by_formula,
     B_by_variation,
-    B_with_derivative,
+    B_with_codazzi_derivative,
     Variation,
     b_route_agreement,
     bat_residual,
@@ -67,8 +67,8 @@ def _trivial(chart, p):
 
 
 def _codazzi_b(chart, fld, p):
-    frame = point_frame(chart.jet(p, order=3))
-    return codazzi_residual(frame, *B_with_derivative(Variation(frame, fld.jet(p, order=3))))
+    v = frame_and_jet(chart, fld, p)
+    return codazzi_residual(v.frame, *B_with_codazzi_derivative(v))
 
 
 def _codazzi_control(chart, fld, p):

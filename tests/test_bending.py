@@ -7,7 +7,7 @@ from minkaehler.bending import (
     B_by_BAT,
     B_by_formula,
     B_by_variation,
-    B_with_derivative,
+    B_with_codazzi_derivative,
     Variation,
     b_route_agreement,
     bat_residual,
@@ -159,7 +159,7 @@ class TestTrivialFields:
         raw = rng.standard_normal((5, 5))
         skew, offset = raw - raw.T, rng.standard_normal(5)
         fld = trivial_jet(jet, skew, offset)
-        assert fld.coords is jet.coords and fld.d3 is None
+        assert fld.coords is jet.coords
         np.testing.assert_array_equal(fld.value, jet.value @ skew.T + offset)
         np.testing.assert_array_equal(fld.d1, jet.d1 @ skew.T)
         np.testing.assert_array_equal(fld.d2, jet.d2 @ skew.T)
@@ -270,33 +270,27 @@ class TestStructuralIdentities:
 
     @pytest.mark.parametrize("name", ["m4r5", "n3"])
     def test_jet_nabla_b_matches_finite_differences(self, name, request, rng):
-        # nabla B from the 3-jets against central differences of B's values;
-        # the chart of the seed with another b_0 keeps neither the metric nor
-        # the normal, so the d_l N term of d_l B counts there
+        # (nabla_i B) e_j - (nabla_j B) e_i from the 2-jets against the same
+        # antisymmetrization of central differences of B's values; the chart
+        # of the seed with another b_0 keeps neither the metric nor the
+        # normal, so the d_l N term of d_l B counts there
         chart = request.getfixturevalue(f"{name}_chart")
         data = seed_to_json(chart.seed)
         data["b"][0] = [[0.5, 0.3], [0.2, -0.1]]
         for fld in (conjugate_field(chart), SeriesChart(seed_from_json(data))):
             for p in sample(chart, rng, 2):
-                frame = point_frame(chart.jet(p, order=3))
-                op, dop = B_with_derivative(Variation(frame, fld.jet(p, order=3)))
-                got = covariant_field_derivative(frame.christoffel, op, dop)
+                v = frame_and_jet(chart, fld, p)
+                got = covariant_field_derivative(v.frame.christoffel, *B_with_codazzi_derivative(v))
                 ref = fd_codazzi(chart, lambda q: B_by_formula(frame_and_jet(chart, fld, q)), p)
                 scale = float(np.abs(ref).max())
-                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * scale)
+                antisym = [a - np.swapaxes(a, -3, -1) for a in (got, ref)]
+                np.testing.assert_allclose(*antisym, rtol=0.0, atol=1e-6 * scale)
 
     def test_codazzi_for_b(self, enneper_chart, rng):
         fld = conjugate_field(enneper_chart)
         for p in sample(enneper_chart, rng, 2):
-            frame = point_frame(enneper_chart.jet(p, order=3))
-            op, dop = B_with_derivative(Variation(frame, fld.jet(p, order=3)))
-            assert codazzi_residual(frame, op, dop) < 1e-12
-
-    def test_b_derivative_needs_3_jets(self, enneper_chart):
-        fld = conjugate_field(enneper_chart)
-        p = [0.2, -0.1]
-        with pytest.raises(DomainError, match="3-jets"):
-            B_with_derivative(Variation(point_frame(enneper_chart.jet(p)), fld.jet(p, order=3)))
+            v = frame_and_jet(enneper_chart, fld, p)
+            assert codazzi_residual(v.frame, *B_with_codazzi_derivative(v)) < 1e-12
 
     def test_codazzi_for_b_along_the_conjugate_past_pi(self, m4r5_seed, rng):
         # past theta = pi/2 the conjugate is the family member past pi
@@ -304,9 +298,8 @@ class TestStructuralIdentities:
         fld = conjugate_field(chart)
         assert isinstance(fld, SeriesChart) and fld.theta == 2.0 + math.pi / 2
         pts = sample(chart, rng, 3)
-        frame = point_frame(chart.jet(pts, order=3))
-        op, dop = B_with_derivative(Variation(frame, fld.jet(pts, order=3)))
-        assert codazzi_residual(frame, op, dop).max() < 1e-12
+        v = frame_and_jet(chart, fld, pts)
+        assert codazzi_residual(v.frame, *B_with_codazzi_derivative(v)).max() < 1e-12
 
     def test_curvature_identity_fails_for_sphere_pair(self):
         # sanity: the identity is not vacuous - feeding a non-bending pair

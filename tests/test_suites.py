@@ -375,13 +375,13 @@ def test_parallel_rows_do_not_depend_on_the_chart_units():
     assert np.ma.min(control) > 0.5
 
 
-def _bumped(jet, axis: int):
-    """``jet`` plus the field 1e-6 x0^2 e_axis, in closed form."""
+def _bumped(jet, axis: int, power: int = 2):
+    """``jet`` plus the field 1e-6 x0^power e_axis, in closed form."""
     x0 = jet.coords[..., 0]
     value, d1, d2 = jet.value.copy(), jet.d1.copy(), jet.d2.copy()
-    value[..., axis] += 1e-6 * x0 * x0
-    d1[..., 0, axis] += 2e-6 * x0
-    d2[..., 0, 0, axis] += 2e-6
+    value[..., axis] += 1e-6 * x0**power
+    d1[..., 0, axis] += 1e-6 * power * x0 ** (power - 1)
+    d2[..., 0, 0, axis] += 1e-6 * power * (power - 1) * x0 ** (power - 2)
     return dataclasses.replace(jet, value=value, d1=d1, d2=d2)
 
 
@@ -395,6 +395,48 @@ def test_a_small_bump_fails_the_parallel_rows(name):
         bundle = build_bundle(seed)
         bundle.__dict__["_grid_jets"] = jets
         assert np.ma.max(suite(bundle)[0]) > 20 * DEFAULT_TOLERANCES[suite.__name__]
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_a_small_bump_fails_codazzi_b(name):
+    # the x0^2 and x0^3 bumps of T along e0 and of f along e_last: codazzi_b
+    # reads no third partial, and still FAILs each by more than 5 times its
+    # tolerance
+    seed = builtin_seed(name)
+    f, T = build_bundle(seed)._grid_jets
+    for power in (2, 3):
+        for jets in ((f, _bumped(T, 0, power)), (_bumped(f, -1, power), T)):
+            bundle = build_bundle(seed)
+            bundle.__dict__["_grid_jets"] = jets
+            row, _ = run_suites(bundle, ["codazzi_b"])
+            assert row.max_residual > 5 * DEFAULT_TOLERANCES["codazzi_b"]
+
+
+def _scaled(jet, factor: float):
+    """The jet of ``factor`` times the field."""
+    return dataclasses.replace(jet, value=factor * jet.value, d1=factor * jet.d1, d2=factor * jet.d2)
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_relative_rows_do_not_depend_on_a_homothety(name):
+    # f and T scaled by lambda: A scales by 1/lambda, and the three unit-free
+    # rows keep their roundoff readings, with no absolute floor on ||A||_G
+    # or ||A T_*||_G to blind them, and the bending_bat control keeps its teeth
+    seed = builtin_seed(name)
+    f, T = build_bundle(seed)._grid_jets
+    names = ["minimality", "anticommutation", "bending_bat"]
+
+    def rows(factor):
+        bundle = build_bundle(seed)
+        bundle.__dict__["_grid_jets"] = (_scaled(f, factor), _scaled(T, factor))
+        return {r.identity: r.max_residual for r in run_suites(bundle, names)}
+
+    unscaled = rows(1.0)
+    for factor in (1e-8, 1e8, 1e16):
+        got = rows(factor)
+        for row in names:
+            assert unscaled[row] / 4 <= got[row] <= 4 * unscaled[row], (factor, row, got[row], unscaled[row])
+        assert got["bending_bat_control"] >= CONTROL_FLOOR
 
 
 def _family_rows(bundle, frames):
@@ -434,7 +476,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     the grid, from one set of coefficient rows; the family members and the
     trivial control fields are combined from the two grid jets.  The one frame builds its Christoffel symbols once, for every
     suite that reads them, and each variation field along it computes its
-    B, T_* and dN once, and ||B||_G and ||A T_*||_G once.  Nothing calls
+    B, T_*, sigma and dN once, and ||B||_G and ||A T_*||_G once.  Nothing calls
     LAPACK per point to factor G or to take a normal: each of the two frame
     stacks, the grid's and the family's, takes its normal and the Cholesky
     factor of G with its inverse from one Householder pass over the stack,
@@ -452,7 +494,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     horner_many = kernels.horner_many
     cross_columns = kernels.cross_columns
     einsum = np.einsum
-    pieces = {name: [] for name in ("tstar", "normal_variation")}
+    pieces = {name: [] for name in ("tstar", "sigma", "normal_variation")}
 
     def counted_init(self, *args, **kwargs):
         builds.append(self)
@@ -530,10 +572,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(builds) == 2
     assert len(calls) == len(set(calls))
     # f and fbar on the grid, one stack: one jet call and one Horner
-    # evaluation, of the seed's rows
+    # evaluation, of the seed's rows for the 2-jets
     assert len(calls) == 1
     assert builds[1].theta == (0.0, math.pi / 2) and calls[0][0] == id(builds[1])
-    assert len(horners) == 1 and horners[0] is bundle.seed.jet_rows(3)[0]
+    assert len(horners) == 1 and horners[0] is bundle.seed.jet_rows(2)[0]
     # the grid frame; family members and first variations along f + tT
     # build none
     assert len(frames) == 1
@@ -544,8 +586,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(b_forms) == 3 and b_forms[0] is bundle.conjugate
     assert len({id(v) for v in b_forms}) == 3
     # T_* for the conjugate and the bending_tpar and bending_bat controls;
-    # dN for the conjugate and the gauss_preservation control
+    # sigma and dN for the conjugate (whose codazzi_b derivative reads
+    # sigma too) and the gauss_preservation control
     assert len(pieces["tstar"]) == 3 and len(pieces["normal_variation"]) == 2
+    assert [id(v) for v in pieces["sigma"]] == [id(v) for v in pieces["normal_variation"]]
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
     assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 12}
     # G-norms of 14 operators per point: ||A||_G, ||AJ + JA||_G, T_* of the

@@ -212,10 +212,12 @@ class TestPhaseStack:
                 for got, want in zip(parts, single):
                     assert got.shape == (len(thetas),) + want.shape
                     np.testing.assert_array_equal(got[i], want)
-        jets = stack.member_jets(pts, order=3)
+        jets = stack.member_jets(pts)
         for jet, theta in zip(jets, thetas):
-            assert jet.d3.flags.c_contiguous
-            np.testing.assert_array_equal(jet.d3, SeriesChart(seed, theta).jet(pts, order=3).d3)
+            single = SeriesChart(seed, theta).jet(pts)
+            for part in ("value", "d1", "d2"):
+                assert getattr(jet, part).flags.c_contiguous
+                np.testing.assert_array_equal(getattr(jet, part), getattr(single, part))
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_jet_of_a_stack_keeps_the_member_axis(self, m4r5_seed, count):
@@ -223,19 +225,17 @@ class TestPhaseStack:
         stack = SeriesChart(m4r5_seed, thetas)
         pts = random_points(shrink_box(stack.box, 0.9), 2 * count, np.random.default_rng(3))
         pts = pts.reshape(2, count, 4)
-        jet = stack.jet(pts, order=3)
+        jet = stack.jet(pts)
         assert jet.coords.shape == (2, 2, count, 4)
         np.testing.assert_array_equal(stack.value(pts), jet.value)
+        d3 = stack.jet_batch(pts.reshape(-1, 4), 3)[3]
         for i, theta in enumerate(thetas):
-            single = SeriesChart(m4r5_seed, theta).jet(pts, order=3)
+            single = SeriesChart(m4r5_seed, theta).jet(pts)
             np.testing.assert_array_equal(jet.coords[i], pts)
-            for part in ("value", "d1", "d2", "d3"):
+            for part in ("value", "d1", "d2"):
                 np.testing.assert_array_equal(getattr(jet, part)[i], getattr(single, part))
-
-    @pytest.mark.parametrize("order", [0, 1, 4])
-    def test_jet_holds_orders_two_and_three_only(self, m4r5_chart, order):
-        with pytest.raises(DomainError, match="jet_batch"):
-            m4r5_chart.jet([0.1, -0.05, 0.2, 0.1], order)
+            alone = SeriesChart(m4r5_seed, theta).jet_batch(pts.reshape(-1, 4), 3)[3]
+            np.testing.assert_array_equal(d3[i], alone)
 
     def test_charts_of_one_seed_share_their_rows(self, m4r5_seed, monkeypatch):
         pts = np.array([[0.1, -0.05, 0.2, 0.1]])
