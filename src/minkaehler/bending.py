@@ -29,6 +29,8 @@ shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
 same stack, and returns one value per point.  A Variation keeps tau, sigma,
 dN, T_*, B and the G-norms ||B||_G and ||A T_*||_G once computed, so each
 is computed once per field; the three routes to B share only those inputs.
+Every ||.||_G of an operator is its Frobenius G-norm,
+:func:`~minkaehler.geometry.gnorm_op`, and of a vector its length in G.
 Every route reads G^{-1}, C and C^{-1} (in ||.||_G) and d_l G from the
 frame, which computes each once, so nothing here solves against G.
 Since f + tT is affine in t, its first variations are closed form in the
@@ -214,14 +216,15 @@ def B_by_BAT(v: Variation) -> np.ndarray:
 
 
 def b_route_agreement(v: Variation) -> np.ndarray:
-    """Largest pairwise deviation of the three B routes, G-relative."""
+    """Largest pairwise G-norm deviation of the three B routes over the
+    largest of their G-norms, unit-free; points where all three routes
+    vanish have no scale and are masked out (``excluded``)."""
     frame = v.frame
     ops = np.stack([B_by_variation(v), v.B, B_by_BAT(v)])
-    norms = np.stack([gnorm_op(frame, ops[0]), v.B_norm, v.bat_norm])
-    scale = np.maximum(norms.max(axis=0), 1.0)
+    scale = np.maximum.reduce([gnorm_op(frame, ops[0]), v.B_norm, v.bat_norm])
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
     worst = gnorm_op(frame, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
-    return worst / scale
+    return np.ma.masked_where(scale == 0.0, worst / np.where(scale > 0.0, scale, 1.0))
 
 
 def bat_residual(v: Variation) -> np.ndarray:
@@ -328,9 +331,10 @@ def nullity_annihilation_residual(
     frame: PointFrame, b_op: np.ndarray, basis: np.ndarray, norm=None
 ) -> np.ndarray:
     """max ||B v||_G over the relative-nullity directions v, the columns of
-    ``basis`` (..., d, k), relative to ||B||_G (``norm``, when the caller
-    keeps it, as :attr:`Variation.B_norm`).  Zeroed columns, such as the
-    eigenvectors a rank mask leaves out, count for nothing."""
+    ``basis`` (..., d, k), relative to the Frobenius G-norm ||B||_G
+    (``norm``, when the caller keeps it, as :attr:`Variation.B_norm`).
+    Zeroed columns, such as the eigenvectors a rank mask leaves out, count
+    for nothing."""
     if norm is None:
         norm = gnorm_op(frame, b_op)
     worst = gnorm_columns(frame.chol, b_op @ basis).max(axis=-1, initial=0.0)
@@ -382,8 +386,9 @@ def classify_triviality(v: Variation) -> TrivialityResult:
 
     Raises :class:`PreconditionError` if the field's bending residual
     exceeds ``_BENDING_TOL`` anywhere in the sample; the score is the
-    largest ||B||_G / (||A||_G * sigma) with sigma the relative field size,
-    and the bending is trivial when it is below ``_TRIVIAL_THRESHOLD``.
+    largest ||B||_G / (||A||_G * sigma), both Frobenius G-norms, with sigma
+    the relative field size, and the bending is trivial when it is below
+    ``_TRIVIAL_THRESHOLD``.
     """
     frame = v.frame
     worst_bend = float(bending_residual(v).max())

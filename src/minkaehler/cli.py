@@ -34,6 +34,7 @@ exits 2 with an ``error:`` line naming the key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -159,7 +160,10 @@ def print_defaults() -> None:
     print(render_json(payload))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="minkaehler",
         description=(

@@ -13,9 +13,10 @@ cells, and the CSV formats each distinct chart coordinate once, since a
 grid line repeats its coordinates in every row.  Text is held per chunk as
 a few large strings, never one object per cell for the whole slice.  Every
 frame and residual is computed before either file is opened, so a failed
-slice writes nothing; the slice reads A and ||A||_G of its frame, never
-the eigen-data.  A slice's JSON form is read against ``SLICE_SCHEMA``,
-which the CLI config's ``export`` section shares.
+slice writes nothing; the slice reads A and its Frobenius G-norm ||A||_G
+(:func:`~minkaehler.geometry.gnorm_op`) of its frame, never the eigen-data,
+so an export calls no eigen-solver.  A slice's JSON form is read against
+``SLICE_SCHEMA``, which the CLI config's ``export`` section shares.
 """
 
 from __future__ import annotations
@@ -228,8 +229,9 @@ def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, nam
     """Sample the slice and write both files; returns the point count.
 
     The CSV carries two analytic per-point residual columns: the
-    minimality defect |trace A| / ||A|| and the anticommutation defect
-    ||A J + J A|| / ||A||.
+    minimality defect |trace A| / ||A||_G and the anticommutation defect
+    ||A J + J A||_G / ||A||_G, each ||.||_G the Frobenius G-norm of
+    :func:`~minkaehler.geometry.gnorm_op`.
     """
     chart = slice_chart(seed, spec)
     pts = slice_points(chart, spec)

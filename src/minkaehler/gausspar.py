@@ -253,7 +253,8 @@ def minimality_criterion(data: GaussDatum, qpts) -> MinimalityPair:
     """Evaluate both sides of the minimality equivalence on a (..., d)
     point stack: the chart's :func:`~minkaehler.geometry.minimality_residual`
     |trace A| / ||A||_G at the lifted point (zero fiber coordinates), where
-    ||A||_G is the largest |eigenvalue| of the G-self-adjoint A, and
+    ||A||_G is the Frobenius G-norm of A (the root of the sum of its
+    squared eigenvalues, A being G-self-adjoint), and
     |(Laplace + d) gamma| on the quotient from one exact 2-jet of g and
     gamma."""
     q = np.asarray(qpts, dtype=np.float64)

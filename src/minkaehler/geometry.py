@@ -18,10 +18,10 @@ partials over the whole stack (:func:`~minkaehler.kernels.cross_columns`);
 G^{-1} = C^{-T} C^{-1}, d_l G, H, A, ||A||_G, the Christoffel symbols and
 the eigen-data of A.  Every residual that reads the frame applies the
 stored inverses (batched matmuls); nothing here factors G, solves against
-it or calls LAPACK once per point, and only a reader of the eigen-data or
-of a G-norm decomposes per point.  :func:`point_frame` reads C and C^{-1}
-for its regularity check and takes an SVD of the first partials only at
-the points their bound cannot clear.
+it or calls LAPACK once per point, and only a reader of the eigen-data
+decomposes per point: a G-norm is a Frobenius norm (:func:`gnorm_op`).
+:func:`point_frame` reads C and C^{-1} for its regularity check and takes
+an SVD of the first partials only at the points their bound cannot clear.
 
 Every contraction of per-point tensors, here and in
 :mod:`~minkaehler.bending`, is one batched ``matmul`` per point: a jet's
@@ -38,7 +38,9 @@ in index order; H_ij = <f_ij, N>; A = G^{-1} H.  Eigenvalues of A are
 computed through the symmetric pencil (H, G) so they are real and the
 eigenvectors are G-orthonormal; both are sorted by descending absolute
 value, and of two values whose moduli agree to roundoff the positive one
-comes first.  Norms written ||.||_G use the induced metric.
+comes first.  Norms written ||.||_G use the induced metric: a vector's is
+its length in G, an operator's the Frobenius norm of its matrix in a
+G-orthonormal basis, sqrt(tr(G^{-1} M^T G M)) (:func:`gnorm_op`).
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class PointFrame:
         return self.metric_inv @ self.second_form
 
     @cached_property
-    def shape_norm(self) -> np.ndarray:  # ||A||_G per point
+    def shape_norm(self) -> np.ndarray:  # Frobenius G-norm ||A||_G per point
         return gnorm_op(self, self.shape_operator)
 
     @cached_property
@@ -249,12 +251,16 @@ def point_frame(jet: Jet2) -> PointFrame:
 
 
 def gnorm_op(frame: PointFrame, M: np.ndarray) -> np.ndarray:
-    """Operator norm of an endomorphism M in the G-geometry of the frame:
-    the spectral norm of C^T M C^{-T}, taken as that of its transpose
-    K = C^{-1} M^T C, i.e. the square root of the largest eigenvalue of
-    K K^T.  M may carry extra leading axes."""
+    """Frobenius G-norm of an endomorphism M on the frame's points: the
+    Frobenius norm of its matrix C^T M C^{-T} in the G-orthonormal basis
+    (the columns of C^{-T}), taken as that of its transpose K = C^{-1} M^T C,
+    so ||M||_G^2 = tr(G^{-1} M^T G M).  It does not change under a homothety
+    or a change of basis; it lies between the operator norm and sqrt(d)
+    times it, and on a rank-2 operator with eigenvalues +-lambda it is
+    sqrt(2) |lambda|.  M may carry extra leading axes."""
     K = frame.chol_inv @ _t(M) @ frame.chol
-    return np.sqrt(np.linalg.eigvalsh(K @ _t(K))[..., -1])
+    K = K.reshape(K.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(K, K))
 
 
 def gnorm_columns(chol: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -364,13 +370,15 @@ def parallel_residual(frame: PointFrame, S: np.ndarray, dS) -> np.ndarray:
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
-    """|trace A| / ||A||_G, unit-free; a point with A = 0 reads 0."""
+    """|trace A| / ||A||_G with the Frobenius G-norm of :func:`gnorm_op`,
+    unit-free; a point with A = 0 reads 0."""
     scale = frame.shape_norm
     return np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / np.where(scale > 0.0, scale, 1.0)
 
 
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
-    """||A J + J A||_G / ||A||_G, unit-free; a point with A = 0 reads 0."""
+    """||A J + J A||_G / ||A||_G, both Frobenius G-norms (:func:`gnorm_op`),
+    unit-free; a point with A = 0 reads 0."""
     A = frame.shape_operator
     den = frame.shape_norm
     return gnorm_op(frame, A @ J + J @ A) / np.where(den > 0.0, den, 1.0)
@@ -383,16 +391,17 @@ def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
 
 
 def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:
-    """max_{i,j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G / ||S||_G for the
-    operator S on the frame's points and its coordinate derivatives
-    dS[..., i] = d_i S; ``norm`` is ||S||_G when the caller keeps it.  It
-    reads dS only through d_i S e_j - d_j S e_i, so a part of dS symmetric
-    in (i, j), which :func:`~minkaehler.bending.B_with_codazzi_derivative`
-    leaves out, does not count."""
+    """sqrt(sum_{i<j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G^2) / ||S||_G
+    for the operator S on the frame's points and its coordinate derivatives
+    dS[..., i] = d_i S, both norms Frobenius (:func:`gnorm_op`); ``norm`` is
+    ||S||_G when the caller keeps it.  It reads dS only through d_i S e_j -
+    d_j S e_i, so a part of dS symmetric in (i, j), which
+    :func:`~minkaehler.bending.B_with_codazzi_derivative` leaves out, does
+    not count."""
     if norm is None:
         norm = gnorm_op(frame, S)
     nab = np.swapaxes(covariant_field_derivative(frame.christoffel, S, dS), -2, -1)
     iu, ju = np.triu_indices(frame.d, 1)
     diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
-    norms = np.linalg.norm(diff @ frame.chol, axis=-1)  # ||C^T v|| = ||v^T C||
-    return norms.max(axis=-1, initial=0.0) / np.maximum(norm, 1e-14)
+    # ||C^T v|| = ||v^T C|| per pair, summed in squares over the pairs
+    return np.linalg.norm(diff @ frame.chol, axis=(-2, -1)) / np.maximum(norm, 1e-14)

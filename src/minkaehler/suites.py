@@ -193,7 +193,7 @@ def _suite(tolerance: float):
 
 @_suite(1e-8)
 def minimality(b: ChartBundle):
-    """|trace A| / ||A||, pointwise."""
+    """|trace A| / ||A||_G, pointwise, with the Frobenius G-norm."""
     return (minimality_residual(b.frame),)
 
 

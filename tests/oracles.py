@@ -41,6 +41,9 @@ evidence rather than tautology.
 * the loops that the package's vectorized kernels replaced, kept as
   references: the generalized cross product one cofactor determinant at a
   time, and a residual report aggregated point by point.
+* the operator norm in the G-geometry, the spectral norm of C^T M C^{-T}
+  from one ``eigvalsh`` per point: the G-norm the package used before its
+  Frobenius norm, which lies between it and sqrt(d) times it.
 * the frame and bending contractions as numpy's ``einsum`` and broadcast
   matmuls wrote them before every contraction became one matmul per point
   (Christoffel symbols, d_l G, H, the Laplace-Beltrami operator, the
@@ -208,6 +211,13 @@ def point_frame_full_svd(jet) -> PointFrame:
     if bad.any():
         raise NonImmersionPointError(f"degenerate normal at {jet.coords[tuple(np.argwhere(bad)[0])]}")
     return frame
+
+
+def gnorm_spectral(frame, M: np.ndarray) -> np.ndarray:
+    """Spectral norm of C^T M C^{-T}, with C the frame's Cholesky factor of
+    G: the square root of the largest eigenvalue of K K^T, K = C^{-1} M^T C."""
+    K = frame.chol_inv @ np.swapaxes(M, -1, -2) @ frame.chol
+    return np.sqrt(np.linalg.eigvalsh(K @ np.swapaxes(K, -1, -2))[..., -1])
 
 
 def export_slice_per_cell(seed, spec, obj_path, csv_path, name: str = "slice") -> None:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from minkaehler import builtin_seed
-from minkaehler.cli import DEFAULT_CONFIG, load_config, main
+from minkaehler.cli import DEFAULT_CONFIG, build_parser, load_config, main
 from minkaehler.errors import NonImmersionPointError
 from minkaehler.suites import SUITE_ORDER
 from minkaehler.weierstrass import seed_to_json
@@ -71,6 +71,19 @@ class TestTopLevel:
     def test_no_command_prints_help_and_fails(self, capsys):
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        # one parser per process: a parse leaves nothing for the next, and
+        # a usage error exits 2 with the same message every time
+        assert build_parser() is build_parser()
+        assert build_parser().parse_args(["verify", "--suite", "rank"]).suites == ["rank"]
+        assert build_parser().parse_args(["verify"]).suites is None
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--bogus"])
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1] and errors[0][0] == 2 and "--bogus" in errors[0][1]
 
     def test_defaults_object_is_not_mutated_by_configs(self, tmp_path):
         before = json.dumps(DEFAULT_CONFIG, sort_keys=True)

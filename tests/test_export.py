@@ -268,6 +268,24 @@ class TestExportedGeometry:
         assert data[:, 5].max() < 1e-12  # anticommutation defect
         assert data[:, 6].max() < 1e-12  # minimality defect
 
+    def test_export_calls_no_eigen_solver(self, tmp_path, monkeypatch):
+        # the residual columns read A and its Frobenius G-norm, never an
+        # eigen-decomposition
+        calls = []
+
+        def counted(name, routine):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+
+            return call
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        spec = SliceSpec(counts=(8, 8), fixed={2: 0.1, 3: -0.05}, field_name="ftheta", theta=0.7)
+        assert export_slice(builtin_seed("m4r5"), spec, tmp_path / "s.obj", tmp_path / "s.csv") == 64
+        assert calls == []
+
     def test_phase_family_meshes_are_isometric(self, tmp_path):
         # tiny grid: chord lengths approximate intrinsic distances to
         # third order, and the induced metric is shared across the family

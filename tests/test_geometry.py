@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from oracles import (
     ellipse_support,
     fd_christoffel,
     fd_jet,
+    gnorm_spectral,
     metric_of,
     plane_chart,
     point_frame_full_svd,
@@ -216,8 +219,8 @@ class TestPointFrame:
         A = np.linalg.solve(G, fr.second_form)
         proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(-1, d, d * d)
         gam = np.linalg.solve(G, proj).reshape(-1, d, d, d)
-        K = np.linalg.solve(L, np.swapaxes(fr.shape_operator, -1, -2) @ L)
-        norm = np.sqrt(np.linalg.eigvalsh(K @ np.swapaxes(K, -1, -2))[..., -1])
+        # ||C^T A C^{-T}||_F as the norm of its transpose, solved against C
+        norm = np.linalg.norm(np.linalg.solve(L, np.swapaxes(fr.shape_operator, -1, -2) @ L), axis=(-2, -1))
         for got, want in ((fr.shape_operator, A), (fr.christoffel, gam), (fr.shape_norm[:, None], norm[:, None])):
             axes = tuple(range(1, want.ndim))
             miss = np.abs(got - want).max(axis=axes)
@@ -441,22 +444,60 @@ class TestNorms:
         v = rng.standard_normal(3)
         M = rng.standard_normal((3, 3))
         assert gnorm_columns(fr.chol, v[:, None])[0] == pytest.approx(np.linalg.norm(v))
-        assert gnorm_op(fr, M) == pytest.approx(np.linalg.norm(M, 2))
+        assert gnorm_op(fr, M) == pytest.approx(np.linalg.norm(M, "fro"))
 
     def test_metric_invariance_of_operator_norm(self):
-        # the identity has G-operator norm 1 in any metric
+        # the identity has Frobenius G-norm sqrt(d) in any metric
         fr = chol_frame(np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 2.0]])))
-        assert gnorm_op(fr, np.eye(2)) == pytest.approx(1.0)
+        assert gnorm_op(fr, np.eye(2)) == pytest.approx(math.sqrt(2.0))
 
     @pytest.mark.parametrize("d", [2, 4, 6])
-    def test_operator_norm_is_the_spectral_norm_of_the_reduced_matrix(self, rng, d):
+    def test_operator_norm_is_the_frobenius_norm_of_the_reduced_matrix(self, rng, d):
         raw = rng.standard_normal((64, d, d))
         fr = chol_frame(np.linalg.cholesky(raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d)))
         chol = fr.chol
         M = rng.standard_normal((64, d, d))
-        want = np.linalg.norm(np.linalg.solve(chol, np.swapaxes(M, -1, -2) @ chol), 2, axis=(-2, -1))
+        # ||C^T M C^{-T}||_F as the norm of its transpose, solved against C
+        want = np.linalg.norm(np.linalg.solve(chol, np.swapaxes(M, -1, -2) @ chol), axis=(-2, -1))
         np.testing.assert_allclose(gnorm_op(fr, M), want, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(gnorm_op(fr, np.zeros_like(M)), 0.0)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_frobenius_norm_against_the_spectral_norm(self, rng, d):
+        # between the spectral G-norm and sqrt(d) times it; unchanged when G
+        # takes another factor C Q, a homothety lambda^2 G or a change of
+        # basis P (G -> P^T G P, M -> P^{-1} M P); sqrt(2) times the spectral
+        # norm on a G-self-adjoint rank-2 operator with eigenvalues +-lambda
+        eps = np.finfo(float).eps
+        raw = rng.standard_normal((64, d, d))
+        G = raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d)
+        fr = chol_frame(np.linalg.cholesky(G))
+        M = rng.standard_normal((64, d, d))
+        got, spectral = gnorm_op(fr, M), gnorm_spectral(fr, M)
+        assert np.all(spectral <= got * (1 + 8 * eps))
+        assert np.all(got <= math.sqrt(d) * spectral * (1 + 8 * eps))
+
+        Q = np.linalg.qr(rng.standard_normal((64, d, d)))[0]
+        # gnorm_op reads only the factor of G and its inverse
+        turned = SimpleNamespace(chol=fr.chol @ Q, chol_inv=np.swapaxes(Q, -1, -2) @ fr.chol_inv)
+        np.testing.assert_allclose(gnorm_op(turned, M), got, rtol=1e-12, atol=0)
+        P = rng.standard_normal((64, d, d)) + d * np.eye(d)
+        for lam in (1e-8, 1.0, 1e8):
+            moved = chol_frame(np.linalg.cholesky(lam**2 * np.swapaxes(P, -1, -2) @ G @ P))
+            np.testing.assert_allclose(gnorm_op(moved, np.linalg.solve(P, M @ P)), got, rtol=1e-10, atol=0)
+
+        lam = rng.uniform(0.5, 2.0, size=64)[:, None, None]
+        reduced = Q[..., :2] @ (lam * np.diag([1.0, -1.0])) @ np.swapaxes(Q[..., :2], -1, -2)
+        pm = np.swapaxes(fr.chol_inv, -1, -2) @ reduced @ np.swapaxes(fr.chol, -1, -2)  # C^{-T} R C^T
+        np.testing.assert_allclose(gnorm_spectral(fr, pm), lam[:, 0, 0], rtol=1e-12)
+        np.testing.assert_allclose(gnorm_op(fr, pm), math.sqrt(2.0) * gnorm_spectral(fr, pm), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["enneper", "m4r5"])
+    def test_shape_norm_is_sqrt2_times_the_spectral_norm_on_minimal_kaehler_charts(self, name):
+        # A is G-self-adjoint of rank 2 with eigenvalues +-lambda
+        fr = seed_bundle(name).frame
+        A = fr.shape_operator
+        np.testing.assert_allclose(fr.shape_norm, math.sqrt(2.0) * gnorm_spectral(fr, A), rtol=1e-12)
 
 
 class TestChristoffel:
@@ -552,11 +593,12 @@ class TestCurvatureIdentities:
 
 class TestMinimalityResidual:
     def test_trace_over_operator_norm(self):
-        # the graph of (x^2 + lam y^2) / 2 has A = diag(1, lam) at the origin
+        # the graph of (x^2 + lam y^2) / 2 has A = diag(1, lam) at the
+        # origin, Frobenius G-norm sqrt(1 + lam^2)
         assert minimality_residual(point_frame(graph_jet(-1.0))) == 0.0
-        assert minimality_residual(point_frame(graph_jet(0.5))) == pytest.approx(1.5, rel=1e-14)
+        assert minimality_residual(point_frame(graph_jet(0.5))) == pytest.approx(1.5 / math.sqrt(1.25), rel=1e-14)
         sphere = point_frame(sphere_chart().jet([0.5, 1.2]))  # A = +Identity
-        assert minimality_residual(sphere) == pytest.approx(2.0, rel=1e-12)
+        assert minimality_residual(sphere) == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_zero_shape_operator_gives_zero(self, enneper_chart):
         assert minimality_residual(point_frame(plane_chart().jet([0.0, 0.0]))) == 0.0

@@ -375,13 +375,13 @@ def test_parallel_rows_do_not_depend_on_the_chart_units():
     assert np.ma.min(control) > 0.5
 
 
-def _bumped(jet, axis: int, power: int = 2):
-    """``jet`` plus the field 1e-6 x0^power e_axis, in closed form."""
+def _bumped(jet, axis: int, power: int = 2, size: float = 1e-6):
+    """``jet`` plus the field size x0^power e_axis, in closed form."""
     x0 = jet.coords[..., 0]
     value, d1, d2 = jet.value.copy(), jet.d1.copy(), jet.d2.copy()
-    value[..., axis] += 1e-6 * x0**power
-    d1[..., 0, axis] += 1e-6 * power * x0 ** (power - 1)
-    d2[..., 0, 0, axis] += 1e-6 * power * (power - 1) * x0 ** (power - 2)
+    value[..., axis] += size * x0**power
+    d1[..., 0, axis] += size * power * x0 ** (power - 1)
+    d2[..., 0, 0, axis] += size * power * (power - 1) * x0 ** (power - 2)
     return dataclasses.replace(jet, value=value, d1=d1, d2=d2)
 
 
@@ -418,13 +418,28 @@ def _scaled(jet, factor: float):
 
 
 @pytest.mark.parametrize("name", SEED_NAMES)
-def test_relative_rows_do_not_depend_on_a_homothety(name):
-    # f and T scaled by lambda: A scales by 1/lambda, and the three unit-free
-    # rows keep their roundoff readings, with no absolute floor on ||A||_G
-    # or ||A T_*||_G to blind them, and the bending_bat control keeps its teeth
+def test_a_scaled_bump_fails_b_three_route(name):
+    # f and T scaled by 1e3, T bumped by 1e-5 * 1e3 x0^2 e0: the B routes
+    # shrink by 1e3 with the chart, and b_three_route, relative to their
+    # largest G-norm with no floor, FAILs by more than 20 times its tolerance
     seed = builtin_seed(name)
     f, T = build_bundle(seed)._grid_jets
-    names = ["minimality", "anticommutation", "bending_bat"]
+    bundle = build_bundle(seed)
+    bundle.__dict__["_grid_jets"] = (_scaled(f, 1e3), _bumped(_scaled(T, 1e3), 0, size=1e-2))
+    row, = run_suites(bundle, ["b_three_route"])
+    assert row.excluded == 0
+    assert row.max_residual > 20 * DEFAULT_TOLERANCES["b_three_route"]
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_relative_rows_do_not_depend_on_a_homothety(name):
+    # f and T scaled by lambda: A scales by 1/lambda, and the four unit-free
+    # rows keep their roundoff readings, with no absolute floor on ||A||_G,
+    # ||A T_*||_G or the B routes' norms to blind them, and the bending_bat
+    # control keeps its teeth
+    seed = builtin_seed(name)
+    f, T = build_bundle(seed)._grid_jets
+    names = ["minimality", "anticommutation", "bending_bat", "b_three_route"]
 
     def rows(factor):
         bundle = build_bundle(seed)
@@ -480,12 +495,14 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     LAPACK per point to factor G or to take a normal: each of the two frame
     stacks, the grid's and the family's, takes its normal and the Cholesky
     factor of G with its inverse from one Householder pass over the stack,
-    with no solve, inverse, Cholesky factor or determinant; the only
-    per-point decompositions left are the G-norms' eigvalsh calls.  Every
-    contraction is a matmul: nothing calls einsum."""
+    with no solve, inverse, Cholesky factor or determinant.  The only
+    per-point decomposition left is the grid frame's one eigh of its
+    reduced shape operator, for rank, rotation and the nullity directions;
+    every G-norm is a Frobenius norm, with no eigvalsh.  Every contraction
+    is a matmul: nothing calls einsum."""
     builds, calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], []
-    einsums, crosses = [], []
-    factorizations = {name: [] for name in ("solve", "inv", "cholesky", "det", "eigvalsh")}
+    einsums, crosses, gnorms = [], [], []
+    factorizations = {name: [] for name in ("solve", "inv", "cholesky", "det", "eigvalsh", "eigh")}
     series_init, series_jet = SeriesChart.__init__, SeriesChart.jet_batch
     frame = geometry.point_frame
     christoffel = geometry.christoffel
@@ -493,6 +510,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     build_chain = weierstrass.build_chain
     horner_many = kernels.horner_many
     cross_columns = kernels.cross_columns
+    gnorm_op = geometry.gnorm_op
     einsum = np.einsum
     pieces = {name: [] for name in ("tstar", "sigma", "normal_variation")}
 
@@ -538,6 +556,10 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         crosses.append(d1.shape)
         return cross_columns(d1)
 
+    def counted_gnorm(frame, M):
+        gnorms.append(np.shape(M))
+        return gnorm_op(frame, M)
+
     def counted_einsum(*args, **kwargs):
         einsums.append(args[0])
         return einsum(*args, **kwargs)
@@ -564,6 +586,8 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted_linalg(name))
     monkeypatch.setattr(np, "einsum", counted_einsum)
     monkeypatch.setattr(kernels, "cross_columns", counted_cross)
+    for module in (geometry, bending):
+        monkeypatch.setattr(module, "gnorm_op", counted_gnorm)
     seed = builtin_seed("m4r5")  # checks itself on a domain sample, by Horner
     monkeypatch.setattr(kernels, "horner_many", counted_horner)
     bundle = build_bundle(seed)
@@ -591,14 +615,16 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(pieces["tstar"]) == 3 and len(pieces["normal_variation"]) == 2
     assert [id(v) for v in pieces["sigma"]] == [id(v) for v in pieces["normal_variation"]]
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
-    assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 12}
+    assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 0, "eigh": 1}
+    assert factorizations["eigh"] == [(144, 4, 4)]
     # G-norms of 14 operators per point: ||A||_G, ||AJ + JA||_G, T_* of the
     # conjugate and of the bending_tpar control, ||A T_*||_G and the
     # bending_bat numerator for the conjugate and the trivial control, ||B||_G
     # (once, for codazzi_b, b_three_route and nullity_in_bending_kernel), the
     # codazzi_b control's operator, the variation route's B and three route
     # differences
-    matrices = sum(math.prod(shape[:-2]) for shape in factorizations["eigvalsh"])
+    assert len(gnorms) == 12
+    matrices = sum(math.prod(shape[:-2]) for shape in gnorms)
     assert matrices == 14 * len(bundle.points) == 2016
     assert einsums == []
     # one Householder pass per frame stack: the grid frame's and the family's
