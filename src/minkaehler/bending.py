@@ -20,15 +20,15 @@ chart's points.  A chart is its own position field, the conjugate field of
 the family member at theta is the member at theta + pi/2
 (:func:`conjugate_field`), and a trivial field's jet is a linear map of the
 chart's (:func:`trivial_jet`).  Since jets are linear, the jet of f + tT,
-or of a sum of fields, is the sum of the jets
-(:func:`~minkaehler.charts.mix_jets`).
+or of a sum of fields, is the sum of the jets.
 
 Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
 shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
-same stack, and returns one value per point.  A Variation keeps tau, sigma,
-dN, T_*, B and the G-norms ||B||_G and ||A T_*||_G once computed, so each
-is computed once per field; the three routes to B share only those inputs.
+same stack, and returns one value per point.  A Variation keeps tau,
+<T_ij, N>, sigma, dN, T_*, B and the G-norms ||B||_G and ||A T_*||_G once
+computed, so each is computed once per field; the three routes to B share
+only those inputs.
 Every ||.||_G of an operator is its Frobenius G-norm,
 :func:`~minkaehler.geometry.gnorm_op`, and of a vector its length in G.
 Every route reads G^{-1}, C and C^{-1} (in ||.||_G) and d_l G from the
@@ -116,6 +116,11 @@ class Variation:
         return (self.jet.d1 @ self.frame.normal[..., None])[..., 0]
 
     @cached_property
+    def second_form(self) -> np.ndarray:
+        """<T_ij, N>, the normal part of T's second partials."""
+        return (_flat(self.jet.d2, 2) @ self.frame.normal[..., None]).reshape(self.jet.d2.shape[:-1])
+
+    @cached_property
     def sigma(self) -> np.ndarray:
         """sigma = G^{-1} tau: the tangent vector s = f_*(sigma) has <s, f_k> = tau_k."""
         return (self.frame.metric_inv @ self.tau[..., None])[..., 0]
@@ -192,8 +197,7 @@ def B_by_variation(v: Variation) -> np.ndarray:
     frame, dN = v.frame, v.normal_variation
     dG = frame.jet.d1 @ _t(v.jet.d1)
     dG = dG + _t(dG)
-    dH = _flat(v.jet.d2, 2) @ frame.normal[..., None] + _flat(frame.jet.d2, 2) @ dN[..., None]
-    dH = dH.reshape(v.jet.d2.shape[:-1])
+    dH = v.second_form + (_flat(frame.jet.d2, 2) @ dN[..., None]).reshape(v.jet.d2.shape[:-1])
     return frame.metric_inv @ (dH - dG @ frame.shape_operator)
 
 
@@ -284,13 +288,13 @@ def B_with_codazzi_derivative(v: Variation) -> tuple:
     a d^4 array per point, is formed.
     """
     frame, jet, field_jet = v.frame, v.frame.jet, v.jet
-    Ginv, N, f1, f2, sigma = frame.metric_inv, frame.normal, jet.d1, jet.d2, v.sigma
+    Ginv, f1, f2, sigma = frame.metric_inv, jet.d1, jet.d2, v.sigma
     dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
     pair = f2.shape[:-1]
     triple = pair + (frame.d,)
     dG = _flat(frame.metric_derivative, 2)  # [..., (l, k), q] = d_l G_kq
     dtau = dN @ _t(field_jet.d1)  # [l, k] = <T_k, d_l N> + <T_kl, N>
-    dtau += _t((_flat(field_jet.d2, 2) @ N[..., None]).reshape(pair))
+    dtau += _t(v.second_form)
     dsigma = Ginv @ _t(dtau - (dG @ sigma[..., None]).reshape(pair))  # [q, l]
     ds = _t(dsigma) @ f1 + (sigma[..., None, :] @ _flat(f2, 2, keep=0)).reshape(f1.shape)
     # dform[..., i, j, l] = d_l B_ij less <T_ijl, N> - <f_ijl, s>
@@ -303,28 +307,33 @@ def B_with_codazzi_derivative(v: Variation) -> tuple:
     return op, np.swapaxes((Ginv @ _flat(rhs, 2, keep=0)).reshape(triple), -3, -2)
 
 
+_WEDGE_BLOCK = 256  # points per block of the linearized curvature identity's wedge
+
+
 def fundamental_equation_residual(v: Variation) -> np.ndarray:
     """Linearized curvature identity: A X ^ B Y + B X ^ A Y = 0.
 
     Differentiating the curvature of the isometric family f + tT in t must
     give zero; the residual is the worst basis pair, normalized by the
     sizes of the lowered operators.  The wedge (u ^ v) Z = <v, Z>_G u -
-    <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.
+    <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.  Its products hold d^4
+    numbers per point, so they run over blocks of ``_WEDGE_BLOCK`` points.
     """
     frame, A, B = v.frame, v.frame.shape_operator, v.B
-    GA = frame.metric @ A
-    GB = frame.metric @ B
+    GA, GB = frame.metric @ A, frame.metric @ B
+    den = np.linalg.norm(GA, axis=(-2, -1)) * np.linalg.norm(GB, axis=(-2, -1))
     iu, ju = np.triu_indices(frame.d, 1)
     # (A e_i ^ B e_j) + (B e_i ^ A e_j) for the pair i < j is U V with the
     # columns U = [A e_i, -B e_j, B e_i, -A e_j] and the rows
     # V = [GB e_j, GA e_i, GA e_j, GB e_i]: one product per pair
-    At, Bt, GAt, GBt = _t(A), _t(B), _t(GA), _t(GB)
-    U = np.stack([At[..., iu, :], -Bt[..., ju, :], Bt[..., iu, :], -At[..., ju, :]], axis=-1)
-    V = np.stack([GBt[..., ju, :], GAt[..., iu, :], GAt[..., ju, :], GBt[..., iu, :]], axis=-2)
-    mix = U @ V
-    den = np.linalg.norm(GA, axis=(-2, -1)) * np.linalg.norm(GB, axis=(-2, -1))
-    worst = np.linalg.norm(mix, axis=(-2, -1)).max(axis=-1, initial=0.0)
-    return worst / np.maximum(den, 1e-14)
+    At, Bt, GAt, GBt = (_t(M).reshape((-1,) + M.shape[-2:]) for M in (A, B, GA, GB))
+    worst = np.empty(len(At))
+    for lo in range(0, len(At), _WEDGE_BLOCK):
+        a, b, ga, gb = (M[lo : lo + _WEDGE_BLOCK] for M in (At, Bt, GAt, GBt))
+        U = np.stack([a[:, iu], -b[:, ju], b[:, iu], -a[:, ju]], axis=-1)
+        V = np.stack([gb[:, ju], ga[:, iu], ga[:, ju], gb[:, iu]], axis=-2)
+        worst[lo : lo + _WEDGE_BLOCK] = np.linalg.norm(U @ V, axis=(-2, -1)).max(axis=-1, initial=0.0)
+    return worst.reshape(den.shape) / np.maximum(den, 1e-14)
 
 
 def nullity_annihilation_residual(

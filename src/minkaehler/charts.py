@@ -6,11 +6,10 @@ box through ``jet_batch``; ``jet`` wraps that stack as a :class:`Jet2`
 with the points' leading axes, a single point being the case with none.
 Charts built from holomorphic seed data live in :mod:`minkaehler.weierstrass`,
 where a stack of family members puts a member axis before the points
-and ``member_jets`` splits it into one Jet2 per member.  This module holds the shared
-protocol, :func:`mix_jets` (jets are linear, so the jet of a f + b g,
-f + tT among them, is combined from the two jets) and products with a
-Euclidean factor.  Closed-form charts, one value formula in Taylor
-arithmetic, are :class:`minkaehler.taylor.TaylorChart`.
+and ``member_jets`` splits it into one Jet2 per member.  This module holds
+the shared protocol and products with a Euclidean factor.  Closed-form
+charts, one value formula in Taylor arithmetic, are
+:class:`minkaehler.taylor.TaylorChart`.
 """
 
 from __future__ import annotations
@@ -46,14 +45,6 @@ class Jet2:
     @property
     def ambient(self) -> int:
         return self.d1.shape[-1]
-
-
-def mix_jets(a, ja: Jet2, b, jb: Jet2) -> Jet2:
-    """The 2-jet of a f + b g from the jets of f and g on the same points
-    (exact: jets are linear); 1-d arrays a, b stack the mixes on a new leading axis."""
-    pairs = ((ja.value, jb.value), (ja.d1, jb.d1), (ja.d2, jb.d2))
-    mixed = (np.multiply.outer(a, x) + np.multiply.outer(b, y) for x, y in pairs)
-    return Jet2(np.broadcast_to(ja.coords, np.shape(a) + ja.coords.shape), *mixed)
 
 
 class ImmersionChart:

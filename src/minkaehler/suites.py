@@ -6,10 +6,16 @@ map.  :class:`ChartBundle` evaluates both in one call on the sample grid,
 as the two-member stack ``SeriesChart(seed, (0, pi/2))`` at order 2, and
 derives the rest from them: the grid frame, the conjugate as a
 :class:`~minkaehler.bending.Variation` along it that keeps its dN, T_* and
-B for every suite, the members cos(theta) f + sin(theta) fbar of the phase
-family, and the control fields, each a Variation of its own, the
-quadratic one in closed form.  Every identity the suites check is
-pointwise, so the grid is the only evaluation.
+B for every suite, and the control fields, each a Variation of its own,
+the quadratic one in closed form.  No member cos(theta) f + sin(theta)
+fbar of the phase family is built: its metric, normal and shape operator
+are trigonometric polynomials in theta, so each family row bounds its
+identity at every theta from f's frame and fbar's jet.  Every identity
+the suites check is pointwise, so the grid is the only evaluation.
+
+On seed charts fbar's 2-jet is f's under J, bit for bit, so the bending
+rows and ``family_shape`` (exactly 0 there) test f's Hermitian, anti-J and
+parallel-J structure and the pipeline, not a bending independent of f.
 
 Each suite is registered once below, in verify order and with its default
 tolerance; its docstring states the identity it measures.  A suite maps
@@ -44,12 +50,14 @@ from .bending import (
     parallel_tangential_residual,
     rotation_coefficient,
 )
-from .charts import Jet2, grid_points, mix_jets, shrink_box
+from .charts import Jet2, grid_points, shrink_box
 from .errors import IndeterminateRankWarning
 from .geometry import (
     PointFrame,
+    _t,
     anticommutation_residual,
     codazzi_residual,
+    gnorm_op,
     minimality_residual,
     parallel_J_residual,
     point_frame,
@@ -76,7 +84,6 @@ DEFAULT_RNG_SEED = 20260816
 # Floor every negative control must exceed to prove the residual has teeth.
 CONTROL_FLOOR = 1e-2
 
-_FAMILY_THETAS = tuple(k * math.pi / 6 for k in range(1, 6))
 # every chart of the construction has a rank-2 shape operator (nullity d - 2)
 _EXPECTED_RANK = 2
 # the sample grid keeps off the edge of the chart box, which the seed's domain sets
@@ -130,25 +137,6 @@ class ChartBundle:
         rng = np.random.default_rng(DEFAULT_RNG_SEED + stream)
         return make_trivial(self.frame.jet, rng)
 
-    @cached_property
-    def family(self) -> tuple:
-        """Metric/normal/shape deviations across the phase family, per point,
-        the largest over the members: one unchecked PointFrame over the (5, P)
-        stack of their grid jets, each isometric to f, whose frame passed the
-        checks.  It reads G, N and A: one Householder pass over the whole
-        stack."""
-        base = self.frame
-        gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
-        ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
-        cos, sin = (np.array([fn(t) for t in _FAMILY_THETAS]) for fn in (math.cos, math.sin))
-        members = PointFrame(mix_jets(cos, base.jet, sin, self.conjugate.jet))
-        blend = cos[:, None, None, None] * np.eye(self.d) + sin[:, None, None, None] * self.J
-        expected = base.shape_operator @ blend
-        metric = np.linalg.norm(members.metric - base.metric, axis=(-2, -1)) / gscale
-        normal = np.linalg.norm(members.normal - base.normal, axis=-1)
-        shape = np.linalg.norm(members.shape_operator - expected, axis=(-2, -1)) / ascale
-        return metric.max(axis=0), normal.max(axis=0), shape.max(axis=0)
-
 
 def build_bundle(seed: WeierstrassSeed, counts=None) -> ChartBundle:
     """The seed's chart f, sampled on its box shrunk by ``_GRID_MARGIN``
@@ -158,9 +146,7 @@ def build_bundle(seed: WeierstrassSeed, counts=None) -> ChartBundle:
         counts = default_counts(chart.d)
     counts = [int(c) for c in counts]
     if len(counts) != chart.d:
-        raise ValueError(
-            f"sampling counts must list {chart.d} axes, got {len(counts)}"
-        )
+        raise ValueError(f"sampling counts must list {chart.d} axes, got {len(counts)}")
     if any(c < 2 for c in counts):
         raise ValueError("sampling needs at least 2 points per axis")
     pts = grid_points(shrink_box(chart.box, _GRID_MARGIN), counts)
@@ -207,22 +193,42 @@ def rank(b: ChartBundle):
     return (np.where(rr.indeterminate, 1.0, np.abs(rr.rank - _EXPECTED_RANK)),)
 
 
+def _relative(num: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """num / scale, masked out (``excluded``) where the scale is 0 or not finite."""
+    ok = np.isfinite(scale) & (scale > 0.0)
+    return np.ma.masked_where(~ok, num / np.where(ok, scale, 1.0))
+
+
 @_suite(1e-10)
 def family_metric(b: ChartBundle):
-    """The induced metrics across the phase family match."""
-    return (b.family[0],)
+    """f_theta = cos(theta) f + sin(theta) fbar is isometric to f: with P =
+    f_* fbar_*^T, G_theta - G = sin^2(theta) (G_fbar - G) + sin(theta)
+    cos(theta) (P + P^T), so (||G_fbar - G||_F + ||P + P^T||_F / 2) /
+    ||G||_F bounds ||G_theta - G||_F / ||G||_F at every theta, and is at
+    most twice its largest value, by theta = pi/4, pi/2 and 3 pi/4."""
+    f1, fbar1, G = b.frame.jet.d1, b.conjugate.jet.d1, b.frame.metric
+    P = f1 @ _t(fbar1)
+    dev, sym, scale = np.linalg.norm([fbar1 @ _t(fbar1) - G, P + _t(P), G], axis=(-2, -1))
+    return (_relative(dev + 0.5 * sym, scale),)
 
 
 @_suite(1e-10)
 def family_normal(b: ChartBundle):
-    """The unit normals across the phase family match."""
-    return (b.family[1],)
+    """f_theta shares f's unit normal: N is normal to cos(theta) f_* +
+    sin(theta) fbar_* at every theta exactly when it is normal to fbar_*,
+    so this is fbar's tangency, the first half of ``gauss_preservation``."""
+    return (gauss_tangency_residual(b.conjugate),)
 
 
 @_suite(1e-7)
 def family_shape(b: ChartBundle):
-    """A_theta = cos(theta) A + sin(theta) A J."""
-    return (b.family[2],)
+    """A_theta = A (cos(theta) + sin(theta) J): where f_theta shares G and
+    N (the rows above), H_theta = cos(theta) H + sin(theta) H_fbar, H_fbar =
+    <fbar_ij, N>, so the miss is sin(theta) (G^{-1} H_fbar - A J), and
+    ||G^{-1} H_fbar - A J||_G / ||A||_G bounds it at every theta."""
+    frame = b.frame
+    miss = frame.metric_inv @ b.conjugate.second_form - frame.shape_operator @ b.J
+    return (_relative(gnorm_op(frame, miss), frame.shape_norm),)
 
 
 @_suite(1e-7)
@@ -301,11 +307,8 @@ def codazzi_b(b: ChartBundle):
     res = codazzi_residual(b.frame, *B_with_codazzi_derivative(b.conjugate), norm=b.conjugate.B_norm)
     # control: a generic operator field linear in the coordinates
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 303)
-    raw0 = rng.standard_normal((b.d, b.d))
-    raw1 = rng.standard_normal((b.d, b.d))
-    S0 = raw0 + raw0.T
-    S1 = raw1 + raw1.T
-
+    raw = rng.standard_normal((2, b.d, b.d))
+    S0, S1 = raw + _t(raw)
     dS = np.zeros((b.d, b.d, b.d))
     dS[0] = S1  # d_0 (S0 + x0 S1)
     return res, codazzi_residual(b.frame, S0 + b.points[:, 0, None, None] * S1, dS)
@@ -355,14 +358,11 @@ def run_suites(bundle: ChartBundle, names=None, tolerances=None) -> list:
     overrides = dict(tolerances or {})
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
-        raise ValueError(
-            f"unknown suites {unknown}; registered: {', '.join(SUITE_ORDER)}"
-        )
+        raise ValueError(f"unknown suites {unknown}; registered: {', '.join(SUITE_ORDER)}")
     bad_tol = [n for n in overrides if n not in _SUITES]
     if bad_tol:
         raise ValueError(
-            f"tolerance overrides for unknown suites {bad_tol}; "
-            f"registered: {', '.join(SUITE_ORDER)}"
+            f"tolerance overrides for unknown suites {bad_tol}; registered: {', '.join(SUITE_ORDER)}"
         )
     reports = []
     for name in names:

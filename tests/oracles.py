@@ -26,6 +26,10 @@ evidence rather than tautology.
   normal: h = a b / sqrt(b^2 cos^2 t + a^2 sin^2 t).
 * one central-difference jet of any value map (vector or scalar), the
   reference for every chart and Taylor formula with exact jets.
+* the 2-jet of a f + b g from the jets of f and g (jets are linear), and
+  the full, checked frames of the phase family's members cos(theta) f +
+  sin(theta) T at sampled phases, whose metric deviation the package
+  bounds in closed form instead.
 * finite-difference routes that only tests call: the Weingarten equation
   dN = -f_* A, the first and second t-variations of the metric along
   f + tT, and the t-variations of the unit normal and of the shape
@@ -69,7 +73,7 @@ import math
 import numpy as np
 
 from minkaehler.bending import Variation
-from minkaehler.charts import mix_jets
+from minkaehler.charts import Jet2
 from minkaehler.errors import NonImmersionPointError
 from minkaehler.export import slice_chart, slice_points
 from minkaehler.geometry import (
@@ -405,6 +409,24 @@ def second_variation_metric_residual(chart, fld, p, t: float = 0.1) -> float:
     gt = _deformed_metric(chart, fld, p, t)
     td1 = fld.jet(p).d1
     return float(np.linalg.norm(gt - g0 - t * t * (td1 @ td1.T)) / np.linalg.norm(g0))
+
+
+def mix_jets(a, ja: Jet2, b, jb: Jet2) -> Jet2:
+    """The 2-jet of a f + b g from the jets of f and g on the same points
+    (exact: jets are linear); 1-d arrays a, b stack the mixes on a new leading axis."""
+    pairs = ((ja.value, jb.value), (ja.d1, jb.d1), (ja.d2, jb.d2))
+    mixed = (np.multiply.outer(a, x) + np.multiply.outer(b, y) for x, y in pairs)
+    return Jet2(np.broadcast_to(ja.coords, np.shape(a) + ja.coords.shape), *mixed)
+
+
+def sampled_family_metric(f: Jet2, T: Jet2, phases) -> np.ndarray:
+    """max over the phases of ||G_theta - G||_F / ||G||_F per point, G_theta
+    the metric of the full, checked frame of the member cos(theta) f +
+    sin(theta) T, every phase in one frame stack."""
+    members = point_frame(mix_jets(np.cos(phases), f, np.sin(phases), T))
+    G = PointFrame(f).metric
+    worst = np.linalg.norm(members.metric - G, axis=(-2, -1)).max(axis=0)
+    return worst / np.linalg.norm(G, axis=(-2, -1))
 
 
 def _deformed_frame(v, t: float):

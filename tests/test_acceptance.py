@@ -27,7 +27,6 @@ from minkaehler.bending import (
 from minkaehler.charts import (
     ProductChart,
     grid_points,
-    mix_jets,
     random_points,
     shrink_box,
 )
@@ -52,7 +51,7 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import SeriesChart
 
-from oracles import catenoid_metric, ellipse_chart, frame_and_jet, metric_of
+from oracles import catenoid_metric, ellipse_chart, frame_and_jet, metric_of, mix_jets
 
 
 def announce(capsys, criterion: int, ok: bool, detail: str) -> None:

@@ -25,7 +25,7 @@ from minkaehler.bending import (
     trivial_jet,
     tstar_derivative,
 )
-from minkaehler.charts import ProductChart, mix_jets, random_points, shrink_box
+from minkaehler.charts import ProductChart, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
 from minkaehler.gausspar import make_cylinder_bending
 from minkaehler.geometry import (
@@ -46,6 +46,7 @@ from oracles import (
     fd_normal_variation,
     first_variation_metric_residual,
     frame_and_jet,
+    mix_jets,
     second_variation_metric_residual,
     seed_bundle,
     sphere_chart,

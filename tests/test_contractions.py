@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+import minkaehler.bending as bending
 from minkaehler.bending import (
     B_by_formula,
     B_by_variation,
@@ -134,3 +135,11 @@ def test_B_with_derivative(field):
 def test_fundamental_equation_residual(field):
     got = fundamental_equation_residual(field)
     assert_within(got, fundamental_equation_residual_einsum(field), field.frame.d)
+
+
+def test_fundamental_equation_residual_is_the_same_in_point_blocks(field, monkeypatch):
+    # blocks of 7 points split the 30-point stack 7 + 7 + 7 + 7 + 2 and give
+    # the bytes of the whole stack in one block
+    whole = fundamental_equation_residual(field)
+    monkeypatch.setattr(bending, "_WEDGE_BLOCK", 7)
+    np.testing.assert_array_equal(fundamental_equation_residual(field), whole)

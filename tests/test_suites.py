@@ -11,7 +11,7 @@ import minkaehler.kernels as kernels
 import minkaehler.suites as suites
 import minkaehler.weierstrass as weierstrass
 from minkaehler import builtin_seed
-from minkaehler.charts import grid_points, mix_jets, shrink_box
+from minkaehler.charts import grid_points, shrink_box
 from minkaehler.errors import DomainWarning
 from minkaehler.report import (
     ResidualReport,
@@ -32,9 +32,11 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import SeriesChart, seed_from_json
 
-from oracles import perfbench_module, report_from_residuals_loop, seed_bundle
+from oracles import SIX_SEEDS, perfbench_module, report_from_residuals_loop, sampled_family_metric, seed_bundle
 
 SEED_NAMES = ("enneper", "catenoid", "m4r5")
+EPS = np.finfo(np.float64).eps
+FAMILY_ROWS = ["family_metric", "family_normal", "family_shape"]
 
 
 @pytest.fixture(scope="module", params=SEED_NAMES)
@@ -433,13 +435,13 @@ def test_a_scaled_bump_fails_b_three_route(name):
 
 @pytest.mark.parametrize("name", SEED_NAMES)
 def test_relative_rows_do_not_depend_on_a_homothety(name):
-    # f and T scaled by lambda: A scales by 1/lambda, and the four unit-free
-    # rows keep their roundoff readings, with no absolute floor on ||A||_G,
-    # ||A T_*||_G or the B routes' norms to blind them, and the bending_bat
-    # control keeps its teeth
+    # f and T scaled by lambda: G scales by lambda^2 and A by 1/lambda, and
+    # the seven unit-free rows keep their roundoff readings, with no
+    # absolute floor on ||G||_F, ||A||_G, ||A T_*||_G or the B routes' norms
+    # to blind them, and the bending_bat control keeps its teeth
     seed = builtin_seed(name)
     f, T = build_bundle(seed)._grid_jets
-    names = ["minimality", "anticommutation", "bending_bat", "b_three_route"]
+    names = ["minimality", "anticommutation", "bending_bat", "b_three_route"] + FAMILY_ROWS
 
     def rows(factor):
         bundle = build_bundle(seed)
@@ -454,52 +456,55 @@ def test_relative_rows_do_not_depend_on_a_homothety(name):
         assert got["bending_bat_control"] >= CONTROL_FLOOR
 
 
-def _family_rows(bundle, frames):
-    """The family rows from full member frames at phases pi/6 .. 5 pi/6."""
-    base = bundle.frame
-    gscale = np.maximum(np.linalg.norm(base.metric, axis=(-2, -1)), 1e-14)
-    ascale = np.maximum(np.linalg.norm(base.shape_operator, axis=(-2, -1)), 1e-14)
-    metric = normal = shape = np.zeros(len(bundle.points))
-    for k, fr in enumerate(frames, start=1):
-        theta = k * math.pi / 6
-        expected = base.shape_operator @ (math.cos(theta) * np.eye(bundle.d) + math.sin(theta) * bundle.J)
-        metric = np.maximum(metric, np.linalg.norm(fr.metric - base.metric, axis=(-2, -1)) / gscale)
-        normal = np.maximum(normal, np.linalg.norm(fr.normal - base.normal, axis=-1))
-        shape = np.maximum(shape, np.linalg.norm(fr.shape_operator - expected, axis=(-2, -1)) / ascale)
-    return metric, normal, shape
-
-
-@pytest.mark.parametrize("name", SEED_NAMES)
-def test_family_rows_match_full_member_frames(name):
-    bundle = build_bundle(builtin_seed(name))
-    thetas = [k * math.pi / 6 for k in range(1, 6)]
-    # full frames of the combined member jets: the same bytes
-    jf, jt = bundle.frame.jet, bundle.conjugate.jet
-    combined = _family_rows(bundle, [geometry.point_frame(mix_jets(math.cos(t), jf, math.sin(t), jt)) for t in thetas])
-    for got, want in zip(bundle.family, combined):
-        np.testing.assert_array_equal(got, want)
-    # full frames of the members built as charts of their own
-    charts = [SeriesChart(bundle.seed, t) for t in thetas]
-    built = _family_rows(bundle, [geometry.point_frame(c.jet(bundle.points)) for c in charts])
-    for got, want in zip(bundle.family, built):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+@pytest.mark.parametrize("name", SIX_SEEDS)
+def test_family_rows_bound_full_member_frames(name):
+    # the family rows read theta-free quantities; full member frames at 64
+    # phases check the metric bound and each mutant's kill
+    bundle = seed_bundle(name)
+    f, T = bundle._grid_jets
+    phases = 2 * math.pi * np.arange(64) / 64
+    mutants = {
+        "T bump": (f, _bumped(T, 0)),
+        "f bump": (_bumped(f, -1), T),
+        "2T": (f, _scaled(T, 2.0)),
+        "-T": (f, _scaled(T, -1.0)),
+    }
+    for case, jets in mutants.items():
+        mutant = dataclasses.replace(bundle)
+        mutant.__dict__["_grid_jets"] = jets
+        failed = {r.identity for r in run_suites(mutant, FAMILY_ROWS) if not r.passed}
+        assert failed, case
+        if case == "2T":
+            assert {"family_metric", "family_shape"} <= failed
+        if case == "-T":
+            assert "family_shape" in failed
+        bound = np.ma.getdata(suites.family_metric(mutant)[0])
+        sampled = sampled_family_metric(*jets, phases)
+        # the sampled deviation carries the member frames' own rounding, a
+        # few ulps of ||G||, which decides the comparison where T -> -T
+        # leaves both at roundoff; the bound is at most twice the largest
+        # deviation, which the phases pi/4, pi/2 and 3 pi/4 attain
+        assert (bound >= sampled - 8 * EPS * (1.0 + sampled)).all(), case
+        if case != "-T":
+            assert (bound <= 2 * sampled).all(), case
 
 
 def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     """A default m4r5 run expands its seed once and builds two charts, f
     and the stack of f and its conjugate, and evaluates the stack once, on
-    the grid, from one set of coefficient rows; the family members and the
-    trivial control fields are combined from the two grid jets.  The one frame builds its Christoffel symbols once, for every
-    suite that reads them, and each variation field along it computes its
-    B, T_*, sigma and dN once, and ||B||_G and ||A T_*||_G once.  Nothing calls
-    LAPACK per point to factor G or to take a normal: each of the two frame
-    stacks, the grid's and the family's, takes its normal and the Cholesky
-    factor of G with its inverse from one Householder pass over the stack,
-    with no solve, inverse, Cholesky factor or determinant.  The only
-    per-point decomposition left is the grid frame's one eigh of its
-    reduced shape operator, for rank, rotation and the nullity directions;
-    every G-norm is a Frobenius norm, with no eigvalsh.  Every contraction
-    is a matmul: nothing calls einsum."""
+    the grid, from one set of coefficient rows; the trivial control fields
+    are combined from the grid jets, and the phase family's rows read f's
+    frame and fbar's jet, with no member built.  The one frame builds its
+    Christoffel symbols once, for every suite that reads them, and each
+    variation field along it computes its B, T_*, sigma and dN once, and
+    ||B||_G and ||A T_*||_G once.  Nothing calls LAPACK per point to factor
+    G or to take a normal: the grid frame, the only frame stack, takes its
+    normal and the Cholesky factor of G with its inverse from one
+    Householder pass, with no solve, inverse, Cholesky factor or
+    determinant.  The only per-point decomposition left is its one eigh of
+    the reduced shape operator, for rank, rotation and the nullity
+    directions; every G-norm is a Frobenius norm, with no eigvalsh.  Every
+    contraction is a matmul: nothing calls einsum."""
     builds, calls, frames, connections, b_forms, chains, horners = [], [], [], [], [], [], []
     einsums, crosses, gnorms = [], [], []
     factorizations = {name: [] for name in ("solve", "inv", "cholesky", "det", "eigvalsh", "eigh")}
@@ -586,7 +591,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted_linalg(name))
     monkeypatch.setattr(np, "einsum", counted_einsum)
     monkeypatch.setattr(kernels, "cross_columns", counted_cross)
-    for module in (geometry, bending):
+    for module in (geometry, bending, suites):
         monkeypatch.setattr(module, "gnorm_op", counted_gnorm)
     seed = builtin_seed("m4r5")  # checks itself on a domain sample, by Horner
     monkeypatch.setattr(kernels, "horner_many", counted_horner)
@@ -600,8 +605,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     assert len(calls) == 1
     assert builds[1].theta == (0.0, math.pi / 2) and calls[0][0] == id(builds[1])
     assert len(horners) == 1 and horners[0] is bundle.seed.jet_rows(2)[0]
-    # the grid frame; family members and first variations along f + tT
-    # build none
+    # the grid frame; first variations along f + tT build none
     assert len(frames) == 1
     # the grid frame's one connection
     assert len(connections) == 1
@@ -617,18 +621,18 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
     assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 0, "eigh": 1}
     assert factorizations["eigh"] == [(144, 4, 4)]
-    # G-norms of 14 operators per point: ||A||_G, ||AJ + JA||_G, T_* of the
-    # conjugate and of the bending_tpar control, ||A T_*||_G and the
-    # bending_bat numerator for the conjugate and the trivial control, ||B||_G
-    # (once, for codazzi_b, b_three_route and nullity_in_bending_kernel), the
-    # codazzi_b control's operator, the variation route's B and three route
-    # differences
-    assert len(gnorms) == 12
+    # G-norms of 15 operators per point: ||A||_G, family_shape's miss,
+    # ||AJ + JA||_G, T_* of the conjugate and of the bending_tpar control,
+    # ||A T_*||_G and the bending_bat numerator for the conjugate and the
+    # trivial control, ||B||_G (once, for codazzi_b, b_three_route and
+    # nullity_in_bending_kernel), the codazzi_b control's operator, the
+    # variation route's B and three route differences
+    assert len(gnorms) == 13
     matrices = sum(math.prod(shape[:-2]) for shape in gnorms)
-    assert matrices == 14 * len(bundle.points) == 2016
+    assert matrices == 15 * len(bundle.points) == 2160
     assert einsums == []
-    # one Householder pass per frame stack: the grid frame's and the family's
-    assert crosses == [(144, 4, 5), (5, 144, 4, 5)]
+    # one Householder pass per verify, the grid frame's
+    assert crosses == [(144, 4, 5)]
 
 
 # the n = 3 seed of the benchmark's verify-random workload
