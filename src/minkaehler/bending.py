@@ -26,13 +26,15 @@ Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
 shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
 same stack, and returns one value per point.  A Variation keeps tau,
-<T_ij, N>, sigma, dN, T_*, B and the G-norms ||B||_G and ||A T_*||_G once
-computed, so each is computed once per field; the three routes to B share
-only those inputs.
-Every ||.||_G of an operator is its Frobenius G-norm,
-:func:`~minkaehler.geometry.gnorm_op`, and of a vector its length in G.
-Every route reads G^{-1}, C and C^{-1} (in ||.||_G) and d_l G from the
-frame, which computes each once, so nothing here solves against G.
+<T_ij, N>, sigma, dN, T_*, T_hat, B and the G-norms ||B||_G and ||A T_*||_G
+once computed, so each is computed once per field; the three routes to B
+share only those inputs.  Every ||.||_G of an operator is its Frobenius
+G-norm, :func:`~minkaehler.geometry.gnorm_op`, and of a vector its length
+in G.  The parallelism of T_*, the rotation and the nullity row read the
+frame's orthonormal rows E, A_hat and Gamma_hat and T_hat, with no G^{-1};
+sigma, T_* and the B routes read G^{-1}, and ``B_with_codazzi_derivative``
+d_l G, from the frame, which computes each once, so nothing here solves
+against G.
 Since f + tT is affine in t, its first variations are closed form in the
 two jets, and no deformed frame is built.
 """
@@ -52,7 +54,6 @@ from .geometry import (
     PointFrame,
     _flat,
     _t,
-    gnorm_columns,
     gnorm_op,
     parallel_residual,
 )
@@ -73,7 +74,8 @@ def trivial_jet(jet: Jet2, skew, offset) -> Jet2:
         raise DomainError("trivial fields need an antisymmetric matrix")
     if offset.shape != (m1,):
         raise DomainError(f"offset must have {m1} components")
-    return Jet2(jet.coords, jet.value @ skew.T + offset, jet.d1 @ skew.T, jet.d2 @ skew.T)
+    d1, d2 = ((a.reshape(-1, m1) @ skew.T).reshape(a.shape) for a in (jet.d1, jet.d2))  # one GEMM each
+    return Jet2(jet.coords, jet.value @ skew.T + offset, d1, d2)
 
 
 def conjugate_field(chart: SeriesChart) -> SeriesChart:
@@ -140,6 +142,12 @@ class Variation:
         return self.frame.metric_inv @ rhs
 
     @cached_property
+    def tstar_hat(self) -> np.ndarray:
+        """T_hat = C^T T_* C^{-T} = E T_d1^T C^{-T}, T_* in the orthonormal
+        frame, read off E with no G^{-1}."""
+        return (self.frame.tangent_rows @ _t(self.jet.d1)) @ _t(self.frame.chol_inv)
+
+    @cached_property
     def B(self) -> np.ndarray:
         """B by the covariant-Hessian formula, :func:`B_by_formula`."""
         return B_by_formula(self)
@@ -169,10 +177,14 @@ def bending_residual(v: Variation) -> np.ndarray:
 
 
 def gauss_tangency_residual(v: Variation) -> np.ndarray:
-    """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at the
-    point, the first-order criterion for the variation to preserve the normal."""
+    """max_j |<N, T_j>| / |T_j| over the partials T_j != 0: zero iff dT is
+    everywhere tangent at the point, the first-order criterion for the
+    variation to preserve the normal.  A point where every T_j is 0 has no
+    scale and is masked out (``excluded``)."""
     nrm = np.linalg.norm(v.jet.d1, axis=-1)
-    return np.where(nrm > 1e-14, np.abs(v.tau) / np.maximum(nrm, TINY), 0.0).max(axis=-1)
+    # a partial T_j = 0 has tau_j = 0 exactly, so it reads 0
+    worst = (np.abs(v.tau) / np.where(nrm > 0.0, nrm, 1.0)).max(axis=-1)
+    return np.ma.masked_where(nrm.max(axis=-1) == 0.0, worst)
 
 
 def normal_variation_residual(v: Variation) -> np.ndarray:
@@ -239,33 +251,36 @@ def bat_residual(v: Variation) -> np.ndarray:
     return np.ma.masked_where(scale == 0.0, res)
 
 
-def tstar_derivative(v: Variation) -> np.ndarray:
-    """d_i T_* from the 2-jets of f and T, as [..., i, k, j] like the dS of
-    :func:`~minkaehler.geometry.covariant_field_derivative`.
+def tangential_covariant_derivative(v: Variation) -> np.ndarray:
+    """The columns C^T (nabla_i T_*) e_j, as [0, ..., k, (i, j)], and at
+    [1:] the three terms they sum, alike:
 
-    With P_ij = <f_i, T_j> and T_* = G^{-1} P, d_i T_* = G^{-1} (d_i P -
-    d_i G T_*)."""
-    frame, jb, tstar = v.frame, v.frame.jet, v.tstar
-    shape = jb.d2.shape[:-1] + (frame.d,)
-    # built as [..., k, i, j] so that G^{-1} acts on one matrix axis:
-    # d_i P_kj = <f_k, T_ij> + <f_ik, T_j>, less (d_i G T_*)_kj
-    dP = (jb.d1 @ _t(_flat(v.jet.d2, 2))).reshape(shape)
-    dP += np.swapaxes((_flat(jb.d2, 2) @ _t(v.jet.d1)).reshape(shape), -3, -2)
-    dP -= np.swapaxes((_flat(frame.metric_derivative, 2) @ tstar).reshape(shape), -3, -2)
-    return np.swapaxes((frame.metric_inv @ _flat(dP, 2, keep=0)).reshape(shape), -3, -2)
+        C^T (nabla_i T_*) e_j = E T_ij - T_hat Gamma_hat_ij + tau_j C^{-1} H e_i,
+
+    C^T of tangential(T_ij - Gamma^k_ij T_k) + tau_j A e_i, since f_* T_*
+    e_j = T_j - tau_j N and d_i N = -f_*(A e_i): no G^{-1} and no d_i T_*."""
+    frame = v.frame
+    gam = _flat(frame.christoffel_hat, 2, keep=0)
+    cols = np.empty((4,) + gam.shape)
+    np.matmul(frame.tangent_rows, _t(_flat(v.jet.d2, 2)), out=cols[1])  # E T_ij
+    np.matmul(v.tstar_hat, gam, out=cols[2])
+    # [k, (i, j)] = (C^{-1} H)_ki tau_j, column i of C^{-1} H being C^T A e_i
+    outer = _flat(frame.chol_inv @ frame.second_form, 2, keep=0)[..., None]
+    np.matmul(outer, v.tau[..., None, :], out=cols[3].reshape(outer.shape[:-1] + (frame.d,)))
+    np.subtract(cols[1], cols[2], out=cols[0])
+    cols[0] += cols[3]
+    return cols
 
 
 def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
     """Parallelism of the tangential part of dT in the induced connection:
-    :func:`~minkaehler.geometry.parallel_residual` of T_*, each
-    ||(nabla_i T_*) e_j||_G against the largest G-norm of d_i T_*,
-    Gamma_i T_* and T_* Gamma_i on any column.
-
-    Where ||T_*||_G <= 1e-14 there is no field to measure, so those points
-    are masked out (see ``ResidualReport.excluded``).
+    :func:`~minkaehler.geometry.parallel_residual` of
+    :func:`tangential_covariant_derivative`.  Where ||T_*||_G <= 1e-14 there
+    is no field to measure, so those points are masked out (``excluded``).
     """
-    res = parallel_residual(v.frame, v.tstar, tstar_derivative(v))
-    return np.ma.masked_where(gnorm_op(v.frame, v.tstar) <= 1e-14, res)
+    res = parallel_residual(tangential_covariant_derivative(v))
+    T_hat = v.tstar_hat.reshape(res.shape + (-1,))
+    return np.ma.masked_where(np.vecdot(T_hat, T_hat) <= 1e-28, res)
 
 
 def B_with_codazzi_derivative(v: Variation) -> tuple:
@@ -336,18 +351,15 @@ def fundamental_equation_residual(v: Variation) -> np.ndarray:
     return worst.reshape(den.shape) / np.maximum(den, 1e-14)
 
 
-def nullity_annihilation_residual(
-    frame: PointFrame, b_op: np.ndarray, basis: np.ndarray, norm=None
-) -> np.ndarray:
-    """max ||B v||_G over the relative-nullity directions v, the columns of
-    ``basis`` (..., d, k), relative to the Frobenius G-norm ||B||_G
-    (``norm``, when the caller keeps it, as :attr:`Variation.B_norm`).
-    Zeroed columns, such as the eigenvectors a rank mask leaves out, count
-    for nothing."""
-    if norm is None:
-        norm = gnorm_op(frame, b_op)
-    worst = gnorm_columns(frame.chol, b_op @ basis).max(axis=-1, initial=0.0)
-    return worst / np.maximum(norm, 1e-14)
+def nullity_annihilation_residual(v: Variation) -> np.ma.MaskedArray:
+    """||B_hat (I - Pi)||_F / ||B_hat||_F, with B_hat = C^T B C^{-T} and Pi
+    of :attr:`~minkaehler.geometry.PointFrame.shape_range`: B on the
+    relative nullity, relative to ||B||_G, with no eigenvector.  NaN where
+    A has rank below 2; points with B = 0 are masked out (``excluded``)."""
+    frame, scale = v.frame, v.B_norm
+    B_hat = _t(frame.chol) @ v.B @ _t(frame.chol_inv)
+    miss = np.linalg.norm(B_hat - B_hat @ frame.shape_range[0], axis=(-2, -1))
+    return np.ma.masked_where(scale == 0.0, miss / np.where(scale > 0.0, scale, 1.0))
 
 
 # -- rotation coefficient and classification ----------------------------------
@@ -356,28 +368,22 @@ def nullity_annihilation_residual(
 class RotationData:
     coefficient: np.ndarray   # (...)
     fit_residual: np.ndarray  # (...)
-    basis: np.ndarray         # (..., d, 2) oriented G-orthonormal top-curvature pair
 
 
 def rotation_coefficient(v: Variation) -> RotationData:
-    """The rotation coefficient of T_* on the top-curvature plane.
-
-    The two G-orthonormal eigenvectors of largest |curvature| span the
-    plane orthogonal to the relative nullity; the basis (v1, v2) is
-    oriented so that <J v1, v2>_G > 0 for the chart's J.  Restricted to
-    that plane, T_* must be c times the quarter-turn rotation; the fit
-    residual is the Frobenius distance to the best such multiple.
+    """The rotation coefficient of T_* on the range of A, the plane
+    orthogonal to the relative nullity: with Pi the projector onto it
+    (:attr:`~minkaehler.geometry.PointFrame.shape_range`) and J_hat = C^T J
+    C^{-T}, T_hat on the plane must be c times J_hat, the quarter turn, so
+    c = tr(Pi J_hat^T T_hat) / 2 and the fit residual is ||Pi T_hat Pi - c
+    Pi J_hat Pi||_F.  Both are NaN where A has rank below 2.
     """
-    J, G = chart_complex_structure(v.frame.d), v.frame.metric
-    basis = v.frame.eigenvectors[..., :, :2].copy()
-    v1, v2 = basis[..., 0], basis[..., 1]
-    flip = np.sum((v1 @ _t(J)) * (G @ v2[..., None])[..., 0], axis=-1) < 0
-    basis[..., 1] = np.where(flip[..., None], -v2, v2)
-    M = _t(basis) @ G @ (v.tstar @ basis)
-    c = 0.5 * (M[..., 1, 0] - M[..., 0, 1])
-    R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    fit = np.linalg.norm(M - c[..., None, None] * R, axis=(-2, -1))
-    return RotationData(coefficient=c, fit_residual=fit, basis=basis)
+    frame, T_hat, proj = v.frame, v.tstar_hat, v.frame.shape_range[0]
+    J_hat = _t(frame.chol) @ chart_complex_structure(frame.d) @ _t(frame.chol_inv)
+    # tr(Pi J_hat^T T_hat) as the entrywise product of J_hat Pi^T and T_hat
+    c = 0.5 * np.vecdot(_flat(J_hat @ _t(proj), 2, keep=0), _flat(T_hat, 2, keep=0))
+    miss = _flat(proj @ (T_hat - c[..., None, None] * J_hat) @ proj, 2, keep=0)
+    return RotationData(c, np.sqrt(np.vecdot(miss, miss)))
 
 
 _BENDING_TOL = 1e-6

@@ -3,25 +3,26 @@
 Everything here is frame data computed pointwise but written once over any
 leading point axes ``...``: induced metric, unit normal from the
 generalized cross product (in coordinate index order), scalar second
-fundamental form, shape operator with its eigen-data, rank and relative
-nullity, Christoffel symbols read off the same 2-jet, the covariant
-derivative of a (1,1)-field given its exact coordinate derivative, the
-Laplace-Beltrami operator of a scalar field given its exact jets, and
-residuals for the Kaehler checks (anticommutation with J, parallelism of
-J) and the Codazzi symmetry.  A single point is the stack with no leading
-axes.  Nothing here differences: every input is a jet.
+fundamental form, shape operator, its rank and range, Christoffel symbols
+read off the same 2-jet, the covariant derivative of a (1,1)-field given
+its exact coordinate derivative, the Laplace-Beltrami operator of a scalar
+field given its exact jets, and residuals for the Kaehler checks
+(anticommutation with J, parallelism of J) and the Codazzi symmetry.  A
+single point is the stack with no leading axes.  Nothing here
+differences: every input is a jet.
 
 A :class:`PointFrame` holds one field, a jet stack; every other piece it
 computes from the jet on first read and then keeps: G; N, the Cholesky
 factor C of G and C^{-1}, all three from one Householder QR of the first
 partials over the whole stack (:func:`~minkaehler.kernels.cross_columns`);
-G^{-1} = C^{-T} C^{-1}, d_l G, H, A, ||A||_G, the Christoffel symbols and
-the eigen-data of A.  Every residual that reads the frame applies the
-stored inverses (batched matmuls); nothing here factors G, solves against
-it or calls LAPACK once per point, and only a reader of the eigen-data
-decomposes per point: a G-norm is a Frobenius norm (:func:`gnorm_op`).
-:func:`point_frame` reads C and C^{-1} for its regularity check and takes
-an SVD of the first partials only at the points their bound cannot clear.
+G^{-1} = C^{-T} C^{-1}, d_l G, H, A, ||A||_G, the Christoffel symbols and,
+in the orthonormal frame with no G^{-1}, E = C^{-1} f_*, A_hat = C^{-1} H
+C^{-T} and Gamma_hat_ij = E f_ij = C^T Gamma_ij, which the rank row, the
+range of A and the parallelism of J read.  Nothing here factors G, solves
+against it or calls LAPACK once per point, and only
+:func:`rank_and_nullity` decomposes (one ``eigvalsh``); a G-norm is a
+Frobenius norm (:func:`gnorm_op`).  :func:`point_frame` takes an SVD of
+the first partials only at the points C's bound cannot clear.
 
 Every contraction of per-point tensors, here and in
 :mod:`~minkaehler.bending`, is one batched ``matmul`` per point: a jet's
@@ -34,13 +35,11 @@ product per point and basis pair.
 
 Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
 normal is the normalized generalized cross product of the first partials
-in index order; H_ij = <f_ij, N>; A = G^{-1} H.  Eigenvalues of A are
-computed through the symmetric pencil (H, G) so they are real and the
-eigenvectors are G-orthonormal; both are sorted by descending absolute
-value, and of two values whose moduli agree to roundoff the positive one
-comes first.  Norms written ||.||_G use the induced metric: a vector's is
-its length in G, an operator's the Frobenius norm of its matrix in a
-G-orthonormal basis, sqrt(tr(G^{-1} M^T G M)) (:func:`gnorm_op`).
+in index order; H_ij = <f_ij, N>; A = G^{-1} H, whose matrix in the
+orthonormal frame, A_hat = C^T A C^{-T}, is symmetric.  Norms written
+||.||_G use the induced metric: a vector's is its length in G, an
+operator's the Frobenius norm of its matrix in a G-orthonormal basis,
+sqrt(tr(G^{-1} M^T G M)) (:func:`gnorm_op`).
 """
 
 from __future__ import annotations
@@ -67,13 +66,9 @@ _REGULARITY_RTOL = 1e-8
 # and whose metric diagonal lies in _CLEAR_DIAG, skips the regularity SVD.
 _CLEAR_KAPPA = 1e6
 _CLEAR_DIAG = (2.0**-500, 2.0**500)
-# Relative cutoff below which an eigenvalue of A counts as zero.
+# Relative cutoff below which an eigenvalue of A counts as zero, and below
+# which |e2| / ||A_hat||_F^2 marks a shape operator of rank below 2.
 _RANK_RTOL = 1e-7
-# Two eigenvalues of A of opposite sign whose moduli differ by at most this
-# times the largest modulus are a tie, the positive one first: 1024 ulps,
-# where the +-lambda pairs of the built-in and random seeds differ by up to
-# about 130.
-_TIE_RTOL = 1024 * np.finfo(np.float64).eps
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -160,33 +155,32 @@ class PointFrame:
         return christoffel(self.jet, self.metric_inv)
 
     @cached_property
-    def _eigen(self) -> tuple:
-        # through the symmetric pencil (H, G): real spectrum, G-orthonormal
-        # eigenvectors, both sorted by descending |eigenvalue|
-        reduced = self.chol_inv @ self.second_form @ _t(self.chol_inv)
-        reduced = 0.5 * (reduced + _t(reduced))
-        vals, q = np.linalg.eigh(reduced)
-        vecs = _t(self.chol_inv) @ q
-        # a pair +-lambda would be ordered by roundoff, so a positive value
-        # goes ahead of a negative one whose |.| exceeds its own by at most
-        # _TIE_RTOL of the largest
-        size = np.abs(vals)
-        size += (_TIE_RTOL * size.max(axis=-1, keepdims=True)) * (vals > 0.0)
-        order = np.argsort(-size, axis=-1, kind="stable")
-        return (
-            np.take_along_axis(vals, order, axis=-1),
-            np.take_along_axis(vecs, order[..., None, :], axis=-1),
-        )
+    def tangent_rows(self) -> np.ndarray:  # (..., d, m) E = C^{-1} f_*, orthonormal rows
+        return self.chol_inv @ self.jet.d1
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """(..., d) real eigenvalues of A, sorted by descending |.|, a tie positive first."""
-        return self._eigen[0]
+    @cached_property
+    def shape_hat(self) -> np.ndarray:  # (..., d, d) A_hat = C^{-1} H C^{-T} = C^T A C^{-T}
+        return self.chol_inv @ self.second_form @ _t(self.chol_inv)
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """(..., d, d) G-orthonormal eigenvector columns, in eigenvalue order."""
-        return self._eigen[1]
+    @cached_property
+    def christoffel_hat(self) -> np.ndarray:  # [..., k, i, j] = (E f_ij)_k = (C^T Gamma_ij)_k
+        d2 = self.jet.d2
+        return (self.tangent_rows @ _t(_flat(d2, 2))).reshape(d2.shape[:-3] + (self.d,) * 3)
+
+    @cached_property
+    def shape_range(self) -> tuple:
+        """(Pi, e2, ||A_hat||_F^2) with e1 = tr A_hat and e2 = (e1^2 -
+        ||A_hat||_F^2) / 2: where A has rank 2, e2 is the product of its
+        curvatures and Pi = (e1 A_hat - A_hat^2) / e2 the orthogonal
+        projector onto its range.  Pi is NaN where the rank is below 2,
+        ||A_hat||_F = 0 or |e2| <= _RANK_RTOL ||A_hat||_F^2."""
+        S = self.shape_hat
+        flat = _flat(S, 2, keep=0)
+        sq = np.vecdot(flat, flat)
+        e1 = np.trace(S, axis1=-2, axis2=-1)
+        e2 = 0.5 * (e1 * e1 - sq)
+        live = np.where(np.abs(e2) > _RANK_RTOL * sq, e2, np.nan)
+        return (e1[..., None, None] * S - S @ S) / live[..., None, None], e2, sq
 
 
 def _first(bad: np.ndarray):
@@ -263,29 +257,20 @@ def gnorm_op(frame: PointFrame, M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(K, K))
 
 
-def gnorm_columns(chol: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """||v||_G of every column v of ``V``, via the Cholesky factor of G."""
-    return np.linalg.norm(_t(chol) @ V, axis=-2)
-
-
 @dataclass(frozen=True)
 class RankResult:
     rank: np.ndarray            # (...) ints
     nullity: np.ndarray         # (...) ints
-    null_mask: np.ndarray       # (..., d) which eigenvector columns span the nullity
     indeterminate: np.ndarray   # (...) bools
 
 
 def rank_and_nullity(frame: PointFrame) -> RankResult:
-    """Rank of A = count of its G-singular values above _RANK_RTOL * largest.
-
-    For the G-self-adjoint shape operator the singular values in the
-    induced geometry are |eigenvalues|, so the relative nullity is spanned
-    by the eigenvector columns that ``null_mask`` marks.  Values inside the
+    """Rank of A = count of its eigenvalues, one ``eigvalsh`` of A_hat,
+    whose modulus exceeds _RANK_RTOL times the largest.  Values inside the
     band [cutoff/10, cutoff*10] make the decision unreliable; that sets the
     flag and emits one :class:`IndeterminateRankWarning` for the stack.
     """
-    absvals = np.abs(frame.eigenvalues)
+    absvals = np.abs(np.linalg.eigvalsh(frame.shape_hat))
     scale = absvals.max(axis=-1, keepdims=True, initial=0.0)
     cutoff = _RANK_RTOL * scale
     in_band = (absvals >= cutoff / 10.0) & (absvals <= cutoff * 10.0)
@@ -297,9 +282,18 @@ def rank_and_nullity(frame: PointFrame) -> RankResult:
             IndeterminateRankWarning,
             stacklevel=2,
         )
-    keep = absvals > cutoff
-    rank = keep.sum(axis=-1)
-    return RankResult(rank, frame.d - rank, ~keep, indeterminate)
+    rank = (absvals > cutoff).sum(axis=-1)
+    return RankResult(rank, frame.d - rank, indeterminate)
+
+
+def rank_two_residual(frame: PointFrame) -> np.ndarray:
+    """||A_hat^3 - e1 A_hat^2 + e2 A_hat||_F / ||A_hat||_F^3 =
+    |e2| ||A_hat (I - Pi)||_F / ||A_hat||_F^3 (:attr:`PointFrame.shape_range`):
+    zero exactly where A has rank 2, and 1.0 where its rank is below 2."""
+    proj, e2, sq = frame.shape_range
+    S = frame.shape_hat
+    res = np.abs(e2) * np.linalg.norm(S - S @ proj, axis=(-2, -1)) / sq**1.5
+    return np.where(np.isnan(res), 1.0, res)
 
 
 def christoffel(jet: Jet2, metric_inv: np.ndarray) -> np.ndarray:
@@ -348,25 +342,22 @@ def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -
     return np.swapaxes(dS + left - right, -3, -2)
 
 
-def parallel_residual(frame: PointFrame, S: np.ndarray, dS) -> np.ndarray:
-    """max_{i,j} ||(nabla_i S) e_j||_G over the largest G-norm of
-    (d_i S) e_j, Gamma_i S e_j and S Gamma_i e_j: the covariant derivative
-    of the (1,1)-field S relative to the terms whose cancellation it is, so
-    a homothety or a change of coordinate scale moves both alike.  ``dS``
-    is as for :func:`covariant_field_derivative`, or 0 for a constant S.  A
-    point where every term vanishes reads 0."""
-    left, right = _connection_terms(frame.christoffel, S)
-    nab, terms = left - right, [left, right]
-    if np.ndim(dS):
-        dS = np.swapaxes(dS, -3, -2)
-        nab, terms = dS + left - right, [left, right, dS]
-
-    def worst(a):  # the largest ||a_i e_j||_G^2 = ||C^T a_i e_j||^2, a as [..., k, i, j]
-        y = _t(frame.chol) @ _flat(a, 2, keep=0)
-        return (y * y).sum(axis=-2).max(axis=-1)
-
-    den = np.maximum.reduce([worst(a) for a in terms])
-    return np.sqrt(worst(nab) / np.where(den > 0.0, den, 1.0))
+def parallel_residual(cols: np.ndarray) -> np.ndarray:
+    """max_{i,j} ||(nabla_i S) e_j||_G over the largest G-norm of any of its
+    terms on any column, so a homothety or a change of coordinate scale
+    moves both alike.  ``cols[0]`` holds the columns C^T (nabla_i S) e_j,
+    as [..., k, (i, j)], whose G-norms are Euclidean, and ``cols[1:]`` the
+    terms alike; ``cols`` is squared in place.  A point where every term
+    vanishes reads 0."""
+    sq = np.square(cols, out=cols)
+    # the sum over k as adds of whole slices, and the max over (i, j) with
+    # (i, j) moved first: no reduction runs along the short rows of a point
+    norms = sq[..., 0, :].copy()
+    for k in range(1, sq.shape[-2]):
+        norms += sq[..., k, :]
+    worst = np.moveaxis(norms, -1, 0).copy().max(axis=0)  # the largest squared column norm
+    den = worst[1:].max(axis=0)
+    return np.sqrt(worst[0] / np.where(den > 0.0, den, 1.0))
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
@@ -386,8 +377,16 @@ def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
 
 def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
     """:func:`parallel_residual` of a constant matrix J (a coordinate
-    complex structure): only the Christoffel commutator contributes."""
-    return parallel_residual(frame, np.asarray(J, dtype=np.float64), 0.0)
+    complex structure), from the frame's Gamma_hat and J_hat = C^T J C^{-T}:
+    C^T (nabla_i J) e_j = sum_l Gamma_hat_il J_lj - J_hat Gamma_hat_ij, the
+    Christoffel commutator with no G^{-1}."""
+    J = np.asarray(J, dtype=np.float64)
+    gam = frame.christoffel_hat
+    cols = np.empty((3,) + gam.shape)  # nabla J, then its two terms, each [..., k, i, j]
+    np.matmul(gam, J, out=cols[1])
+    np.matmul(_t(frame.chol) @ J @ _t(frame.chol_inv), _flat(gam, 2, keep=0), out=_flat(cols[2], 2, keep=0))
+    np.subtract(cols[1], cols[2], out=cols[0])
+    return parallel_residual(_flat(cols, 2, keep=0))
 
 
 def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:

@@ -85,7 +85,7 @@ def builtin_seed(name: str) -> WeierstrassSeed:
 # reference run produces with default sampling).
 _COMMON_EXPECTED = {
     "minimality": 1e-12,
-    "rank": 0.0,
+    "rank": 1e-12,
     "family_metric": 1e-12,
     "family_normal": 1e-12,
     "family_shape": 1e-12,

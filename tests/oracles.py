@@ -53,6 +53,9 @@ evidence rather than tautology.
   (Christoffel symbols, d_l G, H, the Laplace-Beltrami operator, the
   covariant derivative of a (1,1)-field, the three B-side pieces and the
   wedge of the linearized curvature identity).
+* the route to nabla T_* the package took before it read the orthonormal
+  frame: the coordinate derivative d_i T_* and the Christoffel terms, all
+  through G^{-1}, the cross-check of its route through E, Gamma_hat and H.
 * the full work the package's hot path skips, kept as references: the
   Horner recurrence over every coefficient column, zero padding included,
   the frame's regularity check with one SVD of every point's partials, a
@@ -79,7 +82,9 @@ from minkaehler.export import slice_chart, slice_points
 from minkaehler.geometry import (
     TINY,
     PointFrame,
+    _flat,
     anticommutation_residual,
+    covariant_field_derivative,
     minimality_residual,
     point_frame,
 )
@@ -600,6 +605,35 @@ def tangential_covariant_derivative_einsum(v) -> np.ndarray:
     dP = jb.d2 @ _t(v.jet.d1)[..., None, :, :] + np.einsum("...kc,...ijc->...ikj", jb.d1, v.jet.d2)
     dT = frame.metric_inv[..., None, :, :] @ (dP - frame.metric_derivative @ tstar[..., None, :, :])
     return covariant_field_derivative_broadcast(frame.christoffel, tstar, dT)
+
+
+def tstar_derivative(v) -> np.ndarray:
+    """d_i T_* from the 2-jets of f and T, as [..., i, k, j] like the dS of
+    :func:`~minkaehler.geometry.covariant_field_derivative`: with P_ij =
+    <f_i, T_j> and T_* = G^{-1} P, d_i T_* = G^{-1} (d_i P - d_i G T_*).
+    The package's route to nabla T_* before it read the orthonormal frame."""
+    frame, jb, tstar = v.frame, v.frame.jet, v.tstar
+    shape = jb.d2.shape[:-1] + (frame.d,)
+    # built as [..., k, i, j] so that G^{-1} acts on one matrix axis:
+    # d_i P_kj = <f_k, T_ij> + <f_ik, T_j>, less (d_i G T_*)_kj
+    dP = (jb.d1 @ _t(_flat(v.jet.d2, 2))).reshape(shape)
+    dP += np.swapaxes((_flat(jb.d2, 2) @ _t(v.jet.d1)).reshape(shape), -3, -2)
+    dP -= np.swapaxes((_flat(frame.metric_derivative, 2) @ tstar).reshape(shape), -3, -2)
+    return np.swapaxes((frame.metric_inv @ _flat(dP, 2, keep=0)).reshape(shape), -3, -2)
+
+
+def tangential_covariant_derivative_by_gamma(v) -> np.ndarray:
+    """nabla T_* as [..., i, k, j] = d_i T_* + Gamma_i T_* - T_* Gamma_i,
+    from :func:`tstar_derivative` and the Christoffels through G^{-1}."""
+    return covariant_field_derivative(v.frame.christoffel, v.tstar, tstar_derivative(v))
+
+
+def in_orthonormal_columns(frame, nab) -> np.ndarray:
+    """A covariant derivative [..., i, k, j] of a (1,1)-field as the
+    columns C^T (nabla_i S) e_j, [..., k, (i, j)], the layout of
+    :func:`~minkaehler.bending.tangential_covariant_derivative`."""
+    hat = _t(frame.chol)[..., None, :, :] @ nab  # [..., i, k, j]
+    return _flat(np.swapaxes(hat, -3, -2), 2, keep=0)
 
 
 def B_with_codazzi_derivative_einsum(v) -> tuple:

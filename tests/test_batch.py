@@ -43,6 +43,7 @@ from minkaehler.geometry import (
     parallel_J_residual,
     point_frame,
     rank_and_nullity,
+    rank_two_residual,
 )
 from minkaehler.weierstrass import chart_complex_structure
 
@@ -54,10 +55,7 @@ def _frame(chart, p):
 
 
 def _nullity(chart, fld, p):
-    frame = _frame(chart, p)
-    null = rank_and_nullity(frame).null_mask
-    basis = np.where(null[..., None, :], frame.eigenvectors, 0.0)
-    return nullity_annihilation_residual(frame, B_by_formula(frame_and_jet(chart, fld, p)), basis)
+    return np.ma.getdata(nullity_annihilation_residual(frame_and_jet(chart, fld, p)))
 
 
 def _trivial(chart, p):
@@ -84,9 +82,13 @@ QUANTITIES = {
     "normal": lambda c, T, p: _frame(c, p).normal,
     "second_form": lambda c, T, p: _frame(c, p).second_form,
     "shape_operator": lambda c, T, p: _frame(c, p).shape_operator,
-    "eigenvalues": lambda c, T, p: _frame(c, p).eigenvalues,
+    "eigenvalues": lambda c, T, p: np.linalg.eigvalsh(_frame(c, p).shape_hat),
+    "tangent_rows": lambda c, T, p: _frame(c, p).tangent_rows,
+    "shape_hat": lambda c, T, p: _frame(c, p).shape_hat,
+    "christoffel_hat": lambda c, T, p: _frame(c, p).christoffel_hat,
     "christoffel": lambda c, T, p: _frame(c, p).christoffel,
     "rank": lambda c, T, p: rank_and_nullity(_frame(c, p)).rank,
+    "rank_two": lambda c, T, p: rank_two_residual(_frame(c, p)),
     "minimality": lambda c, T, p: minimality_residual(_frame(c, p)),
     "anticommutation": lambda c, T, p: anticommutation_residual(
         _frame(c, p), chart_complex_structure(c.d)

@@ -22,8 +22,8 @@ from minkaehler.bending import (
     parallel_tangential_residual,
     recover_bending_decomposition,
     rotation_coefficient,
+    tangential_covariant_derivative,
     trivial_jet,
-    tstar_derivative,
 )
 from minkaehler.charts import ProductChart, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
@@ -33,7 +33,6 @@ from minkaehler.geometry import (
     covariant_field_derivative,
     gnorm_op,
     point_frame,
-    rank_and_nullity,
 )
 from minkaehler.weierstrass import SeriesChart, seed_from_json, seed_to_json
 
@@ -44,6 +43,7 @@ from oracles import (
     fd_codazzi,
     fd_tangential_covariant_derivative,
     fd_normal_variation,
+    in_orthonormal_columns,
     first_variation_metric_residual,
     frame_and_jet,
     mix_jets,
@@ -188,10 +188,7 @@ class TestBTensor:
     def test_nullity_annihilation_on_m4r5(self, m4r5_chart, rng):
         fld = conjugate_field(m4r5_chart)
         for p in sample(m4r5_chart, rng, 3):
-            frame = point_frame(m4r5_chart.jet(p))
-            rr = rank_and_nullity(frame)
-            b = B_by_formula(frame_and_jet(m4r5_chart, fld, p))
-            assert nullity_annihilation_residual(frame, b, frame.eigenvectors[:, rr.null_mask]) < 1e-7
+            assert nullity_annihilation_residual(frame_and_jet(m4r5_chart, fld, p)) < 1e-7
 
 
 def _g_relative(frame, op, ref):
@@ -264,8 +261,8 @@ class TestStructuralIdentities:
             for p in sample(chart, rng, 2):
                 jet = chart.jet(p)
                 v = Variation(point_frame(jet), field(jet))
-                got = covariant_field_derivative(v.frame.christoffel, v.tstar, tstar_derivative(v))
-                ref = fd_tangential_covariant_derivative(chart, field, p)
+                got = tangential_covariant_derivative(v)[0]
+                ref = in_orthonormal_columns(v.frame, fd_tangential_covariant_derivative(chart, field, p))
                 scale = max(1.0, float(np.abs(ref).max()))
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * scale)
 
@@ -325,12 +322,16 @@ class TestRotation:
         rot = rotation_coefficient(Variation(conj.frame, mix_jets(2.5, conj.jet, 0.0, conj.jet)))
         assert rot.coefficient == pytest.approx(2.5, abs=1e-9)
 
-    def test_oriented_basis_is_g_orthonormal(self, m4r5_chart):
-        fld = conjugate_field(m4r5_chart)
-        rot = rotation_coefficient(frame_and_jet(m4r5_chart, fld, [0.1, 0.05, 0.2, -0.1]))
+    def test_plane_projector_is_orthogonal(self, m4r5_chart):
+        # the rotation reads T_* on the range of A through Pi: a symmetric
+        # idempotent of trace 2 in the orthonormal frame, fixing A_hat
         frame = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
-        v = rot.basis
-        np.testing.assert_allclose(v.T @ frame.metric @ v, np.eye(2), atol=1e-10)
+        proj = frame.shape_range[0]
+        np.testing.assert_allclose(proj, proj.T, atol=1e-12)
+        np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
+        assert np.trace(proj) == pytest.approx(2.0, abs=1e-12)
+        S = frame.shape_hat
+        np.testing.assert_allclose(proj @ S, S, atol=1e-12 * np.abs(S).max())
 
 
 class TestClassification:

@@ -25,12 +25,12 @@ from minkaehler.geometry import (
     christoffel,
     codazzi_residual,
     covariant_field_derivative,
-    gnorm_columns,
     gnorm_op,
     laplace_beltrami,
     minimality_residual,
     point_frame,
     rank_and_nullity,
+    rank_two_residual,
 )
 from minkaehler.export import SliceSpec, export_slice
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface, make_cylinder_bending
@@ -78,14 +78,14 @@ def graph_jet(lam: float) -> Jet2:
 
 
 # a +-lambda pair whose moduli differ in the last bit, in each direction and
-# in either position, alone and beside smaller eigenvalues
+# in either position, beside two zero curvatures, and beside a third one
 LAM = 2.4458
 LAM_UP = np.nextafter(LAM, np.inf)
 TIED = {
-    "negative-larger": [LAM, -LAM_UP],
-    "negative-larger-first": [-LAM_UP, LAM],
-    "positive-larger": [LAM_UP, -LAM],
-    "positive-larger-first": [-LAM, LAM_UP],
+    "negative-larger": [LAM, -LAM_UP, 0.0, 0.0],
+    "negative-larger-first": [-LAM_UP, LAM, 0.0, 0.0],
+    "positive-larger": [0.0, LAM_UP, 0.0, -LAM],
+    "positive-larger-first": [-LAM, 0.0, LAM_UP, 0.0],
     "d4": [0.3, -LAM_UP, LAM, 0.0],
 }
 
@@ -118,36 +118,47 @@ class TestPointFrame:
         for p in ([0.5, 1.2], [1.0, 0.8], [0.3, 2.1]):
             fr = point_frame(chart.jet(p))
             np.testing.assert_allclose(fr.shape_operator, np.eye(2), atol=1e-12)
-            np.testing.assert_allclose(fr.eigenvalues, [1.0, 1.0], atol=1e-12)
+            np.testing.assert_allclose(fr.shape_hat, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(fr.normal, -fr.jet.value, atol=1e-12)
 
-    def test_eigenvectors_are_g_orthonormal(self):
-        fr = point_frame(sphere_chart().jet([0.7, 1.1]))
-        v = fr.eigenvectors
-        np.testing.assert_allclose(v.T @ fr.metric @ v, np.eye(2), atol=1e-12)
-
-    def test_eigen_order_is_descending_modulus(self):
-        fr = point_frame(graph_jet(-3.0))
-        assert abs(fr.eigenvalues[0]) >= abs(fr.eigenvalues[1])
-        np.testing.assert_allclose(sorted(fr.eigenvalues), [-3.0, 1.0], atol=1e-14)
+    def test_orthonormal_frame_products(self, m4r5_chart):
+        # E = C^{-1} f_* has orthonormal rows normal to N, A_hat = C^T A
+        # C^{-T} is symmetric, and Gamma_hat_ij = E f_ij = C^T Gamma_ij
+        fr = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
+        E = fr.tangent_rows
+        np.testing.assert_allclose(E @ E.T, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(E @ fr.normal, 0.0, atol=1e-14)
+        np.testing.assert_allclose(fr.chol @ E, fr.jet.d1, atol=1e-14 * np.abs(fr.jet.d1).max())
+        S = fr.shape_hat
+        np.testing.assert_allclose(S, S.T, atol=1e-14 * np.abs(S).max())
+        np.testing.assert_allclose(S, fr.chol.T @ fr.shape_operator @ fr.chol_inv.T, atol=1e-13 * np.abs(S).max())
+        gam = fr.christoffel_hat
+        ref = np.einsum("qk,qij->kij", fr.chol, fr.christoffel)
+        np.testing.assert_allclose(gam, ref, atol=1e-13 * np.abs(ref).max())
 
     @pytest.mark.parametrize("h", TIED.values(), ids=TIED.keys())
-    def test_tied_pair_puts_the_positive_first(self, h):
+    def test_tied_pair_is_rank_two_with_no_order(self, h):
+        # the rank row and the range projector are polynomials in A_hat, so
+        # a +-lambda pair needs no order: rank 2 to roundoff, with Pi the
+        # projector onto the two curved axes; a third curvature is a miss
+        # of order one
         fr = point_frame(diagonal_jet(h))
         H = np.diagonal(fr.second_form)
         assert sorted(np.abs(H)) == sorted(np.abs(h))  # the last-bit gap survives
-        assert fr.eigenvalues[0] == H.max() > 0 > H.min() == fr.eigenvalues[1]
-        assert abs(fr.eigenvectors[H.argmax(), 0]) == 1.0
-        assert abs(fr.eigenvectors[H.argmin(), 1]) == 1.0
+        proj = fr.shape_range[0]
+        if np.count_nonzero(h) == 2:
+            assert rank_two_residual(fr) <= 4 * np.finfo(np.float64).eps
+            np.testing.assert_allclose(proj, np.diag(np.array(h) != 0.0).astype(float), atol=1e-15)
+        else:
+            assert rank_two_residual(fr) > 0.01
 
-    def test_tied_pairs_order_alike_in_a_stack_and_alone(self):
-        h = np.array([v for v in TIED.values() if len(v) == 2]).reshape(2, 2, 2)
+    def test_tied_pairs_read_alike_in_a_stack_and_alone(self):
+        h = np.array([v for v in TIED.values()][:4]).reshape(2, 2, 4)
         stacked = point_frame(diagonal_jet(h))
         for idx in np.ndindex(2, 2):
             alone = point_frame(diagonal_jet(h[idx]))
-            np.testing.assert_array_equal(stacked.eigenvalues[idx], alone.eigenvalues)
-            np.testing.assert_array_equal(stacked.eigenvectors[idx], alone.eigenvectors)
-            assert alone.eigenvalues[0] > 0 > alone.eigenvalues[1]
+            np.testing.assert_array_equal(rank_two_residual(stacked)[idx], rank_two_residual(alone))
+            np.testing.assert_array_equal(stacked.shape_range[0][idx], alone.shape_range[0])
 
     def test_dependent_partials_rejected(self):
         bad = Jet2(
@@ -246,18 +257,21 @@ class TestPointFrame:
 
 
 class TestLazyEigenData:
-    """Only a reader of the eigen-data pays for the eigen-decomposition."""
+    """Only a reader of the eigen-data pays for an eigen-decomposition, and
+    only ``rank_and_nullity`` reads it: the frame's products and every
+    shape row are polynomial in A_hat."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            routine = getattr(np.linalg, name)
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+            def counted(a, *args, routine=routine, **kwargs):
+                calls.append(a.shape)
+                return routine(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
     def test_export_never_decomposes(self, tmp_path, m4r5_seed, eigh_calls):
@@ -265,16 +279,18 @@ class TestLazyEigenData:
         export_slice(m4r5_seed, spec, tmp_path / "s.obj", tmp_path / "s.csv")
         assert eigh_calls == []
 
-    def test_default_verify_decomposes_once(self, m4r5_seed, eigh_calls):
+    def test_default_verify_never_decomposes(self, m4r5_seed, eigh_calls):
         run_suites(build_bundle(m4r5_seed))
-        assert len(eigh_calls) == 1
+        assert eigh_calls == []
 
     def test_repeated_reads_return_the_same_arrays(self, m4r5_chart, eigh_calls):
         fr = point_frame(m4r5_chart.jet(np.array([[0.1, 0.2, 0.05, -0.1], [0.0, 0.1, 0.2, 0.0]])))
-        vals, vecs = fr.eigenvalues, fr.eigenvectors
-        assert fr.eigenvalues is vals and fr.eigenvectors is vecs
-        assert len(eigh_calls) == 1
-        np.testing.assert_allclose(fr.shape_operator @ vecs, vecs * vals[:, None, :], atol=1e-12)
+        names = ("tangent_rows", "shape_hat", "christoffel_hat", "shape_range")
+        first = [getattr(fr, name) for name in names]
+        assert all(getattr(fr, name) is got for name, got in zip(names, first))
+        assert eigh_calls == []
+        assert rank_and_nullity(fr).rank.tolist() == [2, 2]
+        assert eigh_calls == [(2, 4, 4)]
 
 
 def random_partials(rng, npts: int, d: int) -> np.ndarray:
@@ -378,7 +394,7 @@ class TestRank:
         fr = point_frame(plane_chart().jet([0.2, -0.4]))
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (0, 2)
-        assert res.null_mask.tolist() == [True, True]
+        assert rank_two_residual(fr) == 1.0
 
     def test_sphere_has_full_rank(self):
         res = rank_and_nullity(point_frame(sphere_chart().jet([0.5, 1.0])))
@@ -389,10 +405,11 @@ class TestRank:
         fr = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (2, 2)
-        # the relative-nullity directions are G-orthonormal and killed by A
-        basis = fr.eigenvectors[:, res.null_mask]
-        np.testing.assert_allclose(basis.T @ fr.metric @ basis, np.eye(2), atol=1e-10)
-        np.testing.assert_allclose(fr.shape_operator @ basis, 0.0, atol=1e-10)
+        # I - Pi projects onto the relative nullity, which A_hat kills
+        null = np.eye(4) - fr.shape_range[0]
+        assert np.trace(null) == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(fr.shape_hat @ null, 0.0, atol=1e-12 * np.abs(fr.shape_hat).max())
+        assert rank_two_residual(fr) < 1e-15
 
     def test_band_value_warns_and_flags(self):
         fr = point_frame(graph_jet(1e-7))
@@ -418,15 +435,17 @@ class TestRank:
             warnings.simplefilter("error")
             res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (1, 1)
-        np.testing.assert_allclose(np.abs(fr.eigenvectors[:, res.null_mask][:, 0]), [0, 1], atol=1e-9)
+        np.testing.assert_allclose(fr.shape_operator @ [0.0, 1.0], 0.0, atol=1e-11)
+        assert rank_two_residual(fr) == 1.0
 
     def test_cylinder_over_ellipse_has_rank_one(self):
         chart = ProductChart(profile=ellipse_chart(), extra=1)
         fr = point_frame(chart.jet([1.0, 0.2]))
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (1, 1)
-        # the flat factor spans the nullity
-        np.testing.assert_allclose(np.abs(fr.eigenvectors[:, res.null_mask][:, 0]), [0, 1], atol=1e-12)
+        # the flat factor spans the nullity, and the rank row reads a miss
+        np.testing.assert_allclose(fr.shape_operator @ [0.0, 1.0], 0.0, atol=1e-12)
+        assert rank_two_residual(fr) == 1.0
 
 
 def chol_frame(L: np.ndarray):
@@ -441,9 +460,7 @@ def chol_frame(L: np.ndarray):
 class TestNorms:
     def test_euclidean_reduction(self, rng):
         fr = chol_frame(np.eye(3))
-        v = rng.standard_normal(3)
         M = rng.standard_normal((3, 3))
-        assert gnorm_columns(fr.chol, v[:, None])[0] == pytest.approx(np.linalg.norm(v))
         assert gnorm_op(fr, M) == pytest.approx(np.linalg.norm(M, "fro"))
 
     def test_metric_invariance_of_operator_norm(self):
