@@ -46,7 +46,7 @@ from .geometry import (
     RankResult,
     anticommutation_residual,
     christoffel,
-    codazzi_residual,
+    gnorm_op,
     laplace_beltrami,
     minimality_residual,
     parallel_J_residual,
@@ -58,6 +58,7 @@ from .bending import (
     Variation,
     bending_residual,
     classify_triviality,
+    codazzi_residual,
     conjugate_field,
     gauss_tangency_residual,
     make_trivial,

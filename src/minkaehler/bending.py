@@ -26,15 +26,16 @@ Every residual and every route to B below takes one :class:`Variation`,
 the chart's :class:`~minkaehler.geometry.PointFrame` on a point stack of
 shape (..., d) and the field's :class:`~minkaehler.charts.Jet2` on the
 same stack, and returns one value per point.  A Variation keeps tau,
-<T_ij, N>, sigma, dN, T_*, T_hat, B and the G-norms ||B||_G and ||A T_*||_G
-once computed, so each is computed once per field; the three routes to B
-share only those inputs.  Every ||.||_G of an operator is its Frobenius
-G-norm, :func:`~minkaehler.geometry.gnorm_op`, and of a vector its length
-in G.  The parallelism of T_*, the rotation and the nullity row read the
-frame's orthonormal rows E, A_hat and Gamma_hat and T_hat, with no G^{-1};
-sigma, T_* and the B routes read G^{-1}, and ``B_with_codazzi_derivative``
-d_l G, from the frame, which computes each once, so nothing here solves
-against G.
+tau_hat = C^{-1} tau, <T_ij, N>, dN, T_hat, B_hat and the G-norms ||B||_G
+and ||A T_*||_G once computed, so each is computed once per field; the
+three routes to B share only those inputs.  Every operator is its matrix
+in the orthonormal frame (:meth:`~minkaehler.geometry.PointFrame.in_frame`)
+and every ||.||_G of an operator the Frobenius norm of that matrix,
+:func:`~minkaehler.geometry.gnorm_op`.  Every row reads the frame's
+orthonormal rows E, A_hat and Gamma_hat: no G^{-1}, d_l G or coordinate
+Christoffel symbol is formed, and nothing here solves against G.  Every
+relative row divides by its scale through :func:`_relative`, which leaves
+out (``excluded``) a point where the scale is 0 or not finite.
 Since f + tT is affine in t, its first variations are closed form in the
 two jets, and no deformed frame is built.
 """
@@ -54,6 +55,7 @@ from .geometry import (
     PointFrame,
     _flat,
     _t,
+    covariant_field_derivative,
     gnorm_op,
     parallel_residual,
 )
@@ -100,6 +102,17 @@ def make_trivial(jet: Jet2, rng) -> Jet2:
 
 # -- bending / preservation residuals -----------------------------------------
 
+def _masked(values: np.ndarray, scale: np.ndarray) -> np.ma.MaskedArray:
+    """``values``, masked out (``excluded``) where the scale is 0 or not
+    finite: the one masking rule of every relative row."""
+    return np.ma.masked_where(~(np.isfinite(scale) & (scale > 0.0)), values)
+
+
+def _relative(num: np.ndarray, scale: np.ndarray) -> np.ma.MaskedArray:
+    """num / scale, masked out (``excluded``) where the scale is 0 or not finite."""
+    return _masked(num / np.where(scale > 0.0, scale, 1.0), scale)
+
+
 @dataclass(frozen=True)
 class Variation:
     """A variation field T along the chart on one point stack: the chart's
@@ -123,44 +136,39 @@ class Variation:
         return (_flat(self.jet.d2, 2) @ self.frame.normal[..., None]).reshape(self.jet.d2.shape[:-1])
 
     @cached_property
-    def sigma(self) -> np.ndarray:
-        """sigma = G^{-1} tau: the tangent vector s = f_*(sigma) has <s, f_k> = tau_k."""
-        return (self.frame.metric_inv @ self.tau[..., None])[..., 0]
+    def tau_hat(self) -> np.ndarray:
+        """tau_hat = C^{-1} tau: s = E^T tau_hat is the tangent vector with
+        <s, f_k> = tau_k."""
+        return (self.frame.chol_inv @ self.tau[..., None])[..., 0]
 
     @cached_property
     def normal_variation(self) -> np.ndarray:
-        """dN = -f_*(sigma): the exact t-derivative at t = 0 of the unit
+        """dN = -E^T tau_hat: the exact t-derivative at t = 0 of the unit
         normal of f + tT.  Differentiating <N, f_k + t T_k> = 0 fixes its
         tangential part, and |N| = 1 leaves no normal part."""
-        return -(self.sigma[..., None, :] @ self.frame.jet.d1)[..., 0, :]
-
-    @cached_property
-    def tstar(self) -> np.ndarray:
-        """T_* as a matrix: column j solves G c = <f_i, T_j> (the tangential
-        part of dT(e_j) in the coordinate basis)."""
-        rhs = self.frame.jet.d1 @ _t(self.jet.d1)  # [..., i, j] = <f_i, T_j>
-        return self.frame.metric_inv @ rhs
+        return -(self.tau_hat[..., None, :] @ self.frame.tangent_rows)[..., 0, :]
 
     @cached_property
     def tstar_hat(self) -> np.ndarray:
-        """T_hat = C^T T_* C^{-T} = E T_d1^T C^{-T}, T_* in the orthonormal
-        frame, read off E with no G^{-1}."""
+        """T_hat = C^T T_* C^{-T} = E T_d1^T C^{-T}: the tangential part of
+        dT in the orthonormal frame, T_* = G^{-1} <f_i, T_j>, read off E with
+        no G^{-1}."""
         return (self.frame.tangent_rows @ _t(self.jet.d1)) @ _t(self.frame.chol_inv)
 
     @cached_property
     def B(self) -> np.ndarray:
-        """B by the covariant-Hessian formula, :func:`B_by_formula`."""
+        """B_hat by the covariant-Hessian formula, :func:`B_by_formula`."""
         return B_by_formula(self)
 
     @cached_property
     def B_norm(self) -> np.ndarray:
-        """||B||_G per point."""
-        return gnorm_op(self.frame, self.B)
+        """||B||_G = ||B_hat||_F per point."""
+        return gnorm_op(self.B)
 
     @cached_property
     def bat_norm(self) -> np.ndarray:
         """||A T_*||_G per point, :func:`B_by_BAT`'s route to B."""
-        return gnorm_op(self.frame, B_by_BAT(self))
+        return gnorm_op(B_by_BAT(self))
 
 
 def bending_residual(v: Variation) -> np.ndarray:
@@ -181,10 +189,8 @@ def gauss_tangency_residual(v: Variation) -> np.ndarray:
     everywhere tangent at the point, the first-order criterion for the
     variation to preserve the normal.  A point where every T_j is 0 has no
     scale and is masked out (``excluded``)."""
-    nrm = np.linalg.norm(v.jet.d1, axis=-1)
-    # a partial T_j = 0 has tau_j = 0 exactly, so it reads 0
-    worst = (np.abs(v.tau) / np.where(nrm > 0.0, nrm, 1.0)).max(axis=-1)
-    return np.ma.masked_where(nrm.max(axis=-1) == 0.0, worst)
+    # a partial T_j = 0 has tau_j = 0 exactly, and is left out of the max
+    return _relative(np.abs(v.tau), np.linalg.norm(v.jet.d1, axis=-1)).max(axis=-1)
 
 
 def normal_variation_residual(v: Variation) -> np.ndarray:
@@ -195,60 +201,61 @@ def normal_variation_residual(v: Variation) -> np.ndarray:
 
 # -- the B tensor --------------------------------------------------------------
 #
-# Every route returns B as an operator on a point stack, (..., d, d), with
-# columns the images of the basis vectors; its lowered form is (G B)^T.
+# Every route returns B as its matrix B_hat = C^T B C^{-T} in the orthonormal
+# frame on a point stack, (..., d, d); B's lowered form b is C B_hat C^T.
 
 def B_by_variation(v: Variation) -> np.ndarray:
     """B as dA, the exact t-derivative at t = 0 of the shape operator of
-    f + tT.  With dN from :attr:`Variation.normal_variation`,
+    f + tT, in the frame.  With dN from :attr:`Variation.normal_variation`,
 
         dG_ij = <f_i, T_j> + <T_i, f_j>,   dH_ij = <T_ij, N> + <f_ij, dN>,
 
-    and A = G^{-1} H gives dA = G^{-1} (dH - dG A).  It differentiates the
-    frame construction, not the covariant Hessian or A T_*."""
-    frame, dN = v.frame, v.normal_variation
+    and A = G^{-1} H gives dA = G^{-1} (dH - dG A), whose frame matrix is
+    C^{-1} dH C^{-T} - C^{-1} dG C^{-T} A_hat.  It differentiates the frame
+    construction, not the covariant Hessian or A T_*."""
+    frame, dN, Cinv = v.frame, v.normal_variation, v.frame.chol_inv
     dG = frame.jet.d1 @ _t(v.jet.d1)
     dG = dG + _t(dG)
     dH = v.second_form + (_flat(frame.jet.d2, 2) @ dN[..., None]).reshape(v.jet.d2.shape[:-1])
-    return frame.metric_inv @ (dH - dG @ frame.shape_operator)
+    return Cinv @ (dH @ _t(Cinv) - dG @ _t(Cinv) @ frame.shape_hat)
 
 
 def _b_form(v: Variation) -> np.ndarray:
-    """B_ij = <T_ij - Gamma^k_ij T_k, N> from the frame's jet and T's."""
-    corrected = _flat(v.jet.d2, 2) - _t(_flat(v.frame.christoffel, 2, keep=0)) @ v.jet.d1
-    return (corrected @ v.frame.normal[..., None]).reshape(v.jet.d2.shape[:-1])
+    """The lowered B form b_ij = <T_ij - Gamma^k_ij T_k, N> = <T_ij, N> -
+    Gamma_hat_ij . tau_hat, from the frame's jet and T's."""
+    gam = _flat(v.frame.christoffel_hat, 2, keep=0)
+    return v.second_form - (v.tau_hat[..., None, :] @ gam).reshape(v.second_form.shape)
 
 
 def B_by_formula(v: Variation) -> np.ndarray:
-    """B_ij = <T_ij - Gamma^k_ij T_k, N>: the covariant Hessian of T paired
-    with the normal, raised to an operator.  Exact from the 2-jets of f and
-    T, and identically zero on trivial fields; :attr:`Variation.B` keeps it."""
-    return v.frame.metric_inv @ _t(_b_form(v))
+    """B_hat = C^{-1} b C^{-T}, b_ij = <T_ij - Gamma^k_ij T_k, N> the
+    covariant Hessian of T paired with the normal: B raised to an operator,
+    in the frame.  Exact from the 2-jets of f and T, and identically zero
+    on trivial fields; :attr:`Variation.B` keeps it."""
+    Cinv = v.frame.chol_inv
+    return Cinv @ _b_form(v) @ _t(Cinv)
 
 
 def B_by_BAT(v: Variation) -> np.ndarray:
-    """B as the composition A T_* (valid for Gauss-map-preserving fields)."""
-    return v.frame.shape_operator @ v.tstar
+    """B as the composition A T_* (valid for Gauss-map-preserving fields),
+    A_hat T_hat in the frame."""
+    return v.frame.shape_hat @ v.tstar_hat
 
 
 def b_route_agreement(v: Variation) -> np.ndarray:
     """Largest pairwise G-norm deviation of the three B routes over the
     largest of their G-norms, unit-free; points where all three routes
     vanish have no scale and are masked out (``excluded``)."""
-    frame = v.frame
     ops = np.stack([B_by_variation(v), v.B, B_by_BAT(v)])
-    scale = np.maximum.reduce([gnorm_op(frame, ops[0]), v.B_norm, v.bat_norm])
+    scale = np.maximum.reduce([gnorm_op(ops[0]), v.B_norm, v.bat_norm])
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
-    worst = gnorm_op(frame, ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0)
-    return np.ma.masked_where(scale == 0.0, worst / np.where(scale > 0.0, scale, 1.0))
+    return _relative(gnorm_op(ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0), scale)
 
 
 def bat_residual(v: Variation) -> np.ndarray:
     """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula; points
     with A T_* = 0 have no scale and are masked out (``excluded``)."""
-    scale = v.bat_norm
-    res = gnorm_op(v.frame, v.B - B_by_BAT(v)) / np.where(scale > 0.0, scale, 1.0)
-    return np.ma.masked_where(scale == 0.0, res)
+    return _relative(gnorm_op(v.B - B_by_BAT(v)), v.bat_norm)
 
 
 def tangential_covariant_derivative(v: Variation) -> np.ndarray:
@@ -275,51 +282,74 @@ def tangential_covariant_derivative(v: Variation) -> np.ndarray:
 def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
     """Parallelism of the tangential part of dT in the induced connection:
     :func:`~minkaehler.geometry.parallel_residual` of
-    :func:`tangential_covariant_derivative`.  Where ||T_*||_G <= 1e-14 there
-    is no field to measure, so those points are masked out (``excluded``).
-    """
-    res = parallel_residual(tangential_covariant_derivative(v))
-    T_hat = v.tstar_hat.reshape(res.shape + (-1,))
-    return np.ma.masked_where(np.vecdot(T_hat, T_hat) <= 1e-28, res)
+    :func:`tangential_covariant_derivative`.  Where T_hat = 0 there is no
+    field to measure, so :func:`_masked` leaves out the points where
+    ||T_hat||_F is 0 or not finite."""
+    return _masked(parallel_residual(tangential_covariant_derivative(v)), gnorm_op(v.tstar_hat))
 
 
 def B_with_codazzi_derivative(v: Variation) -> tuple:
-    """(op, dop): B as an operator, :attr:`Variation.B`, and dop[..., l] =
-    d_l op less G^{-1} of a part symmetric in (i, j, l), from the 2-jets of
-    f and T; :func:`~minkaehler.geometry.codazzi_residual` reads dop only
-    antisymmetrized, where that part cancels.
+    """(b, db): the B form b[..., j, k] (:func:`_b_form`) and db[..., i, j,
+    k] = d_i b_jk less a part symmetric in (i, j, k), from the 2-jets of f
+    and T; :func:`codazzi_residual` reads db antisymmetrized in (i, j),
+    where that part cancels.  With s = -dN = E^T tau_hat, b_jk = <T_jk, N>
+    - <f_jk, s>, and
 
-    With sigma = :attr:`Variation.sigma` and s = -dN = f_*(sigma)
-    (:attr:`Variation.normal_variation`), the Christoffel term of B is
-    Gamma^k_ij tau_k = <f_ij, s>.  So B_ij = <T_ij, N> - <f_ij, s>, and
-
-        d_l B_ij = <T_ijl, N> - <f_ijl, s> + <T_ij, d_l N> - <f_ij, d_l s>,
+        d_i b_jk = <T_ijk, N> - <f_ijk, s> + <T_jk, d_i N> - <f_jk, d_i s>,
 
     whose first two terms, the symmetric part, are left out: no third
-    partial is read.  The rest takes d_l N = -f_*(A e_l), d_l sigma =
-    G^{-1} (d_l tau - d_l G sigma) (d_l G from
-    :attr:`~minkaehler.geometry.PointFrame.metric_derivative`) and
-    d_l s = f_*(d_l sigma) + sum_q sigma_q f_ql.  No derivative of Gamma,
-    a d^4 array per point, is formed.
-    """
-    frame, jet, field_jet = v.frame, v.frame.jet, v.jet
-    Ginv, f1, f2, sigma = frame.metric_inv, jet.d1, jet.d2, v.sigma
-    dN = -(_t(frame.shape_operator) @ f1)  # row l = d_l N
-    pair = f2.shape[:-1]
+    partial is read.  The rest takes d_i N = -E^T (C^{-1} H) e_i and
+
+        <f_jk, d_i s> = Gamma_hat_jk . C^{-1} u_i + nu_i H_jk,
+
+    the tangential and normal parts of d_i s, with u_il = <d_i s, f_l> =
+    d_i tau_l - tau_hat . Gamma_hat_il and nu_i = <d_i s, N> = ((C^{-1}
+    H)^T tau_hat)_i: no G^{-1}, d_l G or derivative of Gamma."""
+    frame, t1, t2 = v.frame, v.jet.d1, v.jet.d2
+    Cinv, gam = frame.chol_inv, _flat(frame.christoffel_hat, 2, keep=0)
+    pair = frame.second_form.shape
     triple = pair + (frame.d,)
-    dG = _flat(frame.metric_derivative, 2)  # [..., (l, k), q] = d_l G_kq
-    dtau = dN @ _t(field_jet.d1)  # [l, k] = <T_k, d_l N> + <T_kl, N>
-    dtau += _t(v.second_form)
-    dsigma = Ginv @ _t(dtau - (dG @ sigma[..., None]).reshape(pair))  # [q, l]
-    ds = _t(dsigma) @ f1 + (sigma[..., None, :] @ _flat(f2, 2, keep=0)).reshape(f1.shape)
-    # dform[..., i, j, l] = d_l B_ij less <T_ijl, N> - <f_ijl, s>
-    dform = (_flat(field_jet.d2, 2) @ _t(dN)).reshape(triple)
-    dform -= (_flat(f2, 2) @ _t(ds)).reshape(triple)
-    op = v.B
-    # d_l op = G^{-1} ((d_l B)^T - d_l G op), with the row index of G^{-1}'s
-    # operand first: [..., q, l, i]
-    rhs = np.moveaxis(dform, -3, -1) - np.swapaxes((dG @ op).reshape(triple), -3, -2)
-    return op, np.swapaxes((Ginv @ _flat(rhs, 2, keep=0)).reshape(triple), -3, -2)
+    X = Cinv @ frame.second_form  # column i = C^T A e_i
+    dN = -(_t(X) @ frame.tangent_rows)  # row i = d_i N
+    # u[i, l] = <T_il, N> + <T_l, d_i N> - tau_hat . Gamma_hat_il
+    u = v.second_form + dN @ _t(t1) - (v.tau_hat[..., None, :] @ gam).reshape(pair)
+    nu = (v.tau_hat[..., None, :] @ X)[..., 0, :]
+    # db[..., i, j, k] = <T_jk, d_i N> - (C^{-1} u_i) . Gamma_hat_jk - nu_i H_jk
+    db = (dN @ _t(_flat(t2, 2))).reshape(triple)
+    db -= (u @ _t(Cinv) @ gam).reshape(triple)
+    db -= nu[..., :, None, None] * frame.second_form[..., None, :, :]
+    return _b_form(v), db
+
+
+# Least scale of codazzi_b, as a fraction of the largest term of D
+_CODAZZI_RESOLUTION = 1e-6
+
+
+def codazzi_residual(frame: PointFrame, form, dform, norm=None) -> np.ndarray:
+    """sqrt(sum_{i<j} ||C^{-1} D_ij.||^2) / ||C^{-1} b C^{-T}||_F, the
+    G-norms of (nabla_i B) e_j - (nabla_j B) e_i over ||B||_G, B = G^{-1} b,
+    for the symmetric form b and dform[..., i, j, k] = d_i b_jk, D from
+    :func:`~minkaehler.geometry.covariant_field_derivative`; ``norm`` is
+    ||B||_G when the caller keeps it.
+
+    D is rounded to eps times its largest term, which exceeds ||B||_G by
+    the chart's ratio of connection to curvature: at most 5 on the
+    built-ins and drawn seeds, 6e11 on enneper over a disc of radius 1e12.
+    So the scale is at least ``_CODAZZI_RESOLUTION`` times a bound on those
+    terms: every such chart reads the same, and rounding reads about 1e-10
+    at most."""
+    Cinv = frame.chol_inv
+    if norm is None:
+        norm = gnorm_op(Cinv @ form @ _t(Cinv))
+    D = covariant_field_derivative(frame, form, dform)
+    iu, ju = np.triu_indices(frame.d, 1)
+    # row (i, j) of C^{-1} D_ij. is D_ij. C^{-T}, summed in squares over the pairs i < j
+    num = np.linalg.norm(D[..., iu, ju, :] @ _t(Cinv), axis=(-2, -1))
+    # ||C^{-1}||_F (||d b||_F + ||b C^{-T}||_F ||Gamma_hat||_F) bounds every term of C^{-1} D
+    gam, db = (_flat(np.asarray(a), 3, keep=0) for a in (frame.christoffel_hat, dform))
+    fro = np.linalg.norm(Cinv, axis=(-2, -1)), np.linalg.norm(form @ _t(Cinv), axis=(-2, -1))
+    terms = fro[0] * (np.sqrt(np.vecdot(db, db)) + fro[1] * np.sqrt(np.vecdot(gam, gam)))
+    return _relative(num, np.maximum(norm, _CODAZZI_RESOLUTION * terms))
 
 
 _WEDGE_BLOCK = 256  # points per block of the linearized curvature identity's wedge
@@ -329,37 +359,36 @@ def fundamental_equation_residual(v: Variation) -> np.ndarray:
     """Linearized curvature identity: A X ^ B Y + B X ^ A Y = 0.
 
     Differentiating the curvature of the isometric family f + tT in t must
-    give zero; the residual is the worst basis pair, normalized by the
-    sizes of the lowered operators.  The wedge (u ^ v) Z = <v, Z>_G u -
-    <u, Z>_G v is the matrix u (G v)^T - v (G u)^T.  Its products hold d^4
-    numbers per point, so they run over blocks of ``_WEDGE_BLOCK`` points.
+    give zero.  In the orthonormal frame the wedge (u ^ v) Z = <v, Z> u -
+    <u, Z> v is the matrix u v^T - v u^T, and the residual is the root-sum-
+    square over the frame's pairs i < j of ||A_hat e_i ^ B_hat e_j + B_hat
+    e_i ^ A_hat e_j||_F, which no orthogonal change of frame moves, over
+    ||A_hat||_F ||B_hat||_F: unit-free.  Its products hold d^4 numbers per
+    point, so they run over blocks of ``_WEDGE_BLOCK`` points.
     """
-    frame, A, B = v.frame, v.frame.shape_operator, v.B
-    GA, GB = frame.metric @ A, frame.metric @ B
-    den = np.linalg.norm(GA, axis=(-2, -1)) * np.linalg.norm(GB, axis=(-2, -1))
-    iu, ju = np.triu_indices(frame.d, 1)
+    A, B = v.frame.shape_hat, v.B
+    iu, ju = np.triu_indices(v.frame.d, 1)
     # (A e_i ^ B e_j) + (B e_i ^ A e_j) for the pair i < j is U V with the
     # columns U = [A e_i, -B e_j, B e_i, -A e_j] and the rows
-    # V = [GB e_j, GA e_i, GA e_j, GB e_i]: one product per pair
-    At, Bt, GAt, GBt = (_t(M).reshape((-1,) + M.shape[-2:]) for M in (A, B, GA, GB))
-    worst = np.empty(len(At))
+    # V = [B e_j, A e_i, A e_j, B e_i]: one product per pair
+    At, Bt = (_t(M).reshape((-1,) + M.shape[-2:]) for M in (A, B))
+    sq = np.empty(len(At))
     for lo in range(0, len(At), _WEDGE_BLOCK):
-        a, b, ga, gb = (M[lo : lo + _WEDGE_BLOCK] for M in (At, Bt, GAt, GBt))
+        a, b = At[lo : lo + _WEDGE_BLOCK], Bt[lo : lo + _WEDGE_BLOCK]
         U = np.stack([a[:, iu], -b[:, ju], b[:, iu], -a[:, ju]], axis=-1)
-        V = np.stack([gb[:, ju], ga[:, iu], ga[:, ju], gb[:, iu]], axis=-2)
-        worst[lo : lo + _WEDGE_BLOCK] = np.linalg.norm(U @ V, axis=(-2, -1)).max(axis=-1, initial=0.0)
-    return worst.reshape(den.shape) / np.maximum(den, 1e-14)
+        V = np.stack([b[:, ju], a[:, iu], a[:, ju], b[:, iu]], axis=-2)
+        W = (U @ V).reshape(len(a), -1)
+        sq[lo : lo + _WEDGE_BLOCK] = np.vecdot(W, W)
+    return _relative(np.sqrt(sq).reshape(A.shape[:-2]), v.frame.shape_norm * v.B_norm)
 
 
 def nullity_annihilation_residual(v: Variation) -> np.ma.MaskedArray:
-    """||B_hat (I - Pi)||_F / ||B_hat||_F, with B_hat = C^T B C^{-T} and Pi
-    of :attr:`~minkaehler.geometry.PointFrame.shape_range`: B on the
-    relative nullity, relative to ||B||_G, with no eigenvector.  NaN where
-    A has rank below 2; points with B = 0 are masked out (``excluded``)."""
-    frame, scale = v.frame, v.B_norm
-    B_hat = _t(frame.chol) @ v.B @ _t(frame.chol_inv)
-    miss = np.linalg.norm(B_hat - B_hat @ frame.shape_range[0], axis=(-2, -1))
-    return np.ma.masked_where(scale == 0.0, miss / np.where(scale > 0.0, scale, 1.0))
+    """||B_hat (I - Pi)||_F / ||B_hat||_F, with Pi of
+    :attr:`~minkaehler.geometry.PointFrame.shape_range`: B on the relative
+    nullity, relative to ||B||_G, with no eigenvector.  NaN where A has rank
+    below 2; points with B = 0 are masked out (``excluded``)."""
+    B_hat = v.B
+    return _relative(gnorm_op(B_hat - B_hat @ v.frame.shape_range[0]), v.B_norm)
 
 
 # -- rotation coefficient and classification ----------------------------------
@@ -379,7 +408,7 @@ def rotation_coefficient(v: Variation) -> RotationData:
     Pi J_hat Pi||_F.  Both are NaN where A has rank below 2.
     """
     frame, T_hat, proj = v.frame, v.tstar_hat, v.frame.shape_range[0]
-    J_hat = _t(frame.chol) @ chart_complex_structure(frame.d) @ _t(frame.chol_inv)
+    J_hat = frame.in_frame(chart_complex_structure(frame.d))
     # tr(Pi J_hat^T T_hat) as the entrywise product of J_hat Pi^T and T_hat
     c = 0.5 * np.vecdot(_flat(J_hat @ _t(proj), 2, keep=0), _flat(T_hat, 2, keep=0))
     miss = _flat(proj @ (T_hat - c[..., None, None] * J_hat) @ proj, 2, keep=0)

@@ -13,9 +13,10 @@ cells, and the CSV formats each distinct chart coordinate once, since a
 grid line repeats its coordinates in every row.  Text is held per chunk as
 a few large strings, never one object per cell for the whole slice.  Every
 frame and residual is computed before either file is opened, so a failed
-slice writes nothing; the slice reads A and its Frobenius G-norm ||A||_G
-(:func:`~minkaehler.geometry.gnorm_op`) of its frame, never the eigen-data,
-so an export calls no eigen-solver.  A slice's JSON form is read against
+slice writes nothing; the slice reads its frame's A_hat, A's matrix in the
+orthonormal frame, and its Frobenius norm ||A||_G
+(:func:`~minkaehler.geometry.gnorm_op`), never the eigen-data, so an
+export calls no eigen-solver.  A slice's JSON form is read against
 ``SLICE_SCHEMA``, which the CLI config's ``export`` section shares.
 """
 
@@ -230,8 +231,8 @@ def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, nam
 
     The CSV carries two analytic per-point residual columns: the
     minimality defect |trace A| / ||A||_G and the anticommutation defect
-    ||A J + J A||_G / ||A||_G, each ||.||_G the Frobenius G-norm of
-    :func:`~minkaehler.geometry.gnorm_op`.
+    ||A J + J A||_G / ||A||_G, each ||.||_G the Frobenius norm of a frame
+    matrix, :func:`~minkaehler.geometry.gnorm_op`.
     """
     chart = slice_chart(seed, spec)
     pts = slice_points(chart, spec)

@@ -3,43 +3,44 @@
 Everything here is frame data computed pointwise but written once over any
 leading point axes ``...``: induced metric, unit normal from the
 generalized cross product (in coordinate index order), scalar second
-fundamental form, shape operator, its rank and range, Christoffel symbols
-read off the same 2-jet, the covariant derivative of a (1,1)-field given
-its exact coordinate derivative, the Laplace-Beltrami operator of a scalar
+fundamental form, and every operator as its matrix in the orthonormal
+frame: the shape operator, its rank and range, the Christoffel symbols read
+off the same 2-jet, the Codazzi derivative of a symmetric form given its
+exact coordinate derivative, the Laplace-Beltrami operator of a scalar
 field given its exact jets, and residuals for the Kaehler checks
-(anticommutation with J, parallelism of J) and the Codazzi symmetry.  A
-single point is the stack with no leading axes.  Nothing here
-differences: every input is a jet.
+(anticommutation with J, parallelism of J).  A single point is the stack
+with no leading axes.  Nothing here differences: every input is a jet.
 
 A :class:`PointFrame` holds one field, a jet stack; every other piece it
 computes from the jet on first read and then keeps: G; N, the Cholesky
 factor C of G and C^{-1}, all three from one Householder QR of the first
 partials over the whole stack (:func:`~minkaehler.kernels.cross_columns`);
-G^{-1} = C^{-T} C^{-1}, d_l G, H, A, ||A||_G, the Christoffel symbols and,
-in the orthonormal frame with no G^{-1}, E = C^{-1} f_*, A_hat = C^{-1} H
-C^{-T} and Gamma_hat_ij = E f_ij = C^T Gamma_ij, which the rank row, the
-range of A and the parallelism of J read.  Nothing here factors G, solves
-against it or calls LAPACK once per point, and only
-:func:`rank_and_nullity` decomposes (one ``eigvalsh``); a G-norm is a
-Frobenius norm (:func:`gnorm_op`).  :func:`point_frame` takes an SVD of
-the first partials only at the points C's bound cannot clear.
+H and, in the orthonormal frame, E = C^{-1} f_*, A_hat = C^{-1} H C^{-T},
+||A_hat||_F and Gamma_hat_ij = E f_ij = C^T Gamma_ij.  No G^{-1}, no
+coordinate shape operator or Christoffel symbol and no d_l G is formed.
+Nothing here factors G, solves against it or calls LAPACK once per point,
+and only :func:`rank_and_nullity` decomposes (one ``eigvalsh``).
+:func:`point_frame` takes an SVD of the first partials only at the points
+C's bound cannot clear.
 
 Every contraction of per-point tensors, here and in
 :mod:`~minkaehler.bending`, is one batched ``matmul`` per point: a jet's
-free index pair (i, j) or triple (i, j, l), or the (i, j) of Gamma, is
+free index pair (i, j) or triple (i, j, l), or the (i, j) of Gamma_hat, is
 flattened into one matrix axis (:func:`_flat`, a reshape, so a view of a
 contiguous jet), and the product is reshaped or transposed back.  Nothing
 calls ``einsum`` or broadcasts a product over an extra index axis; the
 one exception is the wedge of the linearized curvature identity, one
 product per point and basis pair.
 
-Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates; the
-normal is the normalized generalized cross product of the first partials
-in index order; H_ij = <f_ij, N>; A = G^{-1} H, whose matrix in the
-orthonormal frame, A_hat = C^T A C^{-T}, is symmetric.  Norms written
+Conventions: the metric is G_ij = <f_i, f_j> in chart coordinates, with G
+= C C^T; the normal is the normalized generalized cross product of the
+first partials in index order; H_ij = <f_ij, N>; A = G^{-1} H.  An
+operator M (columns the images of the coordinate basis vectors) is held as
+its matrix M_hat = C^T M C^{-T} in the G-orthonormal basis, the columns of
+C^{-T} (:meth:`PointFrame.in_frame`); A_hat is symmetric.  Norms written
 ||.||_G use the induced metric: a vector's is its length in G, an
-operator's the Frobenius norm of its matrix in a G-orthonormal basis,
-sqrt(tr(G^{-1} M^T G M)) (:func:`gnorm_op`).
+operator's the Frobenius norm of its frame matrix, sqrt(tr(G^{-1} M^T G
+M)) (:func:`gnorm_op`).
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ class PointFrame:
 
     The frame's one field is its jet; every other piece is computed from it
     on first read and then kept.  N, C and C^{-1} come from one Householder
-    pass along the point axis, the frame's only factorization, and G^{-1} =
-    C^{-T} C^{-1} only when read.  The ambient dimension may exceed d + 1
-    (a Gauss map's frame reads G^{-1}), but N is a normal only at d + 1.
-    At a zero or exactly dependent row of f_*, C^{-1} is not finite.
+    pass along the point axis, the frame's only factorization.  The ambient
+    dimension may exceed d + 1 (a Gauss map's frame reads C^{-1} and
+    Gamma_hat), but N is a normal only at d + 1.  At a zero or exactly
+    dependent row of f_*, C^{-1} is not finite.
     """
 
     jet: Jet2
@@ -118,15 +119,10 @@ class PointFrame:
     def chol_inv(self) -> np.ndarray:  # C^{-1}
         return self._factor[2]
 
-    @cached_property
-    def metric_inv(self) -> np.ndarray:  # G^{-1} = C^{-T} C^{-1}
-        return _t(self.chol_inv) @ self.chol_inv
-
-    @cached_property
-    def metric_derivative(self) -> np.ndarray:  # [..., l, k, q] = d_l G_kq
-        d2 = self.jet.d2
-        dG = (_flat(d2, 2) @ _t(self.jet.d1)).reshape(d2.shape[:-1] + (self.d,))  # <f_lk, f_q>
-        return dG + _t(dG)
+    def in_frame(self, M) -> np.ndarray:
+        """M_hat = C^T M C^{-T}: the matrix of the operator M in the
+        orthonormal frame, for a constant M such as a complex structure."""
+        return _t(self.chol) @ M @ _t(self.chol_inv)
 
     @cached_property
     def _cross(self) -> tuple:  # the unnormalized normal and its length
@@ -143,18 +139,6 @@ class PointFrame:
         return (_flat(self.jet.d2, 2) @ self.normal[..., None]).reshape(self.jet.d2.shape[:-1])
 
     @cached_property
-    def shape_operator(self) -> np.ndarray:  # (..., d, d) A = G^{-1} H
-        return self.metric_inv @ self.second_form
-
-    @cached_property
-    def shape_norm(self) -> np.ndarray:  # Frobenius G-norm ||A||_G per point
-        return gnorm_op(self, self.shape_operator)
-
-    @cached_property
-    def christoffel(self) -> np.ndarray:  # Gamma[..., k, i, j]
-        return christoffel(self.jet, self.metric_inv)
-
-    @cached_property
     def tangent_rows(self) -> np.ndarray:  # (..., d, m) E = C^{-1} f_*, orthonormal rows
         return self.chol_inv @ self.jet.d1
 
@@ -163,9 +147,12 @@ class PointFrame:
         return self.chol_inv @ self.second_form @ _t(self.chol_inv)
 
     @cached_property
+    def shape_norm(self) -> np.ndarray:  # ||A||_G = ||A_hat||_F per point
+        return gnorm_op(self.shape_hat)
+
+    @cached_property
     def christoffel_hat(self) -> np.ndarray:  # [..., k, i, j] = (E f_ij)_k = (C^T Gamma_ij)_k
-        d2 = self.jet.d2
-        return (self.tangent_rows @ _t(_flat(d2, 2))).reshape(d2.shape[:-3] + (self.d,) * 3)
+        return christoffel(self.jet, self.tangent_rows)
 
     @cached_property
     def shape_range(self) -> tuple:
@@ -244,17 +231,15 @@ def point_frame(jet: Jet2) -> PointFrame:
     return frame
 
 
-def gnorm_op(frame: PointFrame, M: np.ndarray) -> np.ndarray:
-    """Frobenius G-norm of an endomorphism M on the frame's points: the
-    Frobenius norm of its matrix C^T M C^{-T} in the G-orthonormal basis
-    (the columns of C^{-T}), taken as that of its transpose K = C^{-1} M^T C,
-    so ||M||_G^2 = tr(G^{-1} M^T G M).  It does not change under a homothety
-    or a change of basis; it lies between the operator norm and sqrt(d)
-    times it, and on a rank-2 operator with eigenvalues +-lambda it is
-    sqrt(2) |lambda|.  M may carry extra leading axes."""
-    K = frame.chol_inv @ _t(M) @ frame.chol
-    K = K.reshape(K.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(K, K))
+def gnorm_op(M: np.ndarray) -> np.ndarray:
+    """Frobenius G-norm of an operator given by its frame matrix M_hat =
+    C^T M C^{-T} (:meth:`PointFrame.in_frame`): the Frobenius norm of M_hat,
+    sqrt(tr(G^{-1} M^T G M)).  It does not change under a homothety or a
+    change of basis; it lies between the operator norm and sqrt(d) times
+    it, and on a rank-2 operator with eigenvalues +-lambda it is sqrt(2)
+    |lambda|.  M_hat may carry extra leading axes."""
+    flat = _flat(M, 2, keep=0)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 @dataclass(frozen=True)
@@ -296,50 +281,44 @@ def rank_two_residual(frame: PointFrame) -> np.ndarray:
     return np.where(np.isnan(res), 1.0, res)
 
 
-def christoffel(jet: Jet2, metric_inv: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] from a 2-jet stack and the
-    inverse of its metric.
-
-    Gamma^k_ij = G^{kl} <f_ij, f_l>, the tangential part of the second
-    partials; symmetric in (i, j) because the jet's second partials are.
-    """
-    proj = jet.d1 @ _t(_flat(jet.d2, 2))  # [..., l, (i, j)] = <f_ij, f_l>
-    gam = metric_inv @ proj
-    return gam.reshape(gam.shape[:-1] + (jet.d, jet.d))
+def christoffel(jet: Jet2, rows: np.ndarray) -> np.ndarray:
+    """Christoffel symbols in the orthonormal frame, Gamma_hat[..., k, i, j]
+    = (E f_ij)_k = (C^T Gamma_ij)_k, from a 2-jet stack and its frame's
+    orthonormal rows E = C^{-1} f_*: the tangential part of the second
+    partials, with no G^{-1}; symmetric in (i, j) because the jet's second
+    partials are."""
+    d2 = jet.d2
+    return (rows @ _t(_flat(d2, 2))).reshape(d2.shape[:-3] + (jet.d,) * 3)
 
 
 def laplace_beltrami(frame: PointFrame, grad, hess) -> np.ndarray:
     """G^{ij} (d_i d_j gamma - Gamma^k_ij d_k gamma) on a frame stack of the
     chart, from the exact gradient (..., d) and Hessian (..., d, d) of the
-    scalar gamma at the same points."""
-    gam = frame.christoffel
-    corr = hess - (grad[..., None, :] @ _flat(gam, 2, keep=0)).reshape(gam.shape[:-3] + gam.shape[-2:])
-    return np.trace(frame.metric_inv @ corr, axis1=-2, axis2=-1)
+    scalar gamma at the same points, as tr C^{-1} (hess - Gamma_hat .
+    C^{-1} grad) C^{-T}: Gamma^k_ij d_k gamma = Gamma_hat_ij . C^{-1} grad."""
+    gam, Cinv = frame.christoffel_hat, frame.chol_inv
+    grad_hat = (Cinv @ grad[..., None])[..., 0]
+    corr = hess - (grad_hat[..., None, :] @ _flat(gam, 2, keep=0)).reshape(gam.shape[:-3] + gam.shape[-2:])
+    return np.trace(Cinv @ corr @ _t(Cinv), axis1=-2, axis2=-1)
 
 
-def _connection_terms(gam: np.ndarray, S: np.ndarray) -> tuple:
-    """(sum_l Gamma^k_il S^l_j, sum_l S^k_l Gamma^l_ij), each [..., k, i, j]:
-    the two Christoffel terms of the covariant derivative of the (1,1)-field
-    S, from the Christoffels ``gam`` [..., k, i, l]."""
-    d = gam.shape[-1]
-    left = _flat(gam, 2) @ S
-    right = S @ _flat(gam, 2, keep=0)
-    shape = left.shape[:-2] + (d, d, d)
-    return left.reshape(shape), right.reshape(shape)
+def covariant_field_derivative(frame: PointFrame, form: np.ndarray, dform: np.ndarray) -> np.ndarray:
+    """The Codazzi derivative D[..., i, j, k] = (nabla_i b)_jk - (nabla_j
+    b)_ik of a symmetric form b on the frame's points, from ``form``
+    b[..., j, k] and ``dform``[..., i, j, k] = d_i b_jk, either of which may
+    broadcast:
 
+        D_ijk = d_i b_jk - d_j b_ik - (b C^{-T} Gamma_hat_ik)_j + (b C^{-T} Gamma_hat_jk)_i,
 
-def covariant_field_derivative(gam: np.ndarray, S: np.ndarray, dS: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a (1,1)-tensor field; returns [..., i, k, j].
-
-    ``gam`` holds the Christoffels [..., k, i, l], ``S`` the operator matrix
-    S[..., k, j] (column j = image of basis vector j) and ``dS[..., i]`` its
-    exact coordinate derivative d_i S:
-    (nabla_i S)^k_j = d_i S^k_j + Gamma^k_il S^l_j - Gamma^l_ij S^k_l.
-    """
-    # summed as [..., k, i, j], the layout of both products, and returned transposed
-    left, right = _connection_terms(gam, S)
-    dS = np.swapaxes(dS, -3, -2) if np.ndim(dS) else dS  # a scalar broadcasts
-    return np.swapaxes(dS + left - right, -3, -2)
+    Gamma^l_ik b_jl read off Gamma_hat with no G^{-1}; the Christoffel term
+    symmetric in (i, j) cancels.  D reads dform only antisymmetrized in
+    (i, j), so a part of it symmetric in (i, j) does not count."""
+    gam = frame.christoffel_hat
+    shape = gam.shape
+    # [..., j, (i, k)] = (b C^{-T} Gamma_hat_ik)_j, moved to [..., i, j, k]
+    conn = np.swapaxes((form @ _t(frame.chol_inv) @ _flat(gam, 2, keep=0)).reshape(shape), -3, -2)
+    half = dform - conn
+    return half - np.swapaxes(half, -3, -2)
 
 
 def parallel_residual(cols: np.ndarray) -> np.ndarray:
@@ -361,18 +340,18 @@ def parallel_residual(cols: np.ndarray) -> np.ndarray:
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
-    """|trace A| / ||A||_G with the Frobenius G-norm of :func:`gnorm_op`,
+    """|trace A_hat| / ||A_hat||_F, the Frobenius G-norm of :func:`gnorm_op`,
     unit-free; a point with A = 0 reads 0."""
     scale = frame.shape_norm
-    return np.abs(np.trace(frame.shape_operator, axis1=-2, axis2=-1)) / np.where(scale > 0.0, scale, 1.0)
+    return np.abs(np.trace(frame.shape_hat, axis1=-2, axis2=-1)) / np.where(scale > 0.0, scale, 1.0)
 
 
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
-    """||A J + J A||_G / ||A||_G, both Frobenius G-norms (:func:`gnorm_op`),
-    unit-free; a point with A = 0 reads 0."""
-    A = frame.shape_operator
+    """||A_hat J_hat + J_hat A_hat||_F / ||A_hat||_F, J_hat = C^T J C^{-T}:
+    ||A J + J A||_G / ||A||_G, unit-free; a point with A = 0 reads 0."""
+    A, J_hat = frame.shape_hat, frame.in_frame(J)
     den = frame.shape_norm
-    return gnorm_op(frame, A @ J + J @ A) / np.where(den > 0.0, den, 1.0)
+    return gnorm_op(A @ J_hat + J_hat @ A) / np.where(den > 0.0, den, 1.0)
 
 
 def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
@@ -384,23 +363,6 @@ def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:
     gam = frame.christoffel_hat
     cols = np.empty((3,) + gam.shape)  # nabla J, then its two terms, each [..., k, i, j]
     np.matmul(gam, J, out=cols[1])
-    np.matmul(_t(frame.chol) @ J @ _t(frame.chol_inv), _flat(gam, 2, keep=0), out=_flat(cols[2], 2, keep=0))
+    np.matmul(frame.in_frame(J), _flat(gam, 2, keep=0), out=_flat(cols[2], 2, keep=0))
     np.subtract(cols[1], cols[2], out=cols[0])
     return parallel_residual(_flat(cols, 2, keep=0))
-
-
-def codazzi_residual(frame: PointFrame, S, dS, norm=None) -> np.ndarray:
-    """sqrt(sum_{i<j} ||(nabla_i S) e_j - (nabla_j S) e_i||_G^2) / ||S||_G
-    for the operator S on the frame's points and its coordinate derivatives
-    dS[..., i] = d_i S, both norms Frobenius (:func:`gnorm_op`); ``norm`` is
-    ||S||_G when the caller keeps it.  It reads dS only through d_i S e_j -
-    d_j S e_i, so a part of dS symmetric in (i, j), which
-    :func:`~minkaehler.bending.B_with_codazzi_derivative` leaves out, does
-    not count."""
-    if norm is None:
-        norm = gnorm_op(frame, S)
-    nab = np.swapaxes(covariant_field_derivative(frame.christoffel, S, dS), -2, -1)
-    iu, ju = np.triu_indices(frame.d, 1)
-    diff = nab[..., iu, ju, :] - nab[..., ju, iu, :]  # (..., pairs, k), i < j
-    # ||C^T v|| = ||v^T C|| per pair, summed in squares over the pairs
-    return np.linalg.norm(diff @ frame.chol, axis=(-2, -1)) / np.maximum(norm, 1e-14)

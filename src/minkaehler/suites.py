@@ -17,9 +17,11 @@ On seed charts fbar's 2-jet is f's under J, bit for bit, so the bending
 rows and ``family_shape`` (exactly 0 there) test f's Hermitian, anti-J and
 parallel-J structure and the pipeline, not a bending independent of f.
 
-``rank``, ``kaehler_parallel``, ``bending_tpar``, ``rotation`` and
-``nullity_in_bending_kernel`` read the frame's E, A_hat and Gamma_hat: no
-eigen-solver, G^{-1} or d_i T_*.  The B rows and ``codazzi_b`` apply G^{-1}.
+Every row reads the frame's E, A_hat and Gamma_hat, and each operator as
+its matrix in that orthonormal frame: no eigen-solver, G^{-1}, d_l G or
+d_i T_*.  Every relative row is its residual over its scale through
+:func:`~minkaehler.bending._relative`, which leaves out a point whose scale
+is 0 or not finite.
 
 Each suite is registered once below, in verify order and with its default
 tolerance; its docstring states the identity it measures.  A suite maps
@@ -42,9 +44,11 @@ import numpy as np
 from .bending import (
     B_with_codazzi_derivative,
     Variation,
+    _relative,
     b_route_agreement,
     bat_residual,
     bending_residual,
+    codazzi_residual,
     fundamental_equation_residual,
     gauss_tangency_residual,
     make_trivial,
@@ -58,7 +62,6 @@ from .geometry import (
     PointFrame,
     _t,
     anticommutation_residual,
-    codazzi_residual,
     gnorm_op,
     minimality_residual,
     parallel_J_residual,
@@ -156,7 +159,7 @@ def build_bundle(seed: WeierstrassSeed, counts=None) -> ChartBundle:
 # -- the suite registry --------------------------------------------------------
 #
 # Every route is analytic: 2-jets and exact linear algebra only, the
-# Christoffels, d_l B and the first variations along f + tT included.
+# Christoffel symbols, d_i b and the first variations along f + tT included.
 # Identities get 1e-7 or tighter; ``rotation`` and
 # ``nullity_in_bending_kernel``, which divide by the curvature product e2
 # through the range projector of A, get 1e-6.
@@ -191,12 +194,6 @@ def rank(b: ChartBundle):
     return (rank_two_residual(b.frame),)
 
 
-def _relative(num: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """num / scale, masked out (``excluded``) where the scale is 0 or not finite."""
-    ok = np.isfinite(scale) & (scale > 0.0)
-    return np.ma.masked_where(~ok, num / np.where(ok, scale, 1.0))
-
-
 @_suite(1e-10)
 def family_metric(b: ChartBundle):
     """f_theta = cos(theta) f + sin(theta) fbar is isometric to f: with P =
@@ -223,10 +220,13 @@ def family_shape(b: ChartBundle):
     """A_theta = A (cos(theta) + sin(theta) J): where f_theta shares G and
     N (the rows above), H_theta = cos(theta) H + sin(theta) H_fbar, H_fbar =
     <fbar_ij, N>, so the miss is sin(theta) (G^{-1} H_fbar - A J), and
-    ||G^{-1} H_fbar - A J||_G / ||A||_G bounds it at every theta."""
+    ||G^{-1} H_fbar - A J||_G / ||A||_G bounds it at every theta; in the
+    frame the miss is C^{-1} H_fbar C^{-T} - A_hat J_hat = C^{-1} (H_fbar -
+    H J) C^{-T}."""
     frame = b.frame
-    miss = frame.metric_inv @ b.conjugate.second_form - frame.shape_operator @ b.J
-    return (_relative(gnorm_op(frame, miss), frame.shape_norm),)
+    Cinv = frame.chol_inv
+    miss = Cinv @ (b.conjugate.second_form - frame.second_form @ b.J) @ _t(Cinv)
+    return (_relative(gnorm_op(miss), frame.shape_norm),)
 
 
 @_suite(1e-7)
@@ -303,7 +303,7 @@ def fundamental_wedge(b: ChartBundle):
 def codazzi_b(b: ChartBundle):
     """B satisfies the Codazzi symmetry."""
     res = codazzi_residual(b.frame, *B_with_codazzi_derivative(b.conjugate), norm=b.conjugate.B_norm)
-    # control: a generic operator field linear in the coordinates
+    # control: a generic symmetric form linear in the coordinates
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 303)
     raw = rng.standard_normal((2, b.d, b.d))
     S0, S1 = raw + _t(raw)

@@ -50,7 +50,15 @@ from minkaehler.suites import (
 )
 from minkaehler.weierstrass import SeriesChart
 
-from oracles import catenoid_metric, ellipse_chart, frame_and_jet, metric_of, mix_jets
+from oracles import (
+    catenoid_metric,
+    ellipse_chart,
+    frame_and_jet,
+    gnorm_coord,
+    metric_of,
+    mix_jets,
+    shape_operator,
+)
 
 
 def announce(capsys, criterion: int, ok: bool, detail: str) -> None:
@@ -60,8 +68,8 @@ def announce(capsys, criterion: int, ok: bool, detail: str) -> None:
 
 def minimality_defect(chart, p) -> float:
     fr = point_frame(chart.jet(p))
-    scale = max(gnorm_op(fr, fr.shape_operator), 1e-14)
-    return abs(float(np.trace(fr.shape_operator))) / scale
+    A = shape_operator(fr)
+    return abs(float(np.trace(A))) / max(gnorm_coord(fr, A), 1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +120,8 @@ def test_criterion_2_m4r5_minimal_rank_two(capsys):
     ranks = set()
     for p in pts:
         fr = point_frame(chart.jet(p))
-        scale = max(gnorm_op(fr, fr.shape_operator), 1e-14)
-        worst_min = max(worst_min, abs(float(np.trace(fr.shape_operator))) / scale)
+        A = shape_operator(fr)
+        worst_min = max(worst_min, abs(float(np.trace(A))) / max(gnorm_coord(fr, A), 1e-14))
         ranks.add(rank_and_nullity(fr).rank)
     elapsed = time.perf_counter() - t0
     ok = worst_min < 1e-8 and ranks == {2} and elapsed < 30.0
@@ -310,9 +318,10 @@ def test_criterion_9_cylinder_bending_nullity(capsys):
     for p in pts:
         fr = point_frame(cylinder.jet(p))
         assert rank_and_nullity(fr).nullity == 1
-        b_op = B_by_formula(frame_and_jet(cylinder, fld, p))
-        # ||B e_z||_G / ||B||_G: the rank-1 nullity has no rank-2 projector
-        ann = np.linalg.norm(fr.chol.T @ b_op @ e_z) / gnorm_op(fr, b_op)
+        B_hat = B_by_formula(frame_and_jet(cylinder, fld, p))
+        # ||B e_z||_G / ||B||_G = ||B_hat C^T e_z|| / ||B_hat||_F: the rank-1
+        # nullity has no rank-2 projector
+        ann = np.linalg.norm(B_hat @ fr.chol.T @ e_z) / gnorm_op(B_hat)
         worst_ann = max(worst_ann, ann)
     ok = worst_bend < 1e-10 and worst_ann < 1e-10
     announce(

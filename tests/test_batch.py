@@ -17,6 +17,7 @@ from minkaehler.bending import (
     b_route_agreement,
     bat_residual,
     bending_residual,
+    codazzi_residual,
     conjugate_field,
     fundamental_equation_residual,
     gauss_tangency_residual,
@@ -38,7 +39,7 @@ from minkaehler.gausspar import (
 )
 from minkaehler.geometry import (
     anticommutation_residual,
-    codazzi_residual,
+    christoffel,
     minimality_residual,
     parallel_J_residual,
     point_frame,
@@ -74,19 +75,18 @@ def _codazzi_control(chart, fld, p):
     S1 = np.arange(chart.d * chart.d, dtype=float).reshape(chart.d, chart.d)
     dS = np.zeros((chart.d,) * 3)
     dS[0] = S1 + S1.T
-    return codazzi_residual(frame, frame.shape_operator + p[..., 0, None, None] * dS[0], dS)
+    return codazzi_residual(frame, frame.second_form + p[..., 0, None, None] * dS[0], dS)
 
 
 QUANTITIES = {
     "metric": lambda c, T, p: _frame(c, p).metric,
     "normal": lambda c, T, p: _frame(c, p).normal,
     "second_form": lambda c, T, p: _frame(c, p).second_form,
-    "shape_operator": lambda c, T, p: _frame(c, p).shape_operator,
     "eigenvalues": lambda c, T, p: np.linalg.eigvalsh(_frame(c, p).shape_hat),
     "tangent_rows": lambda c, T, p: _frame(c, p).tangent_rows,
     "shape_hat": lambda c, T, p: _frame(c, p).shape_hat,
     "christoffel_hat": lambda c, T, p: _frame(c, p).christoffel_hat,
-    "christoffel": lambda c, T, p: _frame(c, p).christoffel,
+    "christoffel": lambda c, T, p: christoffel(c.jet(p), _frame(c, p).tangent_rows),
     "rank": lambda c, T, p: rank_and_nullity(_frame(c, p)).rank,
     "rank_two": lambda c, T, p: rank_two_residual(_frame(c, p)),
     "minimality": lambda c, T, p: minimality_residual(_frame(c, p)),

@@ -1,13 +1,16 @@
-"""Every frame and bending contraction is one matmul per point; here each is
-checked against the ``einsum`` or broadcast form it replaced (kept in
-``oracles``), on random jet stacks with extra leading axes, for d = 2, 4
-and 6.  A rewrite that only reshapes a broadcast product must agree
-bitwise; one that reorders a sum, within 2 d eps of the reference's
-largest entry: 4 eps at d = 2, and more for the longer sums of larger d,
-where G^{-1} also amplifies a reordered sum (the d = 6 Christoffel symbols
-differ by up to 7.2 eps).  The covariant derivative of T_* is a different
-sum, read in the orthonormal frame with no G^{-1}, so it is checked within
-the eps cond(f_*)^2 rounding of the reference's G^{-1}."""
+"""Every frame and bending contraction is one matmul per point, and every
+operator is its matrix in the orthonormal frame; here each is checked
+against the coordinate route it replaced (kept in ``oracles``: einsum and
+broadcast contractions, with G^{-1}, A, Gamma and d_l G from solves against
+G), through M_hat = C^T M C^{-T}, on random jet stacks with extra leading
+axes, for d = 2, 4 and 6.  A rewrite that only reshapes a broadcast
+product must agree bitwise.  The frame routes are different sums, with no
+G^{-1}, so each is checked per point within 2 d eps kappa^2 of the
+reference's largest entry there, kappa = ||C||_F ||C^{-1}||_F >=
+cond(f_*): the rounding of the reference's solves against G.  The frame
+contractions that replaced broadcast ones, the Codazzi derivative and the
+variation route to B, are also checked bitwise against their broadcast
+forms."""
 
 import itertools
 
@@ -16,6 +19,7 @@ import pytest
 
 import minkaehler.bending as bending
 from minkaehler.bending import (
+    B_by_BAT,
     B_by_formula,
     B_by_variation,
     B_with_codazzi_derivative,
@@ -25,6 +29,7 @@ from minkaehler.bending import (
 )
 from minkaehler.charts import Jet2
 from minkaehler.geometry import (
+    _t,
     christoffel,
     covariant_field_derivative,
     laplace_beltrami,
@@ -32,17 +37,23 @@ from minkaehler.geometry import (
 )
 
 from oracles import (
-    B_by_formula_einsum,
+    B_by_BAT_coord,
+    B_by_formula_coord,
     B_by_variation_broadcast,
-    B_with_codazzi_derivative_einsum,
-    christoffel_einsum,
+    B_by_variation_coord,
+    b_form_coord,
+    christoffel_coord,
+    codazzi_coord,
+    codazzi_lowered,
     covariant_field_derivative_broadcast,
-    fundamental_equation_residual_einsum,
+    covariant_field_derivative_coord,
+    fundamental_equation_residual_coord,
+    in_frame,
     in_orthonormal_columns,
-    laplace_beltrami_einsum,
-    metric_derivative_broadcast,
+    laplace_beltrami_coord,
+    metric_derivative,
     second_form_broadcast,
-    tangential_covariant_derivative_einsum,
+    tangential_covariant_derivative_coord,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -75,21 +86,31 @@ def field(request):
     return Variation(point_frame(_jet(rng, coords, d)), _jet(rng, coords, d))
 
 
-def assert_within(got, ref, d: int):
-    """|got - ref| <= 2 d eps max |ref|, shape for shape."""
+def assert_within(got, ref, frame, axes: int = 2, scale=None):
+    """|got - ref| <= 2 d eps kappa^2 scale per point, shape for shape,
+    with the scale max |ref| there unless given; the last ``axes`` axes
+    are a point's entries."""
     assert got.shape == ref.shape
-    np.testing.assert_array_less(np.abs(got - ref), 2 * d * EPS * np.abs(ref).max() + 1e-300)
+    per_point = tuple(range(-axes, 0))
+    kappa2 = (frame.chol**2).sum(axis=(-2, -1)) * (frame.chol_inv**2).sum(axis=(-2, -1))
+    if scale is None:
+        scale = np.abs(ref).max(axis=per_point, initial=0.0)
+    bound = 2 * frame.d * EPS * kappa2 * scale
+    np.testing.assert_array_less(np.abs(got - ref).max(axis=per_point, initial=0.0), bound + 1e-300)
 
 
-def test_metric_derivative_and_second_form_are_bitwise(field):
+def test_second_form_is_bitwise(field):
     frame = field.frame
-    np.testing.assert_array_equal(frame.metric_derivative, metric_derivative_broadcast(frame.jet))
     np.testing.assert_array_equal(frame.second_form, second_form_broadcast(frame.jet, frame.normal))
 
 
 def test_christoffel(field):
-    jet, Ginv = field.frame.jet, field.frame.metric_inv
-    assert_within(christoffel(jet, Ginv), christoffel_einsum(jet, Ginv), jet.d)
+    frame = field.frame
+    got = christoffel(frame.jet, frame.tangent_rows)
+    np.testing.assert_array_equal(got, frame.christoffel_hat)
+    # Gamma_hat[k, i, j] = (C^T Gamma_ij)_k
+    ref = np.einsum("...qk,...qij->...kij", frame.chol, christoffel_coord(frame))
+    assert_within(got, ref, frame, 3)
 
 
 def test_laplace_beltrami(field):
@@ -98,29 +119,64 @@ def test_laplace_beltrami(field):
     grad = rng.standard_normal(frame.jet.d1.shape[:-1])
     hess = _symmetric(rng.standard_normal(frame.jet.d2.shape[:-1] + (1,)), 2)[..., 0]
     got = laplace_beltrami(frame, grad, hess)
-    assert_within(got, laplace_beltrami_einsum(frame, grad, hess), frame.d)
+    assert_within(got[..., None], laplace_beltrami_coord(frame, grad, hess)[..., None], frame, 1)
+
+
+def _random_form(frame, seed: int) -> tuple:
+    """A random symmetric form b on the frame's points and a random d_i b_jk,
+    symmetric in (j, k)."""
+    rng = np.random.default_rng(seed)
+    form = _symmetric(rng.standard_normal(frame.metric.shape + (1,)), 2)[..., 0]
+    dform = _symmetric(rng.standard_normal(frame.jet.d2.shape[:-1] + (frame.d, 1)), 2)[..., 0]
+    return form, dform
+
+
+def _codazzi_scale(frame, form, dform):
+    """The largest term of the Codazzi derivative per point, whose
+    antisymmetrization may cancel: d_i b_jk, or b C^{-T} Gamma_hat bounded
+    by d max |b C^{-T}| max |Gamma_hat|."""
+    conn = np.abs(form @ _t(frame.chol_inv)).max(axis=(-2, -1)) * np.abs(frame.christoffel_hat).max(axis=(-3, -2, -1))
+    return np.maximum(np.abs(dform).max(axis=(-3, -2, -1)), frame.d * conn)
 
 
 def test_covariant_field_derivative_is_bitwise(field):
     frame = field.frame
-    rng = np.random.default_rng(6)
-    S = rng.standard_normal(frame.metric.shape)
-    dS = rng.standard_normal(frame.metric_derivative.shape)
-    gam = frame.christoffel
-    got = covariant_field_derivative(gam, S, dS)
-    np.testing.assert_array_equal(got, covariant_field_derivative_broadcast(gam, S, dS))
-    # a constant operator, as the Kaehler parallelism check passes J
-    J = rng.standard_normal((frame.d, frame.d))
-    got = covariant_field_derivative(gam, J, 0.0)
-    np.testing.assert_array_equal(got, covariant_field_derivative_broadcast(gam, J, 0.0))
+    form, dform = _random_form(frame, 6)
+    got = covariant_field_derivative(frame, form, dform)
+    np.testing.assert_array_equal(got, covariant_field_derivative_broadcast(frame, form, dform))
+    # a constant form and no derivative, as the codazzi_b control's S0 broadcasts
+    form = form[(0,) * (form.ndim - 2)]
+    got = covariant_field_derivative(frame, form, 0.0)
+    np.testing.assert_array_equal(got, covariant_field_derivative_broadcast(frame, form, 0.0))
+
+
+def test_covariant_field_derivative_matches_the_coordinate_route(field):
+    # the Codazzi derivative of a random symmetric form b against the
+    # covariant derivative of the operator S = G^{-1} b, d_i S = G^{-1}
+    # (d_i b - d_i G S), antisymmetrized and lowered
+    frame = field.frame
+    form, dform = _random_form(frame, 6)
+    S = np.linalg.solve(frame.metric, form)
+    dS = np.linalg.solve(frame.metric[..., None, :, :], dform - metric_derivative(frame.jet) @ S[..., None, :, :])
+    ref = codazzi_lowered(frame, covariant_field_derivative_coord(christoffel_coord(frame), S, dS))
+    assert_within(covariant_field_derivative(frame, form, dform), ref, frame, 3, _codazzi_scale(frame, form, dform))
 
 
 def test_B_by_formula(field):
-    assert_within(B_by_formula(field), B_by_formula_einsum(field), field.frame.d)
+    assert_within(B_by_formula(field), in_frame(field.frame, B_by_formula_coord(field)), field.frame)
 
 
 def test_B_by_variation_is_bitwise(field):
     np.testing.assert_array_equal(B_by_variation(field), B_by_variation_broadcast(field))
+
+
+@pytest.mark.parametrize(
+    "route, ref",
+    [(B_by_formula, B_by_formula_coord), (B_by_variation, B_by_variation_coord), (B_by_BAT, B_by_BAT_coord)],
+    ids=["formula", "variation", "bat"],
+)
+def test_B_routes_match_the_coordinate_routes(field, route, ref):
+    assert_within(route(field), in_frame(field.frame, ref(field)), field.frame)
 
 
 def test_tangential_covariant_derivative(field):
@@ -130,7 +186,7 @@ def test_tangential_covariant_derivative(field):
     # three terms, kappa = ||C||_F ||C^{-1}||_F >= cond(f_*)
     frame = field.frame
     cols = tangential_covariant_derivative(field)
-    ref = in_orthonormal_columns(frame, tangential_covariant_derivative_einsum(field))
+    ref = in_orthonormal_columns(frame, tangential_covariant_derivative_coord(field))
     kappa2 = (frame.chol**2).sum(axis=(-2, -1)) * (frame.chol_inv**2).sum(axis=(-2, -1))
     scale = np.abs(cols[1:]).max(axis=(0, -2, -1))
     bound = 2 * frame.d * EPS * kappa2 * scale
@@ -138,15 +194,19 @@ def test_tangential_covariant_derivative(field):
 
 
 def test_B_with_derivative(field):
-    op, dop = B_with_codazzi_derivative(field)
-    ref_op, ref_dop = B_with_codazzi_derivative_einsum(field)
-    assert_within(op, ref_op, field.frame.d)
-    assert_within(dop, ref_dop, field.frame.d)
+    # the B form against the coordinate one, and its Codazzi derivative
+    # against the route through sigma, d_l sigma and d_l G
+    frame = field.frame
+    form, dform = B_with_codazzi_derivative(field)
+    assert_within(form, b_form_coord(field), frame)
+    got = covariant_field_derivative(frame, form, dform)
+    assert_within(got, codazzi_coord(field), frame, 3, _codazzi_scale(frame, form, dform))
 
 
 def test_fundamental_equation_residual(field):
-    got = fundamental_equation_residual(field)
-    assert_within(got, fundamental_equation_residual_einsum(field), field.frame.d)
+    # a ratio whose terms are of size 1, however far the sum cancels
+    got = np.ma.getdata(fundamental_equation_residual(field))
+    assert_within(got[..., None], fundamental_equation_residual_coord(field)[..., None], field.frame, 1, 1.0)
 
 
 def test_fundamental_equation_residual_is_the_same_in_point_blocks(field, monkeypatch):

@@ -19,11 +19,11 @@ from minkaehler.errors import (
     IndeterminateRankWarning,
     NonImmersionPointError,
 )
+from minkaehler.bending import codazzi_residual
 from minkaehler.geometry import (
     PointFrame,
     anticommutation_residual,
     christoffel,
-    codazzi_residual,
     covariant_field_derivative,
     gnorm_op,
     laplace_beltrami,
@@ -42,11 +42,15 @@ from minkaehler.weierstrass import chart_complex_structure
 
 from oracles import (
     SIX_SEEDS,
+    christoffel_coord,
     ellipse_chart,
     ellipse_support,
     fd_christoffel,
     fd_jet,
+    gnorm_coord,
     gnorm_spectral,
+    in_frame,
+    metric_derivative,
     metric_of,
     plane_chart,
     point_frame_full_svd,
@@ -54,6 +58,7 @@ from oracles import (
     polar_plane_chart,
     seed_bundle,
     sphere_chart,
+    shape_operator,
     sphere_harmonic_eigencheck,
     weingarten_residual,
 )
@@ -117,13 +122,14 @@ class TestPointFrame:
         chart = sphere_chart()
         for p in ([0.5, 1.2], [1.0, 0.8], [0.3, 2.1]):
             fr = point_frame(chart.jet(p))
-            np.testing.assert_allclose(fr.shape_operator, np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(shape_operator(fr), np.eye(2), atol=1e-12)
             np.testing.assert_allclose(fr.shape_hat, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(fr.normal, -fr.jet.value, atol=1e-12)
 
     def test_orthonormal_frame_products(self, m4r5_chart):
         # E = C^{-1} f_* has orthonormal rows normal to N, A_hat = C^T A
-        # C^{-T} is symmetric, and Gamma_hat_ij = E f_ij = C^T Gamma_ij
+        # C^{-T} is symmetric, and Gamma_hat_ij = E f_ij = C^T Gamma_ij, with
+        # A and Gamma from solves against G
         fr = point_frame(m4r5_chart.jet([0.1, 0.05, 0.2, -0.1]))
         E = fr.tangent_rows
         np.testing.assert_allclose(E @ E.T, np.eye(4), atol=1e-14)
@@ -131,9 +137,10 @@ class TestPointFrame:
         np.testing.assert_allclose(fr.chol @ E, fr.jet.d1, atol=1e-14 * np.abs(fr.jet.d1).max())
         S = fr.shape_hat
         np.testing.assert_allclose(S, S.T, atol=1e-14 * np.abs(S).max())
-        np.testing.assert_allclose(S, fr.chol.T @ fr.shape_operator @ fr.chol_inv.T, atol=1e-13 * np.abs(S).max())
+        np.testing.assert_array_equal(fr.in_frame(np.eye(4)), fr.chol.T @ fr.chol_inv.T)
+        np.testing.assert_allclose(S, fr.in_frame(shape_operator(fr)), atol=1e-13 * np.abs(S).max())
         gam = fr.christoffel_hat
-        ref = np.einsum("qk,qij->kij", fr.chol, fr.christoffel)
+        ref = np.einsum("qk,qij->kij", fr.chol, christoffel_coord(fr))
         np.testing.assert_allclose(gam, ref, atol=1e-13 * np.abs(ref).max())
 
     @pytest.mark.parametrize("h", TIED.values(), ids=TIED.keys())
@@ -207,32 +214,38 @@ class TestPointFrame:
     def test_shape_norm_is_the_g_norm_of_a(self, rng):
         chart = sphere_chart()
         fr = point_frame(chart.jet(random_points(shrink_box(chart.box, 0.8), 5, rng)))
-        np.testing.assert_array_equal(fr.shape_norm, gnorm_op(fr, fr.shape_operator))
+        np.testing.assert_array_equal(fr.shape_norm, gnorm_op(fr.shape_hat))
+        np.testing.assert_allclose(fr.shape_norm, gnorm_coord(fr, shape_operator(fr)), rtol=1e-13)
         assert fr.shape_norm is fr.shape_norm
 
     @pytest.mark.parametrize("name", SIX_SEEDS)
     def test_stored_inverse_and_connection_on_seed_grids(self, name):
+        # C^{-1} inverts C, E = C^{-1} f_* has orthonormal rows, and the
+        # frame keeps Gamma_hat, read off E by ``christoffel``
         fr = seed_bundle(name).frame
         G = fr.metric
-        miss = np.abs(fr.metric_inv @ G - np.eye(fr.d)).max(axis=(-2, -1))
+        miss = np.abs(fr.chol_inv @ fr.chol - np.eye(fr.d)).max(axis=(-2, -1))
         assert np.all(miss <= 1e-13 * np.linalg.cond(G))
-        np.testing.assert_array_equal(fr.christoffel, christoffel(fr.jet, fr.metric_inv))
-        assert fr.metric_inv is fr.metric_inv and fr.christoffel is fr.christoffel
+        E = fr.tangent_rows
+        assert np.abs(E @ np.swapaxes(E, -1, -2) - np.eye(fr.d)).max() <= 1e-13
+        np.testing.assert_array_equal(fr.christoffel_hat, christoffel(fr.jet, fr.tangent_rows))
+        assert fr.chol_inv is fr.chol_inv and fr.christoffel_hat is fr.christoffel_hat
 
     @pytest.mark.parametrize("name", SIX_SEEDS + ("enneper-r1e12",))
     def test_pieces_match_solve_references(self, name):
-        # A, the Christoffels and ||A||_G from the stored inverses of G and
-        # L against solves of the same G and L, each within 8 eps cond(G)
-        # per point, relative to the largest entry of the reference
+        # A_hat, Gamma_hat and ||A||_G in the orthonormal frame against A
+        # and the Christoffels from solves of G, taken to the frame, and the
+        # norm from a solve of L, each within 8 eps cond(G) per point,
+        # relative to the largest entry of the reference
         fr = seed_bundle(name).frame
         G, L, jet, d = fr.metric, fr.chol, fr.jet, fr.d
         bound = 8 * np.finfo(float).eps * np.linalg.cond(G)
         A = np.linalg.solve(G, fr.second_form)
         proj = np.einsum("...ijc,...lc->...lij", jet.d2, jet.d1).reshape(-1, d, d * d)
-        gam = np.linalg.solve(G, proj).reshape(-1, d, d, d)
+        gam = np.einsum("...qk,...qij->...kij", L, np.linalg.solve(G, proj).reshape(-1, d, d, d))
         # ||C^T A C^{-T}||_F as the norm of its transpose, solved against C
-        norm = np.linalg.norm(np.linalg.solve(L, np.swapaxes(fr.shape_operator, -1, -2) @ L), axis=(-2, -1))
-        for got, want in ((fr.shape_operator, A), (fr.christoffel, gam), (fr.shape_norm[:, None], norm[:, None])):
+        norm = np.linalg.norm(np.linalg.solve(L, np.swapaxes(A, -1, -2) @ L), axis=(-2, -1))
+        for got, want in ((fr.shape_hat, in_frame(fr, A)), (fr.christoffel_hat, gam), (fr.shape_norm[:, None], norm[:, None])):
             axes = tuple(range(1, want.ndim))
             miss = np.abs(got - want).max(axis=axes)
             assert np.all(miss <= bound * np.abs(want).max(axis=axes))
@@ -435,7 +448,7 @@ class TestRank:
             warnings.simplefilter("error")
             res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (1, 1)
-        np.testing.assert_allclose(fr.shape_operator @ [0.0, 1.0], 0.0, atol=1e-11)
+        np.testing.assert_allclose(shape_operator(fr) @ [0.0, 1.0], 0.0, atol=1e-11)
         assert rank_two_residual(fr) == 1.0
 
     def test_cylinder_over_ellipse_has_rank_one(self):
@@ -444,7 +457,7 @@ class TestRank:
         res = rank_and_nullity(fr)
         assert (res.rank, res.nullity) == (1, 1)
         # the flat factor spans the nullity, and the rank row reads a miss
-        np.testing.assert_allclose(fr.shape_operator @ [0.0, 1.0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(shape_operator(fr) @ [0.0, 1.0], 0.0, atol=1e-12)
         assert rank_two_residual(fr) == 1.0
 
 
@@ -461,12 +474,12 @@ class TestNorms:
     def test_euclidean_reduction(self, rng):
         fr = chol_frame(np.eye(3))
         M = rng.standard_normal((3, 3))
-        assert gnorm_op(fr, M) == pytest.approx(np.linalg.norm(M, "fro"))
+        assert gnorm_op(fr.in_frame(M)) == pytest.approx(np.linalg.norm(M, "fro"))
 
     def test_metric_invariance_of_operator_norm(self):
         # the identity has Frobenius G-norm sqrt(d) in any metric
         fr = chol_frame(np.linalg.cholesky(np.array([[4.0, 1.0], [1.0, 2.0]])))
-        assert gnorm_op(fr, np.eye(2)) == pytest.approx(math.sqrt(2.0))
+        assert gnorm_op(fr.in_frame(np.eye(2))) == pytest.approx(math.sqrt(2.0))
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_operator_norm_is_the_frobenius_norm_of_the_reduced_matrix(self, rng, d):
@@ -476,8 +489,8 @@ class TestNorms:
         M = rng.standard_normal((64, d, d))
         # ||C^T M C^{-T}||_F as the norm of its transpose, solved against C
         want = np.linalg.norm(np.linalg.solve(chol, np.swapaxes(M, -1, -2) @ chol), axis=(-2, -1))
-        np.testing.assert_allclose(gnorm_op(fr, M), want, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(gnorm_op(fr, np.zeros_like(M)), 0.0)
+        np.testing.assert_allclose(gnorm_op(fr.in_frame(M)), want, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(gnorm_op(fr.in_frame(np.zeros_like(M))), 0.0)
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_frobenius_norm_against_the_spectral_norm(self, rng, d):
@@ -490,50 +503,59 @@ class TestNorms:
         G = raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(d)
         fr = chol_frame(np.linalg.cholesky(G))
         M = rng.standard_normal((64, d, d))
-        got, spectral = gnorm_op(fr, M), gnorm_spectral(fr, M)
+        got, spectral = gnorm_op(fr.in_frame(M)), gnorm_spectral(fr, M)
         assert np.all(spectral <= got * (1 + 8 * eps))
         assert np.all(got <= math.sqrt(d) * spectral * (1 + 8 * eps))
 
         Q = np.linalg.qr(rng.standard_normal((64, d, d)))[0]
-        # gnorm_op reads only the factor of G and its inverse
+        # the frame matrix reads only the factor of G and its inverse
         turned = SimpleNamespace(chol=fr.chol @ Q, chol_inv=np.swapaxes(Q, -1, -2) @ fr.chol_inv)
-        np.testing.assert_allclose(gnorm_op(turned, M), got, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gnorm_op(in_frame(turned, M)), got, rtol=1e-12, atol=0)
         P = rng.standard_normal((64, d, d)) + d * np.eye(d)
         for lam in (1e-8, 1.0, 1e8):
             moved = chol_frame(np.linalg.cholesky(lam**2 * np.swapaxes(P, -1, -2) @ G @ P))
-            np.testing.assert_allclose(gnorm_op(moved, np.linalg.solve(P, M @ P)), got, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(gnorm_op(moved.in_frame(np.linalg.solve(P, M @ P))), got, rtol=1e-10, atol=0)
 
         lam = rng.uniform(0.5, 2.0, size=64)[:, None, None]
         reduced = Q[..., :2] @ (lam * np.diag([1.0, -1.0])) @ np.swapaxes(Q[..., :2], -1, -2)
         pm = np.swapaxes(fr.chol_inv, -1, -2) @ reduced @ np.swapaxes(fr.chol, -1, -2)  # C^{-T} R C^T
         np.testing.assert_allclose(gnorm_spectral(fr, pm), lam[:, 0, 0], rtol=1e-12)
-        np.testing.assert_allclose(gnorm_op(fr, pm), math.sqrt(2.0) * gnorm_spectral(fr, pm), rtol=1e-12)
+        np.testing.assert_allclose(gnorm_op(fr.in_frame(pm)), math.sqrt(2.0) * gnorm_spectral(fr, pm), rtol=1e-12)
 
     @pytest.mark.parametrize("name", ["enneper", "m4r5"])
     def test_shape_norm_is_sqrt2_times_the_spectral_norm_on_minimal_kaehler_charts(self, name):
         # A is G-self-adjoint of rank 2 with eigenvalues +-lambda
         fr = seed_bundle(name).frame
-        A = fr.shape_operator
+        A = shape_operator(fr)
         np.testing.assert_allclose(fr.shape_norm, math.sqrt(2.0) * gnorm_spectral(fr, A), rtol=1e-12)
 
 
+def _hat_christoffel(frame, gam):
+    """Gamma_hat[k, i, j] = (C^T Gamma_ij)_k of coordinate Christoffels."""
+    return np.einsum("qk,qij->kij", frame.chol, gam)
+
+
 class TestChristoffel:
+    """The frame's Gamma_hat against coordinate Christoffel symbols taken to
+    the orthonormal frame."""
+
     def test_polar_plane_matches_closed_form(self):
         chart = polar_plane_chart()
         for r, t in ((1.3, 0.7), (0.8, 0.4)):
-            gam = point_frame(chart.jet([r, t])).christoffel
-            np.testing.assert_allclose(gam, polar_christoffel(r), atol=1e-12)
+            fr = point_frame(chart.jet([r, t]))
+            np.testing.assert_allclose(fr.christoffel_hat, _hat_christoffel(fr, polar_christoffel(r)), atol=1e-12)
 
     def test_flat_chart_is_torsion_free_zero(self):
-        gam = point_frame(plane_chart().jet([0.1, 0.3])).christoffel
+        gam = point_frame(plane_chart().jet([0.1, 0.3])).christoffel_hat
         np.testing.assert_allclose(gam, 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["m4r5", "n3"])
     def test_jets_match_fd_reference(self, name, request, rng):
         chart = request.getfixturevalue(f"{name}_chart")
         for p in random_points(shrink_box(chart.box, 0.8), 3, rng):
-            gam = point_frame(chart.jet(p)).christoffel
-            ref = fd_christoffel(chart, p)
+            fr = point_frame(chart.jet(p))
+            gam = fr.christoffel_hat
+            ref = _hat_christoffel(fr, fd_christoffel(chart, p))
             scale = max(1.0, float(np.abs(ref).max()))
             np.testing.assert_allclose(gam, ref, rtol=0.0, atol=1e-8 * scale)
             np.testing.assert_array_equal(gam, gam.transpose(0, 2, 1))
@@ -594,18 +616,19 @@ class TestCurvatureIdentities:
         assert weingarten_residual(catenoid_chart, [0.15, -0.1]) < 1e-9
 
     def test_codazzi_for_sphere_shape_operator(self):
-        # A = I on the unit sphere, so d_i A = 0 and only roundoff remains
+        # A = I on the unit sphere, so its form H is G, with d_i H = d_i G
+        # from the jet, and only roundoff remains
         chart = sphere_chart()
         p = [0.7, 1.2]
         fr = point_frame(chart.jet(p))
-        assert codazzi_residual(fr, fr.shape_operator, np.zeros((2, 2, 2))) < 1e-15
+        assert codazzi_residual(fr, fr.second_form, metric_derivative(fr.jet)) < 1e-15
 
     def test_covariant_derivative_of_metric_vanishes(self):
-        # nabla G = 0, checked through the (1,1) field G^{-1}G = identity
-        chart = polar_plane_chart()
-        gam = point_frame(chart.jet([1.2, 0.5])).christoffel
-        nab = covariant_field_derivative(gam, np.eye(2), np.zeros((2, 2, 2)))
-        np.testing.assert_allclose(nab, 0.0, atol=1e-9)
+        # nabla G = 0, so its Codazzi derivative vanishes, in polar coordinates
+        # where G and its Christoffel terms do not
+        fr = point_frame(polar_plane_chart().jet([1.2, 0.5]))
+        nab = covariant_field_derivative(fr, fr.metric, metric_derivative(fr.jet))
+        np.testing.assert_allclose(nab, 0.0, atol=1e-12)
 
 
 class TestMinimalityResidual:
@@ -692,7 +715,7 @@ class TestFDJetOracle:
     def test_frames_agree_through_fd_jets(self):
         p = np.array([0.6, 1.1])
         fr = point_frame(Jet2(p, *fd_jet(sphere_chart().value, p)))
-        np.testing.assert_allclose(fr.shape_operator, np.eye(2), atol=1e-5)
+        np.testing.assert_allclose(fr.shape_hat, np.eye(2), atol=1e-5)
 
 
 class _Bundle:

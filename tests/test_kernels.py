@@ -222,8 +222,8 @@ class TestCholeskyFactor:
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_a_point_alone_is_bitwise_its_row_of_the_stack(self, d):
-        # C, C^{-1} and the G^{-1} a frame forms from them: the stack's size
-        # changes no bit of any, as it changes none of the normal
+        # C, C^{-1} and the rows E = C^{-1} f_* a frame forms from them: the
+        # stack's size changes no bit of any, as it changes none of the normal
         rng = np.random.default_rng(d)
         d1, _ = partials(rng, (7, 3), d, d + 1)
 
@@ -232,7 +232,7 @@ class TestCholeskyFactor:
             frame = PointFrame(
                 Jet2(np.zeros(lead + (d,)), np.zeros(lead + (d + 1,)), d1, np.zeros(lead + (d, d, d + 1)))
             )
-            return frame.chol, frame.chol_inv, frame.metric_inv
+            return frame.chol, frame.chol_inv, frame.tangent_rows
 
         out = factors(d1)
         for idx in np.ndindex(7, 3):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import warnings
@@ -460,37 +461,39 @@ def _moved_rows(seed, names, move):
 def test_relative_rows_do_not_depend_on_a_homothety(name):
     # f and T scaled by lambda: G scales by lambda^2 and A by 1/lambda, and
     # the unit-free rows keep their roundoff readings, with no absolute
-    # floor on ||G||_F, ||A||_G, ||A T_*||_G, ||B||_G or the B routes' norms
-    # to blind them, and the bending_bat control keeps its teeth (the
-    # bending_tpar control, a fixed field, up to lambda = 1e8: its T_* falls
-    # as 1/lambda, below the row's 1e-14 floor at 1e16); at lambda = 1e-15
-    # every partial of T lies below 1e-14, and the Gauss tangency rows read
-    # it all the same
+    # floor on ||G||_F, ||A||_G, ||A T_*||_G, ||B||_G, ||T_hat||_F or the B
+    # routes' norms to blind them, and the bending_bat, bending_tpar and
+    # fundamental_wedge controls keep their teeth (the bending_tpar control,
+    # a fixed field, has T_* falling as 1/lambda, to 1e-16 at 1e16); at
+    # lambda = 1e-15 every partial of T lies below 1e-14, and the Gauss
+    # tangency rows read it all the same.  codazzi_b stays out: its
+    # numerator sums over coordinate pairs i < j, so it is not unit-free
     seed = builtin_seed(name)
-    names = ["minimality", "anticommutation", "gauss_preservation", "bending_bat", "b_three_route"]
+    names = ["minimality", "anticommutation", "gauss_preservation", "bending_bat", "fundamental_wedge", "b_three_route"]
     names += FAMILY_ROWS + FRAME_ROWS
     names = [row for row in names if row in default_suites(build_bundle(seed))]
     unscaled = _moved_rows(seed, names, lambda jet: jet)
-    for factor, rows in ((1e-8, names), (1e8, names), (1e16, names), (1e-15, ["family_normal", "gauss_preservation"])):
+    tiny = ["family_normal", "gauss_preservation", "fundamental_wedge"]
+    for factor, rows in ((1e-8, names), (1e8, names), (1e16, names), (1e-15, tiny)):
         got = _moved_rows(seed, rows, lambda jet: _scaled(jet, factor))
         for row in rows:
             assert unscaled[row] / 4 <= got[row] <= 4 * unscaled[row], (factor, row, got[row], unscaled[row])
-        controls = {"bending_bat", "gauss_preservation"} | ({"bending_tpar"} if factor <= 1e8 else set())
-        for control in controls & set(rows):
+        for control in {"bending_bat", "bending_tpar", "fundamental_wedge", "gauss_preservation"} & set(rows):
             assert got[f"{control}_control"] >= CONTROL_FLOOR, (factor, control)
 
 
 @pytest.mark.parametrize("name", SEED_NAMES)
 def test_frame_rows_do_not_depend_on_an_ambient_rotation(name):
     # f and T rotated by one random orthogonal Q of the ambient space: E,
-    # A_hat, Gamma_hat and T_hat are unchanged up to rounding, so the five
-    # rows read in the orthonormal frame keep their roundoff readings, and
-    # the bending_tpar control its teeth; enneper's jets lie along the
-    # coordinate axes and round below the generic level, which a rotation
-    # lifts by up to 9 times in its parallel rows (to 7.3e-15 over 20 draws
-    # of Q), so a reading may also exceed 4 times the unrotated one by 32 eps
+    # A_hat, B_hat, Gamma_hat and T_hat are unchanged up to rounding, so the
+    # rows read in the orthonormal frame, fundamental_wedge and codazzi_b
+    # among them, keep their roundoff readings, and the bending_tpar control
+    # its teeth; enneper's jets lie along the coordinate axes and round below
+    # the generic level, which a rotation lifts by up to 9 times in its
+    # parallel rows (to 7.3e-15 over 20 draws of Q), so a reading may also
+    # exceed 4 times the unrotated one by 32 eps
     seed = builtin_seed(name)
-    rows = [row for row in FRAME_ROWS if row in default_suites(build_bundle(seed))]
+    rows = [row for row in FRAME_ROWS + ["fundamental_wedge", "codazzi_b"] if row in default_suites(build_bundle(seed))]
     unrotated = _moved_rows(seed, rows, lambda jet: jet)
     m = build_bundle(seed).chart.ambient
     Q = np.linalg.qr(np.random.default_rng(ROTATION_DRAW).standard_normal((m, m)))[0]
@@ -563,12 +566,9 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     the grid, from one set of coefficient rows; the trivial control fields
     are combined from the grid jets, and the phase family's rows read f's
     frame and fbar's jet, with no member built.  The one frame builds its
-    Christoffel symbols once, for every suite that reads them, and each
-    variation field along it computes its B, T_*, sigma and dN once, and
-    ||B||_G and ||A T_*||_G once.  The frame builds its orthonormal rows E,
-    A_hat and Gamma_hat once each, for every row that reads them (rank,
-    kaehler_parallel, bending_tpar, rotation and nullity_in_bending_kernel),
-    and each of the two fields whose parallelism is measured its T_hat once.
+    orthonormal rows E, A_hat and Gamma_hat once each, for every row that
+    reads them, and each variation field along it computes its B_hat,
+    tau_hat, T_hat and dN once, and ||B||_G and ||A T_*||_G once.
     Nothing calls LAPACK per point to factor G, to take a normal or to
     decompose an operator: the grid frame, the only frame stack, takes its
     normal and the Cholesky factor of G with its inverse from one
@@ -588,7 +588,7 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     cross_columns = kernels.cross_columns
     gnorm_op = geometry.gnorm_op
     einsum = np.einsum
-    pieces = {name: [] for name in ("tstar", "tstar_hat", "sigma", "normal_variation")}
+    pieces = {name: [] for name in ("tau_hat", "tstar_hat", "normal_variation")}
     frame_pieces = {name: [] for name in ("tangent_rows", "shape_hat", "christoffel_hat")}
 
     def counted_init(self, *args, **kwargs):
@@ -604,9 +604,9 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         frames.append(jet)
         return frame(jet, *args, **kwargs)
 
-    def counted_christoffel(jet, metric_inv):
+    def counted_christoffel(jet, rows):
         connections.append(jet)
-        return christoffel(jet, metric_inv)
+        return christoffel(jet, rows)
 
     def counted_b_formula(v):
         b_forms.append(v)
@@ -633,9 +633,9 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
         crosses.append(d1.shape)
         return cross_columns(d1)
 
-    def counted_gnorm(frame, M):
+    def counted_gnorm(M):
         gnorms.append(np.shape(M))
-        return gnorm_op(frame, M)
+        return gnorm_op(M)
 
     def counted_einsum(*args, **kwargs):
         einsums.append(args[0])
@@ -687,28 +687,30 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     # and bending_bat's trivial field
     assert len(b_forms) == 3 and b_forms[0] is bundle.conjugate
     assert len({id(v) for v in b_forms}) == 3
-    # T_* for the conjugate and the bending_bat control, T_hat for the
-    # conjugate and the bending_tpar control; sigma and dN for the conjugate
-    # (whose codazzi_b derivative reads sigma too) and the
-    # gauss_preservation control
-    assert len(pieces["tstar"]) == 2 and len(pieces["normal_variation"]) == 2
-    assert len(pieces["tstar_hat"]) == 2 and pieces["tstar_hat"][0] is bundle.conjugate
+    # T_hat for the conjugate, the bending_tpar control and the bending_bat
+    # control; dN for the conjugate and the gauss_preservation control;
+    # tau_hat for those two and the two other fields whose B is formed
+    assert len(pieces["tstar_hat"]) == 3 and pieces["tstar_hat"][0] is bundle.conjugate
+    assert len(pieces["normal_variation"]) == 2 and len(pieces["tau_hat"]) == 4
+    assert {id(v) for v in pieces["normal_variation"]} <= {id(v) for v in pieces["tau_hat"]}
     # E, A_hat and Gamma_hat once each, on the grid frame
     assert {name: [id(fr) for fr in got] for name, got in frame_pieces.items()} == {
         name: [id(bundle.frame)] for name in frame_pieces
     }
-    assert [id(v) for v in pieces["sigma"]] == [id(v) for v in pieces["normal_variation"]]
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
     assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 0, "eigh": 0}
-    # G-norms of 13 operators per point: ||A||_G, family_shape's miss,
-    # ||AJ + JA||_G, ||A T_*||_G and the bending_bat numerator for the
-    # conjugate and the trivial control, ||B||_G (once, for codazzi_b,
-    # b_three_route and nullity_in_bending_kernel), the codazzi_b control's
-    # operator, the variation route's B and three route differences; the
-    # bending_tpar mask reads ||T_hat||_F, with no G-norm
-    assert len(gnorms) == 11
+    # G-norms of 17 operators per point, each the Frobenius norm of its
+    # frame matrix: ||A_hat||, family_shape's miss, A_hat J_hat + J_hat
+    # A_hat, ||T_hat|| of the bending_tpar field and control (the mask),
+    # ||A_hat T_hat|| and the bending_bat numerator for the conjugate and
+    # the trivial control, ||B_hat|| of the conjugate (once, for
+    # fundamental_wedge, codazzi_b, b_three_route and
+    # nullity_in_bending_kernel), of the position field and of the codazzi_b
+    # control, the variation route's B_hat and three route differences,
+    # and the nullity miss
+    assert len(gnorms) == 15
     matrices = sum(math.prod(shape[:-2]) for shape in gnorms)
-    assert matrices == 13 * len(bundle.points) == 1872
+    assert matrices == 17 * len(bundle.points) == 2448
     assert einsums == []
     # one Householder pass per verify, the grid frame's
     assert crosses == [(144, 4, 5)]
@@ -776,17 +778,29 @@ def test_each_suite_alone_matches_the_full_run(seed, counts):
         assert alone == [r for r in full if r.identity in (name, f"{name}_control")]
 
 
-def test_n5_regression_seed_passes_the_frame_rows():
+def test_every_traced_boundary_resolves_in_the_package():
+    # a traced benchmark run wraps each (module, attribute) of
+    # perfbench/spans.py, looked up with a bare getattr, so renaming one of
+    # them breaks every ``--trace 1`` run
+    spans = perfbench_module("spans")
+    for span, (module, attr) in spans.FUNCTIONS.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), span
+    for span, attr in spans.METHODS.items():
+        assert callable(getattr(SeriesChart, attr, None)), span
+
+
+def test_n5_regression_seed_passes_every_default_suite():
     """Draw 2 (0-based) of ``workloads.random_seed`` at n = 5 from generator
-    20261021, on the grid [2] * 10: the five rows read in the orthonormal
-    frame pass, where the route through d_i T_* and the Christoffels read
-    ``bending_tpar`` at 2.5e2 times its tolerance (1.7e-12 now).  The seed
-    still FAILs ``fundamental_wedge`` and ``codazzi_b``, which apply G^{-1}
-    to Gram products (ROADMAP items 9 and 16); neither runs here."""
+    20261021, on the grid [2] * 10: every default suite passes, and every
+    control clears its floor.  The routes through G^{-1} read
+    ``bending_tpar`` at 2.5e2 times its tolerance, ``fundamental_wedge`` at
+    1.3e2 and ``codazzi_b`` at 2.0e2; read in the orthonormal frame they are
+    1.7e-12, 5.0e-13 and 1.1e-8."""
     data = json.loads((Path(__file__).parent / "regression_n5_seed.json").read_text(encoding="ascii"))
     rng = np.random.default_rng(20261021)
     draws = [perfbench_module("workloads").random_seed(rng, 5) for _ in range(3)]
     assert json.loads(json.dumps(draws[2])) == data
-    reports = run_suites(build_bundle(seed_from_json(data), counts=[2] * 10), FRAME_ROWS)
+    reports = run_suites(build_bundle(seed_from_json(data), counts=[2] * 10))
+    assert {r.identity for r in reports if not r.control} == set(SUITE_ORDER)
     failing = [(r.identity, r.max_residual) for r in reports if not r.passed]
     assert not failing

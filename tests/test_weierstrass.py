@@ -112,7 +112,7 @@ class TestClassicalSurfaces:
 
         for p in ([0.0, 0.0], [0.25, 0.15]):
             fr = point_frame(enneper_chart.jet(p))
-            K = float(np.linalg.det(fr.shape_operator))
+            K = float(np.linalg.det(fr.shape_hat))  # det A_hat = det A
             assert K == pytest.approx(enneper_gauss_curvature(complex(*p)), rel=1e-10)
 
     def test_catenoid_matches_closed_form(self, catenoid_chart):
