@@ -34,8 +34,7 @@ and every ||.||_G of an operator the Frobenius norm of that matrix,
 :func:`~minkaehler.geometry.gnorm_op`.  Every row reads the frame's
 orthonormal rows E, A_hat and Gamma_hat: no G^{-1}, d_l G or coordinate
 Christoffel symbol is formed, and nothing here solves against G.  Every
-relative row divides by its scale through :func:`_relative`, which leaves
-out (``excluded``) a point where the scale is 0 or not finite.
+ratio divides through :func:`~minkaehler.geometry.relative`.
 Since f + tT is affine in t, its first variations are closed form in the
 two jets, and no deformed frame is built.
 """
@@ -58,6 +57,7 @@ from .geometry import (
     covariant_field_derivative,
     gnorm_op,
     parallel_residual,
+    relative,
 )
 from .weierstrass import SeriesChart, chart_complex_structure
 
@@ -101,17 +101,6 @@ def make_trivial(jet: Jet2, rng) -> Jet2:
 
 
 # -- bending / preservation residuals -----------------------------------------
-
-def _masked(values: np.ndarray, scale: np.ndarray) -> np.ma.MaskedArray:
-    """``values``, masked out (``excluded``) where the scale is 0 or not
-    finite: the one masking rule of every relative row."""
-    return np.ma.masked_where(~(np.isfinite(scale) & (scale > 0.0)), values)
-
-
-def _relative(num: np.ndarray, scale: np.ndarray) -> np.ma.MaskedArray:
-    """num / scale, masked out (``excluded``) where the scale is 0 or not finite."""
-    return _masked(num / np.where(scale > 0.0, scale, 1.0), scale)
-
 
 @dataclass(frozen=True)
 class Variation:
@@ -181,16 +170,15 @@ def bending_residual(v: Variation) -> np.ndarray:
     sym = t1 @ _t(f1)
     sym = sym + _t(sym)
     scale = np.linalg.norm(f1, axis=(-2, -1)) * np.linalg.norm(t1, axis=(-2, -1))
-    return np.abs(sym).max(axis=(-2, -1)) / np.maximum(scale, TINY)
+    return relative(np.abs(sym).max(axis=(-2, -1)), scale)
 
 
 def gauss_tangency_residual(v: Variation) -> np.ndarray:
-    """max_j |<N, T_j>| / |T_j| over the partials T_j != 0: zero iff dT is
-    everywhere tangent at the point, the first-order criterion for the
-    variation to preserve the normal.  A point where every T_j is 0 has no
-    scale and is masked out (``excluded``)."""
-    # a partial T_j = 0 has tau_j = 0 exactly, and is left out of the max
-    return _relative(np.abs(v.tau), np.linalg.norm(v.jet.d1, axis=-1)).max(axis=-1)
+    """max_j |<N, T_j>| / |T_j|: zero iff dT is everywhere tangent at the
+    point, the first-order criterion for the variation to preserve the
+    normal."""
+    # a partial T_j = 0 has tau_j = 0 exactly, and reads 0
+    return relative(np.abs(v.tau), np.linalg.norm(v.jet.d1, axis=-1)).max(axis=-1)
 
 
 def normal_variation_residual(v: Variation) -> np.ndarray:
@@ -244,18 +232,16 @@ def B_by_BAT(v: Variation) -> np.ndarray:
 
 def b_route_agreement(v: Variation) -> np.ndarray:
     """Largest pairwise G-norm deviation of the three B routes over the
-    largest of their G-norms, unit-free; points where all three routes
-    vanish have no scale and are masked out (``excluded``)."""
+    largest of their G-norms, unit-free."""
     ops = np.stack([B_by_variation(v), v.B, B_by_BAT(v)])
     scale = np.maximum.reduce([gnorm_op(ops[0]), v.B_norm, v.bat_norm])
     # routes (0, 1), (0, 2), (1, 2) pairwise; gnorm_op broadcasts over the route axis
-    return _relative(gnorm_op(ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0), scale)
+    return relative(gnorm_op(ops[[0, 0, 1]] - ops[[1, 2, 2]]).max(axis=0), scale)
 
 
 def bat_residual(v: Variation) -> np.ndarray:
-    """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula; points
-    with A T_* = 0 have no scale and are masked out (``excluded``)."""
-    return _relative(gnorm_op(v.B - B_by_BAT(v)), v.bat_norm)
+    """||B - A T_*||_G / ||A T_*||_G with B from the Hessian formula."""
+    return relative(gnorm_op(v.B - B_by_BAT(v)), v.bat_norm)
 
 
 def tangential_covariant_derivative(v: Variation) -> np.ndarray:
@@ -279,13 +265,11 @@ def tangential_covariant_derivative(v: Variation) -> np.ndarray:
     return cols
 
 
-def parallel_tangential_residual(v: Variation) -> np.ma.MaskedArray:
+def parallel_tangential_residual(v: Variation) -> np.ndarray:
     """Parallelism of the tangential part of dT in the induced connection:
     :func:`~minkaehler.geometry.parallel_residual` of
-    :func:`tangential_covariant_derivative`.  Where T_hat = 0 there is no
-    field to measure, so :func:`_masked` leaves out the points where
-    ||T_hat||_F is 0 or not finite."""
-    return _masked(parallel_residual(tangential_covariant_derivative(v)), gnorm_op(v.tstar_hat))
+    :func:`tangential_covariant_derivative`."""
+    return parallel_residual(tangential_covariant_derivative(v))
 
 
 def B_with_codazzi_derivative(v: Variation) -> tuple:
@@ -349,7 +333,7 @@ def codazzi_residual(frame: PointFrame, form, dform, norm=None) -> np.ndarray:
     gam, db = (_flat(np.asarray(a), 3, keep=0) for a in (frame.christoffel_hat, dform))
     fro = np.linalg.norm(Cinv, axis=(-2, -1)), np.linalg.norm(form @ _t(Cinv), axis=(-2, -1))
     terms = fro[0] * (np.sqrt(np.vecdot(db, db)) + fro[1] * np.sqrt(np.vecdot(gam, gam)))
-    return _relative(num, np.maximum(norm, _CODAZZI_RESOLUTION * terms))
+    return relative(num, np.maximum(norm, _CODAZZI_RESOLUTION * terms))
 
 
 _WEDGE_BLOCK = 256  # points per block of the linearized curvature identity's wedge
@@ -379,16 +363,16 @@ def fundamental_equation_residual(v: Variation) -> np.ndarray:
         V = np.stack([b[:, ju], a[:, iu], a[:, ju], b[:, iu]], axis=-2)
         W = (U @ V).reshape(len(a), -1)
         sq[lo : lo + _WEDGE_BLOCK] = np.vecdot(W, W)
-    return _relative(np.sqrt(sq).reshape(A.shape[:-2]), v.frame.shape_norm * v.B_norm)
+    return relative(np.sqrt(sq).reshape(A.shape[:-2]), v.frame.shape_norm * v.B_norm)
 
 
-def nullity_annihilation_residual(v: Variation) -> np.ma.MaskedArray:
+def nullity_annihilation_residual(v: Variation) -> np.ndarray:
     """||B_hat (I - Pi)||_F / ||B_hat||_F, with Pi of
     :attr:`~minkaehler.geometry.PointFrame.shape_range`: B on the relative
     nullity, relative to ||B||_G, with no eigenvector.  NaN where A has rank
-    below 2; points with B = 0 are masked out (``excluded``)."""
+    below 2."""
     B_hat = v.B
-    return _relative(gnorm_op(B_hat - B_hat @ v.frame.shape_range[0]), v.B_norm)
+    return relative(gnorm_op(B_hat - B_hat @ v.frame.shape_range[0]), v.B_norm)
 
 
 # -- rotation coefficient and classification ----------------------------------
@@ -431,8 +415,10 @@ def classify_triviality(v: Variation) -> TrivialityResult:
     Raises :class:`PreconditionError` if the field's bending residual
     exceeds ``_BENDING_TOL`` anywhere in the sample; the score is the
     largest ||B||_G / (||A||_G * sigma), both Frobenius G-norms, with sigma
-    the relative field size, and the bending is trivial when it is below
-    ``_TRIVIAL_THRESHOLD``.
+    the largest ratio of the Frobenius norms of T's and f's first partials
+    over the sample, and the bending is trivial when it is below
+    ``_TRIVIAL_THRESHOLD``.  The score does not depend on the units, and a
+    constant translation, with B = 0 and sigma = 0, scores 0.
     """
     frame = v.frame
     worst_bend = float(bending_residual(v).max())
@@ -441,14 +427,8 @@ def classify_triviality(v: Variation) -> TrivialityResult:
             f"field is not an infinitesimal bending on the sample "
             f"(worst symmetrized residual {worst_bend:.3g} > {_BENDING_TOL:g})"
         )
-    sizes = np.linalg.norm(v.jet.d1, axis=(-2, -1)) / np.maximum(
-        np.linalg.norm(frame.jet.d1, axis=(-2, -1)), TINY
-    )
-    sigma = float(sizes.max())
-    if sigma < 1e-14:
-        # derivative-free fields are constant translations, trivially so
-        return TrivialityResult(True, 0.0)
-    score = float((v.B_norm / np.maximum(frame.shape_norm * sigma, 1e-14)).max())
+    sizes = relative(np.linalg.norm(v.jet.d1, axis=(-2, -1)), np.linalg.norm(frame.jet.d1, axis=(-2, -1)))
+    score = float(relative(v.B_norm, frame.shape_norm * sizes.max()).max())
     return TrivialityResult(bool(score < _TRIVIAL_THRESHOLD), score)
 
 
@@ -466,14 +446,16 @@ def recover_bending_decomposition(v: Variation, conjugate: Variation) -> Bending
 
     The coefficient comes from projecting B(T) onto B(conjugate) in the
     Frobenius pairing over the sample (the trivial part contributes no B);
-    the remaining trivial part is fit by least squares and the residual is
-    the worst pointwise misfit relative to the field size.
+    the remaining trivial part is fit by least squares, each column of the
+    design at unit norm, so the skew columns (in the units of f) and the
+    offset columns (unit-free) weigh alike, and the residual is the worst
+    pointwise misfit over the largest field norm: unit-free.
     """
     if conjugate.frame is not v.frame:
         raise DomainError("a decomposition needs the field and the conjugate along one frame")
     bt = _b_form(v)
     br = _b_form(conjugate)
-    c = float(np.sum(bt * br)) / max(float(np.sum(br * br)), TINY)
+    c = float(relative(np.sum(bt * br), np.sum(br * br)))
     m1 = v.frame.jet.ambient
     pairs = [(a, b) for a in range(m1) for b in range(a + 1, m1)]
     base = v.frame.jet.value.reshape(-1, m1)
@@ -486,15 +468,16 @@ def recover_bending_decomposition(v: Variation, conjugate: Variation) -> Bending
         design[:, a, col] = base[:, b]
         design[:, b, col] = -base[:, a]
     design[:, :, len(pairs):] = np.eye(m1)
-    sol, *_ = np.linalg.lstsq(design.reshape(-1, design.shape[-1]), resid.ravel(), rcond=None)
+    design = design.reshape(-1, design.shape[-1])
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0  # a zero column (f = 0 on two axes) fits nothing either way
+    sol, *_ = np.linalg.lstsq(design / norms, resid.ravel(), rcond=None)
+    sol /= norms
     skew = np.zeros((m1, m1))
     for col, (a, b) in enumerate(pairs):
         skew[a, b] = sol[col]
         skew[b, a] = -sol[col]
     offset = sol[len(pairs):]
-    scale = max(float(np.linalg.norm(field, axis=-1).max()), 1.0)
     misfit = resid - base @ skew.T - offset
-    worst = float(np.linalg.norm(misfit, axis=-1).max())
-    return BendingDecomposition(
-        coefficient=float(c), skew=skew, offset=offset, residual=worst / scale
-    )
+    worst = relative(np.linalg.norm(misfit, axis=-1).max(), np.linalg.norm(field, axis=-1).max())
+    return BendingDecomposition(coefficient=c, skew=skew, offset=offset, residual=float(worst))

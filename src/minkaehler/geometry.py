@@ -10,6 +10,9 @@ exact coordinate derivative, the Laplace-Beltrami operator of a scalar
 field given its exact jets, and residuals for the Kaehler checks
 (anticommutation with J, parallelism of J).  A single point is the stack
 with no leading axes.  Nothing here differences: every input is a jet.
+Every relative residual of the verifier, here and in
+:mod:`~minkaehler.bending` and :mod:`~minkaehler.suites`, divides by its
+scale through :func:`relative`.
 
 A :class:`PointFrame` holds one field, a jet stack; every other piece it
 computes from the jet on first read and then keeps: G; N, the Cholesky
@@ -231,6 +234,20 @@ def point_frame(jet: Jet2) -> PointFrame:
     return frame
 
 
+def relative(num, scale) -> np.ndarray:
+    """num / scale, the one division rule of every relative residual, for a
+    scale that is a norm (never negative).  Where the scale is positive and
+    finite it is the plain quotient.  Where the scale is 0 it reads 0 if
+    num is 0, since the identity then holds exactly, and inf otherwise, a
+    violation with nothing to measure it against.  Where the scale is not
+    finite it reads NaN.  So a vanishing scale never hides a point: inf and
+    NaN fail their row through the report's ``nonfinite`` count."""
+    num, scale = np.asarray(num, dtype=np.float64), np.asarray(scale, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num / scale
+    return np.where(np.isfinite(scale), np.where((num == 0.0) & (scale == 0.0), 0.0, q), np.nan)
+
+
 def gnorm_op(M: np.ndarray) -> np.ndarray:
     """Frobenius G-norm of an operator given by its frame matrix M_hat =
     C^T M C^{-T} (:meth:`PointFrame.in_frame`): the Frobenius norm of M_hat,
@@ -327,7 +344,7 @@ def parallel_residual(cols: np.ndarray) -> np.ndarray:
     moves both alike.  ``cols[0]`` holds the columns C^T (nabla_i S) e_j,
     as [..., k, (i, j)], whose G-norms are Euclidean, and ``cols[1:]`` the
     terms alike; ``cols`` is squared in place.  A point where every term
-    vanishes reads 0."""
+    vanishes has a zero column sum too, and reads 0 (:func:`relative`)."""
     sq = np.square(cols, out=cols)
     # the sum over k as adds of whole slices, and the max over (i, j) with
     # (i, j) moved first: no reduction runs along the short rows of a point
@@ -335,23 +352,20 @@ def parallel_residual(cols: np.ndarray) -> np.ndarray:
     for k in range(1, sq.shape[-2]):
         norms += sq[..., k, :]
     worst = np.moveaxis(norms, -1, 0).copy().max(axis=0)  # the largest squared column norm
-    den = worst[1:].max(axis=0)
-    return np.sqrt(worst[0] / np.where(den > 0.0, den, 1.0))
+    return np.sqrt(relative(worst[0], worst[1:].max(axis=0)))
 
 
 def minimality_residual(frame: PointFrame) -> np.ndarray:
     """|trace A_hat| / ||A_hat||_F, the Frobenius G-norm of :func:`gnorm_op`,
     unit-free; a point with A = 0 reads 0."""
-    scale = frame.shape_norm
-    return np.abs(np.trace(frame.shape_hat, axis1=-2, axis2=-1)) / np.where(scale > 0.0, scale, 1.0)
+    return relative(np.abs(np.trace(frame.shape_hat, axis1=-2, axis2=-1)), frame.shape_norm)
 
 
 def anticommutation_residual(frame: PointFrame, J: np.ndarray) -> np.ndarray:
     """||A_hat J_hat + J_hat A_hat||_F / ||A_hat||_F, J_hat = C^T J C^{-T}:
     ||A J + J A||_G / ||A||_G, unit-free; a point with A = 0 reads 0."""
     A, J_hat = frame.shape_hat, frame.in_frame(J)
-    den = frame.shape_norm
-    return gnorm_op(A @ J_hat + J_hat @ A) / np.where(den > 0.0, den, 1.0)
+    return relative(gnorm_op(A @ J_hat + J_hat @ A), frame.shape_norm)
 
 
 def parallel_J_residual(frame: PointFrame, J) -> np.ndarray:

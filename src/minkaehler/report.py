@@ -32,11 +32,12 @@ class ResidualReport:
     ``tolerance`` is an upper bound for ordinary reports and a lower floor
     for control reports; ``passed`` already accounts for the inversion.
     ``nonfinite`` counts NaN or infinite residuals; any fails the row, and
-    max and mean cover the finite values (0.0 when there are none).
-    ``excluded`` counts the points a residual masks out (a masked array)
-    because its normalizing scale vanishes there, so the ratio measures
-    nothing; they stay out of max and mean and do not fail the row, but a
-    row with every point excluded measured nothing and fails.
+    max and mean cover the finite values (0.0 when there are none).  Every
+    point counts: a relative residual whose scale vanishes reads 0 where
+    the identity holds exactly and inf where it does not, and one whose
+    scale is not finite reads NaN (:func:`~minkaehler.geometry.relative`),
+    so such a point fails its row through ``nonfinite`` or passes by
+    measuring 0, and never drops out.
     """
 
     identity: str
@@ -47,14 +48,12 @@ class ResidualReport:
     passed: bool
     control: bool = False
     nonfinite: int = 0
-    excluded: int = 0
 
     @staticmethod
     def from_residuals(identity, residuals, tolerance, control=False) -> "ResidualReport":
-        mask = np.ma.getmaskarray(residuals)
-        if not mask.size:
+        vals = np.asarray(residuals, dtype=np.float64).ravel()
+        if not vals.size:
             raise ValueError(f"suite {identity!r} produced no residuals")
-        vals = np.asarray(np.ma.getdata(residuals), dtype=np.float64)[~mask]
         # Python's sequential sum and max over the list keep every report byte-stable
         finite = vals[np.isfinite(vals)].tolist()
         worst = max(finite, default=0.0)
@@ -63,14 +62,13 @@ class ResidualReport:
         passed = (worst > tolerance) if control else (worst < tolerance)
         return ResidualReport(
             identity=str(identity),
-            points=mask.size,
+            points=vals.size,
             max_residual=worst,
             mean_residual=mean,
             tolerance=float(tolerance),
-            passed=bool(passed) and len(finite) == len(vals) > 0,
+            passed=bool(passed) and len(finite) == len(vals),
             control=bool(control),
             nonfinite=len(vals) - len(finite),
-            excluded=int(mask.sum()),
         )
 
     @property

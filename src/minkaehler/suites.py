@@ -20,8 +20,7 @@ parallel-J structure and the pipeline, not a bending independent of f.
 Every row reads the frame's E, A_hat and Gamma_hat, and each operator as
 its matrix in that orthonormal frame: no eigen-solver, G^{-1}, d_l G or
 d_i T_*.  Every relative row is its residual over its scale through
-:func:`~minkaehler.bending._relative`, which leaves out a point whose scale
-is 0 or not finite.
+:func:`~minkaehler.geometry.relative`, so no point drops out of a row.
 
 Each suite is registered once below, in verify order and with its default
 tolerance; its docstring states the identity it measures.  A suite maps
@@ -44,7 +43,6 @@ import numpy as np
 from .bending import (
     B_with_codazzi_derivative,
     Variation,
-    _relative,
     b_route_agreement,
     bat_residual,
     bending_residual,
@@ -67,6 +65,7 @@ from .geometry import (
     parallel_J_residual,
     point_frame,
     rank_two_residual,
+    relative,
 )
 from .report import ResidualReport
 from .weierstrass import SeriesChart, WeierstrassSeed, chart_complex_structure
@@ -204,7 +203,7 @@ def family_metric(b: ChartBundle):
     f1, fbar1, G = b.frame.jet.d1, b.conjugate.jet.d1, b.frame.metric
     P = f1 @ _t(fbar1)
     dev, sym, scale = np.linalg.norm([fbar1 @ _t(fbar1) - G, P + _t(P), G], axis=(-2, -1))
-    return (_relative(dev + 0.5 * sym, scale),)
+    return (relative(dev + 0.5 * sym, scale),)
 
 
 @_suite(1e-10)
@@ -226,7 +225,7 @@ def family_shape(b: ChartBundle):
     frame = b.frame
     Cinv = frame.chol_inv
     miss = Cinv @ (b.conjugate.second_form - frame.second_form @ b.J) @ _t(Cinv)
-    return (_relative(gnorm_op(miss), frame.shape_norm),)
+    return (relative(gnorm_op(miss), frame.shape_norm),)
 
 
 @_suite(1e-7)
@@ -253,7 +252,7 @@ def gauss_preservation(b: ChartBundle):
     """The conjugate field keeps the unit normal."""
     T = b.conjugate
     # both measures of each point, interleaved point by point
-    res = np.ma.stack([gauss_tangency_residual(T), normal_variation_residual(T)], axis=-1).ravel()
+    res = np.stack([gauss_tangency_residual(T), normal_variation_residual(T)], axis=-1).ravel()
     # control: a generic rigid rotation tilts the normal at first order
     bad = Variation(b.frame, b.trivial_jet(stream=101))
     return res, np.maximum(gauss_tangency_residual(bad), normal_variation_residual(bad))

@@ -270,22 +270,20 @@ def cluster_labels_loop(normals: np.ndarray, tol: float) -> np.ndarray:
 
 def report_from_residuals_loop(identity, residuals, tolerance, control=False) -> ResidualReport:
     """:meth:`ResidualReport.from_residuals` with one ``float`` per point."""
-    mask = np.ma.getmaskarray(residuals)
-    vals = [float(r) for r, out in zip(np.ma.getdata(residuals), mask) if not out]
+    vals = [float(r) for r in residuals]
     finite = [v for v in vals if math.isfinite(v)]
     worst = max(finite, default=0.0)
     mean = min(sum(finite) / len(finite), worst) if finite else 0.0
     passed = (worst > tolerance) if control else (worst < tolerance)
     return ResidualReport(
         identity=str(identity),
-        points=mask.size,
+        points=len(vals),
         max_residual=worst,
         mean_residual=mean,
         tolerance=float(tolerance),
-        passed=bool(passed) and len(finite) == len(vals) > 0,
+        passed=bool(passed) and len(finite) == len(vals),
         control=bool(control),
         nonfinite=len(vals) - len(finite),
-        excluded=int(mask.sum()),
     )
 
 
@@ -422,6 +420,11 @@ def mix_jets(a, ja: Jet2, b, jb: Jet2) -> Jet2:
     pairs = ((ja.value, jb.value), (ja.d1, jb.d1), (ja.d2, jb.d2))
     mixed = (np.multiply.outer(a, x) + np.multiply.outer(b, y) for x, y in pairs)
     return Jet2(np.broadcast_to(ja.coords, np.shape(a) + ja.coords.shape), *mixed)
+
+
+def scaled_jet(jet: Jet2, factor: float) -> Jet2:
+    """The jet of ``factor`` times the field."""
+    return dataclasses.replace(jet, value=factor * jet.value, d1=factor * jet.d1, d2=factor * jet.d2)
 
 
 def sampled_family_metric(f: Jet2, T: Jet2, phases) -> np.ndarray:

@@ -56,7 +56,7 @@ def _frame(chart, p):
 
 
 def _nullity(chart, fld, p):
-    return np.ma.getdata(nullity_annihilation_residual(frame_and_jet(chart, fld, p)))
+    return nullity_annihilation_residual(frame_and_jet(chart, fld, p))
 
 
 def _trivial(chart, p):

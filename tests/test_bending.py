@@ -26,6 +26,8 @@ from minkaehler.bending import (
     tangential_covariant_derivative,
     trivial_jet,
 )
+from minkaehler.report import ResidualReport
+from minkaehler.suites import DEFAULT_TOLERANCES
 from minkaehler.charts import ProductChart, random_points, shrink_box
 from minkaehler.errors import DomainError, PreconditionError
 from minkaehler.gausspar import make_cylinder_bending
@@ -50,6 +52,7 @@ from oracles import (
     frame_and_jet,
     in_frame,
     mix_jets,
+    scaled_jet,
     second_variation_metric_residual,
     seed_bundle,
     sphere_chart,
@@ -361,6 +364,16 @@ class TestClassification:
         res = classify_triviality(Variation(conj.frame, mix))
         assert not res.trivial
 
+    @pytest.mark.parametrize("factor", [1e-8, 1e8, 1e16, 1e22])
+    def test_score_does_not_depend_on_a_homothety(self, factor):
+        # f and its conjugate scaled by lambda: ||B||_G and ||A||_G both scale
+        # by 1/lambda, and the score stays at ||B||_G / ||A||_G = 1 (B = A J
+        # on a seed chart), with no absolute floor to call it trivial
+        f, fbar = seed_bundle("m4r5")._grid_jets
+        res = classify_triviality(Variation(point_frame(scaled_jet(f, factor)), scaled_jet(fbar, factor)))
+        assert not res.trivial
+        assert abs(res.score - 1.0) <= 1e-12
+
     def test_non_bending_is_rejected(self, enneper_chart, rng):
         # T = f scales the metric
         with pytest.raises(PreconditionError):
@@ -395,10 +408,36 @@ class TestDecomposition:
         assert dec.coefficient == pytest.approx(2.0, abs=1e-6)
         assert dec.residual < 1e-6
 
+    @pytest.mark.parametrize("factor", [1e-12, 1e-8, 1.0, 1e8, 1e12])
+    def test_decomposition_does_not_depend_on_a_homothety(self, factor, rng):
+        # T = 0.7 fbar + D f + w on the m4r5 grid, all scaled by lambda: the
+        # fit weighs its skew and offset columns alike at every scale, and
+        # the misfit is relative to the field
+        f, fbar = seed_bundle("m4r5")._grid_jets
+        mix = mix_jets(0.7, fbar, 1.0, make_trivial(f, rng))
+        frame = point_frame(scaled_jet(f, factor))
+        dec = recover_bending_decomposition(
+            Variation(frame, scaled_jet(mix, factor)), Variation(frame, scaled_jet(fbar, factor))
+        )
+        assert abs(dec.coefficient - 0.7) <= 1e-12
+        assert dec.residual <= 1e-13
+
     def test_field_and_conjugate_must_share_the_frame(self, catenoid_chart, rng):
         pts = sample(catenoid_chart, rng, 4)
         with pytest.raises(DomainError, match="one frame"):
             recover_bending_decomposition(conjugate_along(catenoid_chart, pts), conjugate_along(catenoid_chart, pts))
+
+
+@pytest.mark.parametrize("route", [bat_residual, b_route_agreement])
+def test_a_translation_reads_zero_on_the_b_rows(route):
+    # T = w has B = 0 and A T_* = 0 exactly: every point reads 0/0 = 0, and
+    # the row passes, with every point measured
+    frame = seed_bundle("m4r5").frame
+    T = trivial_jet(frame.jet, np.zeros((5, 5)), np.array([0.3, -1.0, 0.5, 2.0, 0.1]))
+    res = route(Variation(frame, T))
+    assert not res.any()
+    row = ResidualReport.from_residuals("x", res, DEFAULT_TOLERANCES["bending_bat"])
+    assert (row.points, row.nonfinite, row.passed) == (144, 0, True)
 
 
 class TestCylinder:

@@ -21,7 +21,6 @@ REPORT_KEYS = {
     "pass",
     "control",
     "nonfinite",
-    "excluded",
 }
 
 

@@ -205,7 +205,7 @@ def test_B_with_derivative(field):
 
 def test_fundamental_equation_residual(field):
     # a ratio whose terms are of size 1, however far the sum cancels
-    got = np.ma.getdata(fundamental_equation_residual(field))
+    got = fundamental_equation_residual(field)
     assert_within(got[..., None], fundamental_equation_residual_coord(field)[..., None], field.frame, 1, 1.0)
 
 

@@ -31,6 +31,7 @@ from minkaehler.geometry import (
     point_frame,
     rank_and_nullity,
     rank_two_residual,
+    relative,
 )
 from minkaehler.export import SliceSpec, export_slice
 from minkaehler.gausspar import clifford_torus_surface, geodesic_sphere_surface, make_cylinder_bending
@@ -629,6 +630,21 @@ class TestCurvatureIdentities:
         fr = point_frame(polar_plane_chart().jet([1.2, 0.5]))
         nab = covariant_field_derivative(fr, fr.metric, metric_derivative(fr.jet))
         np.testing.assert_allclose(nab, 0.0, atol=1e-12)
+
+
+class TestRelative:
+    def test_positive_scale_is_the_plain_quotient(self):
+        rng = np.random.default_rng(35)
+        num = rng.lognormal(-20.0, 8.0, 200)
+        scale = rng.lognormal(0.0, 8.0, 200)
+        assert np.array_equal(relative(num, scale), num / scale)
+
+    def test_zero_and_nonfinite_scales(self):
+        got = relative([0.0, 3.0, 0.0, 2.0, 1.0, np.nan], [0.0, 0.0, np.inf, np.nan, -np.inf, 1.0])
+        # 0/0: the identity holds exactly; x/0: a violation with nothing to
+        # measure it against; a non-finite scale, and a NaN residual, read NaN
+        assert got[:2].tolist() == [0.0, math.inf]
+        assert np.isnan(got[2:]).all()
 
 
 class TestMinimalityResidual:
