@@ -295,45 +295,24 @@ def B_with_codazzi_derivative(v: Variation) -> tuple:
     triple = pair + (frame.d,)
     X = Cinv @ frame.second_form  # column i = C^T A e_i
     dN = -(_t(X) @ frame.tangent_rows)  # row i = d_i N
+    # the transposed right factors as contiguous copies, which matmul reads fast
+    t1T, t2T, CinvT = (np.ascontiguousarray(_t(a)) for a in (t1, _flat(t2, 2), Cinv))
     # u[i, l] = <T_il, N> + <T_l, d_i N> - tau_hat . Gamma_hat_il
-    u = v.second_form + dN @ _t(t1) - (v.tau_hat[..., None, :] @ gam).reshape(pair)
+    u = v.second_form + dN @ t1T - (v.tau_hat[..., None, :] @ gam).reshape(pair)
     nu = (v.tau_hat[..., None, :] @ X)[..., 0, :]
     # db[..., i, j, k] = <T_jk, d_i N> - (C^{-1} u_i) . Gamma_hat_jk - nu_i H_jk
-    db = (dN @ _t(_flat(t2, 2))).reshape(triple)
-    db -= (u @ _t(Cinv) @ gam).reshape(triple)
+    db = (dN @ t2T).reshape(triple)
+    db -= (u @ CinvT @ gam).reshape(triple)
     db -= nu[..., :, None, None] * frame.second_form[..., None, :, :]
     return _b_form(v), db
 
 
-# Least scale of codazzi_b, as a fraction of the largest term of D
-_CODAZZI_RESOLUTION = 1e-6
-
-
-def codazzi_residual(frame: PointFrame, form, dform, norm=None) -> np.ndarray:
-    """sqrt(sum_{i<j} ||C^{-1} D_ij.||^2) / ||C^{-1} b C^{-T}||_F, the
-    G-norms of (nabla_i B) e_j - (nabla_j B) e_i over ||B||_G, B = G^{-1} b,
-    for the symmetric form b and dform[..., i, j, k] = d_i b_jk, D from
-    :func:`~minkaehler.geometry.covariant_field_derivative`; ``norm`` is
-    ||B||_G when the caller keeps it.
-
-    D is rounded to eps times its largest term, which exceeds ||B||_G by
-    the chart's ratio of connection to curvature: at most 5 on the
-    built-ins and drawn seeds, 6e11 on enneper over a disc of radius 1e12.
-    So the scale is at least ``_CODAZZI_RESOLUTION`` times a bound on those
-    terms: every such chart reads the same, and rounding reads about 1e-10
-    at most."""
-    Cinv = frame.chol_inv
-    if norm is None:
-        norm = gnorm_op(Cinv @ form @ _t(Cinv))
-    D = covariant_field_derivative(frame, form, dform)
-    iu, ju = np.triu_indices(frame.d, 1)
-    # row (i, j) of C^{-1} D_ij. is D_ij. C^{-T}, summed in squares over the pairs i < j
-    num = np.linalg.norm(D[..., iu, ju, :] @ _t(Cinv), axis=(-2, -1))
-    # ||C^{-1}||_F (||d b||_F + ||b C^{-T}||_F ||Gamma_hat||_F) bounds every term of C^{-1} D
-    gam, db = (_flat(np.asarray(a), 3, keep=0) for a in (frame.christoffel_hat, dform))
-    fro = np.linalg.norm(Cinv, axis=(-2, -1)), np.linalg.norm(form @ _t(Cinv), axis=(-2, -1))
-    terms = fro[0] * (np.sqrt(np.vecdot(db, db)) + fro[1] * np.sqrt(np.vecdot(gam, gam)))
-    return relative(num, np.maximum(norm, _CODAZZI_RESOLUTION * terms))
+def codazzi_residual(frame: PointFrame, form, dform) -> np.ndarray:
+    """The Codazzi symmetry of B = G^{-1} b, for the symmetric form b and
+    dform[..., i, j, k] = d_i b_jk: :func:`~minkaehler.geometry.parallel_residual`
+    of :func:`~minkaehler.geometry.covariant_field_derivative`, read on frame
+    pairs, so a homothety or a change of coordinate scale moves nothing."""
+    return parallel_residual(covariant_field_derivative(frame, form, dform))
 
 
 _WEDGE_BLOCK = 256  # points per block of the linearized curvature identity's wedge
@@ -449,10 +428,14 @@ def recover_bending_decomposition(v: Variation, conjugate: Variation) -> Bending
     the remaining trivial part is fit by least squares, each column of the
     design at unit norm, so the skew columns (in the units of f) and the
     offset columns (unit-free) weigh alike, and the residual is the worst
-    pointwise misfit over the largest field norm: unit-free.
+    pointwise misfit over the largest field norm: unit-free.  A trivial
+    reference (:func:`classify_triviality`) raises :class:`PreconditionError`.
     """
     if conjugate.frame is not v.frame:
         raise DomainError("a decomposition needs the field and the conjugate along one frame")
+    reference = classify_triviality(conjugate)
+    if reference.trivial:
+        raise PreconditionError(f"the reference bending is trivial (score {reference.score:.3g}): no B to project on")
     bt = _b_form(v)
     br = _b_form(conjugate)
     c = float(relative(np.sum(bt * br), np.sum(br * br)))

@@ -128,9 +128,9 @@ class PointFrame:
         return _t(self.chol) @ M @ _t(self.chol_inv)
 
     @cached_property
-    def _cross(self) -> tuple:  # the unnormalized normal and its length
+    def _cross(self) -> tuple:  # the unnormalized normal and its length, squares guarded
         raw = self._factor[0]
-        return raw, np.linalg.norm(raw, axis=-1, keepdims=True)
+        return raw, kernels._norms(_t(raw.reshape(-1, raw.shape[-1]))).reshape(raw.shape[:-1] + (1,))
 
     @cached_property
     def normal(self) -> np.ndarray:  # (..., d+1) unit normal N
@@ -320,22 +320,35 @@ def laplace_beltrami(frame: PointFrame, grad, hess) -> np.ndarray:
 
 
 def covariant_field_derivative(frame: PointFrame, form: np.ndarray, dform: np.ndarray) -> np.ndarray:
-    """The Codazzi derivative D[..., i, j, k] = (nabla_i b)_jk - (nabla_j
-    b)_ik of a symmetric form b on the frame's points, from ``form``
-    b[..., j, k] and ``dform``[..., i, j, k] = d_i b_jk, either of which may
-    broadcast:
+    """The Codazzi derivative D_ijk = (nabla_i b)_jk - (nabla_j b)_ik of a
+    symmetric form b on the frame's points, from ``form`` b[..., j, k] and
+    ``dform``[..., i, j, k] = d_i b_jk, either of which may broadcast: D_ijk
+    = h_ijk - h_jik for the sum h_ijk of the two terms
 
-        D_ijk = d_i b_jk - d_j b_ik - (b C^{-T} Gamma_hat_ik)_j + (b C^{-T} Gamma_hat_jk)_i,
+        d_i b_jk + (b C^{-T} Gamma_hat_jk)_i,
 
-    Gamma^l_ik b_jl read off Gamma_hat with no G^{-1}; the Christoffel term
-    symmetric in (i, j) cancels.  D reads dform only antisymmetrized in
-    (i, j), so a part of it symmetric in (i, j) does not count."""
-    gam = frame.christoffel_hat
-    shape = gam.shape
-    # [..., j, (i, k)] = (b C^{-T} Gamma_hat_ik)_j, moved to [..., i, j, k]
-    conn = np.swapaxes((form @ _t(frame.chol_inv) @ _flat(gam, 2, keep=0)).reshape(shape), -3, -2)
-    half = dform - conn
-    return half - np.swapaxes(half, -3, -2)
+    Gamma^l_jk b_il read off Gamma_hat with no G^{-1}.  All three are read
+    in the orthonormal frame, C^{-1} on every index, as the columns [0, ...,
+    c, (a, b)] of (nabla_a B) e_b - (nabla_b B) e_a, B = G^{-1} b, and at
+    [1:] the two terms alike: the input of :func:`parallel_residual`.  D
+    reads dform only antisymmetrized in (i, j), so a part of it symmetric in
+    (i, j) does not count."""
+    gam, Cinv = frame.christoffel_hat, frame.chol_inv
+    CinvT = np.ascontiguousarray(_t(Cinv))  # a right factor that matmul reads fast
+    cols = np.empty((3,) + gam.shape)  # D, then its two terms, each [..., i, j, k] until read
+    cols[1] = dform
+    # [..., i, (j, k)] = (b C^{-T} Gamma_hat_jk)_i
+    np.matmul(form @ CinvT, _flat(gam, 2, keep=0), out=_flat(cols[2], 2, keep=0))
+    # one term at a time, through cols[0] and one buffer of a term's size: no temporary outgrows a term
+    part, hat = cols[0], np.empty(gam.shape)
+    for term in cols[1:]:
+        # C^{-1} on i, then on k, then on j, each one matmul over a flat index pair
+        np.matmul(Cinv, _flat(term, 2, keep=0), out=_flat(part, 2, keep=0))  # [..., a, j, k]
+        np.matmul(_flat(part, 2), CinvT, out=_flat(np.moveaxis(hat, -3, -1), 2))  # hat is [..., c, a, j]
+        np.matmul(_flat(hat, 2), CinvT, out=_flat(term, 2))  # [..., c, a, b]
+    np.add(cols[1], cols[2], out=hat)
+    np.subtract(hat, np.swapaxes(hat, -2, -1), out=cols[0])
+    return _flat(cols, 2, keep=0)
 
 
 def parallel_residual(cols: np.ndarray) -> np.ndarray:

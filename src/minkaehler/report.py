@@ -11,7 +11,9 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +56,12 @@ class ResidualReport:
         vals = np.asarray(residuals, dtype=np.float64).ravel()
         if not vals.size:
             raise ValueError(f"suite {identity!r} produced no residuals")
-        # Python's sequential sum and max over the list keep every report byte-stable
+        # a max and a sum from left to right over the list keep every report
+        # byte-stable: from Python 3.12 on, sum() of floats is compensated
         finite = vals[np.isfinite(vals)].tolist()
         worst = max(finite, default=0.0)
         # the rounded mean of nearly equal values may pass their max
-        mean = min(sum(finite) / len(finite), worst) if finite else 0.0
+        mean = min(functools.reduce(operator.add, finite, 0.0) / len(finite), worst) if finite else 0.0
         passed = (worst > tolerance) if control else (worst < tolerance)
         return ResidualReport(
             identity=str(identity),

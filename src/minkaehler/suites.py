@@ -301,7 +301,7 @@ def fundamental_wedge(b: ChartBundle):
 @_suite(1e-7)
 def codazzi_b(b: ChartBundle):
     """B satisfies the Codazzi symmetry."""
-    res = codazzi_residual(b.frame, *B_with_codazzi_derivative(b.conjugate), norm=b.conjugate.B_norm)
+    res = codazzi_residual(b.frame, *B_with_codazzi_derivative(b.conjugate))
     # control: a generic symmetric form linear in the coordinates
     rng = np.random.default_rng(DEFAULT_RNG_SEED + 303)
     raw = rng.standard_normal((2, b.d, b.d))

@@ -273,7 +273,10 @@ def report_from_residuals_loop(identity, residuals, tolerance, control=False) ->
     vals = [float(r) for r in residuals]
     finite = [v for v in vals if math.isfinite(v)]
     worst = max(finite, default=0.0)
-    mean = min(sum(finite) / len(finite), worst) if finite else 0.0
+    total = 0.0  # from left to right, not by sum(), which Python 3.12 compensates
+    for v in finite:
+        total += v
+    mean = min(total / len(finite), worst) if finite else 0.0
     passed = (worst > tolerance) if control else (worst < tolerance)
     return ResidualReport(
         identity=str(identity),
@@ -728,6 +731,15 @@ def codazzi_lowered(frame, nab) -> np.ndarray:
     :func:`~minkaehler.geometry.covariant_field_derivative`."""
     diff = nab - np.swapaxes(nab, -3, -1)  # [..., i, k, j] = (nabla_i S)^k_j - (nabla_j S)^k_i
     return np.swapaxes(frame.metric[..., None, :, :] @ diff, -2, -1)
+
+
+def codazzi_columns(frame, D) -> np.ndarray:
+    """A lowered Codazzi derivative D[..., i, j, k] carried to the
+    orthonormal frame by C^{-1} on each index, as the columns [..., c, (a,
+    b)] = C^{-1}_ai C^{-1}_bj C^{-1}_ck D_ijk: the layout of
+    :func:`~minkaehler.geometry.covariant_field_derivative`."""
+    Cinv = frame.chol_inv
+    return _flat(np.einsum("...ai,...bj,...ck,...ijk->...cab", Cinv, Cinv, Cinv, D), 2, keep=0)
 
 
 def codazzi_coord(v) -> np.ndarray:

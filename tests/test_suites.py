@@ -280,6 +280,13 @@ class TestReportPlumbing:
             assert got == want
             assert render_json(report_to_dict(got)) == render_json(report_to_dict(want))
 
+    def test_the_mean_sums_from_left_to_right(self):
+        # 1.0 + 1e-16 rounds to 1.0 twice over; a compensated sum, as
+        # Python's sum() is from 3.12 on, reads 0.3333333333333334
+        vals = [1.0, 1e-16, 1e-16]
+        for row in (ResidualReport.from_residuals("x", vals, 1.0), report_from_residuals_loop("x", vals, 1.0)):
+            assert row.mean_residual == 0.3333333333333333
+
     def test_zero_scale_points_are_measured(self):
         # 0/0 reads 0 and passes; 5/0 reads inf and fails the row, in nonfinite
         row = ResidualReport.from_residuals("x", geometry.relative([0.1, 0.0, 0.3], [1.0, 0.0, 1.0]), 1.0)
@@ -455,14 +462,15 @@ def test_relative_rows_do_not_depend_on_a_homothety(name):
     # f and T scaled by lambda: G scales by lambda^2 and A by 1/lambda, and
     # the unit-free rows keep their roundoff readings, with no absolute
     # floor on ||G||_F, ||A||_G, ||A T_*||_G, ||B||_G, ||T_hat||_F or the B
-    # routes' norms to blind them, and the bending_bat, bending_tpar and
-    # fundamental_wedge controls keep their teeth (the bending_tpar control,
-    # a fixed field, has T_* falling as 1/lambda, to 1e-16 at 1e16); at
-    # lambda = 1e-15 every partial of T lies below 1e-14, and the Gauss
-    # tangency rows read it all the same.  codazzi_b stays out: its
-    # numerator sums over coordinate pairs i < j, so it is not unit-free
+    # routes' norms to blind them, and the bending_bat, bending_tpar,
+    # fundamental_wedge and codazzi_b controls keep their teeth (the
+    # bending_tpar control, a fixed field, has T_* falling as 1/lambda, to
+    # 1e-16 at 1e16, and the codazzi_b control, a fixed form, has both its
+    # terms falling as 1/lambda^3); at lambda = 1e-15 every partial of T
+    # lies below 1e-14, and the Gauss tangency rows read it all the same
     seed = builtin_seed(name)
-    names = ["minimality", "anticommutation", "gauss_preservation", "bending_bat", "fundamental_wedge", "b_three_route"]
+    names = ["minimality", "anticommutation", "gauss_preservation", "bending_bat", "fundamental_wedge", "codazzi_b"]
+    names += ["b_three_route"]
     names += FAMILY_ROWS + FRAME_ROWS
     names = [row for row in names if row in default_suites(build_bundle(seed))]
     unscaled = _moved_rows(seed, names, lambda jet: jet)
@@ -471,7 +479,7 @@ def test_relative_rows_do_not_depend_on_a_homothety(name):
         got = _moved_rows(seed, rows, lambda jet: scaled_jet(jet, factor))
         for row in rows:
             assert unscaled[row] / 4 <= got[row] <= 4 * unscaled[row], (factor, row, got[row], unscaled[row])
-        for control in {"bending_bat", "bending_tpar", "fundamental_wedge", "gauss_preservation"} & set(rows):
+        for control in {"bending_bat", "bending_tpar", "fundamental_wedge", "codazzi_b", "gauss_preservation"} & set(rows):
             assert got[f"{control}_control"] >= CONTROL_FLOOR, (factor, control)
 
 
@@ -692,17 +700,16 @@ def test_one_jet_and_one_frame_per_chart_and_point_stack(monkeypatch):
     }
     counts = {name: len(shapes) for name, shapes in factorizations.items()}
     assert counts == {"solve": 0, "inv": 0, "cholesky": 0, "det": 0, "eigvalsh": 0, "eigh": 0}
-    # G-norms of 15 operators per point, each the Frobenius norm of its
+    # G-norms of 14 operators per point, each the Frobenius norm of its
     # frame matrix: ||A_hat||, family_shape's miss, A_hat J_hat + J_hat
     # A_hat, ||A_hat T_hat|| and the bending_bat numerator for the conjugate and
     # the trivial control, ||B_hat|| of the conjugate (once, for
-    # fundamental_wedge, codazzi_b, b_three_route and
-    # nullity_in_bending_kernel), of the position field and of the codazzi_b
-    # control, the variation route's B_hat and three route differences,
-    # and the nullity miss
-    assert len(gnorms) == 13
+    # fundamental_wedge, b_three_route and nullity_in_bending_kernel) and
+    # of the position field, the variation route's B_hat and three route
+    # differences, and the nullity miss; codazzi_b reads no G-norm of B
+    assert len(gnorms) == 12
     matrices = sum(math.prod(shape[:-2]) for shape in gnorms)
-    assert matrices == 15 * len(bundle.points) == 2160
+    assert matrices == 14 * len(bundle.points) == 2016
     assert einsums == []
     # one Householder pass per verify, the grid frame's
     assert crosses == [(144, 4, 5)]
@@ -787,7 +794,7 @@ def test_n5_regression_seed_passes_every_default_suite():
     control clears its floor.  The routes through G^{-1} read
     ``bending_tpar`` at 2.5e2 times its tolerance, ``fundamental_wedge`` at
     1.3e2 and ``codazzi_b`` at 2.0e2; read in the orthonormal frame they are
-    1.7e-12, 5.0e-13 and 1.1e-8."""
+    1.7e-12, 5.0e-13 and 2.2e-8."""
     data = json.loads((Path(__file__).parent / "regression_n5_seed.json").read_text(encoding="ascii"))
     rng = np.random.default_rng(20261021)
     draws = [perfbench_module("workloads").random_seed(rng, 5) for _ in range(3)]
@@ -796,3 +803,17 @@ def test_n5_regression_seed_passes_every_default_suite():
     assert {r.identity for r in reports if not r.control} == set(SUITE_ORDER)
     failing = [(r.identity, r.max_residual) for r in reports if not r.passed]
     assert not failing
+
+
+def test_the_n5_fixture_keeps_a_unit_normal_under_a_homothety_of_1e16():
+    """f and T of the n = 5 fixture scaled by 1e16: the cofactor normal's
+    entries grow as 1e16^10 and their squares overflow a float, so its
+    length is taken with the squares guarded, and every point keeps a unit
+    normal and the rank row passes."""
+    data = json.loads((Path(__file__).parent / "regression_n5_seed.json").read_text(encoding="ascii"))
+    bundle = build_bundle(seed_from_json(data), counts=[2] * 10)
+    f, T = bundle._grid_jets
+    bundle.__dict__["_grid_jets"] = (scaled_jet(f, 1e16), scaled_jet(T, 1e16))
+    assert np.abs(np.linalg.norm(bundle.frame.normal, axis=-1) - 1.0).max() <= 4 * EPS
+    row, = run_suites(bundle, ["rank"])
+    assert row.passed and row.nonfinite == 0
