@@ -11,10 +11,13 @@ the OBJ writer formats the first three ambient coordinates a chunk of rows
 at a time and hands that text on, so the CSV reuses it for its f0..f2
 cells, and the CSV formats each distinct chart coordinate once, since a
 grid line repeats its coordinates in every row.  Text is held per chunk as
-a few large strings, never one object per cell for the whole slice.  Every
-frame and residual is computed before either file is opened, so a failed
-slice writes nothing; the slice reads its frame's A_hat, A's matrix in the
-orthonormal frame, and its Frobenius norm ||A||_G
+a few large strings, never one object per cell for the whole slice.  Jets,
+frames and residuals are computed in blocks of ``_BLOCK`` slice points,
+each block's values and residuals written into arrays allocated once for
+the whole slice, so memory is bounded by those output arrays, not by the
+slice's jets.  Every block is framed and checked before either file is
+opened, so a failed slice writes nothing; the slice reads its frame's
+A_hat, A's matrix in the orthonormal frame, and its Frobenius norm ||A||_G
 (:func:`~minkaehler.geometry.gnorm_op`), never the eigen-data, so an
 export calls no eigen-solver.  A slice's JSON form is read against
 ``SLICE_SCHEMA``, which the CLI config's ``export`` section shares.
@@ -45,6 +48,7 @@ __all__ = [
 _FIELDS = ("f", "fbar", "ftheta")
 _NUM = "%.17g"  # the bytes of format(x, ".17g")
 _CHUNK = 256  # rows formatted per call
+_BLOCK = 1024  # slice points jetted and framed per block
 
 
 @dataclass(frozen=True)
@@ -236,11 +240,15 @@ def export_slice(seed: WeierstrassSeed, spec: SliceSpec, obj_path, csv_path, nam
     """
     chart = slice_chart(seed, spec)
     pts = slice_points(chart, spec)
-    frame = point_frame(chart.jet(pts))
-    minim = minimality_residual(frame)
-    antic = anticommutation_residual(frame, chart_complex_structure(chart.d))
-    values = frame.jet.value
-    del frame  # free the jets and frame, so that the writers reuse their memory
+    J = chart_complex_structure(chart.d)
+    values = np.empty((len(pts), chart.ambient))
+    minim, antic = np.empty(len(pts)), np.empty(len(pts))
+    for start in range(0, len(pts), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        frame = point_frame(chart.jet(pts[rows]))
+        values[rows] = frame.jet.value
+        minim[rows] = minimality_residual(frame)
+        antic[rows] = anticommutation_residual(frame, J)
     vertex_text = export_obj(obj_path, values, spec.counts, name=name)
     export_csv(csv_path, pts, values, {"minimality": minim, "anticommutation": antic}, vertex_text)
     return len(pts)

@@ -190,9 +190,9 @@ def _cleared(frame: PointFrame) -> np.ndarray:
     The norms are taken quietly, since an overflow in them is not the
     check's finding."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        diag = np.diagonal(frame.metric, axis1=-2, axis2=-1)
-        C, Cinv = frame.chol, frame.chol_inv
-        kappa2 = (C * C).sum(axis=(-2, -1)) * (Cinv * Cinv).sum(axis=(-2, -1))
+        diag = np.vecdot(frame.jet.d1, frame.jet.d1)  # G_ii, the squared row norms of f_*
+        C, Cinv = _flat(frame.chol, 2, keep=0), _flat(frame.chol_inv, 2, keep=0)
+        kappa2 = np.vecdot(C, C) * np.vecdot(Cinv, Cinv)
     lo, hi = _CLEAR_DIAG
     return (kappa2 <= _CLEAR_KAPPA**2) & ((diag >= lo) & (diag <= hi)).all(axis=-1)
 

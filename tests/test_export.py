@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import minkaehler.export as export
 from minkaehler import builtin_seed
-from minkaehler.errors import DomainError
+from minkaehler.errors import DomainError, NonImmersionPointError
 from minkaehler.export import (
     SliceSpec,
     export_csv,
@@ -236,6 +238,54 @@ class TestSharedText:
             assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
         if -0.0 in spec.fixed.values():
             assert (tmp_path / "a.csv").read_text().splitlines()[1].split(",")[2:4] == ["-0", "0"]
+
+
+class TestBlocks:
+    """``export_slice`` jets and frames the slice ``_BLOCK`` points at a
+    time; every step is pointwise, so the blocks move no byte, and a fault
+    in any block still leaves no file behind."""
+
+    SPEC = SliceSpec(counts=(37, 41), fixed={2: 0.1, 3: -0.05}, field_name="ftheta", theta=0.9)
+
+    def test_blocks_keep_the_bytes(self, tmp_path, monkeypatch):
+        # 1,517 points: one full block and a partial one
+        seed = builtin_seed("m4r5")
+        assert export_slice(seed, self.SPEC, tmp_path / "a.obj", tmp_path / "a.csv") % export._BLOCK
+        monkeypatch.setattr(export, "_BLOCK", 10**6)
+        export_slice(seed, self.SPEC, tmp_path / "b.obj", tmp_path / "b.csv")
+        for suffix in ("obj", "csv"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+    def test_memory_is_bounded_by_the_output_arrays(self, tmp_path):
+        # a whole-slice frame of 4,096 points peaks at about 8.3 MB; blocks at about 4 MB
+        seed = builtin_seed("m4r5")
+        spec = SliceSpec(counts=(64, 64), fixed={2: 0.1, 3: -0.05}, field_name="ftheta", theta=0.7)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            export_slice(seed, spec, tmp_path / "s.obj", tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_a_fault_in_a_later_block_names_its_point_and_writes_nothing(self, tmp_path, monkeypatch):
+        seed = builtin_seed("m4r5")
+        bad = slice_points(slice_chart(seed, self.SPEC), self.SPEC)[export._BLOCK + 7]
+        jet_batch, calls = export.SeriesChart.jet_batch, []
+
+        def faulty(chart, pts, order=2):
+            parts = jet_batch(chart, pts, order)
+            parts[0][(pts == bad).all(axis=-1)] = np.nan
+            calls.append(len(pts))
+            return parts
+
+        monkeypatch.setattr(export.SeriesChart, "jet_batch", faulty)
+        with pytest.raises(NonImmersionPointError, match="not finite") as info:
+            export_slice(seed, self.SPEC, tmp_path / "s.obj", tmp_path / "s.csv")
+        assert str(bad) in str(info.value)
+        assert calls == [export._BLOCK, 37 * 41 - export._BLOCK]
+        assert not (tmp_path / "s.obj").exists() and not (tmp_path / "s.csv").exists()
 
 
 class TestExportedGeometry:

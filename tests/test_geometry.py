@@ -391,6 +391,11 @@ class TestRegularityCheck:
         export_slice(m4r5_seed, SliceSpec(), tmp_path / "s.obj", tmp_path / "s.csv")
         assert svd_calls == []
 
+    def test_default_export_forms_no_metric(self, tmp_path, m4r5_seed, monkeypatch):
+        # the clearance reads G's diagonal as the squared row norms of f_*
+        monkeypatch.setattr(PointFrame, "metric", property(lambda frame: pytest.fail("G was formed")))
+        export_slice(m4r5_seed, SliceSpec(), tmp_path / "s.obj", tmp_path / "s.csv")
+
     def test_only_an_ill_conditioned_point_takes_the_svd(self, svd_calls):
         # cond 1e9 has a Cholesky factor but fails the bound; its neighbours clear
         good = graph_jet(1.0)

@@ -483,6 +483,32 @@ def test_relative_rows_do_not_depend_on_a_homothety(name):
             assert got[f"{control}_control"] >= CONTROL_FLOOR, (factor, control)
 
 
+def _z_scaled(jet, s):
+    """The jet in the coordinate z' = z / s, z = x0 + i x1: the partials
+    along x0 and x1 times s, so d2 entry (i, j) times s_i s_j."""
+    scale = np.ones(jet.d)
+    scale[:2] = s
+    return dataclasses.replace(jet, d1=scale[:, None] * jet.d1, d2=np.multiply.outer(scale, scale)[..., None] * jet.d2)
+
+
+@pytest.mark.parametrize("name", SEED_NAMES)
+def test_rows_do_not_depend_on_a_scaling_of_z(name):
+    # z -> s z is holomorphic and commutes with J, so every identity holds in
+    # the new coordinates: every row keeps its roundoff reading (0.61 to 2.24
+    # times the unscaled one on the three built-ins) and every control its
+    # teeth (0.78 and above)
+    seed = builtin_seed(name)
+    names = default_suites(build_bundle(seed))
+    unscaled = _moved_rows(seed, names, lambda jet: jet)
+    for s in (1e-3, 1e3):
+        got = _moved_rows(seed, names, lambda jet: _z_scaled(jet, s))
+        for row, was in unscaled.items():
+            if row.endswith("_control"):
+                assert got[row] >= CONTROL_FLOOR, (s, row, got[row])
+            else:
+                assert was / 4 <= got[row] <= 4 * was, (s, row, got[row], was)
+
+
 @pytest.mark.parametrize("name", SEED_NAMES)
 def test_frame_rows_do_not_depend_on_an_ambient_rotation(name):
     # f and T rotated by one random orthogonal Q of the ambient space: E,
