@@ -50,7 +50,6 @@ import numpy as np
 from .charts import Jet2
 from .errors import DomainError, PreconditionError
 from .geometry import (
-    TINY,
     PointFrame,
     _flat,
     _t,
@@ -94,9 +93,9 @@ def make_trivial(jet: Jet2, rng) -> Jet2:
     m1 = jet.ambient
     raw = rng.standard_normal((m1, m1))
     skew = raw - raw.T
-    skew *= 1.0 / max(np.linalg.norm(skew), TINY)
+    skew *= 1.0 / np.linalg.norm(skew)
     offset = rng.standard_normal(m1)
-    offset *= 1.0 / max(np.linalg.norm(offset), TINY)
+    offset *= 1.0 / np.linalg.norm(offset)
     return trivial_jet(jet, skew, offset)
 
 

@@ -47,7 +47,6 @@ from . import kernels
 from .charts import ImmersionChart, Jet2
 from .errors import DomainError, PreconditionError
 from .geometry import (
-    TINY,
     PointFrame,
     laplace_beltrami,
     minimality_residual,
@@ -282,7 +281,6 @@ def _section(chart: ImmersionChart, r: int, x: Taylor) -> tuple:
     f = full.restrict(r)
     df = Taylor.stack([full.diff(i).restrict(r) for i in range(chart.d)], axis=-2)
     n0 = kernels.cross_columns(df.value)[0]
-    n0 /= np.maximum(np.linalg.norm(n0, axis=-1, keepdims=True), TINY)
     G = dot(df[..., :, None, :], df[..., None, :, :])
     normal = unit(n0 - (solve(G, dot(df, n0[:, None, :]))[..., None] * df).sum(-2))
     xi = []
@@ -389,7 +387,7 @@ def extract_from_hypersurface(chart: ImmersionChart, samples) -> ExtractionResul
     labels = _cluster_labels(normals)
     clusters = [np.flatnonzero(labels == ci) for ci in range(labels.max() + 1)]
     cluster_normals = np.array([normals[idx].mean(axis=0) for idx in clusters])
-    cluster_normals /= np.maximum(np.linalg.norm(cluster_normals, axis=1, keepdims=True), TINY)
+    cluster_normals /= np.linalg.norm(cluster_normals, axis=1, keepdims=True)
     cluster_supports = np.array([supports[idx].mean() for idx in clusters])
 
     return ExtractionResult(

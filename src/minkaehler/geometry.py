@@ -1,8 +1,8 @@
 """Hypersurface geometry from chart jets, over a stack of points.
 
 Everything here is frame data computed pointwise but written once over any
-leading point axes ``...``: induced metric, unit normal from the
-generalized cross product (in coordinate index order), scalar second
+leading point axes ``...``: induced metric, unit normal (the normalized
+generalized cross product, in coordinate index order), scalar second
 fundamental form, and every operator as its matrix in the orthonormal
 frame: the shape operator, its rank and range, the Christoffel symbols read
 off the same 2-jet, the Codazzi derivative of a symmetric form given its
@@ -15,9 +15,10 @@ Every relative residual of the verifier, here and in
 scale through :func:`relative`.
 
 A :class:`PointFrame` holds one field, a jet stack; every other piece it
-computes from the jet on first read and then keeps: G; N, the Cholesky
-factor C of G and C^{-1}, all three from one Householder QR of the first
-partials over the whole stack (:func:`~minkaehler.kernels.cross_columns`);
+computes from the jet on first read and then keeps: G; the unit normal N,
+the Cholesky factor C of G and C^{-1}, all three from one Householder QR of
+the first partials over the whole stack, with no length taken and no
+floor (:func:`~minkaehler.kernels.cross_columns`);
 H and, in the orthonormal frame, E = C^{-1} f_*, A_hat = C^{-1} H C^{-T},
 ||A_hat||_F and Gamma_hat_ij = E f_ij = C^T Gamma_ij.  No G^{-1}, no
 coordinate shape operator or Christoffel symbol and no d_l G is formed.
@@ -62,8 +63,6 @@ from .errors import (
     NonImmersionPointError,
 )
 
-# Floor for norms used as divisors.
-TINY = 1e-300
 # Relative singular-value cutoff of a frame's regularity check.
 _REGULARITY_RTOL = 1e-8
 # A point whose Cholesky bound kappa on cond(first partials) is at most this,
@@ -96,8 +95,9 @@ class PointFrame:
     on first read and then kept.  N, C and C^{-1} come from one Householder
     pass along the point axis, the frame's only factorization.  The ambient
     dimension may exceed d + 1 (a Gauss map's frame reads C^{-1} and
-    Gamma_hat), but N is a normal only at d + 1.  At a zero or exactly
-    dependent row of f_*, C^{-1} is not finite.
+    Gamma_hat), but N is a normal only at d + 1.  N does not depend on the
+    scale of f_*.  At a zero or exactly dependent row of f_* (some R_kk =
+    0), N is zero and C^{-1} is not finite.
     """
 
     jet: Jet2
@@ -111,8 +111,12 @@ class PointFrame:
         return self.jet.d1 @ _t(self.jet.d1)
 
     @cached_property
-    def _factor(self) -> tuple:  # (cofactor normal, C, C^{-1}), one Householder pass
+    def _factor(self) -> tuple:  # (N, C, C^{-1}), one Householder pass
         return kernels.cross_columns(self.jet.d1)
+
+    @property
+    def normal(self) -> np.ndarray:  # (..., d+1) unit normal N
+        return self._factor[0]
 
     @property
     def chol(self) -> np.ndarray:  # C, with G = C C^T
@@ -126,16 +130,6 @@ class PointFrame:
         """M_hat = C^T M C^{-T}: the matrix of the operator M in the
         orthonormal frame, for a constant M such as a complex structure."""
         return _t(self.chol) @ M @ _t(self.chol_inv)
-
-    @cached_property
-    def _cross(self) -> tuple:  # the unnormalized normal and its length, squares guarded
-        raw = self._factor[0]
-        return raw, kernels._norms(_t(raw.reshape(-1, raw.shape[-1]))).reshape(raw.shape[:-1] + (1,))
-
-    @cached_property
-    def normal(self) -> np.ndarray:  # (..., d+1) unit normal N
-        raw, length = self._cross
-        return raw / length
 
     @cached_property
     def second_form(self) -> np.ndarray:  # (..., d, d) H_ij = <f_ij, N>
@@ -202,11 +196,12 @@ def point_frame(jet: Jet2) -> PointFrame:
     :class:`NonImmersionPointError`, naming the coordinates of the first bad
     point, where the jet's value or partials are not finite, where the first
     partials are dependent (smallest singular value at most
-    ``_REGULARITY_RTOL`` times the largest) and where the normal degenerates.
+    ``_REGULARITY_RTOL`` times the largest).
 
     The singular values are computed only at the points that the Cholesky
     bound of :func:`_cleared` cannot clear (among them every point whose
-    factor is singular); at every other point the check could not fire.
+    factor is singular, the only points where N is zero); at every other
+    point the check could not fire.
     """
     d1 = jet.d1
     if jet.ambient != jet.d + 1:
@@ -228,9 +223,6 @@ def point_frame(jet: Jet2) -> PointFrame:
                 f"first partials are dependent at {jet.coords[k]} "
                 f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
             )
-    k = _first(frame._cross[1][..., 0] <= TINY)
-    if k is not None:
-        raise NonImmersionPointError(f"degenerate normal at {jet.coords[k]}")
     return frame
 
 

@@ -4,8 +4,8 @@
 points, stepping only over the coefficient columns that can change a bit
 of the result (a polynomial seed's rows are zero past its degree).
 ``cross_columns`` factors a stack of tangent frames f_* by one Householder
-QR, for the cofactor normal and the Cholesky factor of G = f_* f_*^T with
-its inverse, never forming G; each of its steps is one vector operation
+QR, for the unit normal and the Cholesky factor of G = f_* f_*^T with its
+inverse, never forming G; each of its steps is one vector operation
 along the point axis, moved last, never one LAPACK call per small matrix.
 All are plain numpy.  ``BACKEND`` names the numeric path for provenance
 records.
@@ -83,20 +83,21 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def cross_columns(d1: np.ndarray) -> tuple:
-    """(n, C, C^{-1}) of the rows of each (d, m) slice of ``d1``, m > d,
+    """(N, C, C^{-1}) of the rows of each (d, m) slice of ``d1``, m > d,
     from one Householder QR M = H_1 ... H_d R of the (m, d) matrix M whose
     columns are the rows; leading axes are a point stack.
 
     C = R^T, each row of R sign-flipped to a positive diagonal, is the lower
     Cholesky factor of G = M^T M, and C^{-1} comes by forward substitution.
-    n = R_11 ... R_dd H_1 ... H_d e_m is orthogonal to every row; for
-    m = d + 1 it is the cofactor vector, dot(n, u) = det([u | M]) for every
-    u (e3 for (e1, e2) in R^3), and it is not normalized.  Each reflection
-    is built as LAPACK's ``dlarfg`` builds it, from a column norm that
-    :func:`_norms` guards against squares that under- or overflow.  A
-    column that is zero where its reflection acts gives R_kk = 0: n is an
-    exact zero, never a NaN, and C^{-1} is quietly not finite.  m <= d
-    raises :class:`DomainError`.
+    N = s H_1 ... H_d e_m, s the product of the signs of R_11 ... R_dd, is a
+    unit vector orthogonal to every row; for m = d + 1 it is the normalized
+    cofactor vector, so det([N | M]) > 0 (e3 for (e1, e2) in R^3).  Each
+    reflection is built as LAPACK's ``dlarfg`` builds it, from a column
+    norm that :func:`_norms` guards against squares that under- or
+    overflow, so N does not depend on the rows' scale.  A column that is
+    zero where its reflection acts gives R_kk = 0: N is an exact zero, never
+    a NaN, and C^{-1} is quietly not finite.  m <= d raises
+    :class:`DomainError`.
     """
     d1 = np.asarray(d1, dtype=np.float64)
     if d1.ndim < 2 or d1.shape[-1] <= d1.shape[-2]:
@@ -104,7 +105,7 @@ def cross_columns(d1: np.ndarray) -> tuple:
     lead, (d, amb) = d1.shape[:-2], d1.shape[-2:]
     cols = _points_last(d1, (d, amb)).copy()  # cols[j]: column j of M, over the points
     chol = np.zeros((d, d) + cols.shape[2:])
-    betas, reflectors = [], []
+    sign, reflectors = 1.0, []
     for k in range(d):
         x = cols[k, k:]
         norm = _norms(x)
@@ -120,7 +121,7 @@ def cross_columns(d1: np.ndarray) -> tuple:
         rest[:, 1:] -= v * w[:, None]
         chol[k, k] = norm
         chol[k + 1 :, k] = rest[:, 0] * np.copysign(1.0, beta)  # R_kj, j > k, signed
-        betas.append(beta)
+        sign *= np.sign(beta)
         reflectors.append((v, tau))
     chol_inv = np.zeros(chol.shape)
     with np.errstate(all="ignore"):
@@ -136,6 +137,5 @@ def cross_columns(d1: np.ndarray) -> tuple:
         w *= tau
         part[0] -= w
         part[1:] -= v * w
-    with np.errstate(over="ignore", invalid="ignore"):  # as the cofactors themselves do
-        y *= np.prod(betas, axis=0)
+    y *= sign
     return _points_first(y, lead), _points_first(chol, lead), _points_first(chol_inv, lead)

@@ -81,7 +81,6 @@ from minkaehler.charts import Jet2
 from minkaehler.errors import NonImmersionPointError
 from minkaehler.export import slice_chart, slice_points
 from minkaehler.geometry import (
-    TINY,
     PointFrame,
     _flat,
     anticommutation_residual,
@@ -215,11 +214,7 @@ def point_frame_full_svd(jet) -> PointFrame:
             f"first partials are dependent at {jet.coords[k]} "
             f"(singular values {svals[k][0]:.3g} .. {svals[k][-1]:.3g})"
         )
-    frame = PointFrame(jet)
-    bad = frame._cross[1][..., 0] <= TINY
-    if bad.any():
-        raise NonImmersionPointError(f"degenerate normal at {jet.coords[tuple(np.argwhere(bad)[0])]}")
-    return frame
+    return PointFrame(jet)
 
 
 def gnorm_spectral(frame, M: np.ndarray) -> np.ndarray:

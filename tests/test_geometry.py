@@ -42,6 +42,7 @@ from minkaehler.taylor import Taylor, TaylorChart
 from minkaehler.weierstrass import chart_complex_structure
 
 from oracles import (
+    EPS,
     SIX_SEEDS,
     christoffel_coord,
     ellipse_chart,
@@ -57,6 +58,7 @@ from oracles import (
     point_frame_full_svd,
     polar_christoffel,
     polar_plane_chart,
+    scaled_jet,
     seed_bundle,
     sphere_chart,
     shape_operator,
@@ -187,15 +189,27 @@ class TestPointFrame:
         with pytest.raises(NonImmersionPointError, match=re.escape(str(coords[1]))):
             point_frame(jet)
 
-    def test_degenerate_normal_is_located(self):
-        # partials of size 1e-160 pass the relative SVD check, but their
-        # cross product (size 1e-320) is no normal to divide by
+    def test_tiny_partials_give_the_unscaled_normal(self):
+        # partials of size 1e-160 pass the relative SVD check, and their
+        # normal, whose cofactors (size 1e-320) would underflow, is that of
+        # the unscaled partials
         good = graph_jet(1.0)
         stack = [good, dataclasses.replace(good, d1=1e-160 * good.d1), good]
         coords = np.array([[0.0, 0.0], [7.25, -3.5], [1.0, 1.0]])
         jet = Jet2(coords, *(np.stack([getattr(j, k) for j in stack]) for k in ("value", "d1", "d2")))
-        with pytest.raises(NonImmersionPointError, match="degenerate normal at " + re.escape(str(coords[1]))):
-            point_frame(jet)
+        assert np.abs(point_frame(jet).normal[1] - point_frame(good).normal).max() <= 4 * EPS
+
+    def test_a_homothety_of_2_to_the_minus_300_keeps_the_m4r5_rows_bitwise(self):
+        # m4r5's grid jets scaled by 2^-300: G's diagonal leaves the Cholesky
+        # clearance, so every point takes the SVD, and the cofactor product
+        # (about 2^-1200) would underflow; a power-of-two scaling moves no
+        # bit of N or of the unit-free rows
+        jet = seed_bundle("m4r5")._grid_jets[0]
+        J = chart_complex_structure(jet.d)
+        fr, tiny = point_frame(jet), point_frame(scaled_jet(jet, 2.0**-300))
+        np.testing.assert_array_equal(tiny.normal, fr.normal)
+        assert minimality_residual(tiny).tobytes() == minimality_residual(fr).tobytes()
+        assert anticommutation_residual(tiny, J).tobytes() == anticommutation_residual(fr, J).tobytes()
 
     @pytest.mark.parametrize("part", ["value", "d1", "d2"])
     def test_non_finite_jet_is_located(self, part):

@@ -79,6 +79,19 @@ class TestHorner:
         np.testing.assert_array_equal(out, [[2.0 + 1.0j, 2.0 + 1.0j]])
 
 
+def normalized(n: np.ndarray) -> np.ndarray:
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+
+def assert_near_the_cofactor_oracle(d1, want, cond=None):
+    """The unit normal of ``d1`` within 4 d eps cond(M) of the normalized
+    cofactor vector ``want``, M the (d+1, d) matrix of a point's partials
+    (``cond`` of another M with the same normal, such as the unscaled one)."""
+    d = d1.shape[-2]
+    bound = 4 * d * EPS * (np.linalg.cond(d1) if cond is None else cond)
+    assert np.all(np.abs(kernels.cross_columns(d1)[0] - normalized(want)).max(axis=-1) <= bound)
+
+
 class TestCrossColumns:
     def test_three_dimensional_case_is_the_cross_product(self):
         rng = np.random.default_rng(2)
@@ -86,36 +99,31 @@ class TestCrossColumns:
         out = kernels.cross_columns(d1)[0]
         for p in range(10):
             np.testing.assert_allclose(
-                out[p], np.cross(d1[p, 0], d1[p, 1]), rtol=1e-12, atol=1e-12
+                out[p], normalized(np.cross(d1[p, 0], d1[p, 1])), rtol=1e-12, atol=1e-12
             )
 
     def test_result_is_orthogonal_with_det_pairing(self):
+        # a unit vector orthogonal to every row, with det([N | rows]) > 0
         rng = np.random.default_rng(3)
-        for d in (1, 2, 3, 4, 6):
-            d1 = rng.standard_normal((6, d, d + 1))
+        for d in range(1, 11):
+            d1 = rng.standard_normal((64, d, d + 1))
             out = kernels.cross_columns(d1)[0]
-            assert out.shape == (6, d + 1)
-            for p in range(6):
-                # orthogonal to every row, and pairing with u gives det([u|rows])
-                np.testing.assert_allclose(d1[p] @ out[p], 0.0, atol=1e-10)
-                u = rng.standard_normal(d + 1)
-                full = np.column_stack([u, d1[p].T])
-                assert out[p] @ u == pytest.approx(np.linalg.det(full), rel=1e-10)
+            assert out.shape == (64, d + 1)
+            assert np.abs(np.linalg.norm(out, axis=-1) - 1.0).max() <= 4 * EPS
+            assert np.abs((d1 @ out[..., None])[..., 0]).max() <= 1e-12
+            full = np.concatenate([out[..., None], np.swapaxes(d1, -1, -2)], axis=-1)
+            assert np.all(np.linalg.det(full) > 0.0)
 
     def test_householder_pass_matches_the_cofactor_loop(self):
-        # within 4 d eps cond(M) of each point's largest cofactor, M the
-        # (d+1, d) matrix of the point's partials
+        # within 4 d eps cond(M) of the normalized cofactors, M the (d+1, d)
+        # matrix of the point's partials
         rng = np.random.default_rng(4)
         for d in range(1, 11):
             d1 = rng.standard_normal((512, d, d + 1))
-            want = cross_columns_loop(d1)
-            bound = 4 * d * EPS * np.linalg.cond(d1) * np.abs(want).max(axis=-1)
-            assert np.all(np.abs(kernels.cross_columns(d1)[0] - want).max(axis=-1) <= bound)
+            assert_near_the_cofactor_oracle(d1, cross_columns_loop(d1))
             # extra leading axes, as a stack of family members carries
             stack = rng.standard_normal((5, 64, d, d + 1))
-            want = np.stack([cross_columns_loop(member) for member in stack])
-            bound = 4 * d * EPS * np.linalg.cond(stack) * np.abs(want).max(axis=-1)
-            assert np.all(np.abs(kernels.cross_columns(stack)[0] - want).max(axis=-1) <= bound)
+            assert_near_the_cofactor_oracle(stack, np.stack([cross_columns_loop(member) for member in stack]))
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_a_point_alone_is_bitwise_its_row_of_the_stack(self, d):
@@ -129,25 +137,21 @@ class TestCrossColumns:
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_rows_scaled_past_1e150_and_1e_minus_150(self, d):
-        # the cofactors are multilinear in the rows: scaling one row by 2^e
-        # and another by 2^-e leaves them unchanged up to roundoff, for
-        # 2^500 (about 3e150) and 2^540 (about 4e162, whose square
-        # overflows, while that of 2^-540 underflows); scaling every row
-        # keeps them finite at d = 1 and, for 2^500, at d = 2
+        # the unit normal does not depend on the rows' scale: scaling one row
+        # by 2^e and another by 2^-e, or every row by 2^e or 2^-e, leaves it
+        # within the bound, for 2^500 (about 3e150) and 2^540 (about 4e162,
+        # whose square overflows, while that of 2^-540 underflows)
         rng = np.random.default_rng(40 + d)
         d1 = rng.standard_normal((64, d, d + 1))
-        want = cross_columns_loop(d1)
-        bound = 4 * d * EPS * np.linalg.cond(d1) * np.abs(want).max(axis=-1)
+        want, cond = cross_columns_loop(d1), np.linalg.cond(d1)
         for e in (500, 540):
             if d >= 2:
                 scaled = d1.copy()
                 scaled[:, 0] *= 2.0**e
                 scaled[:, -1] *= 2.0**-e
-                assert np.all(np.abs(kernels.cross_columns(scaled)[0] - want).max(axis=-1) <= bound)
-            if e * d < 1020:
-                for sign in (1, -1):
-                    got = kernels.cross_columns(2.0 ** (sign * e) * d1)[0] * 2.0 ** (-sign * e * d)
-                    assert np.all(np.abs(got - want).max(axis=-1) <= bound)
+                assert_near_the_cofactor_oracle(scaled, want, cond)
+            for sign in (1, -1):
+                assert_near_the_cofactor_oracle(2.0 ** (sign * e) * d1, want, cond)
         # partials of size 1e-160, whose squares underflow: no NaN
         assert np.isfinite(kernels.cross_columns(1e-160 * d1)[0]).all()
 

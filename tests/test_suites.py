@@ -832,10 +832,10 @@ def test_n5_regression_seed_passes_every_default_suite():
 
 
 def test_the_n5_fixture_keeps_a_unit_normal_under_a_homothety_of_1e16():
-    """f and T of the n = 5 fixture scaled by 1e16: the cofactor normal's
-    entries grow as 1e16^10 and their squares overflow a float, so its
-    length is taken with the squares guarded, and every point keeps a unit
-    normal and the rank row passes."""
+    """f and T of the n = 5 fixture scaled by 1e16: a cofactor vector's
+    entries would grow as 1e16^10 and overflow, but the Householder pass
+    takes no product of its pivots, so every point keeps a unit normal and
+    the rank row passes."""
     data = json.loads((Path(__file__).parent / "regression_n5_seed.json").read_text(encoding="ascii"))
     bundle = build_bundle(seed_from_json(data), counts=[2] * 10)
     f, T = bundle._grid_jets
